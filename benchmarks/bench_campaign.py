@@ -20,9 +20,18 @@ reproduce the cold digest byte-identically, and beat it on wall clock.
 Run directly to print the tables; a machine-readable
 ``BENCH_campaign.json`` (scenarios/sec, cache hit-rate, spec digest) is
 written alongside:  python benchmarks/bench_campaign.py
+
+Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
+the multi-party family serially and through the process backend, and
+fails if a block's builds stop sharing one graph, if a block's premium
+memos grow after its first build (per-scenario invariants recomputed in
+the hot path), or if the two backends' digests differ:
+python benchmarks/bench_campaign.py --gate
 """
 
+import argparse
 import os
+import sys
 import tempfile
 import time
 
@@ -34,6 +43,7 @@ from repro.campaign import (
     campaign_spec,
     default_matrix,
 )
+from repro.core.premiums import memo_sizes
 from repro.obs import Tracer, phase_fragments
 
 try:
@@ -45,6 +55,9 @@ except ImportError:  # running the file directly from within benchmarks/
 # per-run fork cost is a visible fraction of the work.
 REUSE_FAMILIES = ("broker", "auction", "sealed-auction", "bootstrap")
 REUSE_RUNS = 4
+
+# The family whose builds size premiums from per-graph memos.
+GATE_FAMILIES = ("multi-party",)
 
 
 def _run(backend: str, workers: int | None = None, tracer: Tracer | None = None):
@@ -176,6 +189,59 @@ def generate_cache_table():
     return header, rows, records
 
 
+def run_gate() -> int:
+    """CI ratchet: shared graphs, memos that stop growing, digest parity."""
+    matrix = default_matrix(families=GATE_FAMILIES)
+    first = []
+    for block in matrix.blocks:
+        graph = block.builder().meta["graph"]
+        first.append((graph, memo_sizes(graph)))
+    serial = CampaignRunner(matrix, backend="serial").run()
+    process = CampaignRunner(matrix, backend="process").run()
+
+    failures = []
+    rows = []
+    for block, (graph, before) in zip(matrix.blocks, first):
+        shared = block.builder().meta["graph"] is graph
+        after = memo_sizes(graph)
+        rows.append(
+            (
+                block.schedule,
+                block.size(),
+                "yes" if shared else "NO",
+                "/".join(str(n) for n in before.values()),
+                "/".join(str(n) for n in after.values()),
+            )
+        )
+        if not shared:
+            failures.append(f"{block.schedule}: builds no longer share one graph")
+        grown = [name for name in after if after[name] != before[name]]
+        if grown:
+            failures.append(
+                f"{block.schedule}: memos {grown} grew after the first build"
+            )
+    if serial.run_digest != process.run_digest:
+        failures.append(
+            f"serial digest {serial.run_digest[:12]} != "
+            f"process digest {process.run_digest[:12]}"
+        )
+    header = (
+        "block", "scenarios", "shared graph",
+        "memos at first build (eq1/paths/worst)", "memos after run",
+    )
+    print(format_table("campaign gate: per-block premium memos", header, rows))
+    print(
+        f"serial {serial.scenarios_per_second:.0f} scen/s, "
+        f"process {process.scenarios_per_second:.0f} scen/s (informational); "
+        f"digest {serial.run_digest[:12]}"
+    )
+    for failure in failures:
+        print(f"GATE FAIL: {failure}")
+    if not failures:
+        print("campaign gate: all checks passed")
+    return 1 if failures else 0
+
+
 # ----------------------------------------------------------------------
 def test_campaign_backends_agree(benchmark):
     header, rows, _ = benchmark.pedantic(
@@ -210,6 +276,15 @@ def test_warm_cache_hits_everything_and_keeps_the_digest(benchmark):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--gate",
+        action="store_true",
+        help="enforce the shared-graph memo ratchet and digest parity "
+        "(exit 1 on breach)",
+    )
+    if parser.parse_args().gate:
+        sys.exit(run_gate())
     print(f"cpus: {os.cpu_count()}")
     c1_header, c1_rows, c1_records = generate_campaign_table()
     print(format_table("EXP-C1: campaign engine throughput", c1_header, c1_rows))

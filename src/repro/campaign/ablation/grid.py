@@ -56,6 +56,7 @@ profile (``min_adversaries == max_adversaries == 2``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
@@ -91,6 +92,7 @@ PRINCIPAL = 100
 GRAPH_FAMILY_KINDS = ("ring", "complete")
 
 
+@lru_cache(maxsize=64)
 def parse_graph_family(family: str):
     """``(graph, leaders)`` for a graph-shaped family name, else ``None``.
 
@@ -100,6 +102,11 @@ def parse_graph_family(family: str):
     deterministic :func:`~repro.graph.feedback.minimum_feedback_vertex_set`.
     The leaders are part of the family's identity: the same graph under a
     different leader set prices differently, and a name must mean one cell.
+
+    Results are cached per name, so every quote, ablation cell and probe
+    over one family shares one graph instance — and with it the graph's
+    premium memos (see :mod:`repro.core.premiums`).  The returned graph
+    is shared: treat it as immutable.
     """
     from repro.graph.digraph import complete_graph, figure3_graph, ring_graph
 
@@ -331,10 +338,10 @@ def _two_party_cell(premium: int) -> FamilyCell:
 def _multi_party_probe(premium: int):
     """Shared ring:3 builder/probe for pivot and coalition blocks."""
     from repro.core.hedged_multi_party import HedgedMultiPartySwap
-    from repro.graph.digraph import ring_graph
 
+    graph, leaders = parse_graph_family("ring:3")
     builder = lambda p=premium: HedgedMultiPartySwap(
-        graph=ring_graph(3), premium=p, leaders=("P0",)
+        graph=graph, premium=p, leaders=leaders
     ).build()
     return builder, builder()
 
@@ -785,9 +792,8 @@ def deterrence_stake(family: str, pi: float) -> float:
             escrow_premium_amounts,
             redemption_premium_amount,
         )
-        from repro.graph.digraph import ring_graph
 
-        graph, p = ring_graph(3), scaled_premium(pi)
+        graph, p = parse_graph_family("ring:3")[0], scaled_premium(pi)
         # P1's escrow premium on (P1,P2) plus its redemption premium for
         # P0's key on (P0,P1), both still held at phase 3.
         return float(
@@ -860,9 +866,8 @@ def coalition_deterrence_stake(family: str, coalition: str, pi: float) -> float 
             escrow_premium_amounts,
             redemption_premium_amount,
         )
-        from repro.graph.digraph import ring_graph
 
-        graph, p = ring_graph(3), scaled_premium(pi)
+        graph, p = parse_graph_family("ring:3")[0], scaled_premium(pi)
         # P1's escrow premium on (P1,P2) forfeits to P2 — internal.  What
         # faces the outsider P0: P2's escrow premium on (P2,P0), plus P1's
         # redemption premium for P0's key on (P0,P1).  (P2's redemption

@@ -110,12 +110,16 @@ def add_multi_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) 
         ("complete8/p1", lambda: complete_graph(8), 1, 7),
     )
     for name, graph_fn, premium, halt_step in schedules:
-        instance = HedgedMultiPartySwap(graph=graph_fn(), premium=premium).build()
+        # One graph per block: its Equation-1 and worst-case funding memos
+        # then serve every scenario's build, while each build still mints
+        # a fresh HedgedMultiPartySwap (and so fresh secrets).
+        graph = graph_fn()
+        instance = HedgedMultiPartySwap(graph=graph, premium=premium).build()
         matrix.add_block(
             family="multi-party",
             schedule=name,
-            builder=lambda g=graph_fn, p=premium: HedgedMultiPartySwap(
-                graph=g(), premium=p
+            builder=lambda g=graph, p=premium: HedgedMultiPartySwap(
+                graph=g, premium=p
             ).build(),
             properties=(props.no_stuck_escrow, props.multi_party_lemmas),
             strategies={

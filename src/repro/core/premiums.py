@@ -36,7 +36,13 @@ so its true state space is (vertex subset, beneficiary): at most
 memoizes on that key, shared across calls through a cache slotted on the
 graph instance itself, which is what makes ``complete:6+`` premium
 sizing (and the per-deposit re-validation inside
-:class:`repro.contracts.swap_arc.HedgedSwapArc`) feasible.
+:class:`repro.contracts.swap_arc.HedgedSwapArc`) feasible.  The simple-path
+member sets and the worst-case funding amount are memoized the same way.
+
+Every such memo lives exactly as long as its graph instance.  A builder
+that makes a fresh graph per deal therefore starts cold on every build;
+builders of many deals over one digraph must share one graph instance
+to benefit (the campaign matrix does, per block).
 """
 
 from __future__ import annotations
@@ -49,19 +55,27 @@ from repro.graph.digraph import Arc, SwapGraph
 from repro.graph.feedback import is_feedback_vertex_set
 
 
-def _amount_memo(graph: SwapGraph) -> dict:
-    """The graph's shared Equation-1 memo, keyed ``(members, u, p)``.
+def _graph_memo(graph: SwapGraph, name: str) -> dict:
+    """The graph's shared memo called ``name``, created on first use.
 
     ``SwapGraph`` is a frozen dataclass, but — like ``cached_property``,
-    which the graph already uses — we can slot the cache straight into the
+    which the graph already uses — we can slot a cache straight into the
     instance ``__dict__``; it dies with the graph, so distinct graphs can
     never share entries.
     """
-    memo = graph.__dict__.get("_equation1_memo")
+    memo = graph.__dict__.get(name)
     if memo is None:
-        memo = {}
-        graph.__dict__["_equation1_memo"] = memo
+        memo = graph.__dict__[name] = {}
     return memo
+
+
+#: every per-graph memo this module keeps, by ``__dict__`` slot name
+GRAPH_MEMOS = ("_equation1_memo", "_path_member_sets_memo", "_worst_case_memo")
+
+
+def memo_sizes(graph: SwapGraph) -> dict[str, int]:
+    """Entries held in each of ``graph``'s premium memos (0 if unused)."""
+    return {name: len(graph.__dict__.get(name, ())) for name in GRAPH_MEMOS}
 
 
 def redemption_premium_amount(
@@ -92,7 +106,7 @@ def _memoized_amount(
     graph: SwapGraph, members: frozenset[str], beneficiary: str, p: int
 ) -> int:
     """Equation 1 on a path *member set*, through the graph's shared memo."""
-    memo = _amount_memo(graph)
+    memo = _graph_memo(graph, "_equation1_memo")
 
     def amount(members: frozenset[str], u: str) -> int:
         if u in members:
@@ -120,7 +134,7 @@ def path_member_sets(
     1).  Results are cached on the graph instance per ``(source, target)``,
     deterministically ordered.
     """
-    cache = graph.__dict__.setdefault("_path_member_sets_memo", {})
+    cache = _graph_memo(graph, "_path_member_sets_memo")
     key = (source, target)
     cached = cache.get(key)
     if cached is not None:
@@ -159,15 +173,21 @@ def worst_case_redemption_amount(
     taken over :func:`path_member_sets` instead of the (factorially more
     numerous) paths.  This is the quantity worst-case native funding needs
     per arc, and what made ``complete:7``/``complete:8`` builders feasible.
-    Returns 0 when no path exists.
+    Returns 0 when no path exists.  Cached on the graph instance per
+    ``(redeemer, beneficiary, leader, p)``.
     """
-    return max(
-        (
-            _memoized_amount(graph, members, beneficiary, p)
-            for members in path_member_sets(graph, redeemer, leader)
-        ),
-        default=0,
-    )
+    memo = _graph_memo(graph, "_worst_case_memo")
+    key = (redeemer, beneficiary, leader, p)
+    cached = memo.get(key)
+    if cached is None:
+        cached = memo[key] = max(
+            (
+                _memoized_amount(graph, members, beneficiary, p)
+                for members in path_member_sets(graph, redeemer, leader)
+            ),
+            default=0,
+        )
+    return cached
 
 
 def leader_redemption_total(graph: SwapGraph, leader: str, p: int) -> int:

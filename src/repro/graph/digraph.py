@@ -17,6 +17,11 @@ from repro.errors import GraphError
 
 Arc = tuple[str, str]
 
+_Adjacency = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[str, ...], tuple[str, ...]]
+
+#: what the adjacency index answers for a vertex the graph does not hold
+_NO_ADJACENCY: _Adjacency = ((), (), (), ())
+
 
 @dataclass(frozen=True)
 class ArcSpec:
@@ -73,19 +78,42 @@ class SwapGraph:
     def arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
 
+    @cached_property
+    def _adjacency(self) -> dict[str, _Adjacency]:
+        """``v -> (in_arcs, out_arcs, in_neighbors, out_neighbors)``.
+
+        Built once, each tuple in ``arcs`` order.  The graph is frozen, so
+        the index never goes stale and every adjacency query is one dict
+        lookup instead of a scan of the arc tuple.
+        """
+        ins: dict[str, list[Arc]] = {v: [] for v in self.parties}
+        outs: dict[str, list[Arc]] = {v: [] for v in self.parties}
+        for arc in self.arcs:
+            outs[arc[0]].append(arc)
+            ins[arc[1]].append(arc)
+        return {
+            v: (
+                tuple(ins[v]),
+                tuple(outs[v]),
+                tuple(u for (u, _) in ins[v]),
+                tuple(w for (_, w) in outs[v]),
+            )
+            for v in self.parties
+        }
+
     def in_arcs(self, v: str) -> tuple[Arc, ...]:
         """Arcs entering ``v`` (where ``v`` is the redeemer)."""
-        return tuple((u, w) for (u, w) in self.arcs if w == v)
+        return self._adjacency.get(v, _NO_ADJACENCY)[0]
 
     def out_arcs(self, v: str) -> tuple[Arc, ...]:
         """Arcs leaving ``v`` (where ``v`` is the escrower)."""
-        return tuple((u, w) for (u, w) in self.arcs if u == v)
+        return self._adjacency.get(v, _NO_ADJACENCY)[1]
 
     def in_neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(u for (u, w) in self.arcs if w == v)
+        return self._adjacency.get(v, _NO_ADJACENCY)[2]
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(w for (u, w) in self.arcs if u == v)
+        return self._adjacency.get(v, _NO_ADJACENCY)[3]
 
     @cached_property
     def chains(self) -> tuple[str, ...]:

@@ -31,11 +31,14 @@ from repro.core.premiums import (
     escrow_premium_amounts,
     redemption_premium_flow,
 )
-from repro.graph.digraph import SwapGraph, ring_graph
+from repro.graph.digraph import SwapGraph
 from repro.protocols.base_broker import BrokerSpec
 
 from repro.quote.quote import ScheduleEntry
 from repro.quote.request import QuoteError
+
+#: named families that are plain rings with ``P0`` leading
+_NAMED_RINGS = {"two-party": "ring:2", "multi-party": "ring:3"}
 
 
 def _graph_entries(
@@ -143,15 +146,11 @@ def deposit_schedule(family: str, premium: int) -> tuple[ScheduleEntry, ...]:
         raise QuoteError(f"premium must be non-negative, got {premium}")
     if premium == 0:
         return ()
-    if family == "two-party":
-        return tuple(_graph_entries(ring_graph(2), ("P0",), premium))
-    if family == "multi-party":
-        return tuple(_graph_entries(ring_graph(3), ("P0",), premium))
     if family == "broker":
         return tuple(_broker_entries(premium))
     if family == "auction":
         return tuple(_auction_entries(premium))
-    parsed = parse_graph_family(family)
+    parsed = parse_graph_family(_NAMED_RINGS.get(family, family))
     if parsed is None:
         raise QuoteError(f"no deposit schedule for family {family!r}")
     graph, leaders = parsed

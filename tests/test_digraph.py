@@ -135,3 +135,64 @@ def test_chains_derived_from_specs(fig3):
 
 def test_max_path_length(fig3):
     assert fig3.max_path_length == 3
+
+
+# ----------------------------------------------------------------------
+# adjacency index
+# ----------------------------------------------------------------------
+def _linear_scan(graph: SwapGraph, v: str):
+    """The reference answers: one pass over ``arcs`` per query."""
+    return (
+        tuple((u, w) for (u, w) in graph.arcs if w == v),
+        tuple((u, w) for (u, w) in graph.arcs if u == v),
+        tuple(u for (u, w) in graph.arcs if w == v),
+        tuple(w for (u, w) in graph.arcs if u == v),
+    )
+
+
+def _heterogeneous_graph() -> SwapGraph:
+    """Arcs listed out of sorted order, two chains, uneven amounts, and a
+    party (``D``) that no arc touches."""
+    arcs = (("C", "A"), ("A", "B"), ("B", "C"), ("B", "A"), ("A", "C"))
+    specs = {
+        ("C", "A"): ArcSpec("c-chain", "gamma", 400),
+        ("A", "B"): ArcSpec("dex", "alpha", 70),
+        ("B", "C"): ArcSpec("dex", "beta", 11),
+        ("B", "A"): ArcSpec("dex", "beta", 3),
+        ("A", "C"): ArcSpec("dex", "alpha", 9),
+    }
+    return SwapGraph(("B", "A", "D", "C"), arcs, specs)
+
+
+@pytest.mark.parametrize(
+    "graph_fn",
+    [
+        figure3_graph,
+        lambda: ring_graph(2),
+        lambda: ring_graph(7),
+        lambda: complete_graph(3),
+        lambda: complete_graph(6),
+        _heterogeneous_graph,
+    ],
+)
+def test_adjacency_index_matches_linear_scan_in_order(graph_fn):
+    graph = graph_fn()
+    for v in graph.parties:
+        assert (
+            graph.in_arcs(v),
+            graph.out_arcs(v),
+            graph.in_neighbors(v),
+            graph.out_neighbors(v),
+        ) == _linear_scan(graph, v)
+
+
+def test_adjacency_index_isolated_and_unknown_vertices_are_empty():
+    graph = _heterogeneous_graph()
+    for v in ("D", "nobody"):
+        assert graph.in_arcs(v) == graph.out_arcs(v) == ()
+        assert graph.in_neighbors(v) == graph.out_neighbors(v) == ()
+
+
+def test_adjacency_index_is_built_once_per_instance():
+    graph = ring_graph(4)
+    assert graph.out_arcs("P0") is graph.out_arcs("P0")

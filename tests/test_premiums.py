@@ -5,6 +5,7 @@ import pytest
 from repro.core.premiums import (
     escrow_premium_amounts,
     leader_redemption_total,
+    memo_sizes,
     path_member_sets,
     pruned_redemption_premium_amount,
     redemption_premium_amount,
@@ -301,3 +302,70 @@ def test_complete6_joins_the_default_multi_party_family():
     results = [run_scenario(scenario) for scenario in islice(complete6, 8)]
     assert len(results) == 8
     assert all(result.ok for result in results)
+
+
+# ----------------------------------------------------------------------
+# shared-graph memos: per-deal invariants computed once per graph
+# ----------------------------------------------------------------------
+def _genesis_balances(instance) -> str:
+    """Every funded balance of a freshly built instance, canonically."""
+    return repr(
+        sorted(
+            (name, str(asset), account, amount)
+            for name, chain in instance.world.chains.items()
+            for (asset, account), amount in chain.ledger.snapshot().items()
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "graph_fn",
+    [figure3_graph, lambda: ring_graph(5), lambda: complete_graph(5)],
+)
+def test_second_build_on_a_shared_graph_adds_no_memo_entries(graph_fn):
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+
+    graph = graph_fn()
+    first = HedgedMultiPartySwap(graph=graph, premium=2).build()
+    sizes = memo_sizes(graph)
+    assert sizes["_path_member_sets_memo"] and sizes["_worst_case_memo"]
+    second = HedgedMultiPartySwap(graph=graph, premium=2).build()
+    assert memo_sizes(graph) == sizes
+    assert second.meta["graph"] is first.meta["graph"] is graph
+
+    fresh = HedgedMultiPartySwap(graph=graph_fn(), premium=2).build()
+    assert "native" in _genesis_balances(second)
+    assert _genesis_balances(second) == _genesis_balances(fresh)
+
+
+def test_worst_case_memo_keeps_premiums_apart():
+    graph = complete_graph(4)
+    one = worst_case_redemption_amount(graph, "P1", "P2", "P0", 1)
+    two = worst_case_redemption_amount(graph, "P1", "P2", "P0", 2)
+    assert two == 2 * one
+    assert worst_case_redemption_amount(graph, "P1", "P2", "P0", 1) == one
+    assert memo_sizes(graph)["_worst_case_memo"] == 2
+    fresh = complete_graph(4)
+    assert worst_case_redemption_amount(fresh, "P1", "P2", "P0", 2) == two
+
+
+def test_default_multi_party_blocks_share_one_graph_per_block():
+    from repro.campaign import default_matrix
+
+    matrix = default_matrix(families=["multi-party"])
+    graphs = []
+    for block in matrix.blocks:
+        graph = block.builder().meta["graph"]
+        assert block.builder().meta["graph"] is graph, block.schedule
+        graphs.append(graph)
+    # one graph per block, never one per matrix
+    assert len({id(g) for g in graphs}) == len(matrix.blocks)
+
+
+def test_parse_graph_family_shares_one_graph_per_name():
+    from repro.campaign.ablation.grid import parse_graph_family
+
+    for family in ("figure3", "ring:4", "complete:4"):
+        assert parse_graph_family(family) is parse_graph_family(family)
+    assert parse_graph_family("ring:4")[0] is not parse_graph_family("ring:5")[0]
+    assert parse_graph_family("ring:x") is None
