@@ -25,11 +25,17 @@ Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
 the multi-party family serially and through the process backend, and
 fails if a block's builds stop sharing one graph, if a block's premium
 memos grow after its first build (per-scenario invariants recomputed in
-the hot path), or if the two backends' digests differ:
+the hot path), or if the two backends' digests differ.  Two dispatch
+balance checks ride along: statically, no task of the default matrix's
+dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
+block (``K = workers × 8``), and a traced 2-worker run of the default
+matrix must keep worker busy skew (max/mean busy seconds) within
+:data:`MAX_BUSY_SKEW`:
 python benchmarks/bench_campaign.py --gate
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -43,6 +49,7 @@ from repro.campaign import (
     campaign_spec,
     default_matrix,
 )
+from repro.campaign.pool import TASKS_PER_WORKER, default_workers, dispatch_layout
 from repro.core.premiums import memo_sizes
 from repro.obs import Tracer, phase_fragments
 
@@ -58,6 +65,11 @@ REUSE_RUNS = 4
 
 # The family whose builds size premiums from per-graph memos.
 GATE_FAMILIES = ("multi-party",)
+
+# Worker busy skew (max/mean busy seconds) allowed on a traced 2-worker
+# run of the default matrix.  Striped tasks give about 1.05; contiguous
+# chunks gave about 1.4, because the complete:5-8 blocks landed in one.
+MAX_BUSY_SKEW = 1.2
 
 
 def _run(backend: str, workers: int | None = None, tracer: Tracer | None = None):
@@ -189,8 +201,41 @@ def generate_cache_table():
     return header, rows, records
 
 
+def layout_imbalance(matrix, workers: int) -> list[str]:
+    """Blocks of which some dispatch task holds more than ``ceil(size/K)``."""
+    n = len(matrix)
+    # K comes from the policy, not from len(layout): a layout with fewer,
+    # fatter tasks must fail too.
+    stripes = min(n, workers * TASKS_PER_WORKER)
+    layout = dispatch_layout(n, workers)
+    failures = []
+    for start, size, block in matrix.block_ranges():
+        most = max(sum(start <= i < start + size for i in group) for group in layout)
+        if size and most > math.ceil(size / stripes):
+            failures.append(
+                f"workers={workers}: a task holds {most} of the {size} scenarios "
+                f"of {block.family}:{block.schedule} (cap {math.ceil(size / stripes)})"
+            )
+    return failures
+
+
+def worker_busy_skew(workers: int = 2) -> tuple[float, list[float]]:
+    """max/mean worker busy seconds on a traced run of the default matrix."""
+    tracer = Tracer()
+    CampaignRunner(
+        default_matrix(), backend="process", workers=workers, tracer=tracer
+    ).run()
+    busy = [
+        stat.total
+        for name, stat in tracer.metrics.snapshot().timings
+        if name.startswith("worker.") and name.endswith(".busy_seconds")
+    ]
+    return max(busy) / (sum(busy) / workers), busy
+
+
 def run_gate() -> int:
-    """CI ratchet: shared graphs, memos that stop growing, digest parity."""
+    """CI ratchet: shared graphs, memos that stop growing, digest parity,
+    and balanced dispatch."""
     matrix = default_matrix(families=GATE_FAMILIES)
     first = []
     for block in matrix.blocks:
@@ -235,6 +280,24 @@ def run_gate() -> int:
         f"process {process.scenarios_per_second:.0f} scen/s (informational); "
         f"digest {serial.run_digest[:12]}"
     )
+
+    full = default_matrix()
+    for workers in sorted({2, 4, default_workers()}):
+        breaches = layout_imbalance(full, workers)
+        failures.extend(breaches[:3])
+        if len(breaches) > 3:
+            failures.append(f"workers={workers}: {len(breaches) - 3} more blocks")
+    skew, busy = worker_busy_skew()
+    print(
+        f"dispatch: traced 2-worker run of {len(full)} scenarios, busy "
+        + " / ".join(f"{b:.2f}s" for b in busy)
+        + f", skew {skew:.3f} (max {MAX_BUSY_SKEW})"
+    )
+    if skew > MAX_BUSY_SKEW:
+        failures.append(
+            f"worker busy skew {skew:.3f} > {MAX_BUSY_SKEW}: dispatch tasks "
+            "no longer carry balanced shares of the expensive blocks"
+        )
     for failure in failures:
         print(f"GATE FAIL: {failure}")
     if not failures:
@@ -280,8 +343,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="enforce the shared-graph memo ratchet and digest parity "
-        "(exit 1 on breach)",
+        help="enforce the shared-graph memo ratchet, digest parity and "
+        "dispatch balance (exit 1 on breach)",
     )
     if parser.parse_args().gate:
         sys.exit(run_gate())

@@ -12,10 +12,10 @@ forked, reuse needs a *rebuildable* matrix: a :class:`MatrixSpec` is a
 tiny picklable recipe (a registered factory name plus primitive
 arguments) that each worker resolves and expands once, caching the
 scenario table by spec.  Tasks then cross the process boundary as
-``(spec, matrix_digest, index)`` triples; the worker verifies the rebuilt
-matrix's structural digest before running anything, so structural drift
-between parent and worker fails loudly.  The structural digest cannot see
-parameters captured inside builder closures (see
+``(spec, matrix_digest, indices, metered)`` tuples; the worker verifies
+the rebuilt matrix's structural digest before running anything, so
+structural drift between parent and worker fails loudly.  The structural
+digest cannot see parameters captured inside builder closures (see
 :meth:`ScenarioMatrix.digest`), so a registered factory must build its
 matrix purely from its arguments — not from mutable module state — for
 the verification to mean what it says.
@@ -31,6 +31,18 @@ factory modules on demand) and that the rebuilt matrix reproduces the
 parent's structural digest; either failure names the factory and the full
 registry, so a missing ``import yourmodule`` or a non-deterministic
 factory fails loudly instead of silently running the wrong matrix.
+
+Both process paths (this pool and the runner's one-shot pool) share one
+task layout, :func:`dispatch_layout`, and one parent-side driver,
+:func:`gather`.  The layout stripes indices across tasks instead of
+cutting contiguous chunks: the matrix lays its blocks out side by side
+and per-scenario cost differs by orders of magnitude between them (a
+complete:8 multi-party swap against a two-party halt), so a contiguous
+chunk can hold most of the campaign's work.  A stripe holds about 1/K of
+every block.  The driver puts replies back in index order, so digests
+never see the layout, and it polls worker liveness while it waits: a
+worker that dies mid-task ends the run with :class:`WorkerLostError`
+instead of the ``multiprocessing.Pool`` hang on a lost task.
 """
 
 from __future__ import annotations
@@ -38,13 +50,14 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
-from repro.obs import MetricsSnapshot, worker_sample
+from repro.obs import MetricsRegistry, MetricsSnapshot, worker_sample
 
 _FACTORIES: dict[str, Callable[..., ScenarioMatrix]] = {}
 
@@ -119,9 +132,114 @@ def default_workers() -> int:
     return max(2, os.cpu_count() or 1)
 
 
-def dispatch_chunksize(tasks: int, workers: int) -> int:
-    """Shared batching policy: ~8 chunks per worker, at least 1 task each."""
-    return max(1, tasks // (workers * 8))
+#: dispatch tasks per worker: enough that the last task to finish is a
+#: small share of any worker's load.
+TASKS_PER_WORKER = 8
+
+#: seconds between worker liveness checks while the parent waits on a reply
+LIVENESS_POLL_SECONDS = 0.1
+
+
+def dispatch_layout(n: int, workers: int) -> list[range]:
+    """The task layout of both process paths: positions ``0..n-1`` dealt
+    into ``K = workers × TASKS_PER_WORKER`` stripes (fewer when ``n < K``).
+
+    Stripe ``j`` holds positions ``j, j+K, j+2K, …``, so it takes at most
+    ``ceil(size / K)`` scenarios of any contiguous block of ``size`` and
+    every task carries about 1/K of every block's cost, however unevenly
+    the costs fall across blocks.  The layout depends on ``(n, workers)``
+    only: no timing feedback, so a run dispatches the same way every time.
+    """
+    stripes = min(n, workers * TASKS_PER_WORKER)
+    return [range(j, n, stripes) for j in range(stripes)]
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died mid-dispatch, so the tasks it held never reply."""
+
+
+def run_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot]:
+    """Run one scenario plus a per-worker telemetry sample (scenario count
+    and busy time keyed by the worker's pid).  The outcome is
+    byte-identical to :func:`run_scenario`'s."""
+    start = time.perf_counter()
+    result = run_scenario(scenario)
+    return result, worker_sample(1, time.perf_counter() - start)
+
+
+def fold_metered(
+    replies: Iterable[tuple[ScenarioResult, MetricsSnapshot]],
+) -> tuple[list[ScenarioResult], MetricsSnapshot]:
+    """One task's metered per-scenario replies as a single reply: the
+    results in order and the merged sample, so a task ships one
+    :class:`MetricsSnapshot` home instead of one per scenario."""
+    results: list[ScenarioResult] = []
+    registry = MetricsRegistry()
+    for result, sample in replies:
+        results.append(result)
+        registry.merge_snapshot(sample)
+    return results, registry.snapshot()
+
+
+def _lost_worker(
+    processes: Sequence[multiprocessing.process.BaseProcess],
+) -> str | None:
+    for process in processes:
+        code = process.exitcode
+        if code is not None:
+            how = (
+                f"signal {signal.Signals(-code).name}"
+                if code < 0
+                else f"exit code {code}"
+            )
+            return f"pool worker pid {process.pid} died mid-dispatch ({how})"
+    return None
+
+
+def gather(
+    pool: "multiprocessing.pool.Pool",
+    run_group: Callable,
+    tasks: list,
+    groups: list[range],
+    tracer=None,
+    meter=None,
+) -> list[ScenarioResult]:
+    """Run one task per layout group on ``pool``; results in position order.
+
+    ``run_group(task)`` runs in a worker and returns ``(results, sample)``:
+    the group's results in group order and, on a metered task, the merged
+    worker sample (``None`` otherwise).  Samples merge into ``tracer`` and
+    ``meter`` advances by a whole group as each reply lands.
+
+    A worker that dies mid-task takes its task with it, and
+    ``multiprocessing.Pool`` would wait for that reply forever.  So the
+    wait polls the workers that were alive when dispatch began, and the
+    first one found dead ends the run with :class:`WorkerLostError`.
+    """
+    # Pool keeps its worker processes in ``_pool`` and swaps a dead one
+    # for a fresh one; the snapshot keeps the dead one visible.
+    processes = list(pool._pool)
+    results: list[ScenarioResult | None] = [None] * sum(map(len, groups))
+    replies = pool.imap(run_group, tasks)
+    for group in groups:
+        while True:
+            try:
+                reply, sample = replies.next(timeout=LIVENESS_POLL_SECONDS)
+                break
+            except multiprocessing.TimeoutError:
+                lost = _lost_worker(processes)
+                if lost is not None:
+                    raise WorkerLostError(
+                        f"{lost}; the scenarios it held never reply, so "
+                        "the run cannot complete"
+                    ) from None
+        for position, result in zip(group, reply):
+            results[position] = result
+        if tracer is not None and sample is not None:
+            tracer.merge_snapshot(sample)
+        if meter is not None:
+            meter.advance(len(group))
+    return results
 
 
 @dataclass(frozen=True)
@@ -167,23 +285,20 @@ def _cached_scenarios(spec: MatrixSpec, matrix_digest: str) -> list[Scenario]:
     return scenarios
 
 
-def _run_spec_index(task: tuple[MatrixSpec, str, int]) -> ScenarioResult:
-    spec, matrix_digest, index = task
-    return run_scenario(_cached_scenarios(spec, matrix_digest)[index])
+def _run_spec_group(
+    task: tuple[MatrixSpec, str, list[int], bool],
+) -> tuple[list[ScenarioResult], MetricsSnapshot | None]:
+    """One pooled task: the given global indices of ``spec``'s matrix.
 
-
-def _run_spec_index_metered(
-    task: tuple[MatrixSpec, str, int],
-) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """Traced variant of :func:`_run_spec_index`: the result plus a
-    per-worker telemetry sample (scenario count + busy time keyed by the
-    worker's pid), carried back as a picklable
-    :class:`repro.obs.MetricsSnapshot` for the parent tracer to merge.
-    The scenario outcome is byte-identical to the untraced path."""
-    spec, matrix_digest, index = task
-    start = time.perf_counter()
-    result = run_scenario(_cached_scenarios(spec, matrix_digest)[index])
-    return result, worker_sample(1, time.perf_counter() - start)
+    A metered task also returns the merged per-worker sample, carried back
+    as a picklable :class:`repro.obs.MetricsSnapshot` for the parent
+    tracer; the scenario outcomes are byte-identical either way.
+    """
+    spec, matrix_digest, indices, metered = task
+    scenarios = _cached_scenarios(spec, matrix_digest)
+    if not metered:
+        return [run_scenario(scenarios[index]) for index in indices], None
+    return fold_metered(run_metered(scenarios[index]) for index in indices)
 
 
 class WorkerPool:
@@ -232,10 +347,15 @@ class WorkerPool:
         inherited after the fork.
 
         ``tracer``/``meter`` (a :class:`repro.obs.Tracer` and
-        :class:`repro.obs.ProgressMeter`) switch dispatch to the metered
-        task variant: results stream back in order so progress ticks as
-        workers finish, and each task's per-worker sample merges into the
-        tracer.  Outcomes are byte-identical either way.
+        :class:`repro.obs.ProgressMeter`) switch dispatch to metered
+        tasks: progress ticks as task replies land, and each task's
+        per-worker sample merges into the tracer.  Outcomes are
+        byte-identical either way.
+
+        The indices go out in :func:`dispatch_layout` stripes and come
+        back in the given order.  A worker lost mid-run raises
+        :class:`WorkerLostError` and tears the pool down; the next run
+        forks a fresh one.
         """
         seeded = scenarios is not None and not self.started
         if seeded:
@@ -246,20 +366,25 @@ class WorkerPool:
             # its own cache, so drop the reference rather than pin the
             # full expansion for the driver process's lifetime.
             _SPEC_CACHE.pop(spec, None)
-        chunksize = dispatch_chunksize(len(indices), self.workers)
-        tasks = [(spec, matrix_digest, index) for index in indices]
-        if tracer is None and meter is None:
-            return pool.map(_run_spec_index, tasks, chunksize=chunksize)
-        results = []
-        for result, sample in pool.imap(
-            _run_spec_index_metered, tasks, chunksize=chunksize
-        ):
-            results.append(result)
-            if tracer is not None:
-                tracer.merge_snapshot(sample)
-            if meter is not None:
-                meter.advance()
-        return results
+        groups = dispatch_layout(len(indices), self.workers)
+        metered = tracer is not None or meter is not None
+        tasks = [
+            (spec, matrix_digest, [indices[p] for p in group], metered)
+            for group in groups
+        ]
+        try:
+            return gather(pool, _run_spec_group, tasks, groups, tracer, meter)
+        except WorkerLostError:
+            # The lost task stays pending inside the pool for good.
+            self._terminate()
+            raise
+
+    def _terminate(self) -> None:
+        """Kill the workers now, without waiting for pending tasks."""
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
 
     def close(self) -> None:
         if self._pool is not None:
@@ -270,5 +395,9 @@ class WorkerPool:
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # close() waits for pending tasks; after an error some may never end.
+        if exc_type is None:
+            self.close()
+        else:
+            self._terminate()

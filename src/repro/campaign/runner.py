@@ -12,10 +12,18 @@ and executes the selected scenarios through one of three backends:
   Scenarios are dispatched *by index*: workers inherit the expanded
   scenario list through fork, so builders and strategy transforms never
   need to be picklable; only the primitive :class:`ScenarioResult` objects
-  cross the process boundary.  On platforms without ``fork`` the runner
-  falls back to serial, and so do empty/tiny selections (below
-  :data:`MIN_PROCESS_SCENARIOS`, where fork overhead dominates); the
-  report's ``backend`` always records what actually ran.
+  cross the process boundary.  Each task is one striped index group from
+  :func:`repro.campaign.pool.dispatch_layout` — stripe ``j`` of ``K =
+  workers × 8`` holds positions ``j, j+K, j+2K, …`` — so the expensive
+  multi-party blocks, which sit side by side in the matrix, spread over
+  every task instead of filling one contiguous chunk.  Replies are put
+  back in index order, so the layout never reaches a digest.  A worker
+  that dies mid-run ends it with
+  :class:`repro.campaign.pool.WorkerLostError` rather than a hang.  On
+  platforms without ``fork`` the runner falls back to serial, and so do
+  empty/tiny selections (below :data:`MIN_PROCESS_SCENARIOS`, where fork
+  overhead dominates); the report's ``backend`` always records what
+  actually ran.
 
 Passing a persistent :class:`repro.campaign.pool.WorkerPool` reuses one
 set of forked workers across runs (``backend="process"`` plus a matrix
@@ -53,8 +61,11 @@ from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import (
     WorkerPool,
     default_workers,
-    dispatch_chunksize,
+    dispatch_layout,
     fork_available,
+    fold_metered,
+    gather,
+    run_metered,
 )
 from repro.campaign.report import check_kind, register_report
 from repro.campaign.scenario import (
@@ -64,13 +75,7 @@ from repro.campaign.scenario import (
     result_payload,
     run_scenario,
 )
-from repro.obs import (
-    MetricsSnapshot,
-    ProgressMeter,
-    Tracer,
-    maybe_span,
-    worker_sample,
-)
+from repro.obs import MetricsSnapshot, ProgressMeter, Tracer, maybe_span
 
 # Below this many scenarios a requested process backend runs serially:
 # forking a pool costs more than the work itself.
@@ -85,19 +90,27 @@ def _pool_init(scenarios: list[Scenario]) -> None:
     _WORKER_SCENARIOS = scenarios
 
 
-def _run_at(index: int) -> ScenarioResult:
-    return run_scenario(_WORKER_SCENARIOS[index])
-
-
 def _run_at_metered(index: int) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """Traced variant of :func:`_run_at`: the result plus a per-worker
-    telemetry sample (scenario count + busy time, keyed by worker pid).
-    The sample rides back across the fork boundary as a picklable
-    :class:`MetricsSnapshot` and is merged into the parent tracer; the
-    result itself is byte-identical to the untraced path."""
-    start = time.perf_counter()
-    result = run_scenario(_WORKER_SCENARIOS[index])
-    return result, worker_sample(1, time.perf_counter() - start)
+    """One traced scenario: the result plus a per-worker telemetry sample
+    (scenario count + busy time, keyed by worker pid).  The result itself
+    is byte-identical to the untraced path."""
+    return run_metered(_WORKER_SCENARIOS[index])
+
+
+def _run_group(
+    task: tuple[range, bool],
+) -> tuple[list[ScenarioResult], MetricsSnapshot | None]:
+    """One dispatch task: the inherited scenarios at ``positions``.
+
+    A metered task runs each position through :func:`_run_at_metered`,
+    looked up at call time so a wrapper installed on this module before
+    the fork applies per scenario, and folds the samples into one reply
+    that the parent merges into its tracer.
+    """
+    positions, metered = task
+    if not metered:
+        return [run_scenario(_WORKER_SCENARIOS[p]) for p in positions], None
+    return fold_metered(_run_at_metered(p) for p in positions)
 
 
 def selection_label(limit: int | None, shard: tuple[int, int] | None) -> str:
@@ -553,25 +566,19 @@ class CampaignRunner:
         meter: ProgressMeter | None = None,
     ) -> list[ScenarioResult]:
         ctx = multiprocessing.get_context("fork")
-        chunksize = dispatch_chunksize(len(scenarios), self.workers)
+        groups = dispatch_layout(len(scenarios), self.workers)
+        metered = tracer is not None or meter is not None
         with ctx.Pool(
             processes=self.workers, initializer=_pool_init, initargs=(scenarios,)
         ) as pool:
-            if tracer is None and meter is None:
-                return pool.map(_run_at, range(len(scenarios)), chunksize=chunksize)
-            # Traced dispatch streams ordered results so progress can tick
-            # as workers finish; each task carries back a per-worker
-            # MetricsSnapshot sample that merges into the parent tracer.
-            results = []
-            for result, sample in pool.imap(
-                _run_at_metered, range(len(scenarios)), chunksize=chunksize
-            ):
-                results.append(result)
-                if tracer is not None:
-                    tracer.merge_snapshot(sample)
-                if meter is not None:
-                    meter.advance()
-            return results
+            return gather(
+                pool,
+                _run_group,
+                [(group, metered) for group in groups],
+                groups,
+                tracer,
+                meter,
+            )
 
     # ------------------------------------------------------------------
     # driver
@@ -669,8 +676,18 @@ class CampaignRunner:
             )
             if hits:
                 meter.advance(len(hits))
+        if backend == "process:pooled":
+            workers = self.pool.workers
+        elif backend == "process":
+            workers = self.workers
+        else:
+            workers = 1
         with maybe_span(
-            tracer, "campaign.dispatch", backend=backend, scenarios=len(to_run)
+            tracer,
+            "campaign.dispatch",
+            backend=backend,
+            scenarios=len(to_run),
+            workers=workers,
         ):
             if backend == "process:pooled":
                 if self.matrix.spec is None:  # add_block after construction
@@ -718,12 +735,6 @@ class CampaignRunner:
         if meter is not None:
             meter.finish()
 
-        if backend == "process:pooled":
-            workers = self.pool.workers
-        elif backend == "process":
-            workers = self.workers
-        else:
-            workers = 1
         report = CampaignReport(
             backend=backend,
             workers=workers,

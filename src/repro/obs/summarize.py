@@ -12,7 +12,10 @@ it into the questions an operator actually asks of a campaign run:
 - **kernel engine** — template calibrations vs. vectorized replays and
   cell-cache hits;
 - **worker skew** — per-worker scenario counts and busy time carried
-  back over the fork boundary, condensed to a max/mean imbalance ratio.
+  back over the fork boundary, condensed to max/mean imbalance ratios;
+- **parallel efficiency** — on process runs, Σ worker busy time over
+  ``workers × campaign.dispatch`` wall time: the share of the pool's
+  capacity that ran scenarios.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ class TraceSummary:
     blocks: list[BlockRow] = field(default_factory=list)
     counters: dict[str, float] = field(default_factory=dict)
     workers: list[WorkerRow] = field(default_factory=list)
+    #: Σ workers × wall over the process backends' dispatch spans
+    dispatch_capacity: float = 0.0
     progress_done: int = 0
     progress_total: int = 0
 
@@ -88,6 +93,22 @@ class TraceSummary:
             return 0.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 0.0
+
+    @property
+    def busy_skew(self) -> float:
+        """max/mean busy seconds per worker; 1.0 = every worker as busy."""
+        busy = [row.busy_seconds for row in self.workers]
+        if not busy or sum(busy) == 0:
+            return 0.0
+        return max(busy) / (sum(busy) / len(busy))
+
+    @property
+    def parallel_efficiency(self) -> float:
+        """Σ worker busy / (workers × dispatch wall) on process runs."""
+        if not self.dispatch_capacity:
+            return 0.0
+        busy = sum(row.busy_seconds for row in self.workers)
+        return busy / self.dispatch_capacity
 
     def render(self, top_blocks: int = 5) -> str:
         lines = []
@@ -137,9 +158,14 @@ class TraceSummary:
             )
         if self.workers:
             lines.append(
-                f"workers: {len(self.workers)} "
-                f"(skew max/mean = {self.worker_skew:.2f})"
+                f"workers: {len(self.workers)} (skew max/mean = "
+                f"{self.worker_skew:.2f} scenarios, {self.busy_skew:.2f} busy)"
             )
+            if self.dispatch_capacity:
+                lines.append(
+                    f"parallel efficiency: {self.parallel_efficiency:.1%} "
+                    "(worker busy / workers x dispatch wall)"
+                )
             for row in sorted(self.workers, key=lambda r: r.pid):
                 lines.append(
                     f"  pid {row.pid:<8} {row.scenarios:>6} scenarios  "
@@ -214,6 +240,12 @@ def summarize_trace(path: str | Path) -> TraceSummary:
         for span in block_spans
     ]
     summary.blocks = sorted(blocks, key=lambda row: -row.duration)
+    summary.dispatch_capacity = sum(
+        int(span["attrs"].get("workers", 0)) * span["dur"]
+        for span in spans
+        if span["name"] == "campaign.dispatch"
+        and str(span.get("attrs", {}).get("backend", "")).startswith("process")
+    )
 
     workers: dict[int, WorkerRow] = {}
     for name, value in counters.items():

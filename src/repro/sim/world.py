@@ -20,6 +20,11 @@ class World:
         self.chains: dict[str, Blockchain] = {
             name: Blockchain(name, self.registry) for name in chain_names
         }
+        # One view per chain for the world's lifetime: a view reads live
+        # chain state, so every round's WorldView can hand out the same one.
+        self._views: dict[str, ChainView] = {
+            name: ChainView(chain) for name, chain in self.chains.items()
+        }
         self.public_of: dict[str, str] = {}
 
     @property
@@ -34,6 +39,13 @@ class World:
         """Look up a chain by name."""
         try:
             return self.chains[name]
+        except KeyError:
+            raise ChainError(f"no chain named {name!r}") from None
+
+    def chain_view(self, name: str) -> ChainView:
+        """The read-only view of a chain, shared by every round."""
+        try:
+            return self._views[name]
         except KeyError:
             raise ChainError(f"no chain named {name!r}") from None
 
@@ -62,7 +74,7 @@ class WorldView:
         self.height = world.height
 
     def chain(self, name: str) -> ChainView:
-        return ChainView(self._world.chain(name))
+        return self._world.chain_view(name)
 
     @property
     def chain_names(self) -> tuple[str, ...]:

@@ -9,7 +9,14 @@ coverage, tiny process runs fall back to serial, and a persistent
 :class:`WorkerPool` reproduces fresh-pool digests across reused runs.
 """
 
+import math
+import os
+import signal
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignReport,
@@ -20,9 +27,18 @@ from repro.campaign import (
     default_matrix,
     merge_reports,
 )
+from repro.campaign.pool import (
+    TASKS_PER_WORKER,
+    WorkerLostError,
+    dispatch_layout,
+    register_matrix_factory,
+)
 from repro.campaign.runner import MIN_PROCESS_SCENARIOS
 from repro.checker import halt_strategies, properties
+from repro.core.hedged_multi_party import HedgedMultiPartySwap
 from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
+from repro.graph.digraph import complete_graph
+from repro.obs import Tracer
 
 
 def two_party_builder():
@@ -448,3 +464,182 @@ def test_sealed_auction_family_holds_lemma_bounds():
     schedules = {value for value, _, _ in report.axis_table("schedule")}
     assert "p0/honest" in schedules
     assert any(s.startswith("p1/") for s in schedules)
+
+
+# ----------------------------------------------------------------------
+# striped dispatch layout
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6000), workers=st.integers(1, 64))
+def test_layout_covers_every_index_once_in_few_groups(n, workers):
+    layout = dispatch_layout(n, workers)
+    assert sorted(i for group in layout for i in group) == list(range(n))
+    assert len(layout) <= workers * TASKS_PER_WORKER
+    assert all(len(group) for group in layout)
+    assert layout == dispatch_layout(n, workers)  # a function of (n, workers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6000),
+    workers=st.integers(1, 64),
+    start=st.integers(0, 5999),
+    size=st.integers(1, 6000),
+)
+def test_layout_spreads_any_contiguous_block_over_every_group(
+    n, workers, start, size
+):
+    start = min(start, n - 1)
+    end = min(n, start + size)
+    layout = dispatch_layout(n, workers)
+    cap = math.ceil((end - start) / len(layout))
+    assert all(
+        sum(start <= i < end for i in group) <= cap for group in layout
+    )
+
+
+def _multi_party_block(matrix: ScenarioMatrix) -> None:
+    graph = complete_graph(4)
+    instance = HedgedMultiPartySwap(graph=graph, premium=1).build()
+    matrix.add_block(
+        family="multi-party",
+        schedule="complete4/p1",
+        builder=lambda: HedgedMultiPartySwap(graph=graph, premium=1).build(),
+        properties=(properties.no_stuck_escrow, properties.multi_party_lemmas),
+        strategies={
+            party: halt_strategies(instance.horizon) for party in instance.actors
+        },
+    )
+
+
+def _two_party_block(matrix: ScenarioMatrix, schedule: str) -> None:
+    matrix.add_block(
+        family="two-party",
+        schedule=schedule,
+        builder=two_party_builder,
+        properties=(properties.no_stuck_escrow, properties.two_party_hedged),
+        strategies={p: halt_strategies(8) for p in ("Alice", "Bob")},
+        max_adversaries=2,
+    )
+
+
+@register_matrix_factory("test-lopsided")
+def lopsided_matrix(expensive_first: bool) -> ScenarioMatrix:
+    """One costly multi-party block beside two cheap two-party ones."""
+    matrix = ScenarioMatrix()
+    if expensive_first:
+        _multi_party_block(matrix)
+    _two_party_block(matrix, "a")
+    _two_party_block(matrix, "b")
+    if not expensive_first:
+        _multi_party_block(matrix)
+    matrix.spec = MatrixSpec(
+        factory="test-lopsided", kwargs=(("expensive_first", expensive_first),)
+    )
+    return matrix
+
+
+@pytest.mark.parametrize("expensive_first", [True, False])
+def test_serial_process_and_pooled_runs_agree_whatever_the_block_order(
+    expensive_first,
+):
+    def run(**kwargs):
+        return CampaignRunner(lopsided_matrix(expensive_first), **kwargs).run()
+
+    serial = run()
+    process = run(backend="process", workers=2)
+    with WorkerPool(workers=2) as pool:
+        pooled = run(backend="process", pool=pool)
+    assert (process.backend, pooled.backend) == ("process", "process:pooled")
+    expected = [r.digest for r in serial.results]
+    for report in (process, pooled):
+        assert [r.index for r in report.results] == list(range(len(expected)))
+        assert [r.digest for r in report.results] == expected
+        assert report.run_digest == serial.run_digest
+
+
+def test_traced_striped_process_run_matches_untraced():
+    matrix = lopsided_matrix(expensive_first=True)
+    untraced = CampaignRunner(matrix, backend="process", workers=2).run()
+    tracer = Tracer()
+    traced = CampaignRunner(
+        matrix, backend="process", workers=2, tracer=tracer
+    ).run()
+    assert traced.run_digest == untraced.run_digest
+    assert [r.digest for r in traced.results] == [
+        r.digest for r in untraced.results
+    ]
+    # every scenario's worker sample made it home inside a task reply
+    counters = dict(tracer.metrics.snapshot().counters)
+    assert sum(
+        value for name, value in counters.items() if name.endswith(".scenarios")
+    ) == len(matrix)
+
+
+# ----------------------------------------------------------------------
+# a worker lost mid-dispatch ends the run instead of hanging it
+# ----------------------------------------------------------------------
+def _kill_if_worker(parent: int):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return two_party_builder()
+
+
+@register_matrix_factory("test-suicidal")
+def suicidal_matrix(parent: int) -> ScenarioMatrix:
+    """Two cheap blocks around a one-scenario block whose build kills any
+    process but ``parent``."""
+    matrix = ScenarioMatrix()
+    _two_party_block(matrix, "a")
+    matrix.add_block(
+        family="suicide",
+        schedule="kill",
+        builder=lambda: _kill_if_worker(parent),
+        properties=(),
+        strategies={},
+    )
+    _two_party_block(matrix, "b")
+    matrix.spec = MatrixSpec(factory="test-suicidal", kwargs=(("parent", parent),))
+    return matrix
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging the suite if dispatch never returns."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"dispatch still hung after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_killed_worker_ends_a_one_shot_run_with_worker_lost_error():
+    matrix = suicidal_matrix(parent=os.getpid())
+    with _deadline(60), pytest.raises(WorkerLostError, match=r"pid \d+ .*SIGKILL"):
+        CampaignRunner(matrix, backend="process", workers=2).run()
+
+
+def test_killed_worker_ends_a_pooled_run_and_the_pool_recovers():
+    matrix = suicidal_matrix(parent=os.getpid())
+    with WorkerPool(workers=2) as pool:
+        with _deadline(60), pytest.raises(WorkerLostError, match="SIGKILL"):
+            CampaignRunner(matrix, backend="process", pool=pool).run()
+        assert not pool.started  # torn down: the lost task can never reply
+        report = CampaignRunner(
+            default_matrix(families=["bootstrap"]), backend="process", pool=pool
+        ).run()
+    assert report.ok and report.backend == "process:pooled"
+
+
+def test_worker_pool_exit_on_error_terminates_instead_of_waiting():
+    with pytest.raises(KeyError):
+        with WorkerPool(workers=2) as pool:
+            pool._ensure_started()
+            raise KeyError("boom")
+    assert not pool.started

@@ -33,6 +33,7 @@ from repro.campaign import (
     ResultCache,
     ablate_spec,
     ablation_matrix,
+    default_matrix,
     merge_reports,
 )
 from repro.obs import (
@@ -111,6 +112,48 @@ def test_pooled_trace_carries_worker_samples(tmp_path):
     assert sum(row.scenarios for row in summary.workers) == 6
     assert all(row.busy_seconds > 0 for row in summary.workers)
     assert summary.worker_skew >= 1.0
+
+
+def test_process_trace_summary_reports_efficiency_and_busy_skew(tmp_path):
+    trace_path = tmp_path / "process.jsonl"
+    with Tracer(TraceWriter(trace_path)) as tracer:
+        report = CampaignRunner(
+            default_matrix(families=["broker", "bootstrap"]),
+            backend="process",
+            workers=2,
+            tracer=tracer,
+        ).run()
+    assert report.backend == "process"
+    summary = summarize_trace(trace_path)
+    busy = [row.busy_seconds for row in summary.workers]
+    assert 1 <= len(busy) <= 2 and sum(busy) > 0
+    assert summary.busy_skew == pytest.approx(max(busy) / (sum(busy) / len(busy)))
+    assert summary.busy_skew >= 1.0
+    # capacity is workers × the dispatch span's wall time
+    dispatch = [
+        event
+        for event in map(json.loads, trace_path.read_text().splitlines())
+        if event.get("name") == "campaign.dispatch"
+    ]
+    assert [event["attrs"]["workers"] for event in dispatch] == [2]
+    assert summary.dispatch_capacity == pytest.approx(2 * dispatch[0]["dur"])
+    assert summary.parallel_efficiency == pytest.approx(
+        sum(busy) / summary.dispatch_capacity
+    )
+    assert 0 < summary.parallel_efficiency <= 1.0
+    rendered = summary.render()
+    assert f"{summary.busy_skew:.2f} busy" in rendered
+    assert f"parallel efficiency: {summary.parallel_efficiency:.1%}" in rendered
+
+
+def test_serial_trace_summary_has_no_parallel_efficiency(tmp_path):
+    trace_path = tmp_path / "serial.jsonl"
+    with Tracer(TraceWriter(trace_path)) as tracer:
+        CampaignRunner(grid_matrix(), tracer=tracer).run()
+    summary = summarize_trace(trace_path)
+    assert summary.dispatch_capacity == 0.0
+    assert summary.parallel_efficiency == 0.0
+    assert "parallel efficiency" not in summary.render()
 
 
 # ----------------------------------------------------------------------

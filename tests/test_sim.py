@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.block import Transaction
+from repro.contracts.base import Contract
 from repro.errors import ChainError, ProtocolError
 from repro.parties.base import Actor
 from repro.parties.strategies import Deviant, SkipRule, halt_at, skip_methods
@@ -42,6 +43,37 @@ def test_world_detects_out_of_lockstep(world):
 def test_world_unknown_chain(world):
     with pytest.raises(ChainError):
         world.chain("mango")
+
+
+class Note(Contract):
+    """A contract with nothing in it, for deployment checks."""
+
+    kind = "note"
+
+
+def test_world_view_hands_out_one_view_per_chain(world):
+    first, second = world.view(), world.view()
+    assert first.chain("apricot") is second.chain("apricot")
+    assert first.chain("apricot") is not first.chain("banana")
+
+
+def test_cached_chain_view_reads_live_state(world):
+    view = world.view().chain("apricot")
+    assert view.height == 0
+    for chain in world.chains.values():
+        chain.advance()
+    address = world.chain("apricot").deploy(Note())
+    # the view handed out before the block and the deployment sees both
+    assert view.height == 1
+    assert isinstance(view.contract(address), Note)
+    assert world.view().chain("apricot") is view
+
+
+def test_world_view_unknown_chain(world):
+    with pytest.raises(ChainError, match="mango"):
+        world.view().chain("mango")
+    with pytest.raises(ChainError):
+        world.chain_view("mango")
 
 
 def test_register_party_publishes_key(world):
