@@ -22,10 +22,11 @@ Run directly to print the tables; a machine-readable
 written alongside:  python benchmarks/bench_campaign.py
 
 Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
-the multi-party family serially and through the process backend, and
-fails if a block's builds stop sharing one graph, if a block's premium
-memos grow after its first build (per-scenario invariants recomputed in
-the hot path), or if the two backends' digests differ.  Two dispatch
+the multi-party family serially, through a pool opened for the run and
+through a persistent :class:`WorkerPool`, and fails if a block's builds
+stop sharing one graph, if a block's premium memos grow after its first
+build (per-scenario invariants recomputed in the hot path), or if the
+serial, process and persistent-pool digests differ.  Two dispatch
 balance checks ride along: statically, no task of the default matrix's
 dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
 block (``K = workers × 8``), and a traced 2-worker run of the default
@@ -243,6 +244,8 @@ def run_gate() -> int:
         first.append((graph, memo_sizes(graph)))
     serial = CampaignRunner(matrix, backend="serial").run()
     process = CampaignRunner(matrix, backend="process").run()
+    with WorkerPool() as pool:
+        pooled = CampaignRunner(matrix, backend="process", pool=pool).run()
 
     failures = []
     rows = []
@@ -265,10 +268,10 @@ def run_gate() -> int:
             failures.append(
                 f"{block.schedule}: memos {grown} grew after the first build"
             )
-    if serial.run_digest != process.run_digest:
+    if not serial.run_digest == process.run_digest == pooled.run_digest:
         failures.append(
-            f"serial digest {serial.run_digest[:12]} != "
-            f"process digest {process.run_digest[:12]}"
+            f"digests differ: serial {serial.run_digest[:12]}, process "
+            f"{process.run_digest[:12]}, pooled {pooled.run_digest[:12]}"
         )
     header = (
         "block", "scenarios", "shared graph",

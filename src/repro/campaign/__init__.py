@@ -16,8 +16,9 @@ point" claim into something executable at thousands-of-scenarios scale.
   payoff distributions, throughput, and a reproducible run digest whose
   preamble records the effective selection; :func:`merge_reports`
   recombines shard reports into the byte-identical unsharded digest,
-- :mod:`repro.campaign.pool` — :class:`WorkerPool`, a persistent fork pool
-  shared across runs, fed by picklable :class:`MatrixSpec` rebuild recipes,
+- :mod:`repro.campaign.pool` — :class:`WorkerPool`, the process backend's
+  fork pool, opened per run or kept across runs and fed by picklable
+  :class:`MatrixSpec` rebuild recipes,
 - :mod:`repro.campaign.families` — the registry of protocol families
   (two-party, multi-party, broker, auction, sealed-auction, bootstrap)
   with their default adversary spaces and premium/timeout/graph schedules;

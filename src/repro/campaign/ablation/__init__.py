@@ -13,8 +13,8 @@ executable grid:
   *rational* arm as ordinary campaign scenarios, with digest-covered
   metrics recording completion and the pivot's realized utility at
   post-shock prices.  :func:`ablation_matrix` is a registered worker-pool
-  factory, so the grid runs through the serial backend, one-shot process
-  pools, and persistent :class:`~repro.campaign.pool.WorkerPool` reuse
+  factory, so the grid runs through the serial backend and a
+  :class:`~repro.campaign.pool.WorkerPool` opened per run or reused
   alike — and shards/merges with the standard campaign transport,
 - :mod:`~repro.campaign.ablation.frontier` reduces the campaign report to
   a :class:`FrontierReport`: per (family, stage, shock) the smallest swept

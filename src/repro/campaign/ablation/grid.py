@@ -4,8 +4,8 @@
 actors (`repro.parties.rational`) over premium fractions × price-shock
 sizes × shock stages, producing an ordinary
 :class:`repro.campaign.matrix.ScenarioMatrix` that runs through every
-existing backend (serial, one-shot process pool, persistent
-:class:`~repro.campaign.pool.WorkerPool`).
+existing backend (serial, or a :class:`~repro.campaign.pool.WorkerPool`
+opened per run or kept across runs).
 
 Each grid cell ``(family, π, s, stage)`` becomes one matrix block holding
 two scenarios for the family's *pivot* party (the one whose incoming asset

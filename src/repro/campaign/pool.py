@@ -1,45 +1,45 @@
-"""Persistent worker pools: fork once, run many campaigns.
+"""The campaign's process pool: one fork pool, two lifetimes.
 
-``CampaignRunner``'s plain ``process`` backend forks a fresh pool per run
-and lets workers inherit the expanded scenario list through fork — which
-is why builders and strategy transforms never need to be picklable, but
-also why back-to-back runs (benchmarks, multi-matrix campaigns, sharded
-sweeps) pay the pool spawn cost every time.
+:class:`WorkerPool` runs a selection of a matrix's scenarios in forked
+workers.  ``CampaignRunner(backend="process")`` opens one for a single
+run and closes it afterwards; a caller that passes ``pool=`` keeps the
+same object alive across runs (benchmarks, multi-matrix campaigns,
+sharded sweeps) and pays the fork once.
 
-:class:`WorkerPool` keeps the workers alive across runs.  Since a
-long-lived worker cannot inherit scenarios that did not exist when it was
-forked, reuse needs a *rebuildable* matrix: a :class:`MatrixSpec` is a
-tiny picklable recipe (a registered factory name plus primitive
-arguments) that each worker resolves and expands once, caching the
-scenario table by spec.  Tasks then cross the process boundary as
-``(spec, matrix_digest, indices, metered)`` tuples; the worker verifies
-the rebuilt matrix's structural digest before running anything, so
+Workers find scenarios in a worker-side table keyed by the matrix's
+structural digest.  Before a pool forks, the parent puts the rows it
+expanded into that table (:func:`share_rows`), so workers inherit them
+through fork: builders and strategy transforms never need to be
+picklable, and a matrix without a rebuild recipe still runs.  A worker
+that later meets a matrix or an index it did not inherit rebuilds the
+whole matrix from its :class:`MatrixSpec` — a tiny picklable recipe (a
+registered factory name plus primitive arguments) — and checks the
+rebuilt matrix's structural digest against the one the task names, so
 structural drift between parent and worker fails loudly.  The structural
 digest cannot see parameters captured inside builder closures (see
 :meth:`ScenarioMatrix.digest`), so a registered factory must build its
 matrix purely from its arguments — not from mutable module state — for
-the verification to mean what it says.
+the check to mean what it says.  Tasks cross the process boundary as
+``(spec | None, matrix_digest, indices, metered)`` tuples.
 
 Factories register under a short name — ``default`` is
 :func:`repro.campaign.families.default_matrix`, ``ablation`` is
 :func:`repro.campaign.ablation.ablation_matrix` — and anything importable
 at worker startup can register its own via :func:`register_matrix_factory`
-(plain call or decorator).  The *registry audit* in the worker-side digest
-check makes bespoke factories first-class: before a worker runs anything
-it verifies the named factory is registered (importing the standard
-factory modules on demand) and that the rebuilt matrix reproduces the
-parent's structural digest; either failure names the factory and the full
-registry, so a missing ``import yourmodule`` or a non-deterministic
-factory fails loudly instead of silently running the wrong matrix.
+(plain call or decorator).  The *registry audit* in a worker-side rebuild
+makes bespoke factories first-class: the worker verifies the named
+factory is registered (importing the standard factory modules on demand)
+and that the rebuilt matrix reproduces the parent's structural digest;
+either failure names the factory and the full registry, so a missing
+``import yourmodule`` or a non-deterministic factory fails loudly instead
+of silently running the wrong matrix.
 
-Both process paths (this pool and the runner's one-shot pool) share one
-task layout, :func:`dispatch_layout`, and one parent-side driver,
-:func:`gather`.  The layout stripes indices across tasks instead of
-cutting contiguous chunks: the matrix lays its blocks out side by side
-and per-scenario cost differs by orders of magnitude between them (a
-complete:8 multi-party swap against a two-party halt), so a contiguous
+Tasks follow :func:`dispatch_layout`, which stripes indices across tasks
+instead of cutting contiguous chunks: the matrix lays its blocks out side
+by side and per-scenario cost differs by orders of magnitude between them
+(a complete:8 multi-party swap against a two-party halt), so a contiguous
 chunk can hold most of the campaign's work.  A stripe holds about 1/K of
-every block.  The driver puts replies back in index order, so digests
+every block.  :func:`gather` puts replies back in index order, so digests
 never see the layout, and it polls worker liveness while it waits: a
 worker that dies mid-task ends the run with :class:`WorkerLostError`
 instead of the ``multiprocessing.Pool`` hang on a lost task.
@@ -51,13 +51,12 @@ import importlib
 import multiprocessing
 import os
 import signal
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
-from repro.obs import MetricsRegistry, MetricsSnapshot, worker_sample
+from repro.obs import MetricsRegistry, MetricsSnapshot
 
 _FACTORIES: dict[str, Callable[..., ScenarioMatrix]] = {}
 
@@ -69,12 +68,12 @@ _STANDARD_FACTORY_MODULES = (
     "repro.campaign.ablation",
 )
 
-# Worker-side cache: spec → (structural digest, expanded scenario table).
-# Bounded LRU: a run's tasks all share one spec, so a handful of entries
-# covers alternating matrices without letting a long parameter sweep grow
-# per-worker memory without limit.
-_SPEC_CACHE: dict["MatrixSpec", tuple[str, list[Scenario]]] = {}
-_MAX_CACHED_SPECS = 4
+# Worker-side scenario tables: matrix structural digest → {global index:
+# scenario}.  Bounded LRU: a run's tasks all share one matrix, so a
+# handful of entries covers alternating matrices without letting a long
+# parameter sweep grow per-worker memory without limit.
+_TABLES: dict[str, dict[int, Scenario]] = {}
+_MAX_TABLES = 4
 
 
 def register_matrix_factory(
@@ -158,29 +157,6 @@ class WorkerLostError(RuntimeError):
     """A pool worker died mid-dispatch, so the tasks it held never reply."""
 
 
-def run_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """Run one scenario plus a per-worker telemetry sample (scenario count
-    and busy time keyed by the worker's pid).  The outcome is
-    byte-identical to :func:`run_scenario`'s."""
-    start = time.perf_counter()
-    result = run_scenario(scenario)
-    return result, worker_sample(1, time.perf_counter() - start)
-
-
-def fold_metered(
-    replies: Iterable[tuple[ScenarioResult, MetricsSnapshot]],
-) -> tuple[list[ScenarioResult], MetricsSnapshot]:
-    """One task's metered per-scenario replies as a single reply: the
-    results in order and the merged sample, so a task ships one
-    :class:`MetricsSnapshot` home instead of one per scenario."""
-    results: list[ScenarioResult] = []
-    registry = MetricsRegistry()
-    for result, sample in replies:
-        results.append(result)
-        registry.merge_snapshot(sample)
-    return results, registry.snapshot()
-
-
 def _lost_worker(
     processes: Sequence[multiprocessing.process.BaseProcess],
 ) -> str | None:
@@ -198,7 +174,6 @@ def _lost_worker(
 
 def gather(
     pool: "multiprocessing.pool.Pool",
-    run_group: Callable,
     tasks: list,
     groups: list[range],
     tracer=None,
@@ -206,7 +181,7 @@ def gather(
 ) -> list[ScenarioResult]:
     """Run one task per layout group on ``pool``; results in position order.
 
-    ``run_group(task)`` runs in a worker and returns ``(results, sample)``:
+    Each task's reply (see :func:`_run_task`) is ``(results, sample)``:
     the group's results in group order and, on a metered task, the merged
     worker sample (``None`` otherwise).  Samples merge into ``tracer`` and
     ``meter`` advances by a whole group as each reply lands.
@@ -220,7 +195,7 @@ def gather(
     # for a fresh one; the snapshot keeps the dead one visible.
     processes = list(pool._pool)
     results: list[ScenarioResult | None] = [None] * sum(map(len, groups))
-    replies = pool.imap(run_group, tasks)
+    replies = pool.imap(_run_task, tasks)
     for group in groups:
         while True:
             try:
@@ -247,8 +222,8 @@ class MatrixSpec:
     """A picklable recipe for rebuilding a :class:`ScenarioMatrix`.
 
     ``kwargs`` is a sorted tuple of ``(name, value)`` pairs so the spec is
-    hashable (it keys the worker-side cache) and deterministic.  Values
-    must be primitives/tuples — anything :mod:`pickle` moves cheaply.
+    hashable and deterministic.  Values must be primitives/tuples —
+    anything :mod:`pickle` moves cheaply.
     """
 
     factory: str
@@ -259,52 +234,83 @@ class MatrixSpec:
         return _audit_factory(self.factory)(*self.args, **dict(self.kwargs))
 
 
-def _cache_insert(spec: MatrixSpec, entry: tuple[str, list[Scenario]]) -> None:
-    _SPEC_CACHE.pop(spec, None)
-    while len(_SPEC_CACHE) >= _MAX_CACHED_SPECS:
-        _SPEC_CACHE.pop(next(iter(_SPEC_CACHE)))
-    _SPEC_CACHE[spec] = entry  # insert last: dict order is LRU order
+def _remember(matrix_digest: str, table: dict[int, Scenario]) -> None:
+    _TABLES.pop(matrix_digest, None)
+    while len(_TABLES) >= _MAX_TABLES:
+        _TABLES.pop(next(iter(_TABLES)))
+    _TABLES[matrix_digest] = table  # insert last: dict order is LRU order
 
 
-def _cached_scenarios(spec: MatrixSpec, matrix_digest: str) -> list[Scenario]:
-    entry = _SPEC_CACHE.get(spec)
-    if entry is None:
+def share_rows(matrix_digest: str, scenarios: Iterable[Scenario]) -> None:
+    """Hand the parent's expanded rows of one matrix to the workers of the
+    next pool that forks; they inherit the table through fork.
+
+    The parent never reads its own table: :meth:`WorkerPool.run_indices`
+    drops it once its workers exist.  Workers forked earlier never see
+    these rows and rebuild from the task's spec instead.
+    """
+    _remember(matrix_digest, {scenario.index: scenario for scenario in scenarios})
+
+
+def _scenario_table(
+    spec: MatrixSpec | None, matrix_digest: str, indices: list[int]
+) -> dict[int, Scenario]:
+    """The worker's rows of one matrix, rebuilt from ``spec`` on a miss."""
+    table = _TABLES.get(matrix_digest)
+    if table is None or not all(index in table for index in indices):
+        if spec is None:
+            raise RuntimeError(
+                f"worker has no rows of matrix {matrix_digest[:16]} and no "
+                "spec to rebuild it from: only rows shared before the pool "
+                "forked reach a matrix without a rebuild recipe"
+            )
         # build() audits the registry first: a missing registration fails
         # with the factory name and the full registered set.
         matrix = spec.build()
-        entry = (matrix.digest(), list(matrix.scenarios()))
-    _cache_insert(spec, entry)  # refresh recency either way
-    digest, scenarios = entry
-    if digest != matrix_digest:
-        raise RuntimeError(
-            f"worker rebuilt matrix {digest[:16]} but the campaign expected "
-            f"{matrix_digest[:16]}: the factory behind {spec.factory!r} "
-            f"(registered: {list(registered_factories())}) is not "
-            "deterministic across processes"
-        )
-    return scenarios
+        digest = matrix.digest()
+        if digest != matrix_digest:
+            raise RuntimeError(
+                f"worker rebuilt matrix {digest[:16]} but the campaign expected "
+                f"{matrix_digest[:16]}: the factory behind {spec.factory!r} "
+                f"(registered: {list(registered_factories())}) is not "
+                "deterministic across processes"
+            )
+        table = {scenario.index: scenario for scenario in matrix.scenarios()}
+    _remember(matrix_digest, table)  # refresh recency either way
+    return table
 
 
-def _run_spec_group(
-    task: tuple[MatrixSpec, str, list[int], bool],
+def _run_task(
+    task: tuple[MatrixSpec | None, str, list[int], bool],
 ) -> tuple[list[ScenarioResult], MetricsSnapshot | None]:
-    """One pooled task: the given global indices of ``spec``'s matrix.
+    """One dispatch task: the given global indices of one matrix.
 
-    A metered task also returns the merged per-worker sample, carried back
-    as a picklable :class:`repro.obs.MetricsSnapshot` for the parent
-    tracer; the scenario outcomes are byte-identical either way.
+    A metered task runs each scenario through the runner's
+    ``_run_at_metered``, looked up on the runner module per scenario so a
+    wrapper installed there before the fork applies to each one, and
+    folds the per-scenario samples into one reply for the parent tracer.
+    The scenario outcomes are byte-identical either way.
     """
     spec, matrix_digest, indices, metered = task
-    scenarios = _cached_scenarios(spec, matrix_digest)
+    table = _scenario_table(spec, matrix_digest, indices)
     if not metered:
-        return [run_scenario(scenarios[index]) for index in indices], None
-    return fold_metered(run_metered(scenarios[index]) for index in indices)
+        return [run_scenario(table[index]) for index in indices], None
+    from repro.campaign import runner  # imported here: the runner imports us
+
+    results: list[ScenarioResult] = []
+    registry = MetricsRegistry()
+    for index in indices:
+        result, sample = runner._run_at_metered(table[index])
+        results.append(result)
+        registry.merge_snapshot(sample)
+    return results, registry.snapshot()
 
 
 class WorkerPool:
-    """A fork-based process pool that outlives individual campaign runs.
+    """A fork-based process pool for campaign runs.
 
-    Pass one instance as ``CampaignRunner(..., pool=...)`` across several
+    ``CampaignRunner(backend="process")`` opens one per run by itself;
+    pass one instance as ``CampaignRunner(..., pool=...)`` across several
     runs (or matrices) to pay the fork cost once.  Usable as a context
     manager; :meth:`close` tears the workers down.
     """
@@ -329,22 +335,18 @@ class WorkerPool:
 
     def run_indices(
         self,
-        spec: MatrixSpec,
+        spec: MatrixSpec | None,
         matrix_digest: str,
         indices: list[int],
-        scenarios: list[Scenario] | None = None,
         tracer=None,
         meter=None,
     ) -> list[ScenarioResult]:
-        """Run the given global scenario indices of ``spec``'s matrix.
+        """Run the given global scenario indices of one matrix.
 
-        ``scenarios`` (the parent's *full* expansion, in global index
-        order) is an optional warm-start: when supplied before the pool
-        has forked, it seeds the worker-side cache through fork
-        inheritance — the same copy-on-write mechanism the one-shot
-        process backend uses — so workers skip rebuilding the first
-        matrix.  It is ignored once workers exist, since nothing can be
-        inherited after the fork.
+        Workers take the rows from the table they inherited at fork (see
+        :func:`share_rows`) and rebuild the matrix from ``spec`` on a
+        miss; ``spec`` may be ``None`` only when every row was shared
+        before this pool forked.
 
         ``tracer``/``meter`` (a :class:`repro.obs.Tracer` and
         :class:`repro.obs.ProgressMeter`) switch dispatch to metered
@@ -357,15 +359,10 @@ class WorkerPool:
         :class:`WorkerLostError` and tears the pool down; the next run
         forks a fresh one.
         """
-        seeded = scenarios is not None and not self.started
-        if seeded:
-            _cache_insert(spec, (matrix_digest, scenarios))
         pool = self._ensure_started()
-        if seeded:
-            # Workers inherited the entry at fork; the parent never reads
-            # its own cache, so drop the reference rather than pin the
-            # full expansion for the driver process's lifetime.
-            _SPEC_CACHE.pop(spec, None)
+        # Workers hold their own copy of the shared rows from the fork;
+        # drop the parent's rather than pin them for its lifetime.
+        _TABLES.clear()
         groups = dispatch_layout(len(indices), self.workers)
         metered = tracer is not None or meter is not None
         tasks = [
@@ -373,7 +370,7 @@ class WorkerPool:
             for group in groups
         ]
         try:
-            return gather(pool, _run_spec_group, tasks, groups, tracer, meter)
+            return gather(pool, tasks, groups, tracer, meter)
         except WorkerLostError:
             # The lost task stays pending inside the pool for good.
             self._terminate()

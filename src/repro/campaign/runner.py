@@ -8,29 +8,30 @@ and executes the selected scenarios through one of three backends:
   (:class:`repro.campaign.ablation.kernels.KernelEngine`), available only
   for matrices built by the ablation factories; produces byte-identical
   results and digests to the simulator backends at a fraction of the cost,
-- ``process`` — a ``multiprocessing`` pool using the ``fork`` start method.
-  Scenarios are dispatched *by index*: workers inherit the expanded
-  scenario list through fork, so builders and strategy transforms never
-  need to be picklable; only the primitive :class:`ScenarioResult` objects
-  cross the process boundary.  Each task is one striped index group from
+- ``process`` — a fork-based :class:`repro.campaign.pool.WorkerPool`.
+  Workers inherit the parent's expanded selection through fork and run it
+  *by index*, so builders and strategy transforms never need to be
+  picklable; only the primitive :class:`ScenarioResult` objects cross the
+  process boundary.  Each task is one striped index group from
   :func:`repro.campaign.pool.dispatch_layout` — stripe ``j`` of ``K =
   workers × 8`` holds positions ``j, j+K, j+2K, …`` — so the expensive
   multi-party blocks, which sit side by side in the matrix, spread over
   every task instead of filling one contiguous chunk.  Replies are put
   back in index order, so the layout never reaches a digest.  A worker
   that dies mid-run ends it with
-  :class:`repro.campaign.pool.WorkerLostError` rather than a hang.  On
-  platforms without ``fork`` the runner falls back to serial, and so do
-  empty/tiny selections (below :data:`MIN_PROCESS_SCENARIOS`, where fork
-  overhead dominates); the report's ``backend`` always records what
-  actually ran.
+  :class:`repro.campaign.pool.WorkerLostError` rather than a hang.
 
-Passing a persistent :class:`repro.campaign.pool.WorkerPool` reuses one
-set of forked workers across runs (``backend="process"`` plus a matrix
-carrying a rebuild ``spec``); the report records ``process:pooled``.  An
-explicit pool always dispatches — even tiny runs — because its fork cost
-amortizes across every run that follows; the tiny-selection serial
-fallback applies only to one-shot pools.
+The pool has two lifetimes.  Without ``pool=`` the runner opens one for
+the run and closes it afterwards (terminates it on error); below
+:data:`MIN_PROCESS_SCENARIOS`, where the fork costs more than the work,
+such a run falls back to serial.  A caller-supplied ``pool=`` is the same
+object with a longer life: it needs a matrix carrying a rebuild ``spec``,
+since workers forked for an earlier run rebuild a matrix they did not
+inherit, and it always dispatches — even tiny runs — because its fork
+cost amortizes across every run that follows.  Both report
+``backend="process"``; on platforms without ``fork`` the runner falls
+back to serial, and the report's ``backend`` always records what
+actually ran.
 
 Scenarios are independent full simulations, so results are identical
 across backends and process layouts; the :class:`CampaignReport` proves it
@@ -49,9 +50,9 @@ makes cross-host sharding provable.  :meth:`CampaignReport.to_json` /
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable
@@ -61,11 +62,8 @@ from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import (
     WorkerPool,
     default_workers,
-    dispatch_layout,
     fork_available,
-    fold_metered,
-    gather,
-    run_metered,
+    share_rows,
 )
 from repro.campaign.report import check_kind, register_report
 from repro.campaign.scenario import (
@@ -75,42 +73,30 @@ from repro.campaign.scenario import (
     result_payload,
     run_scenario,
 )
-from repro.obs import MetricsSnapshot, ProgressMeter, Tracer, maybe_span
+from repro.obs import (
+    MetricsSnapshot,
+    ProgressMeter,
+    Tracer,
+    maybe_span,
+    worker_sample,
+)
 
 # Below this many scenarios a requested process backend runs serially:
 # forking a pool costs more than the work itself.
 MIN_PROCESS_SCENARIOS = 24
 
-# Worker-side scenario table, inherited through fork (never pickled).
-_WORKER_SCENARIOS: list[Scenario] = []
 
+def _run_at_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot]:
+    """One traced scenario in a pool worker: the result plus a per-worker
+    telemetry sample (scenario count + busy time, keyed by worker pid).
+    The result itself is byte-identical to the untraced path.
 
-def _pool_init(scenarios: list[Scenario]) -> None:
-    global _WORKER_SCENARIOS
-    _WORKER_SCENARIOS = scenarios
-
-
-def _run_at_metered(index: int) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """One traced scenario: the result plus a per-worker telemetry sample
-    (scenario count + busy time, keyed by worker pid).  The result itself
-    is byte-identical to the untraced path."""
-    return run_metered(_WORKER_SCENARIOS[index])
-
-
-def _run_group(
-    task: tuple[range, bool],
-) -> tuple[list[ScenarioResult], MetricsSnapshot | None]:
-    """One dispatch task: the inherited scenarios at ``positions``.
-
-    A metered task runs each position through :func:`_run_at_metered`,
-    looked up at call time so a wrapper installed on this module before
-    the fork applies per scenario, and folds the samples into one reply
-    that the parent merges into its tracer.
+    Workers look this up on this module for every metered scenario, so a
+    wrapper installed here before the pool forks applies to each one.
     """
-    positions, metered = task
-    if not metered:
-        return [run_scenario(_WORKER_SCENARIOS[p]) for p in positions], None
-    return fold_metered(_run_at_metered(p) for p in positions)
+    start = time.perf_counter()
+    result = run_scenario(scenario)
+    return result, worker_sample(1, time.perf_counter() - start)
 
 
 def selection_label(limit: int | None, shard: tuple[int, int] | None) -> str:
@@ -559,45 +545,20 @@ class CampaignRunner:
             self.kernel.tracer = tracer
         return self.kernel.run(scenarios, meter=meter)
 
-    def _run_process(
-        self,
-        scenarios: list[Scenario],
-        tracer: Tracer | None = None,
-        meter: ProgressMeter | None = None,
-    ) -> list[ScenarioResult]:
-        ctx = multiprocessing.get_context("fork")
-        groups = dispatch_layout(len(scenarios), self.workers)
-        metered = tracer is not None or meter is not None
-        with ctx.Pool(
-            processes=self.workers, initializer=_pool_init, initargs=(scenarios,)
-        ) as pool:
-            return gather(
-                pool,
-                _run_group,
-                [(group, metered) for group in groups],
-                groups,
-                tracer,
-                meter,
-            )
-
     # ------------------------------------------------------------------
     # driver
     # ------------------------------------------------------------------
     def _resolve_backend(self, selected: int) -> str:
         """The backend that will actually run ``selected`` scenarios."""
-        if self.backend == "kernel":
-            return "kernel"
         if self.backend != "process":
-            return "serial"
+            return self.backend
         if not fork_available():  # pragma: no cover - platform dependent
             return "serial"
-        if self.pool is not None:
-            # An explicit pool is an opt-in to amortized dispatch: start it
-            # even for a tiny first run, since its fork cost is paid once
-            # across every run that follows.
-            return "process:pooled"
-        if selected < MIN_PROCESS_SCENARIOS:
-            return "serial"  # fork overhead would dominate a one-shot pool
+        if self.pool is None and selected < MIN_PROCESS_SCENARIOS:
+            # Fork overhead would dominate a pool opened for this run alone.
+            # An explicit pool is an opt-in to amortized dispatch: its fork
+            # cost is paid once across every run that follows.
+            return "serial"
         return "process"
 
     # ------------------------------------------------------------------
@@ -676,12 +637,19 @@ class CampaignRunner:
             )
             if hits:
                 meter.advance(len(hits))
-        if backend == "process:pooled":
-            workers = self.pool.workers
-        elif backend == "process":
-            workers = self.workers
-        else:
+        if backend != "process":
             workers = 1
+        elif self.pool is not None:
+            workers = self.pool.workers
+        else:
+            workers = self.workers
+        if self.pool is not None and self.matrix.spec is None:
+            # add_block after construction cleared the rebuild recipe
+            raise ValueError(
+                "pool reuse needs a rebuildable matrix: the matrix was "
+                "modified after this runner was constructed, clearing "
+                "its rebuild spec"
+            )
         with maybe_span(
             tracer,
             "campaign.dispatch",
@@ -689,33 +657,26 @@ class CampaignRunner:
             scenarios=len(to_run),
             workers=workers,
         ):
-            if backend == "process:pooled":
-                if self.matrix.spec is None:  # add_block after construction
-                    raise ValueError(
-                        "pool reuse needs a rebuildable matrix: the matrix was "
-                        "modified after this runner was constructed, clearing "
-                        "its rebuild spec"
-                    )
-                # Before the pool's first fork, hand it the parent-side
-                # expansion so workers inherit the table instead of rebuilding.
-                seed = None if self.pool.started else list(self.matrix.scenarios())
-                fresh = self.pool.run_indices(
-                    self.matrix.spec,
-                    matrix_digest,
-                    to_run,
-                    scenarios=seed,
-                    tracer=tracer,
-                    meter=meter,
-                )
+            if not to_run:  # fully cache-warm: nothing to expand or fork for
+                fresh = []
             else:
-                if self.cache is None:
-                    scenarios = list(
-                        self.matrix.scenarios(limit=limit, shard=shard)
-                    )
-                else:
-                    scenarios = list(self.matrix.scenarios(indices=to_run))
+                scenarios = list(self.matrix.scenarios(indices=to_run))
                 if backend == "process":
-                    fresh = self._run_process(scenarios, tracer=tracer, meter=meter)
+                    # Inherited by the pool's workers if it forks for this run.
+                    share_rows(matrix_digest, scenarios)
+                    lifetime = (
+                        nullcontext(self.pool)
+                        if self.pool is not None
+                        else WorkerPool(self.workers)
+                    )
+                    with lifetime as pool:
+                        fresh = pool.run_indices(
+                            self.matrix.spec,
+                            matrix_digest,
+                            to_run,
+                            tracer=tracer,
+                            meter=meter,
+                        )
                 elif backend == "kernel":
                     fresh = self._run_kernel(scenarios, tracer=tracer, meter=meter)
                 else:

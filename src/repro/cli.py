@@ -25,8 +25,9 @@ tolerance, and (optionally) the digests the run must reproduce.
   result cache (verified scenario blocks keyed on block descriptor + code
   version are served from the store; the hit-rate is reported next to the
   digest, which a warm run reproduces byte-identically),
-- ``merge R1.json R2.json ...`` is kind-aware: campaign shard reports (of
-  either matrix shape) recombine into the unsharded run digest, and
+- ``merge R1.json R2.json ...`` (aliases ``campaign-merge`` and
+  ``ablate-merge``) is kind-aware: campaign shard reports (of either
+  matrix shape) recombine into the unsharded run digest, and
   ablation-shaped merges reduce the frontier too,
 - the legacy ``campaign``/``ablate``/``ablate-refine`` subcommands are
   thin shims that construct the same spec from their flags and run it
@@ -630,12 +631,12 @@ def cmd_merge(args) -> None:
         _write_json(args.out, merged.to_json(), "merged report")
     if frontier is not None:
         _print_frontier(frontier)
-        if getattr(args, "frontier_out", None):
+        if args.frontier_out:
             _write_json(args.frontier_out, frontier.to_json(), "frontier")
     elif ablation_shaped:
         # A partial merge still writes/prints the recombined report above;
         # only the frontier reduction needs every shard.
-        if getattr(args, "frontier_out", None):
+        if args.frontier_out:
             raise SystemExit(
                 f"error: selection {merged.selection} cannot honor "
                 "--frontier-out — frontier reduction needs full coverage; "
@@ -1053,17 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expect", default=None, metavar="DIGEST",
                        help=f"exit non-zero unless the {what} digest matches")
 
-    def merge_flags(p):
-        p.add_argument("reports", nargs="+", metavar="REPORT.json",
-                       help="shard reports written with --out")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the merged campaign report as JSON")
-        p.add_argument("--frontier-out", default=None, metavar="PATH",
-                       help="write the reduced frontier as JSON "
-                            "(ablation-shaped merges only)")
-        expect_flag(p, "merged primary (run or frontier)")
-        p.set_defaults(func=cmd_merge)
-
     # ------------------------------------------------------------------
     # spec workflow: spec / run / merge
     # ------------------------------------------------------------------
@@ -1109,9 +1099,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "merge",
+        aliases=["campaign-merge", "ablate-merge"],
         help="kind-aware merge of shard reports (campaign or ablation)",
     )
-    merge_flags(p)
+    p.add_argument("reports", nargs="+", metavar="REPORT.json",
+                   help="shard reports written with --out")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="write the merged campaign report as JSON")
+    p.add_argument("--frontier-out", default=None, metavar="PATH",
+                   help="write the reduced frontier as JSON "
+                        "(ablation-shaped merges only)")
+    expect_flag(p, "merged primary (run or frontier)")
+    p.set_defaults(func=cmd_merge)
 
     # ------------------------------------------------------------------
     # legacy shims: flag-driven specs through the same facade
@@ -1212,20 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
     quote_common_flags(p)
     expect_flag(p, "batch")
     p.set_defaults(func=cmd_quote_batch)
-
-    p = sub.add_parser(
-        "ablate-merge",
-        help="merge sharded ablation reports and reduce the frontier "
-             "(alias of merge)",
-    )
-    merge_flags(p)
-
-    p = sub.add_parser(
-        "campaign-merge",
-        help="merge sharded campaign reports into one run digest "
-             "(alias of merge)",
-    )
-    merge_flags(p)
     return parser
 
 

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.campaign.runner as runner_module
 from repro.campaign import (
     CampaignReport,
     CampaignRunner,
     MatrixSpec,
+    ResultCache,
     ScenarioMatrix,
     WorkerPool,
     default_matrix,
@@ -38,7 +40,7 @@ from repro.checker import halt_strategies, properties
 from repro.core.hedged_multi_party import HedgedMultiPartySwap
 from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
 from repro.graph.digraph import complete_graph
-from repro.obs import Tracer
+from repro.obs import MetricsSnapshot, Tracer
 
 
 def two_party_builder():
@@ -345,9 +347,9 @@ def test_worker_pool_reuse_matches_serial_digests():
         other = CampaignRunner(
             default_matrix(families=["bootstrap"]), backend="process", pool=pool
         ).run()
-    assert first.backend == second.backend == "process:pooled"
+    assert first.backend == second.backend == "process"
     assert first.run_digest == second.run_digest == serial.run_digest
-    assert other.backend == "process:pooled"  # started pool serves tiny runs
+    assert other.backend == "process"  # started pool serves tiny runs
     assert other.ok
 
 
@@ -364,6 +366,30 @@ def test_worker_pool_shards_merge_to_the_serial_digest():
             for i in (1, 2)
         ]
     assert merge_reports(shards).run_digest == serial.run_digest
+
+
+def test_cache_warm_pooled_run_neither_forks_nor_expands(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path / "store")
+    cold = CampaignRunner(
+        default_matrix(families=["broker", "bootstrap"]), cache=cache
+    ).run()
+    matrix = default_matrix(families=["broker", "bootstrap"])
+    expansions = []
+    expand = matrix.scenarios
+
+    def counting(**kwargs):
+        expansions.append(kwargs)
+        return expand(**kwargs)
+
+    monkeypatch.setattr(matrix, "scenarios", counting)
+    with WorkerPool(workers=2) as pool:
+        warm = CampaignRunner(
+            matrix, backend="process", pool=pool, cache=cache
+        ).run()
+        assert not pool.started  # every scenario was a hit: nothing to fork for
+    assert warm.cache_hits == warm.scenarios == cold.scenarios
+    assert expansions == []  # and no row was expanded for it
+    assert warm.run_digest == cold.run_digest
 
 
 def test_pool_requires_process_backend_and_rebuildable_matrix():
@@ -550,7 +576,7 @@ def test_serial_process_and_pooled_runs_agree_whatever_the_block_order(
     process = run(backend="process", workers=2)
     with WorkerPool(workers=2) as pool:
         pooled = run(backend="process", pool=pool)
-    assert (process.backend, pooled.backend) == ("process", "process:pooled")
+    assert (process.backend, pooled.backend) == ("process", "process")
     expected = [r.digest for r in serial.results]
     for report in (process, pooled):
         assert [r.index for r in report.results] == list(range(len(expected)))
@@ -574,6 +600,32 @@ def test_traced_striped_process_run_matches_untraced():
     assert sum(
         value for name, value in counters.items() if name.endswith(".scenarios")
     ) == len(matrix)
+
+
+def test_metered_hook_runs_once_per_scenario_on_both_pool_lifetimes(monkeypatch):
+    # Wrap the hook before any fork, the way perfbench's layer tracer does:
+    # a counter rides home inside each scenario's worker sample.
+    original = runner_module._run_at_metered
+
+    def counting(scenario):
+        result, sample = original(scenario)
+        return result, sample.merge(MetricsSnapshot(counters=(("hook.calls", 1),)))
+
+    monkeypatch.setattr(runner_module, "_run_at_metered", counting)
+    matrix = lopsided_matrix(expensive_first=True)
+
+    def hook_calls(**kwargs) -> int:
+        tracer = Tracer()
+        report = CampaignRunner(
+            matrix, backend="process", tracer=tracer, **kwargs
+        ).run()
+        assert report.backend == "process"
+        return dict(tracer.metrics.snapshot().counters).get("hook.calls", 0)
+
+    assert hook_calls(workers=2) == len(matrix)
+    with WorkerPool(workers=2) as pool:
+        assert hook_calls(pool=pool) == len(matrix)
+        assert hook_calls(pool=pool) == len(matrix)  # already-forked workers
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +686,7 @@ def test_killed_worker_ends_a_pooled_run_and_the_pool_recovers():
         report = CampaignRunner(
             default_matrix(families=["bootstrap"]), backend="process", pool=pool
         ).run()
-    assert report.ok and report.backend == "process:pooled"
+    assert report.ok and report.backend == "process"
 
 
 def test_worker_pool_exit_on_error_terminates_instead_of_waiting():

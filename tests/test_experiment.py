@@ -380,6 +380,27 @@ def test_cli_unified_merge_is_kind_aware(tmp_path, capsys):
         ])
 
 
+def test_merge_aliases_route_to_merge_and_reproduce_the_unsharded_digest(
+    tmp_path, capsys
+):
+    from repro.cli import build_parser, cmd_merge, main
+
+    parser = build_parser()
+    for alias in ("merge", "campaign-merge", "ablate-merge"):
+        assert parser.parse_args([alias, "r.json"]).func is cmd_merge
+    flags = ["campaign", "--families", "bootstrap"]
+    main([*flags, "--out", str(tmp_path / "full.json")])
+    for i in (1, 2):
+        main([*flags, "--shard", f"{i}/2", "--out", str(tmp_path / f"s{i}.json")])
+    full = CampaignReport.from_json((tmp_path / "full.json").read_text())
+    shards = [str(tmp_path / "s1.json"), str(tmp_path / "s2.json")]
+    for alias in ("campaign-merge", "ablate-merge"):
+        out = tmp_path / f"{alias}.json"
+        main([alias, *shards, "--out", str(out), "--expect", full.run_digest])
+        assert CampaignReport.from_json(out.read_text()).run_digest == full.run_digest
+    capsys.readouterr()
+
+
 def test_malformed_spec_fields_fail_cleanly(tmp_path):
     # a hand-edited spec with an invalid shard must surface as a clean
     # ExperimentError (and a clean CLI message), not a raw traceback
