@@ -26,7 +26,13 @@ the multi-party family serially, through a pool opened for the run and
 through a persistent :class:`WorkerPool`, and fails if a block's builds
 stop sharing one graph, if a block's premium memos grow after its first
 build (per-scenario invariants recomputed in the hot path), or if the
-serial, process and persistent-pool digests differ.  Two dispatch
+serial, process and persistent-pool digests differ.  On the serial run
+it also counts two leaf operations from outside the program, the way
+``perfbench/layers.py`` wraps layers: settlement ticks (``on_tick``) and
+signature MACs (``signatures._mac``).  Either count above its committed
+ceiling fails the gate: a contract that stops declaring its quiet tick
+window, or a verifier that stops consulting the registry's memo, shows
+up as a count on any host.  Two dispatch
 balance checks ride along: statically, no task of the default matrix's
 dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
 block (``K = workers × 8``), and a traced 2-worker run of the default
@@ -36,6 +42,7 @@ python benchmarks/bench_campaign.py --gate
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -66,6 +73,13 @@ REUSE_RUNS = 4
 
 # The family whose builds size premiums from per-graph memos.
 GATE_FAMILIES = ("multi-party",)
+
+# Leaf-operation ceilings for one serial run of the gate's multi-party
+# matrix: the exact counts when the tick windows and the signature memo
+# landed.  A count is a property of the code, not of the host, so the
+# ceiling is the count itself; lower it when a change cuts more work.
+MAX_ON_TICK_CALLS = 104_096
+MAX_MAC_CALLS = 24_886
 
 # Worker busy skew (max/mean busy seconds) allowed on a traced 2-worker
 # run of the default matrix.  Striped tasks give about 1.05; contiguous
@@ -234,6 +248,73 @@ def worker_busy_skew(workers: int = 2) -> tuple[float, list[float]]:
     return max(busy) / (sum(busy) / workers), busy
 
 
+def _contract_classes():
+    """Every contract class that defines its own ``on_tick``."""
+    import importlib
+    import pkgutil
+
+    import repro.contracts
+    import repro.core
+
+    seen = []
+    for package in (repro.contracts, repro.core):
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(f"{package.__name__}.{info.name}")
+            for value in vars(module).values():
+                if (
+                    isinstance(value, type)
+                    and value.__module__ == module.__name__
+                    and "on_tick" in vars(value)
+                    and value not in seen
+                ):
+                    seen.append(value)
+    return seen
+
+
+@contextlib.contextmanager
+def counting_leaf_calls():
+    """Count ``on_tick`` and ``signatures._mac`` calls inside the block.
+
+    Yields the counts dict.  The program is wrapped from outside and
+    restored on exit.  A ``super().on_tick`` call inside another
+    ``on_tick`` is part of the same settlement tick and is not counted
+    again.
+    """
+    import repro.crypto.signatures as signatures
+
+    counts = {"on_tick": 0, "mac": 0}
+    depth = [0]
+
+    def counted_tick(original):
+        def on_tick(self, height):
+            if depth[0] == 0:
+                counts["on_tick"] += 1
+            depth[0] += 1
+            try:
+                return original(self, height)
+            finally:
+                depth[0] -= 1
+
+        return on_tick
+
+    mac = signatures._mac
+
+    def counted_mac(private, message):
+        counts["mac"] += 1
+        return mac(private, message)
+
+    originals = [(cls, vars(cls)["on_tick"]) for cls in _contract_classes()]
+    for cls, original in originals:
+        cls.on_tick = counted_tick(original)
+    signatures._mac = counted_mac
+    try:
+        yield counts
+    finally:
+        signatures._mac = mac
+        for cls, original in originals:
+            cls.on_tick = original
+
+
 def run_gate() -> int:
     """CI ratchet: shared graphs, memos that stop growing, digest parity,
     and balanced dispatch."""
@@ -242,7 +323,8 @@ def run_gate() -> int:
     for block in matrix.blocks:
         graph = block.builder().meta["graph"]
         first.append((graph, memo_sizes(graph)))
-    serial = CampaignRunner(matrix, backend="serial").run()
+    with counting_leaf_calls() as leaf:
+        serial = CampaignRunner(matrix, backend="serial").run()
     process = CampaignRunner(matrix, backend="process").run()
     with WorkerPool() as pool:
         pooled = CampaignRunner(matrix, backend="process", pool=pool).run()
@@ -283,6 +365,17 @@ def run_gate() -> int:
         f"process {process.scenarios_per_second:.0f} scen/s (informational); "
         f"digest {serial.run_digest[:12]}"
     )
+
+    for name, count, ceiling in (
+        ("on_tick", leaf["on_tick"], MAX_ON_TICK_CALLS),
+        ("signatures._mac", leaf["mac"], MAX_MAC_CALLS),
+    ):
+        print(f"leaf work: {count} {name} calls (ceiling {ceiling})")
+        if count > ceiling:
+            failures.append(
+                f"{count} {name} calls on the serial multi-party run exceed the "
+                f"ceiling {ceiling}: per-block or per-check work came back"
+            )
 
     full = default_matrix()
     for workers in sorted({2, 4, default_workers()}):
@@ -346,8 +439,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="enforce the shared-graph memo ratchet, digest parity and "
-        "dispatch balance (exit 1 on breach)",
+        help="enforce the shared-graph memo ratchet, the leaf-work count "
+        "ceilings, digest parity and dispatch balance (exit 1 on breach)",
     )
     if parser.parse_args().gate:
         sys.exit(run_gate())

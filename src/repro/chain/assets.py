@@ -6,6 +6,12 @@ premium arithmetic exact — Equations 1 and 2 of the paper are closed under
 integer ``p``.  Each chain has a *native* asset used to pay premiums on that
 chain (§4: "We assume each blockchain has a native currency that can be used
 to pay premiums on that chain").
+
+Chains hand out one interned :class:`Asset` per ``(chain, symbol)``
+(:func:`asset_of`), so ledger keys built from them compare by identity
+before falling back to the dataclass ``__eq__``.  Interning is an
+optimisation only: an ``Asset`` built directly, or unpickled in another
+process, is equal to the interned one and hashes the same.
 """
 
 from __future__ import annotations
@@ -31,6 +37,20 @@ class Asset:
         return f"{self.symbol}@{self.chain}"
 
 
+#: the interned assets, one per (chain, symbol); chain and symbol names
+#: come from protocol builders, so the table stays as small as they are.
+_INTERNED: dict[tuple[str, str], Asset] = {}
+
+
+def asset_of(chain: str, symbol: str) -> Asset:
+    """The interned asset ``symbol`` managed by ``chain``."""
+    key = (chain, symbol)
+    asset = _INTERNED.get(key)
+    if asset is None:
+        asset = _INTERNED[key] = Asset(chain, symbol)
+    return asset
+
+
 def native_asset(chain: str) -> Asset:
     """The native premium currency of ``chain``."""
-    return Asset(chain, NATIVE_SYMBOL)
+    return asset_of(chain, NATIVE_SYMBOL)

@@ -39,7 +39,7 @@ class Transaction:
     contract: str
     method: str
     args: dict[str, Any] = field(default_factory=dict)
-    nonce: int = field(default_factory=lambda: next(_tx_counter))
+    nonce: int = field(default_factory=_tx_counter.__next__)
     receipt: Receipt = field(default_factory=Receipt)
 
     def __str__(self) -> str:

@@ -17,10 +17,9 @@ transaction receipt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from repro.chain.assets import Asset, native_asset
+from repro.chain.assets import Asset, asset_of, native_asset
 from repro.chain.block import Transaction
 from repro.chain.events import Event
 from repro.chain.ledger import Ledger
@@ -31,9 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.crypto.keys import KeyRegistry
 
 
-@dataclass(frozen=True)
-class CallContext:
-    """Per-call environment handed to contract methods."""
+class CallContext(NamedTuple):
+    """Per-call environment handed to contract methods (immutable).
+
+    A named tuple rather than a frozen dataclass: one is built for every
+    transaction, and a tuple is built at about half the cost.
+    """
 
     sender: str
     height: int
@@ -44,6 +46,8 @@ class Blockchain:
 
     def __init__(self, name: str, registry: "KeyRegistry") -> None:
         self.name = name
+        #: the chain's native currency (used for premiums)
+        self.native: Asset = native_asset(name)
         self.registry = registry
         self.ledger = Ledger(name)
         self.height = 0
@@ -54,14 +58,9 @@ class Blockchain:
     # ------------------------------------------------------------------
     # assets
     # ------------------------------------------------------------------
-    @property
-    def native(self) -> Asset:
-        """The chain's native currency (used for premiums)."""
-        return native_asset(self.name)
-
     def asset(self, symbol: str) -> Asset:
         """An asset managed by this chain."""
-        return Asset(self.name, symbol)
+        return asset_of(self.name, symbol)
 
     # ------------------------------------------------------------------
     # contracts
@@ -88,8 +87,9 @@ class Blockchain:
         """Run ``tx`` at the current height with revert semantics."""
         if tx.chain != self.name:
             raise ChainError(f"{tx} routed to wrong chain {self.name!r}")
-        ctx = CallContext(sender=tx.sender, height=self.height)
-        self.ledger.begin()
+        ctx = CallContext(tx.sender, self.height)
+        ledger = self.ledger
+        ledger.begin()
         events_mark = len(self.events)
         try:
             contract = self.contract_at(tx.contract)
@@ -101,16 +101,24 @@ class Blockchain:
                 raise ContractError(f"no public method {tx.method!r}")
             try:
                 method(ctx, **tx.args)
-            except TypeError as err:
-                # the ABI-decode failure of a real chain: bad calldata
+            except (TypeError, AttributeError) as err:
+                # the ABI-decode failure of a real chain: bad calldata,
+                # whether the arguments do not bind or an argument lacks
+                # the fields its type promises
                 raise ContractError(f"malformed arguments: {err}") from err
         except (ContractError, ChainError) as err:
-            self.ledger.rollback()
+            ledger.rollback()
             del self.events[events_mark:]
             tx.receipt.status = "reverted"
             tx.receipt.error = str(err)
+        except BaseException:
+            # A fault in the simulator itself: leave the chain as it was
+            # before the call, then let the fault propagate.
+            ledger.rollback()
+            del self.events[events_mark:]
+            raise
         else:
-            self.ledger.commit()
+            ledger.commit()
             tx.receipt.status = "ok"
         tx.receipt.height = self.height
         return tx
@@ -121,11 +129,16 @@ class Blockchain:
         Settlement (`on_tick`) runs after user transactions at the same
         height, so an action with deadline ``k`` can still land at height
         ``k`` while refunds for the deadline trigger at height ``k + 1``.
+        A contract is not ticked at heights up to its ``quiet_through``,
+        where its settlement provably does nothing; the others tick in
+        deploy order.
         """
-        self.height += 1
-        executed = [self.execute(tx) for tx in transactions]
+        self.height = height = self.height + 1
+        # most blocks carry no transactions: skip building the list then
+        executed = [self.execute(tx) for tx in transactions] if transactions else []
         for contract in list(self.contracts.values()):
-            contract.on_tick(self.height)
+            if height > contract.quiet_through:
+                contract.on_tick(height)
         return executed
 
     # ------------------------------------------------------------------

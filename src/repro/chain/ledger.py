@@ -6,14 +6,22 @@ records to the active journal frame; :class:`repro.chain.blockchain.Blockchain`
 opens a frame per transaction and rolls back on contract revert.  Total
 supply per asset is conserved by every operation except ``mint``/``burn``,
 which only test fixtures and genesis allocation use.
+
+Every asset a ledger holds is managed by its own chain, so balances are
+keyed internally by ``(symbol, account)``: plain strings, which hash in C,
+where an :class:`Asset` key would call the dataclass ``__hash__`` on every
+lookup.  Queries and snapshots speak in assets, as before.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.chain.assets import Asset
+from repro.chain.assets import Asset, asset_of
 from repro.errors import InsufficientFunds, LedgerError
+
+#: a balance key: (asset symbol, account) on this ledger's chain
+Key = tuple[str, str]
 
 
 class Ledger:
@@ -21,31 +29,42 @@ class Ledger:
 
     def __init__(self, chain: str) -> None:
         self.chain = chain
-        self._balances: dict[tuple[Asset, str], int] = defaultdict(int)
-        self._journal: list[list[tuple[tuple[Asset, str], int]]] = []
+        self._balances: dict[Key, int] = defaultdict(int)
+        self._journal: list[list[tuple[Key, int]]] = []
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def balance(self, asset: Asset, account: str) -> int:
         """Current balance of ``account`` in ``asset``."""
-        return self._balances[(asset, account)]
+        if asset.chain != self.chain:
+            return 0  # chains are isolated: nobody holds a foreign asset here
+        return self._balances[(asset.symbol, account)]
 
     def total_supply(self, asset: Asset) -> int:
         """Sum of all balances of ``asset`` (conserved by transfers)."""
-        return sum(v for (a, _), v in self._balances.items() if a == asset)
+        if asset.chain != self.chain:
+            return 0
+        return sum(v for (s, _), v in self._balances.items() if s == asset.symbol)
 
     def accounts_holding(self, asset: Asset) -> dict[str, int]:
         """Non-zero holders of ``asset`` mapped to their balances."""
+        if asset.chain != self.chain:
+            return {}
         return {
             account: amount
-            for (a, account), amount in self._balances.items()
-            if a == asset and amount != 0
+            for (s, account), amount in self._balances.items()
+            if s == asset.symbol and amount != 0
         }
 
     def snapshot(self) -> dict[tuple[Asset, str], int]:
         """A copy of all non-zero balances (for payoff accounting)."""
-        return {k: v for k, v in self._balances.items() if v != 0}
+        chain = self.chain
+        return {
+            (asset_of(chain, symbol), account): v
+            for (symbol, account), v in self._balances.items()
+            if v != 0
+        }
 
     # ------------------------------------------------------------------
     # journaled mutation
@@ -71,9 +90,10 @@ class Ledger:
         for key, old_value in reversed(frame):
             self._balances[key] = old_value
 
-    def _write(self, key: tuple[Asset, str], value: int) -> None:
+    def _write(self, key: Key, old_value: int, value: int) -> None:
+        """Set ``key`` from ``old_value`` (its current balance) to ``value``."""
         if self._journal:
-            self._journal[-1].append((key, self._balances[key]))
+            self._journal[-1].append((key, old_value))
         self._balances[key] = value
 
     def mint(self, asset: Asset, account: str, amount: int) -> None:
@@ -81,15 +101,16 @@ class Ledger:
         self._require_local(asset)
         if amount < 0:
             raise LedgerError(f"cannot mint negative amount {amount}")
-        key = (asset, account)
-        self._write(key, self._balances[key] + amount)
+        key = (asset.symbol, account)
+        held = self._balances[key]
+        self._write(key, held, held + amount)
 
     def burn(self, asset: Asset, account: str, amount: int) -> None:
         """Destroy ``amount`` of ``asset`` held by ``account``."""
         self._require_local(asset)
-        self._require_funds(asset, account, amount)
-        key = (asset, account)
-        self._write(key, self._balances[key] - amount)
+        key = (asset.symbol, account)
+        held = self._require_funds(asset, key, amount)
+        self._write(key, held, held - amount)
 
     def transfer(self, asset: Asset, source: str, dest: str, amount: int) -> None:
         """Move ``amount`` of ``asset`` from ``source`` to ``dest``."""
@@ -98,10 +119,12 @@ class Ledger:
             raise LedgerError(f"cannot transfer negative amount {amount}")
         if source == dest:
             return
-        self._require_funds(asset, source, amount)
-        src_key, dst_key = (asset, source), (asset, dest)
-        self._write(src_key, self._balances[src_key] - amount)
-        self._write(dst_key, self._balances[dst_key] + amount)
+        symbol = asset.symbol
+        src_key, dst_key = (symbol, source), (symbol, dest)
+        held = self._require_funds(asset, src_key, amount)
+        self._write(src_key, held, held - amount)
+        received = self._balances[dst_key]
+        self._write(dst_key, received, received + amount)
 
     # ------------------------------------------------------------------
     # guards
@@ -113,9 +136,11 @@ class Ledger:
                 f"not {self.chain!r} — chains are isolated"
             )
 
-    def _require_funds(self, asset: Asset, account: str, amount: int) -> None:
-        held = self._balances[(asset, account)]
+    def _require_funds(self, asset: Asset, key: Key, amount: int) -> int:
+        """The balance at ``key``, once it is known to cover ``amount``."""
+        held = self._balances[key]
         if amount > held:
             raise InsufficientFunds(
-                f"{account} holds {held} {asset}, needs {amount}"
+                f"{key[1]} holds {held} {asset}, needs {amount}"
             )
+        return held

@@ -28,6 +28,10 @@ class Contract:
 
     kind = "contract"
 
+    #: the last height at which :meth:`on_tick` provably does nothing
+    #: (see there); -1, the default, means "tick every block".
+    quiet_through = -1
+
     def __init__(self) -> None:
         self.chain: "Blockchain" | None = None
         self.address: str = ""
@@ -41,9 +45,24 @@ class Contract:
             raise StateError(f"{self.kind} already deployed at {self.address}")
         self.chain = chain
         self.address = address
+        self.quiet_through = self._quiet_through()
 
     def on_tick(self, height: int) -> None:
-        """Timeout settlement hook; default does nothing."""
+        """Timeout settlement hook; default does nothing.
+
+        The chain skips this hook at every height ``h <= quiet_through``,
+        so a subclass that overrides it must keep one promise: at such
+        heights ``on_tick(h)`` changes no state and emits no event, in
+        whatever state the contract is.  :meth:`_quiet_through` derives
+        that height once, at deploy, as the minimum ``X`` over every
+        ``height > X`` guard in the subclass's ``on_tick``, reading only
+        attributes fixed at construction.  A subclass that cannot promise
+        this keeps the default -1 and ticks every block.
+        """
+
+    def _quiet_through(self) -> int:
+        """The ``quiet_through`` height of this contract (see on_tick)."""
+        return -1
 
     # ------------------------------------------------------------------
     # helpers available to subclasses

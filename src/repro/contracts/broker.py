@@ -214,6 +214,9 @@ class BaseBrokerContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        return self.deadlines.end
+
     def on_tick(self, height: int) -> None:
         if self.escrow_state == "escrowed" and height > self.deadlines.end:
             self.push(self.asset, self.owner, self.amount)
@@ -369,6 +372,10 @@ class HedgedBrokerContract(BaseBrokerContract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        d = self.deadlines
+        return min(d.activation, d.escrow, d.trade, d.end)
+
     def on_tick(self, height: int) -> None:
         native = self._chain().native
 

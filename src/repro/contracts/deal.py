@@ -325,6 +325,11 @@ class PipelineDealContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        d = self.deadlines
+        trades = (d.trade_base + step.round for step in self.steps)
+        return min(d.activation, d.escrow, d.end, *trades)
+
     def on_tick(self, height: int) -> None:
         native = self._chain().native
 

@@ -123,6 +123,9 @@ class HedgedEscrow(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        return min(self.principal_deadline, self.redemption_timelock)
+
     def on_tick(self, height: int) -> None:
         # Premium refund when the principal never showed up.
         if (

@@ -75,6 +75,9 @@ class HTLC(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        return self.timelock
+
     def on_tick(self, height: int) -> None:
         if self.state == self.ESCROWED and height > self.timelock:
             self.push(self.asset, self.owner, self.amount)

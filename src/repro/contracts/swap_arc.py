@@ -30,6 +30,7 @@ from repro.chain.blockchain import CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey, SignedPath
+from repro.errors import ContractError
 from repro.graph.digraph import SwapGraph
 from repro.graph.schedule import MultiPartySchedule
 
@@ -95,7 +96,9 @@ class BaseSwapArc(Contract):
     # ------------------------------------------------------------------
     def escrow_principal(self, ctx: CallContext) -> None:
         """``u`` escrows the arc's asset."""
-        self.require(ctx.sender == self.u, f"only {self.u} escrows on {self.arc}")
+        # Hot path: revert messages are formatted only when they are used.
+        if ctx.sender != self.u:
+            raise ContractError(f"only {self.u} escrows on {self.arc}")
         self.require(self.principal_state == "absent", "principal already escrowed")
         self.require(ctx.height <= self._principal_deadline(), "escrow deadline passed")
         self._may_escrow(ctx)
@@ -111,16 +114,14 @@ class BaseSwapArc(Contract):
     def present_hashkey(self, ctx: CallContext, hashkey: HashKey) -> None:
         """Accept a valid hashkey; redeem once all leaders' keys are in."""
         leader = hashkey.leader
-        self.require(leader in self.hashlocks, f"unknown leader {leader!r}")
-        self.require(leader not in self.accepted, f"hashkey for {leader} already accepted")
-        self.require(
-            hashkey.redeemer == self.v,
-            f"hashkey path must start at redeemer {self.v}",
-        )
-        self.require(
-            ctx.height <= self._hashkey_deadline(hashkey.length),
-            f"hashkey timed out (|q|={hashkey.length})",
-        )
+        if leader not in self.hashlocks:
+            raise ContractError(f"unknown leader {leader!r}")
+        if leader in self.accepted:
+            raise ContractError(f"hashkey for {leader} already accepted")
+        if hashkey.redeemer != self.v:
+            raise ContractError(f"hashkey path must start at redeemer {self.v}")
+        if ctx.height > self._hashkey_deadline(hashkey.length):
+            raise ContractError(f"hashkey timed out (|q|={hashkey.length})")
         valid = hashkey.verify(
             self._chain().registry,
             self.public_of,
@@ -140,7 +141,8 @@ class BaseSwapArc(Contract):
     def _try_redeem(self, height: int) -> None:
         if self.principal_state != "escrowed":
             return
-        if set(self.accepted) != set(self.hashlocks):
+        # accepted keys are a subset of hashlocks' (present_hashkey checks)
+        if len(self.accepted) != len(self.hashlocks):
             return
         self.push(self.asset, self.v, self.amount)
         self.principal_state = "redeemed"
@@ -150,6 +152,9 @@ class BaseSwapArc(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
+    def _quiet_through(self) -> int:
+        return self._final_deadline()
+
     def on_tick(self, height: int) -> None:
         if self.principal_state == "escrowed" and height > self._final_deadline():
             self.push(self.asset, self.u, self.amount)
@@ -210,11 +215,14 @@ class HedgedSwapArc(BaseSwapArc):
     @property
     def activated(self) -> bool:
         """All leaders' redemption premiums are on this arc (§7.1)."""
-        return set(self.redemption_deposits) == set(self.hashlocks)
+        # deposits are keyed by a subset of hashlocks' leaders (the
+        # deposit method checks), so equal sizes mean equal key sets
+        return len(self.redemption_deposits) == len(self.hashlocks)
 
     def deposit_escrow_premium(self, ctx: CallContext) -> None:
         """``u`` posts ``E(u, v)`` in the chain's native currency."""
-        self.require(ctx.sender == self.u, f"only {self.u} posts the escrow premium")
+        if ctx.sender != self.u:
+            raise ContractError(f"only {self.u} posts the escrow premium")
         self.require(self.escrow_premium_state == "absent", "escrow premium already posted")
         self.require(
             ctx.height <= self.schedule.escrow_premium_deadline(self.arc),
@@ -230,23 +238,22 @@ class HedgedSwapArc(BaseSwapArc):
         The deposit carries an authenticated path; the contract recomputes
         Equation 1 to determine (and pull) the exact required amount.
         """
-        self.require(ctx.sender == self.v, f"only {self.v} posts redemption premiums")
+        if ctx.sender != self.v:
+            raise ContractError(f"only {self.v} posts redemption premiums")
         leader = path_chain.originator
-        self.require(leader in self.hashlocks, f"unknown leader {leader!r}")
-        self.require(
-            leader not in self.redemption_deposits,
-            f"redemption premium for {leader} already posted",
-        )
+        if leader not in self.hashlocks:
+            raise ContractError(f"unknown leader {leader!r}")
+        if leader in self.redemption_deposits:
+            raise ContractError(f"redemption premium for {leader} already posted")
         expected_payload = f"rpremium:{self.hashlocks[leader].digest}"
         self.require(path_chain.payload == expected_payload, "premium chain binds wrong hashlock")
         self.require(path_chain.head == self.v, "premium path must end at the depositor")
         self.require(path_chain.is_simple(), "premium path must be simple")
         path = path_chain.path  # redeemer-first
         self.require(self.graph.is_path(path), "premium path must follow arcs")
-        self.require(
-            ctx.height <= self.schedule.redemption_premium_deadline(path_chain.length),
-            f"redemption premium timed out (|q|={path_chain.length})",
-        )
+        length = path_chain.length
+        if ctx.height > self.schedule.redemption_premium_deadline(length):
+            raise ContractError(f"redemption premium timed out (|q|={length})")
         self.require(
             path_chain.verify(self._chain().registry, self.public_of),
             "premium path failed signature verification",
@@ -304,34 +311,34 @@ class HedgedSwapArc(BaseSwapArc):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def on_tick(self, height: int) -> None:
-        # Unactivated escrow premiums refund at the end of phase 2.
-        if (
-            self.escrow_premium_state == "held"
-            and not self.activated
-            and height > self.schedule.activation_deadline
-        ):
-            self.push(self._chain().native, self.u, self.escrow_premium_amount)
-            self.escrow_premium_state = "refunded"
-            self.escrow_premium_resolved_at = height
-            self.emit("escrow_premium_refunded", arc=self.arc, to=self.u)
+    def _quiet_through(self) -> int:
+        return min(
+            self.schedule.activation_deadline,
+            self._principal_deadline(),
+            self._final_deadline(),
+        )
 
-        # Activated escrow premium is awarded to v if the principal never came.
-        if (
-            self.escrow_premium_state == "held"
-            and self.activated
-            and self.principal_state == "absent"
-            and height > self._principal_deadline()
-        ):
-            self.push(self._chain().native, self.v, self.escrow_premium_amount)
-            self.escrow_premium_state = "awarded"
-            self.escrow_premium_resolved_at = height
-            self.emit(
-                "escrow_premium_awarded",
-                arc=self.arc,
-                to=self.v,
-                amount=self.escrow_premium_amount,
-            )
+    def on_tick(self, height: int) -> None:
+        if self.escrow_premium_state == "held":
+            if not self.activated:
+                # Unactivated escrow premiums refund at the end of phase 2.
+                if height > self.schedule.activation_deadline:
+                    self.push(self._chain().native, self.u, self.escrow_premium_amount)
+                    self.escrow_premium_state = "refunded"
+                    self.escrow_premium_resolved_at = height
+                    self.emit("escrow_premium_refunded", arc=self.arc, to=self.u)
+            elif self.principal_state == "absent" and height > self._principal_deadline():
+                # Activated escrow premium is awarded to v if the principal
+                # never came.
+                self.push(self._chain().native, self.v, self.escrow_premium_amount)
+                self.escrow_premium_state = "awarded"
+                self.escrow_premium_resolved_at = height
+                self.emit(
+                    "escrow_premium_awarded",
+                    arc=self.arc,
+                    to=self.v,
+                    amount=self.escrow_premium_amount,
+                )
 
         # Principal refund at the end of phase 4 (inherited rule) plus
         # awarding every unrefunded redemption premium to u.

@@ -60,12 +60,12 @@ class HedgedMultiPartyActor(MultiPartyActorBase):
     def all_incoming_escrow_premiums(self, view: WorldView) -> bool:
         return all(
             self.arc_contract(view, arc).escrow_premium_state == "held"
-            for arc in self.my_in_arcs()
+            for arc in self.in_arcs
         )
 
     def _deposit_escrow_premiums(self) -> list[Transaction]:
         txs = []
-        for arc in sorted(self.my_out_arcs()):
+        for arc in self.out_arcs:
             chain_name, address = self.addresses[arc]
             txs.append(self.tx(chain_name, address, "deposit_escrow_premium"))
         self.p1_done = True
@@ -82,7 +82,7 @@ class HedgedMultiPartyActor(MultiPartyActorBase):
     ) -> list[Transaction]:
         self.rpremium_done.add(leader)
         txs = []
-        for arc in sorted(self.my_in_arcs()):
+        for arc in self.in_arcs:
             contract = self.arc_contract(view, arc)
             if leader in contract.redemption_deposits:
                 continue
@@ -95,10 +95,10 @@ class HedgedMultiPartyActor(MultiPartyActorBase):
     def _forward_redemption_premiums(self, view: WorldView) -> list[Transaction]:
         """First premium for k_i on an outgoing arc triggers the extension."""
         txs: list[Transaction] = []
-        for leader in sorted(self.schedule_leaders()):
+        for leader in self.leaders:
             if leader in self.rpremium_done:
                 continue
-            for arc in sorted(self.my_out_arcs()):
+            for arc in self.out_arcs:
                 deposits = self.arc_contract(view, arc).redemption_deposits
                 if leader in deposits:
                     seen = deposits[leader].chain
@@ -113,7 +113,7 @@ class HedgedMultiPartyActor(MultiPartyActorBase):
     # -- phase-3 helpers ---------------------------------------------------
     def _escrow_principals(self, view: WorldView) -> list[Transaction]:
         txs = []
-        for arc in sorted(self.my_out_arcs()):
+        for arc in self.out_arcs:
             if not self.arc_contract(view, arc).activated:
                 continue
             chain_name, address = self.addresses[arc]

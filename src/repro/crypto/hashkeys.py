@@ -25,8 +25,9 @@ from repro.crypto.signatures import Signature, sign, verify
 from repro.errors import CryptoError
 
 
-def _link_message(payload: str, vertices: tuple[str, ...], prev_tag: str) -> bytes:
-    return f"{payload}|{','.join(vertices)}|{prev_tag}".encode("utf-8")
+def _link_message(payload: str, joined: str, prev_tag: str) -> bytes:
+    """The bytes a link signs; ``joined`` is ``",".join`` of the path prefix."""
+    return f"{payload}|{joined}|{prev_tag}".encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,15 @@ class SignedPath:
     def create(payload: str, keypair: KeyPair, vertex: str) -> "SignedPath":
         """Originate a chain at ``vertex`` (typically a leader)."""
         vertices = (vertex,)
-        signature = sign(keypair, _link_message(payload, vertices, ""))
+        signature = sign(keypair, _link_message(payload, vertex, ""))
         return SignedPath(payload, vertices, (signature,))
 
     def extend(self, keypair: KeyPair, vertex: str) -> "SignedPath":
         """Append ``vertex`` to the chain, signing the extension."""
         vertices = self.vertices + (vertex,)
         prev_tag = self.sigs[-1].tag
-        signature = sign(keypair, _link_message(self.payload, vertices, prev_tag))
+        message = _link_message(self.payload, ",".join(vertices), prev_tag)
+        signature = sign(keypair, message)
         return SignedPath(self.payload, vertices, self.sigs + (signature,))
 
     @property
@@ -90,15 +92,15 @@ class SignedPath:
         """
         if len(self.vertices) != len(self.sigs) or not self.vertices:
             return False
-        prev_tag = ""
-        for i, vertex in enumerate(self.vertices):
+        prev_tag = joined = ""
+        for i, (vertex, signature) in enumerate(zip(self.vertices, self.sigs)):
             expected_public = public_of.get(vertex)
             if expected_public is None:
                 return False
-            signature = self.sigs[i]
             if signature.signer != expected_public:
                 return False
-            message = _link_message(self.payload, self.vertices[: i + 1], prev_tag)
+            joined = f"{joined},{vertex}" if i else vertex
+            message = _link_message(self.payload, joined, prev_tag)
             if not verify(registry, signature, message):
                 return False
             prev_tag = signature.tag

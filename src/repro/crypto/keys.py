@@ -8,6 +8,15 @@ hold only their own :class:`KeyPair`; contracts hold only the registry.
 Within the simulation this gives the standard signature guarantees: nobody
 can produce a signature for a public key whose private bytes they do not
 hold (see DESIGN.md substitution table).
+
+A registry also remembers every ``(signer, tag, message)`` triple that
+has verified, so a signed path re-checked at every hop costs one MAC per
+link per world rather than one per check.  The memo is sound because a
+public key is the SHA-256 of its private key: once registered, a key
+cannot change its meaning, so a triple that verified once verifies
+forever.  Only successes are remembered (a signer unknown today may be
+registered tomorrow), the key is the full triple (never the signer and
+tag alone), and the memo lives on one registry, which is one world.
 """
 
 from __future__ import annotations
@@ -59,12 +68,15 @@ class KeyRegistry:
     def __init__(self) -> None:
         self._by_public: dict[str, KeyPair] = {}
         self._owner_by_public: dict[str, str] = {}
+        #: (signer, tag, message) triples that verified (see module doc)
+        self._verified: set[tuple[str, str, bytes]] = set()
 
     def register(self, keypair: KeyPair) -> None:
         """Add ``keypair`` so signatures by it can be verified."""
-        self._by_public[keypair.public] = keypair
+        public = keypair.public
+        self._by_public[public] = keypair
         if keypair.owner:
-            self._owner_by_public[keypair.public] = keypair.owner
+            self._owner_by_public[public] = keypair.owner
 
     def private_for(self, public: str) -> bytes:
         """Return the private bytes behind ``public`` (verification only)."""
@@ -76,6 +88,14 @@ class KeyRegistry:
     def owner_of(self, public: str) -> str:
         """Return the registered owner name for ``public`` (may be '')."""
         return self._owner_by_public.get(public, "")
+
+    def has_verified(self, signer: str, tag: str, message: bytes) -> bool:
+        """True if this exact triple already verified in this registry."""
+        return (signer, tag, message) in self._verified
+
+    def record_verified(self, signer: str, tag: str, message: bytes) -> None:
+        """Remember a triple that just verified (successes only)."""
+        self._verified.add((signer, tag, message))
 
     def knows(self, public: str) -> bool:
         """Return True if ``public`` is registered."""

@@ -39,13 +39,22 @@ def verify(registry: KeyRegistry, signature: Signature, message: bytes) -> bool:
     """Return True iff ``signature`` is a valid signature of ``message``.
 
     Unknown signers verify as False rather than raising, so contracts can
-    treat malformed hashkeys as simply invalid.
+    treat malformed hashkeys as simply invalid.  A triple that already
+    verified against ``registry`` is not recomputed (see
+    :class:`repro.crypto.keys.KeyRegistry`).
     """
-    if not registry.knows(signature.signer):
+    signer, tag = signature.signer, signature.tag
+    if not registry.knows(signer):
         return False
-    private = registry.private_for(signature.signer)
-    expected = _mac(private, message)
-    return hmac.compare_digest(expected, signature.tag)
+    # Only str tags can have verified; anything else goes on to fail (or
+    # raise) in compare_digest exactly as it would without the memo.
+    if type(tag) is str and registry.has_verified(signer, tag, message):
+        return True
+    expected = _mac(registry.private_for(signer), message)
+    if not hmac.compare_digest(expected, tag):
+        return False
+    registry.record_verified(signer, tag, message)
+    return True
 
 
 def require_valid(registry: KeyRegistry, signature: Signature, message: bytes) -> None:

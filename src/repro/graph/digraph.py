@@ -193,7 +193,11 @@ class SwapGraph:
         """True iff ``q`` is a simple path following arcs forward."""
         if not q or len(set(q)) != len(q):
             return False
-        return all((q[i], q[i + 1]) in self.arc_set for i in range(len(q) - 1))
+        arcs = self.arc_set
+        for arc in zip(q, q[1:]):
+            if arc not in arcs:
+                return False
+        return True
 
     @cached_property
     def max_path_length(self) -> int:

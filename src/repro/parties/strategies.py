@@ -70,8 +70,9 @@ class Deviant(Actor):
         if self.halt_round is not None and rnd >= self.halt_round:
             return injected
         planned = self.inner.on_round(rnd, view)
-        kept = [tx for tx in planned if not self._drops(tx)]
-        return kept + injected
+        if self.skip_rules or self.skip_predicate:
+            planned = [tx for tx in planned if not self._drops(tx)]
+        return planned + injected
 
     def _drops(self, tx: Transaction) -> bool:
         if any(rule.matches(tx) for rule in self.skip_rules):

@@ -53,22 +53,26 @@ class MultiPartyActorBase(Actor):
         self.released: set[str] = set()
         self.escrowed_arcs: set[Arc] = set()
         self.escrow_done = False
+        # The actor's arcs and the leaders, in the order it acts on them.
+        self.in_arcs: tuple[Arc, ...] = tuple(sorted(graph.in_arcs(name)))
+        self.out_arcs: tuple[Arc, ...] = tuple(sorted(graph.out_arcs(name)))
+        self.leaders: tuple[str, ...] = tuple(sorted(schedule.leaders))
+        # A deployed contract never moves, so each arc is resolved once.
+        self._contracts: dict[Arc, BaseSwapArc] = {}
 
     # -- observation -----------------------------------------------------
     def arc_contract(self, view: WorldView, arc: Arc):
-        chain_name, address = self.addresses[arc]
-        return view.chain(chain_name).contract(address)
-
-    def my_in_arcs(self) -> tuple[Arc, ...]:
-        return self.graph.in_arcs(self.name)
-
-    def my_out_arcs(self) -> tuple[Arc, ...]:
-        return self.graph.out_arcs(self.name)
+        contract = self._contracts.get(arc)
+        if contract is None:
+            chain_name, address = self.addresses[arc]
+            contract = view.chain(chain_name).contract(address)
+            self._contracts[arc] = contract
+        return contract
 
     def all_incoming_escrowed(self, view: WorldView) -> bool:
         return all(
             self.arc_contract(view, arc).principal_state in ("escrowed", "redeemed")
-            for arc in self.my_in_arcs()
+            for arc in self.in_arcs
         )
 
     # -- hashkey release / forwarding -------------------------------------
@@ -81,10 +85,10 @@ class MultiPartyActorBase(Actor):
     def _forward_hashkeys(self, view: WorldView) -> list[Transaction]:
         """Extend any newly observed hashkey from outgoing arcs (Fig. 3b)."""
         txs: list[Transaction] = []
-        for leader in sorted(self.schedule_leaders()):
+        for leader in self.leaders:
             if leader in self.released:
                 continue
-            for arc in sorted(self.my_out_arcs()):
+            for arc in self.out_arcs:
                 accepted = self.arc_contract(view, arc).accepted
                 if leader in accepted:
                     seen = accepted[leader]
@@ -102,16 +106,13 @@ class MultiPartyActorBase(Actor):
     ) -> list[Transaction]:
         leader = leader or hashkey.leader
         txs = []
-        for arc in sorted(self.my_in_arcs()):
+        for arc in self.in_arcs:
             contract = self.arc_contract(view, arc)
             if leader in contract.accepted:
                 continue
             chain_name, address = self.addresses[arc]
             txs.append(self.tx(chain_name, address, "present_hashkey", hashkey=hashkey))
         return txs
-
-    def schedule_leaders(self) -> tuple[str, ...]:
-        return self.schedule.leaders
 
 
 class BaseMultiPartyActor(MultiPartyActorBase):
@@ -124,7 +125,7 @@ class BaseMultiPartyActor(MultiPartyActorBase):
         if not self.escrow_done:
             ready = rnd == 0 if self.is_leader else self.all_incoming_escrowed(view)
             if ready:
-                for arc in sorted(self.my_out_arcs()):
+                for arc in self.out_arcs:
                     chain_name, address = self.addresses[arc]
                     txs.append(self.tx(chain_name, address, "escrow_principal"))
                     self.escrowed_arcs.add(arc)

@@ -41,6 +41,10 @@ class PayoffSheet:
         self.parties = tuple(parties)
         self._start = self._snapshot()
         self._end: dict[tuple[Asset, str], int] | None = None
+        #: party -> the assets it held before or after the run (finish())
+        self._assets_of: dict[str, set[Asset]] = {}
+        #: party -> its delta, computed on first query after finish()
+        self._deltas: dict[str, dict[Asset, int]] = {}
 
     def _snapshot(self) -> dict[tuple[Asset, str], int]:
         snap: dict[tuple[Asset, str], int] = {}
@@ -49,34 +53,49 @@ class PayoffSheet:
         return snap
 
     def finish(self) -> None:
-        """Record the post-run snapshot."""
+        """Record the post-run snapshot and index its assets by party."""
         self._end = self._snapshot()
+        # Each party's set is filled in the union's iteration order, which
+        # fixes the order delta() yields its assets in: realized_utility
+        # sums floats in that order, and the kernel's templates follow it.
+        assets_of: dict[str, set[Asset]] = {}
+        for asset, account in set(self._start) | set(self._end):
+            assets_of.setdefault(account, set()).add(asset)
+        self._assets_of = assets_of
+        self._deltas = {}
 
     # ------------------------------------------------------------------
     # queries (valid after finish())
     # ------------------------------------------------------------------
     def delta(self, party: str) -> dict[Asset, int]:
         """Per-asset balance change for ``party``."""
-        assert self._end is not None, "call finish() first"
-        assets = {a for (a, acc) in set(self._start) | set(self._end) if acc == party}
-        out: dict[Asset, int] = {}
-        for asset in assets:
-            change = self._end.get((asset, party), 0) - self._start.get((asset, party), 0)
-            if change:
-                out[asset] = change
+        return dict(self._delta(party))
+
+    def _delta(self, party: str) -> dict[Asset, int]:
+        """The memoized delta of ``party``; callers must not mutate it."""
+        out = self._deltas.get(party)
+        if out is None:
+            assert self._end is not None, "call finish() first"
+            out = {}
+            for asset in self._assets_of.get(party, ()):
+                key = (asset, party)
+                change = self._end.get(key, 0) - self._start.get(key, 0)
+                if change:
+                    out[asset] = change
+            self._deltas[party] = out
         return out
 
     def premium_net(self, party: str) -> int:
         """Net flow of native (premium) currency across all chains."""
-        return sum(v for a, v in self.delta(party).items() if a.is_native)
+        return sum(v for a, v in self._delta(party).items() if a.is_native)
 
     def principal_delta(self, party: str) -> dict[Asset, int]:
         """Balance changes in non-native assets only."""
-        return {a: v for a, v in self.delta(party).items() if not a.is_native}
+        return {a: v for a, v in self._delta(party).items() if not a.is_native}
 
     def total_value(self, party: str, valuation: Valuation) -> float:
         """Value-weighted total payoff for ``party``."""
-        return sum(valuation.value_of(a) * v for a, v in self.delta(party).items())
+        return sum(valuation.value_of(a) * v for a, v in self._delta(party).items())
 
     def realized_utility(self, party: str, price_of, height: int) -> float:
         """The party's realized utility under an exogenous price path.
@@ -90,7 +109,7 @@ class PayoffSheet:
         """
         return sum(
             price_of(asset, height) * change
-            for asset, change in self.delta(party).items()
+            for asset, change in self._delta(party).items()
         )
 
     def table(self) -> dict[str, dict[str, object]]:

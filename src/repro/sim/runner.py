@@ -69,14 +69,15 @@ class SyncRunner:
         tracked = parties if parties is not None else [a.name for a in self.actors]
         sheet = PayoffSheet(self.world, tracked)
         result = RunResult(world=self.world, rounds=rounds, payoffs=sheet)
+        chains = [self.world.chains[name] for name in sorted(self.world.chains)]
+        transactions = result.transactions
         for rnd in range(rounds):
             view = self.world.view()
             by_chain: dict[str, list[Transaction]] = defaultdict(list)
             for actor in self.actors:
                 for tx in actor.on_round(rnd, view):
                     by_chain[tx.chain].append(tx)
-            for name in sorted(self.world.chains):
-                executed = self.world.chains[name].advance(by_chain.get(name, ()))
-                result.transactions.extend(executed)
+            for chain in chains:
+                transactions.extend(chain.advance(by_chain.get(chain.name, ())))
         sheet.finish()
         return result

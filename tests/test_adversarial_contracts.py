@@ -195,3 +195,64 @@ def test_contract_funds_unreachable_by_direct_transfer():
         tx = _call(instance, "a-chain", address, "Mallory", method)
         assert tx.receipt.status == "reverted", method
     assert chain.ledger.balance(chain.native, address) == held
+
+
+# ----------------------------------------------------------------------
+# malformed calldata: every shape of bad argument is a revert
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "sender, method, args",
+    [
+        ("A", "present_hashkey", {"hashkey": 123}),
+        ("A", "deposit_redemption_premium", {"path_chain": 7}),
+        ("A", "present_hashkey", {"hashkey": "not-a-hashkey"}),
+        ("A", "deposit_redemption_premium", {"path_chain": None}),
+        ("A", "present_hashkey", {}),
+    ],
+)
+def test_malformed_calldata_reverts_without_leaking_a_journal_frame(sender, method, args):
+    """An argument of the wrong type is bad calldata, whether it fails to
+    bind (TypeError) or lacks the fields its type promises
+    (AttributeError): a reverted receipt, never an exception out of the
+    chain, and the ledger's journal is left empty."""
+    instance = _build()
+    _run_until(instance, 4)  # into phase 2: the deposit's sender checks pass
+    chain_name, address = instance.meta["addresses"][("B", "A")]
+    chain = instance.world.chain(chain_name)
+    events = len(chain.events)
+    for _ in range(3):  # the same call again must not nest deeper
+        tx = _call(instance, chain_name, address, sender, method, **args)
+        assert tx.receipt.status == "reverted"
+        assert tx.receipt.error.startswith("malformed arguments: ")
+        assert len(chain.ledger._journal) == 0
+        assert len(chain.events) == events
+
+
+def test_unexpected_fault_in_a_contract_rolls_back_and_propagates():
+    """A fault that is not a revert (a bug in the simulator) leaves the
+    chain as it was before the call, then propagates unchanged."""
+    from repro.chain.blockchain import Blockchain
+    from repro.contracts.base import Contract
+    from repro.crypto.keys import KeyRegistry
+
+    class Faulty(Contract):
+        kind = "faulty"
+
+        def grab_then_fail(self, ctx):
+            self.pull(self._chain().native, ctx.sender, 5)
+            self.emit("grabbed", amount=5)
+            raise ZeroDivisionError("simulator bug")
+
+    chain = Blockchain("x-chain", KeyRegistry())
+    chain.ledger.mint(chain.native, "alice", 10)
+    address = chain.deploy(Faulty())
+    events = len(chain.events)
+    tx = Transaction(
+        chain="x-chain", sender="alice", contract=address, method="grab_then_fail"
+    )
+    with pytest.raises(ZeroDivisionError, match="simulator bug"):
+        chain.execute(tx)
+    assert len(chain.ledger._journal) == 0
+    assert chain.ledger.balance(chain.native, "alice") == 10
+    assert chain.ledger.balance(chain.native, address) == 0
+    assert len(chain.events) == events

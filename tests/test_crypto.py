@@ -118,3 +118,95 @@ def test_require_valid_raises(signing_setup):
     require_valid(reg, sig, b"m")  # ok
     with pytest.raises(CryptoError):
         require_valid(reg, sig, b"other")
+
+
+# ----------------------------------------------------------------------
+# the registry's verified-signature memo
+# ----------------------------------------------------------------------
+def _flip(tag: str) -> str:
+    """``tag`` with its first hex digit changed."""
+    return ("1" if tag[0] == "0" else "0") + tag[1:]
+
+
+def _count_macs(monkeypatch) -> list[int]:
+    """Count the MACs ``verify`` computes from here on."""
+    import repro.crypto.signatures as signatures
+
+    calls = [0]
+    original = signatures._mac
+
+    def counted(private: bytes, message: bytes) -> str:
+        calls[0] += 1
+        return original(private, message)
+
+    monkeypatch.setattr(signatures, "_mac", counted)
+    return calls
+
+
+def test_memo_answers_a_repeated_triple_without_a_mac(signing_setup, monkeypatch):
+    reg, kp = signing_setup
+    sig = sign(kp, b"message")
+    macs = _count_macs(monkeypatch)
+    assert verify(reg, sig, b"message")
+    assert verify(reg, sig, b"message")
+    assert macs[0] == 1
+
+
+def test_memo_does_not_accept_a_flipped_tag(signing_setup):
+    reg, kp = signing_setup
+    sig = sign(kp, b"message")
+    assert verify(reg, sig, b"message")  # the valid triple is now cached
+    forged = Signature(signer=sig.signer, tag=_flip(sig.tag))
+    for _ in range(2):  # a failure is never remembered as a success
+        assert not verify(reg, forged, b"message")
+
+
+def test_memo_does_not_accept_a_changed_message(signing_setup):
+    reg, kp = signing_setup
+    sig = sign(kp, b"message")
+    assert verify(reg, sig, b"message")
+    for _ in range(2):
+        assert not verify(reg, sig, b"message!")
+        assert not verify(reg, sig, b"messag")
+
+
+def test_memo_does_not_accept_a_tampered_signed_path_link():
+    from repro.crypto.hashkeys import SignedPath
+
+    reg = KeyRegistry()
+    keys = {name: KeyPair.from_seed(name, owner=name) for name in "ABC"}
+    for kp in keys.values():
+        reg.register(kp)
+    public_of = {name: kp.public for name, kp in keys.items()}
+    path = SignedPath.create("payload", keys["A"], "A")
+    path = path.extend(keys["B"], "B").extend(keys["C"], "C")
+    assert path.verify(reg, public_of)  # every link is now cached
+    sigs = list(path.sigs)
+    sigs[1] = Signature(signer=sigs[1].signer, tag=_flip(sigs[1].tag))
+    assert not SignedPath(path.payload, path.vertices, tuple(sigs)).verify(reg, public_of)
+    reordered = ("A", "C", "B")
+    assert not SignedPath(path.payload, reordered, path.sigs).verify(reg, public_of)
+    assert not SignedPath("other", path.vertices, path.sigs).verify(reg, public_of)
+    assert path.verify(reg, public_of)
+
+
+def test_memo_keeps_no_failure_for_a_signer_registered_later():
+    reg = KeyRegistry()
+    kp = KeyPair.from_seed("late", owner="Late")
+    sig = sign(kp, b"message")
+    assert not verify(reg, sig, b"message")  # unknown signer
+    reg.register(kp)
+    assert verify(reg, sig, b"message")
+
+
+def test_two_worlds_do_not_share_a_memo(monkeypatch):
+    kp = KeyPair.from_seed("shared", owner="Shared")
+    sig = sign(kp, b"message")
+    first, second, stranger = KeyRegistry(), KeyRegistry(), KeyRegistry()
+    first.register(kp)
+    second.register(kp)
+    macs = _count_macs(monkeypatch)
+    assert verify(first, sig, b"message")
+    assert not verify(stranger, sig, b"message")  # the signer is unknown there
+    assert verify(second, sig, b"message")
+    assert macs[0] == 2  # the second registry verified for itself
