@@ -73,7 +73,7 @@ def code_version(refresh: bool = False) -> str:
         _CODE_VERSION = None
     if _CODE_VERSION is None:
         root = Path(__file__).resolve().parent.parent  # src/repro
-        # sorted() here is load-bearing (and ORD001-guarded): rglob
+        # sorted() here is load-bearing (and FLOW002-guarded): rglob
         # yields filesystem enumeration order, which differs across
         # hosts and checkouts, and the digest below encodes file order.
         paths = sorted(root.rglob("*.py"), key=lambda p: _source_key(root, p))

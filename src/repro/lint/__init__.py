@@ -12,10 +12,11 @@ it:
 
 - ``DET001``/``DET002`` — nondeterministic calls (wall clocks, uuids, OS
   entropy, per-process object identity, unseeded RNGs),
-- ``ORD001`` — unsorted iteration (sets, directory walks) feeding digest,
-  JSON, or report construction,
-- ``CANON001`` — ad-hoc float formatting in digest/label code instead of
-  :mod:`repro.campaign.canon`,
+- ``DET003`` — telemetry read back inside digest-producing code,
+- ``FLOW001``–``FLOW003`` — nondeterministic values, unsorted iteration
+  (sets, directory walks) and ad-hoc float text (instead of
+  :mod:`repro.campaign.canon`) flowing into a digest, canonical JSON,
+  label, or digest-producing function's return value,
 - ``POOL001`` — unpicklable callables (lambdas, closures, local classes)
   crossing the ``WorkerPool``/``MatrixSpec`` worker boundary,
 - ``DIG001`` — dataclass fields invisible to their class's ``digest()``/

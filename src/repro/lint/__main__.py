@@ -27,8 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based determinism linter guarding the digest invariant: "
-            "flags nondeterministic calls, unsorted digest inputs, "
-            "uncanonical float text, unpicklable worker payloads, and "
+            "flags nondeterministic calls, unordered or lossy float values "
+            "flowing into digests, unpicklable worker payloads, and "
             "digest-coverage gaps."
         ),
     )
@@ -84,15 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
             "export the interprocedural call graph (with taint "
             "annotations) for the given paths instead of linting; the "
             "export is byte-identical across runs"
-        ),
-    )
-    parser.add_argument(
-        "--audit",
-        action="store_true",
-        help=(
-            "cross-check heuristic digest findings (ORD001/CANON001) "
-            "against the flow analysis; unconfirmed ones gain an "
-            "AUDIT001 companion finding"
         ),
     )
     parser.add_argument(
@@ -179,9 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.baseline is not None or Path(baseline_path).exists():
                 baseline = Baseline.load(baseline_path)
 
-        result = lint_paths(
-            args.paths, rules=rules, baseline=baseline, audit=args.audit
-        )
+        result = lint_paths(args.paths, rules=rules, baseline=baseline)
     except LintError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

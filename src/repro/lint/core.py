@@ -19,7 +19,7 @@ pieces live here:
 
 Shared helpers for the digest-aware rules (:func:`qualified_name`,
 :func:`is_digest_function`, :func:`enclosing_function`) also live here so
-every rule agrees on what "digest-producing code" means.
+DET003 and the flow pass agree on what "digest-producing code" means.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class Finding:
     #: source→sink call chain for flow findings (function labels in
     #: traversal order); empty for single-site rules.
     chain: tuple[str, ...] = field(default=(), compare=False)
-    #: (path, line) of the taint *source* for flow findings — the audit
-    #: uses it to match heuristic findings against flow confirmations.
+    #: (path, line) of the taint *source* for flow findings, reported
+    #: next to the sink anchor in ``--format json``.
     source_ref: tuple[str, int] | None = field(default=None, compare=False)
 
     def fingerprint(self) -> tuple[str, str, str]:
@@ -289,9 +289,10 @@ def is_digest_function(func: FuncDef, aliases: dict[str, str]) -> bool:
     True when its name matches the digest-name pattern (``digest``,
     ``to_json``, ``describe``, ``code_version``, ...) or its body calls a
     hashing constructor / ``json.dumps`` directly.  This is the shared
-    definition of "digest-producing code" used by the ORD and CANON
-    rules: deliberately name-driven, because this codebase's convention
-    is that everything feeding a digest lives in such a function.
+    definition of "digest-producing code" used by DET003 and by the
+    flow pass's return sink: deliberately name-driven, because this
+    codebase's convention is that everything feeding a digest lives in
+    such a function.
     """
     if _DIGEST_NAME_RE.search(func.name):
         return True

@@ -56,38 +56,32 @@ def discover_files(paths: Sequence[str | Path]) -> list[Path]:
 
     Sorted by posix path per argument, so finding order (and any baseline
     written from it) is independent of filesystem enumeration order.
-    Display paths are anchored to the working directory when possible, so
-    a baseline written by ``python -m repro.lint src/repro`` from the
-    repo root matches every later invocation from the same place.
+    Overlapping arguments (a directory and a file inside it) yield each
+    file once, at its first position.  Display paths are anchored to the
+    working directory when possible, so a baseline written by
+    ``python -m repro.lint src/repro`` from the repo root matches every
+    later invocation from the same place.
     """
-    out: list[Path] = []
+    out: dict[Path, Path] = {}
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            out.extend(
-                sorted(path.rglob("*.py"), key=lambda p: p.as_posix())
-            )
+            found = sorted(path.rglob("*.py"), key=lambda p: p.as_posix())
         elif path.is_file():
-            out.append(path)
+            found = [path]
         else:
             raise LintError(f"no such file or directory: {path}")
-    return out
+        for file_path in found:
+            out.setdefault(file_path.resolve(), file_path)
+    return list(out.values())
 
 
 def lint_paths(
     paths: Sequence[str | Path],
     rules: Iterable[Rule] | None = None,
     baseline: Baseline | None = None,
-    audit: bool = False,
 ) -> LintResult:
-    """Run rules over the trees/files given; fold in suppressions/baseline.
-
-    With ``audit=True``, every heuristic digest-scope finding (ORD001 /
-    CANON001) left after suppression is cross-checked against the flow
-    analysis: a finding the interprocedural pass cannot confirm gains an
-    ``AUDIT001`` companion, so heuristic false positives surface instead
-    of silently diverging from the authoritative flow pass.
-    """
+    """Run rules over the trees/files given; fold in suppressions/baseline."""
     active = list(rules) if rules is not None else all_rules()
     result = LintResult()
     raw: list[Finding] = []
@@ -134,12 +128,6 @@ def lint_paths(
             else:
                 fold(src, finding)
 
-    if audit:
-        # Imported here, not at module top: the audit is the only engine
-        # feature that depends on the flow package.
-        from repro.lint.flow.rules import crosscheck
-
-        raw.extend(crosscheck(sources, raw))
     raw.sort()
     if baseline is not None:
         fresh, matched, stale = baseline.partition(raw)

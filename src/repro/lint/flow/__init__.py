@@ -1,12 +1,11 @@
-"""Interprocedural flow analysis: the authority behind the digest rules.
+"""Interprocedural flow analysis: the one analysis behind the digest rules.
 
-The PR 7 rule families (ORD001, CANON001, ...) are *scope heuristics*:
-they flag a hazard only when it sits inside a function that looks
-digest-producing by name or by calling :mod:`hashlib` directly.  That
-heuristic is blind to indirection — a helper returning an unsorted set
-into a dataclass field that a ``digest()`` three calls away hashes is
-invisible to it.  This package closes the gap with a whole-program pass
-over everything the engine parsed:
+A per-file scope check sees a hazard only when it sits inside a function
+that looks digest-producing.  It is blind to indirection: a helper
+returning an unsorted set into a dataclass field that a ``digest()``
+three calls away hashes is invisible to it.  This package makes the
+ordering and float-text decisions once, with a whole-program pass over
+everything the engine parsed:
 
 - :mod:`~repro.lint.flow.callgraph` builds a module-level call graph,
   resolving import aliases, ``self.method`` dispatch, module-qualified
@@ -18,15 +17,15 @@ over everything the engine parsed:
   (set construction, filesystem walks), **lossy** (float text not
   rendered by :mod:`repro.campaign.canon`) — and the digest sinks
   (hash inputs, canonical JSON, digest-covered dataclass fields, axis
-  labels),
+  labels, and a digest-producing function's return value for the
+  unordered and lossy taint born in its own body),
 - :mod:`~repro.lint.flow.summaries` computes per-function summaries by
   fixpoint — which parameters and returns carry which taint, which
   parameters descend into sinks, which dataclass fields are written
   tainted — and joins them into source→sink *flow hits*,
 - :mod:`~repro.lint.flow.rules` renders the hits as FLOW001 (nondet →
   sink), FLOW002 (unordered → sink), FLOW003 (lossy text → sink)
-  findings carrying the full call chain, and cross-checks the heuristic
-  rules against the flow results (``crosscheck`` → AUDIT001).
+  findings carrying the full call chain.
 
 The analyzer honors the determinism bar it enforces: every exported
 artifact (findings, ``--graph json|dot``) is sorted, and two runs over

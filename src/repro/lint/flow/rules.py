@@ -1,28 +1,23 @@
-"""FLOW rules: interprocedural source→sink findings, plus the audit.
+"""FLOW rules: interprocedural source→sink findings.
 
 - **FLOW001** — a nondeterministic value (clock, pid, entropy, unseeded
   RNG draw) reaches a digest sink.
 - **FLOW002** — an iteration-order-unstable value (set construction,
   filesystem walk) reaches a digest sink without passing an order-free
-  consumer.
+  consumer, including the return value of the digest-producing
+  function that iterates it.
 - **FLOW003** — lossily-formatted float text (rendered outside
-  :mod:`repro.campaign.canon`) reaches a digest sink or label output.
+  :mod:`repro.campaign.canon`) reaches a digest sink, a label output, or
+  the return value of the digest-producing function that renders it.
 
 Each finding is anchored at the *sink* and carries the full call chain
 from the source's origin, so the report reads as a path, not a point.
 The three rules share one analysis per engine run: the program and its
 fixpoint are cached on a content hash of every parsed file.
-
-:func:`crosscheck` is the consistency audit behind ``--audit``: every
-heuristic digest-scope finding (ORD001 / CANON001) must be confirmed by
-a flow hit of the matching kind inside the same function — an
-unconfirmed one gains an **AUDIT001** companion, surfacing heuristic
-false positives instead of letting the two passes silently diverge.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 from typing import Iterable
 
@@ -123,110 +118,3 @@ class LossyFlowRule(_FlowRule):
     summary = "lossy float text flows into a digest sink"
     kind = LOSSY
     noun = "lossy float text"
-
-
-@register_rule
-class FlowAuditRule(ProgramRule):
-    """Placeholder carrying the AUDIT001 code and docs.
-
-    The audit itself runs in the engine (``--audit``) via
-    :func:`crosscheck`, because it needs the *post-suppression* finding
-    list, which no rule sees.  Registering the code here keeps it in
-    ``--list-rules`` and selectable for baselines.
-    """
-
-    code = "AUDIT001"
-    name = "flow-audit-unconfirmed"
-    summary = "heuristic digest finding not confirmed by flow analysis"
-
-    def check_program(self, sources: list[SourceFile]) -> Iterable[Finding]:
-        return ()
-
-
-#: heuristic code → the flow kind that should confirm it.
-_AUDITED = {"ORD001": UNORDERED, "CANON001": LOSSY}
-
-
-def _function_spans(src: SourceFile) -> list[tuple[int, int]]:
-    spans = []
-    for node in ast.walk(src.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            spans.append((node.lineno, node.end_lineno or node.lineno))
-    return spans
-
-
-def _enclosing_span(
-    spans: list[tuple[int, int]], line: int
-) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
-    for start, end in spans:
-        if start <= line <= end:
-            if best is None or (end - start) < (best[1] - best[0]):
-                best = (start, end)
-    return best
-
-
-def crosscheck(
-    sources: list[SourceFile], findings: list[Finding]
-) -> list[Finding]:
-    """AUDIT001 for each heuristic finding the flow pass cannot confirm.
-
-    A heuristic ORD001/CANON001 finding is *confirmed* when a flow hit
-    of the matching kind has its source or its sink inside the same
-    function (same file, enclosing ``def`` span) — source-line equality
-    would be too strict: a set-typed parameter tags the ``def`` line
-    while the heuristic flags the iteration site.
-    """
-    audited = [f for f in findings if f.code in _AUDITED]
-    if not audited:
-        return []
-    _, analysis = analyze(sources)
-    spans_by_path = {src.display_path: _function_spans(src) for src in sources}
-    by_path = {src.display_path: src for src in sources}
-
-    out: list[Finding] = []
-    for finding in audited:
-        kind = _AUDITED[finding.code]
-        spans = spans_by_path.get(finding.path, [])
-        span = _enclosing_span(spans, finding.line)
-        confirmed = False
-        for hit in analysis.hits:
-            if hit.kind != kind:
-                continue
-            if span is not None:
-                if (
-                    hit.tag.path == finding.path
-                    and span[0] <= hit.tag.line <= span[1]
-                ):
-                    confirmed = True
-                    break
-                if (
-                    hit.sink.path == finding.path
-                    and span[0] <= hit.sink.line <= span[1]
-                ):
-                    confirmed = True
-                    break
-            elif hit.tag.path == finding.path or hit.sink.path == finding.path:
-                # Module-level heuristic finding: any same-file hit counts.
-                confirmed = True
-                break
-        if not confirmed:
-            src = by_path.get(finding.path)
-            out.append(
-                Finding(
-                    path=finding.path,
-                    line=finding.line,
-                    col=finding.col,
-                    code="AUDIT001",
-                    message=(
-                        f"heuristic {finding.code} finding is not confirmed "
-                        f"by the flow analysis — likely a false positive or "
-                        f"a flow-pass blind spot; investigate before "
-                        f"baselining"
-                    ),
-                    line_text=(
-                        src.line_at(finding.line) if src is not None else ""
-                    ),
-                )
-            )
-    return out

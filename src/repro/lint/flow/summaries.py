@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.lint.core import is_digest_function
 from repro.lint.flow.callgraph import (
     CallSite,
     ClassInfo,
@@ -41,6 +42,7 @@ from repro.lint.flow.taint import (
     ALL_KINDS,
     CANON_CALLS,
     HASH_CONSTRUCTORS,
+    LABEL_NAME_RE,
     LOSSY,
     MUTATORS,
     NONDET,
@@ -147,6 +149,12 @@ class FlowAnalysis:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.covered = covered_fields(program)
+        #: functions whose return value is a sink for their own taint.
+        self.digest_scoped = frozenset(
+            fid
+            for fid, info in program.functions.items()
+            if is_digest_function(info.node, info.src.aliases)
+        )
         self.summaries: dict[FuncId, Summary] = {
             fid: Summary() for fid in program.functions
         }
@@ -208,7 +216,7 @@ class _Transfer:
         self.ret: TaintMap = {}
         self.param_sinks: dict[int, dict[tuple[Sink, tuple[str, ...]], Trail]] = {}
         self.hits: list[FlowHit] = []
-        self._is_label_fn = _is_label_name(self.info.node.name)
+        self._is_label_fn = bool(LABEL_NAME_RE.search(self.info.node.name))
 
     # -- entry ---------------------------------------------------------
     def run(self) -> Summary:
@@ -230,7 +238,23 @@ class _Transfer:
             if after == before:
                 break
         if self._is_label_fn:
-            self._label_sink()
+            # Labels are digest material downstream (axis labels key
+            # report tables that get hashed), so every kind sinks here — a
+            # label built from set iteration is as digest-hostile as lossy
+            # text.
+            self._feed_sink(self._def_sink("label"), self.ret, ALL_KINDS)
+        elif self.fid in self.analysis.digest_scoped:
+            # Only taint born in this body: a caller-side set or float
+            # text passing through a digest-named helper is reported where
+            # it is hashed, not at every payload it rides.  Nondet values
+            # in payloads are legitimate (wall-clock fields travel in
+            # ``to_json`` without being hashed), so they do not sink here.
+            own = {
+                item: trail
+                for item, trail in self.ret.items()
+                if isinstance(item, Tag) and item.origin == self.label
+            }
+            self._feed_sink(self._def_sink("return"), own, (LOSSY, UNORDERED))
         return Summary(ret=dict(self.ret), param_sinks=self._packed_sinks())
 
     def _seed_params(self) -> None:
@@ -298,17 +322,14 @@ class _Transfer:
         if incumbent is None or _better(descent, incumbent):
             slot[key] = descent
 
-    def _label_sink(self) -> None:
-        sink = Sink(
-            kind="label",
+    def _def_sink(self, kind: str) -> Sink:
+        """A sink on this function's return value, anchored at its def."""
+        return Sink(
+            kind=kind,
             detail=self.info.node.name,
             path=self.src.display_path,
             line=self.info.node.lineno,
         )
-        # Labels are digest material downstream (axis labels key report
-        # tables that get hashed), so every kind sinks here — a label
-        # built from set iteration is as digest-hostile as lossy text.
-        self._feed_sink(sink, self.ret, kinds=ALL_KINDS)
 
     def _field_write(
         self, cls: ClassInfo, fname: str, taints: TaintMap, line: int
@@ -854,12 +875,6 @@ class _Transfer:
             path=self.src.display_path,
             line=node.lineno,
         )
-
-
-def _is_label_name(name: str) -> bool:
-    from repro.lint.rules.canonfloat import _LABEL_NAME_RE
-
-    return bool(_LABEL_NAME_RE.search(name))
 
 
 __all__ = ["FlowAnalysis", "FlowHit", "Summary", "Trail"]

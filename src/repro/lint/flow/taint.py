@@ -10,28 +10,29 @@ Three taint kinds flow through the analysis:
   flow analysis can make.  Unseeded RNG draws (the DET002 patterns)
   generate the same taint.
 - **unordered** — values whose *iteration order* is process- or
-  filesystem-dependent: set construction, directory walks.  The
-  order-free consumers ORD001 trusts (``sorted``/``sum``/``min``/...)
-  neutralize it.
-- **lossy** — float text rendered outside :mod:`repro.campaign.canon`:
-  the CANON001 hazards (``%g``, ``format(x, "g")``, f-string float
-  specs), generated wherever they occur, neutralized by
-  ``canon_float``/``canon_opt``/``fmt_fraction``.
+  filesystem-dependent: set construction, directory walks.  Order-free
+  consumers (``sorted``/``sum``/``min``/...) neutralize it.
+- **lossy** — float text rendered outside :mod:`repro.campaign.canon`
+  (``%g``, ``format(x, "g")``, f-string float specs), generated wherever
+  it occurs, neutralized by ``canon_float``/``canon_opt``/``fmt_fraction``.
 
 Digest sinks are where taint becomes a finding: hash constructor and
-``.update()`` inputs, canonical JSON (``json.dumps(sort_keys=...)`` or
-any dump inside a digest-named function), writes into dataclass fields
-the DIG001 machinery proves digest-covered, and the return values of
-label/axes producers (labels are digest material downstream).
+``.update()`` inputs, canonical JSON (``json.dumps(sort_keys=...)``),
+writes into dataclass fields the DIG001 machinery proves digest-covered,
+the return values of label/axes producers (labels are digest material
+downstream), and the return values of digest-producing functions
+(:func:`repro.lint.core.is_digest_function`) for the unordered and lossy
+taint born in their own body.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.lint.core import SourceFile
+from repro.lint.core import SourceFile, call_name
 from repro.lint.rules.determinism import (
     NONDETERMINISTIC_CALLS,
     _GLOBAL_RNG_MODULES,
@@ -104,9 +105,18 @@ HASH_CONSTRUCTORS = frozenset(
 #: receiver methods that mutate the receiver in place with their args.
 MUTATORS = frozenset({"append", "add", "extend", "insert", "setdefault", "update"})
 
-#: set-ish annotation heads (ORD001's list): a parameter annotated this
-#: way is *proof* the value iterates in hash order.
+#: set-ish annotation heads: a parameter annotated this way is *proof*
+#: the value iterates in hash order.
 SET_ANNOTATIONS = frozenset({"set", "frozenset", "abstractset", "mutableset"})
+
+#: a format spec that renders a float: ``g``, ``.3f``, ``e``, ``%``, ...
+_FLOAT_SPEC_RE = re.compile(r"^[<>=^+\- #0-9,._]*[gGeEfF%]$")
+#: printf-style float conversions inside a ``%`` format string.
+_PRINTF_FLOAT_RE = re.compile(r"%[-+ #0-9.]*[gGeEfF]")
+
+#: functions whose name marks them as label producers even when they do
+#: not hash or dump JSON themselves (labels feed digests downstream).
+LABEL_NAME_RE = re.compile(r"label|axes")
 
 
 @dataclass(frozen=True, order=True)
@@ -137,7 +147,7 @@ class ParamTaint:
 class Sink:
     """One digest sink site."""
 
-    kind: str  # "hash" | "json" | "field" | "label"
+    kind: str  # "hash" | "json" | "field" | "label" | "return"
     detail: str
     path: str
     line: int
@@ -149,6 +159,8 @@ class Sink:
             return f"canonical JSON ({self.detail})"
         if self.kind == "field":
             return f"digest-covered field {self.detail}"
+        if self.kind == "return":
+            return f"digest-scope return ({self.detail})"
         return f"label output ({self.detail})"
 
 
@@ -217,21 +229,12 @@ def covered_fields(program: "Program") -> dict[str, frozenset[str]]:
 def float_format_hazard(
     node: ast.AST, src: SourceFile
 ) -> tuple[ast.expr | None, str] | None:
-    """CANON001's hazard detection, reused as a LOSSY taint source.
+    """The LOSSY taint source: lossy float rendering at ``node``.
 
     Returns ``(formatted_value_expr, description)`` when ``node`` renders
     a float lossily, or None.  The value expr is returned so the caller
     can skip generation when it is a direct canon call.
     """
-    # Local import: canonfloat registers a rule on import, and the rules
-    # package already imports it before this module.
-    from repro.lint.rules.canonfloat import (
-        _FLOAT_SPEC_RE,
-        _PRINTF_FLOAT_RE,
-        _literal_spec,
-    )
-    from repro.lint.core import call_name
-
     if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
         spec = _literal_spec(node.format_spec)
         if spec and _FLOAT_SPEC_RE.match(spec):
@@ -254,4 +257,13 @@ def float_format_hazard(
         and _PRINTF_FLOAT_RE.search(node.left.value)
     ):
         return None, f"printf-style float format {node.left.value!r}"
+    return None
+
+
+def _literal_spec(spec_node: ast.expr) -> str | None:
+    """The constant text of an f-string format spec, if it is constant."""
+    if isinstance(spec_node, ast.JoinedStr) and all(
+        isinstance(part, ast.Constant) for part in spec_node.values
+    ):
+        return "".join(str(part.value) for part in spec_node.values)
     return None

@@ -6,26 +6,22 @@ constructs it flags, and the blessed alternative.  Codes:
 ==========  ==========================================================
 ``DET001``  nondeterministic call (clock/uuid/OS entropy/``id()``)
 ``DET002``  unseeded random-number generator
-``ORD001``  unsorted iteration feeding digest/JSON/report code
-``CANON001``  ad-hoc float formatting in digest/label code
+``DET003``  telemetry read back inside digest-producing code
 ``POOL001``  unpicklable callable crossing the worker boundary
 ``DIG001``  dataclass field invisible to ``digest()``/``to_json()``
 ``DIG002``  stale ``DIGEST_EXCLUSIONS`` allowlist entry
 ``FLOW001``  nondeterministic value flows into a digest sink
 ``FLOW002``  iteration-order-unstable value flows into a digest sink
 ``FLOW003``  lossy float text flows into a digest sink
-``AUDIT001``  heuristic finding the flow analysis cannot confirm
 ==========  ==========================================================
 """
 
 from repro.lint.rules import (  # noqa: F401  (import = registration)
-    canonfloat,
     determinism,
     digestcov,
-    ordering,
     pool,
 )
 
-# The flow package imports the heuristic rule tables above, so it must
-# register last — after every per-file family is importable.
+# The flow package imports the DET and DIG rule tables above, so it
+# registers last — after every per-file family is importable.
 from repro.lint.flow import rules as _flow_rules  # noqa: F401,E402

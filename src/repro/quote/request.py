@@ -14,6 +14,7 @@ digest so an edited request can never masquerade as the original.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -99,8 +100,8 @@ class QuoteRequest:
             raise QuoteError(
                 f"shock must be a relative drop in (0, 1), got {self.shock}"
             )
-        if self.tol <= 0:
-            raise QuoteError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise QuoteError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "shock", canon_float(self.shock))
         object.__setattr__(self, "tol", canon_float(self.tol))
 
@@ -151,6 +152,11 @@ class QuoteRequest:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise QuoteError(f"not a JSON quote request: {err}")
+        if not isinstance(data, dict):
+            raise QuoteError(
+                "a quote request is a JSON object, got "
+                f"{type(data).__name__}"
+            )
         try:
             request = cls(
                 family=data.get("family", ""),

@@ -2,8 +2,7 @@
 
 Every hazard lives *here*, in functions whose names carry no digest or
 label scent and whose bodies never touch :mod:`hashlib` — so the
-per-file heuristic rules (DET/ORD/CANON) provably stay silent on this
-module.  Only the interprocedural flow pass can connect these sources
+per-file rules (DET/DIG/POOL) provably stay silent on this module.  Only the interprocedural flow pass can connect these sources
 to the sinks in ``seeded_flow.py``.
 """
 
@@ -22,10 +21,10 @@ def jittered_stamp() -> float:
 
 
 def dedup_entries(raw) -> list:
-    # Set comprehension far from any digest scope: ORD001 cannot see it.
+    # Set comprehension far from any digest scope: no per-file rule sees it.
     return [entry for entry in {item.strip() for item in raw}]
 
 
 def pct_text(x: float) -> str:
-    # Lossy float text far from label/digest scope: CANON001 cannot see it.
+    # Lossy float text far from label/digest scope: no per-file rule sees it.
     return f"{x:g}"

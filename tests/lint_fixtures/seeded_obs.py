@@ -5,7 +5,7 @@ Never executed; see README.md.  These are the obs-boundary cases: the
 of *reading telemetry back* inside digest-producing code must trip the
 linter — plus a trace field smuggled onto a report dataclass still
 trips DIG001, and hashing an unordered set of span names still trips
-ORD001.  The clean cases pin the other side of the contract: write-only
+FLOW002.  The clean cases pin the other side of the contract: write-only
 instrumentation (``maybe_span``) is blessed even inside a digest body.
 """
 
@@ -56,7 +56,7 @@ class TracedReport:
 
 def span_names_digest(names: set) -> str:
     digest = sha256()
-    for name in names:  # ORD001: set of span names hashed unsorted
+    for name in names:  # FLOW002: set of span names hashed unsorted
         digest.update(name.encode())
     return digest.hexdigest()
 

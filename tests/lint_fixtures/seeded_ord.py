@@ -1,4 +1,4 @@
-"""Seeded ORD001 violations (never executed; see README.md)."""
+"""Seeded FLOW002 ordering violations (never executed; see README.md)."""
 
 from hashlib import sha256
 from pathlib import Path
@@ -6,20 +6,20 @@ from pathlib import Path
 
 def tree_digest(root: Path) -> str:
     digest = sha256()
-    for path in root.rglob("*.py"):  # ORD001: filesystem order hashed
+    for path in root.rglob("*.py"):  # FLOW002: filesystem order hashed
         digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
 def member_digest(members: set) -> str:
     digest = sha256()
-    for member in members:  # ORD001: set iteration hashed
+    for member in members:  # FLOW002: set iteration hashed
         digest.update(str(member).encode())
     return digest.hexdigest()
 
 
 def label_payload(parties) -> str:
-    # ORD001: join over a set inside digest-producing code.
+    # FLOW002: join over a set returned from digest-producing code.
     return ",".join({p.upper() for p in parties})
 
 
@@ -46,6 +46,11 @@ def presentation_is_clean(members: set) -> list:
 
 def suppressed_is_fine(members: set) -> str:
     digest = sha256()
-    for member in members:  # lint: disable=ORD001
+    for member in members:  # the FLOW002 finding anchors at the sink
         digest.update(str(member).encode())  # lint: disable=FLOW002
     return digest.hexdigest()
+
+
+def suppressed_payload(parties) -> str:  # lint: disable=FLOW002
+    # A digest-scope return finding anchors at the def line.
+    return ",".join({p.upper() for p in parties})

@@ -5,7 +5,7 @@ tier answered, how long it took, any tracing identifiers — stays outside
 the quote digest.  These fixtures violate it both ways: telemetry
 smuggled *into* a digest-bearing payload without an exclusion entry
 (DIG001), and a tier set hashed in nondeterministic iteration order
-(ORD001).
+(FLOW002).
 """
 
 import json
@@ -44,11 +44,11 @@ class SmuggledQuote:
 def ladder_digest(tiers: set) -> str:
     """Hash the tiers a quote engine consulted — in set order.
 
-    ORD001: set iteration order is arbitrary across processes, so the
+    FLOW002: set iteration order is arbitrary across processes, so the
     same ladder produces different digests run to run; the real engine
     iterates the fixed ``(1, 2, 3)`` tuple.
     """
     digest = sha256()
-    for tier in tiers:  # ORD001: unsorted set iteration feeds the hash
+    for tier in tiers:  # FLOW002: unsorted set iteration feeds the hash
         digest.update(str(tier).encode())
     return digest.hexdigest()

@@ -234,7 +234,7 @@ def test_code_version_tracks_source_changes(tmp_path, monkeypatch):
 def test_code_version_filesystem_order_independent(tmp_path):
     """The walk is sorted before hashing: shuffled input, same digest.
 
-    This is the exact hazard ORD001 exists to catch — a directory walk
+    This is the exact hazard FLOW002 exists to catch — a directory walk
     feeding a digest.  ``_hash_sources`` must be a pure function of the
     tree's *contents*, never of inode-creation order.
     """

@@ -23,6 +23,7 @@ import pytest
 from repro.lint import Baseline, LintError, all_rules, lint_paths, rule_codes
 from repro.lint.__main__ import main as lint_main
 from repro.lint.core import SourceFile
+from repro.lint.engine import discover_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
@@ -177,7 +178,7 @@ class TestTelemetryInDigestRule:
 
 
 # ----------------------------------------------------------------------
-# ORD001
+# ordering hazards (FLOW002)
 # ----------------------------------------------------------------------
 class TestOrderingRule:
     def test_unsorted_walk_in_digest_function(self, tmp_path):
@@ -190,9 +191,8 @@ class TestOrderingRule:
             "        h.update(p.read_bytes())\n"
             "    return h.hexdigest()\n",
         )
-        # The heuristic flags the walk; the flow pass independently
-        # confirms the tainted bytes reach the hash sink.
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
+        # The walk's entries reach the hash sink in filesystem order.
+        assert codes_of(result) == ["FLOW002"]
 
     def test_sorted_walk_is_clean(self, tmp_path):
         result = lint_snippet(
@@ -213,7 +213,8 @@ class TestOrderingRule:
             "def to_json(members: set) -> str:\n"
             "    return json.dumps([m for m in members])\n",
         )
-        assert codes_of(result) == ["ORD001"]
+        assert codes_of(result) == ["FLOW002"]
+        assert "digest-scope return (to_json)" in result.findings[0].message
 
     def test_set_literal_join_in_payload(self, tmp_path):
         result = lint_snippet(
@@ -221,7 +222,7 @@ class TestOrderingRule:
             "def payload(parties):\n"
             "    return ','.join({p for p in parties})\n",
         )
-        assert codes_of(result) == ["ORD001"]
+        assert codes_of(result) == ["FLOW002"]
 
     def test_order_free_consumers_clean(self, tmp_path):
         result = lint_snippet(
@@ -255,11 +256,11 @@ class TestOrderingRule:
             "        h.update(p.read_bytes())\n"
             "    return h.hexdigest()\n",
         )
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
+        assert codes_of(result) == ["FLOW002"]
 
 
 # ----------------------------------------------------------------------
-# CANON001
+# float-text hazards (FLOW003)
 # ----------------------------------------------------------------------
 class TestCanonFloatRule:
     def test_lossy_fstring_in_digest_code(self, tmp_path):
@@ -269,7 +270,7 @@ class TestCanonFloatRule:
             "def cell_digest(pi):\n"
             "    return sha256(f'{pi:g}'.encode()).hexdigest()\n",
         )
-        assert sorted(codes_of(result)) == ["CANON001", "FLOW003"]
+        assert codes_of(result) == ["FLOW003"]
 
     def test_format_call_and_printf_in_label_code(self, tmp_path):
         result = lint_snippet(
@@ -277,13 +278,8 @@ class TestCanonFloatRule:
             "def axis_label(pi, shock):\n"
             "    return format(pi, 'g') + '%g' % shock\n",
         )
-        # Both lossy spellings, each confirmed end-to-end at the label.
-        assert sorted(codes_of(result)) == [
-            "CANON001",
-            "CANON001",
-            "FLOW003",
-            "FLOW003",
-        ]
+        # Both lossy spellings reach the label output.
+        assert codes_of(result) == ["FLOW003", "FLOW003"]
 
     def test_canonicalized_value_is_clean(self, tmp_path):
         result = lint_snippet(
@@ -518,8 +514,6 @@ class TestSeededFixtures:
             "DET001",
             "DET002",
             "DET003",
-            "ORD001",
-            "CANON001",
             "POOL001",
             "DIG001",
             "FLOW001",
@@ -533,10 +527,9 @@ class TestSeededFixtures:
 
     def test_seeded_quote_codes(self):
         """The quote-layer fixture: telemetry smuggled into a payload
-        (DIG001) and a tier set hashed in iteration order (ORD001, with
-        the flow pass confirming the set-to-hash path as FLOW002)."""
+        (DIG001) and a tier set hashed in iteration order (FLOW002)."""
         result = lint_paths([FIXTURES / "seeded_quote.py"])
-        assert sorted(codes_of(result)) == ["DIG001", "FLOW002", "ORD001"]
+        assert sorted(codes_of(result)) == ["DIG001", "FLOW002"]
 
     def test_cli_exits_nonzero_on_fixtures(self):
         proc = subprocess.run(
@@ -654,6 +647,11 @@ class TestCli:
 
     def test_exit_two_on_bad_rule_code(self, tmp_path, capsys):
         assert lint_main([str(tmp_path), "--select", "NOPE99"]) == 2
+        # The retired scope heuristics have no alias: their codes are
+        # as unknown as any other.
+        for code in ("ORD001", "CANON001", "AUDIT001"):
+            assert lint_main([str(tmp_path), "--select", code]) == 2
+        assert "unknown rule code" in capsys.readouterr().err
 
     def test_exit_two_on_missing_path(self, capsys):
         assert lint_main(["definitely/not/here", "--no-baseline"]) == 2
@@ -662,7 +660,7 @@ class TestCli:
         (tmp_path / "bad.py").write_text(
             "import time\ndef f():\n    return time.time()\n"
         )
-        assert lint_main([str(tmp_path), "--select", "ORD001"]) == 0
+        assert lint_main([str(tmp_path), "--select", "FLOW002"]) == 0
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -671,8 +669,6 @@ class TestCli:
             "DET001",
             "DET002",
             "DET003",
-            "ORD001",
-            "CANON001",
             "POOL001",
             "DIG001",
             "DIG002",
@@ -681,6 +677,8 @@ class TestCli:
             "FLOW003",
         ):
             assert code in out
+        for code in ("ORD001", "CANON001", "AUDIT001"):
+            assert code not in out
 
     def test_write_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -818,10 +816,21 @@ class TestWholeTree:
             f.render() for f in second.findings
         ]
 
+    def test_overlapping_paths_lint_each_file_once(self):
+        # A file named both directly and through its directory is
+        # linted once, at its first position.
+        alone = lint_paths([FIXTURES])
+        overlapping = lint_paths([FIXTURES, FIXTURES / "seeded_det.py"])
+        assert overlapping.files == alone.files
+        assert [f.render() for f in overlapping.findings] == [
+            f.render() for f in alone.findings
+        ]
+        files = discover_files([FIXTURES / "seeded_det.py", FIXTURES])
+        assert len(files) == len(set(files)) == alone.files
+        assert files[0] == FIXTURES / "seeded_det.py"
+
     def test_rule_registry_complete(self):
         assert rule_codes() == (
-            "AUDIT001",
-            "CANON001",
             "DET001",
             "DET002",
             "DET003",
@@ -830,7 +839,6 @@ class TestWholeTree:
             "FLOW001",
             "FLOW002",
             "FLOW003",
-            "ORD001",
             "POOL001",
         )
 

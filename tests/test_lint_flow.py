@@ -4,15 +4,16 @@ Coverage per the subsystem's contract:
 
 - the core value proposition: the seeded ``flow_helpers.py`` /
   ``seeded_flow.py`` fixture pair is *provably clean* under every
-  per-file heuristic rule, while the flow pass flags all three flows
+  per-file rule, while the flow pass flags all three flows
   (FLOW001/002/003) with full source→sink call chains,
 - transfer-function semantics on minimal two-function programs:
   propagation through calls, neutralizers (``sorted`` strips order
   taint), param→sink summaries, the digest-covered-field hop,
 - determinism: the ``--graph json`` export is byte-identical across
   runs, finding order is stable,
-- the ``--audit`` crosscheck: heuristic findings confirmed by a flow
-  hit stay silent; the deliberate unconfirmed case gains AUDIT001,
+- the digest-scope return sink: every ordering/float-text fixture
+  site is a FLOW002/FLOW003 finding, while nondet values and taint born
+  in a helper are not sunk at a digest-producing function's return,
 - the analysis cache: linting the same sources twice reuses one
   analysis.
 """
@@ -32,15 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 FLOW_PAIR = [FIXTURES / "flow_helpers.py", FIXTURES / "seeded_flow.py"]
 
-HEURISTIC_CODES = [
-    "CANON001",
-    "DET001",
-    "DET002",
-    "DET003",
-    "DIG001",
-    "ORD001",
-    "POOL001",
-]
+PER_FILE_CODES = ["DET001", "DET002", "DET003", "DIG001", "POOL001"]
 
 
 def lint_snippets(tmp_path: Path, select=None, **modules: str):
@@ -56,11 +49,11 @@ def codes_of(result) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# the seeded fixture pair: heuristics provably miss, flow catches
+# the seeded fixture pair: per-file rules provably miss, flow catches
 # ----------------------------------------------------------------------
 class TestSeededFlowFixtures:
     def test_heuristic_rules_provably_silent(self):
-        result = lint_paths(FLOW_PAIR, rules=all_rules(HEURISTIC_CODES))
+        result = lint_paths(FLOW_PAIR, rules=all_rules(PER_FILE_CODES))
         assert result.ok, "\n".join(f.render() for f in result.findings)
         assert result.suppressed == 0  # silent, not suppressed-silent
 
@@ -306,52 +299,63 @@ class TestGraphExport:
 
 
 # ----------------------------------------------------------------------
-# the --audit crosscheck
+# the digest-scope return sink
 # ----------------------------------------------------------------------
-class TestAudit:
-    def test_confirmed_heuristic_findings_stay_silent(self, tmp_path):
-        # ORD001 at the walk + FLOW002 at the sink agree: no AUDIT001.
+#: every ordering/float-text site the per-file scope rules used to flag
+#: in the fixtures, pinned to its flow finding:
+#: (file, code, finding line, source line).  Findings anchor at the sink
+#: (hash update, label or digest-scope ``def`` line); the source line is
+#: the hazard itself, or the ``def`` line for a set-typed parameter.
+FORMER_SCOPE_SITES = [
+    ("seeded_canon.py", "FLOW003", 10, 9),  # f"{pi:g}" hashed
+    ("seeded_canon.py", "FLOW003", 10, 9),  # f"{shock:.6f}" hashed
+    ("seeded_canon.py", "FLOW003", 13, 14),  # format(pi, "g") in a label
+    ("seeded_canon.py", "FLOW003", 17, 18),  # "s=%g" returned from a payload
+    ("seeded_ord.py", "FLOW002", 10, 9),  # rglob walk hashed
+    ("seeded_ord.py", "FLOW002", 17, 14),  # set parameter hashed
+    ("seeded_ord.py", "FLOW002", 21, 23),  # set joined into a label
+    ("seeded_obs.py", "FLOW002", 60, 57),  # set of span names hashed
+    ("seeded_quote.py", "FLOW002", 53, 44),  # tier set hashed
+]
+
+
+class TestReturnSink:
+    def test_former_scope_sites_are_flow_findings(self):
+        files = sorted({name for name, *_ in FORMER_SCOPE_SITES})
+        result = lint_paths([FIXTURES / name for name in files])
+        found = sorted(
+            (Path(f.path).name, f.code, f.line, f.source_ref[1])
+            for f in result.findings
+            if f.code in ("FLOW002", "FLOW003")
+        )
+        assert found == sorted(FORMER_SCOPE_SITES)
+
+    def test_nondet_is_not_sunk_at_a_return(self, tmp_path):
+        # Wall-clock fields travel in to_json payloads without being
+        # hashed; only order and float text sink at a return.
         result = lint_snippets(
             tmp_path,
             mod=(
-                "import hashlib\n"
-                "def tree_digest(root):\n"
-                "    h = hashlib.sha256()\n"
-                "    for p in root.rglob('*.py'):\n"
-                "        h.update(p.read_bytes())\n"
-                "    return h.hexdigest()\n"
+                "import json, time\n"
+                "class Report:\n"
+                "    def to_json(self):\n"
+                "        return json.dumps({'elapsed': time.perf_counter()})\n"
             ),
         )
-        audited = lint_paths([tmp_path], audit=True)
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
-        assert "AUDIT001" not in codes_of(audited)
+        assert result.ok, "\n".join(f.render() for f in result.findings)
 
-    def test_unconfirmed_heuristic_finding_gains_audit001(self, tmp_path):
-        # CANON001's name heuristic flags payload-named functions, but
-        # nothing provably consumes this one — the audit surfaces the
-        # disagreement instead of letting either layer win silently.
-        (tmp_path / "mod.py").write_text(
-            "def legacy_payload(shock):\n"
-            "    return 's=%g' % shock\n"
-        )
-        audited = lint_paths([tmp_path], audit=True)
-        assert sorted(codes_of(audited)) == ["AUDIT001", "CANON001"]
-        [audit] = [f for f in audited.findings if f.code == "AUDIT001"]
-        assert "CANON001" in audit.message
-
-    def test_seeded_canon_audit_pins_the_one_unconfirmed_case(self):
-        audited = lint_paths(
-            [FIXTURES / "seeded_canon.py"], audit=True
-        )
-        audits = [f for f in audited.findings if f.code == "AUDIT001"]
-        assert [f.line for f in audits] == [18]  # legacy_payload only
-
-    def test_shipped_tree_is_audit_clean(self):
-        from repro.lint import Baseline
-
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro"], baseline=baseline, audit=True
+    def test_helper_taint_is_not_sunk_at_a_return(self, tmp_path):
+        # The set is born in a helper: only taint born in the
+        # digest-producing function's own body sinks at its return.
+        result = lint_snippets(
+            tmp_path,
+            mod=(
+                "import json\n"
+                "def members(raw):\n"
+                "    return {r.strip() for r in raw}\n"
+                "def to_json(raw):\n"
+                "    return json.dumps(list(members(raw)))\n"
+            ),
         )
         assert result.ok, "\n".join(f.render() for f in result.findings)
 

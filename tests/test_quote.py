@@ -71,6 +71,28 @@ class TestQuoteRequest:
             QuoteRequest(family="two-party", shock=1.0)
         with pytest.raises(QuoteError):
             QuoteRequest(family="two-party", tol=0.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(QuoteError):
+                QuoteRequest(family="two-party", tol=tol)
+
+    def test_non_finite_tol_is_a_cli_error(self, capsys):
+        from repro.cli import main as cli_main
+
+        for tol in ("nan", "inf"):
+            with pytest.raises(SystemExit, match="^error: tol must be"):
+                cli_main(["quote", "--family", "two-party", "--tol", tol])
+        assert capsys.readouterr().out == ""  # no work started
+
+    def test_non_object_batch_item_is_a_cli_error(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(QuoteError, match="JSON object"):
+            QuoteRequest.from_json("1")
+        batch = tmp_path / "requests.json"
+        batch.write_text("[1]")
+        with pytest.raises(SystemExit, match="^error: a quote request"):
+            cli_main(["quote-batch", str(batch)])
+        assert capsys.readouterr().out == ""
 
     def test_ring3_normalizes_to_multi_party(self):
         assert QuoteRequest(graph="ring:3").cell_family == "multi-party"
