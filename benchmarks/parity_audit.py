@@ -11,23 +11,29 @@ script is the contract between them, run on every CI push:
    run-digest mismatch.  Digest-chain equality is the strongest available
    check: the digests cover labels, violations, transaction counts,
    premium flows, and ``repr``-exact metric floats.
-2. **Perf gate** — the warm dense-grid kernel speedup over the simulator
+2. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
+   fixed grid (coalitions included) may run at most
+   :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls.  The count is a
+   property of the code, not of the host: a cell path that goes back to
+   building a throwaway instance per premium or per probe breaches it.
+3. **Perf gate** — the warm dense-grid kernel speedup over the simulator
    must not drop below the floor committed in ``BENCH_ablation.json``
    (``engine_throughput.kernel_hot_speedup_floor``).  The gate compares a
    speedup *ratio* measured in-process, so it is machine-invariant: a
    slow CI box slows both engines alike.
 
-Exit status is nonzero on any divergence or floor breach.
+Exit status is nonzero on any divergence, ceiling or floor breach.
 
 Usage::
 
-    python benchmarks/parity_audit.py            # parity + perf gate
-    python benchmarks/parity_audit.py --no-perf  # parity only
+    python benchmarks/parity_audit.py            # parity + builds + perf gate
+    python benchmarks/parity_audit.py --no-perf  # parity + builds only
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -39,6 +45,20 @@ except ImportError:  # running the file directly from within benchmarks/
 
 #: fallback floor when no committed BENCH_ablation.json is present.
 DEFAULT_SPEEDUP_FLOOR = 100.0
+
+#: the build ratchet's grid: the CI refine-smoke lattice.
+BUILD_GATE_GRID = dict(
+    premium_fractions=(0.0, 0.02, 0.05),
+    shock_fractions=(0.045,),
+    stages=("staked",),
+    coalitions=True,
+)
+
+#: protocol builds in one cold kernel ``ablate-refine`` over
+#: BUILD_GATE_GRID: the exact count when each cell context began reading
+#: its premium-independent shape from one cached structural build.  The
+#: ceiling is the count itself; lower it when a change cuts more builds.
+MAX_REFINE_BUILDS = 57
 
 _RESULT_FIELDS = (
     "digest",
@@ -107,6 +127,68 @@ def audit_parity() -> list[str]:
     return problems
 
 
+@contextlib.contextmanager
+def counting_builds():
+    """Count ``build()`` calls of the ablation families' builder classes.
+
+    Yields the counts dict.  The classes are wrapped from outside and
+    restored on exit.
+    """
+    from repro.core.hedged_auction import HedgedAuction
+    from repro.core.hedged_broker import HedgedBrokerDeal
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+    from repro.core.hedged_two_party import HedgedTwoPartySwap
+
+    counts = {"build": 0}
+
+    def counted(original):
+        def build(self):
+            counts["build"] += 1
+            return original(self)
+
+        return build
+
+    classes = (
+        HedgedTwoPartySwap,
+        HedgedMultiPartySwap,
+        HedgedBrokerDeal,
+        HedgedAuction,
+    )
+    originals = [(cls, vars(cls)["build"]) for cls in classes]
+    for cls, original in originals:
+        cls.build = counted(original)
+    try:
+        yield counts
+    finally:
+        for cls, original in originals:
+            cls.build = original
+
+
+def gate_builds() -> list[str]:
+    """Count protocol builds over one cold kernel refinement; return
+    ceiling breaches."""
+    from repro.campaign import Experiment, refine_spec
+    from repro.campaign.ablation.grid import cell_shape
+
+    # Cold: the shapes the parity audit cached are rebuilt and counted.
+    cell_shape.cache_clear()
+    spec = refine_spec(engine="kernel", **BUILD_GATE_GRID)
+    with counting_builds() as counts:
+        result = Experiment(spec).run()
+    builds = counts["build"]
+    print(
+        f"builds: {builds} protocol builds over one cold kernel ablate-refine "
+        f"({result.refined.probes} probes; ceiling {MAX_REFINE_BUILDS})"
+    )
+    if builds > MAX_REFINE_BUILDS:
+        return [
+            f"{builds} protocol builds over one cold kernel ablate-refine "
+            f"exceed the ceiling {MAX_REFINE_BUILDS}: a cell path builds a "
+            "throwaway instance per premium or per probe again"
+        ]
+    return []
+
+
 def gate_perf(floor: float) -> list[str]:
     """Measure the hot-path speedup ratio; return floor breaches."""
     try:
@@ -134,11 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-perf",
         action="store_true",
-        help="run only the parity audit, skip the throughput gate",
+        help="skip the throughput gate (parity and build ratchet still run)",
     )
     args = parser.parse_args(argv)
 
     problems = audit_parity()
+    problems += gate_builds()
     if not problems and not args.no_perf:
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         problems += gate_perf(committed_floor(repo_root))

@@ -56,7 +56,7 @@ profile (``min_adversaries == max_adversaries == 2``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
@@ -252,32 +252,143 @@ def _axes(
 # ----------------------------------------------------------------------
 # family cells
 # ----------------------------------------------------------------------
+#: the premium a shape's one structural build runs at.  Any premium reads
+#: the same shape; ``tests/test_ablation.py`` pins that at several.
+_SHAPE_PREMIUM = 1
+
+
+@dataclass(frozen=True)
+class CellShape:
+    """The premium-independent structure of one ``(family, coalition)``.
+
+    A premium moves deposit *amounts* only: the deployed contracts, the
+    schedule, the pivot set and the shocked token are the same at every
+    premium, so one shape, read off one structural build, serves every
+    premium of its context.  Shapes are shared by every cell of their
+    context (see :func:`cell_shape`), so they hold frozen data only —
+    never the :class:`~repro.protocols.instance.ProtocolInstance` they
+    were read from.
+    """
+
+    contracts: tuple[tuple[str, str], ...]  #: (chain, address), build order
+    arc_labels: tuple[str, ...]  #: sorted contract labels
+    horizon: int
+    named: tuple[tuple[str, int], ...]  #: named stage → shock height
+    #: the frozen MultiPartySchedule / BrokerDeadlines, else None
+    schedule: object
+    pivots: tuple[str, ...]  #: parties the rational arm wraps
+    shocked: str  #: the token symbol the shock applies to
+
+
+def _shape(probe, pivots, shocked, named, schedule=None) -> CellShape:
+    return CellShape(
+        contracts=tuple(probe.contracts.values()),
+        arc_labels=tuple(sorted(probe.contracts)),
+        horizon=probe.horizon,
+        named=tuple(named.items()),
+        schedule=schedule,
+        pivots=pivots,
+        shocked=shocked,
+    )
+
+
+def _two_party_shape() -> CellShape:
+    from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
+
+    spec = HedgedTwoPartySpec(premium_a=2, premium_b=_SHAPE_PREMIUM)
+    return _shape(
+        HedgedTwoPartySwap(spec).build(),
+        pivots=(spec.bob,),
+        shocked=spec.token_a,
+        # Bob's premium lands at height 2; Alice escrows at height 3 and
+        # Bob's own escrow would land at height 4.
+        named={"pre-stake": 1, "staked": 3},
+    )
+
+
+def _graph_shape(family: str, members: tuple[str, ...] = ()) -> CellShape:
+    """A swap over a graph family's digraph.
+
+    The pivot is the first follower in sorted order, and the shock lands
+    on its incoming asset from its first sorted in-neighbor (ring:3: P1
+    and ``p0-token``).  ``members`` names a coalition that walks in the
+    pivot's place; the shock stays on the pivot's incoming asset.
+    """
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+
+    graph, leaders = parse_graph_family(family)
+    probe = HedgedMultiPartySwap(
+        graph=graph, premium=_SHAPE_PREMIUM, leaders=leaders
+    ).build()
+    schedule = probe.meta["schedule"]
+    pivot = min(p for p in graph.parties if p not in leaders)
+    return _shape(
+        probe,
+        pivots=members or (pivot,),
+        shocked=f"{min(graph.in_neighbors(pivot)).lower()}-token",
+        # By phase 3 the pivot's escrow premium and its redemption premium
+        # for the leader's key are both held; its principal is not yet
+        # escrowed (followers escrow one round after the leaders).
+        named={"pre-stake": 0, "staked": schedule.p3_start},
+        schedule=schedule,
+    )
+
+
+def _broker_shape(coalition: bool = False) -> CellShape:
+    from repro.core.hedged_broker import HedgedBrokerDeal
+    from repro.protocols.base_broker import BrokerSpec
+
+    spec = BrokerSpec()
+    probe = HedgedBrokerDeal(premium=_SHAPE_PREMIUM).build()
+    deadlines = probe.meta["deadlines"]
+    return _shape(
+        probe,
+        pivots=(spec.seller, spec.buyer) if coalition else (spec.seller,),
+        shocked=spec.coin_token,
+        # Activation height: all E/T/R premiums held, asset escrows still
+        # one round out.
+        named={"pre-stake": 0, "staked": deadlines.activation},
+        schedule=deadlines,
+    )
+
+
+def _auction_shape() -> CellShape:
+    from repro.core.hedged_auction import AuctionSpec, HedgedAuction
+
+    spec = AuctionSpec(premium=_SHAPE_PREMIUM)
+    return _shape(
+        HedgedAuction(spec=spec).build(),
+        pivots=(spec.auctioneer,),
+        shocked=spec.coin_token,
+        # Bids land at height 2; the declaration round is round 2.
+        named={"pre-stake": 0, "staked": 2},
+    )
+
+
 @dataclass
 class FamilyCell:
     """One family's fully-wired cell context at one integer premium.
 
     Everything a ``(family, coalition, premium)`` point of the grid needs
-    — builder, contract directory, pivot set, price-path ingredients,
-    stage schedule, properties, metrics parties, the utility model, and
-    the symbolic per-round gain terms — in one object shared by the matrix
-    adders (which expand it into comply/rational blocks per shock × stage)
-    and the vectorized kernel engine (which calibrates payoff templates
-    from it).  Building both from the same context is what makes the two
-    engines agree cell-by-cell: same closures, same float op order, same
-    block descriptors.
+    in one object shared by the matrix adders (which expand it into
+    comply/rational blocks per shock × stage) and the vectorized kernel
+    engine (which calibrates payoff templates from it): the context's
+    shared, immutable :class:`CellShape` (contracts, stage schedule,
+    horizon, pivot set, shocked token) plus what the premium feeds — the
+    builder, the utility model and the symbolic per-round gain terms —
+    and the premium-free constants (price-path base, properties, metrics
+    parties).  Building both engines' cells from the same context is what
+    makes them agree cell-by-cell: same closures, same float op order,
+    same block descriptors.
     """
 
     family: str
     coalition: str  #: "" for the family's single pivot
     premium: int  #: the effective integer premium π bought after rounding
-    pivots: tuple[str, ...]  #: parties the rational arm wraps
+    shape: CellShape
     metrics_parties: tuple[str, ...]  #: utility-metric party set, in order
     builder: object
-    contracts: tuple[tuple[str, str], ...]
     base_values: tuple[tuple[str, float], ...]  #: TokenPrices ``base``
-    shocked: str  #: the token symbol the shock applies to
-    named: dict  #: named stage → shock height
-    horizon: int
     properties: tuple
     completed: object  #: instance -> bool, the cell's completion predicate
     schedule_prefix: str  #: e.g. "" / "ring3/" / "ring3/P1+P2/"
@@ -289,7 +400,52 @@ class FamilyCell:
     gain_shape: str
 
 
-def _two_party_cell(premium: int) -> FamilyCell:
+def _pivot_closures(shape: CellShape, coalition: str):
+    """``(model_factory, gain_terms, gain_shape)`` of a swap-style pivot
+    set: one pivot's swap model, or a coalition's joint model."""
+    from repro.parties.rational import (
+        coalition_model,
+        completion_gain_terms,
+        swap_party_model,
+    )
+
+    contracts = shape.contracts
+    if not coalition:
+        (party,) = shape.pivots
+
+        def model_factory(prices):
+            return swap_party_model(party, prices, contracts)
+
+        def gain_terms(view):
+            return [list(completion_gain_terms(party, view, contracts))]
+
+        return model_factory, gain_terms, "single"
+
+    members = shape.pivots
+    member_set = frozenset(members)
+
+    def coalition_factory(prices):
+        return coalition_model(members, prices, contracts)
+
+    def coalition_terms(view):
+        # Mirrors coalition_model's joint gain: one fold per member in
+        # sorted order, each with the member set's internal-flow rule.
+        return [
+            list(completion_gain_terms(p, view, contracts, coalition=member_set))
+            for p in sorted(member_set)
+        ]
+
+    return coalition_factory, coalition_terms, "sum"
+
+
+def _two_party_completed(instance) -> bool:
+    return (
+        instance.contract("apricot_escrow").principal_state == "redeemed"
+        and instance.contract("banana_escrow").principal_state == "redeemed"
+    )
+
+
+def _two_party_cell(family, coalition, shape, premium) -> FamilyCell:
     """§5.2 swap: rational Bob, shock on Alice's (incoming) token."""
     from repro.checker import properties as props
     from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
@@ -297,14 +453,7 @@ def _two_party_cell(premium: int) -> FamilyCell:
 
     spec = HedgedTwoPartySpec(premium_a=2, premium_b=premium)
     builder = lambda spec=spec: HedgedTwoPartySwap(spec).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-
-    def completed(instance) -> bool:
-        return (
-            instance.contract("apricot_escrow").principal_state == "redeemed"
-            and instance.contract("banana_escrow").principal_state == "redeemed"
-        )
+    contracts = shape.contracts
 
     def model_factory(prices):
         return two_party_model(spec, prices, contracts)
@@ -313,21 +462,15 @@ def _two_party_cell(premium: int) -> FamilyCell:
         return [list(completion_gain_terms(spec.bob, view, contracts))]
 
     return FamilyCell(
-        family="two-party",
-        coalition="",
+        family=family,
+        coalition=coalition,
         premium=premium,
-        pivots=(spec.bob,),
-        metrics_parties=(spec.bob,),
+        shape=shape,
+        metrics_parties=shape.pivots,
         builder=builder,
-        contracts=contracts,
         base_values=(),
-        shocked=spec.token_a,
-        # Bob's premium lands at height 2; Alice escrows at height 3 and
-        # Bob's own escrow would land at height 4.
-        named={"pre-stake": 1, "staked": 3},
-        horizon=probe.horizon,
         properties=(props.no_stuck_escrow, props.two_party_hedged),
-        completed=completed,
+        completed=_two_party_completed,
         schedule_prefix="",
         model_factory=model_factory,
         gain_terms=gain_terms,
@@ -335,119 +478,81 @@ def _two_party_cell(premium: int) -> FamilyCell:
     )
 
 
-def _multi_party_probe(premium: int):
-    """Shared ring:3 builder/probe for pivot and coalition blocks."""
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+def _swap_cell(
+    family, coalition, shape, premium, builder, schedule_prefix
+) -> FamilyCell:
+    """A hedged multi-party swap cell around ``builder``."""
+    from repro.checker import properties as props
 
-    graph, leaders = parse_graph_family("ring:3")
-    builder = lambda p=premium: HedgedMultiPartySwap(
-        graph=graph, premium=p, leaders=leaders
-    ).build()
-    return builder, builder()
+    model_factory, gain_terms, gain_shape = _pivot_closures(shape, coalition)
 
-
-def _multi_party_completed(probe):
-    arc_labels = tuple(sorted(probe.contracts))
-
-    def completed(instance, labels=arc_labels) -> bool:
+    def completed(instance, labels=shape.arc_labels) -> bool:
         return all(
             instance.contract(label).principal_state == "redeemed"
             for label in labels
         )
 
-    return completed
-
-
-def _multi_party_cell(premium: int) -> FamilyCell:
-    """§7.1 ring:3 swap: rational P1, shock on the leader's token."""
-    from repro.checker import properties as props
-    from repro.parties.rational import completion_gain_terms, swap_party_model
-
-    party = "P1"
-    builder, probe = _multi_party_probe(premium)
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-
-    def model_factory(prices):
-        return swap_party_model(party, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(party, view, contracts))]
-
     return FamilyCell(
-        family="multi-party",
-        coalition="",
+        family=family,
+        coalition=coalition,
         premium=premium,
-        pivots=(party,),
-        metrics_parties=(party,),
+        shape=shape,
+        metrics_parties=shape.pivots,
         builder=builder,
-        contracts=contracts,
         base_values=(),
-        shocked="p0-token",
-        # By phase 3 the pivot's escrow premium and its redemption premium
-        # for the leader's key are both held; its principal is not yet
-        # escrowed (followers escrow one round after the leaders).
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
         properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix="ring3/",
+        completed=completed,
+        schedule_prefix=schedule_prefix,
         model_factory=model_factory,
         gain_terms=gain_terms,
-        gain_shape="single",
+        gain_shape=gain_shape,
     )
 
 
-def _multi_party_coalition_cell(premium: int) -> FamilyCell:
-    """Adjacent ring members P1+P2 walking together (coalition ``P1+P2``).
+# A block's builder qualname enters the matrix's structural digest, so
+# each family's builder lambda stays in the function it was first
+# written in: ``_multi_party_probe``, ``_graph_cell``, ``_broker_cell``,
+# ``_broker_coalition_cell``, ``_two_party_cell`` and ``_auction_cell``.
+def _multi_party_probe(premium: int):
+    """The ring:3 builder at ``premium``, shared by pivot and coalition."""
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
 
-    The members' shared arc (P1, P2) is internal: its escrow premium and
+    graph, leaders = parse_graph_family("ring:3")
+    return lambda p=premium: HedgedMultiPartySwap(
+        graph=graph, premium=p, leaders=leaders
+    ).build()
+
+
+def _multi_party_cell(family, coalition, shape, premium) -> FamilyCell:
+    """§7.1 ring:3 swap: rational P1, shock on the leader's token.
+
+    As coalition ``P1+P2`` the adjacent ring members walk together.  The
+    members' shared arc (P1, P2) is internal: its escrow premium and
     redemption deposits forfeit member-to-member, so the joint walk is
     deterred only by the premiums facing P0 — a strictly smaller stake
     than either single pivot's, which is what prices the collusive π*.
     """
-    from repro.checker import properties as props
-    from repro.parties.rational import coalition_model, completion_gain_terms
+    prefix = f"ring3/{coalition}/" if coalition else "ring3/"
+    builder = _multi_party_probe(premium)
+    return _swap_cell(family, coalition, shape, premium, builder, prefix)
 
-    members = ("P1", "P2")
-    coalition = "P1+P2"
-    builder, probe = _multi_party_probe(premium)
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-    member_set = frozenset(members)
 
-    def model_factory(prices):
-        return coalition_model(members, prices, contracts)
+def _graph_cell(family, coalition, shape, premium) -> FamilyCell:
+    """A multi-party cell over an arbitrary deal graph (``ring:N``,
+    ``complete:N``, ``figure3``).
 
-    def gain_terms(view):
-        # Mirrors coalition_model's joint gain: one fold per member in
-        # sorted order, each with the member set's internal-flow rule.
-        return [
-            list(
-                completion_gain_terms(p, view, contracts, coalition=member_set)
-            )
-            for p in sorted(member_set)
-        ]
+    The generalization of :func:`_multi_party_cell`: same rational pivot
+    construction, same stage aliases, same properties — only the digraph
+    (and with it the Equations 1–2 premium schedule the builder derives)
+    varies.
+    """
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
 
-    return FamilyCell(
-        family="multi-party",
-        coalition=coalition,
-        premium=premium,
-        pivots=members,
-        metrics_parties=members,
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked="p0-token",
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
-        properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix=f"ring3/{coalition}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="sum",
-    )
+    graph, leaders = parse_graph_family(family)
+    builder = lambda p=premium, g=graph, l=leaders: HedgedMultiPartySwap(
+        graph=g, premium=p, leaders=l
+    ).build()
+    return _swap_cell(family, coalition, shape, premium, builder, f"{family}/")
 
 
 def _broker_prices_base(spec):
@@ -465,49 +570,33 @@ def _broker_completed(instance) -> bool:
     )
 
 
-def _broker_cell(premium: int) -> FamilyCell:
+def _broker_cell(family, coalition, shape, premium, builder=None) -> FamilyCell:
     """§8.2 deal: rational seller Bob, shock on the coin he is paid in."""
     from repro.checker import properties as props
     from repro.core.hedged_broker import HedgedBrokerDeal
-    from repro.parties.rational import completion_gain_terms, swap_party_model
     from repro.protocols.base_broker import BrokerSpec
 
-    spec = BrokerSpec()
-    builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    deadlines = probe.meta["deadlines"]
-
-    def model_factory(prices):
-        return swap_party_model(spec.seller, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(spec.seller, view, contracts))]
-
+    if builder is None:
+        builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
+    model_factory, gain_terms, gain_shape = _pivot_closures(shape, coalition)
     return FamilyCell(
-        family="broker",
-        coalition="",
+        family=family,
+        coalition=coalition,
         premium=premium,
-        pivots=(spec.seller,),
-        metrics_parties=(spec.seller,),
+        shape=shape,
+        metrics_parties=shape.pivots,
         builder=builder,
-        contracts=contracts,
-        base_values=_broker_prices_base(spec),
-        shocked=spec.coin_token,
-        # Activation height: all E/T/R premiums held, asset escrows still
-        # one round out.
-        named={"pre-stake": 0, "staked": deadlines.activation},
-        horizon=deadlines.horizon,
+        base_values=_broker_prices_base(BrokerSpec()),
         properties=(props.no_stuck_escrow, props.broker_bounds),
         completed=_broker_completed,
-        schedule_prefix="",
+        schedule_prefix=f"{coalition}/" if coalition else "",
         model_factory=model_factory,
         gain_terms=gain_terms,
-        gain_shape="single",
+        gain_shape=gain_shape,
     )
 
 
-def _broker_coalition_cell(premium: int) -> FamilyCell:
+def _broker_coalition_cell(family, coalition, shape, premium) -> FamilyCell:
     """Seller + buyer squeezing the broker (coalition ``seller+buyer``).
 
     Bob and Carol trade with each other *through* Alice; colluding, the
@@ -515,53 +604,17 @@ def _broker_coalition_cell(premium: int) -> FamilyCell:
     reimburse the broker's passthrough) and the redemption deposits facing
     Alice still deter the joint walk.
     """
-    from repro.checker import properties as props
     from repro.core.hedged_broker import HedgedBrokerDeal
-    from repro.parties.rational import coalition_model, completion_gain_terms
-    from repro.protocols.base_broker import BrokerSpec
 
-    spec = BrokerSpec()
-    members = (spec.seller, spec.buyer)
-    coalition = "seller+buyer"
     builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    deadlines = probe.meta["deadlines"]
-    member_set = frozenset(members)
-
-    def model_factory(prices):
-        return coalition_model(members, prices, contracts)
-
-    def gain_terms(view):
-        return [
-            list(
-                completion_gain_terms(p, view, contracts, coalition=member_set)
-            )
-            for p in sorted(member_set)
-        ]
-
-    return FamilyCell(
-        family="broker",
-        coalition=coalition,
-        premium=premium,
-        pivots=members,
-        metrics_parties=members,
-        builder=builder,
-        contracts=contracts,
-        base_values=_broker_prices_base(spec),
-        shocked=spec.coin_token,
-        named={"pre-stake": 0, "staked": deadlines.activation},
-        horizon=deadlines.horizon,
-        properties=(props.no_stuck_escrow, props.broker_bounds),
-        completed=_broker_completed,
-        schedule_prefix=f"{coalition}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="sum",
-    )
+    return _broker_cell(family, coalition, shape, premium, builder)
 
 
-def _auction_cell(premium: int) -> FamilyCell:
+def _auction_completed(instance) -> bool:
+    return instance.contract("coin").outcome == "completed"
+
+
+def _auction_cell(family, coalition, shape, premium) -> FamilyCell:
     """§9 auction: rational auctioneer, shock on the bid coin.
 
     Her walk-forfeit is p per bid placed, so π prices n·p against the
@@ -580,11 +633,7 @@ def _auction_cell(premium: int) -> FamilyCell:
         (spec.coin_token, 1.0),
     )
     builder = lambda spec=spec: HedgedAuction(spec=spec).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-
-    def completed(instance) -> bool:
-        return instance.contract("coin").outcome == "completed"
+    contracts = shape.contracts
 
     def model_factory(prices):
         return auction_model(spec, prices, contracts)
@@ -597,20 +646,15 @@ def _auction_cell(premium: int) -> FamilyCell:
         return [[(1, best_bid, coin)], [(1, spec.tickets, ticket)]]
 
     return FamilyCell(
-        family="auction",
-        coalition="",
+        family=family,
+        coalition=coalition,
         premium=premium,
-        pivots=(spec.auctioneer,),
-        metrics_parties=(spec.auctioneer,),
+        shape=shape,
+        metrics_parties=shape.pivots,
         builder=builder,
-        contracts=contracts,
         base_values=base_values,
-        shocked=spec.coin_token,
-        # Bids land at height 2; the declaration round is round 2.
-        named={"pre-stake": 0, "staked": 2},
-        horizon=probe.horizon,
         properties=(props.no_stuck_escrow, props.auction_lemmas),
-        completed=completed,
+        completed=_auction_completed,
         schedule_prefix="",
         model_factory=model_factory,
         gain_terms=gain_terms,
@@ -618,107 +662,74 @@ def _auction_cell(premium: int) -> FamilyCell:
     )
 
 
-def _graph_cell(family: str, premium: int) -> FamilyCell:
-    """A multi-party cell over an arbitrary deal graph (``ring:N``,
-    ``complete:N``, ``figure3``).
-
-    The generalization of :func:`_multi_party_cell`: same rational pivot
-    construction, same stage aliases, same properties — only the digraph
-    (and with it the Equations 1–2 premium schedule the builder derives)
-    varies.  The pivot is the first follower in sorted order, and the
-    shock lands on its incoming asset from its first sorted in-neighbor,
-    mirroring the ring:3 cell's ``p0-token`` choice.
-    """
-    from repro.checker import properties as props
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
-    from repro.parties.rational import completion_gain_terms, swap_party_model
-
-    parsed = parse_graph_family(family)
-    if parsed is None:
-        raise ValueError(
-            f"not a graph-shaped family {family!r}: use ring:N, "
-            "complete:N, or figure3"
-        )
-    graph, leaders = parsed
-    builder = lambda p=premium, g=graph, l=leaders: HedgedMultiPartySwap(
-        graph=g, premium=p, leaders=l
-    ).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-    pivot = min(p for p in graph.parties if p not in leaders)
-    shocked_neighbor = min(graph.in_neighbors(pivot))
-    shocked = f"{shocked_neighbor.lower()}-token"
-
-    def model_factory(prices):
-        return swap_party_model(pivot, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(pivot, view, contracts))]
-
-    return FamilyCell(
-        family=family,
-        coalition="",
-        premium=premium,
-        pivots=(pivot,),
-        metrics_parties=(pivot,),
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked=shocked,
-        # Same stage aliases as ring:3: followers hold their escrow and
-        # redemption premiums by phase 3, principals are not yet locked.
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
-        properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix=f"{family}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="single",
-    )
-
-
+#: (family, coalition) → (structural shape build, per-premium cell builder);
+#: graph-shaped families with no coalition fall through to
+#: :func:`_graph_shape` / :func:`_graph_cell`.
 _CELL_BUILDERS = {
-    ("two-party", ""): _two_party_cell,
-    ("multi-party", ""): _multi_party_cell,
-    ("multi-party", "P1+P2"): _multi_party_coalition_cell,
-    ("broker", ""): _broker_cell,
-    ("broker", "seller+buyer"): _broker_coalition_cell,
-    ("auction", ""): _auction_cell,
+    ("two-party", ""): (_two_party_shape, _two_party_cell),
+    ("multi-party", ""): (partial(_graph_shape, "ring:3"), _multi_party_cell),
+    ("multi-party", "P1+P2"): (
+        partial(_graph_shape, "ring:3", ("P1", "P2")),
+        _multi_party_cell,
+    ),
+    ("broker", ""): (_broker_shape, _broker_cell),
+    ("broker", "seller+buyer"): (
+        partial(_broker_shape, coalition=True),
+        _broker_coalition_cell,
+    ),
+    ("auction", ""): (_auction_shape, _auction_cell),
 }
 
 
+@lru_cache(maxsize=64)
+def cell_shape(family: str, coalition: str) -> CellShape:
+    """The shared :class:`CellShape` of a ``(family, coalition)`` context.
+
+    One structural build per context: the cache is bounded (64 contexts,
+    like :func:`parse_graph_family`) and has no premium in its key, so
+    every premium of the grid, every bisection probe and every kernel
+    calibration of one context reads the same shape.  The returned shape
+    is shared and frozen.
+    """
+    builders = _CELL_BUILDERS.get((family, coalition))
+    if builders is not None:
+        return builders[0]()
+    if not coalition and is_graph_family(family):
+        return _graph_shape(family)
+    raise ValueError(
+        f"unknown ablation cell ({family!r}, {coalition!r}); "
+        f"known: {sorted(_CELL_BUILDERS)} or a graph-shaped family "
+        "(ring:N, complete:N, figure3) with no coalition"
+    )
+
+
 def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
-    """Build the shared cell context for ``(family, coalition, premium)``.
+    """Build the cell context for ``(family, coalition, premium)``.
 
     ``premium`` is the *effective integer* premium (what
     :func:`scaled_premium` quantizes a fraction π into against the
     family's :func:`premium_base`) — the same quantization the recorded
     ``premium`` axis carries, so the kernel engine can rebuild a cell's
-    context from a scenario's axes alone.
+    context from a scenario's axes alone.  Only the premium's closures
+    are built here: the structure comes from the context's cached
+    :func:`cell_shape`, so a call runs no protocol build.
     """
-    builder = _CELL_BUILDERS.get((family, coalition))
-    if builder is None:
-        if not coalition and is_graph_family(family):
-            return _graph_cell(family, premium)
-        raise ValueError(
-            f"unknown ablation cell ({family!r}, {coalition!r}); "
-            f"known: {sorted(_CELL_BUILDERS)} or a graph-shaped family "
-            "(ring:N, complete:N, figure3) with no coalition"
-        )
-    return builder(premium)
+    shape = cell_shape(family, coalition)
+    _, make = _CELL_BUILDERS.get((family, coalition), (None, _graph_cell))
+    return make(family, coalition, shape, premium)
 
 
 def _add_cell_blocks(matrix, cell: FamilyCell, pi, shock_fractions, stages) -> None:
     """Expand one cell context into its comply/rational blocks."""
     from repro.parties.rational import TokenPrices, rational_party
 
+    shape = cell.shape
+    arms = stage_heights(stages, dict(shape.named), shape.horizon)
     for shock in shock_fractions:
-        for stage, height in stage_heights(stages, cell.named, cell.horizon):
+        for stage, height in arms:
             prices = TokenPrices(
                 base=cell.base_values,
-                shocked=cell.shocked,
+                shocked=shape.shocked,
                 fraction=shock,
                 at_height=height,
             )
@@ -728,13 +739,13 @@ def _add_cell_blocks(matrix, cell: FamilyCell, pi, shock_fractions, stages) -> N
 
             if cell.coalition:
                 strategies = _make_coalition_strategies(
-                    {member: transform for member in cell.pivots}
+                    {member: transform for member in shape.pivots}
                 )
                 expansion = dict(
                     max_adversaries=2, min_adversaries=2, include_compliant=True
                 )
             else:
-                strategies = _make_strategies(cell.pivots[0], transform)
+                strategies = _make_strategies(shape.pivots[0], transform)
                 expansion = dict(max_adversaries=1, include_compliant=False)
             matrix.add_block(
                 family=cell.family,

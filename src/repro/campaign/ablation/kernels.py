@@ -11,7 +11,12 @@ this module exploits:
 
 1. **Template calibration.**  One real simulation per cell context
    (:func:`repro.campaign.ablation.grid.family_cell`) runs the compliant
-   trajectory with the pivot wrapped in a pass-through recorder.  Each
+   trajectory with the pivot wrapped in a pass-through recorder.  The
+   context itself builds no protocol: its contracts, schedule and pivot
+   set come from the ``(family, coalition)``'s shared, premium-free
+   :func:`~repro.campaign.ablation.grid.cell_shape`, so that run is the
+   calibration's only build.  The run itself cannot be skipped: its
+   ledger fingerprint enters every comply arm's digest.  Each
    round it captures the pivot (set)'s walk-forfeit stake — price-
    independent by construction — and the symbolic completion-gain terms
    (:func:`repro.parties.rational.completion_gain_terms`), i.e. the exact
@@ -176,12 +181,13 @@ class _CellKernel:
     def __init__(self, cell) -> None:
         self.cell = cell
         self.base_map = dict(cell.base_values)
+        self.shocked = cell.shape.shocked
         self.recording = _Recording()
         instance = cell.builder()
         result = execute(
             instance,
             {
-                cell.pivots[0]: (
+                cell.shape.pivots[0]: (
                     lambda actor: _RecordingActor(actor, cell, self.recording)
                 )
             },
@@ -209,7 +215,7 @@ class _CellKernel:
 
             instance = cell.builder()
             result = execute(
-                instance, {member: scripted for member in cell.pivots}
+                instance, {member: scripted for member in cell.shape.pivots}
             )
             template = _condense_template(cell, instance, result)
             self._walks[walk_round] = template
@@ -228,7 +234,7 @@ class _CellKernel:
         if is_native:
             return 1.0
         value = self.base_map.get(symbol, 1.0)
-        if self.cell.shocked == symbol and round_height >= shock_height:
+        if self.shocked == symbol and round_height >= shock_height:
             return value * (1.0 - s_arr)
         return value
 
@@ -300,7 +306,7 @@ class _CellKernel:
         ``realized_utility`` at the horizon — each party a fold of
         ``price * change`` over its final balance deltas, in delta order.
         """
-        horizon = self.cell.horizon
+        horizon = self.cell.shape.horizon
         total = 0.0
         for terms in template.utility_terms:
             utility = 0.0

@@ -127,8 +127,15 @@ def fork_available() -> bool:
 
 
 def default_workers() -> int:
-    """The worker count both backends use when none is requested."""
-    return max(2, os.cpu_count() or 1)
+    """The worker count both pool lifetimes use when none is requested:
+    the CPUs this process may run on (its affinity set, else
+    ``os.cpu_count()`` where the platform has no affinity call), at
+    least 2."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platform dependent
+        cpus = os.cpu_count() or 1
+    return max(2, cpus)
 
 
 #: dispatch tasks per worker: enough that the last task to finish is a

@@ -462,7 +462,11 @@ class CampaignRunner:
             )
         self.matrix = matrix
         self.backend = backend
-        self.workers = workers if workers is not None else default_workers()
+        if workers is None and backend == "process" and pool is None:
+            # Only a per-run pool forks by this count; serial and kernel
+            # runs (every refine probe) never read it.
+            workers = default_workers()
+        self.workers = workers
         self.limit = limit
         self.shard = shard
         self.pool = pool

@@ -17,6 +17,7 @@ Pins, per ISSUE 3:
 """
 
 import json
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -36,7 +37,10 @@ from repro.campaign.ablation import (
     deterrence_stake,
     shocked_notional,
 )
+from repro.campaign.ablation import grid
 from repro.campaign.pool import register_matrix_factory, registered_factories
+from repro.parties.rational import Opportunist
+from repro.protocols.instance import ProtocolInstance, execute
 
 PREMIUMS = (0.0, 0.01, 0.03, 0.08)
 SHOCKS = (0.015, 0.045, 0.105)
@@ -314,3 +318,94 @@ def test_clean_scenarios_carry_no_trace():
     ).run()
     assert report.ok
     assert all(result.trace == "" for result in report.results)
+
+
+# ----------------------------------------------------------------------
+# cell shapes: one structural build per (family, coalition)
+# ----------------------------------------------------------------------
+SHAPE_CONTEXTS = tuple(grid._CELL_BUILDERS) + tuple(
+    (family, "") for family in ("ring:3", "ring:5", "complete:4", "figure3")
+)
+
+#: the schedule-prefix every context's blocks are labelled with.
+SHAPE_PREFIXES = {
+    ("two-party", ""): "",
+    ("multi-party", ""): "ring3/",
+    ("multi-party", "P1+P2"): "ring3/P1+P2/",
+    ("broker", ""): "",
+    ("broker", "seller+buyer"): "seller+buyer/",
+    ("auction", ""): "",
+    ("ring:3", ""): "ring:3/",
+    ("ring:5", ""): "ring:5/",
+    ("complete:4", ""): "complete:4/",
+    ("figure3", ""): "figure3/",
+}
+
+
+def _fresh_probe_cell(monkeypatch, family, coalition, premium):
+    """The cell as a per-premium probe would build it: the shape read off
+    a fresh, uncached build at ``premium`` itself."""
+    monkeypatch.setattr(grid, "_SHAPE_PREMIUM", premium)
+    shape = grid.cell_shape.__wrapped__(family, coalition)
+    _, make = grid._CELL_BUILDERS.get((family, coalition), (None, grid._graph_cell))
+    return make(family, coalition, shape, premium)
+
+
+@pytest.mark.parametrize("family,coalition", SHAPE_CONTEXTS)
+@pytest.mark.parametrize("premium", (0, 1, 7, 100))
+def test_cached_shape_matches_a_fresh_probe_at_every_premium(
+    monkeypatch, family, coalition, premium
+):
+    cached = grid.family_cell(family, coalition, premium)
+    fresh = _fresh_probe_cell(monkeypatch, family, coalition, premium)
+    assert cached.premium == fresh.premium == premium
+    assert cached.shape == fresh.shape  # every field: contracts, named, ...
+    assert cached.schedule_prefix == fresh.schedule_prefix
+    assert cached.schedule_prefix == SHAPE_PREFIXES[(family, coalition)]
+
+    # ... and against the raw instance the premium's own builder makes
+    shape, probe = cached.shape, cached.builder()
+    assert shape.contracts == tuple(probe.contracts.values())
+    assert shape.arc_labels == tuple(sorted(probe.contracts))
+    assert shape.horizon == probe.horizon
+    if family == "broker":
+        assert shape.schedule == probe.meta["deadlines"]
+    elif family in ("two-party", "auction"):
+        assert shape.schedule is None
+    else:
+        assert shape.schedule == probe.meta["schedule"]
+
+    # the completion predicates agree on a compliant and a halted run
+    compliant = cached.builder()
+    execute(compliant)
+    assert cached.completed(compliant) is fresh.completed(compliant) is True
+    halted = cached.builder()
+    execute(
+        halted,
+        {p: (lambda a: Opportunist(a, lambda rnd, view: False)) for p in shape.pivots},
+    )
+    assert cached.completed(halted) is fresh.completed(halted) is False
+
+
+def test_shape_cache_holds_one_frozen_shape_per_context():
+    grid.cell_shape.cache_clear()
+    for premium in range(20):
+        for family, coalition in SHAPE_CONTEXTS:
+            cell = grid.family_cell(family, coalition, premium)
+            assert cell.shape is grid.cell_shape(family, coalition)
+    info = grid.cell_shape.cache_info()
+    assert info.currsize <= len(SHAPE_CONTEXTS)
+    assert info.maxsize == 64
+    shape = grid.cell_shape("multi-party", "P1+P2")
+    assert not any(
+        isinstance(getattr(shape, f.name), ProtocolInstance) for f in fields(shape)
+    )
+    with pytest.raises(FrozenInstanceError):
+        shape.horizon = 0
+
+
+def test_unknown_cell_context_is_refused():
+    with pytest.raises(ValueError, match="unknown ablation cell"):
+        grid.family_cell("two-party", "P1+P2", 3)
+    with pytest.raises(ValueError, match="unknown ablation cell"):
+        grid.family_cell("ring:1", "", 3)

@@ -26,12 +26,14 @@ from repro.campaign import (
     ResultCache,
     ScenarioMatrix,
     WorkerPool,
+    ablation_cell,
     default_matrix,
     merge_reports,
 )
 from repro.campaign.pool import (
     TASKS_PER_WORKER,
     WorkerLostError,
+    default_workers,
     dispatch_layout,
     register_matrix_factory,
 )
@@ -325,6 +327,33 @@ def test_tiny_process_run_falls_back_to_serial():
     assert report.workers == 1
     big = CampaignRunner(small_matrix(), backend="process").run()
     assert big.backend == "process"  # 81 scenarios clears the threshold
+
+
+# ----------------------------------------------------------------------
+# default worker count (satellite bugfix)
+# ----------------------------------------------------------------------
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert default_workers() == 3  # pinned to 3 of 64 CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7})
+    assert default_workers() == 2  # never fewer than two
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 64  # no affinity call: the CPU count
+
+
+def test_runner_resolves_default_workers_only_for_a_per_run_pool(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        runner_module, "default_workers", lambda: calls.append(1) or 3
+    )
+    assert CampaignRunner(small_matrix()).workers is None
+    assert CampaignRunner(small_matrix(), backend="serial", workers=5).workers == 5
+    probe = ablation_cell("two-party", 0.02, 0.045, "staked")
+    assert CampaignRunner(probe, backend="kernel").workers is None
+    assert calls == []
+    runner = CampaignRunner(small_matrix(), backend="process")
+    assert runner.workers == 3 and calls == [1]
 
 
 # ----------------------------------------------------------------------
