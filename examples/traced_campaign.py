@@ -15,7 +15,7 @@ example shows the full loop:
 - pull ``phase_fragments`` off the tracer's metrics — the same structure
   ``benchmarks.tables.write_bench_json`` embeds into BENCH baselines.
 
-The CLI exposes the same switches: ``python -m repro.cli run ablate
+The CLI exposes the same switches: ``python -m repro.cli ablate
 --trace trace.jsonl --progress`` then ``python -m repro.obs summarize
 trace.jsonl``.
 

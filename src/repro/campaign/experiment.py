@@ -33,14 +33,18 @@ and bisection probes alike), verifies ``expect``, and returns an
 :class:`ExperimentResult` holding reports that all conform to the common
 :mod:`~repro.campaign.report` protocol.
 
-The legacy CLI subcommands construct these specs from their flags and run
-through this facade, which is what makes ``spec``-driven and flag-driven
-runs byte-identical by construction.
+The CLI's ``campaign``/``ablate``/``ablate-refine`` subcommands are
+aliases for ``spec KIND`` + ``run``: they build the spec from the same
+flags and run it through this facade and the same output tail, which is
+what makes ``spec``-driven and flag-driven runs byte-identical by
+construction.  ``ablate-refine --from FRONTIER.json`` skips the lattice
+and enters the facade's refine stage (:func:`refine_stage`) directly.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable
@@ -52,6 +56,13 @@ from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import MatrixSpec, WorkerPool
 
 EXPERIMENT_KINDS = ("campaign", "ablate", "ablate-refine")
+
+#: the report kind a given experiment kind's ``--expect`` digest refers to.
+PRIMARY_KINDS = {
+    "campaign": "campaign",
+    "ablate": "frontier",
+    "ablate-refine": "refined-frontier",
+}
 
 EXPERIMENT_BACKENDS = ("serial", "process", "pooled")
 
@@ -261,7 +272,7 @@ class ExperimentSpec:
 
 
 # ----------------------------------------------------------------------
-# spec builders (the CLI shims' and `spec` subcommand's constructors)
+# spec builders (behind `spec KIND` and the `KIND` CLI aliases)
 # ----------------------------------------------------------------------
 def _exec_fields(backend, workers, limit, shard, expect):
     return dict(
@@ -465,53 +476,32 @@ class Experiment:
 
     def _run_traced(self) -> ExperimentResult:
         from repro.campaign.ablation.frontier import reduce_frontier
-        from repro.campaign.ablation.refine import _CellProber, refine_frontier
         from repro.campaign.runner import CampaignRunner
         from repro.obs import maybe_span
 
         spec = self.spec
         with maybe_span(self.tracer, "experiment.build"):
             matrix = self.matrix()
-        pool = self.pool
-        own_pool: WorkerPool | None = None
-        kernel = None
-        if spec.engine == "kernel":
-            # The kernel engine is single-process by design: ``backend``
-            # and ``workers`` describe simulator process layout and are
-            # ignored (results are engine-invariant, so the digests the
-            # run must reproduce do not change).  One engine is shared by
-            # the lattice run and every bisection probe, so probes reuse
-            # the lattice's calibrated cell templates.
-            from repro.campaign.ablation.kernels import KernelEngine
-
-            kernel = self.kernel
-            if kernel is None:
-                kernel = KernelEngine(tracer=self.tracer)
-            runner_backend = "kernel"
-        else:
-            if spec.backend == "pooled" and pool is None:
-                pool = own_pool = WorkerPool(workers=spec.workers)
-            runner_backend = (
-                "process" if spec.backend == "pooled" else spec.backend
-            )
-        runner_pool = pool if kernel is None else None
-        runner_workers = (
-            spec.workers if kernel is None and runner_pool is None else None
-        )
-        try:
-            runner = CampaignRunner(
+        layout = _execution(spec, self.pool, self.kernel, self.tracer)
+        with layout as (pool, kernel):
+            if kernel is not None:
+                runner_backend = "kernel"
+            elif spec.backend == "pooled":
+                runner_backend = "process"
+            else:
+                runner_backend = spec.backend
+            report = CampaignRunner(
                 matrix,
                 backend=runner_backend,
-                workers=runner_workers,
+                workers=spec.workers if kernel is None and pool is None else None,
                 limit=spec.limit,
                 shard=spec.shard,
-                pool=runner_pool,
+                pool=pool,
                 cache=self.cache,
                 kernel=kernel,
                 tracer=self.tracer,
                 progress=self.progress,
-            )
-            report = runner.run()
+            ).run()
             result = ExperimentResult(
                 spec, campaign=report, cache_hits=report.cache_hits
             )
@@ -519,36 +509,15 @@ class Experiment:
                 with maybe_span(self.tracer, "experiment.reduce"):
                     result.frontier = reduce_frontier(report)
             if spec.kind == "ablate-refine" and report.ok:
-                prober = _CellProber(
-                    backend="process" if runner_pool is not None else "serial",
-                    pool=runner_pool,
-                    cache=self.cache,
+                result.refined, probe_hits = refine_stage(
+                    spec,
+                    result.frontier,
+                    pool=pool,
                     kernel=kernel,
+                    cache=self.cache,
                     tracer=self.tracer,
                 )
-                with maybe_span(self.tracer, "experiment.refine"):
-                    result.refined = refine_frontier(
-                        result.frontier,
-                        tol=spec.tol if spec.tol is not None else DEFAULT_TOL,
-                        prober=prober,
-                    )
-                result.cache_hits += prober.cache_hits
-                if self.cache is not None:
-                    # Feed the quote row store: every refined row this run
-                    # measured becomes a tier-2 answer for the quote
-                    # engine (keyed by grid coordinates + tol + seed).
-                    from repro.campaign.ablation.rowstore import (
-                        store_refined_rows,
-                    )
-
-                    store_refined_rows(
-                        self.cache,
-                        result.refined,
-                        seed=dict(spec.matrix.kwargs).get("seed", 0),
-                    )
-        finally:
-            if own_pool is not None:
-                own_pool.close()
+                result.cache_hits += probe_hits
         self._check_expectations(result)
         return result
 
@@ -567,3 +536,67 @@ class Experiment:
                     f"digest mismatch for {kind!r}: run produced {actual} "
                     f"but the spec expects {expected}"
                 )
+
+
+@contextmanager
+def _execution(spec: ExperimentSpec, pool=None, kernel=None, tracer=None):
+    """Yield the ``(pool, kernel)`` pair a spec's stages execute on.
+
+    The kernel engine is single-process by design: ``backend`` and
+    ``workers`` describe simulator process layout and are ignored
+    (results are engine-invariant, so the digests the run must reproduce
+    do not change).  One engine serves the lattice run and every
+    bisection probe, so probes reuse the lattice's calibrated cell
+    templates.  A ``pooled`` simulator spec without a caller-owned pool
+    gets one for the duration.
+    """
+    if spec.engine == "kernel":
+        from repro.campaign.ablation.kernels import KernelEngine
+
+        yield None, kernel if kernel is not None else KernelEngine(tracer=tracer)
+    elif spec.backend == "pooled" and pool is None:
+        own_pool = WorkerPool(workers=spec.workers)
+        try:
+            yield own_pool, None
+        finally:
+            own_pool.close()
+    else:
+        yield pool, None
+
+
+def refine_stage(
+    spec: ExperimentSpec,
+    frontier,
+    pool: WorkerPool | None = None,
+    kernel=None,
+    cache: ResultCache | None = None,
+    tracer=None,
+):
+    """Bisect a lattice ``frontier`` under ``spec``'s engine and ``tol``.
+
+    The one refine step behind :class:`Experiment` and the CLI's
+    ``ablate-refine --from``: it builds the cell prober on the spec's
+    execution layout (or the caller's ``pool``/``kernel``), refines every
+    row, and — with a ``cache`` attached — stores the refined rows in the
+    quote row store, so any refinement warms the quote engine's tier-2
+    path.  Returns ``(refined report, scenarios served from the cache)``.
+    """
+    from repro.campaign.ablation.refine import _CellProber, refine_frontier
+    from repro.campaign.ablation.rowstore import store_refined_rows
+    from repro.obs import maybe_span
+
+    with _execution(spec, pool, kernel, tracer) as (pool, kernel):
+        prober = _CellProber(pool=pool, cache=cache, kernel=kernel, tracer=tracer)
+        with maybe_span(tracer, "experiment.refine"):
+            refined = refine_frontier(
+                frontier,
+                tol=spec.tol if spec.tol is not None else DEFAULT_TOL,
+                prober=prober,
+            )
+    if cache is not None:
+        # Keyed by grid coordinates + tol + seed: every refined row this
+        # run measured becomes a tier-2 answer for the quote engine.
+        store_refined_rows(
+            cache, refined, seed=dict(spec.matrix.kwargs).get("seed", 0)
+        )
+    return refined, prober.cache_hits

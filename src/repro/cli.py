@@ -20,7 +20,7 @@ factory and its parameters, the selection, the backend, the refinement
 tolerance, and (optionally) the digests the run must reproduce.
 
 - ``spec campaign|ablate|ablate-refine [flags] --out SPEC.json`` emits a
-  spec from the same flags the legacy subcommands take,
+  spec from the kind's flags,
 - ``run SPEC.json`` executes it — add ``--cache DIR`` for the incremental
   result cache (verified scenario blocks keyed on block descriptor + code
   version are served from the store; the hit-rate is reported next to the
@@ -29,9 +29,10 @@ tolerance, and (optionally) the digests the run must reproduce.
   ``ablate-merge``) is kind-aware: campaign shard reports (of either
   matrix shape) recombine into the unsharded run digest, and
   ablation-shaped merges reduce the frontier too,
-- the legacy ``campaign``/``ablate``/``ablate-refine`` subcommands are
-  thin shims that construct the same spec from their flags and run it
-  through the same facade — flag-driven and spec-driven runs are
+- ``KIND`` = ``spec KIND`` + ``run``: the ``campaign``/``ablate``/
+  ``ablate-refine`` subcommands take exactly the flags of ``spec KIND``
+  plus those of ``run``, build the same spec, and run it through the same
+  facade and output tail — flag-driven and spec-driven runs are
   byte-identical by construction.
 
 ::
@@ -116,20 +117,18 @@ byte-identical across serial, pooled, and refined-from-merged runs::
 from __future__ import annotations
 
 import argparse
+from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.campaign import (
-    CampaignReport,
     Experiment,
     ExperimentError,
     ExperimentSpec,
     FAMILY_NAMES,
-    ResultCache,
-    WorkerPool,
     ablate_spec,
     campaign_spec,
     merge_reports_any,
     reduce_frontier,
-    refine_frontier,
     refine_spec,
     report_from_json,
     shared_cache,
@@ -139,6 +138,8 @@ from repro.campaign.ablation import (
     DEFAULT_TOL,
     FrontierReport,
 )
+from repro.campaign.ablation.grid import parse_graph_family
+from repro.campaign.experiment import PRIMARY_KINDS, refine_stage
 from repro.checker import ModelChecker, full_strategy_space, halt_strategies, properties as props
 from repro.core.bootstrap import BootstrapSpec, BootstrappedSwap, extract_bootstrap_outcome
 from repro.core.hedged_auction import (
@@ -156,12 +157,11 @@ from repro.core.hedged_multi_party import (
 from repro.core.hedged_two_party import HedgedTwoPartySwap
 from repro.core.outcomes import extract_two_party_outcome
 from repro.errors import ReproError
-from repro.graph.digraph import SwapGraph, complete_graph, figure3_graph, ring_graph
 from repro.parties.strategies import halt_at
 from repro.protocols.base_broker import BaseBrokerDeal
 from repro.protocols.base_multi_party import BaseMultiPartySwap
 from repro.protocols.base_two_party import BaseTwoPartySwap
-from repro.protocols.instance import ProtocolInstance, execute
+from repro.protocols.instance import execute
 from repro.sim.trace import render_lanes, render_timeline
 
 
@@ -177,123 +177,89 @@ def _parse_deviations(specs: list[str]):
     return out
 
 
-def _parse_graph(text: str) -> SwapGraph:
-    if text == "figure3":
-        return figure3_graph()
-    kind, _, n = text.partition(":")
-    if kind == "ring":
-        return ring_graph(int(n or 3))
-    if kind == "complete":
-        return complete_graph(int(n or 3))
-    raise SystemExit(f"unknown graph {text!r}: use figure3, ring:N, or complete:N")
+def _parse_graph(text: str):
+    parsed = parse_graph_family(text)
+    if parsed is None:
+        raise SystemExit(f"unknown graph {text!r}: use figure3, ring:N, or complete:N")
+    return parsed[0]
 
 
-def _finish(instance: ProtocolInstance, args, outcome) -> None:
-    result = instance.meta.pop("_result")
-    if args.timeline:
-        print(render_timeline(result))
-    else:
-        print(render_lanes(result, width=args.width))
+#: protocol subcommand -> (help, takes --hedged/--base, outcome extractor,
+#: builder from the parsed flags).
+PROTOCOLS = {
+    "two-party": (
+        "two-party atomic swap (§5)", True, extract_two_party_outcome,
+        lambda a: HedgedTwoPartySwap() if a.hedged else BaseTwoPartySwap(),
+    ),
+    "multi-party": (
+        "multi-party swap (§7)", True, extract_multi_party_outcome,
+        lambda a: HedgedMultiPartySwap(graph=_parse_graph(a.graph), premium=a.premium)
+        if a.hedged else BaseMultiPartySwap(graph=_parse_graph(a.graph)),
+    ),
+    "broker": (
+        "brokered deal (§8)", True, extract_broker_outcome,
+        lambda a: HedgedBrokerDeal(premium=a.premium) if a.hedged else BaseBrokerDeal(),
+    ),
+    "deal": (
+        "multi-round resale chain (§8.2 extension)", False, extract_deal_outcome,
+        lambda a: MultiRoundDeal(
+            DealSpec(brokers=tuple(f"Broker{i + 1}" for i in range(a.brokers))),
+            premium=a.premium,
+        ),
+    ),
+    "auction": (
+        "ticket auction (§9)", False, extract_auction_outcome,
+        lambda a: (SealedBidAuction if a.sealed else HedgedAuction)(
+            strategy=AuctioneerStrategy(a.strategy)
+        ),
+    ),
+    "bootstrap": (
+        "bootstrapped swap (§6)", False, extract_bootstrap_outcome,
+        lambda a: BootstrappedSwap(BootstrapSpec(
+            amount_a=a.value, amount_b=a.value, rate=a.rate, rounds=a.rounds
+        )),
+    ),
+}
+
+
+def cmd_protocol(args) -> None:
+    _, _, extract, make = PROTOCOLS[args.command]
+    instance = make(args).build()
+    result = execute(instance, _parse_deviations(args.deviate))
+    print(render_timeline(result) if args.timeline else render_lanes(result, width=args.width))
     print()
-    print("outcome:", outcome)
+    print("outcome:", extract(instance, result))
 
 
-def cmd_two_party(args) -> None:
-    builder = HedgedTwoPartySwap() if args.hedged else BaseTwoPartySwap()
-    instance = builder.build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_two_party_outcome(instance, result))
-
-
-def cmd_multi_party(args) -> None:
-    graph = _parse_graph(args.graph)
-    if args.hedged:
-        builder = HedgedMultiPartySwap(graph=graph, premium=args.premium)
-    else:
-        builder = BaseMultiPartySwap(graph=graph)
-    instance = builder.build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_multi_party_outcome(instance, result))
-
-
-def cmd_broker(args) -> None:
-    builder = HedgedBrokerDeal(premium=args.premium) if args.hedged else BaseBrokerDeal()
-    instance = builder.build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_broker_outcome(instance, result))
-
-
-def cmd_deal(args) -> None:
-    brokers = tuple(f"Broker{i + 1}" for i in range(args.brokers))
-    spec = DealSpec(brokers=brokers)
-    instance = MultiRoundDeal(spec, premium=args.premium).build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_deal_outcome(instance, result))
-
-
-def cmd_auction(args) -> None:
-    strategy = AuctioneerStrategy(args.strategy)
-    builder = SealedBidAuction(strategy=strategy) if args.sealed else HedgedAuction(strategy=strategy)
-    instance = builder.build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_auction_outcome(instance, result))
-
-
-def cmd_bootstrap(args) -> None:
-    spec = BootstrapSpec(
-        amount_a=args.value, amount_b=args.value, rate=args.rate, rounds=args.rounds
-    )
-    instance = BootstrappedSwap(spec).build()
-    result = execute(instance, _parse_deviations(args.deviate))
-    instance.meta["_result"] = result
-    _finish(instance, args, extract_bootstrap_outcome(instance, result))
+#: check protocol -> (builder from the parsed flags, the protocol's
+#: properties beyond no-stuck-escrow, strategy space for a horizon).
+CHECKS = {
+    "two-party": (
+        lambda a: HedgedTwoPartySwap(), [props.two_party_hedged],
+        lambda horizon: full_strategy_space(
+            horizon, ("deposit_premium", "escrow_principal", "redeem")
+        ),
+    ),
+    "multi-party": (
+        lambda a: HedgedMultiPartySwap(graph=_parse_graph(a.graph)),
+        [props.multi_party_lemmas], halt_strategies,
+    ),
+    "broker": (lambda a: HedgedBrokerDeal(), [props.broker_bounds], halt_strategies),
+    "auction": (lambda a: HedgedAuction(), [props.auction_lemmas], halt_strategies),
+}
 
 
 def cmd_check(args) -> None:
-    if args.protocol == "two-party":
-        instance = HedgedTwoPartySwap().build()
-        space = full_strategy_space(
-            instance.horizon, ("deposit_premium", "escrow_principal", "redeem")
-        )
-        checker = ModelChecker(
-            builder=lambda: HedgedTwoPartySwap().build(),
-            properties=[props.no_stuck_escrow, props.two_party_hedged],
-            strategies={p: space for p in instance.actors},
-            max_adversaries=args.adversaries,
-        )
-    elif args.protocol == "multi-party":
-        graph = _parse_graph(args.graph)
-        instance = HedgedMultiPartySwap(graph=graph).build()
-        checker = ModelChecker(
-            builder=lambda: HedgedMultiPartySwap(graph=_parse_graph(args.graph)).build(),
-            properties=[props.no_stuck_escrow, props.multi_party_lemmas],
-            strategies={p: halt_strategies(instance.horizon) for p in instance.actors},
-            max_adversaries=args.adversaries,
-        )
-    elif args.protocol == "broker":
-        instance = HedgedBrokerDeal().build()
-        checker = ModelChecker(
-            builder=lambda: HedgedBrokerDeal().build(),
-            properties=[props.no_stuck_escrow, props.broker_bounds],
-            strategies={p: halt_strategies(instance.horizon) for p in instance.actors},
-            max_adversaries=args.adversaries,
-        )
-    elif args.protocol == "auction":
-        instance = HedgedAuction().build()
-        checker = ModelChecker(
-            builder=lambda: HedgedAuction().build(),
-            properties=[props.no_stuck_escrow, props.auction_lemmas],
-            strategies={p: halt_strategies(instance.horizon) for p in instance.actors},
-            max_adversaries=args.adversaries,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown protocol {args.protocol}")
-    report = checker.run()
+    make, properties, space = CHECKS[args.protocol]
+    build = lambda: make(args).build()
+    instance = build()
+    strategies = space(instance.horizon)
+    report = ModelChecker(
+        builder=build,
+        properties=[props.no_stuck_escrow, *properties],
+        strategies={party: strategies for party in instance.actors},
+        max_adversaries=args.adversaries,
+    ).run()
     print(report.summary())
     for violation in report.violations[:20]:
         print(f"  {violation.scenario}: {violation.message}")
@@ -311,14 +277,6 @@ def _parse_shard(text: str | None) -> tuple[int, int] | None:
         raise SystemExit(f"--shard expects I/N (e.g. 2/3), got {text!r}")
 
 
-#: the report kind a given experiment kind's --expect digest refers to.
-PRIMARY_KINDS = {
-    "campaign": "campaign",
-    "ablate": "frontier",
-    "ablate-refine": "refined-frontier",
-}
-
-
 def _parse_fractions(text: str | None, flag: str) -> tuple[float, ...] | None:
     if text is None:
         return None
@@ -334,13 +292,18 @@ def _parse_families(text: str | None) -> tuple[str, ...] | None:
     return None
 
 
+def _expect_digest(args, label: str, digest: str) -> None:
+    if args.expect and digest != args.expect:
+        raise SystemExit(f"digest mismatch: {label} {digest} != expected {args.expect}")
+
+
 def _write_json(path: str, text: str, label: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"{label} written to {path}")
 
 
-def _open_cache(args) -> ResultCache | None:
+def _open_cache(args):
     path = getattr(args, "cache", None)
     if not path:
         return None
@@ -377,17 +340,17 @@ def _progress_printer():
     return show
 
 
-def _obs_from_args(args):
+@contextmanager
+def _observed(args):
     """The --trace/--progress wiring shared by every engine subcommand.
 
-    Returns ``(tracer, progress)``: a :class:`repro.obs.Tracer` writing a
-    JSONL sink when ``--trace FILE`` was given (the caller must close
-    it), and a throttled stderr progress callback for ``--progress``.
-    Telemetry is digest-inert — a traced run reproduces the untraced
-    digests byte-identically (CI's trace-smoke job asserts it).
+    Yields ``(tracer, progress)``: a :class:`repro.obs.Tracer` writing a
+    JSONL sink when ``--trace FILE`` was given (closed on exit), and a
+    throttled stderr progress callback for ``--progress``.  Telemetry is
+    digest-inert — a traced run reproduces the untraced digests
+    byte-identically (CI's trace-smoke job asserts it).
     """
     trace_path = getattr(args, "trace", None)
-    want_progress = getattr(args, "progress", False)
     tracer = None
     if trace_path:
         from repro.obs import Tracer, TraceWriter
@@ -396,13 +359,19 @@ def _obs_from_args(args):
             tracer = Tracer(TraceWriter(trace_path))
         except OSError as err:
             raise SystemExit(f"error opening trace file {trace_path}: {err}")
-    progress = _progress_printer() if want_progress else None
-    return tracer, progress
+    try:
+        yield tracer, _progress_printer() if getattr(args, "progress", False) else None
+    finally:
+        if tracer is not None:
+            tracer.close()
+    if trace_path:
+        print(f"trace written to {trace_path} "
+              f"(summarize with: python -m repro.obs summarize {trace_path})")
 
 
 def _spec_from_args(kind: str, args) -> ExperimentSpec:
-    """One spec constructor behind both `spec` and the legacy shims."""
-    backend = "pooled" if getattr(args, "pooled", False) else args.backend
+    """One spec constructor behind ``spec KIND`` and the ``KIND`` alias."""
+    backend = "pooled" if args.pooled else args.backend
     try:
         if kind == "campaign":
             return campaign_spec(
@@ -425,7 +394,7 @@ def _spec_from_args(kind: str, args) -> ExperimentSpec:
             seed=args.seed,
             backend=backend,
             workers=args.workers,
-            engine=getattr(args, "engine", "kernel"),
+            engine=args.engine,
         )
         if kind == "ablate":
             return ablate_spec(shard=_parse_shard(args.shard), **grid)
@@ -434,149 +403,135 @@ def _spec_from_args(kind: str, args) -> ExperimentSpec:
         raise SystemExit(f"error: {err}")
 
 
-def _print_matrix_breakdown(matrix, label: str) -> None:
-    sizes = matrix.block_sizes()
-    print(
-        f"{label}: {len(matrix)} scenarios over {len(sizes)} families "
-        f"(seed={matrix.seed}, digest={matrix.digest()[:16]})"
+def _print_campaign_report(report, tables: bool = True) -> None:
+    print(report.summary())
+    if tables:
+        for axis in ("family", "strategy"):
+            rows = report.axis_table(axis)
+            if not rows:
+                continue
+            print(f"by {axis}:")
+            for value, scenarios, violations in rows:
+                print(f"  {value:<24} {scenarios:>6} scenarios  {violations:>4} violations")
+        payoffs = report.payoff_summary()
+        print(
+            f"premium flows: n={payoffs['n']} nonzero={payoffs['nonzero']} "
+            f"min={payoffs['min']} max={payoffs['max']} mean={payoffs['mean']:.3f}"
+        )
+        print(f"selection: {report.selection} "
+              f"({report.scenarios}/{report.total_scenarios} scenarios)")
+    # the hit-rate note beside the digest is never hashed into it
+    note = (
+        f" (cache hit-rate {report.cache_hit_rate:.0%}, "
+        f"{report.cache_hits}/{report.scenarios})"
+        if report.cache_hits
+        else ""
     )
-    for family, size in sizes.items():
-        print(f"  {family:<14} {size:>6}")
-
-
-def _print_violations(report: CampaignReport, traces: int = 1) -> None:
+    print(f"run digest: {report.run_digest}{note}")
     for index, violation in enumerate(report.violations[:20]):
         print(f"  {violation.scenario}: {violation.message}")
-        if violation.trace and index < traces:
+        if violation.trace and index == 0:
             print("    " + violation.trace.replace("\n", "\n    "))
 
 
-def _cache_note(report: CampaignReport) -> str:
-    """The hit-rate note printed beside a digest (never hashed into it)."""
-    if not report.cache_hits:
-        return ""
-    return (
-        f" (cache hit-rate {report.cache_hit_rate:.0%}, "
-        f"{report.cache_hits}/{report.scenarios})"
-    )
+#: (report kind, output flag, written label, digest label) of every
+#: artifact an experiment route can print or write.
+_ARTIFACTS = (
+    ("campaign", "out", "report", None),
+    ("frontier", "frontier_out", "frontier", "frontier digest"),
+    ("refined-frontier", "refined_out", "refined frontier", "refined digest"),
+)
 
 
-def _print_campaign_report(report: CampaignReport) -> None:
-    print(report.summary())
-    for axis in ("family", "strategy"):
-        rows = report.axis_table(axis)
-        if not rows:
+def _emit(args, reports, primary_kind: str) -> None:
+    """The output tail of every experiment route (``run``, each ``KIND``
+    alias, ``merge``, ``ablate-refine --from``).
+
+    Prints each reduced report, writes the requested artifacts, exits 1
+    on violations, refuses an output flag or ``--expect`` the run's
+    coverage cannot back, and checks ``--expect`` against the digest of
+    ``primary_kind``.
+    """
+    produced = {type(report).kind: report for report in reports}
+    for kind, flag, label, digest_label in _ARTIFACTS:
+        report = produced.get(kind)
+        if report is None:
             continue
-        print(f"by {axis}:")
-        for value, scenarios, violations in rows:
-            print(f"  {value:<24} {scenarios:>6} scenarios  {violations:>4} violations")
-    payoffs = report.payoff_summary()
-    print(
-        f"premium flows: n={payoffs['n']} nonzero={payoffs['nonzero']} "
-        f"min={payoffs['min']} max={payoffs['max']} mean={payoffs['mean']:.3f}"
-    )
-    print(f"selection: {report.selection} "
-          f"({report.scenarios}/{report.total_scenarios} scenarios)")
-    print(f"run digest: {report.run_digest}{_cache_note(report)}")
-    _print_violations(report)
+        if digest_label is not None:
+            print()
+            print(report.summary())
+            print(report.table())
+            print(f"{digest_label}: {report.digest}")
+        if getattr(args, flag, None):
+            _write_json(getattr(args, flag), report.to_json(), label)
+    campaign = produced.get("campaign")
+    if campaign is not None and not campaign.ok:
+        raise SystemExit(1)
+    unmet = [
+        "--" + flag.replace("_", "-")
+        for kind, flag, _, _ in _ARTIFACTS
+        if getattr(args, flag, None) and kind not in produced
+    ]
+    if args.expect and primary_kind not in produced:
+        unmet.append("--expect")
+    if unmet:
+        raise SystemExit(
+            f"error: selection {campaign.selection} cannot honor "
+            f"{'/'.join(unmet)} — the run produced only {', '.join(produced)}; "
+            "frontier reduction needs an ablation grid at full coverage "
+            "(merge all shards with the merge subcommand)"
+        )
+    if campaign is not None and "frontier" not in produced and "pi" in campaign.by_axis:
+        print(
+            f"selection {campaign.selection}: frontier reduction needs full "
+            "coverage — merge all shards with the merge subcommand"
+        )
+    if args.expect:
+        _expect_digest(args, primary_kind, produced[primary_kind].digest)
 
 
-def _print_frontier(frontier: FrontierReport) -> None:
-    print()
-    print(frontier.summary())
-    print(frontier.table())
-    print(f"frontier digest: {frontier.digest}")
-
-
-def _print_refined(refined) -> None:
-    print()
-    print(refined.summary())
-    print(refined.table())
-    print(f"refined digest: {refined.digest}")
-
-
-def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
-    """Execute a spec and print its reports (the shared engine behind
-    ``run`` and the legacy shims).  Returns the :class:`ExperimentResult`,
-    or None for ``--list``."""
+def _run_spec(spec: ExperimentSpec, args) -> None:
+    """The one route behind ``run`` and every ``KIND`` alias: build and
+    list the matrix, run the facade, then hand the reports to
+    :func:`_emit`."""
+    print(f"spec: kind={spec.kind} digest={spec.digest()[:16]} "
+          f"backend={spec.backend}")
     cache = _open_cache(args)
     try:
         matrix = spec.matrix.build()
     except (KeyError, ValueError) as err:
         raise SystemExit(f"error: {err}")
-    label = "matrix" if spec.kind == "campaign" else "ablation grid"
-    _print_matrix_breakdown(matrix, label)
-    if list_only:
-        return None
-    tracer, progress = _obs_from_args(args)
-    try:
-        result = Experiment(
-            spec, cache=cache, matrix=matrix, tracer=tracer, progress=progress
-        ).run()
-    except ExperimentError as err:
-        raise SystemExit(f"error: {err}")
-    except (ValueError, RuntimeError) as err:
-        # RuntimeError: a bisection probe violated a protocol property
-        raise SystemExit(f"error: {err}")
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if getattr(args, "trace", None):
-        print(f"trace written to {args.trace} "
-              f"(summarize with: python -m repro.obs summarize {args.trace})")
-    report = result.campaign
-    print()
-    if spec.kind == "campaign":
-        _print_campaign_report(report)
-    else:
-        print(report.summary())
-        print(f"run digest: {report.run_digest}{_cache_note(report)}")
-        _print_violations(report)
-    if getattr(args, "out", None):
-        _write_json(args.out, report.to_json(), "report")
-    if result.frontier is not None:
-        _print_frontier(result.frontier)
-        if getattr(args, "frontier_out", None):
-            _write_json(args.frontier_out, result.frontier.to_json(), "frontier")
-    if result.refined is not None:
-        _print_refined(result.refined)
-        if getattr(args, "refined_out", None):
-            _write_json(
-                args.refined_out, result.refined.to_json(), "refined frontier"
-            )
-    return result
-
-
-def _check_expect(args, kind: str, result) -> None:
-    """Honor a shim/run --expect flag against the primary report digest."""
-    if not getattr(args, "expect", None):
+    sizes = matrix.block_sizes()
+    print(
+        f"{'matrix' if spec.kind == 'campaign' else 'ablation grid'}: "
+        f"{len(matrix)} scenarios over {len(sizes)} families "
+        f"(seed={matrix.seed}, digest={matrix.digest()[:16]})"
+    )
+    for family, size in sizes.items():
+        print(f"  {family:<14} {size:>6}")
+    if args.list:
         return
-    primary_kind = PRIMARY_KINDS[kind]
-    produced = {type(r).kind: r.digest for r in result.reports}
-    actual = produced.get(primary_kind)
-    if actual is None:
-        raise SystemExit(
-            f"error: selection {result.campaign.selection} cannot honor "
-            f"--expect — {primary_kind} reduction needs full coverage; "
-            "merge all shards with the merge subcommand"
-        )
-    if actual != args.expect:
-        raise SystemExit(
-            f"digest mismatch: {primary_kind} {actual} != expected {args.expect}"
-        )
+    with _observed(args) as (tracer, progress):
+        try:
+            result = Experiment(
+                spec, cache=cache, matrix=matrix, tracer=tracer, progress=progress
+            ).run()
+        except (ValueError, RuntimeError) as err:
+            # ValueError includes ExperimentError; RuntimeError: a
+            # bisection probe violated a protocol property
+            raise SystemExit(f"error: {err}")
+    print()
+    _print_campaign_report(result.campaign, tables=spec.kind == "campaign")
+    _emit(args, result.reports, PRIMARY_KINDS[spec.kind])
 
 
 # ----------------------------------------------------------------------
-# spec workflow subcommands
+# experiment subcommands: spec / run / KIND / merge
 # ----------------------------------------------------------------------
 def cmd_spec(args) -> None:
-    spec = _spec_from_args(args.spec_kind, args)
+    spec = _spec_from_args(args.kind, args)
     if args.expect:
-        from dataclasses import replace
-
-        spec = replace(
-            spec, expect=((PRIMARY_KINDS[args.spec_kind], args.expect),)
-        )
+        spec = replace(spec, expect=((PRIMARY_KINDS[args.kind], args.expect),))
     text = spec.to_json()
     if args.out:
         _write_json(args.out, text, "spec")
@@ -591,20 +546,50 @@ def cmd_run(args) -> None:
             spec = ExperimentSpec.from_json(handle.read())
     except (OSError, ExperimentError) as err:
         raise SystemExit(f"error reading {args.spec}: {err}")
-    print(f"spec: kind={spec.kind} digest={spec.digest()[:16]} "
-          f"backend={spec.backend}")
-    result = _run_experiment(spec, args, list_only=args.list)
-    if result is None:
-        return
-    _check_expect(args, spec.kind, result)
-    if not result.ok:
-        raise SystemExit(1)
-    if spec.kind == "ablate" and result.frontier is None and not args.expect:
-        print(
-            f"selection {result.campaign.selection}: frontier reduction "
-            "needs full coverage — merge all shards with the merge "
-            "subcommand"
+    _run_spec(spec, args)
+
+
+def cmd_kind(args) -> None:
+    """``KIND`` = ``spec KIND`` + ``run`` (``ablate-refine --from`` aside)."""
+    if getattr(args, "from_report", None):
+        _refine_from_file(args)
+    else:
+        _run_spec(_spec_from_args(args.kind, args), args)
+
+
+def _refine_from_file(args) -> None:
+    """``ablate-refine --from FRONTIER.json``: refine a loaded lattice
+    through the facade's refine stage instead of running the grid (the
+    loaded frontier fixes the grid; the flags still pick the engine,
+    tolerance, layout, cache and trace)."""
+    defaults = vars(build_parser().parse_args(["ablate-refine"]))
+    overridden = [
+        "--" + dest.replace("_", "-")
+        for dest in ("families", "premiums", "shocks", "stages", "coalitions",
+                     "seed", "out", "frontier_out", "list")
+        if getattr(args, dest) != defaults[dest]
+    ]
+    if overridden:
+        raise SystemExit(
+            f"error: {', '.join(overridden)} cannot be combined with "
+            "--from — the loaded frontier already fixes the grid"
         )
+    spec = _spec_from_args("ablate-refine", args)
+    try:
+        with open(args.from_report, "r", encoding="utf-8") as handle:
+            frontier = FrontierReport.from_json(handle.read())
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise SystemExit(f"error reading {args.from_report}: {err}")
+    print(f"lattice frontier loaded from {args.from_report}")
+    print(frontier.summary())
+    cache = _open_cache(args)
+    with _observed(args) as (tracer, _):
+        try:
+            refined, _ = refine_stage(spec, frontier, cache=cache, tracer=tracer)
+        except (ValueError, RuntimeError) as err:
+            # RuntimeError: a bisection probe violated a protocol property
+            raise SystemExit(f"error: {err}")
+    _emit(args, [refined], "refined-frontier")
 
 
 def cmd_merge(args) -> None:
@@ -617,156 +602,13 @@ def cmd_merge(args) -> None:
             raise SystemExit(f"error reading {path}: {err}")
     try:
         merged = merge_reports_any(reports)
+        reduced = [merged]
+        if merged.complete and "pi" in merged.by_axis:
+            reduced.append(reduce_frontier(merged))
     except ValueError as err:
         raise SystemExit(f"error: {err}")
-    ablation_shaped = _is_ablation_report(merged)
-    frontier = None
-    if ablation_shaped and merged.complete:
-        try:
-            frontier = reduce_frontier(merged)
-        except ValueError as err:
-            raise SystemExit(f"error: {err}")
     _print_campaign_report(merged)
-    if args.out:
-        _write_json(args.out, merged.to_json(), "merged report")
-    if frontier is not None:
-        _print_frontier(frontier)
-        if args.frontier_out:
-            _write_json(args.frontier_out, frontier.to_json(), "frontier")
-    elif ablation_shaped:
-        # A partial merge still writes/prints the recombined report above;
-        # only the frontier reduction needs every shard.
-        if args.frontier_out:
-            raise SystemExit(
-                f"error: selection {merged.selection} cannot honor "
-                "--frontier-out — frontier reduction needs full coverage; "
-                "merge the remaining shards first"
-            )
-        print(
-            f"selection {merged.selection}: frontier reduction needs full "
-            "coverage — merge the remaining shards first"
-        )
-    primary = frontier if frontier is not None else merged
-    if args.expect and primary.digest != args.expect:
-        raise SystemExit(
-            f"digest mismatch: merged {primary.digest} != expected {args.expect}"
-        )
-    if not merged.ok:
-        raise SystemExit(1)
-
-
-def _is_ablation_report(report: CampaignReport) -> bool:
-    """True iff the report came from an ablation-shaped matrix (every
-    result carries the grid axes the frontier reducer needs)."""
-    if not report.results:
-        return False
-    axes = dict(report.results[0].axes)
-    return all(axis in axes for axis in ("pi", "shock", "stage"))
-
-
-# ----------------------------------------------------------------------
-# legacy shims (flag-driven spec construction, same facade)
-# ----------------------------------------------------------------------
-def cmd_campaign(args) -> None:
-    spec = _spec_from_args("campaign", args)
-    result = _run_experiment(spec, args, list_only=args.list)
-    if result is None:
-        return
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_ablate(args) -> None:
-    spec = _spec_from_args("ablate", args)
-    result = _run_experiment(spec, args, list_only=args.list)
-    if result is None:
-        return
-    if result.frontier is None:
-        if args.expect or args.frontier_out:
-            raise SystemExit(
-                f"error: selection {result.campaign.selection} cannot honor "
-                "--expect/--frontier-out — frontier reduction needs full "
-                "coverage; merge all shards with ablate-merge"
-            )
-        print(
-            f"selection {result.campaign.selection}: frontier reduction "
-            "needs full coverage — merge all shards with ablate-merge"
-        )
-    else:
-        _check_expect(args, "ablate", result)
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_ablate_refine(args) -> None:
-    if args.from_report:
-        _refine_from_file(args)
-        return
-    spec = _spec_from_args("ablate-refine", args)
-    result = _run_experiment(spec, args, list_only=getattr(args, "list", False))
-    if result is None:
-        return
-    if not result.ok:
-        raise SystemExit(1)
-    _check_expect(args, "ablate-refine", result)
-
-
-def _refine_from_file(args) -> None:
-    """The ``ablate-refine --from FRONTIER.json`` path: refine a loaded
-    lattice instead of running the grid (no spec involved — the loaded
-    frontier fixes the grid)."""
-    overridden = [
-        flag
-        for flag, given in (
-            ("--families", args.families != "all"),
-            ("--premiums", args.premiums is not None),
-            ("--shocks", args.shocks is not None),
-            ("--stages", args.stages is not None),
-            ("--coalitions", args.coalitions),
-            ("--seed", args.seed != 0),
-        )
-        if given
-    ]
-    if overridden:
-        raise SystemExit(
-            f"error: {', '.join(overridden)} cannot be combined with "
-            "--from — the loaded frontier already fixes the grid"
-        )
-    try:
-        with open(args.from_report, "r", encoding="utf-8") as handle:
-            frontier = FrontierReport.from_json(handle.read())
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise SystemExit(f"error reading {args.from_report}: {err}")
-    print(f"lattice frontier loaded from {args.from_report}")
-    print(frontier.summary())
-    pool = WorkerPool(workers=args.workers) if args.pooled else None
-    tracer, _ = _obs_from_args(args)
-    try:
-        refined = refine_frontier(
-            frontier,
-            tol=args.tol,
-            backend="process" if args.pooled else "serial",
-            pool=pool,
-            cache=_open_cache(args),
-            tracer=tracer,
-        )
-    except (ValueError, RuntimeError) as err:
-        # RuntimeError: a bisection probe violated a protocol property
-        raise SystemExit(f"error: {err}")
-    finally:
-        if pool is not None:
-            pool.close()
-        if tracer is not None:
-            tracer.close()
-    _print_refined(refined)
-    if args.refined_out:
-        _write_json(args.refined_out, refined.to_json(), "refined frontier")
-    if args.expect and refined.digest != args.expect:
-        raise SystemExit(
-            f"digest mismatch: refined {refined.digest} != expected {args.expect}"
-        )
-
-
+    _emit(args, reduced, type(reduced[-1]).kind)
 def _tiers_from_args(args) -> tuple[int, ...]:
     text = getattr(args, "tiers", None)
     if not text:
@@ -812,39 +654,22 @@ def _print_quote(quote, label: str = "quote") -> None:
     print(f"quote digest: {quote.digest()}")
 
 
-def _quote_request_from_args(args):
-    from repro.quote import QuoteRequest
-
-    return QuoteRequest(
-        family=args.family or "",
-        graph=args.graph or "",
-        coalition=args.coalition or "",
-        shock=args.shock,
-        stage=args.stage,
-        tol=args.tol,
-        seed=args.seed,
-    )
-
-
 def cmd_quote(args) -> None:
-    from repro.quote import QuoteEngine
+    from repro.quote import QuoteEngine, QuoteRequest
 
-    tracer, _ = _obs_from_args(args)
-    try:
-        request = _quote_request_from_args(args)
+    with _observed(args) as (tracer, _):
+        request = QuoteRequest(
+            family=args.family or "", graph=args.graph or "",
+            coalition=args.coalition or "", shock=args.shock,
+            stage=args.stage, tol=args.tol, seed=args.seed,
+        )
         engine = QuoteEngine(cache=_open_cache(args), tracer=tracer)
         quote = engine.quote(request, tiers=_tiers_from_args(args))
-    finally:
-        if tracer is not None:
-            tracer.close()
     print(f"request digest: {request.digest()}")
     _print_quote(quote)
     if args.out:
         _write_json(args.out, quote.to_json(), "quote")
-    if args.expect and quote.digest() != args.expect:
-        raise SystemExit(
-            f"digest mismatch: quote {quote.digest()} != expected {args.expect}"
-        )
+    _expect_digest(args, "quote", quote.digest())
 
 
 def cmd_quote_batch(args) -> None:
@@ -864,15 +689,11 @@ def cmd_quote_batch(args) -> None:
     requests = [
         QuoteRequest.from_json(json.dumps(item)) for item in items
     ]
-    tracer, progress = _obs_from_args(args)
-    try:
+    with _observed(args) as (tracer, progress):
         engine = QuoteEngine(cache=_open_cache(args), tracer=tracer)
         quotes = quote_batch(
             engine, requests, tiers=_tiers_from_args(args), progress=progress
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     from repro.campaign.canon import fmt_fraction
 
     tiers_served = {tier: 0 for tier in (1, 2, 3)}
@@ -903,10 +724,110 @@ def cmd_quote_batch(args) -> None:
             indent=2,
         )
         _write_json(args.out, payload, "quote batch")
-    if args.expect and digest != args.expect:
-        raise SystemExit(
-            f"digest mismatch: batch {digest} != expected {args.expect}"
-        )
+    _expect_digest(args, "batch", digest)
+
+
+def _obs_flags(p) -> None:
+    """--trace/--progress: the digest-inert telemetry layer."""
+    p.add_argument("--trace", default=None, metavar="FILE.jsonl",
+                   help="write a JSONL span/counter trace of the run "
+                        "(inspect with python -m repro.obs summarize); "
+                        "digests are byte-identical with or without it")
+    p.add_argument("--progress", action="store_true",
+                   help="stream scenarios done/total + ETA to stderr")
+
+
+def _expect_flag(p, what: str) -> None:
+    p.add_argument("--expect", default=None, metavar="DIGEST",
+                   help=f"exit non-zero unless the {what} digest matches")
+
+
+def _grid_flags(p, families, shard: bool = True) -> None:
+    """The flags every experiment kind shares: the family subset, seed,
+    selection, and the execution layout a spec records."""
+    p.add_argument("--families", default="all",
+                   help="comma-separated subset of " + ",".join(families))
+    p.add_argument("--seed", type=int, default=0,
+                   help="matrix identity seed")
+    if shard:
+        p.add_argument("--shard", default=None, metavar="I/N",
+                       help="run the I-th of N contiguous slices of the "
+                            "selection")
+    p.add_argument("--backend", choices=["serial", "process"],
+                   default="serial")
+    p.add_argument("--pooled", action="store_true",
+                   help="run through a persistent WorkerPool "
+                        "(implies process)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="process-pool size")
+
+
+def _campaign_flags(p) -> None:
+    _grid_flags(p, FAMILY_NAMES)
+    p.add_argument("--limit", type=int, default=None,
+                   help="run exactly min(N, total) scenarios, stratified "
+                        "by block (every family covered when N >= block "
+                        "count)")
+    p.add_argument("--adversaries", type=int, default=None,
+                   help="override max simultaneous adversaries per family")
+
+
+def _ablate_flags(p, shard: bool = True) -> None:
+    _grid_flags(p, ABLATION_FAMILIES, shard)
+    p.add_argument("--premiums", default=None, metavar="F1,F2,...",
+                   help="premium fractions pi to sweep (default grid)")
+    p.add_argument("--shocks", default=None, metavar="F1,F2,...",
+                   help="relative price drops s to sweep (default grid)")
+    p.add_argument("--stages", default=None, metavar="S1,S2",
+                   help="shock stages: named (pre-stake,staked), round:K, "
+                        "or 'all' for the dense per-round sweep")
+    p.add_argument("--coalitions", action="store_true",
+                   help="add the named two-party coalition pivots "
+                        "(joint-utility arms)")
+    p.add_argument("--engine", choices=["kernel", "simulator"],
+                   default="kernel",
+                   help="scenario engine: the vectorized payoff kernels "
+                        "(default; byte-identical digests) or the full "
+                        "simulator audit path")
+
+
+def _refine_flags(p) -> None:
+    _ablate_flags(p, shard=False)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="bisection tolerance on the premium fraction "
+                        f"(default {DEFAULT_TOL} = 1/64)")
+
+
+def _run_flags(p) -> None:
+    """What ``run`` adds to a spec: cache, outputs, --list, telemetry and
+    the --expect check."""
+    p.add_argument("--cache", default=None, metavar="DIR",
+                   help="incremental result cache: serve already-"
+                        "verified scenario blocks from this store")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="write the campaign report as JSON (for merge)")
+    p.add_argument("--frontier-out", default=None, metavar="PATH",
+                   help="write the reduced frontier as JSON")
+    p.add_argument("--refined-out", default=None, metavar="PATH",
+                   help="write the refined frontier as JSON")
+    p.add_argument("--list", action="store_true",
+                   help="print the matrix breakdown and exit")
+    _obs_flags(p)
+    _expect_flag(p, "primary report")
+
+
+#: experiment kind -> (``spec KIND`` help, ``KIND`` alias help, the
+#: kind's own flags).
+KINDS = {
+    "campaign": ("spec for the adversarial campaign",
+                 "batched adversarial scenario matrix", _campaign_flags),
+    "ablate": ("spec for the ablation lattice",
+               "map the rational-adversary deviation-profitability frontier",
+               _ablate_flags),
+    "ablate-refine": ("spec for the bisected frontier",
+                      "bisect the frontier between lattice points to a "
+                      "continuous pi*", _refine_flags),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -916,166 +837,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, hedged_default=True):
+    protocol = {}
+    for name, (help_text, hedgeable, _, _) in PROTOCOLS.items():
+        p = protocol[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--deviate", action="append", metavar="NAME@ROUND",
                        help="halt a party from a round on (repeatable)")
         p.add_argument("--timeline", action="store_true", help="flat timeline output")
         p.add_argument("--width", type=int, default=36, help="lane width")
-        if hedged_default is not None:
+        if hedgeable:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--hedged", dest="hedged", action="store_true", default=True)
             group.add_argument("--base", dest="hedged", action="store_false",
                                help="run the unhedged base protocol")
-
-    p = sub.add_parser("two-party", help="two-party atomic swap (§5)")
-    common(p)
-    p.set_defaults(func=cmd_two_party)
-
-    p = sub.add_parser("multi-party", help="multi-party swap (§7)")
-    common(p)
-    p.add_argument("--graph", default="figure3", help="figure3 | ring:N | complete:N")
-    p.add_argument("--premium", type=int, default=1)
-    p.set_defaults(func=cmd_multi_party)
-
-    p = sub.add_parser("broker", help="brokered deal (§8)")
-    common(p)
-    p.add_argument("--premium", type=int, default=1)
-    p.set_defaults(func=cmd_broker)
-
-    p = sub.add_parser("deal", help="multi-round resale chain (§8.2 extension)")
-    common(p, hedged_default=None)
-    p.add_argument("--brokers", type=int, default=2, help="chain length r")
-    p.add_argument("--premium", type=int, default=1)
-    p.set_defaults(func=cmd_deal)
-
-    p = sub.add_parser("auction", help="ticket auction (§9)")
-    common(p, hedged_default=None)
-    p.add_argument("--strategy", default="honest",
-                   choices=[s.value for s in AuctioneerStrategy])
-    p.add_argument("--sealed", action="store_true", help="commit-reveal bids")
-    p.set_defaults(func=cmd_auction)
-
-    p = sub.add_parser("bootstrap", help="bootstrapped swap (§6)")
-    common(p, hedged_default=None)
-    p.add_argument("--value", type=int, default=1_000_000)
-    p.add_argument("--rate", type=int, default=100)
-    p.add_argument("--rounds", type=int, default=3)
-    p.set_defaults(func=cmd_bootstrap)
+        p.set_defaults(func=cmd_protocol)
+    protocol["multi-party"].add_argument(
+        "--graph", default="figure3", help="figure3 | ring:N | complete:N"
+    )
+    for name in ("multi-party", "broker", "deal"):
+        protocol[name].add_argument("--premium", type=int, default=1)
+    protocol["deal"].add_argument("--brokers", type=int, default=2,
+                                  help="chain length r")
+    protocol["auction"].add_argument("--strategy", default="honest",
+                                     choices=[s.value for s in AuctioneerStrategy])
+    protocol["auction"].add_argument("--sealed", action="store_true",
+                                     help="commit-reveal bids")
+    protocol["bootstrap"].add_argument("--value", type=int, default=1_000_000)
+    protocol["bootstrap"].add_argument("--rate", type=int, default=100)
+    protocol["bootstrap"].add_argument("--rounds", type=int, default=3)
 
     p = sub.add_parser("check", help="run the model checker")
-    p.add_argument("protocol", choices=["two-party", "multi-party", "broker", "auction"])
+    p.add_argument("protocol", choices=list(CHECKS))
     p.add_argument("--graph", default="figure3")
     p.add_argument("--adversaries", type=int, default=1)
     p.set_defaults(func=cmd_check)
 
-    def obs_flags(p):
-        """--trace/--progress: the digest-inert telemetry layer, shared
-        by every engine subcommand (spec, run, and shim alike)."""
-        p.add_argument("--trace", default=None, metavar="FILE.jsonl",
-                       help="write a JSONL span/counter trace of the run "
-                            "(inspect with python -m repro.obs summarize); "
-                            "digests are byte-identical with or without it")
-        p.add_argument("--progress", action="store_true",
-                       help="stream scenarios done/total + ETA to stderr")
-
-    def exec_flags(p):
-        """--backend/--pooled/--workers/--cache: execution layout, shared
-        by every engine subcommand (spec and shim alike)."""
-        p.add_argument("--backend", choices=["serial", "process"],
-                       default="serial")
-        p.add_argument("--pooled", action="store_true",
-                       help="run through a persistent WorkerPool "
-                            "(implies process)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="process-pool size")
-        p.add_argument("--cache", default=None, metavar="DIR",
-                       help="incremental result cache: serve already-"
-                            "verified scenario blocks from this store")
-        obs_flags(p)
-
-    def campaign_flags(p):
-        """The campaign matrix/selection flags (spec and shim alike)."""
-        p.add_argument(
-            "--families",
-            default="all",
-            help="comma-separated subset of " + ",".join(FAMILY_NAMES),
-        )
-        p.add_argument("--limit", type=int, default=None,
-                       help="run exactly min(N, total) scenarios, stratified "
-                            "by block (every family covered when N >= block "
-                            "count)")
-        p.add_argument("--shard", default=None, metavar="I/N",
-                       help="run the I-th of N contiguous slices of the "
-                            "selection")
-        p.add_argument("--seed", type=int, default=0,
-                       help="matrix identity seed")
-        p.add_argument("--adversaries", type=int, default=None,
-                       help="override max simultaneous adversaries per family")
-        exec_flags(p)
-
-    def ablation_grid_flags(p, shard=True):
-        """The shared ablation grid wiring: --premiums/--shocks/--stages/
-        --coalitions plus the execution flags — one builder behind
-        ``ablate``, ``ablate-refine``, and their ``spec`` counterparts."""
-        p.add_argument(
-            "--families",
-            default="all",
-            help="comma-separated subset of " + ",".join(ABLATION_FAMILIES),
-        )
-        p.add_argument("--premiums", default=None, metavar="F1,F2,...",
-                       help="premium fractions pi to sweep (default grid)")
-        p.add_argument("--shocks", default=None, metavar="F1,F2,...",
-                       help="relative price drops s to sweep (default grid)")
-        p.add_argument("--stages", default=None, metavar="S1,S2",
-                       help="shock stages: named (pre-stake,staked), round:K, "
-                            "or 'all' for the dense per-round sweep")
-        p.add_argument("--coalitions", action="store_true",
-                       help="add the named two-party coalition pivots "
-                            "(joint-utility arms)")
-        p.add_argument("--engine", choices=["kernel", "simulator"],
-                       default="kernel",
-                       help="scenario engine: the vectorized payoff kernels "
-                            "(default; byte-identical digests) or the full "
-                            "simulator audit path")
-        p.add_argument("--seed", type=int, default=0,
-                       help="matrix identity seed")
-        if shard:
-            p.add_argument("--shard", default=None, metavar="I/N",
-                           help="run the I-th of N contiguous slices of the "
-                                "grid")
-        exec_flags(p)
-
-    def refine_flags(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="bisection tolerance on the premium fraction "
-                            f"(default {DEFAULT_TOL} = 1/64)")
-
-    def expect_flag(p, what: str):
-        p.add_argument("--expect", default=None, metavar="DIGEST",
-                       help=f"exit non-zero unless the {what} digest matches")
-
     # ------------------------------------------------------------------
-    # spec workflow: spec / run / merge
+    # experiments: spec / run / merge, and KIND = spec KIND + run
     # ------------------------------------------------------------------
     p = sub.add_parser(
         "spec",
         help="emit a declarative ExperimentSpec JSON from engine flags",
     )
     spec_sub = p.add_subparsers(dest="spec_kind", required=True)
-    sp = spec_sub.add_parser("campaign", help="spec for the adversarial campaign")
-    campaign_flags(sp)
-    sp = spec_sub.add_parser("ablate", help="spec for the ablation lattice")
-    ablation_grid_flags(sp)
-    sp = spec_sub.add_parser(
-        "ablate-refine", help="spec for the bisected frontier"
-    )
-    ablation_grid_flags(sp, shard=False)
-    refine_flags(sp)
-    for kind, sp in spec_sub.choices.items():
+    for kind, (spec_help, _, kind_flags) in KINDS.items():
+        sp = spec_sub.add_parser(kind, help=spec_help)
+        kind_flags(sp)
         sp.add_argument("--out", default=None, metavar="SPEC.json",
                         help="write the spec here (default: stdout)")
-        expect_flag(sp, "primary report")
-        sp.set_defaults(func=cmd_spec, spec_kind=kind)
+        _expect_flag(sp, "primary report")
+        sp.set_defaults(func=cmd_spec, kind=kind)
 
     p = sub.add_parser(
         "run",
@@ -1083,18 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("spec", metavar="SPEC.json",
                    help="an experiment spec written by the spec subcommand")
-    p.add_argument("--cache", default=None, metavar="DIR",
-                   help="incremental result cache directory")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the campaign report as JSON (for merge)")
-    p.add_argument("--frontier-out", default=None, metavar="PATH",
-                   help="write the reduced frontier as JSON")
-    p.add_argument("--refined-out", default=None, metavar="PATH",
-                   help="write the refined frontier as JSON")
-    p.add_argument("--list", action="store_true",
-                   help="print the matrix breakdown and exit")
-    obs_flags(p)
-    expect_flag(p, "primary report")
+    _run_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -1109,49 +908,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frontier-out", default=None, metavar="PATH",
                    help="write the reduced frontier as JSON "
                         "(ablation-shaped merges only)")
-    expect_flag(p, "merged primary (run or frontier)")
+    _expect_flag(p, "merged primary (run or frontier)")
     p.set_defaults(func=cmd_merge)
 
-    # ------------------------------------------------------------------
-    # legacy shims: flag-driven specs through the same facade
-    # ------------------------------------------------------------------
-    p = sub.add_parser("campaign", help="batched adversarial scenario matrix")
-    campaign_flags(p)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report as JSON (for merge)")
-    p.add_argument("--list", action="store_true",
-                   help="print the matrix breakdown and exit")
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser(
-        "ablate",
-        help="map the rational-adversary deviation-profitability frontier",
-    )
-    ablation_grid_flags(p)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the campaign report as JSON (for merge)")
-    p.add_argument("--frontier-out", default=None, metavar="PATH",
-                   help="write the reduced frontier as JSON")
-    expect_flag(p, "frontier")
-    p.add_argument("--list", action="store_true",
-                   help="print the grid breakdown and exit")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser(
-        "ablate-refine",
-        help="bisect the frontier between lattice points to a continuous pi*",
-    )
-    ablation_grid_flags(p, shard=False)
-    refine_flags(p)
-    p.add_argument("--from", dest="from_report", default=None,
-                   metavar="FRONTIER.json",
-                   help="refine an existing frontier (written by ablate "
-                        "--frontier-out or merge) instead of running the "
-                        "lattice grid")
-    p.add_argument("--refined-out", default=None, metavar="PATH",
-                   help="write the refined frontier as JSON")
-    expect_flag(p, "refined")
-    p.set_defaults(func=cmd_ablate_refine)
+    for kind, (_, alias_help, kind_flags) in KINDS.items():
+        p = sub.add_parser(kind, help=alias_help + f" (= spec {kind} + run)")
+        kind_flags(p)
+        _run_flags(p)
+        p.set_defaults(func=cmd_kind, kind=kind)
+        if kind == "ablate-refine":
+            p.add_argument("--from", dest="from_report", default=None,
+                           metavar="FRONTIER.json",
+                           help="refine an existing frontier (written by "
+                                "ablate --frontier-out or merge) instead of "
+                                "running the lattice grid")
 
     # ------------------------------------------------------------------
     # the premium-quoting service
@@ -1169,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "rows from it, tier 3 stores them back")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the quote (JSON, digest-stamped)")
-        obs_flags(p)
+        _obs_flags(p)
 
     p = sub.add_parser(
         "quote",
@@ -1197,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="matrix identity seed for measurement fallbacks")
     quote_common_flags(p)
-    expect_flag(p, "quote")
+    _expect_flag(p, "quote")
     p.set_defaults(func=cmd_quote)
 
     p = sub.add_parser(
@@ -1209,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a JSON array of quote-request objects "
                         "(same fields as the quote flags)")
     quote_common_flags(p)
-    expect_flag(p, "batch")
+    _expect_flag(p, "batch")
     p.set_defaults(func=cmd_quote_batch)
     return parser
 

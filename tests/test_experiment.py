@@ -5,9 +5,11 @@ Pins:
 - **spec round-trips**: JSON round-trip with digest stamping, tamper
   detection on edited specs, and a digest that covers exactly the
   result-determining fields (backend/workers/expect excluded),
-- **spec-vs-flag equivalence** (acceptance criterion): for each legacy
-  subcommand the spec-driven run reproduces the flag-driven run digest
-  byte-identically,
+- **spec-vs-flag equivalence** (acceptance criterion): for each ``KIND``
+  alias the spec-driven run reproduces the flag-driven run digest
+  byte-identically, ``KIND`` and ``spec KIND`` parse the same flags to
+  the same spec, and both routes share one output tail (and one refine
+  stage for ``ablate-refine --from``),
 - **Report protocol**: ``kind`` dispatch in ``report_from_json`` for all
   three report kinds, tamper detection on the envelope kind, legacy
   (kind-less) payload inference, and kind-aware merge dispatch,
@@ -428,3 +430,97 @@ def test_partial_selections_bypass_the_cache(tmp_path):
         ablate_spec(shard=(1, 2), **GRID), cache=cache
     ).run()
     assert warm_shard.campaign.run_digest == sharded.campaign.run_digest
+
+
+# ----------------------------------------------------------------------
+# one CLI route per job: KIND = spec KIND + run
+# ----------------------------------------------------------------------
+ROUTE_FLAGS = {
+    "campaign": ["--families", "bootstrap", "--limit", "7", "--seed", "3",
+                 "--shard", "1/2", "--adversaries", "1", "--pooled"],
+    "ablate": ["--families", "two-party", "--premiums", "0,0.02",
+               "--shocks", "0.045", "--stages", "staked", "--coalitions",
+               "--shard", "2/3", "--backend", "process", "--workers", "2"],
+    "ablate-refine": ["--families", "broker", "--premiums", "0,0.05",
+                      "--stages", "pre-stake", "--tol", "0.01",
+                      "--engine", "simulator", "--seed", "5"],
+}
+
+
+def _option_strings(parser):
+    return {
+        option for action in parser._actions for option in action.option_strings
+    }
+
+
+def _subparsers(parser):
+    return next(
+        action.choices for action in parser._actions
+        if isinstance(action.choices, dict)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_FLAGS))
+def test_kind_alias_parses_to_the_spec_route(kind):
+    from repro.cli import _spec_from_args, build_parser
+
+    parser = build_parser()
+    flags = ROUTE_FLAGS[kind]
+    via_spec = _spec_from_args(kind, parser.parse_args(["spec", kind, *flags]))
+    via_alias = _spec_from_args(kind, parser.parse_args([kind, *flags]))
+    assert via_alias.digest() == via_spec.digest()
+    assert via_alias.backend == via_spec.backend
+    # the alias takes exactly the flags of `spec KIND` plus those of `run`
+    commands = _subparsers(parser)
+    expected = (
+        _option_strings(_subparsers(commands["spec"])[kind])
+        | _option_strings(commands["run"])
+        | ({"--from"} if kind == "ablate-refine" else set())
+    )
+    assert _option_strings(commands[kind]) == expected
+
+
+def test_partial_frontier_out_is_refused_on_both_routes(tmp_path):
+    from repro.cli import main
+
+    grid = ["--families", "two-party", "--premiums", "0,0.02,0.05",
+            "--shocks", "0.045", "--stages", "staked", "--shard", "1/2"]
+    spec_path = tmp_path / "shard.json"
+    main(["spec", "ablate", *grid, "--out", str(spec_path)])
+    frontier_path = tmp_path / "frontier.json"
+    for argv in (["run", str(spec_path)], ["ablate", *grid]):
+        with pytest.raises(SystemExit, match="cannot honor --frontier-out"):
+            main([*argv, "--frontier-out", str(frontier_path)])
+        assert not frontier_path.exists()
+
+
+def test_refine_from_file_shares_the_facade_refine_stage(tmp_path, capsys):
+    from repro.campaign import shared_cache
+    from repro.cli import main
+    from repro.quote import QuoteEngine, QuoteRequest
+
+    lattice = tmp_path / "lattice.json"
+    main(["ablate", "--families", "two-party", "--premiums", "0,0.08",
+          "--shocks", "0.045", "--stages", "staked",
+          "--frontier-out", str(lattice)])
+    refined = {}
+    for engine in ("kernel", "simulator"):
+        out = tmp_path / f"refined-{engine}.json"
+        trace = tmp_path / f"trace-{engine}.jsonl"
+        main(["ablate-refine", "--from", str(lattice), "--engine", engine,
+              "--cache", str(tmp_path / f"cache-{engine}"),
+              "--trace", str(trace), "--refined-out", str(out)])
+        refined[engine] = RefinedFrontierReport.from_json(out.read_text())
+        # --engine picks the probe engine (the default is the kernel)
+        assert ("kernel.replays" in trace.read_text()) == (engine == "kernel")
+    assert refined["kernel"].digest == refined["simulator"].digest
+    # the refined rows feed the quote row store: tier 2 answers
+    quote = QuoteEngine(cache=shared_cache(tmp_path / "cache-kernel")).quote(
+        QuoteRequest(family="two-party"), tiers=(2,)
+    )
+    assert quote.tier == 2 and quote.pi_star is not None
+    # the grid is fixed by the loaded frontier, outputs by the refinement
+    for flag in (["--seed", "1"], ["--frontier-out", "f.json"], ["--list"]):
+        with pytest.raises(SystemExit, match="cannot be combined with --from"):
+            main(["ablate-refine", "--from", str(lattice), *flag])
+    capsys.readouterr()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CHECKS, PROTOCOLS, build_parser, main
 from repro.core.hedged_two_party import HedgedTwoPartySwap
 from repro.parties.strategies import halt_at
 from repro.protocols.instance import execute
@@ -115,6 +115,30 @@ def test_cli_bad_deviation_spec():
 def test_cli_bad_graph():
     with pytest.raises(SystemExit):
         main(["multi-party", "--graph", "torus:9"])
+    # malformed sizes (and a bare kind with no N) end in the same clean
+    # message on both the protocol run and the model checker, never a
+    # raw ValueError traceback
+    for argv in (
+        ["multi-party", "--graph", "ring:x"],
+        ["check", "multi-party", "--graph", "ring:x"],
+        ["multi-party", "--graph", "ring"],
+    ):
+        with pytest.raises(SystemExit, match="unknown graph"):
+            main(argv)
+
+
+@pytest.mark.parametrize("command", sorted(PROTOCOLS))
+def test_cli_every_protocol_subcommand_runs(command, capsys):
+    main([command])
+    out = capsys.readouterr().out
+    assert "outcome:" in out
+
+
+@pytest.mark.parametrize("protocol", sorted(CHECKS))
+def test_cli_check_every_protocol(protocol, capsys):
+    main(["check", protocol])
+    out = capsys.readouterr().out
+    assert ": OK" in out
 
 
 def test_cli_unknown_deviator_errors():
