@@ -32,7 +32,13 @@ it also counts two leaf operations from outside the program, the way
 signature MACs (``signatures._mac``).  Either count above its committed
 ceiling fails the gate: a contract that stops declaring its quiet tick
 window, or a verifier that stops consulting the registry's memo, shows
-up as a count on any host.  Two dispatch
+up as a count on any host.  The same run must also leave no garbage
+for the cycle collector: every collection over it, and a final one
+after it, is counted through :data:`gc.callbacks`, and more than
+:data:`MAX_CYCLIC_GARBAGE` freed objects fails.  A chain owns its
+contracts and each contract refers back weakly, so a finished world is
+freed by reference counting alone; a new back-pointer or self-referencing
+closure on the scenario path shows up as a count.  Two dispatch
 balance checks ride along: statically, no task of the default matrix's
 dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
 block (``K = workers × 8``), and a traced 2-worker run of the default
@@ -43,6 +49,7 @@ python benchmarks/bench_campaign.py --gate
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -80,6 +87,11 @@ GATE_FAMILIES = ("multi-party",)
 # ceiling is the count itself; lower it when a change cuts more work.
 MAX_ON_TICK_CALLS = 104_096
 MAX_MAC_CALLS = 24_886
+
+# Objects the cycle collector may free over the serial gate run.  Every
+# simulated world is acyclic, so the count is zero; the contract -> chain
+# back-pointer and the recursive premium and graph closures left 680,843.
+MAX_CYCLIC_GARBAGE = 0
 
 # Worker busy skew (max/mean busy seconds) allowed on a traced 2-worker
 # run of the default matrix.  Striped tasks give about 1.05; contiguous
@@ -315,15 +327,39 @@ def counting_leaf_calls():
             cls.on_tick = original
 
 
+@contextlib.contextmanager
+def counting_cyclic_garbage():
+    """Count the objects the cycle collector frees inside the block.
+
+    Yields a dict whose ``"collected"`` entry, once the block exits, sums
+    every collection the block triggered plus one final collection, so
+    garbage still waiting for a threshold is counted too.  Garbage made
+    before the block is collected first and not counted.
+    """
+    counts = {"collected": 0}
+
+    def on_gc(phase, info):
+        if phase == "stop":
+            counts["collected"] += info["collected"]
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        yield counts
+        gc.collect()
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
 def run_gate() -> int:
     """CI ratchet: shared graphs, memos that stop growing, digest parity,
-    and balanced dispatch."""
+    leaf-work and cyclic-garbage ceilings, and balanced dispatch."""
     matrix = default_matrix(families=GATE_FAMILIES)
     first = []
     for block in matrix.blocks:
         graph = block.builder().meta["graph"]
         first.append((graph, memo_sizes(graph)))
-    with counting_leaf_calls() as leaf:
+    with counting_leaf_calls() as leaf, counting_cyclic_garbage() as garbage:
         serial = CampaignRunner(matrix, backend="serial").run()
     process = CampaignRunner(matrix, backend="process").run()
     with WorkerPool() as pool:
@@ -376,6 +412,17 @@ def run_gate() -> int:
                 f"{count} {name} calls on the serial multi-party run exceed the "
                 f"ceiling {ceiling}: per-block or per-check work came back"
             )
+
+    print(
+        f"cyclic garbage: {garbage['collected']} objects freed by the cycle "
+        f"collector (ceiling {MAX_CYCLIC_GARBAGE})"
+    )
+    if garbage["collected"] > MAX_CYCLIC_GARBAGE:
+        failures.append(
+            f"{garbage['collected']} objects of the serial multi-party run needed "
+            f"the cycle collector (ceiling {MAX_CYCLIC_GARBAGE}): a reference "
+            "cycle is back on the scenario path"
+        )
 
     full = default_matrix()
     for workers in sorted({2, 4, default_workers()}):
@@ -440,7 +487,8 @@ if __name__ == "__main__":
         "--gate",
         action="store_true",
         help="enforce the shared-graph memo ratchet, the leaf-work count "
-        "ceilings, digest parity and dispatch balance (exit 1 on breach)",
+        "ceilings, the zero cyclic-garbage ceiling, digest parity and "
+        "dispatch balance (exit 1 on breach)",
     )
     if parser.parse_args().gate:
         sys.exit(run_gate())

@@ -12,6 +12,12 @@ Contracts are deployed onto a chain and may only touch that chain's ledger
 a journal frame; a :class:`repro.errors.ContractError` reverts the
 transaction, leaving the ledger untouched and recording the failure in the
 transaction receipt.
+
+Ownership runs one way: a chain owns its contracts (its ``contracts``
+dict), and a contract refers back to its chain only weakly (see
+:class:`repro.contracts.base.Contract`).  A finished world therefore holds
+no reference cycle and is freed by reference counting as soon as its
+last user drops it.
 """
 
 from __future__ import annotations

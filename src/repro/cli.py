@@ -117,7 +117,7 @@ byte-identical across serial, pooled, and refined-from-merged runs::
 from __future__ import annotations
 
 import argparse
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 from repro.campaign import (
@@ -345,22 +345,27 @@ def _observed(args):
     """The --trace/--progress wiring shared by every engine subcommand.
 
     Yields ``(tracer, progress)``: a :class:`repro.obs.Tracer` writing a
-    JSONL sink when ``--trace FILE`` was given (closed on exit), and a
-    throttled stderr progress callback for ``--progress``.  Telemetry is
-    digest-inert — a traced run reproduces the untraced digests
-    byte-identically (CI's trace-smoke job asserts it).
+    JSONL sink when ``--trace FILE`` was given (closed on exit, and
+    recording this process's cycle-collector pauses while open; see
+    :func:`repro.obs.gc_pauses`), and a throttled stderr progress callback
+    for ``--progress``.  Telemetry is digest-inert — a traced run
+    reproduces the untraced digests byte-identically (CI's trace-smoke
+    job asserts it).
     """
     trace_path = getattr(args, "trace", None)
     tracer = None
+    pauses = nullcontext()
     if trace_path:
-        from repro.obs import Tracer, TraceWriter
+        from repro.obs import Tracer, TraceWriter, gc_pauses
 
         try:
             tracer = Tracer(TraceWriter(trace_path))
         except OSError as err:
             raise SystemExit(f"error opening trace file {trace_path}: {err}")
+        pauses = gc_pauses(tracer)
     try:
-        yield tracer, _progress_printer() if getattr(args, "progress", False) else None
+        with pauses:
+            yield tracer, _progress_printer() if getattr(args, "progress", False) else None
     finally:
         if tracer is not None:
             tracer.close()

@@ -14,6 +14,7 @@ elapsed, the asset is refunded").
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.assets import Asset
@@ -24,7 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Contract:
-    """Base class for every contract in the library."""
+    """Base class for every contract in the library.
+
+    Ownership runs one way: a chain owns its contracts (in its
+    ``contracts`` dict), and a contract refers back to its chain only
+    weakly.  A finished world then holds no reference cycle, so reference
+    counting frees it as soon as its last user lets go, with no work for
+    the cycle collector.  A contract whose chain is gone acts as an
+    undeployed one: using it raises :class:`repro.errors.StateError`.
+    """
 
     kind = "contract"
 
@@ -33,17 +42,23 @@ class Contract:
     quiet_through = -1
 
     def __init__(self) -> None:
-        self.chain: "Blockchain" | None = None
+        self._chain_ref: "weakref.ref[Blockchain] | None" = None
         self.address: str = ""
+
+    @property
+    def chain(self) -> "Blockchain | None":
+        """The host chain, or None before deployment or once it is gone."""
+        ref = self._chain_ref
+        return None if ref is None else ref()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def install(self, chain: "Blockchain", address: str) -> None:
         """Bind the contract to its chain; called by ``Blockchain.deploy``."""
-        if self.chain is not None:
+        if self._chain_ref is not None:
             raise StateError(f"{self.kind} already deployed at {self.address}")
-        self.chain = chain
+        self._chain_ref = weakref.ref(chain)
         self.address = address
         self.quiet_through = self._quiet_through()
 
@@ -92,6 +107,8 @@ class Contract:
         self._chain().ledger.transfer(asset, self.address, dest, amount)
 
     def _chain(self) -> "Blockchain":
-        if self.chain is None:
+        ref = self._chain_ref
+        chain = None if ref is None else ref()
+        if chain is None:
             raise StateError(f"{self.kind} used before deployment")
-        return self.chain
+        return chain

@@ -43,12 +43,18 @@ Every such memo lives exactly as long as its graph instance.  A builder
 that makes a fresh graph per deal therefore starts cold on every build;
 builders of many deals over one digraph must share one graph instance
 to benefit (the campaign matrix does, per block).
+
+**Evaluation.**  Both recurrences run as loops over an explicit stack
+and keep their memos in plain dicts.  A recursion limit therefore does
+not cap the graph size (a ring of n parties nests n deep), and sizing a
+deal creates no reference cycles, so the cycle collector never has to
+run for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import GraphError
 from repro.graph.digraph import Arc, SwapGraph
@@ -105,21 +111,46 @@ def redemption_premium_amount(
 def _memoized_amount(
     graph: SwapGraph, members: frozenset[str], beneficiary: str, p: int
 ) -> int:
-    """Equation 1 on a path *member set*, through the graph's shared memo."""
+    """Equation 1 on a path *member set*, through the graph's shared memo.
+
+    The recursion runs on an explicit stack of ``(key, extended members,
+    unvisited in-neighbors, partial sum)`` frames, one per memo miss, so
+    its depth is bounded by memory rather than by the interpreter's
+    recursion limit (a ring of n parties nests n deep).
+    """
+    if beneficiary in members:
+        return p
     memo = _graph_memo(graph, "_equation1_memo")
-
-    def amount(members: frozenset[str], u: str) -> int:
-        if u in members:
-            return p
-        key = (members, u, p)
-        cached = memo.get(key)
-        if cached is None:
-            extended = members | {u}
-            cached = p + sum(amount(extended, x) for x in graph.in_neighbors(u))
-            memo[key] = cached
-        return cached
-
-    return amount(members, beneficiary)
+    key = (members, beneficiary, p)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    in_neighbors = graph.in_neighbors
+    extended = members | {beneficiary}
+    todo = iter(in_neighbors(beneficiary))
+    total = p
+    stack: list[tuple[tuple, frozenset[str], Iterator[str], int]] = []
+    while True:
+        for x in todo:
+            if x in extended:
+                total += p
+                continue
+            child = (extended, x, p)
+            value = memo.get(child)
+            if value is None:
+                stack.append((key, extended, todo, total))
+                key, extended, todo, total = (
+                    child, extended | {x}, iter(in_neighbors(x)), p
+                )
+                break
+            total += value
+        else:
+            memo[key] = total
+            if not stack:
+                return total
+            value = total
+            key, extended, todo, total = stack.pop()
+            total += value
 
 
 def path_member_sets(
@@ -210,14 +241,46 @@ def escrow_premium_amounts(
     leader_set = frozenset(leaders)
     if not is_feedback_vertex_set(graph, leader_set):
         raise GraphError(f"{sorted(leader_set)} is not a feedback vertex set")
+    need: dict[str, int] = {}
+    return {(u, v): _escrow_need(graph, leader_set, p, need, v) for (u, v) in graph.arcs}
 
-    @lru_cache(maxsize=None)
-    def need(v: str) -> int:
-        if v in leader_set:
-            return leader_redemption_total(graph, v, p)
-        return sum(need(w) for w in graph.out_neighbors(v))
 
-    return {(u, v): need(v) for (u, v) in graph.arcs}
+def _escrow_need(
+    graph: SwapGraph, leader_set: frozenset[str], p: int, need: dict[str, int], root: str
+) -> int:
+    """Equation 2's ``E(·, root)``, through ``need`` (vertex -> amount).
+
+    A post-order walk over followers on an explicit stack of ``(vertex,
+    unvisited out-neighbors, partial sum)`` frames that fills ``need`` for
+    every vertex it reaches; it ends because the leaders are a feedback
+    vertex set, so every follower path reaches one.
+    """
+    total = need.get(root)
+    if total is not None:
+        return total
+    if root in leader_set:
+        need[root] = total = leader_redemption_total(graph, root, p)
+        return total
+    out_neighbors = graph.out_neighbors
+    v, todo, total = root, iter(out_neighbors(root)), 0
+    stack: list[tuple[str, Iterator[str], int]] = []
+    while True:
+        for w in todo:
+            value = need.get(w)
+            if value is None:
+                if w not in leader_set:
+                    stack.append((v, todo, total))
+                    v, todo, total = w, iter(out_neighbors(w)), 0
+                    break
+                value = need[w] = leader_redemption_total(graph, w, p)
+            total += value
+        else:
+            need[v] = total
+            if not stack:
+                return total
+            value = total
+            v, todo, total = stack.pop()
+            total += value
 
 
 def redemption_premium_table(
@@ -277,20 +340,24 @@ def pruned_redemption_premium_amount(
     if not graph.is_path(path):
         raise GraphError(f"{path} is not a simple forward path")
 
-    @lru_cache(maxsize=None)
-    def amount(q: tuple[str, ...], u: str) -> int:
+    # Unrolled, the recursion adds ``p`` once per call in its call tree, so
+    # a worklist that adds ``p`` per visited ``(path, beneficiary)`` gives
+    # the same integer.  A call's path is its parent's path plus one
+    # vertex, so states do not repeat and a memo would not pay.
+    total = 0
+    stack = [(tuple(path), beneficiary)]
+    while stack:
+        q, u = stack.pop()
+        total += p
         if u in q:
-            return p
+            continue
         observe_contract = contract_of[(u, q[0])]
         extended = (u,) + q
-        total = p
         for x in graph.in_neighbors(u):
             if contract_of[(x, u)] == observe_contract:
                 continue  # footnote 7: the key is already on that contract
-            total += amount(extended, x)
-        return total
-
-    return amount(tuple(path), beneficiary)
+            stack.append((extended, x))
+    return total
 
 
 @dataclass(frozen=True)

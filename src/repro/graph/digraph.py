@@ -10,6 +10,7 @@ presented to the leader ``L`` who originated it, with every consecutive pair
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -216,27 +217,53 @@ class SwapGraph:
         """
         leader_set = frozenset(leaders)
         depths: dict[str, int] = {}
-        in_progress: set[str] = set()
+        for root in self.parties:
+            if root not in leader_set and root not in depths:
+                self._fill_depths(root, leader_set, depths)
+        return {v: 0 if v in leader_set else depths[v] for v in self.parties}
 
-        def depth(v: str) -> int:
-            if v in leader_set:
-                return 0
-            if v in depths:
-                return depths[v]
-            if v in in_progress:
-                raise GraphError(
-                    f"leaders {sorted(leader_set)} are not a feedback vertex set "
-                    f"(follower cycle through {v!r})"
-                )
-            in_progress.add(v)
-            preds = self.in_neighbors(v)
-            if not preds:
-                raise GraphError(f"{v!r} has no incoming arcs (not strongly connected)")
-            depths[v] = 1 + max(depth(u) for u in preds)
-            in_progress.discard(v)
-            return depths[v]
+    def _fill_depths(
+        self, root: str, leader_set: frozenset[str], depths: dict[str, int]
+    ) -> None:
+        """Depth of follower ``root`` and of every follower it waits on.
 
-        return {v: depth(v) for v in self.parties}
+        A post-order walk on an explicit stack of ``(vertex, unvisited
+        in-neighbors, deepest so far)`` frames: a follower chain as long as
+        the graph does not exhaust the recursion limit.
+        """
+        in_progress = {root}
+        v, todo, best = root, iter(self._predecessors(root)), 0
+        stack: list[tuple[str, Iterator[str], int]] = []
+        while True:
+            for u in todo:
+                if u in leader_set:
+                    continue  # depth 0, never deeper than ``best``
+                depth = depths.get(u)
+                if depth is None:
+                    if u in in_progress:
+                        raise GraphError(
+                            f"leaders {sorted(leader_set)} are not a feedback "
+                            f"vertex set (follower cycle through {u!r})"
+                        )
+                    in_progress.add(u)
+                    stack.append((v, todo, best))
+                    v, todo, best = u, iter(self._predecessors(u)), 0
+                    break
+                best = max(best, depth)
+            else:
+                depths[v] = depth = 1 + best
+                in_progress.discard(v)
+                if not stack:
+                    return
+                v, todo, best = stack.pop()
+                best = max(best, depth)
+
+    def _predecessors(self, v: str) -> tuple[str, ...]:
+        """``v``'s in-neighbors, which a follower must have."""
+        preds = self.in_neighbors(v)
+        if not preds:
+            raise GraphError(f"{v!r} has no incoming arcs (not strongly connected)")
+        return preds
 
 
 # ----------------------------------------------------------------------

@@ -17,27 +17,33 @@ from repro.graph.digraph import SwapGraph
 
 
 def _has_cycle_excluding(graph: SwapGraph, removed: frozenset[str]) -> bool:
-    """DFS cycle check on the subgraph without ``removed`` vertices."""
+    """DFS cycle check on the subgraph without ``removed`` vertices.
+
+    The DFS keeps an explicit stack of ``(vertex, unvisited out-neighbors)``
+    frames, so a long follower chain cannot exhaust the recursion limit.
+    """
     color: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(u: str) -> bool:
-        color[u] = 0
-        for w in graph.out_neighbors(u):
-            if w in removed:
-                continue
-            state = color.get(w)
-            if state == 0:
-                return True
-            if state is None and visit(w):
-                return True
-        color[u] = 1
-        return False
-
-    for v in graph.parties:
-        if v in removed or v in color:
+    out_neighbors = graph.out_neighbors
+    for root in graph.parties:
+        if root in removed or root in color:
             continue
-        if visit(v):
-            return True
+        color[root] = 0
+        stack = [(root, iter(out_neighbors(root)))]
+        while stack:
+            u, todo = stack[-1]
+            for w in todo:
+                if w in removed:
+                    continue
+                state = color.get(w)
+                if state == 0:
+                    return True
+                if state is None:
+                    color[w] = 0
+                    stack.append((w, iter(out_neighbors(w))))
+                    break
+            else:
+                color[u] = 1
+                stack.pop()
     return False
 
 

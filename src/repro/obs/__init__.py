@@ -22,6 +22,7 @@ from .tracer import (
     TimingStat,
     TraceWriter,
     Tracer,
+    gc_pauses,
     maybe_inc,
     maybe_span,
     phase_fragments,
@@ -40,6 +41,7 @@ __all__ = [
     "TraceWriter",
     "Tracer",
     "TraceSummary",
+    "gc_pauses",
     "maybe_inc",
     "maybe_span",
     "phase_fragments",

@@ -15,7 +15,10 @@ it into the questions an operator actually asks of a campaign run:
   back over the fork boundary, condensed to max/mean imbalance ratios;
 - **parallel efficiency** — on process runs, Σ worker busy time over
   ``workers × campaign.dispatch`` wall time: the share of the pool's
-  capacity that ran scenarios.
+  capacity that ran scenarios;
+- **gc pauses** — the parent process's cycle-collector collections and
+  the seconds they paused it, as a share of wall time (CLI traces carry
+  them; see :func:`repro.obs.gc_pauses`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class TraceSummary:
     dispatch_capacity: float = 0.0
     progress_done: int = 0
     progress_total: int = 0
+    #: Σ seconds of the ``gc.pause`` timing (collections are a counter)
+    gc_pause_seconds: float = 0.0
 
     # -- cache ---------------------------------------------------------
     @property
@@ -156,6 +161,12 @@ class TraceSummary:
                 f"{int(self.counters.get('kernel.cell_hits', 0))} cell-cache hits, "
                 f"{int(self.counters.get('kernel.scenarios', 0))} scenarios"
             )
+        if "gc.collections" in self.counters:
+            share = self.gc_pause_seconds / self.wall_seconds if self.wall_seconds else 0.0
+            lines.append(
+                f"gc: {int(self.counters['gc.collections'])} collections, "
+                f"{self.gc_pause_seconds:.3f}s paused ({share:.1%} of wall)"
+            )
         if self.workers:
             lines.append(
                 f"workers: {len(self.workers)} (skew max/mean = "
@@ -199,6 +210,7 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     summary = TraceSummary(counters=counters)
     summary.progress_done = progress_done
     summary.progress_total = progress_total
+    summary.gc_pause_seconds = timings.get("gc.pause", {}).get("total", 0.0)
 
     roots = [span for span in spans if span["depth"] == 0]
     if roots:

@@ -30,10 +30,13 @@ Three layers:
 
 ``maybe_span(tracer, name)`` is the no-op guard instrumented code uses so
 that ``tracer=None`` (the default everywhere) costs one ``if``.
+:func:`gc_pauses` adds the cycle collector's pauses to a tracer, which
+no span can show: a pause is charged to whatever code was allocating.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -371,6 +374,43 @@ def maybe_inc(tracer: Tracer | None, name: str, amount: float = 1) -> None:
     """Counter increment that tolerates ``tracer=None``."""
     if tracer is not None:
         tracer.metrics.inc(name, amount)
+
+
+@contextmanager
+def gc_pauses(tracer: Tracer) -> Iterator[None]:
+    """Record the cycle collector's pauses on ``tracer`` while open.
+
+    Hooks :data:`gc.callbacks` and, on exit, removes the hook and adds a
+    ``gc.collections`` counter and a ``gc.pause`` timing to the tracer.
+    Pauses are aggregated in the hook until then, so a collection that
+    fires while the registry is mid-update never touches it.  Only the
+    opening process records: a forked worker inherits the hook, but its
+    copy of the tracer never reaches the parent.
+    """
+    owner = os.getpid()
+    started = 0.0
+    pauses = TimingStat()
+
+    def on_gc(phase: str, info: dict) -> None:
+        nonlocal started, pauses
+        if os.getpid() != owner:
+            return
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            pauses = pauses.merge(TimingStat.single(time.perf_counter() - started))
+
+    gc.callbacks.append(on_gc)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(on_gc)
+        tracer.merge_snapshot(
+            MetricsSnapshot(
+                counters=(("gc.collections", pauses.count),),
+                timings=(("gc.pause", pauses),) if pauses.count else (),
+            )
+        )
 
 
 Callback = Callable[["ProgressUpdate"], None]

@@ -20,9 +20,11 @@ Pins the contracts the telemetry layer makes:
   an honest "all N cached" instead of a nonsense scenarios/second.
 """
 
+import gc
 import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -45,6 +47,7 @@ from repro.obs import (
     TimingStat,
     Tracer,
     TraceWriter,
+    gc_pauses,
     maybe_inc,
     maybe_span,
     phase_fragments,
@@ -284,6 +287,43 @@ def test_tracer_without_sink_accumulates_phase_fragments():
     assert fragments["dispatch"]["count"] == 2
     assert fragments["dispatch"]["total_seconds"] > 0
     assert "block" in fragments
+
+
+def test_gc_pauses_records_collections_and_unhooks():
+    tracer = Tracer()
+    hooks = len(gc.callbacks)
+    with gc_pauses(tracer):
+        assert len(gc.callbacks) == hooks + 1
+        gc.collect()
+        gc.collect()
+    assert len(gc.callbacks) == hooks
+    gc.collect()  # after the hook is gone: not recorded
+    snap = tracer.metrics.snapshot()
+    assert snap.counter("gc.collections") >= 2
+    pause = snap.timing("gc.pause")
+    assert pause.count == snap.counter("gc.collections") and pause.total >= 0
+
+
+def test_cli_trace_summary_reports_gc_pauses(tmp_path, capsys):
+    from repro.cli import main
+    from repro.obs.__main__ import main as obs_main
+
+    def run_digest(*extra):
+        main(["campaign", "--families", "bootstrap", *extra])
+        out = capsys.readouterr().out
+        return re.search(r"run digest: (\w+)", out).group(1)
+
+    trace_path = tmp_path / "campaign.jsonl"
+    assert run_digest("--trace", str(trace_path)) == run_digest()
+    assert validate_trace_file(trace_path) > 0
+    assert obs_main(["summarize", str(trace_path)]) == 0
+    gc_lines = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("gc: ")
+    ]
+    assert len(gc_lines) == 1
+    assert re.fullmatch(
+        r"gc: \d+ collections, \d+\.\d{3}s paused \(\d+\.\d% of wall\)", gc_lines[0]
+    )
 
 
 def test_maybe_helpers_tolerate_none_tracer():

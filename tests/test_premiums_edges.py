@@ -1,22 +1,27 @@
-"""Equations 1–2 edge cases: multi-leader graphs, base cases, scale.
+"""Equations 1–2 edge cases: multi-leader graphs, base cases, scale, depth.
 
 The quote engine leans on the premium recurrences in corners the
 original §7.1 walkthrough never exercises: graphs whose minimum feedback
 vertex set has several leaders, beneficiaries already on the premium
-path, and dense graphs where only the member-subset memo keeps Equation
-1 tractable.  These tests pin that territory.
+path, dense graphs where only the member-subset memo keeps Equation 1
+tractable, and rings long enough that a recursive evaluation would
+exhaust the interpreter's recursion limit.  These tests pin that
+territory.
 """
+
+import random
 
 import pytest
 
 from repro.core.premiums import (
     escrow_premium_amounts,
     leader_redemption_total,
+    pruned_redemption_premium_amount,
     redemption_premium_amount,
     redemption_premium_flow,
 )
 from repro.errors import GraphError
-from repro.graph.digraph import complete_graph, ring_graph
+from repro.graph.digraph import SwapGraph, complete_graph, figure3_graph, ring_graph
 from repro.graph.feedback import (
     is_feedback_vertex_set,
     minimum_feedback_vertex_set,
@@ -144,3 +149,109 @@ class TestCompleteSixExactness:
         assert first == second
         assert all(isinstance(d.amount, int) for d in first)
         assert all(d.depositor == d.path[0] for d in first)
+
+
+# ----------------------------------------------------------------------
+# deep rings: the recursions run as loops
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n", [5, 400])
+def test_ring_sizing_is_linear_at_any_depth(n):
+    """On a ring led by P0 every deposit chains through all n parties, so
+    each escrow premium and the leader's total are exactly n·p."""
+    graph = ring_graph(n)
+    p = 3
+    assert leader_redemption_total(graph, "P0", p) == n * p
+    escrow = escrow_premium_amounts(graph, ("P0",), p)
+    assert set(escrow.values()) == {n * p}
+    # footnote-7 pruning with one contract per arc prunes nothing
+    own = {arc: f"{arc[0]}>{arc[1]}" for arc in graph.arcs}
+    assert pruned_redemption_premium_amount(graph, ("P0",), f"P{n - 1}", p, own) == n * p
+
+
+def test_feedback_check_and_depths_on_a_1200_ring():
+    graph = ring_graph(1200)
+    assert is_feedback_vertex_set(graph, ("P0",))
+    assert not is_feedback_vertex_set(graph, ())
+    depths = graph.follower_depths(("P0",))
+    assert depths["P0"] == 0 and depths["P1199"] == 1199
+
+
+def test_analytic_hint_prices_a_199_ring():
+    from repro.quote.analytic import analytic_pi_star_hint
+
+    assert analytic_pi_star_hint("ring:199", 0.05) is not None
+
+
+# ----------------------------------------------------------------------
+# the loops agree with the recursions they replaced
+# ----------------------------------------------------------------------
+def _random_digraph(seed: int, n: int = 6) -> SwapGraph:
+    """A strongly connected digraph: a ring plus random chords."""
+    rng = random.Random(seed)
+    parties = [f"P{i}" for i in range(n)]
+    arcs = {(parties[i], parties[(i + 1) % n]) for i in range(n)}
+    arcs |= {(u, v) for u in parties for v in parties if u != v and rng.random() < 0.3}
+    return SwapGraph.build(parties, sorted(arcs))
+
+
+GRAPHS = [figure3_graph(), ring_graph(5), complete_graph(5)] + [
+    _random_digraph(seed) for seed in range(6)
+]
+
+
+def _recursive_equation1(graph, memo, members, u, p):
+    if u in members:
+        return p
+    key = (members, u, p)
+    if key not in memo:
+        extended = members | {u}
+        memo[key] = p + sum(
+            _recursive_equation1(graph, memo, extended, x, p)
+            for x in graph.in_neighbors(u)
+        )
+    return memo[key]
+
+
+def _recursive_pruned(graph, contract_of, q, u, p):
+    if u in q:
+        return p
+    observe = contract_of[(u, q[0])]
+    return p + sum(
+        _recursive_pruned(graph, contract_of, (u,) + q, x, p)
+        for x in graph.in_neighbors(u)
+        if contract_of[(x, u)] != observe
+    )
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=range(len(GRAPHS)))
+def test_equation1_memo_matches_the_recursion(graph):
+    """Same amounts and the very same memo entries as the recursion."""
+    p = 2
+    reference: dict = {}
+    for leader in graph.parties:
+        for u in graph.in_neighbors(leader):
+            expected = _recursive_equation1(graph, reference, frozenset((leader,)), u, p)
+            assert redemption_premium_amount(graph, (leader,), u, p) == expected
+    assert graph.__dict__["_equation1_memo"] == reference
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=range(len(GRAPHS)))
+def test_equation2_and_pruning_match_the_recursion(graph):
+    p = 5
+    leaders = minimum_feedback_vertex_set(graph)
+    leader_set = frozenset(leaders)
+
+    def need(v):
+        if v in leader_set:
+            return leader_redemption_total(graph, v, p)
+        return sum(need(w) for w in graph.out_neighbors(v))
+
+    escrow = escrow_premium_amounts(graph, leaders, p)
+    assert escrow == {(u, v): need(v) for (u, v) in graph.arcs}
+    # three shared contracts, so footnote 7 prunes some forwarding steps
+    contract_of = {arc: f"c{i % 3}" for i, arc in enumerate(graph.arcs)}
+    for leader in leaders:
+        for u in graph.in_neighbors(leader):
+            assert pruned_redemption_premium_amount(
+                graph, (leader,), u, p, contract_of
+            ) == _recursive_pruned(graph, contract_of, (leader,), u, p)

@@ -78,7 +78,7 @@ def _observed(contract) -> tuple:
     fields = tuple(
         (name, repr(value) if isinstance(value, (dict, list, set)) else value)
         for name, value in vars(contract).items()
-        if name != "chain"
+        if name != "_chain_ref"
     )
     return fields, chain.ledger.snapshot(), len(chain.events)
 
