@@ -25,8 +25,10 @@ Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
 the multi-party family serially, through a pool opened for the run and
 through a persistent :class:`WorkerPool`, and fails if a block's builds
 stop sharing one graph, if a block's premium memos grow after its first
-build (per-scenario invariants recomputed in the hot path), or if the
-serial, process and persistent-pool digests differ.  On the serial run
+build (per-scenario invariants recomputed in the hot path), if the
+serial, process and persistent-pool digests differ, or if the serial
+digest is not the committed :data:`GATE_RUN_DIGEST` (a change that moves
+every backend's digest together still fails).  On the serial run
 it also counts two leaf operations from outside the program, the way
 ``perfbench/layers.py`` wraps layers: settlement ticks (``on_tick``) and
 signature MACs (``signatures._mac``).  Either count above its committed
@@ -80,6 +82,13 @@ REUSE_RUNS = 4
 
 # The family whose builds size premiums from per-graph memos.
 GATE_FAMILIES = ("multi-party",)
+
+# The run digest of the gate's serial multi-party run.  Backends agreeing
+# with each other is not enough: a change that moves them all together
+# must fail too.
+GATE_RUN_DIGEST = (
+    "1b9331af94ce8f3e0998e4455e4330ec023e986cb46e3a02f4801837a4b71d18"
+)
 
 # Leaf-operation ceilings for one serial run of the gate's multi-party
 # matrix: the exact counts when the tick windows and the signature memo
@@ -391,6 +400,11 @@ def run_gate() -> int:
             f"digests differ: serial {serial.run_digest[:12]}, process "
             f"{process.run_digest[:12]}, pooled {pooled.run_digest[:12]}"
         )
+    if serial.run_digest != GATE_RUN_DIGEST:
+        failures.append(
+            f"serial run digest {serial.run_digest[:12]} is not the committed "
+            f"{GATE_RUN_DIGEST[:12]}: the multi-party outcomes changed"
+        )
     header = (
         "block", "scenarios", "shared graph",
         "memos at first build (eq1/paths/worst)", "memos after run",
@@ -399,7 +413,7 @@ def run_gate() -> int:
     print(
         f"serial {serial.scenarios_per_second:.0f} scen/s, "
         f"process {process.scenarios_per_second:.0f} scen/s (informational); "
-        f"digest {serial.run_digest[:12]}"
+        f"digest {serial.run_digest[:12]} (committed {GATE_RUN_DIGEST[:12]})"
     )
 
     for name, count, ceiling in (

@@ -58,6 +58,7 @@ def sweep_two_party_deviation_points() -> None:
         family="two-party",
         schedule="p2:1",
         builder=lambda: HedgedTwoPartySwap().build(),
+        builder_id="two-party/p2:1",
         properties=(props.no_stuck_escrow, props.two_party_hedged),
         strategies={p: halt_strategies(horizon) for p in ("Alice", "Bob")},
         include_compliant=False,

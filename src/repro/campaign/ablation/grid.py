@@ -62,8 +62,6 @@ from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.pool import MatrixSpec, register_matrix_factory
 
-ABLATION_FAMILIES = ("two-party", "multi-party", "broker", "auction")
-
 #: premium fractions π swept by the default grid (0 = unhedged baseline).
 DEFAULT_PREMIUM_FRACTIONS = (0.0, 0.01, 0.02, 0.03, 0.05, 0.08)
 
@@ -75,12 +73,6 @@ DEFAULT_STAGES = ("pre-stake", "staked")
 
 #: the pseudo-stage expanding to one ``round:K`` arm per protocol round.
 STAGE_ALL = "all"
-
-#: the named two-party coalitions swept when ``coalitions=True``.
-ABLATION_COALITIONS = {
-    "multi-party": ("P1+P2",),
-    "broker": ("seller+buyer",),
-}
 
 #: the principal notional every family's π is sized against.
 PRINCIPAL = 100
@@ -478,12 +470,25 @@ def _two_party_cell(family, coalition, shape, premium) -> FamilyCell:
     )
 
 
-def _swap_cell(
-    family, coalition, shape, premium, builder, schedule_prefix
-) -> FamilyCell:
-    """A hedged multi-party swap cell around ``builder``."""
-    from repro.checker import properties as props
+def _graph_cell(graph, prefix, family, coalition, shape, premium) -> FamilyCell:
+    """§7.1 swap over a deal graph (``ring:N``, ``complete:N``, ``figure3``).
 
+    The named ``multi-party`` family is ring:3 with rational P1 and the
+    shock on the leader's token; every graph shares its pivot rule, stage
+    aliases and properties, and only the digraph (and with it the
+    Equations 1–2 schedule the builder derives) varies.  As coalition
+    ``P1+P2`` the adjacent ring:3 members walk together: their shared arc
+    (P1, P2) is internal, so its escrow premium and redemption deposits
+    forfeit member-to-member and only the premiums facing P0 deter the
+    joint walk — which is what prices the collusive π*.
+    """
+    from repro.checker import properties as props
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+
+    digraph, leaders = parse_graph_family(graph)
+    builder = lambda p=premium: HedgedMultiPartySwap(
+        graph=digraph, premium=p, leaders=leaders
+    ).build()
     model_factory, gain_terms, gain_shape = _pivot_closures(shape, coalition)
 
     def completed(instance, labels=shape.arc_labels) -> bool:
@@ -502,57 +507,11 @@ def _swap_cell(
         base_values=(),
         properties=(props.no_stuck_escrow, props.multi_party_lemmas),
         completed=completed,
-        schedule_prefix=schedule_prefix,
+        schedule_prefix=f"{prefix}{coalition}/" if coalition else prefix,
         model_factory=model_factory,
         gain_terms=gain_terms,
         gain_shape=gain_shape,
     )
-
-
-# A block's builder qualname enters the matrix's structural digest, so
-# each family's builder lambda stays in the function it was first
-# written in: ``_multi_party_probe``, ``_graph_cell``, ``_broker_cell``,
-# ``_broker_coalition_cell``, ``_two_party_cell`` and ``_auction_cell``.
-def _multi_party_probe(premium: int):
-    """The ring:3 builder at ``premium``, shared by pivot and coalition."""
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
-
-    graph, leaders = parse_graph_family("ring:3")
-    return lambda p=premium: HedgedMultiPartySwap(
-        graph=graph, premium=p, leaders=leaders
-    ).build()
-
-
-def _multi_party_cell(family, coalition, shape, premium) -> FamilyCell:
-    """§7.1 ring:3 swap: rational P1, shock on the leader's token.
-
-    As coalition ``P1+P2`` the adjacent ring members walk together.  The
-    members' shared arc (P1, P2) is internal: its escrow premium and
-    redemption deposits forfeit member-to-member, so the joint walk is
-    deterred only by the premiums facing P0 — a strictly smaller stake
-    than either single pivot's, which is what prices the collusive π*.
-    """
-    prefix = f"ring3/{coalition}/" if coalition else "ring3/"
-    builder = _multi_party_probe(premium)
-    return _swap_cell(family, coalition, shape, premium, builder, prefix)
-
-
-def _graph_cell(family, coalition, shape, premium) -> FamilyCell:
-    """A multi-party cell over an arbitrary deal graph (``ring:N``,
-    ``complete:N``, ``figure3``).
-
-    The generalization of :func:`_multi_party_cell`: same rational pivot
-    construction, same stage aliases, same properties — only the digraph
-    (and with it the Equations 1–2 premium schedule the builder derives)
-    varies.
-    """
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
-
-    graph, leaders = parse_graph_family(family)
-    builder = lambda p=premium, g=graph, l=leaders: HedgedMultiPartySwap(
-        graph=g, premium=p, leaders=l
-    ).build()
-    return _swap_cell(family, coalition, shape, premium, builder, f"{family}/")
 
 
 def _broker_prices_base(spec):
@@ -570,14 +529,20 @@ def _broker_completed(instance) -> bool:
     )
 
 
-def _broker_cell(family, coalition, shape, premium, builder=None) -> FamilyCell:
-    """§8.2 deal: rational seller Bob, shock on the coin he is paid in."""
+def _broker_cell(family, coalition, shape, premium) -> FamilyCell:
+    """§8.2 deal: rational seller Bob, shock on the coin he is paid in.
+
+    As coalition ``seller+buyer`` Bob and Carol squeeze the broker: they
+    trade with each other *through* Alice, so the ticket-for-coins
+    exchange is internal and only their E deposits (which reimburse the
+    broker's passthrough) and the redemption deposits facing Alice still
+    deter the joint walk.
+    """
     from repro.checker import properties as props
     from repro.core.hedged_broker import HedgedBrokerDeal
     from repro.protocols.base_broker import BrokerSpec
 
-    if builder is None:
-        builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
+    builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
     model_factory, gain_terms, gain_shape = _pivot_closures(shape, coalition)
     return FamilyCell(
         family=family,
@@ -594,20 +559,6 @@ def _broker_cell(family, coalition, shape, premium, builder=None) -> FamilyCell:
         gain_terms=gain_terms,
         gain_shape=gain_shape,
     )
-
-
-def _broker_coalition_cell(family, coalition, shape, premium) -> FamilyCell:
-    """Seller + buyer squeezing the broker (coalition ``seller+buyer``).
-
-    Bob and Carol trade with each other *through* Alice; colluding, the
-    ticket-for-coins exchange is internal, so only their E deposits (which
-    reimburse the broker's passthrough) and the redemption deposits facing
-    Alice still deter the joint walk.
-    """
-    from repro.core.hedged_broker import HedgedBrokerDeal
-
-    builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
-    return _broker_cell(family, coalition, shape, premium, builder)
 
 
 def _auction_completed(instance) -> bool:
@@ -662,23 +613,91 @@ def _auction_cell(family, coalition, shape, premium) -> FamilyCell:
     )
 
 
-#: (family, coalition) → (structural shape build, per-premium cell builder);
-#: graph-shaped families with no coalition fall through to
-#: :func:`_graph_shape` / :func:`_graph_cell`.
-_CELL_BUILDERS = {
-    ("two-party", ""): (_two_party_shape, _two_party_cell),
-    ("multi-party", ""): (partial(_graph_shape, "ring:3"), _multi_party_cell),
-    ("multi-party", "P1+P2"): (
-        partial(_graph_shape, "ring:3", ("P1", "P2")),
-        _multi_party_cell,
+@dataclass(frozen=True)
+class CellContext:
+    """How the grid builds one ``(family, coalition)`` context."""
+
+    shape: object  #: () -> CellShape, the context's one structural build
+    cell: object  #: (family, coalition, shape, premium) -> FamilyCell
+    builder_id: str  #: the protocol identity its matrix blocks carry
+    graph: str = ""  #: the deal graph a swap context runs over
+
+
+def _graph_context(graph, prefix, builder_id, members=()) -> CellContext:
+    return CellContext(
+        shape=partial(_graph_shape, graph, members),
+        cell=partial(_graph_cell, graph, prefix),
+        builder_id=builder_id,
+        graph=graph,
+    )
+
+
+# The ids read like qualnames because their bytes are inside committed digests.
+CELL_CONTEXTS = {
+    ("two-party", ""): CellContext(
+        _two_party_shape, _two_party_cell, "_two_party_cell.<locals>.<lambda>"
     ),
-    ("broker", ""): (_broker_shape, _broker_cell),
-    ("broker", "seller+buyer"): (
+    ("multi-party", ""): _graph_context(
+        "ring:3", "ring3/", "_multi_party_probe.<locals>.<lambda>"
+    ),
+    ("multi-party", "P1+P2"): _graph_context(
+        "ring:3", "ring3/", "_multi_party_probe.<locals>.<lambda>", ("P1", "P2")
+    ),
+    ("broker", ""): CellContext(
+        _broker_shape, _broker_cell, "_broker_cell.<locals>.<lambda>"
+    ),
+    ("broker", "seller+buyer"): CellContext(
         partial(_broker_shape, coalition=True),
-        _broker_coalition_cell,
+        _broker_cell,
+        "_broker_coalition_cell.<locals>.<lambda>",
     ),
-    ("auction", ""): (_auction_shape, _auction_cell),
+    ("auction", ""): CellContext(
+        _auction_shape, _auction_cell, "_auction_cell.<locals>.<lambda>"
+    ),
 }
+
+#: the named families, in grid order.
+ABLATION_FAMILIES = tuple(dict.fromkeys(family for family, _ in CELL_CONTEXTS))
+
+#: the named two-party coalitions swept when ``coalitions=True``.
+ABLATION_COALITIONS = {
+    family: tuple(c for f, c in CELL_CONTEXTS if f == family and c)
+    for family, coalition in CELL_CONTEXTS
+    if coalition
+}
+
+#: deal graph → the named family whose context runs over it (ring:3 is
+#: the named multi-party cell: same digraph, same canonical leader).
+NAMED_GRAPH_FAMILIES = {
+    context.graph: family
+    for (family, _), context in CELL_CONTEXTS.items()
+    if context.graph
+}
+
+
+def _find_context(family: str, coalition: str) -> CellContext | None:
+    context = CELL_CONTEXTS.get((family, coalition))
+    if context is None and not coalition and is_graph_family(family):
+        context = _graph_context(family, f"{family}/", "_graph_cell.<locals>.<lambda>")
+    return context
+
+
+def cell_context(family: str, coalition: str = "") -> CellContext:
+    """The :class:`CellContext` of ``(family, coalition)``: a named context
+    of :data:`CELL_CONTEXTS`, or a graph-shaped family with no coalition.
+    The one check of which cells exist; it builds nothing."""
+    context = _find_context(family, coalition)
+    if context is not None:
+        return context
+    if _find_context(family, "") is None:
+        unknown = f"unknown ablation family {family!r}"
+    else:
+        unknown = f"unknown coalition {coalition!r} for family {family!r}"
+    raise ValueError(
+        f"unknown ablation cell ({family!r}, {coalition!r}): {unknown}; "
+        f"known: {sorted(CELL_CONTEXTS)} or a graph-shaped family "
+        "(ring:N, complete:N, figure3) with no coalition"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -691,16 +710,7 @@ def cell_shape(family: str, coalition: str) -> CellShape:
     calibration of one context reads the same shape.  The returned shape
     is shared and frozen.
     """
-    builders = _CELL_BUILDERS.get((family, coalition))
-    if builders is not None:
-        return builders[0]()
-    if not coalition and is_graph_family(family):
-        return _graph_shape(family)
-    raise ValueError(
-        f"unknown ablation cell ({family!r}, {coalition!r}); "
-        f"known: {sorted(_CELL_BUILDERS)} or a graph-shaped family "
-        "(ring:N, complete:N, figure3) with no coalition"
-    )
+    return cell_context(family, coalition).shape()
 
 
 def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
@@ -714,75 +724,58 @@ def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
     are built here: the structure comes from the context's cached
     :func:`cell_shape`, so a call runs no protocol build.
     """
-    shape = cell_shape(family, coalition)
-    _, make = _CELL_BUILDERS.get((family, coalition), (None, _graph_cell))
-    return make(family, coalition, shape, premium)
+    make = cell_context(family, coalition).cell
+    return make(family, coalition, cell_shape(family, coalition), premium)
 
 
-def _add_cell_blocks(matrix, cell: FamilyCell, pi, shock_fractions, stages) -> None:
-    """Expand one cell context into its comply/rational blocks."""
+def _add_blocks(
+    matrix, family, coalition, premium_fractions, shock_fractions, stages
+) -> None:
+    """Expand one context's cells over π × shock × stage into blocks."""
     from repro.parties.rational import TokenPrices, rational_party
 
-    shape = cell.shape
-    arms = stage_heights(stages, dict(shape.named), shape.horizon)
-    for shock in shock_fractions:
-        for stage, height in arms:
-            prices = TokenPrices(
-                base=cell.base_values,
-                shocked=shape.shocked,
-                fraction=shock,
-                at_height=height,
-            )
-
-            def transform(actor, cell=cell, prices=prices):
-                return rational_party(actor, cell.model_factory(prices))
-
-            if cell.coalition:
-                strategies = _make_coalition_strategies(
-                    {member: transform for member in shape.pivots}
+    builder_id = cell_context(family, coalition).builder_id
+    base = premium_base(family)
+    for pi in premium_fractions:
+        cell = family_cell(family, coalition, scaled_premium(pi, base))
+        shape = cell.shape
+        arms = stage_heights(stages, dict(shape.named), shape.horizon)
+        for shock in shock_fractions:
+            for stage, height in arms:
+                prices = TokenPrices(
+                    base=cell.base_values,
+                    shocked=shape.shocked,
+                    fraction=shock,
+                    at_height=height,
                 )
-                expansion = dict(
-                    max_adversaries=2, min_adversaries=2, include_compliant=True
+
+                def transform(actor, cell=cell, prices=prices):
+                    return rational_party(actor, cell.model_factory(prices))
+
+                if coalition:
+                    strategies = _make_coalition_strategies(
+                        {member: transform for member in shape.pivots}
+                    )
+                    expansion = dict(
+                        max_adversaries=2, min_adversaries=2, include_compliant=True
+                    )
+                else:
+                    strategies = _make_strategies(shape.pivots[0], transform)
+                    expansion = dict(max_adversaries=1, include_compliant=False)
+                matrix.add_block(
+                    family=family,
+                    schedule=(
+                        f"{cell.schedule_prefix}pi{fmt_fraction(pi)}"
+                        f"/s{fmt_fraction(shock)}@{stage}"
+                    ),
+                    builder=cell.builder,
+                    builder_id=builder_id,
+                    properties=cell.properties,
+                    strategies=strategies,
+                    extra_axes=_axes(pi, cell.premium, shock, stage, height, coalition),
+                    metrics=_make_metrics(cell.metrics_parties, prices, cell.completed),
+                    **expansion,
                 )
-            else:
-                strategies = _make_strategies(shape.pivots[0], transform)
-                expansion = dict(max_adversaries=1, include_compliant=False)
-            matrix.add_block(
-                family=cell.family,
-                schedule=(
-                    f"{cell.schedule_prefix}pi{fmt_fraction(pi)}"
-                    f"/s{fmt_fraction(shock)}@{stage}"
-                ),
-                builder=cell.builder,
-                properties=cell.properties,
-                strategies=strategies,
-                extra_axes=_axes(
-                    pi, cell.premium, shock, stage, height, cell.coalition
-                ),
-                metrics=_make_metrics(cell.metrics_parties, prices, cell.completed),
-                **expansion,
-            )
-
-
-def _make_adder(family: str, coalition: str = ""):
-    """An adder over π for one (family, coalition) pair of cell contexts."""
-
-    def add(matrix, premium_fractions, shock_fractions, stages) -> None:
-        base = premium_base(family)
-        for pi in premium_fractions:
-            cell = family_cell(family, coalition, scaled_premium(pi, base))
-            _add_cell_blocks(matrix, cell, pi, shock_fractions, stages)
-
-    return add
-
-
-_FAMILY_ADDERS = {family: _make_adder(family) for family in ABLATION_FAMILIES}
-
-_COALITION_ADDERS = {
-    (family, coalition): _make_adder(family, coalition)
-    for family, coalitions in ABLATION_COALITIONS.items()
-    for coalition in coalitions
-}
 
 
 # ----------------------------------------------------------------------
@@ -980,25 +973,12 @@ class AblationGrid:
         )
 
 
-def _family_adder(family: str):
-    """The matrix adder for ``family``: a registered named family's, or a
-    fresh generic one for a graph-shaped family."""
-    adder = _FAMILY_ADDERS.get(family)
-    if adder is not None:
-        return adder
-    return _make_adder(family)
-
-
 def _validate_grid(families, stages) -> None:
-    unknown = {
-        family
-        for family in families
-        if family not in _FAMILY_ADDERS and not is_graph_family(family)
-    }
+    unknown = {family for family in families if _find_context(family, "") is None}
     if unknown:
         raise ValueError(
             f"unknown ablation families {sorted(unknown)}; "
-            f"known: {sorted(_FAMILY_ADDERS)} or graph-shaped "
+            f"known: {sorted(ABLATION_FAMILIES)} or graph-shaped "
             "(ring:N, complete:N, figure3)"
         )
     bad_stages = [stage for stage in stages if not valid_stage(stage)]
@@ -1081,12 +1061,11 @@ def ablation_matrix(
     stages = kwargs["stages"]
     matrix = ScenarioMatrix(seed=seed)
     for family in families:
-        _family_adder(family)(matrix, premium_fractions, shock_fractions, stages)
-        if coalitions:
-            for coalition in ABLATION_COALITIONS.get(family, ()):
-                _COALITION_ADDERS[(family, coalition)](
-                    matrix, premium_fractions, shock_fractions, stages
-                )
+        swept = ABLATION_COALITIONS.get(family, ()) if coalitions else ()
+        for coalition in ("",) + swept:
+            _add_blocks(
+                matrix, family, coalition, premium_fractions, shock_fractions, stages
+            )
     matrix.spec = spec
     return matrix
 
@@ -1109,12 +1088,7 @@ def ablation_cell(
     worker-side digest audit as full grids.  ``coalition`` selects a named
     joint-pivot cell instead of the family's single pivot.
     """
-    if family not in _FAMILY_ADDERS and not is_graph_family(family):
-        raise ValueError(
-            f"unknown ablation family {family!r}; known: "
-            f"{sorted(_FAMILY_ADDERS)} or graph-shaped "
-            "(ring:N, complete:N, figure3)"
-        )
+    cell_context(family, coalition)  # an unknown cell fails before the stage
     if not valid_stage(stage) or stage == STAGE_ALL:
         raise ValueError(
             f"ablation_cell needs one concrete stage, got {stage!r} "
@@ -1123,16 +1097,7 @@ def ablation_cell(
     pi = canon_float(pi)
     shock = canon_float(shock)
     matrix = ScenarioMatrix(seed=seed)
-    if coalition:
-        adder = _COALITION_ADDERS.get((family, coalition))
-        if adder is None:
-            raise ValueError(
-                f"unknown coalition {coalition!r} for family {family!r}; "
-                f"known: {sorted(ABLATION_COALITIONS.get(family, ()))}"
-            )
-        adder(matrix, (pi,), (shock,), (stage,))
-    else:
-        _family_adder(family)(matrix, (pi,), (shock,), (stage,))
+    _add_blocks(matrix, family, coalition, (pi,), (shock,), (stage,))
     matrix.spec = MatrixSpec(
         factory="ablation_cell",
         kwargs=(

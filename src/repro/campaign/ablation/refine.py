@@ -76,6 +76,12 @@ MAX_ITERATIONS = 32
 #: sense (pre-stake rows, the broker coalition's markup rent).
 EXPAND_CEILING = 1.0
 
+#: the finest tol a bisection can promise: MAX_ITERATIONS halvings of the
+#: widest starting bracket, [0, EXPAND_CEILING].  The floor does not come
+#: from a family's premium quantum (the auction's 1/60 sits above the
+#: default tol): bisection narrows on π, not on the integer premium.
+MIN_TOL = EXPAND_CEILING / 2**MAX_ITERATIONS
+
 
 @dataclass(frozen=True)
 class ProbeCell:

@@ -14,15 +14,16 @@ touched miss.
   change to the engine or the protocols invalidates the whole cache (a
   stale hit can never mask a behavior change), and
 - the **block descriptor** — :meth:`MatrixBlock.describe`
-  (family, schedule, builder qualname, strategy labels, axes, property
-  names) plus the block's scenario count.
+  (family, schedule, the block's explicit ``builder_id``, strategy
+  labels, axes, property names) plus the block's scenario count.
 
-The descriptor cannot see parameters captured inside builder closures
-(see :meth:`ScenarioMatrix.digest`), so the runner only consults the cache
-for matrices built by a *registered factory* (``matrix.spec`` set): those
-build purely from primitive arguments, every one of which the shipped
-factories render into the schedule label or the extra axes — the same
-audit contract persistent worker pools rely on.  Keying on the block
+The descriptor names the builder but cannot see parameters captured
+inside its closure (see :meth:`ScenarioMatrix.digest`), so the runner
+only consults the cache for matrices built by a *registered factory*
+(``matrix.spec`` set): those build purely from primitive arguments,
+every one of which the shipped factories render into the schedule label
+or the extra axes — the same audit contract persistent worker pools rely
+on.  Keying on the block
 rather than the whole spec is deliberate: a refinement probe
 (``ablation_cell``) produces the identical block as the full grid's cell,
 so a lattice run warms the bisection that follows it.

@@ -21,6 +21,9 @@ The swept axes (beyond adversary subset × strategy × deviation round):
   halts, open-bid and commit–reveal forms, hedged and unhedged,
 - **bootstrap** — halts at every rung of the two-stage ladder.
 
+Every block's ``builder_id`` reads like a qualname because those bytes
+are inside committed digests.
+
 Imports from ``repro.checker`` and the protocol cores are deliberately
 function-local: the checker is a *client* of the campaign engine, so the
 campaign package must not depend on it at import time.
@@ -78,6 +81,7 @@ def add_two_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) ->
             family="two-party",
             schedule=name,
             builder=lambda spec=spec: HedgedTwoPartySwap(spec).build(),
+            builder_id="add_two_party.<locals>.<lambda>",
             properties=(props.no_stuck_escrow, props.two_party_hedged),
             strategies={party: space for party in instance.actors},
             max_adversaries=2 if max_adversaries is None else max_adversaries,
@@ -121,6 +125,7 @@ def add_multi_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) 
             builder=lambda g=graph, p=premium: HedgedMultiPartySwap(
                 graph=g, premium=p
             ).build(),
+            builder_id="add_multi_party.<locals>.<lambda>",
             properties=(props.no_stuck_escrow, props.multi_party_lemmas),
             strategies={
                 party: halt_strategies(instance.horizon, step=halt_step)
@@ -142,6 +147,7 @@ def add_broker(matrix: ScenarioMatrix, max_adversaries: int | None = None) -> No
             family="broker",
             schedule=f"p{premium}",
             builder=lambda p=premium: HedgedBrokerDeal(premium=p).build(),
+            builder_id="add_broker.<locals>.<lambda>",
             properties=(props.no_stuck_escrow, props.broker_bounds),
             strategies={
                 party: halt_strategies(instance.horizon) for party in instance.actors
@@ -181,6 +187,7 @@ def _add_auction_blocks(
                 builder=lambda spec=spec, strategy=strategy, cls=auction_cls: cls(
                     spec=spec, strategy=strategy
                 ).build(),
+                builder_id="_add_auction_blocks.<locals>.<lambda>",
                 properties=(props.no_stuck_escrow, props.auction_lemmas),
                 strategies={
                     party: halt_strategies(instance.horizon) for party in halting
@@ -220,6 +227,7 @@ def add_bootstrap(matrix: ScenarioMatrix, max_adversaries: int | None = None) ->
         family="bootstrap",
         schedule="10k/P10/r2",
         builder=lambda spec=spec: BootstrappedSwap(spec).build(),
+        builder_id="add_bootstrap.<locals>.<lambda>",
         properties=(props.no_stuck_escrow, props.bootstrap_hedged),
         strategies={
             party: halt_strategies(instance.horizon) for party in instance.actors

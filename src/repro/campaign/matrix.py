@@ -119,6 +119,9 @@ class MatrixBlock:
     family: str
     schedule: str
     builder: Builder = field(repr=False)
+    #: the protocol's identity in :meth:`describe`: an explicit name, so
+    #: a block's digest never depends on where its builder was written.
+    builder_id: str
     properties: tuple[Property, ...] = field(repr=False)
     strategies: tuple[tuple[str, tuple[LabelledStrategy, ...]], ...] = field(repr=False)
     max_adversaries: int = 1
@@ -153,10 +156,10 @@ class MatrixBlock:
         parts = [
             self.family,
             self.schedule,
-            # The builder's qualified name weakly identifies the protocol
-            # even when family/schedule are blank (ModelChecker blocks);
-            # closures hash as their defining scope, not their captures.
-            getattr(self.builder, "__qualname__", type(self.builder).__name__),
+            # The explicit builder id names the protocol even when
+            # family/schedule are blank (ModelChecker blocks); parameters
+            # captured inside the builder stay invisible to it.
+            self.builder_id,
             str(self.max_adversaries),
             str(self.min_adversaries),
             str(self.include_compliant),
@@ -192,6 +195,7 @@ class ScenarioMatrix:
         family: str,
         schedule: str,
         builder: Builder,
+        builder_id: str,
         properties: Iterable[Property],
         strategies: dict[str, Iterable[LabelledStrategy]],
         max_adversaries: int = 1,
@@ -212,6 +216,7 @@ class ScenarioMatrix:
                 family=family,
                 schedule=schedule,
                 builder=builder,
+                builder_id=builder_id,
                 properties=tuple(properties),
                 strategies=tuple(
                     (party, tuple(space)) for party, space in sorted(strategies.items())
@@ -262,13 +267,14 @@ class ScenarioMatrix:
     def digest(self) -> str:
         """*Structural* identity: seed + every block descriptor.
 
-        Covers the axes, strategy labels, property names, and builder
-        qualnames — not parameters captured inside builder closures, which
-        no hash of the matrix can see.  Two matrices differing only in a
-        closure-captured spec share a structural digest; their *run*
-        digests still differ, because per-scenario digests hash the actual
-        outcomes (final ledgers, premium flows).  Provenance claims should
-        therefore cite the run digest; this one names the campaign shape.
+        Covers the axes, strategy labels, property names, and each block's
+        explicit ``builder_id`` — not parameters captured inside builder
+        closures, which no hash of the matrix can see.  Two matrices
+        differing only in a closure-captured spec share a structural
+        digest; their *run* digests still differ, because per-scenario
+        digests hash the actual outcomes (final ledgers, premium flows).
+        Provenance claims should therefore cite the run digest; this one
+        names the campaign shape.
         """
         h = sha256(f"seed={self.seed}".encode())
         for block in self.blocks:

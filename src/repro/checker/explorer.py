@@ -96,6 +96,9 @@ class ModelChecker:
             family="",  # no prefix: scenario labels stay profile labels
             schedule="",
             builder=self.builder,
+            builder_id=getattr(
+                self.builder, "__qualname__", type(self.builder).__name__
+            ),
             properties=self.properties,
             strategies=self.strategies,
             max_adversaries=self.max_adversaries,

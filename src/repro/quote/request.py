@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 from repro.campaign.ablation.grid import (
-    ABLATION_COALITIONS,
     ABLATION_FAMILIES,
+    CELL_CONTEXTS,
+    NAMED_GRAPH_FAMILIES,
     STAGE_ALL,
     is_graph_family,
     valid_stage,
 )
-from repro.campaign.ablation.refine import DEFAULT_TOL
+from repro.campaign.ablation.refine import DEFAULT_TOL, MAX_ITERATIONS, MIN_TOL
 from repro.campaign.canon import canon_float
 from repro.errors import ReproError
 
@@ -68,7 +69,7 @@ class QuoteRequest:
                 "(ring:N, complete:N, figure3); got "
                 f"family={self.family!r}, graph={self.graph!r}"
             )
-        if self.family and self.family not in ABLATION_FAMILIES:
+        if self.family and (self.family, "") not in CELL_CONTEXTS:
             raise QuoteError(
                 f"unknown family {self.family!r}; known: "
                 f"{list(ABLATION_FAMILIES)} (graph-shaped deals go "
@@ -85,8 +86,8 @@ class QuoteRequest:
                     "coalitions are named per family; graph-shaped deals "
                     "have no named coalitions"
                 )
-            known = ABLATION_COALITIONS.get(self.family, ())
-            if self.coalition not in known:
+            if (self.family, self.coalition) not in CELL_CONTEXTS:
+                known = [c for f, c in CELL_CONTEXTS if f == self.family and c]
                 raise QuoteError(
                     f"unknown coalition {self.coalition!r} for family "
                     f"{self.family!r}; known: {sorted(known)}"
@@ -100,8 +101,14 @@ class QuoteRequest:
             raise QuoteError(
                 f"shock must be a relative drop in (0, 1), got {self.shock}"
             )
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise QuoteError(f"tol must be positive and finite, got {self.tol}")
+        if not MIN_TOL <= self.tol < math.inf:
+            # Refused before any probe: a finer tol spends every
+            # bisection iteration and still fails to converge.
+            raise QuoteError(
+                f"tol must be finite and at least {MIN_TOL:.3g}, the finest "
+                f"bracket {MAX_ITERATIONS} bisection iterations reach; got "
+                f"{self.tol}"
+            )
         object.__setattr__(self, "shock", canon_float(self.shock))
         object.__setattr__(self, "tol", canon_float(self.tol))
 
@@ -109,15 +116,12 @@ class QuoteRequest:
     def cell_family(self) -> str:
         """The ablation cell family this request resolves to.
 
-        ``graph="ring:3"`` *is* the named multi-party cell (same digraph,
-        same canonical leader), so it normalizes to ``multi-party`` and
-        rides the closed-form tier; every other graph names itself.
+        A graph a named context runs over (``ring:3`` *is* the named
+        multi-party cell: same digraph, same canonical leader) normalizes
+        to that family and rides the closed-form tier; every other graph
+        names itself.
         """
-        if self.family:
-            return self.family
-        if self.graph == "ring:3":
-            return "multi-party"
-        return self.graph
+        return self.family or NAMED_GRAPH_FAMILIES.get(self.graph, self.graph)
 
     # ------------------------------------------------------------------
     # identity / serialization

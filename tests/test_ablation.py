@@ -296,6 +296,7 @@ def test_violations_carry_a_rendered_lane_trace():
         family="two-party",
         schedule="trace",
         builder=lambda: HedgedTwoPartySwap().build(),
+        builder_id="two-party/trace",
         properties=(_always_fails,),
         strategies={},
     )
@@ -323,7 +324,7 @@ def test_clean_scenarios_carry_no_trace():
 # ----------------------------------------------------------------------
 # cell shapes: one structural build per (family, coalition)
 # ----------------------------------------------------------------------
-SHAPE_CONTEXTS = tuple(grid._CELL_BUILDERS) + tuple(
+SHAPE_CONTEXTS = tuple(grid.CELL_CONTEXTS) + tuple(
     (family, "") for family in ("ring:3", "ring:5", "complete:4", "figure3")
 )
 
@@ -347,7 +348,7 @@ def _fresh_probe_cell(monkeypatch, family, coalition, premium):
     a fresh, uncached build at ``premium`` itself."""
     monkeypatch.setattr(grid, "_SHAPE_PREMIUM", premium)
     shape = grid.cell_shape.__wrapped__(family, coalition)
-    _, make = grid._CELL_BUILDERS.get((family, coalition), (None, grid._graph_cell))
+    make = grid.cell_context(family, coalition).cell
     return make(family, coalition, shape, premium)
 
 

@@ -23,6 +23,7 @@ def small_matrix(seed: int = 0) -> ScenarioMatrix:
         family="two-party",
         schedule="default",
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(properties.no_stuck_escrow, properties.two_party_hedged),
         strategies={p: halt_strategies(8) for p in ("Alice", "Bob")},
         max_adversaries=2,
@@ -81,6 +82,7 @@ def test_matrix_digest_depends_on_seed_and_content():
         family="extra",
         schedule="x",
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(),
         strategies={"Alice": halt_strategies(2)},
     )

@@ -55,6 +55,7 @@ def small_matrix(seed: int = 0) -> ScenarioMatrix:
         family="two-party",
         schedule="default",
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(properties.no_stuck_escrow, properties.two_party_hedged),
         strategies={p: halt_strategies(8) for p in ("Alice", "Bob")},
         max_adversaries=2,
@@ -135,6 +136,7 @@ def test_stratified_allocation_is_proportional_within_one():
         family="tiny",
         schedule="x",
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(),
         strategies={"Alice": halt_strategies(2)},
     )  # 3 scenarios
@@ -449,6 +451,7 @@ def test_matrix_mutated_after_runner_construction_fails_loudly():
             family="extra",
             schedule="x",
             builder=two_party_builder,
+            builder_id="two_party_builder",
             properties=(),
             strategies={"Alice": halt_strategies(2)},
         )
@@ -465,6 +468,7 @@ def test_add_block_invalidates_the_rebuild_spec():
         family="extra",
         schedule="x",
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(),
         strategies={"Alice": halt_strategies(2)},
     )
@@ -560,6 +564,7 @@ def _multi_party_block(matrix: ScenarioMatrix) -> None:
         family="multi-party",
         schedule="complete4/p1",
         builder=lambda: HedgedMultiPartySwap(graph=graph, premium=1).build(),
+        builder_id="complete4/p1",
         properties=(properties.no_stuck_escrow, properties.multi_party_lemmas),
         strategies={
             party: halt_strategies(instance.horizon) for party in instance.actors
@@ -572,6 +577,7 @@ def _two_party_block(matrix: ScenarioMatrix, schedule: str) -> None:
         family="two-party",
         schedule=schedule,
         builder=two_party_builder,
+        builder_id="two_party_builder",
         properties=(properties.no_stuck_escrow, properties.two_party_hedged),
         strategies={p: halt_strategies(8) for p in ("Alice", "Bob")},
         max_adversaries=2,
@@ -676,6 +682,7 @@ def suicidal_matrix(parent: int) -> ScenarioMatrix:
         family="suicide",
         schedule="kill",
         builder=lambda: _kill_if_worker(parent),
+        builder_id="_kill_if_worker",
         properties=(),
         strategies={},
     )

@@ -31,6 +31,7 @@ def halt_sweep(builder, props, parties, horizon):
         family="sweep",
         schedule="halt",
         builder=builder,
+        builder_id="sweep",
         properties=props,
         strategies={p: halt_strategies(horizon) for p in parties},
         max_adversaries=1,

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.campaign.ablation.grid import closed_form_pi_star, parse_graph_family
-from repro.campaign.ablation.refine import DEFAULT_TOL
+from repro.campaign.ablation.refine import DEFAULT_TOL, MIN_TOL
 from repro.campaign.ablation.rowstore import (
     load_row,
     row_descriptor,
@@ -74,6 +74,25 @@ class TestQuoteRequest:
         for tol in (float("nan"), float("inf")):
             with pytest.raises(QuoteError):
                 QuoteRequest(family="two-party", tol=tol)
+
+    def test_sub_floor_tol_is_refused_at_construction(self):
+        # 32 halvings of [0, 1] never reach 1e-12: refuse the request
+        # instead of burning every bisection iteration first.
+        with pytest.raises(QuoteError, match="at least"):
+            QuoteRequest(graph="ring:5", tol=1e-12)
+        with pytest.raises(QuoteError, match="at least"):
+            QuoteRequest(family="auction", tol=MIN_TOL / 2)
+        QuoteRequest(graph="ring:5", tol=MIN_TOL)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"family": f} for f in ("two-party", "multi-party", "broker", "auction")]
+        + [{"graph": g} for g in ("ring:5", "complete:4", "figure3")],
+    )
+    def test_default_tol_clears_the_floor(self, shape):
+        # The auction's premium quantum (1/60) is coarser than the default
+        # tol (1/64); the floor must not be derived from it.
+        assert QuoteRequest(**shape).tol == DEFAULT_TOL > MIN_TOL
 
     def test_non_finite_tol_is_a_cli_error(self, capsys):
         from repro.cli import main as cli_main

@@ -42,6 +42,7 @@ def _halt_matrix(builder) -> ScenarioMatrix:
         family="halts",
         schedule="",
         builder=builder,
+        builder_id="halts",
         properties=(),
         strategies={
             party: halt_strategies(instance.horizon) for party in instance.actors
