@@ -456,3 +456,54 @@ class TestQuoteBatch:
             progress=lambda update: seen.append((update.done, update.total)),
         )
         assert seen[-1] == (2, 2)
+
+
+# ----------------------------------------------------------------------
+# pinned batch digests: every quote route must keep answering these
+# baskets byte-identically
+# ----------------------------------------------------------------------
+#: the CI quote-smoke job's basket
+SMOKE_BASKET = (
+    {"family": "two-party"},
+    {"family": "multi-party", "coalition": "P1+P2"},
+    {"family": "broker", "coalition": "seller+buyer"},
+    {"graph": "ring:4"},
+    {"family": "auction", "shock": 0.06},
+)
+
+#: every named family, both coalitions, both pre-stake verdicts, named
+#: shocks off the default, and all three graph kinds (tier 3)
+WIDE_BASKET = (
+    {"family": "two-party"},
+    {"family": "multi-party"},
+    {"family": "broker"},
+    {"family": "auction"},
+    {"family": "two-party", "stage": "pre-stake"},
+    {"family": "broker", "stage": "pre-stake"},
+    {"family": "multi-party", "coalition": "P1+P2", "shock": 0.07},
+    {"family": "broker", "shock": 0.011},
+    {"graph": "ring:5"},
+    {"graph": "complete:4", "shock": 0.06},
+    {"graph": "figure3"},
+)
+
+
+class TestPinnedBatchDigests:
+    @pytest.mark.parametrize(
+        "basket, digest",
+        [
+            (
+                SMOKE_BASKET,
+                "bf0001b48e3bd177bd2432deb03dbc3217313f74918c2ec3cde12af6dd0ba9f8",
+            ),
+            (
+                WIDE_BASKET,
+                "054c6d27bb1d504166fbbb84bdf9852e2bf71f7692f0f8ad3c0280df92dbb6a6",
+            ),
+        ],
+        ids=["smoke", "wide"],
+    )
+    def test_basket_digest_is_pinned(self, tmp_path, basket, digest):
+        engine = QuoteEngine(cache=ResultCache(tmp_path))
+        quotes = quote_batch(engine, [QuoteRequest(**spec) for spec in basket])
+        assert batch_digest(quotes) == digest
