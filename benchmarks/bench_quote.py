@@ -20,7 +20,10 @@ it:
 The committed ``BENCH_quote.json`` carries the measurements plus the CI
 budgets; the ``quote-smoke`` job runs ``--gate``, which re-measures and
 fails the push if tier 1's p50 exceeds 1 ms, the warm tier-2 p50 exceeds
-10 ms, or the warm batch drops below 100 quotes/sec.
+10 ms, the warm batch drops below 100 quotes/sec, or the cold batch
+builds more deposit schedules than it has distinct (cell family,
+premium) pairs — schedules are shared per pair, so any extra build is a
+lost share.  That last ceiling is a count, so it holds on any host.
 
 Run directly to print the tables:  python benchmarks/bench_quote.py
 Gate mode (CI):                    python benchmarks/bench_quote.py --gate
@@ -29,23 +32,34 @@ Gate mode (CI):                    python benchmarks/bench_quote.py --gate
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import platform
 import sys
 import tempfile
 import time
 
 from repro.campaign.cache import ResultCache
-from repro.quote import QuoteEngine, QuoteRequest, batch_digest, quote_batch
+from repro.quote import (
+    QuoteEngine,
+    QuoteRequest,
+    batch_digest,
+    deposit_schedule,
+    quote_batch,
+)
 
 try:
     from benchmarks.tables import format_table, write_bench_json
 except ImportError:  # running the file directly from within benchmarks/
     from tables import format_table, write_bench_json
 
-#: CI budgets — ``--gate`` (the quote-smoke job) enforces all three.
+#: CI budgets — ``--gate`` (the quote-smoke job) enforces all four.
 TIER1_P50_BUDGET_MS = 1.0
 TIER2_WARM_P50_BUDGET_MS = 10.0
 BATCH_WARM_QPS_FLOOR = 100.0
+#: deposit schedules the cold 1000-deal batch may build: one per distinct
+#: (cell family, premium) pair it quotes, as measured.
+MAX_SCHEDULE_BUILDS = 17
 
 #: distinct graph-shaped cells exercising tiers 3 and 2: each is its own
 #: refined row — measured once cold, a cache hit ever after.
@@ -150,9 +164,11 @@ def generate_batch_throughput_table(n: int = 1000):
     requests = mixed_basket(n)
     with tempfile.TemporaryDirectory() as root:
         engine = QuoteEngine(cache=ResultCache(pathlib.Path(root)))
+        deposit_schedule.cache_clear()  # cold means no shared schedule yet
         start = time.perf_counter()
         cold = quote_batch(engine, requests)
         cold_seconds = time.perf_counter() - start
+        schedule_builds = deposit_schedule.cache_info().misses
         start = time.perf_counter()
         warm = quote_batch(engine, requests)
         warm_seconds = time.perf_counter() - start
@@ -166,6 +182,8 @@ def generate_batch_throughput_table(n: int = 1000):
     records = {
         "batch_size": n,
         "batch_cold_qps": round(n / cold_seconds, 1),
+        "batch_cold_schedule_builds": schedule_builds,
+        "batch_cold_schedule_builds_ceiling": MAX_SCHEDULE_BUILDS,
         "batch_warm_qps": round(n / warm_seconds, 1),
         "batch_warm_qps_floor": BATCH_WARM_QPS_FLOOR,
         "batch_digest_parity": True,
@@ -196,6 +214,13 @@ def run_gate() -> int:
         failures.append(
             f"warm batch rate {thr['batch_warm_qps']} q/s is below the "
             f"{BATCH_WARM_QPS_FLOOR} q/s floor"
+        )
+    builds = thr["batch_cold_schedule_builds"]
+    print(f"schedule builds: {builds} (ceiling {MAX_SCHEDULE_BUILDS})")
+    if builds > MAX_SCHEDULE_BUILDS:
+        failures.append(
+            f"the cold batch built {builds} deposit schedules, above the "
+            f"{MAX_SCHEDULE_BUILDS} distinct (family, premium) pairs it quotes"
         )
     for failure in failures:
         print(f"GATE FAIL: {failure}")
@@ -246,7 +271,12 @@ if __name__ == "__main__":
         "EXP-QT: 1000-deal heterogeneous batch, cold vs warm",
         thr_header, thr_rows,
     ))
+    host = {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+    }
     write_bench_json(
         "quote",
-        {"experiment": "EXP-QT", **lat_records, **thr_records},
+        {"experiment": "EXP-QT", "host": host, **lat_records, **thr_records},
     )

@@ -837,8 +837,12 @@ def deterrence_stake(family: str, pi: float) -> float:
     raise ValueError(f"unknown ablation family {family!r}")
 
 
+@lru_cache(maxsize=64)
 def shocked_notional(family: str) -> float:
-    """The value the staked-stage shock applies to (denominator of s*)."""
+    """The value the staked-stage shock applies to (denominator of s*).
+
+    Cached per family (a pure function of it) like :func:`premium_base`:
+    the auction's reads a fresh :class:`AuctionSpec` otherwise."""
     if family == "auction":
         from repro.core.hedged_auction import AuctionSpec
 
@@ -846,9 +850,11 @@ def shocked_notional(family: str) -> float:
     return float(PRINCIPAL)
 
 
+@lru_cache(maxsize=64)
 def premium_base(family: str) -> int:
     """The base notional a family's π is quantized against: the integer
-    premium a fraction buys is ``round(π · premium_base)``."""
+    premium a fraction buys is ``round(π · premium_base)``.  Cached per
+    family: every quote reads it, and the auction's builds a spec."""
     if family == "auction":
         from repro.core.hedged_auction import AuctionSpec
 
@@ -912,13 +918,10 @@ def closed_form_coalition_pi_star(
     the refined frontier must report the row undeterred at every probed
     premium.
     """
-    base = premium_base(family)
-    ref_premium = 4  # exactly representable: ref_pi · base == 4 for all bases
-    stake = coalition_deterrence_stake(family, coalition, ref_premium / base)
-    if stake is None:
+    slope = _closed_form_slope(family, coalition)
+    if slope is None:
         return None
-    slope = stake / ref_premium
-    return shocked_notional(family) * shock / (slope * base)
+    return shocked_notional(family) * shock / (slope * premium_base(family))
 
 
 def closed_form_pi_star(family: str, shock: float) -> float:
@@ -931,10 +934,28 @@ def closed_form_pi_star(family: str, shock: float) -> float:
     half a premium unit of quantization, ``0.5 / premium_base`` — well
     inside the refinement engine's default tolerance of 1/64.
     """
+    slope = _closed_form_slope(family, "")
+    return shocked_notional(family) * shock / (slope * premium_base(family))
+
+
+@lru_cache(maxsize=len(CELL_CONTEXTS))
+def _closed_form_slope(family: str, coalition: str) -> float | None:
+    """The stake one integer premium unit buys in ``(family, coalition)``.
+
+    Pure in its key, so it is derived once per cell context instead of
+    rebuilding the Eq. 1–2 (and, for the broker, the premium-table)
+    stake on every closed-form call; ``None`` is the un-hedgeable
+    coalition.
+    """
     base = premium_base(family)
     ref_premium = 4  # exactly representable: ref_pi · base == 4 for all bases
-    slope = deterrence_stake(family, ref_premium / base) / ref_premium
-    return shocked_notional(family) * shock / (slope * base)
+    if coalition:
+        stake = coalition_deterrence_stake(family, coalition, ref_premium / base)
+    else:
+        stake = deterrence_stake(family, ref_premium / base)
+    if stake is None:
+        return None
+    return stake / ref_premium
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ outside the digest (see :meth:`~repro.quote.quote.Quote.digest`).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
@@ -131,6 +132,10 @@ class QuoteEngine:
         tier: int,
         start: float,
     ) -> Quote:
+        # One assembly (one request digest, one premium quantization),
+        # then the schedule that premium implies — shared per (family,
+        # premium) — and the latency stamp go on through ``replace``:
+        # Quote has no __post_init__, so nothing is derived twice.
         quote = quote_for(
             request,
             pi_star=pi_star,
@@ -142,15 +147,7 @@ class QuoteEngine:
         if quote.premium is not None:
             schedule = deposit_schedule(request.cell_family, quote.premium)
         latency_ms = (time.perf_counter() - start) * 1000.0
-        return quote_for(
-            request,
-            pi_star=pi_star,
-            base=quote.base,
-            provenance=provenance,
-            schedule=schedule,
-            tier=tier,
-            latency_ms=latency_ms,
-        )
+        return replace(quote, schedule=schedule, latency_ms=latency_ms)
 
     def _descriptor(self, request: QuoteRequest) -> str:
         return row_descriptor(

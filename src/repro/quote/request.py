@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from hashlib import sha256
+from numbers import Real
 
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
@@ -97,6 +98,16 @@ class QuoteRequest:
                 f"a quote needs one concrete stage, got {self.stage!r} "
                 "(named stage or round:K)"
             )
+        # Typed before any comparison: a bool or float seed would hash
+        # differently from the int it equals, and a str shock would
+        # escape as a bare TypeError.  ``float`` ahead of ``Real`` lets the
+        # common case skip the ABC check on the quote hot path.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise QuoteError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("shock", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (float, Real)):
+                raise QuoteError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.shock < 1.0:
             raise QuoteError(
                 f"shock must be a relative drop in (0, 1), got {self.shock}"

@@ -20,9 +20,18 @@ and leader set differ:
   contract (§8.1),
 - ``auction`` is the degenerate case: the auctioneer deposits the flat
   premium into each bidder's contract (§9.2).
+
+A schedule is a pure function of (family, premium), so
+:func:`deposit_schedule` caches it per key: every quote of one
+(family, premium) holds the *same* tuple.  Sharing is safe only because
+:class:`~repro.quote.quote.ScheduleEntry` is frozen and every field it
+holds (strings, ints, tuples) is immutable — no caller can edit one
+quote's schedule under another.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.campaign.ablation.grid import parse_graph_family
 from repro.core.hedged_auction import AuctionSpec
@@ -135,12 +144,16 @@ def _auction_entries(premium: int) -> list[ScheduleEntry]:
     ]
 
 
+@lru_cache(maxsize=256)
 def deposit_schedule(family: str, premium: int) -> tuple[ScheduleEntry, ...]:
     """The full deposit schedule for one deal at one integer premium.
 
     ``family`` is a resolved cell family — a named §5.2 family or a graph
     family string.  A zero premium prices the unhedged protocol: the
     schedule is empty (there is nothing to deposit and nothing deterring).
+    Cached and shared per (family, premium), bounded like
+    :func:`~repro.campaign.ablation.grid.parse_graph_family`: a stream
+    of quotes asks for a few dozen distinct keys.
     """
     if premium < 0:
         raise QuoteError(f"premium must be non-negative, got {premium}")

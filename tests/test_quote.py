@@ -6,6 +6,7 @@ that answers the same question — produce byte-identical quote digests.
 """
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -131,6 +132,32 @@ class TestQuoteRequest:
         assert len(digests) == 1 + len(variants)
         assert base.digest() == QuoteRequest(family="two-party").digest()
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "x", None])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(QuoteError, match="seed must be an integer"):
+            QuoteRequest(family="two-party", seed=seed)
+        with pytest.raises(QuoteError, match="seed must be an integer"):
+            QuoteRequest.from_json(
+                json.dumps({"family": "two-party", "seed": seed})
+            )
+
+    @pytest.mark.parametrize("field", ["shock", "tol"])
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_non_real_shock_and_tol_are_refused(self, field, value):
+        with pytest.raises(QuoteError, match=f"{field} must be a real number"):
+            QuoteRequest(family="two-party", **{field: value})
+        with pytest.raises(QuoteError, match=f"{field} must be a real number"):
+            QuoteRequest.from_json(
+                json.dumps({"family": "two-party", field: value})
+            )
+
+    def test_typed_fields_keep_their_digests(self):
+        # seed=True once hashed apart from seed=1; the valid spelling
+        # keeps the digest it always had.
+        assert QuoteRequest(family="two-party", seed=1).digest().startswith(
+            "9cc54df0"
+        )
+
     def test_json_round_trip_verifies_digest(self):
         request = QuoteRequest(graph="ring:5", shock=0.06, seed=3)
         again = QuoteRequest.from_json(request.to_json())
@@ -222,6 +249,34 @@ class TestDepositSchedule:
         schedule = deposit_schedule("auction", 4)
         assert [entry.amount for entry in schedule] == [4, 4]
         assert {entry.depositor for entry in schedule} == {"Alice"}
+
+    def test_one_schedule_per_family_and_premium(self):
+        engine = QuoteEngine()
+        one, other = (
+            engine.quote(QuoteRequest(family="two-party", shock=s), tiers=(1,))
+            for s in (0.045, 0.041)
+        )
+        assert one.premium == other.premium == 5
+        assert one.schedule is other.schedule
+        with pytest.raises(FrozenInstanceError):
+            one.schedule[0].amount = 1
+        assert deposit_schedule.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "two-party", "multi-party", "broker", "auction", "ring:4",
+            "ring:6", "complete:4", "complete:5", "figure3",
+        ],
+    )
+    @pytest.mark.parametrize("premium", [1, 3])
+    def test_schedule_is_linear_in_the_premium(self, family, premium):
+        unit = deposit_schedule(family, premium)
+        assert unit
+        for k in (2, 3, 7, 100):
+            assert deposit_schedule(family, k * premium) == tuple(
+                replace(entry, amount=k * entry.amount) for entry in unit
+            )
 
     def test_zero_premium_empty_and_errors(self):
         assert deposit_schedule("two-party", 0) == ()
