@@ -86,15 +86,12 @@ def store_row(cache: ResultCache, descriptor: str, row: RefinedRow) -> bool:
 
 
 def load_row(cache: ResultCache, descriptor: str) -> RefinedRow | None:
-    """The stored refined row for ``descriptor``, or None on any miss."""
-    payload = cache.get_entry(row_key(descriptor))
-    if payload is None:
-        return None
-    try:
-        row = refined_row_from_payload(payload)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return row
+    """The stored refined row for ``descriptor``, or None on any miss.
+
+    The cache decodes the payload (a payload that does not decode is a
+    corrupt miss), so a warm row is served without re-parsing its file.
+    """
+    return cache.get_entry(row_key(descriptor), decode=refined_row_from_payload)
 
 
 def store_refined_rows(

@@ -35,6 +35,22 @@ load.  Only blocks whose every scenario passed its properties are stored
 — the cache holds verified outcomes, a violating block re-runs live each
 time so regressions keep reproducing with fresh traces.  A corrupt or
 mismatched entry reads as a miss, never an error.
+
+**Read memo.**  :meth:`ResultCache.get_entry` keeps up to
+:data:`READ_MEMO_ENTRIES` decoded entries in memory, each with the
+``(st_ino, st_size, st_mtime_ns)`` signature of the file it was read
+from, so a warm hit costs one ``os.stat`` and one dict lookup instead of
+an open, a JSON parse and a decode.  Every call stats the entry file
+first: a vanished file is an absent miss, and a changed signature
+re-reads and re-validates the file.  This stays coherent with every
+other writer of a shared cache root because writers publish through a
+temp file and ``os.replace``, which gives the entry a new inode while
+the old one is still linked.  The one limit: a writer that bypasses
+:meth:`~ResultCache.put_entry` and overwrites an entry in place with
+content of the same size, within one filesystem timestamp tick, leaves
+the signature unchanged, so the payload verified before for that same
+key can still be served.  Only decoded, immutable values are memoized;
+a payload that fails to decode is a corrupt miss and is never kept.
 """
 
 from __future__ import annotations
@@ -45,6 +61,7 @@ import tempfile
 import time
 from hashlib import sha256
 from pathlib import Path
+from typing import Callable
 
 from repro.campaign.scenario import (
     ScenarioResult,
@@ -56,6 +73,10 @@ _CODE_VERSION: str | None = None
 
 #: orphaned ``.tmp-*`` writer files older than this are swept on cache open.
 TEMP_SWEEP_AGE_SECONDS = 3600.0
+
+#: decoded entries one cache object keeps in its read memo (see *Read
+#: memo* above); far above the distinct rows a quote workload reads.
+READ_MEMO_ENTRIES = 1024
 
 
 def code_version(refresh: bool = False) -> str:
@@ -128,7 +149,9 @@ class ResultCache:
     Telemetry: when a tracer is attached (the runner binds its own via
     the ``tracer`` property) the cache counts ``cache.hit``,
     ``cache.miss.absent`` / ``.corrupt`` / ``.violating``,
-    ``cache.store`` / ``cache.store.skipped`` and ``cache.sweep.removed``.
+    ``cache.read`` (entry files opened and parsed; a read-memo hit opens
+    none), ``cache.store`` / ``cache.store.skipped`` and
+    ``cache.sweep.removed``.
     Counters observed before a tracer attaches (the constructor's temp
     sweep) buffer and flush on attachment.  All of it is digest-inert:
     nothing counted here feeds a key, an entry, or a report digest.
@@ -139,6 +162,8 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._tracer = None
         self._pending_counts: dict[str, float] = {}
+        #: key -> (path, file signature, decode, decoded value)
+        self._memo: dict[str, tuple] = {}
         self.sweep_temps()
 
     @property
@@ -205,6 +230,25 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def _read(self, path: str | Path) -> tuple[tuple, object] | None:
+        """(file signature, parsed JSON) of one entry file, or None.
+
+        The signature comes from the open handle, so it describes exactly
+        the bytes parsed even if a writer replaces the file meanwhile.
+        A missing file counts an absent miss, an unreadable or non-JSON
+        one a corrupt miss.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                self._count("cache.read")
+                signature = _signature(os.fstat(handle.fileno()))
+                return signature, json.load(handle)
+        except FileNotFoundError:
+            self._count("cache.miss.absent")
+        except (OSError, ValueError):
+            self._count("cache.miss.corrupt")
+        return None
+
     def get(self, key: str, size: int) -> list[ScenarioResult] | None:
         """The cached results (block-local indices), or None on any miss.
 
@@ -214,17 +258,12 @@ class ResultCache:
         must equal the requested key: a copied or renamed entry file would
         otherwise be served under an address its contents never earned.
         """
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            self._count("cache.miss.absent")
+        read = self._read(self._path(key))
+        if read is None:
             return None
-        except (OSError, ValueError):
-            self._count("cache.miss.corrupt")
-            return None
+        data = read[1]
         try:
-            if data.get("key") != key:
+            if not isinstance(data, dict) or data.get("key") != key:
                 self._count("cache.miss.corrupt")
                 return None
             results = [result_from_payload(r) for r in data["results"]]
@@ -275,22 +314,41 @@ class ResultCache:
     # ------------------------------------------------------------------
     # generic JSON entries (refined-row store, future derived artifacts)
     # ------------------------------------------------------------------
-    def get_entry(self, key: str) -> "dict | None":
-        """A generic JSON payload stored under ``key``, or None on a miss.
+    def get_entry(
+        self, key: str, decode: Callable[[dict], object] | None = None
+    ):
+        """The JSON payload stored under ``key`` — passed through
+        ``decode`` when given — or None on a miss.
 
-        Same miss discipline as :meth:`get`: malformed entries and
-        key mismatches read as misses, never errors — a derived-artifact
-        store can only ever short-circuit work it can vouch for.
+        Same miss discipline as :meth:`get`: malformed entries, key
+        mismatches and payloads ``decode`` rejects (``KeyError``,
+        ``TypeError``, ``ValueError``) read as misses, never errors — a
+        derived-artifact store can only ever short-circuit work it can
+        vouch for.  Decoded values are served from the read memo (see
+        the module doc) while the entry file's signature holds, so
+        ``decode`` must return an immutable value.  A raw payload
+        (``decode=None``) is a fresh dict per call and is not memoized.
         """
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            self._count("cache.miss.absent")
+        memo = self._memo.get(key)
+        if memo is not None:
+            path, signature, memo_decode, value = memo
+            try:
+                current = _signature(os.stat(path))
+            except FileNotFoundError:
+                del self._memo[key]
+                self._count("cache.miss.absent")
+                return None
+            except OSError:
+                current = None  # re-read below, which counts the miss
+            if current == signature and memo_decode is decode:
+                self._count("cache.hit")
+                return value
+            del self._memo[key]
+        path = str(self._path(key))
+        read = self._read(path)
+        if read is None:
             return None
-        except (OSError, ValueError):
-            self._count("cache.miss.corrupt")
-            return None
+        signature, data = read
         if not isinstance(data, dict) or data.get("key") != key:
             self._count("cache.miss.corrupt")
             return None
@@ -298,11 +356,21 @@ class ResultCache:
         if not isinstance(payload, dict):
             self._count("cache.miss.corrupt")
             return None
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (KeyError, TypeError, ValueError):
+                self._count("cache.miss.corrupt")
+                return None
+            if len(self._memo) >= READ_MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = (path, signature, decode, payload)
         self._count("cache.hit")
         return payload
 
     def put_entry(self, key: str, payload: dict) -> bool:
         """Store a generic JSON payload under ``key`` (atomic write)."""
+        self._memo.pop(key, None)
         text = json.dumps(
             {"key": key, "payload": payload},
             indent=None,
@@ -325,6 +393,11 @@ class ResultCache:
             return False
         self._count("cache.store")
         return True
+
+
+def _signature(stat: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one published version of an entry file."""
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 _SHARED_CACHES: dict[Path, ResultCache] = {}

@@ -8,7 +8,8 @@ it into the questions an operator actually asks of a campaign run:
   is accounted for by named child spans (the ≥95% coverage contract);
 - **slowest blocks** — the per-block spans that dominated dispatch;
 - **cache behaviour** — hit-rate with the miss taxonomy (absent,
-  corrupt, violating) and store counts;
+  corrupt, violating), entry files read (a read-memo hit reads none)
+  and store counts;
 - **kernel engine** — template calibrations vs. vectorized replays and
   cell-cache hits;
 - **worker skew** — per-worker scenario counts and busy time carried
@@ -151,6 +152,7 @@ class TraceSummary:
             lines.append(
                 f"cache: {self.cache_hits}/{consulted} hits "
                 f"({self.cache_hit_rate:.1%}), "
+                f"{int(self.counters.get('cache.read', 0))} file reads, "
                 f"{int(self.counters.get('cache.store', 0))} stores{detail}"
             )
         if any(name.startswith("kernel.") for name in self.counters):

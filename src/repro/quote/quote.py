@@ -14,6 +14,7 @@ same request must produce byte-identical digests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -53,14 +54,56 @@ def schedule_entry_payload(entry: ScheduleEntry) -> dict:
     }
 
 
+def _text(name: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise QuoteError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _integer(name: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise QuoteError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(name: str, value: object) -> float:
+    # An int too large for a double is as unusable as NaN or inf: every
+    # digest renders it through canon_float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise QuoteError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise QuoteError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _strings(name: str, value: object) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise QuoteError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(_text(name, item) for item in value)
+
+
 def schedule_entry_from_payload(data: dict) -> ScheduleEntry:
+    """Rebuild one :class:`ScheduleEntry`, refusing wrong field types.
+
+    A ``"5"`` amount or an ``"ab"`` arc would load as a different entry
+    than the one that was priced, so each type is checked, never coerced.
+    """
+    if not isinstance(data, dict):
+        raise QuoteError(f"a schedule entry is a JSON object, got {data!r}")
+    arc = _strings("arc", data["arc"])
+    if len(arc) != 2:
+        raise QuoteError(f"arc must name two parties, got {data['arc']!r}")
     return ScheduleEntry(
-        kind=data["kind"],
-        depositor=data["depositor"],
-        arc=tuple(data["arc"]),
-        round=int(data["round"]),
-        amount=int(data["amount"]),
-        path=tuple(data.get("path", ())),
+        kind=_text("kind", data["kind"]),
+        depositor=_text("depositor", data["depositor"]),
+        arc=arc,
+        round=_integer("round", data["round"]),
+        amount=_integer("amount", data["amount"]),
+        path=_strings("path", data.get("path", [])),
     )
 
 
@@ -141,33 +184,47 @@ class Quote:
 
     @classmethod
     def from_json(cls, text: str) -> "Quote":
+        """Load a quote, refusing any field of the wrong type.
+
+        Types are checked, never coerced: a ``"5"`` premium would load
+        as a quote whose digest differs from the well-typed one's.
+        """
         try:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise QuoteError(f"not a JSON quote: {err}")
-        try:
-            quote = cls(
-                request_digest=data["request_digest"],
-                family=data["family"],
-                coalition=data.get("coalition", ""),
-                stage=data["stage"],
-                shock=data["shock"],
-                tol=data["tol"],
-                pi_star=data.get("pi_star"),
-                premium=data.get("premium"),
-                base=data["base"],
-                provenance=data["provenance"],
-                schedule=tuple(
-                    schedule_entry_from_payload(e)
-                    for e in data.get("schedule", ())
-                ),
-                tier=data.get("tier", 0),
-                latency_ms=data.get("latency_ms", 0.0),
+        if not isinstance(data, dict):
+            raise QuoteError(
+                f"a quote is a JSON object, got {type(data).__name__}"
             )
-        except (KeyError, TypeError, ValueError) as err:
-            raise QuoteError(f"malformed quote: {err}")
+        try:
+            pi_star = data.get("pi_star")
+            premium = data.get("premium")
+            schedule = data.get("schedule", [])
+            if not isinstance(schedule, list):
+                raise QuoteError(f"schedule must be a list, got {schedule!r}")
+            tier = _integer("tier", data.get("tier", 0))
+            if not 0 <= tier <= 3:
+                raise QuoteError(f"tier must be 0-3, got {tier}")
+            quote = cls(
+                request_digest=_text("request_digest", data["request_digest"]),
+                family=_text("family", data["family"]),
+                coalition=_text("coalition", data.get("coalition", "")),
+                stage=_text("stage", data["stage"]),
+                shock=_real("shock", data["shock"]),
+                tol=_real("tol", data["tol"]),
+                pi_star=None if pi_star is None else _real("pi_star", pi_star),
+                premium=None if premium is None else _integer("premium", premium),
+                base=_integer("base", data["base"]),
+                provenance=_text("provenance", data["provenance"]),
+                schedule=tuple(schedule_entry_from_payload(e) for e in schedule),
+                tier=tier,
+                latency_ms=_real("latency_ms", data.get("latency_ms", 0.0)),
+            )
+        except KeyError as err:
+            raise QuoteError(f"malformed quote: missing {err}")
         stamped = data.get("digest")
-        if stamped is not None and stamped != quote.digest():
+        if stamped is not None and _text("digest", stamped) != quote.digest():
             raise QuoteError(
                 "quote digest mismatch after deserialization: "
                 f"{quote.digest()[:16]} != {stamped[:16]} — the quote was "

@@ -15,7 +15,11 @@ Pins:
   on cache open, young ones (a concurrent writer mid-flight) survive,
 - **code_version refresh**: the per-process memo can be dropped
   (``refresh=True`` / ``invalidate_code_version``) so a long-lived
-  process re-hashes sources that changed underneath it.
+  process re-hashes sources that changed underneath it,
+- **get_entry read memo coherence**: a warm memo never outlives the
+  entry file it was read from — a deleted file is a miss, another
+  writer's ``put_entry`` is served, an in-place overwrite re-validates,
+  an undecodable payload is never memoized, and the memo stays bounded.
 """
 
 import json
@@ -26,6 +30,7 @@ import time
 import pytest
 
 from repro.campaign import ResultCache, ScenarioResult
+from repro.campaign import cache as cache_module
 from repro.campaign.cache import (
     TEMP_SWEEP_AGE_SECONDS,
     code_version,
@@ -155,6 +160,14 @@ def test_cache_get_rejects_key_mismatch(tmp_path):
     assert cache.get(other, 1) is None
 
 
+def test_cache_get_non_object_entry_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = cache.block_key("block-a", 1)
+    cache._path(key).write_text("[1, 2]")
+    assert cache.get(key, 1) is None
+    assert cache.get_entry(key) is None
+
+
 def test_cache_roundtrip_still_works(tmp_path):
     cache = ResultCache(tmp_path)
     key = cache.block_key("block-a", 2)
@@ -262,3 +275,108 @@ def test_source_key_is_posix_relative(tmp_path):
     path = pkg / "mod.py"
     path.write_text("pass\n")
     assert _source_key(tmp_path, path) == "pkg/mod.py"
+
+
+# ---------------------------------------------------------------------------
+# get_entry read memo: one stat per warm hit, coherent with other writers
+
+
+def _frozen(payload: dict) -> tuple:
+    """A decoder returning an immutable value, as the memo requires."""
+    return tuple(sorted(payload.items()))
+
+
+def _counting_cache(root):
+    from repro.obs import Tracer
+
+    cache = ResultCache(root)
+    cache.tracer = Tracer()
+    return cache
+
+
+def _count(cache, name: str) -> int:
+    return int(cache.tracer.metrics.counter(name))
+
+
+def _warm(cache, key="k", payload=None):
+    """Store ``payload`` under ``key`` and read it twice: one file read,
+    then a memo hit."""
+    payload = {"v": 1} if payload is None else payload
+    assert cache.put_entry(key, payload)
+    for _ in range(2):
+        assert cache.get_entry(key, decode=_frozen) == _frozen(payload)
+    assert _count(cache, "cache.read") == 1
+    assert _count(cache, "cache.hit") == 2
+
+
+def test_memo_serves_a_warm_entry_without_reading_the_file(tmp_path):
+    cache = _counting_cache(tmp_path)
+    _warm(cache)
+    # Without a decoder the payload is a fresh dict: read every call.
+    assert cache.get_entry("k") == {"v": 1}
+    assert _count(cache, "cache.read") == 2
+
+
+def test_memo_deleted_entry_is_an_absent_miss(tmp_path):
+    cache = _counting_cache(tmp_path)
+    _warm(cache)
+    cache._path("k").unlink()
+    assert cache.get_entry("k", decode=_frozen) is None
+    assert cache.get_entry("k", decode=_frozen) is None
+    assert _count(cache, "cache.miss.absent") == 2
+    assert _count(cache, "cache.read") == 1
+
+
+def test_memo_serves_another_writers_replacement(tmp_path):
+    cache = _counting_cache(tmp_path)
+    _warm(cache)
+    path = cache._path("k")
+    before = path.stat()
+    assert ResultCache(tmp_path).put_entry("k", {"v": 2})
+    # Same size, and pinned to the same timestamp tick: only the new
+    # inode tells the two versions apart.
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert cache.get_entry("k", decode=_frozen) == (("v", 2),)
+    assert _count(cache, "cache.read") == 2
+
+
+def test_memo_in_place_garbage_is_a_corrupt_miss(tmp_path):
+    cache = _counting_cache(tmp_path)
+    _warm(cache)
+    path = cache._path("k")
+    with open(path, "w", encoding="utf-8") as handle:  # same inode
+        handle.write("not json at all")
+    assert cache.get_entry("k", decode=_frozen) is None
+    assert _count(cache, "cache.miss.corrupt") == 1
+    assert _count(cache, "cache.read") == 2
+
+
+def test_memo_never_keeps_a_payload_that_fails_to_decode(tmp_path):
+    cache = _counting_cache(tmp_path)
+    assert cache.put_entry("k", {"v": 1})  # passes the key check
+
+    def strict(payload):
+        return payload["missing"]
+
+    for _ in range(3):
+        assert cache.get_entry("k", decode=strict) is None
+    assert _count(cache, "cache.miss.corrupt") == 3
+    assert _count(cache, "cache.read") == 3
+    assert _count(cache, "cache.hit") == 0
+
+
+def test_memo_stays_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "READ_MEMO_ENTRIES", 3)
+    cache = _counting_cache(tmp_path)
+    keys = [f"k{i}" for i in range(5)]
+    for i, key in enumerate(keys):
+        assert cache.put_entry(key, {"v": i})
+        assert cache.get_entry(key, decode=_frozen) == (("v", i),)
+    assert len(cache._memo) == 3
+    for key in keys[2:]:  # the newest three are still memoized
+        cache.get_entry(key, decode=_frozen)
+    assert _count(cache, "cache.read") == 5
+    cache.get_entry(keys[0], decode=_frozen)  # the oldest was evicted
+    assert _count(cache, "cache.read") == 6
+    assert len(cache._memo) == 3

@@ -210,6 +210,71 @@ class TestQuote:
         with pytest.raises(QuoteError):
             Quote.from_json(json.dumps(tampered))
 
+    @staticmethod
+    def _unstamped():
+        """A valid quote's JSON without its digest stamp: only the type
+        checks stand between an edit and a loaded quote."""
+        quote = QuoteEngine().quote(QuoteRequest(family="two-party"), tiers=(1,))
+        data = json.loads(quote.to_json())
+        del data["digest"]
+        assert Quote.from_json(json.dumps(data)).digest() == quote.digest()
+        return data
+
+    def _refused(self, data, match):
+        with pytest.raises(QuoteError, match=match):
+            Quote.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "field", ["request_digest", "family", "coalition", "stage", "provenance"]
+    )
+    @pytest.mark.parametrize("value", [5, None, ["x"]])
+    def test_non_string_text_field_is_refused(self, field, value):
+        data = self._unstamped()
+        data[field] = value
+        self._refused(data, f"{field} must be a string")
+
+    @pytest.mark.parametrize("field", ["premium", "base", "round", "amount"])
+    @pytest.mark.parametrize("value", ["5", 5.0, True])
+    def test_non_integer_count_is_refused(self, field, value):
+        data = self._unstamped()
+        if field in ("round", "amount"):
+            data["schedule"][0][field] = value
+        else:
+            data[field] = value
+        self._refused(data, f"{field} must be an integer")
+
+    @pytest.mark.parametrize("field", ["shock", "tol", "pi_star"])
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            ("0.045", "must be a real number"),
+            (True, "must be a real number"),
+            (float("nan"), "must be finite"),
+            (float("inf"), "must be finite"),
+            (10**400, "must be finite"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_real_is_refused(self, field, value, match):
+        data = self._unstamped()
+        data[field] = value
+        self._refused(data, f"{field} {match}")
+
+    @pytest.mark.parametrize("arc", ["ab", ["a"], ["a", "b", "c"], ["a", 1]])
+    def test_arc_that_is_not_two_strings_is_refused(self, arc):
+        data = self._unstamped()
+        data["schedule"][0]["arc"] = arc
+        self._refused(data, "arc must")
+
+    @pytest.mark.parametrize(
+        "tier, match",
+        [("fast", "must be an integer"), (True, "must be an integer"),
+         (4, "must be 0-3"), (-1, "must be 0-3")],
+    )
+    def test_tier_outside_the_ladder_is_refused(self, tier, match):
+        data = self._unstamped()
+        data["tier"] = tier
+        self._refused(data, f"tier {match}")
+
 
 # ----------------------------------------------------------------------
 # deposit schedules
@@ -347,6 +412,41 @@ class TestRowStore:
         path.write_text('{"key": "mismatch", "payload": {}}')
         assert load_row(cache, descriptor) is None
 
+    def test_undecodable_row_is_a_miss_on_every_call(self, tmp_path):
+        from repro.obs import Tracer
+
+        cache = ResultCache(tmp_path)
+        cache.tracer = tracer = Tracer()
+        descriptor = row_descriptor(
+            "two-party", "", "staked", 0.045, DEFAULT_TOL, 0
+        )
+        # Passes the cache's key check; fails the row decode.
+        assert cache.put_entry(row_key(descriptor), {"family": "two-party"})
+        for _ in range(3):
+            assert load_row(cache, descriptor) is None
+        counter = tracer.metrics.counter
+        assert counter("cache.miss.corrupt") == counter("cache.read") == 3
+        assert counter("cache.hit") == 0
+
+    def test_warm_row_is_memoized_until_another_writer_replaces_it(
+        self, tmp_path
+    ):
+        from repro.obs import Tracer
+
+        cache = ResultCache(tmp_path)
+        cache.tracer = tracer = Tracer()
+        row = self._refined_row()
+        descriptor = row_descriptor(
+            "two-party", "", "staked", 0.045, DEFAULT_TOL, 0
+        )
+        assert store_row(cache, descriptor, row)
+        assert load_row(cache, descriptor) is load_row(cache, descriptor)
+        assert tracer.metrics.counter("cache.read") == 1
+        moved = replace(row, pi_star=row.pi_star / 2)
+        assert store_row(ResultCache(tmp_path), descriptor, moved)
+        assert load_row(cache, descriptor) == moved
+        assert tracer.metrics.counter("cache.read") == 2
+
     def test_experiment_run_warms_the_store(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = refine_spec(
@@ -431,21 +531,28 @@ class TestDigestInvariance:
         assert len(digests) == 1
 
     def test_traced_equals_untraced(self, tmp_path):
-        from repro.obs import Tracer, TraceWriter
+        from repro.obs import Tracer, TraceWriter, summarize_trace
 
+        # cold (tier 3), then warm tier-2 hits served by the read memo
         request = QuoteRequest(graph="ring:4")
-        plain = QuoteEngine(cache=ResultCache(tmp_path / "plain")).quote(request)
+        plain_engine = QuoteEngine(cache=ResultCache(tmp_path / "plain"))
+        plain = [plain_engine.quote(request) for _ in range(3)]
 
         tracer = Tracer(TraceWriter(str(tmp_path / "trace.jsonl")))
-        traced_engine = QuoteEngine(
-            cache=ResultCache(tmp_path / "traced"), tracer=tracer
-        )
-        traced = traced_engine.quote(request)
+        traced_cache = ResultCache(tmp_path / "traced")
+        traced_cache.tracer = tracer
+        traced_engine = QuoteEngine(cache=traced_cache, tracer=tracer)
+        traced = [traced_engine.quote(request) for _ in range(3)]
         tracer.close()
 
-        assert traced.digest() == plain.digest()
+        assert [q.tier for q in traced] == [q.tier for q in plain] == [3, 2, 2]
+        assert [q.digest() for q in traced] == [q.digest() for q in plain]
         events = (tmp_path / "trace.jsonl").read_text()
         assert "quote.tier3" in events
+        summary = summarize_trace(tmp_path / "trace.jsonl")
+        # one row file parsed for two tier-2 hits
+        assert summary.counters["cache.read"] == 1
+        assert "1 file reads" in summary.render()
 
     def test_batch_members_match_single_quotes(self, tmp_path):
         requests = [
