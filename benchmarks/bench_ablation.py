@@ -21,7 +21,7 @@ Five ablations:
    the staircase to a π* within 1/64 of the closed forms, and prices the
    named two-party coalitions' collusive walks alongside the single
    pivots.
-6. **EXP-AB6, engine throughput**: the vectorized payoff kernels
+6. **EXP-AB6, engine throughput**: the payoff kernels
    (``repro.campaign.ablation.kernels``) vs the full simulator on the
    default grid and on a dense-shock hot path, with byte-identical
    run-digest parity asserted before any number is reported.  The
@@ -244,7 +244,7 @@ def generate_refined_frontier_table():
 
 
 #: dense shock sweep for the kernel hot path — enough distinct shocks that
-#: template calibration amortizes and the vectorized decision replay
+#: template calibration amortizes and the per-shock decision replay
 #: dominates, which is the regime the grid engine actually runs in.
 HOT_SHOCKS = tuple(round(0.0005 + 0.00125 * i, 8) for i in range(96))
 
@@ -252,8 +252,9 @@ HOT_SHOCKS = tuple(round(0.0005 + 0.00125 * i, 8) for i in range(96))
 #: over the simulator.  Engine-level throughput divides scenarios by the
 #: per-result recorded seconds, isolating the execution engines from the
 #: runner's (engine-independent) matrix expansion and report aggregation.
-#: A *ratio*, so it holds across machines; committed an order of magnitude
-#: under the measured ~1100x so only a real hot-path regression trips it.
+#: A *ratio*, so it holds across machines; committed well under the
+#: ~400-550x this script and parity_audit.py measure on a 2-vCPU host
+#: (scalar per-shock replay), so only a real hot-path regression trips it.
 KERNEL_HOT_SPEEDUP_FLOOR = 100.0
 
 

@@ -1,4 +1,4 @@
-"""CI parity audit + perf gate for the vectorized payoff kernels.
+"""CI parity audit + perf gate for the payoff kernels.
 
 The kernel engine (``repro.campaign.ablation.kernels``) is the default
 executor for ablation grids; the simulator remains the authority.  This

@@ -13,7 +13,7 @@ example shows the full loop:
 - run it warm: every already-verified scenario block is served from the
   store — the hit-rate is 100% and the digests are byte-identical, which
   is what makes 10^5+-scenario matrices re-runnable after small edits,
-- swap the ``engine``: ablation specs default to the vectorized payoff
+- swap the ``engine``: ablation specs default to the payoff
   kernels (``engine="kernel"``); ``engine="simulator"`` replays the same
   scenarios through the full simulator — the audit path CI holds the
   kernels to — and reproduces every digest byte-identically,

@@ -105,7 +105,14 @@ def parse_graph_family(family: str):
     if family == "figure3":
         return figure3_graph(), ("A",)
     kind, sep, count = family.partition(":")
-    if not sep or kind not in GRAPH_FAMILY_KINDS or not count.isdigit():
+    # Canonical names only: ASCII decimal, no leading zero — ``ring:03``
+    # or a non-ASCII digit would otherwise open a second ``ring:3`` cell.
+    if (
+        not sep
+        or kind not in GRAPH_FAMILY_KINDS
+        or not (count.isascii() and count.isdigit())
+        or count.startswith("0")
+    ):
         return None
     n = int(count)
     if n < 2:
@@ -363,7 +370,7 @@ class FamilyCell:
 
     Everything a ``(family, coalition, premium)`` point of the grid needs
     in one object shared by the matrix adders (which expand it into
-    comply/rational blocks per shock × stage) and the vectorized kernel
+    comply/rational blocks per shock × stage) and the kernel
     engine (which calibrates payoff templates from it): the context's
     shared, immutable :class:`CellShape` (contracts, stage schedule,
     horizon, pivot set, shocked token) plus what the premium feeds — the

@@ -1,4 +1,4 @@
-"""Vectorized payoff kernels: the ablation grid without per-cell replays.
+"""Payoff kernels: the ablation grid without per-cell replays.
 
 The frontier and refine engines replay the full object-oriented protocol
 (contracts, ledger, parties) once per scenario, yet across a premium ×
@@ -22,21 +22,19 @@ this module exploits:
    (:func:`repro.parties.rational.completion_gain_terms`), i.e. the exact
    ``(sign, amount, asset)`` folds the live
    :class:`~repro.parties.rational.UtilityModel` would price.
-2. **Vectorized decisions.**  For a whole vector of shock fractions at
-   once, the recorded folds are replayed with numpy in the *identical
-   floating-point operation order* the simulator uses (same term order,
-   same ``0.0 +``/``-=`` fold, same ``value * (1 - s)`` shock step), so
-   the per-round rule ``gain >= -stake`` — and hence the walk round —
-   is bit-for-bit the simulator's.  IEEE-754 elementwise numpy arithmetic
-   makes "vectorized" and "replayed scalar" the same computation.
+2. **Replayed decisions.**  Per shock fraction, the recorded folds are
+   replayed in plain floats in the *identical operation order* the
+   simulator uses (same term order, same ``0.0 +``/``-=`` fold, same
+   ``value * (1 - s)`` shock step), so the per-round rule ``gain >=
+   -stake`` — and hence the walk round — is the simulator's, bit for bit.
 3. **Trajectory templates.**  A rational arm that never walks *is* the
    comply run; one that walks at round ``w`` is reproduced once per
    distinct ``w`` by a scripted :class:`~repro.parties.rational.
    Opportunist` (``continue iff rnd < w``) and then shared by every
    scenario that walks there.  Violations, premium flows, transaction
    counts, and the ledger fingerprint are condensed per template; the
-   ``utility`` metric is replayed vectorized per (template, shock height)
-   from the final balance deltas.
+   ``utility`` metric is replayed per (template, shock height) from the
+   final balance deltas.
 
 The result: per-scenario work collapses to a metrics fold, a summary
 join, and a sha256 — identical :class:`~repro.campaign.scenario.
@@ -51,8 +49,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
-
-import numpy as np
 
 from repro.campaign.scenario import (
     Scenario,
@@ -88,6 +84,8 @@ class _Recording:
     stakes: list = field(default_factory=list)
     #: per round: per member fold of (sign, amount, is_native, symbol).
     folds: list = field(default_factory=list)
+    #: per round: does any fold term price the shocked token?
+    exposed: list = field(default_factory=list)
 
 
 class _RecordingActor(Actor):
@@ -105,21 +103,29 @@ class _RecordingActor(Actor):
         rec = self._recording
         rec.heights.append(view.height)
         rec.stakes.append(self._stake(view))
-        rec.folds.append(
+        folds = [
             [
-                [
-                    (
-                        sign,
-                        amount,
-                        getattr(asset, "is_native", False),
-                        getattr(asset, "symbol", str(asset)),
-                    )
-                    for sign, amount, asset in fold
-                ]
-                for fold in self._cell.gain_terms(view)
+                (
+                    sign,
+                    amount,
+                    getattr(asset, "is_native", False),
+                    getattr(asset, "symbol", str(asset)),
+                )
+                for sign, amount, asset in fold
             ]
-        )
+            for fold in self._cell.gain_terms(view)
+        ]
+        rec.folds.append(folds)
+        rec.exposed.append(_exposed(folds, self._cell.shape.shocked))
         return self._inner.on_round(rnd, view)
+
+
+def _exposed(folds, shocked) -> bool:
+    """True iff a non-native ``(..., is_native, symbol)`` term of
+    ``folds`` is priced in the ``shocked`` token."""
+    return any(
+        not term[-2] and term[-1] == shocked for terms in folds for term in terms
+    )
 
 
 @dataclass
@@ -137,6 +143,8 @@ class _Template:
     completed: float
     #: per metrics party: ((change, is_native, symbol), ...) delta terms.
     utility_terms: tuple
+    #: does any delta term price the shocked token?
+    exposed: bool
     #: adversaries tuple -> (violations, violations_str, trace), lazily.
     checks: dict = field(default_factory=dict)
 
@@ -169,11 +177,12 @@ def _condense_template(cell, instance, result) -> _Template:
         fingerprint=_ledger_fingerprint(instance),
         completed=1.0 if cell.completed(instance) else 0.0,
         utility_terms=terms,
+        exposed=_exposed(terms, cell.shape.shocked),
     )
 
 
 # ----------------------------------------------------------------------
-# one cell context's kernel: templates + vectorized decision replay
+# one cell context's kernel: templates + replayed decisions
 # ----------------------------------------------------------------------
 class _CellKernel:
     """Everything cached for one ``(family, coalition, premium)`` cell."""
@@ -183,15 +192,12 @@ class _CellKernel:
         self.base_map = dict(cell.base_values)
         self.shocked = cell.shape.shocked
         self.recording = _Recording()
+
+        def recorder(actor):
+            return _RecordingActor(actor, cell, self.recording)
+
         instance = cell.builder()
-        result = execute(
-            instance,
-            {
-                cell.shape.pivots[0]: (
-                    lambda actor: _RecordingActor(actor, cell, self.recording)
-                )
-            },
-        )
+        result = execute(instance, {cell.shape.pivots[0]: recorder})
         #: the compliant trajectory — also every never-walks rational arm.
         self.comply = _condense_template(cell, instance, result)
         self._walks: dict[int, _Template] = {}
@@ -201,8 +207,7 @@ class _CellKernel:
 
         Reproduced with a scripted :class:`Opportunist` (``rnd < w``):
         identical transactions to the live rational arm, because the
-        utility model's decisions — already replayed vectorized — are
-        True exactly on the pre-walk prefix.
+        utility model's decisions are True exactly on the pre-walk prefix.
         """
         template = self._walks.get(walk_round)
         if template is None:
@@ -222,110 +227,115 @@ class _CellKernel:
         return template
 
     # ------------------------------------------------------------------
-    # bit-exact replays
+    # bit-exact replays, one shock at a time
     # ------------------------------------------------------------------
-    def _price(self, is_native, symbol, round_height, shock_height, s_arr):
-        """Replay ``TokenPrices.__call__`` over a shock vector.
+    def _price(self, is_native, symbol, height, shock_height, shock):
+        """Replay ``TokenPrices.__call__`` at one shock fraction.
 
         Same op order: native short-circuits to 1.0, base lookup, then
-        one ``value * (1 - s)`` step when the shocked token is past its
-        shock height.  Returns a scalar when the shock does not apply.
+        one ``value *= 1 - s`` step when the shocked token is past its
+        shock height.
         """
         if is_native:
             return 1.0
         value = self.base_map.get(symbol, 1.0)
-        if self.shocked == symbol and round_height >= shock_height:
-            return value * (1.0 - s_arr)
+        if self.shocked == symbol and height >= shock_height:
+            value *= 1.0 - shock
         return value
 
-    def _fold(self, terms, round_height, shock_height, s_arr):
+    def _fold(self, terms, height, shock_height, shock):
         """Replay one member's ``pending_completion_gain`` fold."""
         total = 0.0
         for sign, amount, is_native, symbol in terms:
             value = amount * self._price(
-                is_native, symbol, round_height, shock_height, s_arr
+                is_native, symbol, height, shock_height, shock
             )
             if sign > 0:
-                total = total + value
+                total += value
             else:
-                total = total - value
+                total -= value
         return total
 
-    def _gain(self, folds, round_height, shock_height, s_arr):
+    def _gain(self, folds, height, shock_height, shock):
         """Replay the cell's completion gain for one recorded round."""
         shape = self.cell.gain_shape
         if shape == "single":
-            return self._fold(folds[0], round_height, shock_height, s_arr)
+            return self._fold(folds[0], height, shock_height, shock)
         if shape == "sum":
             total = 0.0
             for terms in folds:
-                total = total + self._fold(
-                    terms, round_height, shock_height, s_arr
-                )
+                total += self._fold(terms, height, shock_height, shock)
             return total
         # "diff": the auction's two bare-product legs, first minus second.
         (sign0, amount0, native0, symbol0) = folds[0][0]
         (sign1, amount1, native1, symbol1) = folds[1][0]
-        leg0 = amount0 * self._price(
-            native0, symbol0, round_height, shock_height, s_arr
-        )
-        leg1 = amount1 * self._price(
-            native1, symbol1, round_height, shock_height, s_arr
-        )
+        leg0 = amount0 * self._price(native0, symbol0, height, shock_height, shock)
+        leg1 = amount1 * self._price(native1, symbol1, height, shock_height, shock)
         return leg0 - leg1
 
-    def walk_rounds(self, shock_height: int, s_arr) -> "np.ndarray":
+    def walk_rounds(self, shock_height: int, shocks: list) -> list:
         """First round where ``gain < -stake`` per shock, or -1 (complete).
 
-        Replays the recorded per-round rule over the whole shock vector;
-        the :class:`Opportunist` halts permanently at its first False, so
-        the first failing round is the walk round.
+        Replays the recorded per-round rule for every shock still
+        undecided; the :class:`Opportunist` halts permanently at its
+        first False, so the first failing round is the walk round.  A
+        round that prices nothing shocked decides every shock alike, so
+        its gain is folded and compared once.
         """
-        n = len(s_arr)
-        walked = np.full(n, -1, dtype=np.int64)
-        undecided = np.ones(n, dtype=bool)
+        walked = [-1] * len(shocks)
+        undecided = range(len(shocks))
         rec = self.recording
-        for rnd in range(len(rec.stakes)):
-            gain = self._gain(
-                rec.folds[rnd], rec.heights[rnd], shock_height, s_arr
-            )
-            cont = np.broadcast_to(
-                np.asarray(gain >= -rec.stakes[rnd]), (n,)
-            )
-            newly = undecided & ~cont
-            walked[newly] = rnd
-            undecided = undecided & cont
-            if not undecided.any():
+        for rnd, height in enumerate(rec.heights):
+            folds = rec.folds[rnd]
+            bound = -rec.stakes[rnd]
+            if height < shock_height or not rec.exposed[rnd]:
+                # The shock argument is never read: no term is shocked.
+                if self._gain(folds, height, shock_height, 0.0) >= bound:
+                    continue
+                for i in undecided:
+                    walked[i] = rnd
                 break
+            still = []
+            for i in undecided:
+                if self._gain(folds, height, shock_height, shocks[i]) >= bound:
+                    still.append(i)
+                else:
+                    walked[i] = rnd
+            if not still:
+                break
+            undecided = still
         return walked
 
-    def utilities(self, template: _Template, shock_height: int, s_arr):
+    def utilities(self, template: _Template, shock_height: int, shocks: list) -> list:
         """Replay the metrics utility (joint realized value) per shock.
 
         Mirrors ``_make_metrics``: sum over the metrics parties of
         ``realized_utility`` at the horizon — each party a fold of
         ``price * change`` over its final balance deltas, in delta order.
+        Folded once when no delta term is priced shocked at the horizon.
         """
         horizon = self.cell.shape.horizon
-        total = 0.0
-        for terms in template.utility_terms:
-            utility = 0.0
-            for change, is_native, symbol in terms:
-                price = self._price(
-                    is_native, symbol, horizon, shock_height, s_arr
-                )
-                utility = utility + price * change
-            total = total + utility
-        return np.broadcast_to(
-            np.asarray(total, dtype=np.float64), (len(s_arr),)
-        )
+
+        def utility(shock):
+            total = 0.0
+            for terms in template.utility_terms:
+                party = 0.0
+                for change, is_native, symbol in terms:
+                    price = self._price(is_native, symbol, horizon, shock_height, shock)
+                    party += price * change
+                total += party
+            return total
+
+        if horizon < shock_height or not template.exposed:
+            return [utility(0.0)] * len(shocks)
+        return [utility(shock) for shock in shocks]
 
 
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 class KernelEngine:
-    """Execute ablation scenarios through the vectorized payoff kernels.
+    """Execute ablation scenarios through the payoff kernels.
 
     Drop-in for the serial scenario loop: ``run(scenarios)`` returns the
     same :class:`ScenarioResult` list (same digests, same metrics, same
@@ -341,7 +351,7 @@ class KernelEngine:
         #: scenario execution, so re-runs and refine loops skip it.
         self._coords: dict[tuple, tuple] = {}
         #: optional repro.obs.Tracer — counts calibrations vs cell-cache
-        #: hits and vectorized replays, and wraps each cell group in a
+        #: hits and replays, and wraps each cell group in a
         #: "block" span.  Digest-inert: write-only from here, never read.
         self.tracer = tracer
 
@@ -441,32 +451,21 @@ class KernelEngine:
         kernel = self._kernel_for(family, coalition, premium)
         comply = kernel.comply
         # Bucket scenarios by (template, shock height): the utility
-        # metric is one vectorized replay per bucket.
-        buckets: dict[tuple[int, int], tuple] = {}
-        pending: dict[int, list] = {}
+        # metric is one replay per bucket.
+        arms: dict[tuple[int, bool], list] = {}
         for position, scenario, coords in members:
-            shock, shock_height, rational = coords[3], coords[4], coords[5]
+            arms.setdefault(coords[4:], []).append((position, scenario, coords[3]))
+        buckets: dict[tuple[int, int], tuple] = {}
+        for (shock_height, rational), entries in arms.items():
+            walked = [-1] * len(entries)
             if rational:
-                pending.setdefault(shock_height, []).append(
-                    (position, scenario, shock)
-                )
-            else:
+                walked = kernel.walk_rounds(shock_height, [e[2] for e in entries])
+                self._count("kernel.replays")
+            for entry, w in zip(entries, walked):
+                template = comply if w < 0 else kernel.walk_template(w)
                 buckets.setdefault(
                     # Identity keys an in-process bucket of shared
                     # templates; never digested or serialized.
-                    (id(comply), shock_height),  # lint: disable=DET001
-                    (comply, shock_height, []),
-                )[2].append((position, scenario, shock))
-        for shock_height, entries in pending.items():
-            s_arr = np.array([e[2] for e in entries], dtype=np.float64)
-            walked = kernel.walk_rounds(shock_height, s_arr)
-            self._count("kernel.replays")
-            for entry, w in zip(entries, walked.tolist()):
-                template = (
-                    comply if w < 0 else kernel.walk_template(w)
-                )
-                buckets.setdefault(
-                    # Same in-process bucket keying as above.
                     (id(template), shock_height),  # lint: disable=DET001
                     (template, shock_height, []),
                 )[2].append(entry)
@@ -480,16 +479,15 @@ class KernelEngine:
         # field — is bypassed; the field set mirrors condense_run).
         new = ScenarioResult.__new__
         for template, shock_height, entries in buckets.values():
-            s_arr = np.array([e[2] for e in entries], dtype=np.float64)
-            utilities = kernel.utilities(template, shock_height, s_arr)
+            utilities = kernel.utilities(
+                template, shock_height, [e[2] for e in entries]
+            )
             self._count("kernel.replays")
             checks = template.checks
             ntx = template.ntx
             reverted = template.reverted
             premium_net = template.premium_net
-            for (position, scenario, _), utility in zip(
-                entries, utilities.tolist()
-            ):
+            for (position, scenario, _), utility in zip(entries, utilities):
                 static = checks.get(scenario.adversaries)
                 if static is None:
                     static = self._check(kernel, template, scenario)

@@ -331,7 +331,7 @@ class _CellProber:
     store.  ``cache_hits`` counts the scenarios so served.
 
     With ``backend="kernel"`` (or a caller-supplied ``kernel`` engine)
-    probes run through the vectorized payoff kernels; one engine is
+    probes run through the payoff kernels; one engine is
     shared across every probe, so the cell-template calibration cost is
     paid once per ``(family, coalition, premium)`` even though bisection
     probes arrive one premium at a time.

@@ -67,7 +67,7 @@ PRIMARY_KINDS = {
 EXPERIMENT_BACKENDS = ("serial", "process", "pooled")
 
 #: ``simulator`` replays every scenario through the full protocol engine;
-#: ``kernel`` routes ablation scenarios through the vectorized payoff
+#: ``kernel`` routes ablation scenarios through the payoff
 #: kernels (:mod:`repro.campaign.ablation.kernels`), which produce
 #: byte-identical results and digests.  The engine is recorded in the spec
 #: digest (only when non-default, so pre-engine stamped specs still
@@ -342,7 +342,7 @@ def ablate_spec(
 ) -> ExperimentSpec:
     """A spec for the rational-adversary ablation lattice.
 
-    ``engine`` defaults to the vectorized payoff kernels — the results
+    ``engine`` defaults to the payoff kernels — the results
     and digests are byte-identical to the simulator's (a contract CI's
     parity audit enforces on every default-grid cell), so the fast path
     is the default; pass ``engine="simulator"`` for the audit path.

@@ -4,7 +4,7 @@
 and executes the selected scenarios through one of three backends:
 
 - ``serial`` — a plain loop in this process,
-- ``kernel`` — the vectorized payoff kernels
+- ``kernel`` — the payoff kernels
   (:class:`repro.campaign.ablation.kernels.KernelEngine`), available only
   for matrices built by the ablation factories; produces byte-identical
   results and digests to the simulator backends at a fraction of the cost,

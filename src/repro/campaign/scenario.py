@@ -148,7 +148,7 @@ def condense_run(
 ) -> ScenarioResult:
     """Condense a finished run into the scenario's :class:`ScenarioResult`.
 
-    Shared by :func:`run_scenario` and the vectorized ablation kernel's
+    Shared by :func:`run_scenario` and the ablation kernel's
     audit path (`repro.campaign.ablation.kernels`): every digest-covered
     field — violations, counts, premium flows, metrics, the ledger
     fingerprint and the summary line hashed into ``digest`` — is produced

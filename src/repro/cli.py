@@ -791,7 +791,7 @@ def _ablate_flags(p, shard: bool = True) -> None:
                         "(joint-utility arms)")
     p.add_argument("--engine", choices=["kernel", "simulator"],
                    default="kernel",
-                   help="scenario engine: the vectorized payoff kernels "
+                   help="scenario engine: the payoff kernels "
                         "(default; byte-identical digests) or the full "
                         "simulator audit path")
 

@@ -10,7 +10,7 @@ it into the questions an operator actually asks of a campaign run:
 - **cache behaviour** — hit-rate with the miss taxonomy (absent,
   corrupt, violating), entry files read (a read-memo hit reads none)
   and store counts;
-- **kernel engine** — template calibrations vs. vectorized replays and
+- **kernel engine** — template calibrations vs. replays and
   cell-cache hits;
 - **worker skew** — per-worker scenario counts and busy time carried
   back over the fork boundary, condensed to max/mean imbalance ratios;
@@ -159,7 +159,7 @@ class TraceSummary:
             lines.append(
                 "kernel: "
                 f"{int(self.counters.get('kernel.calibrations', 0))} calibrations, "
-                f"{int(self.counters.get('kernel.replays', 0))} vectorized replays, "
+                f"{int(self.counters.get('kernel.replays', 0))} replays, "
                 f"{int(self.counters.get('kernel.cell_hits', 0))} cell-cache hits, "
                 f"{int(self.counters.get('kernel.scenarios', 0))} scenarios"
             )

@@ -250,7 +250,7 @@ def completion_gain_terms(
     This is the symbolic form of :func:`pending_completion_gain`: each
     yielded term contributes ``sign · amount · price_of(asset, height)``
     to the marginal completion gain, in contract-directory order.  Keeping
-    the term enumeration separate from the price fold gives the vectorized
+    the term enumeration separate from the price fold gives the
     ablation kernel (`repro.campaign.ablation.kernels`) the *same* flow
     list the live simulator folds — one source of truth, so replaying the
     fold under a grid of price paths is bit-identical by construction.

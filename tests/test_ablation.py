@@ -281,6 +281,12 @@ def test_ablation_matrix_validates_families_and_stages():
         deterrence_stake("bootstrap", 0.02)
 
 
+@pytest.mark.parametrize("family", ["ring:03", "complete:04", "ring:\u0663"])
+def test_ablation_matrix_refuses_non_canonical_graph_names(family):
+    with pytest.raises(ValueError, match="unknown ablation families"):
+        ablation_matrix(families=(family,))
+
+
 # ----------------------------------------------------------------------
 # trace capture on violation (satellite)
 # ----------------------------------------------------------------------

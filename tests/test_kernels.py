@@ -1,16 +1,21 @@
-"""Vectorized payoff kernels vs the simulator (ISSUE 6 tentpole).
+"""Payoff kernels vs the simulator.
 
-The kernel engine replays calibrated trajectory templates under vectorized
-price arithmetic; the simulator stays authoritative as the audit path.
-These tests pin the parity contract at every integration level:
+The kernel engine replays calibrated trajectory templates under scalar
+price arithmetic in the simulator's own operation order; the simulator
+stays authoritative as the audit path.  These tests pin the parity
+contract at every integration level:
 
 - **scenario-level parity**: for each family (and the named coalitions),
   `CampaignRunner(backend="kernel")` reproduces the serial simulator's
   per-scenario results — digest, metrics, violations, premium net,
   transaction counts — byte-for-byte, hence an identical ``run_digest``,
-- **randomized off-grid parity** (satellite): seeded random (π, shock,
-  stage) probes far off the default lattice agree engine-vs-engine, so
-  parity is a property of the kernels, not a coincidence of grid points,
+- **randomized off-grid parity**: seeded random (π, shock, stage) probes
+  far off the default lattice agree engine-vs-engine, so parity is a
+  property of the kernels, not a coincidence of grid points,
+- **tie parity**: at the two adjacent doubles where a pivot's walk flips,
+  both engines agree on both sides, one shock per run and both in one
+  replay bucket,
+- **cold start**: the CLI, quoting and kernel modules load without numpy,
 - **spec plumbing**: ``ExperimentSpec.engine`` validates, round-trips
   through JSON, keeps legacy (engine-less, simulator) spec digests
   byte-stable, and refuses meaningless combinations (kernel campaigns,
@@ -20,7 +25,12 @@ These tests pin the parity contract at every integration level:
 """
 
 import json
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -115,7 +125,7 @@ def test_kernel_frontier_matches_simulator_frontier():
 
 
 # ---------------------------------------------------------------------------
-# randomized off-grid probes (satellite): parity is not a lattice artifact
+# randomized off-grid probes: parity is not a lattice artifact
 
 
 def _random_cells(seed, count):
@@ -162,6 +172,93 @@ def test_shared_engine_reuses_templates_across_probes():
 
 
 # ---------------------------------------------------------------------------
+# tie parity: the walk flip sits between two adjacent doubles
+
+TIE_PI = 0.03
+
+
+def _rational(report):
+    (result,) = [
+        r for r in report.results if dict(r.axes)["strategy"] == "rational"
+    ]
+    return result
+
+
+def _kernel_walks(engine, family, coalition, shock):
+    matrix = ablation_cell(family, TIE_PI, shock, "staked", coalition=coalition)
+    report = CampaignRunner(matrix, backend="kernel", kernel=engine).run()
+    return dict(_rational(report).metrics)["completed"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "family,coalition",
+    [
+        ("two-party", ""),
+        ("multi-party", ""),
+        ("broker", ""),
+        ("auction", ""),
+        ("multi-party", "P1+P2"),
+    ],
+)
+def test_kernel_matches_simulator_at_the_walk_tie(family, coalition):
+    engine = KernelEngine()
+    completes, walks = 1e-9, 1.0 - 1e-9
+    assert not _kernel_walks(engine, family, coalition, completes)
+    assert _kernel_walks(engine, family, coalition, walks)
+    while math.nextafter(completes, 1.0) < walks:
+        mid = (completes + walks) / 2
+        if not completes < mid < walks:
+            mid = math.nextafter(completes, 1.0)
+        if _kernel_walks(engine, family, coalition, mid):
+            walks = mid
+        else:
+            completes = mid
+    assert walks == math.nextafter(completes, 1.0)
+    for shock in (completes, walks):
+        matrix = ablation_cell(family, TIE_PI, shock, "staked", coalition=coalition)
+        serial = CampaignRunner(matrix, backend="serial").run()
+        kernel = CampaignRunner(matrix, backend="kernel").run()
+        _assert_results_identical(serial, kernel)
+    # Both sides of the tie in one grid: one walk replay decides both.
+    matrix = ablation_matrix(
+        families=(family,),
+        premium_fractions=(TIE_PI,),
+        shock_fractions=(completes, walks),
+        stages=("staked",),
+        coalitions=bool(coalition),
+    )
+    serial = CampaignRunner(matrix, backend="serial").run()
+    kernel = CampaignRunner(matrix, backend="kernel").run()
+    _assert_results_identical(serial, kernel)
+
+
+# ---------------------------------------------------------------------------
+# cold start: no numpy on the runtime import path
+
+
+def test_runtime_entry_points_import_without_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.quote, repro.campaign.ablation.kernels\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded, loaded\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-800:]
+
+
+# ---------------------------------------------------------------------------
 # guard rails
 
 
@@ -192,7 +289,7 @@ def test_kernel_engine_rejects_foreign_scenarios():
 def test_engine_field_validates():
     assert set(EXPERIMENT_ENGINES) == {"simulator", "kernel"}
     spec = ablate_spec(families=("two-party",))
-    assert spec.engine == "kernel"  # vectorized engine is the default
+    assert spec.engine == "kernel"  # the kernel engine is the default
     assert ablate_spec(families=("two-party",), engine="simulator").engine == (
         "simulator"
     )

@@ -5,7 +5,7 @@ Pins the contracts the telemetry layer makes:
 - **digest invariance** (acceptance criterion): a traced run with a
   progress callback produces byte-identical scenario/run/frontier
   digests to the untraced run — across the serial simulator, the pooled
-  simulator (worker samples over the fork boundary), and the vectorized
+  simulator (worker samples over the fork boundary), and the
   kernel engine;
 - **MetricsSnapshot merge laws**: associative, commutative, identity,
   and order-independent ``merge_all`` — the properties that make

@@ -53,6 +53,28 @@ class TestQuoteRequest:
         with pytest.raises(QuoteError):
             QuoteRequest(graph="ring:1")
 
+    @pytest.mark.parametrize(
+        "graph", ["ring:03", "complete:04", "ring:\u0663", "ring:\u00b3", "ring:+3"]
+    )
+    def test_non_canonical_graph_names_are_unknown(self, graph):
+        # Only ASCII decimal without a leading zero names a cell: each
+        # spelling of ring:3 would otherwise be a cell of its own.
+        assert parse_graph_family(graph) is None
+        with pytest.raises(QuoteError, match="unknown graph"):
+            QuoteRequest(graph=graph)
+        with pytest.raises(QuoteError, match="unknown graph"):
+            QuoteRequest.from_json(json.dumps({"graph": graph}))
+        with pytest.raises(QuoteError, match="unknown family"):
+            QuoteRequest(family=graph)
+
+    def test_canonical_graph_digests_are_pinned(self):
+        assert QuoteRequest(graph="ring:3").digest() == (
+            "84625793e878fe81d64caeef23635cbe407b5db6e3e138bcea76e401155a3402"
+        )
+        assert QuoteRequest(graph="complete:4").digest() == (
+            "acd07d79a239b11997de33fc682d55e6d55dd3b69371617bd3306be13d1ab944"
+        )
+
     def test_coalition_rules(self):
         QuoteRequest(family="multi-party", coalition="P1+P2")
         with pytest.raises(QuoteError):
