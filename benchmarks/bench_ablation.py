@@ -187,10 +187,7 @@ def generate_refined_frontier_table():
         refine_frontier,
         refine_spec,
     )
-    from repro.campaign.ablation import (
-        closed_form_coalition_pi_star,
-        closed_form_pi_star,
-    )
+    from repro.campaign.ablation import closed_form_pi_star
     from repro.campaign.canon import fmt_fraction
 
     matrix = ablation_matrix(
@@ -210,13 +207,7 @@ def generate_refined_frontier_table():
     )
     rows = []
     for row in refined.rows:
-        closed = (
-            closed_form_pi_star(row.family, row.shock)
-            if not row.coalition
-            else closed_form_coalition_pi_star(
-                row.family, row.coalition, row.shock
-            )
-        )
+        closed = closed_form_pi_star(row.family, row.shock, row.coalition)
         rows.append(
             (
                 row.family,

@@ -107,7 +107,9 @@ def main() -> None:
     coalition_report = CampaignRunner(COALITION_GRID.matrix()).run()
     assert coalition_report.ok
     coalition_frontier = reduce_frontier(coalition_report)
-    for row in coalition_frontier.coalition_rows:
+    for row in coalition_frontier.rows:
+        if not row.coalition:
+            continue
         single = coalition_frontier.row(row.family, row.stage, row.shock)
         priced = (
             f"pi* {row.pi_star:g}" if row.pi_star is not None

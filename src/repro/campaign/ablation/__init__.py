@@ -17,8 +17,9 @@ executable grid:
   :class:`~repro.campaign.pool.WorkerPool` opened per run or reused
   alike — and shards/merges with the standard campaign transport,
 - :mod:`~repro.campaign.ablation.frontier` reduces the campaign report to
-  a :class:`FrontierReport`: per (family, stage, shock) the smallest swept
-  premium ``pi_star`` at which the rational pivot completes, plus each
+  a :class:`FrontierReport`: per (family, coalition, stage, shock) the
+  smallest swept premium ``pi_star`` at which the rational pivot (or
+  pivot coalition; ``""`` is the single pivot) completes, plus each
   cell's measured deviation gain and victim compensation.
 
 **Frontier semantics.**  ``pi_star`` is a *measured* quantity — the pivot
@@ -40,7 +41,6 @@ masquerade as full coverage.
 """
 
 from repro.campaign.ablation.frontier import (
-    CoalitionFrontierRow,
     FrontierCell,
     FrontierReport,
     FrontierRow,
@@ -56,9 +56,7 @@ from repro.campaign.ablation.grid import (
     ablation_cell,
     ablation_matrix,
     ablation_matrix_spec,
-    closed_form_coalition_pi_star,
     closed_form_pi_star,
-    coalition_deterrence_stake,
     deterrence_stake,
     is_graph_family,
     parse_graph_family,
@@ -91,7 +89,6 @@ __all__ = [
     "ABLATION_COALITIONS",
     "ABLATION_FAMILIES",
     "AblationGrid",
-    "CoalitionFrontierRow",
     "DEFAULT_PREMIUM_FRACTIONS",
     "DEFAULT_SHOCK_FRACTIONS",
     "DEFAULT_STAGES",
@@ -108,9 +105,7 @@ __all__ = [
     "ablation_cell",
     "ablation_matrix",
     "ablation_matrix_spec",
-    "closed_form_coalition_pi_star",
     "closed_form_pi_star",
-    "coalition_deterrence_stake",
     "deterrence_stake",
     "is_graph_family",
     "load_row",

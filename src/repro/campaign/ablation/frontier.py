@@ -14,13 +14,14 @@ pairs each grid cell's two arms into a :class:`FrontierCell`:
   coalition cells every member counts as a pivot, so compensation flowing
   *inside* the coalition can never masquerade as victim relief.
 
-Cells aggregate into :class:`FrontierRow` per ``(family, stage, shock)``
-and — when the grid swept coalitions — into :class:`CoalitionFrontierRow`
-per ``(family, coalition, stage, shock)``: ``pi_star`` is the smallest
-swept premium fraction at which the (joint) pivot completes — the measured
-deterrence frontier.  ``None`` means no swept premium deters that shock
-(always the case at the ``pre-stake`` stage, where walking forfeits
-nothing).
+Cells aggregate into one :class:`FrontierRow` per ``(family, coalition,
+stage, shock)`` line, where ``coalition`` names a joint pivot set swept with
+``coalitions=True`` and ``""`` is the family's single pivot: ``pi_star`` is
+the smallest swept premium fraction at which the (joint) pivot completes —
+the measured deterrence frontier.  ``None`` means no swept premium deters
+that shock (always the case at the ``pre-stake`` stage, where walking
+forfeits nothing).  Rows are ordered single-pivot lines first, then
+coalition lines.
 
 Digest rules: the frontier digest hashes a preamble naming the underlying
 run digest and coverage, then every row and cell in canonical order —
@@ -85,7 +86,11 @@ class FrontierCell:
 
 @dataclass(frozen=True)
 class FrontierRow:
-    """The frontier along π for one (family, stage, shock) line."""
+    """The frontier along π for one (family, coalition, stage, shock) line.
+
+    A coalition row's ``pi_star`` prices the collusive walk — at least the
+    single-pivot threshold, since member-to-member forfeits deter nothing.
+    """
 
     family: str
     stage: str
@@ -94,28 +99,8 @@ class FrontierRow:
     #: shock stays profitable to walk from at every swept premium.
     pi_star: float | None
     cells: tuple[FrontierCell, ...]
-
-    @property
-    def deterred(self) -> bool:
-        return self.pi_star is not None
-
-
-@dataclass(frozen=True)
-class CoalitionFrontierRow:
-    """The frontier along π for one *joint* pivot set.
-
-    Same reduction as :class:`FrontierRow`, keyed additionally by the
-    coalition name; its ``pi_star`` prices the collusive walk — at least
-    the single-pivot threshold, since member-to-member forfeits deter
-    nothing.
-    """
-
-    family: str
-    coalition: str
-    stage: str
-    shock: float
-    pi_star: float | None
-    cells: tuple[FrontierCell, ...]
+    #: the joint-pivot name ("" = the family's single pivot).
+    coalition: str = ""
 
     @property
     def deterred(self) -> bool:
@@ -139,72 +124,50 @@ class FrontierReport:
     scenarios: int
     total_scenarios: int
     rows: tuple[FrontierRow, ...]
-    coalition_rows: tuple[CoalitionFrontierRow, ...] = ()
     digest: str = ""
 
     @property
     def cells(self) -> tuple[FrontierCell, ...]:
         return tuple(cell for row in self.rows for cell in row.cells)
 
-    @property
-    def coalition_cells(self) -> tuple[FrontierCell, ...]:
-        return tuple(cell for row in self.coalition_rows for cell in row.cells)
-
     def families(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.family, None)
-        for row in self.coalition_rows:
-            seen.setdefault(row.family, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(row.family for row in self.rows))
 
-    def row(self, family: str, stage: str, shock: float) -> FrontierRow:
+    def row(
+        self, family: str, stage: str, shock: float, coalition: str = ""
+    ) -> FrontierRow:
         for candidate in self.rows:
-            if (candidate.family, candidate.stage, candidate.shock) == (
-                family,
-                stage,
-                shock,
-            ):
-                return candidate
-        raise KeyError(f"no frontier row ({family}, {stage}, {shock})")
-
-    def coalition_row(
-        self, family: str, coalition: str, stage: str, shock: float
-    ) -> CoalitionFrontierRow:
-        for candidate in self.coalition_rows:
-            key = (candidate.family, candidate.coalition, candidate.stage,
-                   candidate.shock)
-            if key == (family, coalition, stage, shock):
+            key = (candidate.family, candidate.stage, candidate.shock,
+                   candidate.coalition)
+            if key == (family, stage, shock, coalition):
                 return candidate
         raise KeyError(
-            f"no coalition frontier row ({family}, {coalition}, {stage}, {shock})"
+            f"no frontier row ({family}, {stage}, {shock}, {coalition!r})"
         )
 
     def stages(self, family: str) -> tuple[str, ...]:
         """The stage labels swept for one family (coalition rows included),
         in row order."""
-        seen: dict[str, None] = {}
-        for row in (*self.rows, *self.coalition_rows):
-            if row.family == family:
-                seen.setdefault(row.stage, None)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(row.stage for row in self.rows if row.family == family)
+        )
 
     def summary(self) -> str:
-        deterred = sum(1 for row in self.rows if row.deterred)
+        pivot_rows = [row for row in self.rows if not row.coalition]
+        deterred = sum(1 for row in pivot_rows if row.deterred)
         coverage = (
             "full coverage"
             if self.complete
             else f"PARTIAL coverage {self.scenarios}/{self.total_scenarios}"
         )
+        coalition_lines = len(self.rows) - len(pivot_rows)
         coalition = (
-            f", {len(self.coalition_rows)} coalition lines"
-            if self.coalition_rows
-            else ""
+            f", {coalition_lines} coalition lines" if coalition_lines else ""
         )
+        cells = sum(len(row.cells) for row in pivot_rows)
         return (
-            f"frontier: {len(self.rows)} (family × stage × shock) lines over "
-            f"{len(self.cells)} cells, {deterred} deterred{coalition} "
-            f"({coverage})"
+            f"frontier: {len(pivot_rows)} (family × stage × shock) lines over "
+            f"{cells} cells, {deterred} deterred{coalition} ({coverage})"
         )
 
     def table(self) -> str:
@@ -213,8 +176,7 @@ class FrontierReport:
             f"{'family':<12} {'pivot':<14} {'stage':<10} {'shock':>7}  {'pi*':>6}  "
             f"{'walk premiums':<24} profitable-deviation span"
         ]
-
-        def render(row, pivot: str) -> str:
+        for row in self.rows:
             walked = [cell.pi for cell in row.cells if cell.walked]
             profitable = [
                 cell.pi for cell in row.cells if cell.deviation_profitable
@@ -224,18 +186,13 @@ class FrontierReport:
             # six significant digits, so two distinct deeply-bisected
             # premiums could print identically while differing in the
             # digest — ungreppable).
-            return (
-                f"{row.family:<12} {pivot:<14} {row.stage:<10} "
+            lines.append(
+                f"{row.family:<12} {row.coalition or 'pivot':<14} {row.stage:<10} "
                 f"{fmt_fraction(row.shock):>7}  "
                 f"{'-' if row.pi_star is None else fmt_fraction(row.pi_star):>6}  "
                 f"{','.join(fmt_fraction(p) for p in walked) or '-':<24} "
                 f"{','.join(fmt_fraction(p) for p in profitable) or '-'}"
             )
-
-        for row in self.rows:
-            lines.append(render(row, "pivot"))
-        for row in self.coalition_rows:
-            lines.append(render(row, row.coalition))
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -259,18 +216,20 @@ class FrontierReport:
                 "victim_net": cell.victim_net,
             }
 
-        def row_payload(row) -> dict:
+        def row_payload(row: FrontierRow) -> dict:
             payload = {
                 "family": row.family,
                 "stage": row.stage,
                 "shock": canon_float(row.shock),
-                "pi_star": None if row.pi_star is None else canon_float(row.pi_star),
+                "pi_star": canon_opt(row.pi_star),
                 "cells": [cell_payload(cell) for cell in row.cells],
             }
-            if isinstance(row, CoalitionFrontierRow):
+            if row.coalition:
                 payload["coalition"] = row.coalition
             return payload
 
+        # Two keys on disk, one row type in memory: single-pivot lines
+        # under "rows", coalition lines under "coalition_rows".
         return json.dumps(
             {
                 "kind": self.kind,
@@ -279,9 +238,9 @@ class FrontierReport:
                 "complete": self.complete,
                 "scenarios": self.scenarios,
                 "total_scenarios": self.total_scenarios,
-                "rows": [row_payload(row) for row in self.rows],
+                "rows": [row_payload(row) for row in self.rows if not row.coalition],
                 "coalition_rows": [
-                    row_payload(row) for row in self.coalition_rows
+                    row_payload(row) for row in self.rows if row.coalition
                 ],
                 "digest": self.digest,
             },
@@ -294,54 +253,42 @@ class FrontierReport:
         data = json.loads(text)
         check_kind(cls, data)
 
-        def cells_of(row: dict, coalition: str) -> tuple[FrontierCell, ...]:
-            return tuple(
-                FrontierCell(
-                    family=row["family"],
-                    stage=row["stage"],
-                    shock=canon_float(row["shock"]),
-                    pi=canon_float(cell["pi"]),
-                    walked=bool(cell["walked"]),
-                    rational_utility=canon_float(cell["rational_utility"]),
-                    comply_utility=canon_float(cell["comply_utility"]),
-                    victim_net=int(cell["victim_net"]),
-                    coalition=coalition,
-                )
-                for cell in row["cells"]
+        def row_of(payload: dict) -> FrontierRow:
+            family, stage = payload["family"], payload["stage"]
+            shock = canon_float(payload["shock"])
+            coalition = payload.get("coalition", "")
+            return FrontierRow(
+                family=family,
+                stage=stage,
+                shock=shock,
+                pi_star=canon_opt(payload["pi_star"]),
+                cells=tuple(
+                    FrontierCell(
+                        family=family,
+                        stage=stage,
+                        shock=shock,
+                        pi=canon_float(cell["pi"]),
+                        walked=bool(cell["walked"]),
+                        rational_utility=canon_float(cell["rational_utility"]),
+                        comply_utility=canon_float(cell["comply_utility"]),
+                        victim_net=int(cell["victim_net"]),
+                        coalition=coalition,
+                    )
+                    for cell in payload["cells"]
+                ),
+                coalition=coalition,
             )
 
-        def pi_star_of(row: dict) -> float | None:
-            return None if row["pi_star"] is None else canon_float(row["pi_star"])
-
-        rows = tuple(
-            FrontierRow(
-                family=row["family"],
-                stage=row["stage"],
-                shock=canon_float(row["shock"]),
-                pi_star=pi_star_of(row),
-                cells=cells_of(row, ""),
-            )
-            for row in data["rows"]
-        )
-        coalition_rows = tuple(
-            CoalitionFrontierRow(
-                family=row["family"],
-                coalition=row["coalition"],
-                stage=row["stage"],
-                shock=canon_float(row["shock"]),
-                pi_star=pi_star_of(row),
-                cells=cells_of(row, row["coalition"]),
-            )
-            for row in data.get("coalition_rows", [])
-        )
         report = cls(
             matrix_digest=data["matrix_digest"],
             run_digest=data["run_digest"],
             complete=bool(data["complete"]),
             scenarios=int(data["scenarios"]),
             total_scenarios=int(data["total_scenarios"]),
-            rows=rows,
-            coalition_rows=coalition_rows,
+            rows=tuple(
+                row_of(row)
+                for row in (*data["rows"], *data.get("coalition_rows", ()))
+            ),
         )
         report = _with_digest(report)
         if report.digest != data["digest"]:
@@ -366,19 +313,14 @@ def _with_digest(report: FrontierReport) -> FrontierReport:
         f"|coverage={report.scenarios}/{report.total_scenarios}".encode()
     )
     for row in report.rows:
-        digest.update(b"\n")
-        digest.update(
-            f"row|{row.family}|{row.stage}|{canon_float(row.shock)!r}"
-            f"|pi_star={canon_opt(row.pi_star)!r}".encode()
-        )
-        for cell in row.cells:
-            digest.update(b"\n")
-            digest.update(cell.describe().encode())
-    for row in report.coalition_rows:
-        digest.update(b"\n")
-        digest.update(
+        line = (
             f"coalition-row|{row.family}|{row.coalition}|{row.stage}"
-            f"|{canon_float(row.shock)!r}"
+            if row.coalition
+            else f"row|{row.family}|{row.stage}"
+        )
+        digest.update(b"\n")
+        digest.update(
+            f"{line}|{canon_float(row.shock)!r}"
             f"|pi_star={canon_opt(row.pi_star)!r}".encode()
         )
         for cell in row.cells:
@@ -412,7 +354,10 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
             canon_float(axes["pi"]),
         )
         arms.setdefault(key, {})[axes["strategy"]] = result
-    cells = []
+    # One line per (family, coalition, stage, shock), single-pivot lines
+    # first; arms iterate in key order, so each line's cells arrive
+    # sorted by π.
+    lines: dict[tuple, list[FrontierCell]] = {}
     for key in sorted(arms):
         pair = arms[key]
         # A coalition cell's comply arm is the all-compliant profile.
@@ -433,7 +378,8 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
         c_metrics = dict(comply.metrics)
         # Every pivot (all coalition members) is excluded from victimhood.
         pivots = set(dict(rational.axes)["adversaries"].split(","))
-        cells.append(
+        line = (bool(coalition), family, coalition, stage, shock)
+        lines.setdefault(line, []).append(
             FrontierCell(
                 family=family,
                 stage=stage,
@@ -453,41 +399,21 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
                 coalition=coalition,
             )
         )
-
-    def reduce_lines(line_cells, row_factory):
-        by_line: dict[tuple, list[FrontierCell]] = {}
-        for cell in line_cells:
-            by_line.setdefault(
-                (cell.family, cell.coalition, cell.stage, cell.shock), []
-            ).append(cell)
-        rows = []
-        for line_key in sorted(by_line):
-            line = sorted(by_line[line_key], key=lambda cell: cell.pi)
-            deterring = [cell.pi for cell in line if not cell.walked]
-            rows.append(
-                row_factory(
-                    line_key, min(deterring) if deterring else None, tuple(line)
-                )
+    rows = []
+    for line in sorted(lines):
+        _, family, coalition, stage, shock = line
+        cells = tuple(lines[line])
+        deterring = [cell.pi for cell in cells if not cell.walked]
+        rows.append(
+            FrontierRow(
+                family=family,
+                stage=stage,
+                shock=shock,
+                pi_star=min(deterring) if deterring else None,
+                cells=cells,
+                coalition=coalition,
             )
-        return tuple(rows)
-
-    rows = reduce_lines(
-        (cell for cell in cells if not cell.coalition),
-        lambda key, pi_star, line: FrontierRow(
-            family=key[0], stage=key[2], shock=key[3], pi_star=pi_star, cells=line
-        ),
-    )
-    coalition_rows = reduce_lines(
-        (cell for cell in cells if cell.coalition),
-        lambda key, pi_star, line: CoalitionFrontierRow(
-            family=key[0],
-            coalition=key[1],
-            stage=key[2],
-            shock=key[3],
-            pi_star=pi_star,
-            cells=line,
-        ),
-    )
+        )
     return _with_digest(
         FrontierReport(
             matrix_digest=report.matrix_digest,
@@ -495,7 +421,6 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
             complete=report.complete,
             scenarios=report.scenarios,
             total_scenarios=report.total_scenarios,
-            rows=rows,
-            coalition_rows=coalition_rows,
+            rows=tuple(rows),
         )
     )

@@ -28,7 +28,8 @@ knob against the pivot's principal value (e.g. two-party:
 ``p_b = round(π · amount_b)``); :func:`deterrence_stake` exposes the
 resulting closed-form walk-forfeit at the staked stage, and
 :func:`closed_form_pi_star` the continuous §5.2-style threshold the
-refinement engine's bisected π* must bracket.
+refinement engine's bisected π* must bracket — both per ``(family,
+coalition)``, with ``coalition=""`` naming the single pivot.
 
 **Shock stages.**  A stage pins the shock height to protocol structure:
 
@@ -135,14 +136,31 @@ def scaled_premium(fraction: float, base: int = PRINCIPAL) -> int:
     return int(round(fraction * base))
 
 
+def round_height(stage: str) -> int | None:
+    """The height ``K`` of a ``round:K`` stage, or None for any other label.
+
+    Canonical labels only — ASCII decimal, no leading zero — the rule
+    :func:`parse_graph_family` applies to graph names: ``round:03`` or a
+    non-ASCII digit would otherwise open a second ``round:3`` cell.
+    """
+    kind, sep, height = stage.partition(":")
+    if (
+        kind != "round"
+        or not sep
+        or not (height.isascii() and height.isdigit())
+        or (height.startswith("0") and height != "0")
+    ):
+        return None
+    return int(height)
+
+
 def valid_stage(stage: str) -> bool:
     """True iff ``stage`` is a named stage, ``round:K``, or ``all``."""
-    if stage in DEFAULT_STAGES or stage == STAGE_ALL:
-        return True
-    if stage.startswith("round:"):
-        suffix = stage.split(":", 1)[1]
-        return suffix.isdigit()
-    return False
+    return (
+        stage in DEFAULT_STAGES
+        or stage == STAGE_ALL
+        or round_height(stage) is not None
+    )
 
 
 def stage_heights(
@@ -158,10 +176,11 @@ def stage_heights(
     out: list[tuple[str, int]] = []
     seen: set[str] = set()
     for stage in stages:
+        height = round_height(stage)
         if stage == STAGE_ALL:
             expanded = [(f"round:{h}", h) for h in range(horizon)]
-        elif stage.startswith("round:"):
-            expanded = [(stage, int(stage.split(":", 1)[1]))]
+        elif height is not None:
+            expanded = [(stage, height)]
         else:
             expanded = [(stage, named[stage])]
         for label, height in expanded:
@@ -786,16 +805,27 @@ def _add_blocks(
 
 
 # ----------------------------------------------------------------------
-# closed-form thresholds (for the deterrence-theorem tests)
+# closed-form thresholds per (family, coalition), "" = the single pivot
 # ----------------------------------------------------------------------
-def deterrence_stake(family: str, pi: float) -> float:
+def deterrence_stake(family: str, pi: float, coalition: str = "") -> float | None:
     """The pivot's walk-forfeit at the ``staked`` stage, in value units.
 
     The rational pivot walks iff the shocked value drop exceeds this stake
     (``PRINCIPAL · s > stake`` for the swap families, ``best_bid · s`` for
     the auction), so ``stake / principal_value`` is the closed-form
     deterrence threshold the measured frontier must reproduce.
+
+    A ``coalition`` (a name from :data:`ABLATION_COALITIONS`) counts only
+    its *outsider-facing* stake: member-to-member forfeits move value
+    inside the coalition, so they deter nothing.  ``None`` means no finite
+    stake deters the joint walk at any premium (the broker coalition; see
+    :func:`closed_form_pi_star`).
     """
+    if coalition and coalition not in ABLATION_COALITIONS.get(family, ()):
+        raise ValueError(
+            f"unknown coalition ({family!r}, {coalition!r}); "
+            f"known: {sorted((f, c) for f, cs in ABLATION_COALITIONS.items() for c in cs)}"
+        )
     if family == "two-party":
         return float(scaled_premium(pi))
     if family == "multi-party":
@@ -805,13 +835,26 @@ def deterrence_stake(family: str, pi: float) -> float:
         )
 
         graph, p = parse_graph_family("ring:3")[0], scaled_premium(pi)
-        # P1's escrow premium on (P1,P2) plus its redemption premium for
-        # P0's key on (P0,P1), both still held at phase 3.
+        # Both still held at phase 3: P1's redemption premium for P0's
+        # key on (P0,P1), plus one escrow premium.  The single pivot P1
+        # forfeits its own on (P1,P2); for the P1+P2 coalition that one
+        # goes to P2 (internal), and what faces the outsider P0 is P2's
+        # on (P2,P0).  (P2's redemption deposits sit on (P1,P2), facing
+        # P1 — internal.)
+        escrow_arc = ("P2", "P0") if coalition else ("P1", "P2")
         return float(
-            escrow_premium_amounts(graph, ("P0",), p)[("P1", "P2")]
+            escrow_premium_amounts(graph, ("P0",), p)[escrow_arc]
             + redemption_premium_amount(graph, ("P1", "P2", "P0"), "P0", p)
         )
     if family == "broker":
+        if coalition:
+            # Deal redemption needs every party's hashkey, and the E/T/R
+            # deposits all resolve *before* the payout round — so the
+            # seller and buyer can always wait for the stake-free tail and
+            # then withhold their keys together.  At that point walking
+            # forfeits nothing while completing still costs them the
+            # broker's markup: no finite premium deters the joint walk.
+            return None
         from repro.core.hedged_broker import broker_premium_tables
         from repro.core.premiums import pruned_redemption_premium_amount
         from repro.protocols.base_broker import BrokerSpec
@@ -870,68 +913,9 @@ def premium_base(family: str) -> int:
     return PRINCIPAL
 
 
-def coalition_deterrence_stake(family: str, coalition: str, pi: float) -> float | None:
-    """The coalition's *outsider-facing* walk-forfeit at the staked stage.
-
-    Internal deposits (member-to-member forfeits) are excluded — they
-    move value inside the coalition, so they deter nothing.  Returns
-    ``None`` when no finite stake deters the joint walk at any premium
-    (the broker coalition; see :func:`closed_form_coalition_pi_star`).
-    """
-    if (family, coalition) == ("multi-party", "P1+P2"):
-        from repro.core.premiums import (
-            escrow_premium_amounts,
-            redemption_premium_amount,
-        )
-
-        graph, p = parse_graph_family("ring:3")[0], scaled_premium(pi)
-        # P1's escrow premium on (P1,P2) forfeits to P2 — internal.  What
-        # faces the outsider P0: P2's escrow premium on (P2,P0), plus P1's
-        # redemption premium for P0's key on (P0,P1).  (P2's redemption
-        # deposits sit on (P1,P2), facing P1 — internal.)
-        return float(
-            escrow_premium_amounts(graph, ("P0",), p)[("P2", "P0")]
-            + redemption_premium_amount(graph, ("P1", "P2", "P0"), "P0", p)
-        )
-    if (family, coalition) == ("broker", "seller+buyer"):
-        # Deal redemption needs every party's hashkey, and the E/T/R
-        # deposits all resolve *before* the payout round — so the seller
-        # and buyer can always wait for the stake-free tail and then
-        # withhold their keys together.  At that point walking forfeits
-        # nothing while completing still costs them the broker's markup:
-        # no finite premium deters the joint walk.
-        return None
-    raise ValueError(
-        f"unknown coalition ({family!r}, {coalition!r}); "
-        f"known: {sorted((f, c) for f, cs in ABLATION_COALITIONS.items() for c in cs)}"
-    )
-
-
-def closed_form_coalition_pi_star(
-    family: str, coalition: str, shock: float
+def closed_form_pi_star(
+    family: str, shock: float, coalition: str = ""
 ) -> float | None:
-    """The continuous collusive deterrence threshold, or ``None``.
-
-    Same construction as :func:`closed_form_pi_star`, but over the
-    coalition's outsider-facing stake sum
-    (:func:`coalition_deterrence_stake`): the joint pivot walks iff the
-    shocked value drop on its external flows exceeds the external stake.
-    For the ring-adjacent ``P1+P2`` pair the external stake (``3p``
-    escrow toward P0 plus ``p`` redemption) happens to equal the single
-    pivot's ``4p``, so the collusive threshold coincides with the single
-    one — collusion never pays a discount.  ``None`` means the walk is
-    un-hedgeable rent: the broker's ``seller+buyer`` pair always finds a
-    stake-free round from which withholding keys strands the markup, so
-    the refined frontier must report the row undeterred at every probed
-    premium.
-    """
-    slope = _closed_form_slope(family, coalition)
-    if slope is None:
-        return None
-    return shocked_notional(family) * shock / (slope * premium_base(family))
-
-
-def closed_form_pi_star(family: str, shock: float) -> float:
     """The continuous §5.2-style deterrence threshold for a staked shock.
 
     :func:`deterrence_stake` is linear in the integer premium π buys
@@ -940,8 +924,21 @@ def closed_form_pi_star(family: str, shock: float) -> float:
     value drop.  The *measured* (bisected) π* differs from this by at most
     half a premium unit of quantization, ``0.5 / premium_base`` — well
     inside the refinement engine's default tolerance of 1/64.
+
+    A ``coalition`` prices the collusive walk over its outsider-facing
+    stake: the joint pivot walks iff the shocked value drop on its
+    external flows exceeds the external stake.  For the ring-adjacent
+    ``P1+P2`` pair that stake (``3p`` escrow toward P0 plus ``p``
+    redemption) happens to equal the single pivot's ``4p``, so the
+    collusive threshold coincides with the single one — collusion never
+    pays a discount.  ``None`` means the walk is un-hedgeable rent: the
+    broker's ``seller+buyer`` pair always finds a stake-free round from
+    which withholding keys strands the markup, so the refined frontier
+    must report the row undeterred at every probed premium.
     """
-    slope = _closed_form_slope(family, "")
+    slope = _closed_form_slope(family, coalition)
+    if slope is None:
+        return None
     return shocked_notional(family) * shock / (slope * premium_base(family))
 
 
@@ -956,10 +953,7 @@ def _closed_form_slope(family: str, coalition: str) -> float | None:
     """
     base = premium_base(family)
     ref_premium = 4  # exactly representable: ref_pi · base == 4 for all bases
-    if coalition:
-        stake = coalition_deterrence_stake(family, coalition, ref_premium / base)
-    else:
-        stake = deterrence_stake(family, ref_premium / base)
+    stake = deterrence_stake(family, ref_premium / base, coalition)
     if stake is None:
         return None
     return stake / ref_premium

@@ -6,7 +6,9 @@ is a *staircase*: the true boundary lies somewhere between the last
 premium that still walked and the first that deterred.
 :func:`refine_frontier` closes that gap by adaptive bisection:
 
-- per frontier row (single-pivot and coalition alike) it takes the
+- per frontier row (single pivot or coalition alike: one
+  :class:`~repro.campaign.ablation.frontier.FrontierRow` type whose
+  ``coalition`` field is ``""`` for the single pivot) it takes the
   measured bracket ``[last walking π, first deterring π]`` from the
   lattice cells,
 - repeatedly probes the midpoint by running a two-scenario
@@ -33,7 +35,7 @@ a boundary that merely sits above the swept grid (e.g. two-party at
 s = 0.105 with premiums ≤ 0.08) refines instead of carrying through
 unrefined.  Only a row no probed premium deters (every ``pre-stake`` row,
 or a coalition rent no premium hedges — see
-:func:`~repro.campaign.ablation.grid.closed_form_coalition_pi_star`)
+:func:`~repro.campaign.ablation.grid.closed_form_pi_star`)
 reports ``pi_hi = None`` — undeterred is a result, not an error.
 
 **Digest rules.**  The refined digest hashes the input frontier digest
@@ -56,7 +58,6 @@ from typing import Iterable
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
 from repro.campaign.report import check_kind, register_report
 from repro.campaign.ablation.frontier import (
-    CoalitionFrontierRow,
     FrontierCell,
     FrontierReport,
     FrontierRow,
@@ -323,23 +324,22 @@ def _with_digest(report: RefinedFrontierReport) -> RefinedFrontierReport:
 
 
 class _CellProber:
-    """Runs single ablation cells through the configured backend.
+    """Runs single ablation cells through the backend its knobs imply.
 
     ``cache`` is the incremental result cache: each probe cell is one
     matrix block, so a warm refinement (or one following a lattice run
     that already executed the same cells) serves probes straight from the
     store.  ``cache_hits`` counts the scenarios so served.
 
-    With ``backend="kernel"`` (or a caller-supplied ``kernel`` engine)
-    probes run through the payoff kernels; one engine is
-    shared across every probe, so the cell-template calibration cost is
-    paid once per ``(family, coalition, premium)`` even though bisection
-    probes arrive one premium at a time.
+    With a ``kernel`` engine probes run through the payoff kernels; the
+    engine is shared across every probe, so the cell-template calibration
+    cost is paid once per ``(family, coalition, premium)`` even though
+    bisection probes arrive one premium at a time.  Otherwise a ``pool``
+    runs them on the process backend, and with neither they run serially.
     """
 
     def __init__(
         self,
-        backend: str = "serial",
         pool=None,
         seed: int = 0,
         cache=None,
@@ -348,16 +348,12 @@ class _CellProber:
     ) -> None:
         from repro.campaign.runner import CampaignRunner
 
-        if pool is not None:
-            backend = "process"
-        if kernel is not None:
-            backend = "kernel"
-        elif backend == "kernel":
-            from repro.campaign.ablation.kernels import KernelEngine
-
-            kernel = KernelEngine(tracer=tracer)
         self._runner_cls = CampaignRunner
-        self.backend = backend
+        self.backend = (
+            "kernel" if kernel is not None
+            else "process" if pool is not None
+            else "serial"
+        )
         self.pool = pool
         self.seed = seed
         self.cache = cache
@@ -386,9 +382,7 @@ class _CellProber:
                 f"bisection probe ({family}, {pi}, {shock}, {stage}) violated "
                 f"properties: {[v.message for v in report.violations]}"
             )
-        frontier = reduce_frontier(report)
-        rows = frontier.coalition_rows if coalition else frontier.rows
-        (row,) = rows
+        (row,) = reduce_frontier(report).rows
         (cell,) = row.cells
         return ProbeCell(cell=cell, run_digest=report.run_digest)
 
@@ -403,13 +397,12 @@ def _bracket(row) -> tuple[float | None, float | None]:
 
 
 def refine_row(
-    row: FrontierRow | CoalitionFrontierRow,
+    row: FrontierRow,
     prober: _CellProber,
     tol: float,
     max_iterations: int = MAX_ITERATIONS,
 ) -> RefinedRow:
     """Bisect one frontier row's walk/deter boundary down to ``tol``."""
-    coalition = getattr(row, "coalition", "")
     lattice_lo, lattice_hi = _bracket(row)
     lo, hi = lattice_lo, lattice_hi
     probes: list[ProbeCell] = []
@@ -418,7 +411,7 @@ def refine_row(
     def run_probe(pi: float) -> bool:
         nonlocal iterations
         iterations += 1
-        probe = prober.probe(row.family, pi, row.shock, row.stage, coalition)
+        probe = prober.probe(row.family, pi, row.shock, row.stage, row.coalition)
         probes.append(probe)
         return probe.cell.walked
 
@@ -470,7 +463,7 @@ def refine_row(
         family=row.family,
         stage=row.stage,
         shock=canon_float(row.shock),
-        coalition=coalition,
+        coalition=row.coalition,
         lattice_lo=canon_opt(lattice_lo),
         lattice_hi=canon_opt(lattice_hi),
         pi_lo=canon_opt(lo),
@@ -485,7 +478,6 @@ def refine_row(
 def refine_frontier(
     frontier: FrontierReport,
     tol: float = DEFAULT_TOL,
-    backend: str = "serial",
     pool=None,
     seed: int = 0,
     max_iterations: int = MAX_ITERATIONS,
@@ -513,12 +505,10 @@ def refine_frontier(
             f"first (got {frontier.scenarios}/{frontier.total_scenarios})"
         )
     if prober is None:
-        prober = _CellProber(
-            backend=backend, pool=pool, seed=seed, cache=cache, tracer=tracer
-        )
+        prober = _CellProber(pool=pool, seed=seed, cache=cache, tracer=tracer)
     rows = [
         refine_row(row, prober, canon_float(tol), max_iterations)
-        for row in (*frontier.rows, *frontier.coalition_rows)
+        for row in frontier.rows
     ]
     return _with_digest(
         RefinedFrontierReport(

@@ -5,7 +5,7 @@ ladder of progressively more expensive answer paths:
 
 - **tier 1, closed forms** (µs–ms): the §5.2 families at their named
   stages have exact analytic π* (:func:`~repro.campaign.ablation.grid.
-  closed_form_pi_star` and its coalition variant); a ``pre-stake`` shock
+  closed_form_pi_star`, per family and coalition); a ``pre-stake`` shock
   finds nothing staked, so no premium deters and the quote is the
   un-hedgeable verdict without measuring anything.
 - **tier 2, row lookup** (ms): a content-addressed read of one refined
@@ -33,7 +33,6 @@ from dataclasses import replace
 
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
-    closed_form_coalition_pi_star,
     closed_form_pi_star,
     premium_base,
 )
@@ -167,25 +166,20 @@ class QuoteEngine:
         if family not in ABLATION_FAMILIES:
             return None
         with maybe_span(self.tracer, "quote.tier1", family=family):
+            label = request.coalition or "pivot"
             if request.stage == "pre-stake":
                 # Nothing is staked yet, so walking forfeits nothing:
                 # no premium deters, at any shock — the analytic
                 # un-hedgeable verdict (measured by test_quote_parity).
-                label = request.coalition or "pivot"
                 return None, f"closed-form|{family}|{label}|pre-stake"
             if request.stage != "staked":
                 # round:K stages sit between the closed forms' anchor
                 # points; only measurement answers them.
                 return None
-            if request.coalition:
-                pi_star = closed_form_coalition_pi_star(
-                    family, request.coalition, request.shock
-                )
-                return pi_star, (
-                    f"closed-form|{family}|{request.coalition}"
-                )
-            pi_star = closed_form_pi_star(family, request.shock)
-            return pi_star, f"closed-form|{family}|pivot"
+            pi_star = closed_form_pi_star(
+                family, request.shock, request.coalition
+            )
+            return pi_star, f"closed-form|{family}|{label}"
 
     # ------------------------------------------------------------------
     # tier 2: content-addressed row lookup
@@ -214,14 +208,8 @@ class QuoteEngine:
         doubling covers anything beyond either choice.
         """
         family = request.cell_family
-        hint = None
         if family in ABLATION_FAMILIES:
-            if request.coalition:
-                hint = closed_form_coalition_pi_star(
-                    family, request.coalition, request.shock
-                )
-            else:
-                hint = closed_form_pi_star(family, request.shock)
+            hint = closed_form_pi_star(family, request.shock, request.coalition)
         else:
             hint = analytic_pi_star_hint(family, request.shock)
         if hint is None or hint <= 0:

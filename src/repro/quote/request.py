@@ -63,6 +63,10 @@ class QuoteRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("family", "graph", "coalition", "stage"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise QuoteError(f"{name} must be a string, got {value!r}")
         if bool(self.family) == bool(self.graph):
             raise QuoteError(
                 "a quote request names exactly one of family= "

@@ -50,83 +50,59 @@ from repro.quote.request import QuoteError
 _NAMED_RINGS = {"two-party": "ring:2", "multi-party": "ring:3"}
 
 
+def _table_entries(kind: str, table: dict) -> list[ScheduleEntry]:
+    """Round-0 entries for a flat ``arc -> amount`` premium table, each
+    deposited by the arc's source party."""
+    return [
+        ScheduleEntry(kind=kind, depositor=arc[0], arc=arc, round=0, amount=amount)
+        for arc, amount in sorted(table.items())
+        if amount != 0
+    ]
+
+
+def _redemption_entries(
+    graph: SwapGraph, leaders: tuple[str, ...], premium: int, contract_of=None
+) -> list[ScheduleEntry]:
+    """Equation 1's redemption-premium flow, pruned per hosting contract
+    when ``contract_of`` maps arcs to shared contracts (the broker)."""
+    flow = redemption_premium_flow(graph, leaders, premium, contract_of)
+    return [
+        ScheduleEntry(
+            kind="redemption",
+            depositor=deposit.depositor,
+            arc=deposit.arc,
+            round=deposit.round,
+            amount=deposit.amount,
+            path=deposit.path,
+        )
+        for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc))
+        if deposit.amount != 0
+    ]
+
+
 def _graph_entries(
-    graph: SwapGraph,
-    leaders: tuple[str, ...],
-    premium: int,
-    contract_of=None,
+    graph: SwapGraph, leaders: tuple[str, ...], premium: int
 ) -> list[ScheduleEntry]:
     """Escrow + redemption entries for one digraph under Equations 1–2."""
-    entries: list[ScheduleEntry] = []
-    for arc, amount in sorted(
-        escrow_premium_amounts(graph, leaders, premium).items()
-    ):
-        if amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="escrow",
-                depositor=arc[0],
-                arc=arc,
-                round=0,
-                amount=amount,
-            )
-        )
-    flow = redemption_premium_flow(graph, leaders, premium, contract_of)
-    for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc)):
-        if deposit.amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="redemption",
-                depositor=deposit.depositor,
-                arc=deposit.arc,
-                round=deposit.round,
-                amount=deposit.amount,
-                path=deposit.path,
-            )
-        )
-    return entries
+    return _table_entries(
+        "escrow", escrow_premium_amounts(graph, leaders, premium)
+    ) + _redemption_entries(graph, leaders, premium)
 
 
 def _broker_entries(premium: int) -> list[ScheduleEntry]:
     """The three-party deal: trading + escrow tables, pruned redemptions."""
     spec = BrokerSpec()
     tables = broker_premium_tables(spec, premium)
-    entries: list[ScheduleEntry] = []
-    for kind in ("trading", "escrow"):
-        for arc, amount in sorted(tables[kind].items()):
-            if amount == 0:
-                continue
-            entries.append(
-                ScheduleEntry(
-                    kind=kind,
-                    depositor=arc[0],
-                    arc=arc,
-                    round=0,
-                    amount=amount,
-                )
-            )
-    flow = redemption_premium_flow(
-        spec.graph(),
-        (spec.broker, spec.seller, spec.buyer),
-        premium,
-        tables["contract_of"],
-    )
-    for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc)):
-        if deposit.amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="redemption",
-                depositor=deposit.depositor,
-                arc=deposit.arc,
-                round=deposit.round,
-                amount=deposit.amount,
-                path=deposit.path,
-            )
+    return (
+        _table_entries("trading", tables["trading"])
+        + _table_entries("escrow", tables["escrow"])
+        + _redemption_entries(
+            spec.graph(),
+            (spec.broker, spec.seller, spec.buyer),
+            premium,
+            tables["contract_of"],
         )
-    return entries
+    )
 
 
 def _auction_entries(premium: int) -> list[ScheduleEntry]:

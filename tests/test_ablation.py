@@ -17,7 +17,9 @@ Pins, per ISSUE 3:
 """
 
 import json
+import re
 from dataclasses import FrozenInstanceError, fields
+from hashlib import sha256
 
 import pytest
 
@@ -177,6 +179,100 @@ def test_frontier_json_roundtrip_and_tamper_detection():
     tamper(lambda d: d.update(matrix_digest="0" * 64))
 
 
+# ----------------------------------------------------------------------
+# frozen formats: a coalition is a row field, the bytes stay put
+# ----------------------------------------------------------------------
+#: a small kernel grid with both named coalitions (captured before
+#: coalition lines and single-pivot lines shared one row type).
+FROZEN_GRID = dict(
+    families=("two-party", "multi-party", "broker"),
+    premium_fractions=(0.0, 0.05),
+    shock_fractions=(0.045,),
+    stages=("staked",),
+    coalitions=True,
+)
+FROZEN_FRONTIER_SHA256 = (
+    "f691c2db631f1f0297f626f4ef587c36d4a35a3c8740457b47fae9879f700fce"
+)
+FROZEN_REFINED_DIGEST = (
+    "c0d0c7850a3df6a2a3444e7fe4f4aac88f058db056d0551f469cf39e5f136dc4"
+)
+FROZEN_FRONTIER_JSON = (
+    '{"kind":"frontier","matrix_digest":"4c5d1f1b1ee39d51346a88cb49d7e3c7aaa1'
+    '24a7a18bbf96d0d94e4eb4bd8a2e","run_digest":"1847366e8c5aec3dee44dfdcf8a2'
+    'a473e52cbe3084e0a83b95c53406992f74d8","complete":true,"scenarios":20,"to'
+    'tal_scenarios":20,"rows":[{"family":"broker","stage":"staked","shock":0.'
+    '045,"pi_star":0.05,"cells":[{"pi":0.0,"walked":true,"rational_utility":0'
+    '.0,"comply_utility":-4.5,"victim_net":0},{"pi":0.05,"walked":false,"rati'
+    'onal_utility":-4.5,"comply_utility":-4.5,"victim_net":0}]},{"family":"mu'
+    'lti-party","stage":"staked","shock":0.045,"pi_star":0.05,"cells":[{"pi":'
+    '0.0,"walked":true,"rational_utility":0.0,"comply_utility":-4.5,"victim_n'
+    'et":0},{"pi":0.05,"walked":false,"rational_utility":-4.5,"comply_utility'
+    '":-4.5,"victim_net":0}]},{"family":"two-party","stage":"staked","shock":'
+    '0.045,"pi_star":0.05,"cells":[{"pi":0.0,"walked":true,"rational_utility"'
+    ':0.0,"comply_utility":-4.5,"victim_net":0},{"pi":0.05,"walked":false,"ra'
+    'tional_utility":-4.5,"comply_utility":-4.5,"victim_net":0}]}],"coalition'
+    '_rows":[{"family":"broker","stage":"staked","shock":0.045,"pi_star":null'
+    ',"cells":[{"pi":0.0,"walked":true,"rational_utility":0.0,"comply_utility'
+    '":-0.9549999999999983,"victim_net":0},{"pi":0.05,"walked":true,"rational'
+    '_utility":0.0,"comply_utility":-0.9549999999999983,"victim_net":0}],"coa'
+    'lition":"seller+buyer"},{"family":"multi-party","stage":"staked","shock"'
+    ':0.045,"pi_star":0.05,"cells":[{"pi":0.0,"walked":true,"rational_utility'
+    '":0.0,"comply_utility":-4.5,"victim_net":0},{"pi":0.05,"walked":false,"r'
+    'ational_utility":-4.5,"comply_utility":-4.5,"victim_net":0}],"coalition"'
+    ':"P1+P2"}],"digest":"950eb7d9df952b341d99a3fc721f908a2ad8080c89b20139e7e'
+    'ffb6d1f55e7ef"}'
+)
+#: float.hex of the closed-form π* per cell context at two shocks.
+FROZEN_CLOSED_FORMS = {
+    ("two-party", ""): ("0x1.70a3d70a3d70ap-5", "0x1.ae147ae147ae1p-4"),
+    ("multi-party", ""): ("0x1.70a3d70a3d70ap-7", "0x1.ae147ae147ae1p-6"),
+    ("multi-party", "P1+P2"): ("0x1.70a3d70a3d70ap-7", "0x1.ae147ae147ae1p-6"),
+    ("broker", ""): ("0x1.eb851eb851eb8p-7", "0x1.1eb851eb851ecp-5"),
+    ("broker", "seller+buyer"): (None, None),
+    ("auction", ""): ("0x1.70a3d70a3d70ap-5", "0x1.ae147ae147ae1p-4"),
+}
+
+
+def test_coalition_frontier_json_bytes_are_frozen():
+    from repro.campaign.ablation import KernelEngine
+
+    report = CampaignRunner(
+        ablation_matrix(**FROZEN_GRID), backend="kernel", kernel=KernelEngine()
+    ).run()
+    text = reduce_frontier(report).to_json()
+    assert sha256(text.encode()).hexdigest() == FROZEN_FRONTIER_SHA256
+    assert text == FROZEN_FRONTIER_JSON
+
+
+def test_frozen_frontier_loads_refines_and_reserializes(tmp_path):
+    from repro.campaign.ablation import refine_frontier
+    from repro.campaign.report import report_from_json
+    from repro.cli import main
+
+    frontier = report_from_json(FROZEN_FRONTIER_JSON)
+    assert frontier.to_json() == FROZEN_FRONTIER_JSON
+    # one row type: the on-disk "coalition_rows" key becomes a field
+    assert [row.coalition for row in frontier.rows] == [
+        "", "", "", "seller+buyer", "P1+P2"
+    ]
+    assert frontier.row("broker", "staked", 0.045, "seller+buyer").pi_star is None
+    assert refine_frontier(frontier).digest == FROZEN_REFINED_DIGEST
+    lattice, out = tmp_path / "lattice.json", tmp_path / "refined.json"
+    lattice.write_text(FROZEN_FRONTIER_JSON)
+    main(["ablate-refine", "--from", str(lattice), "--refined-out", str(out)])
+    assert json.loads(out.read_text())["digest"] == FROZEN_REFINED_DIGEST
+
+
+@pytest.mark.parametrize("shock_index,shock", enumerate((0.045, 0.105)))
+def test_closed_form_pi_star_bits_are_frozen(shock_index, shock):
+    assert set(FROZEN_CLOSED_FORMS) == set(grid.CELL_CONTEXTS)
+    for (family, coalition), pinned in FROZEN_CLOSED_FORMS.items():
+        pi_star = grid.closed_form_pi_star(family, shock, coalition)
+        got = None if pi_star is None else pi_star.hex()
+        assert got == pinned[shock_index], (family, coalition, shock)
+
+
 def test_campaign_report_json_transports_metrics_for_merge():
     report = CampaignRunner(
         small_grid(("two-party",), premiums=(0.0, 0.03), shocks=(0.045,)),
@@ -285,6 +381,29 @@ def test_ablation_matrix_validates_families_and_stages():
 def test_ablation_matrix_refuses_non_canonical_graph_names(family):
     with pytest.raises(ValueError, match="unknown ablation families"):
         ablation_matrix(families=(family,))
+
+
+@pytest.mark.parametrize(
+    "stage", ["round:03", "round:00", "round:\u00b2", "round:\u0663", "round:+3",
+              "round:"]
+)
+def test_non_canonical_round_stages_are_named_value_errors(stage):
+    assert grid.round_height(stage) is None
+    assert not grid.valid_stage(stage)
+    named = re.escape(repr(stage))
+    with pytest.raises(ValueError, match=f"unknown shock stages.*{named}"):
+        ablation_matrix(families=("two-party",), stages=(stage,))
+    with pytest.raises(ValueError, match=f"concrete stage.*{named}"):
+        grid.ablation_cell("two-party", 0.02, 0.045, stage)
+
+
+def test_round_stages_parse_through_one_helper():
+    assert [grid.round_height(s) for s in ("round:0", "round:3", "round:12")] == [
+        0, 3, 12
+    ]
+    assert grid.round_height("staked") is None
+    arms = grid.stage_heights(("round:3", "staked", "round:0"), {"staked": 3}, 4)
+    assert arms == [("round:3", 3), ("staked", 3), ("round:0", 0)]
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,37 @@ class TestQuoteRequest:
             "acd07d79a239b11997de33fc682d55e6d55dd3b69371617bd3306be13d1ab944"
         )
 
+    @pytest.mark.parametrize(
+        "stage", ["round:03", "round:00", "round:²", "round:٣", "round:+3",
+                  "round:", "round:3:1"]
+    )
+    def test_non_canonical_round_stages_are_refused(self, stage):
+        # Same rule as graph names: each spelling of round:3 would
+        # otherwise be a request (and a digest) of its own.
+        with pytest.raises(QuoteError, match="concrete stage"):
+            QuoteRequest(family="two-party", stage=stage)
+        with pytest.raises(QuoteError, match="concrete stage"):
+            QuoteRequest.from_json(
+                json.dumps({"family": "two-party", "stage": stage})
+            )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"family": "two-party", "stage": 3}, {"graph": 4},
+         {"family": "multi-party", "coalition": ["P1", "P2"]}],
+    )
+    def test_non_string_text_fields_are_quote_errors(self, fields):
+        with pytest.raises(QuoteError, match="must be a string"):
+            QuoteRequest.from_json(json.dumps(fields))
+
+    def test_canonical_round_stage_digests_are_pinned(self):
+        assert QuoteRequest(family="two-party", stage="round:3").digest() == (
+            "5db48b7c8b1cdce6c1498d6fdd820c987b7862f1bffb8cc02066e4a6a392a037"
+        )
+        assert QuoteRequest(family="two-party", stage="round:0").digest() == (
+            "e849969318a29cef855f03be83b02f2c38d8da93b523627feaf0067c45982191"
+        )
+
     def test_coalition_rules(self):
         QuoteRequest(family="multi-party", coalition="P1+P2")
         with pytest.raises(QuoteError):

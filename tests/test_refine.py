@@ -265,10 +265,14 @@ def test_coalition_pi_star_never_below_single_pivot():
     frontier = lattice_frontier(
         ("multi-party", "broker"), coalitions=True
     )
-    assert len(frontier.coalition_rows) == 2  # both named coalitions priced
-    names = {(r.family, r.coalition) for r in frontier.coalition_rows}
+    coalition_rows = [row for row in frontier.rows if row.coalition]
+    assert len(coalition_rows) == 2  # both named coalitions priced
+    names = {(r.family, r.coalition) for r in coalition_rows}
     assert names == {("multi-party", "P1+P2"), ("broker", "seller+buyer")}
-    for row in frontier.coalition_rows:
+    # one row type: single-pivot lines first, then coalition lines
+    assert [bool(row.coalition) for row in frontier.rows] == [False] * 2 + [True] * 2
+    for row in coalition_rows:
+        assert frontier.row(row.family, row.stage, row.shock, row.coalition) is row
         single = frontier.row(row.family, row.stage, row.shock)
         if row.pi_star is None:
             continue  # undeterred: collusive π* above the whole lattice
@@ -295,18 +299,15 @@ def test_refined_coalition_rows_price_the_collusive_walk():
 def test_refined_coalition_frontier_brackets_the_closed_forms():
     # satellite: the outsider-facing stake sums give closed-form collusive
     # thresholds the refined coalition rows must bracket
-    from repro.campaign.ablation import (
-        closed_form_coalition_pi_star,
-        coalition_deterrence_stake,
-    )
+    from repro.campaign.ablation import deterrence_stake
 
     refined = refine_frontier(
         lattice_frontier(("multi-party", "broker"), coalitions=True)
     )
     # ring P1+P2: external stake = 3p escrow toward P0 + p redemption = 4p,
     # coincidentally the single pivot's stake — collusion buys no discount
-    assert coalition_deterrence_stake("multi-party", "P1+P2", 0.05) == 4 * 5
-    closed = closed_form_coalition_pi_star("multi-party", "P1+P2", SHOCK)
+    assert deterrence_stake("multi-party", 0.05, "P1+P2") == 4 * 5
+    closed = closed_form_pi_star("multi-party", SHOCK, "P1+P2")
     assert closed == closed_form_pi_star("multi-party", SHOCK)
     ring = refined.row("multi-party", "staked", SHOCK, coalition="P1+P2")
     quantum = 0.5 / premium_base("multi-party")
@@ -315,18 +316,20 @@ def test_refined_coalition_frontier_brackets_the_closed_forms():
     # broker seller+buyer: the markup is un-hedgeable rent — the closed
     # form is None, and the refined row stays undeterred even though the
     # upward expansion probed all the way to the ceiling
-    assert closed_form_coalition_pi_star("broker", "seller+buyer", SHOCK) is None
-    assert coalition_deterrence_stake("broker", "seller+buyer", 0.05) is None
+    assert closed_form_pi_star("broker", SHOCK, "seller+buyer") is None
+    assert deterrence_stake("broker", 0.05, "seller+buyer") is None
     broker = refined.row("broker", "staked", SHOCK, coalition="seller+buyer")
     assert not broker.deterred and broker.probes
     assert all(probe.cell.walked for probe in broker.probes)
     with pytest.raises(ValueError, match="unknown coalition"):
-        coalition_deterrence_stake("multi-party", "nope", 0.05)
+        deterrence_stake("multi-party", 0.05, "nope")
 
 
 def test_coalition_walks_are_jointly_rational():
     frontier = lattice_frontier(("multi-party",), coalitions=True)
-    for cell in frontier.coalition_cells:
+    coalition_cells = [cell for cell in frontier.cells if cell.coalition]
+    assert coalition_cells
+    for cell in coalition_cells:
         assert cell.walked == cell.deviation_profitable, cell
         if cell.walked and cell.pi > 0:
             # the outsider (P0) is compensated by the members' external
@@ -352,7 +355,8 @@ def test_coalition_victims_exclude_every_member():
     )
     assert dict(r for r in rational.axes)["adversaries"] == "P1,P2"
     frontier = reduce_frontier(report)
-    (cell,) = frontier.coalition_cells
+    (row,) = (row for row in frontier.rows if row.coalition)
+    (cell,) = row.cells
     nets = dict(rational.premium_net)
     assert cell.victim_net == max(nets["P0"], 0)
 
