@@ -74,8 +74,6 @@ from repro.campaign.ablation.refine import (
     RefinedFrontierReport,
     RefinedRow,
     refine_frontier,
-    refined_row_from_payload,
-    refined_row_payload,
 )
 from repro.campaign.ablation.rowstore import (
     load_row,
@@ -113,8 +111,6 @@ __all__ = [
     "premium_base",
     "reduce_frontier",
     "refine_frontier",
-    "refined_row_from_payload",
-    "refined_row_payload",
     "row_descriptor",
     "row_key",
     "shocked_notional",

@@ -40,9 +40,13 @@ from dataclasses import dataclass, replace
 from hashlib import sha256
 from typing import Iterable
 
+from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
-from repro.campaign.report import check_kind, register_report
+from repro.campaign.report import load_payload, register_report
 from repro.campaign.runner import CampaignReport
+
+#: a cell's coordinates: on disk its row carries them once for all cells.
+ROW_COORDINATES = ("family", "stage", "shock", "coalition")
 
 
 @dataclass(frozen=True)
@@ -207,96 +211,60 @@ class FrontierReport:
         )
 
     def to_json(self) -> str:
-        def cell_payload(cell: FrontierCell) -> dict:
-            return {
-                "pi": canon_float(cell.pi),
-                "walked": cell.walked,
-                "rational_utility": canon_float(cell.rational_utility),
-                "comply_utility": canon_float(cell.comply_utility),
-                "victim_net": cell.victim_net,
-            }
-
-        def row_payload(row: FrontierRow) -> dict:
-            payload = {
-                "family": row.family,
-                "stage": row.stage,
-                "shock": canon_float(row.shock),
-                "pi_star": canon_opt(row.pi_star),
-                "cells": [cell_payload(cell) for cell in row.cells],
-            }
-            if row.coalition:
-                payload["coalition"] = row.coalition
-            return payload
-
         # Two keys on disk, one row type in memory: single-pivot lines
-        # under "rows", coalition lines under "coalition_rows".
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "matrix_digest": self.matrix_digest,
-                "run_digest": self.run_digest,
-                "complete": self.complete,
-                "scenarios": self.scenarios,
-                "total_scenarios": self.total_scenarios,
-                "rows": [row_payload(row) for row in self.rows if not row.coalition],
-                "coalition_rows": [
-                    row_payload(row) for row in self.rows if row.coalition
-                ],
-                "digest": self.digest,
-            },
-            indent=None,
-            separators=(",", ":"),
-        )
+        # under "rows" (without their empty coalition), coalition lines
+        # under "coalition_rows".
+        data = {"kind": self.kind, **codec.encode(self)}
+        rows = [cells_to_json(row, "cells") for row in data["rows"]]
+        data["rows"] = [
+            {key: value for key, value in row.items() if key != "coalition"}
+            for row in rows if not row["coalition"]
+        ]
+        data["coalition_rows"] = [row for row in rows if row["coalition"]]
+        data["digest"] = data.pop("digest")
+        return json.dumps(data, indent=None, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "FrontierReport":
-        data = json.loads(text)
-        check_kind(cls, data)
-
-        def row_of(payload: dict) -> FrontierRow:
-            family, stage = payload["family"], payload["stage"]
-            shock = canon_float(payload["shock"])
-            coalition = payload.get("coalition", "")
-            return FrontierRow(
-                family=family,
-                stage=stage,
-                shock=shock,
-                pi_star=canon_opt(payload["pi_star"]),
-                cells=tuple(
-                    FrontierCell(
-                        family=family,
-                        stage=stage,
-                        shock=shock,
-                        pi=canon_float(cell["pi"]),
-                        walked=bool(cell["walked"]),
-                        rational_utility=canon_float(cell["rational_utility"]),
-                        comply_utility=canon_float(cell["comply_utility"]),
-                        victim_net=int(cell["victim_net"]),
-                        coalition=coalition,
-                    )
-                    for cell in payload["cells"]
-                ),
-                coalition=coalition,
-            )
-
-        report = cls(
-            matrix_digest=data["matrix_digest"],
-            run_digest=data["run_digest"],
-            complete=bool(data["complete"]),
-            scenarios=int(data["scenarios"]),
-            total_scenarios=int(data["total_scenarios"]),
-            rows=tuple(
-                row_of(row)
-                for row in (*data["rows"], *data.get("coalition_rows", ()))
-            ),
-        )
-        report = _with_digest(report)
-        if report.digest != data["digest"]:
+        data = load_payload(cls, text)
+        rows, coalition_rows = data.get("rows"), data.get("coalition_rows", [])
+        if isinstance(rows, list) and isinstance(coalition_rows, list):
+            data.pop("coalition_rows", None)
+            data["rows"] = [
+                cells_from_json(row, "cells") for row in rows + coalition_rows
+            ]
+        stamped = codec.decode(cls, data)
+        report = _with_digest(stamped)
+        if report.digest != stamped.digest:
             raise ValueError(
                 "frontier digest mismatch after deserialization: "
-                f"{report.digest[:16]} != {data['digest'][:16]}"
+                f"{report.digest[:16]} != {stamped.digest[:16]}"
             )
         return report
+
+
+def cells_to_json(row: dict, key: str) -> dict:
+    """An encoded row's JSON shape: its ``key`` cells leave out the
+    coordinates (:data:`ROW_COORDINATES`) the row carries."""
+    row[key] = [
+        {name: value for name, value in cell.items() if name not in ROW_COORDINATES}
+        for cell in row[key]
+    ]
+    return row
+
+
+def cells_from_json(row, key: str):
+    """The inverse, on a JSON row before it is decoded: each of its
+    ``key`` cells takes the row's coordinates.  A value of the wrong
+    shape is left as it is, for :func:`repro.codec.decode` to report."""
+    if not (isinstance(row, dict) and isinstance(row.get(key), list)):
+        return row
+    coordinates = {name: row[name] for name in ROW_COORDINATES if name in row}
+    cells = [
+        {**cell, **coordinates} if isinstance(cell, dict) else cell
+        for cell in row[key]
+    ]
+    return {**row, key: cells}
 
 
 def _with_digest(report: FrontierReport) -> FrontierReport:

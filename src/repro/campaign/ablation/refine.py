@@ -51,16 +51,19 @@ sharded-then-merged run and whether the probes ran serially or pooled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable
 
+from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
-from repro.campaign.report import check_kind, register_report
+from repro.campaign.report import load_payload, register_report
 from repro.campaign.ablation.frontier import (
     FrontierCell,
     FrontierReport,
     FrontierRow,
+    cells_from_json,
+    cells_to_json,
     reduce_frontier,
 )
 from repro.campaign.ablation.grid import ablation_cell
@@ -85,14 +88,13 @@ MIN_TOL = EXPAND_CEILING / 2**MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
-class ProbeCell:
+class ProbeCell(FrontierCell):
     """One bisection probe: a measured cell plus its provenance."""
 
-    cell: FrontierCell
-    run_digest: str
+    run_digest: str = field(kw_only=True)
 
     def describe(self) -> str:
-        return f"probe|{self.cell.describe()}|run={self.run_digest}"
+        return f"probe|{super().describe()}|run={self.run_digest}"
 
 
 @dataclass(frozen=True)
@@ -130,69 +132,15 @@ class RefinedRow:
             return None
         return self.pi_hi - self.pi_lo
 
+    def payload(self) -> dict:
+        """The row's JSON object, as a refined frontier embeds it and the
+        quote row store files it; probes leave out the row's coordinates."""
+        return cells_to_json(codec.encode(self), "probes")
 
-def refined_row_payload(row: RefinedRow) -> dict:
-    """One row's canonical JSON payload — the exact shape
-    :meth:`RefinedFrontierReport.to_json` embeds, factored out so the
-    quote row store serializes rows byte-identically to the report."""
-    return {
-        "family": row.family,
-        "stage": row.stage,
-        "shock": canon_float(row.shock),
-        "coalition": row.coalition,
-        "lattice_lo": canon_opt(row.lattice_lo),
-        "lattice_hi": canon_opt(row.lattice_hi),
-        "pi_lo": canon_opt(row.pi_lo),
-        "pi_hi": canon_opt(row.pi_hi),
-        "pi_star": canon_opt(row.pi_star),
-        "iterations": row.iterations,
-        "converged": row.converged,
-        "probes": [
-            {
-                "pi": canon_float(probe.cell.pi),
-                "walked": probe.cell.walked,
-                "rational_utility": canon_float(probe.cell.rational_utility),
-                "comply_utility": canon_float(probe.cell.comply_utility),
-                "victim_net": probe.cell.victim_net,
-                "run_digest": probe.run_digest,
-            }
-            for probe in row.probes
-        ],
-    }
-
-
-def refined_row_from_payload(data: dict) -> RefinedRow:
-    """Rebuild one :class:`RefinedRow` from :func:`refined_row_payload`."""
-    return RefinedRow(
-        family=data["family"],
-        stage=data["stage"],
-        shock=canon_float(data["shock"]),
-        coalition=data["coalition"],
-        lattice_lo=canon_opt(data["lattice_lo"]),
-        lattice_hi=canon_opt(data["lattice_hi"]),
-        pi_lo=canon_opt(data["pi_lo"]),
-        pi_hi=canon_opt(data["pi_hi"]),
-        pi_star=canon_opt(data["pi_star"]),
-        iterations=int(data["iterations"]),
-        converged=bool(data["converged"]),
-        probes=tuple(
-            ProbeCell(
-                cell=FrontierCell(
-                    family=data["family"],
-                    stage=data["stage"],
-                    shock=canon_float(data["shock"]),
-                    pi=canon_float(probe["pi"]),
-                    walked=bool(probe["walked"]),
-                    rational_utility=canon_float(probe["rational_utility"]),
-                    comply_utility=canon_float(probe["comply_utility"]),
-                    victim_net=int(probe["victim_net"]),
-                    coalition=data["coalition"],
-                ),
-                run_digest=probe["run_digest"],
-            )
-            for probe in data["probes"]
-        ),
-    )
+    @classmethod
+    def from_payload(cls, data) -> "RefinedRow":
+        """The inverse of :meth:`payload`."""
+        return codec.decode(cls, cells_from_json(data, "probes"))
 
 
 @register_report("refined-frontier")
@@ -271,33 +219,21 @@ class RefinedFrontierReport:
     # serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "base_digest": self.base_digest,
-                "tol": canon_float(self.tol),
-                "rows": [refined_row_payload(row) for row in self.rows],
-                "digest": self.digest,
-            },
-            indent=None,
-            separators=(",", ":"),
-        )
+        data = {"kind": self.kind, **codec.encode(self)}
+        data["rows"] = [cells_to_json(row, "probes") for row in data["rows"]]
+        return json.dumps(data, indent=None, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "RefinedFrontierReport":
-        data = json.loads(text)
-        check_kind(cls, data)
-        rows = tuple(refined_row_from_payload(row) for row in data["rows"])
-        report = cls(
-            base_digest=data["base_digest"],
-            tol=canon_float(data["tol"]),
-            rows=rows,
-        )
-        report = _with_digest(report)
-        if report.digest != data["digest"]:
+        data = load_payload(cls, text)
+        if isinstance(data.get("rows"), list):
+            data["rows"] = [cells_from_json(row, "probes") for row in data["rows"]]
+        stamped = codec.decode(cls, data)
+        report = _with_digest(stamped)
+        if report.digest != stamped.digest:
             raise ValueError(
                 "refined-frontier digest mismatch after deserialization: "
-                f"{report.digest[:16]} != {data['digest'][:16]}"
+                f"{report.digest[:16]} != {stamped.digest[:16]}"
             )
         return report
 
@@ -384,7 +320,7 @@ class _CellProber:
             )
         (row,) = reduce_frontier(report).rows
         (cell,) = row.cells
-        return ProbeCell(cell=cell, run_digest=report.run_digest)
+        return ProbeCell(**vars(cell), run_digest=report.run_digest)
 
 
 def _bracket(row) -> tuple[float | None, float | None]:
@@ -413,7 +349,7 @@ def refine_row(
         iterations += 1
         probe = prober.probe(row.family, pi, row.shock, row.stage, row.coalition)
         probes.append(probe)
-        return probe.cell.walked
+        return probe.walked
 
     if hi is not None and lo is None and hi > 0.0:
         # The smallest swept premium already deters: open the bracket at

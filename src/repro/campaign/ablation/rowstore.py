@@ -15,8 +15,8 @@ first-class cache entries:
 - the key prefixes the descriptor with the :func:`~repro.campaign.cache.
   code_version`, so a row can never outlive the engine that measured it
   (the same freshness discipline the probe-block cache enforces),
-- the stored payload is :func:`~repro.campaign.ablation.refine.
-  refined_row_payload` — byte-identical to the row's embedding in a
+- the stored payload is :meth:`~repro.campaign.ablation.refine.
+  RefinedRow.payload` — byte-identical to the row's embedding in a
   :class:`~repro.campaign.ablation.refine.RefinedFrontierReport`, so a
   row loaded by a quote carries the same probes and provenance digests
   the refinement report published.
@@ -33,12 +33,11 @@ from hashlib import sha256
 
 from repro.campaign.cache import ResultCache, code_version
 from repro.campaign.canon import canon_float, fmt_fraction
-from repro.campaign.ablation.refine import (
-    RefinedFrontierReport,
-    RefinedRow,
-    refined_row_from_payload,
-    refined_row_payload,
-)
+from repro.campaign.ablation.refine import RefinedFrontierReport, RefinedRow
+
+#: one decoder object for every read: the cache's read memo serves an
+#: entry only to the decoder that produced it.
+_decode_row = RefinedRow.from_payload
 
 
 def row_descriptor(
@@ -82,7 +81,7 @@ def store_row(cache: ResultCache, descriptor: str, row: RefinedRow) -> bool:
     """
     if not row.converged and row.pi_hi is not None:
         return False
-    return cache.put_entry(row_key(descriptor), refined_row_payload(row))
+    return cache.put_entry(row_key(descriptor), row.payload())
 
 
 def load_row(cache: ResultCache, descriptor: str) -> RefinedRow | None:
@@ -91,7 +90,7 @@ def load_row(cache: ResultCache, descriptor: str) -> RefinedRow | None:
     The cache decodes the payload (a payload that does not decode is a
     corrupt miss), so a warm row is served without re-parsing its file.
     """
-    return cache.get_entry(row_key(descriptor), decode=refined_row_from_payload)
+    return cache.get_entry(row_key(descriptor), decode=_decode_row)
 
 
 def store_refined_rows(

@@ -63,11 +63,8 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Callable
 
-from repro.campaign.scenario import (
-    ScenarioResult,
-    result_from_payload,
-    result_payload,
-)
+from repro import codec
+from repro.campaign.scenario import ScenarioResult
 
 _CODE_VERSION: str | None = None
 
@@ -262,12 +259,14 @@ class ResultCache:
         if read is None:
             return None
         data = read[1]
+        if not isinstance(data, dict) or data.get("key") != key:
+            self._count("cache.miss.corrupt")
+            return None
         try:
-            if not isinstance(data, dict) or data.get("key") != key:
-                self._count("cache.miss.corrupt")
-                return None
-            results = [result_from_payload(r) for r in data["results"]]
-        except (ValueError, KeyError, TypeError):
+            results = codec.decode(
+                list[ScenarioResult], data.get("results"), "results"
+            )
+        except ValueError:
             self._count("cache.miss.corrupt")
             return None
         if len(results) != size:
@@ -290,7 +289,7 @@ class ResultCache:
             self._count("cache.store.skipped")
             return False
         payload = json.dumps(
-            {"key": key, "results": [result_payload(r) for r in results]},
+            {"key": key, "results": [codec.encode(r) for r in results]},
             indent=None,
             separators=(",", ":"),
         )

@@ -49,11 +49,13 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable
 
+from repro import codec
 from repro.campaign.ablation.refine import DEFAULT_TOL
 from repro.campaign.cache import ResultCache
 from repro.campaign.canon import canon_float
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import MatrixSpec, WorkerPool
+from repro.errors import DecodeError
 
 EXPERIMENT_KINDS = ("campaign", "ablate", "ablate-refine")
 
@@ -80,18 +82,20 @@ class ExperimentError(ValueError):
     """A spec could not be honored (bad fields, digest expectation miss)."""
 
 
-def _tuplify(value):
-    """Recursively turn JSON lists back into the tuples specs hash/pickle."""
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
+def _matrix_json(matrix: MatrixSpec) -> dict:
+    """A matrix recipe's JSON object: ``kwargs`` is an object on disk."""
+    data = codec.encode(matrix)
+    data["kwargs"] = dict(data["kwargs"])
+    return data
 
 
-def _jsonify(value):
-    """The inverse: tuples to lists for JSON transport."""
-    if isinstance(value, tuple):
-        return [_jsonify(item) for item in value]
-    return value
+def _pairs(data: dict, key: str, path: str) -> None:
+    """The inverse for ``data[key]``: the JSON object becomes the sorted
+    ``[name, value]`` pairs a spec holds."""
+    if key in data:
+        if not isinstance(data[key], dict):
+            raise DecodeError(f"must be a JSON object, got {data[key]!r:.60}", path)
+        data[key] = sorted([name, value] for name, value in data[key].items())
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,10 @@ class ExperimentSpec:
             raise ExperimentError(
                 f"matrix must be a MatrixSpec, got {type(self.matrix).__name__}"
             )
+        if self.workers is not None and not (
+            type(self.workers) is int and self.workers >= 1
+        ):
+            raise ExperimentError(f"workers must be an int >= 1, got {self.workers!r}")
         if self.limit is not None and self.limit < 1:
             raise ExperimentError(f"limit must be >= 1, got {self.limit}")
         if self.shard is not None:
@@ -172,13 +180,7 @@ class ExperimentSpec:
         """
         payload = {
             "kind": self.kind,
-            "matrix": {
-                "factory": self.matrix.factory,
-                "args": _jsonify(self.matrix.args),
-                "kwargs": {
-                    name: _jsonify(value) for name, value in self.matrix.kwargs
-                },
-            },
+            "matrix": _matrix_json(self.matrix),
             "limit": self.limit,
             "shard": list(self.shard) if self.shard else None,
             "tol": canon_float(self.tol) if self.tol is not None else None,
@@ -203,29 +205,11 @@ class ExperimentSpec:
     # serialization
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "matrix": {
-                    "factory": self.matrix.factory,
-                    "args": _jsonify(self.matrix.args),
-                    "kwargs": {
-                        name: _jsonify(value)
-                        for name, value in self.matrix.kwargs
-                    },
-                },
-                "backend": self.backend,
-                "workers": self.workers,
-                "limit": self.limit,
-                "shard": list(self.shard) if self.shard else None,
-                "tol": canon_float(self.tol) if self.tol is not None else None,
-                "engine": self.engine,
-                "expect": {kind: digest for kind, digest in self.expect},
-                "digest": self.digest(),
-            },
-            indent=2,
-            sort_keys=False,
-        )
+        data = codec.encode(self)
+        data["matrix"] = _matrix_json(self.matrix)
+        data["expect"] = dict(data["expect"])
+        data["digest"] = self.digest()
+        return json.dumps(data, indent=2, sort_keys=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -233,34 +217,17 @@ class ExperimentSpec:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise ExperimentError(f"not a JSON experiment spec: {err}")
+        stamped = None
         try:
-            matrix = MatrixSpec(
-                factory=data["matrix"]["factory"],
-                args=_tuplify(data["matrix"].get("args", [])),
-                kwargs=tuple(
-                    sorted(
-                        (name, _tuplify(value))
-                        for name, value in data["matrix"].get("kwargs", {}).items()
-                    )
-                ),
-            )
-            spec = cls(
-                kind=data["kind"],
-                matrix=matrix,
-                backend=data.get("backend", "serial"),
-                workers=data.get("workers"),
-                limit=data.get("limit"),
-                shard=tuple(data["shard"]) if data.get("shard") else None,
-                tol=data.get("tol"),
-                engine=data.get("engine", "simulator"),
-                expect=tuple(sorted(data.get("expect", {}).items())),
-            )
-        except ExperimentError:
-            raise
-        except (KeyError, TypeError, ValueError) as err:
-            # ValueError: field validation (e.g. a bad shard coordinate)
-            raise ExperimentError(f"malformed experiment spec: {err}")
-        stamped = data.get("digest")
+            if isinstance(data, dict):
+                stamped = codec.decode(str | None, data.pop("digest", None), "digest")
+                _pairs(data, "expect", "expect")
+                if isinstance(data.get("matrix"), dict):
+                    _pairs(data["matrix"], "kwargs", "matrix.kwargs")
+            spec = codec.decode(cls, data)
+        except ValueError as err:
+            # DecodeError, or a field check (e.g. a bad shard coordinate)
+            raise ExperimentError(f"malformed experiment spec: {err}") from None
         if stamped is not None and stamped != spec.digest():
             raise ExperimentError(
                 "spec digest mismatch after deserialization: "

@@ -1,16 +1,20 @@
 """The common Report protocol: one serialization contract for every engine.
 
-PRs 1–4 grew three parallel report types — :class:`~repro.campaign.runner.
-CampaignReport`, :class:`~repro.campaign.ablation.frontier.FrontierReport`,
-and :class:`~repro.campaign.ablation.refine.RefinedFrontierReport` — each
-with its own JSON transport and its own merge entry point.  This module is
-the spine that makes them one family:
+:class:`~repro.campaign.runner.CampaignReport`,
+:class:`~repro.campaign.ablation.frontier.FrontierReport` and
+:class:`~repro.campaign.ablation.refine.RefinedFrontierReport` are one
+family:
 
 - every report class registers under a short ``kind`` string
-  (:func:`register_report`), which it stamps into its JSON payload,
+  (:func:`register_report`), which it stamps into its JSON envelope,
 - :func:`report_from_json` dispatches deserialization on that ``kind``
   (files written before the field existed are inferred from their shape,
   so old shard artifacts keep loading),
+- each class's ``from_json`` takes its envelope through
+  :func:`load_payload` and the rest through the strict
+  :mod:`repro.codec`, so an ill-typed, missing or unknown value fails
+  with a :class:`~repro.errors.DecodeError` naming its field path; a
+  stamped digest that does not recompute fails with a ``ValueError``,
 - :func:`merge_reports_any` is the kind-aware merge behind the CLI's
   single ``merge`` subcommand: homogeneous inputs dispatch to the class's
   own ``merge``; a reduced artifact (frontier, refined frontier) says
@@ -19,12 +23,8 @@ the spine that makes them one family:
 Like the matrix-factory registry in :mod:`repro.campaign.pool`, the
 standard report modules are imported lazily on first lookup, so this
 module stays import-cycle-free while ``kind`` strings remain resolvable
-from anywhere (CLI, tests, cross-host tooling).
-
-Digest rules are unchanged by the protocol: each kind keeps computing its
-digest exactly as before (the ``kind`` field rides in the JSON envelope
-only), so every report digest produced since PR 1 is reproduced
-byte-identically.
+from anywhere (CLI, tests, cross-host tooling).  The ``kind`` field rides
+in the JSON envelope only: no report digest covers it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from __future__ import annotations
 import importlib
 import json
 from typing import Iterable, Protocol, Type, runtime_checkable
+
+from repro import codec
+from repro.errors import DecodeError
 
 
 @runtime_checkable
@@ -125,22 +128,13 @@ def _infer_kind(data: dict) -> str:
 
 def report_from_json(text: str) -> Report:
     """Deserialize any registered report, dispatching on its ``kind``."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"not a JSON report: {err}")
-    if not isinstance(data, dict):
-        raise ValueError(f"not a JSON report object: got {type(data).__name__}")
-    kind = data.get("kind") or _infer_kind(data)
+    data = _json_object(text)
+    kind = codec.decode(str, data.get("kind") or _infer_kind(data), "kind")
     try:
         cls = report_class(kind)
     except KeyError as err:
         raise ValueError(str(err))
-    try:
-        return cls.from_json(text)
-    except (KeyError, TypeError) as err:
-        # e.g. a payload whose stamped kind does not match its shape
-        raise ValueError(f"malformed {kind!r} report payload: {err!r}")
+    return cls.from_json(text)
 
 
 def check_kind(cls, data: dict) -> None:
@@ -156,6 +150,25 @@ def check_kind(cls, data: dict) -> None:
             f"{cls.__name__} deserializes {cls.kind!r} — use "
             "repro.campaign.report.report_from_json for kind dispatch"
         )
+
+
+def _json_object(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DecodeError(f"is not JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise DecodeError(f"must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_payload(cls, text: str) -> dict:
+    """The JSON object of a ``cls`` report, its envelope ``kind`` checked
+    and removed: what is left is for :func:`repro.codec.decode`."""
+    data = _json_object(text)
+    check_kind(cls, data)
+    data.pop("kind", None)
+    return data
 
 
 def merge_reports_any(reports: Iterable[Report]) -> Report:

@@ -55,8 +55,9 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from repro import codec
 from repro.campaign.cache import ResultCache
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import (
@@ -65,14 +66,9 @@ from repro.campaign.pool import (
     fork_available,
     share_rows,
 )
-from repro.campaign.report import check_kind, register_report
-from repro.campaign.scenario import (
-    Scenario,
-    ScenarioResult,
-    result_from_payload,
-    result_payload,
-    run_scenario,
-)
+from repro.campaign.report import load_payload, register_report
+from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
+from repro.errors import DecodeError
 from repro.obs import (
     MetricsSnapshot,
     ProgressMeter,
@@ -127,13 +123,13 @@ def _digest_preamble(
     return f"{matrix_digest}|selection={label}|coverage={count}/{total}".encode()
 
 
-@dataclass(frozen=True)
-class ScenarioViolation:
+class ScenarioViolation(NamedTuple):
     """One property violation in one scenario.
 
     ``trace`` carries the violating run's lane diagram (captured by
     :func:`repro.campaign.scenario.run_scenario` at execution time), so a
-    frontier/campaign anomaly is debuggable straight from the report.
+    frontier/campaign anomaly is debuggable straight from the report.  On
+    disk a violation is the array ``[scenario, message, trace]``.
     """
 
     scenario: str
@@ -167,10 +163,11 @@ class CampaignReport:
     #: the selection this run was asked for (None/None = full coverage).
     limit: int | None = None
     shard: tuple[int, int] | None = None
+    #: ``scenarios`` through ``reverted``, ``violations`` and
+    #: ``run_digest`` are derived from ``results`` by _fold_results.
     scenarios: int = 0
     transactions: int = 0
     reverted: int = 0
-    violations: list[ScenarioViolation] = field(default_factory=list)
     #: summed per-shard compute time.  Equal to ``wall_seconds`` for a
     #: single run; after :func:`merge_reports` it is the *aggregate*
     #: compute across shards, which can exceed wall clock arbitrarily.
@@ -178,13 +175,17 @@ class CampaignReport:
     #: wall-clock time observed by whoever produced this report: the run
     #: itself, or the merge step for merged reports.  Never digested.
     wall_seconds: float = 0.0
-    results: list[ScenarioResult] = field(default_factory=list)
-    by_axis: dict[str, dict[str, AxisStats]] = field(default_factory=dict)
-    premium_net_hist: Counter = field(default_factory=Counter)
-    run_digest: str = ""
     #: scenarios served from the incremental result cache (never digested:
     #: a warm run must reproduce the cold run's digest byte-identically).
     cache_hits: int = 0
+    violations: list[ScenarioViolation] = field(default_factory=list)
+    results: list[ScenarioResult] = field(default_factory=list)
+    run_digest: str = ""
+    #: per-axis and premium-flow aggregates: derived, never transported.
+    by_axis: dict[str, dict[str, AxisStats]] = field(
+        default_factory=dict, init=False
+    )
+    premium_net_hist: Counter = field(default_factory=Counter, init=False)
 
     @property
     def ok(self) -> bool:
@@ -309,69 +310,47 @@ class CampaignReport:
     def to_json(self) -> str:
         """Serialize everything needed to merge or audit this report."""
         return json.dumps(
-            {
-                "kind": self.kind,
-                "backend": self.backend,
-                "workers": self.workers,
-                "matrix_digest": self.matrix_digest,
-                "total_scenarios": self.total_scenarios,
-                "limit": self.limit,
-                "shard": list(self.shard) if self.shard else None,
-                "scenarios": self.scenarios,
-                "transactions": self.transactions,
-                "reverted": self.reverted,
-                "elapsed_seconds": self.elapsed_seconds,
-                "wall_seconds": self.wall_seconds,
-                "cache_hits": self.cache_hits,
-                # Redundant with per-result violations/traces (from_json
-                # rebuilds them via _fold_results), but kept complete for
-                # external consumers reading the report directly.
-                "violations": [
-                    [v.scenario, v.message, v.trace] for v in self.violations
-                ],
-                "results": [result_payload(r) for r in self.results],
-                "run_digest": self.run_digest,
-            },
+            {"kind": self.kind, **codec.encode(self)},
             indent=None,
             separators=(",", ":"),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
-        """Rebuild a report (with per-axis aggregates) from :meth:`to_json`."""
-        data = json.loads(text)
-        check_kind(cls, data)
-        results = [result_from_payload(r) for r in data["results"]]
-        shard = tuple(data["shard"]) if data.get("shard") else None
-        report = cls(
-            backend=data["backend"],
-            workers=data["workers"],
-            matrix_digest=data["matrix_digest"],
-            total_scenarios=data["total_scenarios"],
-            limit=data["limit"],
-            shard=shard,
-            elapsed_seconds=data["elapsed_seconds"],
+        """Rebuild a report (with per-axis aggregates) from :meth:`to_json`.
+
+        The derived keys are recomputed from ``results``; a file whose
+        copies disagree with the recomputation is refused.
+        """
+        data = load_payload(cls, text)
+        if "wall_seconds" not in data and "elapsed_seconds" in data:
             # Older reports predate the compute/wall split, where the
             # single field served both roles.
-            wall_seconds=data.get("wall_seconds", data["elapsed_seconds"]),
-            cache_hits=data.get("cache_hits", 0),
+            data["wall_seconds"] = data["elapsed_seconds"]
+        stamped = codec.decode(cls, data)
+        report = replace(
+            stamped, scenarios=0, transactions=0, reverted=0,
+            violations=[], results=[], run_digest="",
         )
         _fold_results(
             report,
-            results,
+            stamped.results,
             _digest_preamble(
                 report.matrix_digest,
                 report.total_scenarios,
-                len(results),
+                len(stamped.results),
                 report.limit,
-                shard,
+                report.shard,
             ),
         )
-        if report.run_digest != data["run_digest"]:
+        if report.run_digest != stamped.run_digest:
             raise ValueError(
                 "report digest mismatch after deserialization: "
-                f"{report.run_digest[:16]} != {data['run_digest'][:16]}"
+                f"{report.run_digest[:16]} != {stamped.run_digest[:16]}"
             )
+        for name in ("scenarios", "transactions", "reverted", "violations"):
+            if getattr(report, name) != getattr(stamped, name):
+                raise DecodeError("does not match the results", name)
         return report
 
 

@@ -94,42 +94,6 @@ class ScenarioResult:
         return not self.violations
 
 
-def result_payload(result: ScenarioResult) -> dict:
-    """The JSON-primitive form of a result (report transport + cache)."""
-    return {
-        "index": result.index,
-        "label": result.label,
-        "axes": [list(ax) for ax in result.axes],
-        "violations": list(result.violations),
-        "transactions": result.transactions,
-        "reverted": result.reverted,
-        "premium_net": [list(p) for p in result.premium_net],
-        "elapsed_seconds": result.elapsed_seconds,
-        "digest": result.digest,
-        "metrics": [list(m) for m in result.metrics],
-        "trace": result.trace,
-    }
-
-
-def result_from_payload(data: dict) -> ScenarioResult:
-    """Rebuild a result from :func:`result_payload` (floats canonicalized)."""
-    return ScenarioResult(
-        index=data["index"],
-        label=data["label"],
-        axes=tuple((a, v) for a, v in data["axes"]),
-        violations=tuple(data["violations"]),
-        transactions=data["transactions"],
-        reverted=data["reverted"],
-        premium_net=tuple((p, int(n)) for p, n in data["premium_net"]),
-        elapsed_seconds=data["elapsed_seconds"],
-        digest=data["digest"],
-        metrics=tuple(
-            (name, canon_float(value)) for name, value in data.get("metrics", [])
-        ),
-        trace=data.get("trace", ""),
-    )
-
-
 def _ledger_fingerprint(instance: ProtocolInstance) -> str:
     """Canonical rendering of every chain's final ledger state."""
     lines = []

@@ -583,7 +583,7 @@ def _refine_from_file(args) -> None:
     try:
         with open(args.from_report, "r", encoding="utf-8") as handle:
             frontier = FrontierReport.from_json(handle.read())
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(f"error reading {args.from_report}: {err}")
     print(f"lattice frontier loaded from {args.from_report}")
     print(frontier.summary())
@@ -603,7 +603,7 @@ def cmd_merge(args) -> None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 reports.append(report_from_json(handle.read()))
-        except (OSError, ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError) as err:
             raise SystemExit(f"error reading {path}: {err}")
     try:
         merged = merge_reports_any(reports)

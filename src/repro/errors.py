@@ -14,6 +14,26 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
 
 
+class DecodeError(ReproError, ValueError):
+    """An artifact document does not match its declared shape.
+
+    ``path`` locates the bad value (``rows[0].cells[1].walked``; empty
+    for the document itself), ``problem`` says what is wrong with it.
+    """
+
+    def __init__(self, problem: str, path: str = "") -> None:
+        super().__init__(problem, path)
+        self.problem, self.path = problem, path
+
+    def within(self, segment: str) -> "DecodeError":
+        """The same error under field or index ``segment`` of its parent."""
+        dot = "." if self.path and self.path[0] != "[" else ""
+        return DecodeError(self.problem, segment + dot + self.path)
+
+    def __str__(self) -> str:
+        return f"{self.path or 'document'} {self.problem}"
+
+
 class LedgerError(ReproError):
     """A ledger operation could not be performed (e.g. insufficient funds)."""
 

@@ -22,6 +22,10 @@ to ``self._payload()`` still counts) from:
 - serializers: ``to_json``/``payload`` methods, plus module-level
   helpers bound by their first parameter's annotation (``def
   result_payload(result: ScenarioResult)``), reading ``<param>.<field>``.
+  A serializer that hands the instance itself to
+  :func:`repro.codec.encode` (``codec.encode(self)``) serializes every
+  field the constructor takes, since that is what ``encode`` does; a
+  ``field(init=False)`` is derived state the codec never carries.
 
 **Allowlist.**  Exclusions are intentional and must say why:
 :data:`DIGEST_EXCLUSIONS` maps ``ClassName.field`` to a justification.
@@ -85,6 +89,10 @@ DIGEST_EXCLUSIONS: dict[str, str] = {
 }
 
 
+#: the codec entry point that serializes every constructor field.
+CODEC_ENCODE = "repro.codec.encode"
+
+
 def _is_dataclass(node: ast.ClassDef, src: SourceFile) -> bool:
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
@@ -134,6 +142,16 @@ def _attr_reads(func: FuncDef, param: str) -> set[str]:
         ):
             out.add(node.attr)
     return out
+
+
+def _encodes_whole(func: FuncDef, param: str | None, src: SourceFile) -> bool:
+    """Does ``func`` pass ``param`` itself to :data:`CODEC_ENCODE`?"""
+    return any(
+        isinstance(node, ast.Call)
+        and call_name(node, src.aliases) == CODEC_ENCODE
+        and [ast.unparse(arg) for arg in node.args[:1]] == [param]
+        for node in ast.walk(func)
+    )
 
 
 def _hashes(func: FuncDef, src: SourceFile) -> bool:
@@ -241,6 +259,13 @@ class DigestCoverageRule(Rule):
         serial_consumed = _consumed_with_fixpoint(serializers, methods)
         for func, param in helper_serializers:
             serial_consumed |= _attr_reads(func, param)
+        encoders = [(func, _self_param(func)) for func in serializers]
+        if any(_encodes_whole(f, p, src) for f, p in encoders + helper_serializers):
+            # A field(init=False) is derived state the codec never carries.
+            serial_consumed |= {
+                name for name, stmt in fields
+                if stmt.value is None or "init=False" not in ast.unparse(stmt.value)
+            }
 
         # Only *method* digest producers support the digest-coverage
         # check: a class whose digest is stamped by a module-level fold

@@ -19,13 +19,7 @@ from repro.quote.analytic import (
 )
 from repro.quote.batch import batch_cells, batch_digest, quote_batch
 from repro.quote.engine import ALL_TIERS, QuoteEngine
-from repro.quote.quote import (
-    Quote,
-    ScheduleEntry,
-    quote_for,
-    schedule_entry_from_payload,
-    schedule_entry_payload,
-)
+from repro.quote.quote import Quote, ScheduleEntry, quote_for
 from repro.quote.request import DEFAULT_SHOCK, QuoteError, QuoteRequest
 from repro.quote.schedule import deposit_schedule
 
@@ -45,6 +39,4 @@ __all__ = [
     "graph_stake_slope",
     "quote_batch",
     "quote_for",
-    "schedule_entry_from_payload",
-    "schedule_entry_payload",
 ]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from numbers import Real
 
+from repro import codec
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
     CELL_CONTEXTS,
@@ -29,7 +30,7 @@ from repro.campaign.ablation.grid import (
 )
 from repro.campaign.ablation.refine import DEFAULT_TOL, MAX_ITERATIONS, MIN_TOL
 from repro.campaign.canon import canon_float
-from repro.errors import ReproError
+from repro.errors import DecodeError, ReproError
 
 #: the default shock assumption a deal is priced against: the 0.045
 #: relative drop sits mid-grid (deterred by the default sweep's upper
@@ -176,21 +177,12 @@ class QuoteRequest:
                 "a quote request is a JSON object, got "
                 f"{type(data).__name__}"
             )
+        stamped = data.pop("digest", None)
         try:
-            request = cls(
-                family=data.get("family", ""),
-                graph=data.get("graph", ""),
-                coalition=data.get("coalition", ""),
-                shock=data.get("shock", DEFAULT_SHOCK),
-                stage=data.get("stage", "staked"),
-                tol=data.get("tol", DEFAULT_TOL),
-                seed=data.get("seed", 0),
-            )
-        except QuoteError:
-            raise
-        except (KeyError, TypeError, ValueError) as err:
-            raise QuoteError(f"malformed quote request: {err}")
-        stamped = data.get("digest")
+            stamped = codec.decode(str | None, stamped, "digest")
+            request = codec.decode(cls, data)
+        except DecodeError as err:
+            raise QuoteError(str(err)) from None
         if stamped is not None and stamped != request.digest():
             raise QuoteError(
                 "quote-request digest mismatch after deserialization: "

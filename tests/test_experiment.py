@@ -524,3 +524,22 @@ def test_refine_from_file_shares_the_facade_refine_stage(tmp_path, capsys):
         with pytest.raises(SystemExit, match="cannot be combined with --from"):
             main(["ablate-refine", "--from", str(lattice), *flag])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["x", True, 0, -1, 2.5])
+def test_spec_workers_must_be_a_positive_int(workers):
+    with pytest.raises(ExperimentError, match="workers"):
+        ablate_spec(workers=workers, **GRID)
+    data = json.loads(ablate_spec(**GRID).to_json())
+    data["workers"] = workers
+    with pytest.raises(ExperimentError, match="workers"):
+        ExperimentSpec.from_json(json.dumps(data))
+    assert ablate_spec(workers=2, **GRID).workers == 2
+
+
+def test_cli_spec_refuses_bad_workers_before_any_matrix_work(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit, match="^error: workers must be"):
+        main(["spec", "campaign", "--workers", "-1"])
+    assert capsys.readouterr().out == ""

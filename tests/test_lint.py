@@ -419,6 +419,36 @@ class TestDigestCoverageRule:
         )
         assert result.ok
 
+    CODEC_REPORT = (
+        "import json\n"
+        "from dataclasses import dataclass, field\n"
+        "from repro import codec\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    scenarios: int\n"
+        "    rows: list\n"
+        "    totals: dict = field(default_factory=dict{init})\n"
+        "    def to_json(self):\n"
+        "        return json.dumps({{'kind': 'r', **codec.encode({arg})}})\n"
+    )
+
+    def test_codec_encode_of_the_instance_serializes_every_field(self, tmp_path):
+        source = self.CODEC_REPORT.format(init="", arg="self")
+        assert lint_snippet(tmp_path, source).ok
+
+    def test_codec_encode_skips_derived_init_false_fields(self, tmp_path):
+        source = self.CODEC_REPORT.format(init=", init=False", arg="self")
+        result = lint_snippet(tmp_path, source)
+        assert codes_of(result) == ["DIG001"]
+        assert "Report.totals" in result.findings[0].message
+
+    def test_codec_encode_of_a_part_serializes_only_what_it_reads(self, tmp_path):
+        source = self.CODEC_REPORT.format(init="", arg="self.rows")
+        result = lint_snippet(tmp_path, source)
+        assert codes_of(result) == ["DIG001", "DIG001"]
+        flagged = " ".join(finding.message for finding in result.findings)
+        assert "Report.scenarios" in flagged and "Report.totals" in flagged
+
     def test_allowlist_spares_experiment_spec_backend(self, tmp_path):
         # The canonical allowlist entries: digest() deliberately ignores
         # placement fields.  The real ExperimentSpec is linted clean in

@@ -99,9 +99,9 @@ def test_undeterred_and_trivially_deterred_rows_carry_through():
     )
     row = refined.rows[0]
     assert not row.deterred and row.pi_star is None
-    assert row.probes and all(probe.cell.walked for probe in row.probes)
+    assert row.probes and all(probe.walked for probe in row.probes)
     assert row.pi_lo == EXPAND_CEILING  # walked all the way up
-    assert row.probes[-1].cell.pi == EXPAND_CEILING
+    assert row.probes[-1].pi == EXPAND_CEILING
     # a late-round shock deters even the unhedged run: π* = 0, no probes
     late = refine_frontier(
         lattice_frontier(("two-party",), stages=("round:6",))
@@ -126,7 +126,7 @@ def test_refine_extends_the_bracket_upward_when_the_lattice_ceiling_walks():
         "two-party"
     )
     # the first expansion probe doubles the lattice ceiling
-    assert row.probes[0].cell.pi == 2 * max(LATTICE)
+    assert row.probes[0].pi == 2 * max(LATTICE)
 
 
 def test_refine_opens_the_bracket_at_zero_when_the_lattice_floor_deters():
@@ -142,7 +142,7 @@ def test_refine_opens_the_bracket_at_zero_when_the_lattice_floor_deters():
     assert frontier.rows[0].pi_star == 0.05  # lattice has no walking point
     refined = refine_frontier(frontier)
     row = refined.rows[0]
-    assert row.probes[0].cell.pi == 0.0 and row.probes[0].cell.walked
+    assert row.probes[0].pi == 0.0 and row.probes[0].walked
     assert row.converged
     assert abs(row.pi_star - closed_form_pi_star("two-party", SHOCK)) <= (
         DEFAULT_TOL + 0.5 / premium_base("two-party")
@@ -320,7 +320,7 @@ def test_refined_coalition_frontier_brackets_the_closed_forms():
     assert deterrence_stake("broker", 0.05, "seller+buyer") is None
     broker = refined.row("broker", "staked", SHOCK, coalition="seller+buyer")
     assert not broker.deterred and broker.probes
-    assert all(probe.cell.walked for probe in broker.probes)
+    assert all(probe.walked for probe in broker.probes)
     with pytest.raises(ValueError, match="unknown coalition"):
         deterrence_stake("multi-party", 0.05, "nope")
 
