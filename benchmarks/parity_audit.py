@@ -11,12 +11,19 @@ script is the contract between them, run on every CI push:
    run-digest mismatch.  Digest-chain equality is the strongest available
    check: the digests cover labels, violations, transaction counts,
    premium flows, and ``repr``-exact metric floats.
-2. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
+2. **Pair-line sweep** — in each of the six named cell contexts, the
+   kernel evaluates every premium of ``[1, premium_base]`` on exact
+   integer lines through real runs at p = 1 and p = 2.  The sweep checks
+   that premise exhaustively: at every such premium, the evaluated
+   recording, compliant template and scripted-walk template of every walk
+   round must equal a real simulator run at that premium, field for
+   digest-relevant field, and none may fall back to the simulator.
+3. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
    fixed grid (coalitions included) may run at most
    :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls.  The count is a
    property of the code, not of the host: a cell path that goes back to
    building a throwaway instance per premium or per probe breaches it.
-3. **Perf gate** — the warm dense-grid kernel speedup over the simulator
+4. **Perf gate** — the warm dense-grid kernel speedup over the simulator
    must not drop below the floor committed in ``BENCH_ablation.json``
    (``engine_throughput.kernel_hot_speedup_floor``).  The gate compares a
    speedup *ratio* measured in-process, so it is machine-invariant: a
@@ -26,8 +33,8 @@ Exit status is nonzero on any divergence, ceiling or floor breach.
 
 Usage::
 
-    python benchmarks/parity_audit.py            # parity + builds + perf gate
-    python benchmarks/parity_audit.py --no-perf  # parity + builds only
+    python benchmarks/parity_audit.py            # parity + sweep + builds + perf gate
+    python benchmarks/parity_audit.py --no-perf  # parity + sweep + builds only
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ BUILD_GATE_GRID = dict(
 )
 
 #: protocol builds in one cold kernel ``ablate-refine`` over
-#: BUILD_GATE_GRID: the exact count when each cell context began reading
-#: its premium-independent shape from one cached structural build.  The
-#: ceiling is the count itself; lower it when a change cuts more builds.
-MAX_REFINE_BUILDS = 57
+#: BUILD_GATE_GRID: the exact count when each named cell context began
+#: simulating only p = 0, its p = 1 / p = 2 pair and premiums outside the
+#: pair's lines.  The ceiling is the count itself; lower it when a change
+#: cuts more builds.
+MAX_REFINE_BUILDS = 43
 
 _RESULT_FIELDS = (
     "digest",
@@ -123,6 +131,76 @@ def audit_parity() -> list[str]:
             f"parity: {serial.scenarios} scenarios byte-identical across "
             f"engines (run digest {serial.run_digest[:16]}..., frontier "
             f"digest {serial_frontier.digest[:16]}...)"
+        )
+    return problems
+
+
+def _template_fields(template) -> tuple:
+    """What a kernel template feeds into scenario digests and metrics."""
+    return (
+        template.ntx_str,
+        template.reverted,
+        template.premium_net,
+        template.premium_net_str,
+        template.fingerprint,
+        template.completed,
+        template.utility_terms,
+        template.exposed,
+    )
+
+
+def audit_pair_lines() -> list[str]:
+    """Every premium of ``[1, premium_base]`` × every walk round × the six
+    named contexts: what the kernel evaluates on its pair's lines equals a
+    real run at that premium, whose trajectory shape (transactions, events,
+    ledger keys, delta order) is the p = 1 run's.  Returns divergences."""
+    from repro.campaign.ablation.grid import CELL_CONTEXTS, premium_base
+    from repro.campaign.ablation.kernels import (
+        PAIR_PREMIUMS,
+        KernelEngine,
+        _CellKernel,
+        _template_values,
+    )
+
+    def uncounted(name, amount=1):
+        pass
+
+    engine = KernelEngine()
+    problems: list[str] = []
+    premiums = walks = 0
+    for family, coalition in CELL_CONTEXTS:
+        for premium in range(1, premium_base(family) + 1):
+            label = f"{family}:{coalition or '-'}[premium={premium}]"
+            kernel = engine._kernel_for(family, coalition, premium)
+            real = _CellKernel.calibrate(kernel.cell, uncounted, off_pair=False)
+            premiums += 1
+            if kernel.rounds != real.rounds:
+                problems.append(f"{label}: recorded rounds diverge")
+            # (what, evaluated, real twin, the p = 1 run on the pair's side)
+            lo = kernel.pair.lo if kernel.pair is not None else None
+            triples = [("compliant", kernel.comply, real.comply, lo and lo.comply)]
+            for walk_round in range(len(real.rounds)):
+                walks += 1
+                triples.append((
+                    f"walk {walk_round}",
+                    kernel.walk_template(walk_round, uncounted),
+                    real.walk_template(walk_round, uncounted),
+                    lo and lo.walk_template(walk_round, uncounted),
+                ))
+            for what, evaluated, twin, model in triples:
+                if premium not in PAIR_PREMIUMS and evaluated.instance is not None:
+                    problems.append(f"{label} {what}: fell back to the simulator")
+                elif _template_fields(evaluated) != _template_fields(twin):
+                    problems.append(f"{label} {what}: template diverges")
+                elif model is not None and (
+                    _template_values(kernel.cell, twin)[0]
+                    != _template_values(kernel.cell, model)[0]
+                ):
+                    problems.append(f"{label} {what}: trajectory shape differs from p = 1")
+    if not problems:
+        print(
+            f"pair lines: {premiums} premiums and {walks} walk templates over "
+            f"{len(CELL_CONTEXTS)} named contexts equal real runs"
         )
     return problems
 
@@ -221,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     problems = audit_parity()
+    problems += audit_pair_lines()
     problems += gate_builds()
     if not problems and not args.no_perf:
         repo_root = pathlib.Path(__file__).resolve().parent.parent

@@ -42,7 +42,7 @@ from typing import Iterable
 
 from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
-from repro.campaign.report import load_payload, register_report
+from repro.campaign.report import load_payload, parse_report, register_report
 from repro.campaign.runner import CampaignReport
 
 #: a cell's coordinates: on disk its row carries them once for all cells.
@@ -226,7 +226,13 @@ class FrontierReport:
 
     @classmethod
     def from_json(cls, text: str) -> "FrontierReport":
-        data = load_payload(cls, text)
+        """Rebuild a report from :meth:`to_json` (see :meth:`from_data`)."""
+        return cls.from_data(parse_report(text))
+
+    @classmethod
+    def from_data(cls, data: dict) -> "FrontierReport":
+        """Rebuild a report from the parsed JSON object of :meth:`to_json`."""
+        data = load_payload(cls, data)
         rows, coalition_rows = data.get("rows"), data.get("coalition_rows", [])
         if isinstance(rows, list) and isinstance(coalition_rows, list):
             data.pop("coalition_rows", None)

@@ -9,39 +9,61 @@ changes decisions, never trajectories.  The §5.2 outcomes are therefore
 piecewise constant in trajectory and closed-form in payoff, which is what
 this module exploits:
 
-1. **Template calibration.**  One real simulation per cell context
-   (:func:`repro.campaign.ablation.grid.family_cell`) runs the compliant
-   trajectory with the pivot wrapped in a pass-through recorder.  The
-   context itself builds no protocol: its contracts, schedule and pivot
-   set come from the ``(family, coalition)``'s shared, premium-free
+1. **Pair calibration.**  A cell context
+   (:func:`repro.campaign.ablation.grid.family_cell`) is calibrated by a
+   real compliant run with the pivot wrapped in a pass-through recorder.
+   The context itself builds no protocol: its contracts, schedule and
+   pivot set come from the ``(family, coalition)``'s shared, premium-free
    :func:`~repro.campaign.ablation.grid.cell_shape`, so that run is the
-   calibration's only build.  The run itself cannot be skipped: its
-   ledger fingerprint enters every comply arm's digest.  Each
-   round it captures the pivot (set)'s walk-forfeit stake — price-
-   independent by construction — and the symbolic completion-gain terms
+   calibration's only build.  Each round it captures the pivot (set)'s
+   walk-forfeit stake — price-independent by construction — and the
+   symbolic completion-gain terms
    (:func:`repro.parties.rational.completion_gain_terms`), i.e. the exact
    ``(sign, amount, asset)`` folds the live
    :class:`~repro.parties.rational.UtilityModel` would price.
+   The paper's premiums (Eq. 1–2) are linear in p, and a premium moves
+   deposit amounts only, never the trajectory.  So each of the six named
+   :data:`~repro.campaign.ablation.grid.CELL_CONTEXTS` is simulated at
+   exactly two premiums, p = 1 and p = 2, and every recorded quantity —
+   per-round stakes and fold amounts, ``premium_net``, every final ledger
+   balance, the utility delta terms — becomes an exact integer line
+   ``a + b·p`` through that pair.  A premium in ``[1, premium_base]`` is
+   *evaluated* on those lines, not simulated; its ledger fingerprint is
+   rendered by the scenario module's own rule
+   (:func:`repro.campaign.scenario.render_ledger`).  The simulator still
+   runs at the premium itself — one counted fallback each — for p = 0
+   (the auction's p = 0 is off the line), a premium above
+   ``premium_base``, a graph context (``ring:N``, ``complete:N``,
+   ``figure3``), a pair whose trajectory shape differs (transactions,
+   heights, event names, ledger keys or term structure per round), and a
+   line value that vanishes at p.
 2. **Replayed decisions.**  Per shock fraction, the recorded folds are
    replayed in plain floats in the *identical operation order* the
    simulator uses (same term order, same ``0.0 +``/``-=`` fold, same
    ``value * (1 - s)`` shock step), so the per-round rule ``gain >=
    -stake`` — and hence the walk round — is the simulator's, bit for bit.
+   Each round is compiled once per kernel into ``(sign, amount, base
+   value, shocked?)`` terms, so a replay does no price lookup.
 3. **Trajectory templates.**  A rational arm that never walks *is* the
    comply run; one that walks at round ``w`` is reproduced once per
    distinct ``w`` by a scripted :class:`~repro.parties.rational.
    Opportunist` (``continue iff rnd < w``) and then shared by every
-   scenario that walks there.  Violations, premium flows, transaction
-   counts, and the ledger fingerprint are condensed per template; the
-   ``utility`` metric is replayed per (template, shock height) from the
-   final balance deltas.
+   scenario that walks there — inside the pair's domain, evaluated on the
+   lines through the pair's own walk runs at ``w``.  Violations, premium
+   flows, transaction counts, and the ledger fingerprint are condensed
+   per template; the ``utility`` metric is replayed per (template, shock
+   height) from the final balance deltas.  An evaluated template has no
+   live run to check properties on: it reuses the pair's outcome for an
+   adversary set only when the checks at p = 1 and p = 2 both find no
+   violation, and otherwise checks a real run at its own premium.
 
 The result: per-scenario work collapses to a metrics fold, a summary
 join, and a sha256 — identical :class:`~repro.campaign.scenario.
 ScenarioResult` objects (digests included) at orders of magnitude the
 simulator cannot reach.  The simulator stays the audit path:
 ``benchmarks/parity_audit.py`` runs every default-grid cell through both
-engines and fails on any metric or digest divergence.
+engines, and every pair-evaluated premium and walk round against a real
+run, and fails on any metric or digest divergence.
 """
 
 from __future__ import annotations
@@ -53,7 +75,8 @@ from hashlib import sha256
 from repro.campaign.scenario import (
     Scenario,
     ScenarioResult,
-    _ledger_fingerprint,
+    ledger_balances,
+    render_ledger,
 )
 from repro.obs import maybe_span
 from repro.parties.base import Actor
@@ -62,6 +85,10 @@ from repro.protocols.instance import execute
 
 #: matrix factories whose scenarios the kernel engine understands.
 KERNEL_FACTORIES = ("ablation", "ablation_cell")
+
+#: the two premiums a named context is simulated at; every other premium
+#: of ``[1, premium_base]`` is evaluated on the lines through them.
+PAIR_PREMIUMS = (1, 2)
 
 
 class KernelUnsupported(ValueError):
@@ -128,150 +155,424 @@ def _exposed(folds, shocked) -> bool:
     )
 
 
+def _priced(base_map: dict, shocked: str, is_native: bool, symbol: str) -> tuple:
+    """``(base value, shocked?)`` of one asset: ``TokenPrices.__call__``
+    with its lookups done — native is 1.0 and never shocked."""
+    if is_native:
+        return 1.0, False
+    return base_map.get(symbol, 1.0), symbol == shocked
+
+
 @dataclass
 class _Template:
     """One finished trajectory, condensed once and shared by scenarios."""
 
-    instance: object
-    result: object
+    walk_round: int  #: the scripted walk round; -1 for the compliant run
     ntx: int
     ntx_str: str
     reverted: int
     premium_net: tuple
     premium_net_str: str
+    #: ((asset, account, balance), ...) in fingerprint order.
+    ledger: tuple
     fingerprint: str
     completed: float
-    #: per metrics party: ((change, is_native, symbol), ...) delta terms.
+    #: per metrics party: ((change, base value, shocked?), ...) in delta order.
     utility_terms: tuple
     #: does any delta term price the shocked token?
     exposed: bool
-    #: adversaries tuple -> (violations, violations_str, trace), lazily.
+    #: the simulated run; both None for a template evaluated on lines.
+    instance: object = None
+    result: object = None
+    #: an evaluated template's (p = 1, p = 2) source templates.
+    sources: tuple = ()
+    #: an evaluated template's simulated twin, run once an adversary set
+    #: violates at a source (the checks need a live run).
+    real: object = None
+    #: adversaries tuple -> (violations, trace, completed pair, middle,
+    #: suffix), lazily.
     checks: dict = field(default_factory=dict)
 
 
-def _condense_template(cell, instance, result) -> _Template:
+def _condense_template(cell, instance, result, walk_round: int) -> _Template:
     payoffs = result.payoffs
     premium_net = tuple(
         (party, payoffs.premium_net(party)) for party in sorted(instance.actors)
     )
+    base_map, shocked = dict(cell.base_values), cell.shape.shocked
     terms = tuple(
         tuple(
             (
                 change,
-                getattr(asset, "is_native", False),
-                getattr(asset, "symbol", str(asset)),
+                *_priced(
+                    base_map,
+                    shocked,
+                    getattr(asset, "is_native", False),
+                    getattr(asset, "symbol", str(asset)),
+                ),
             )
             for asset, change in payoffs.delta(party).items()
         )
         for party in cell.metrics_parties
     )
     ntx = len(result.transactions)
+    ledger = tuple(ledger_balances(instance))
     return _Template(
-        instance=instance,
-        result=result,
+        walk_round=walk_round,
         ntx=ntx,
         ntx_str=str(ntx),
         reverted=len(result.reverted()),
         premium_net=premium_net,
-        premium_net_str=",".join(f"{p}:{net}" for p, net in premium_net),
-        fingerprint=_ledger_fingerprint(instance),
+        premium_net_str=_render_net(premium_net),
+        ledger=ledger,
+        fingerprint=render_ledger(ledger),
         completed=1.0 if cell.completed(instance) else 0.0,
         utility_terms=terms,
-        exposed=_exposed(terms, cell.shape.shocked),
+        exposed=any(term[2] for party in terms for term in party),
+        instance=instance,
+        result=result,
     )
+
+
+def _render_net(premium_net) -> str:
+    """``condense_run``'s premium-flow field."""
+    return ",".join(f"{p}:{net}" for p, net in premium_net)
+
+
+# ----------------------------------------------------------------------
+# lines through the pair: exact integer a + b·p
+# ----------------------------------------------------------------------
+class _Lines:
+    """Integer lines ``v(p) = a + b·p`` through one trajectory's values
+    at p = 1 and p = 2.
+
+    A value is an int or an integral float (a stake is a float sum of
+    int deposits); a float line evaluates back to a float, which equals
+    the simulator's own sum exactly.  Values from index ``kept`` on are
+    structural — a ledger balance, a delta or a fold amount the simulator
+    drops when it is zero — so a line that is not identically zero but
+    vanishes at p does not evaluate there.
+    """
+
+    def __init__(self, coefficients: tuple, floats: tuple, kept: int) -> None:
+        self.coefficients = coefficients
+        self.floats = floats
+        self.kept = kept
+
+    @classmethod
+    def fit(cls, lo: list, hi: list, kept: int) -> "_Lines | None":
+        """The lines through ``lo`` (p = 1) and ``hi`` (p = 2), or None
+        unless both are equally long and each pair of values is two ints
+        or two integral floats."""
+        if len(lo) != len(hi):
+            return None
+        coefficients, floats = [], []
+        for low, high in zip(lo, hi):
+            kind = type(low)
+            if type(high) is not kind or kind not in (int, float):
+                return None
+            if kind is float:
+                if not (low.is_integer() and high.is_integer()):
+                    return None
+                low, high = int(low), int(high)
+            coefficients.append((2 * low - high, high - low))
+            floats.append(kind is float)
+        return cls(tuple(coefficients), tuple(floats), kept)
+
+    def at(self, premium: int) -> list | None:
+        values = []
+        for index, ((a, b), is_float) in enumerate(zip(self.coefficients, self.floats)):
+            value = a + b * premium
+            if value == 0 and b and index >= self.kept:
+                return None
+            values.append(float(value) if is_float else value)
+        return values
+
+
+def _recording_values(rec: _Recording) -> tuple[tuple, list, int]:
+    """(shape, values, kept) of a recording: heights and term structure,
+    then stakes followed by every fold amount."""
+    shape = (
+        tuple(rec.heights),
+        tuple(rec.exposed),
+        tuple(
+            tuple(tuple((s, native, sym) for s, _, native, sym in terms) for terms in folds)
+            for folds in rec.folds
+        ),
+    )
+    amounts = [term[1] for folds in rec.folds for terms in folds for term in terms]
+    return shape, [*rec.stakes, *amounts], len(rec.stakes)
+
+
+def _recording_at(model: _Recording, values: list) -> _Recording:
+    """``model``'s structure with stakes and amounts from ``values``."""
+    nstakes = len(model.stakes)
+    amounts = iter(values[nstakes:])
+    return _Recording(
+        heights=model.heights,
+        stakes=values[:nstakes],
+        folds=[
+            [[(s, next(amounts), native, sym) for s, _, native, sym in terms] for terms in folds]
+            for folds in model.folds
+        ],
+        exposed=model.exposed,
+    )
+
+
+def _template_values(cell, template: _Template) -> tuple[tuple, list, int]:
+    """(shape, values, kept) of a simulated template: its trajectory shape,
+    then ``premium_net``, ledger balances and utility delta changes."""
+    result = template.result
+    payoffs = result.payoffs
+    shape = (
+        template.ntx,
+        template.reverted,
+        template.completed,
+        tuple(
+            (
+                tx.chain,
+                tx.sender,
+                tx.contract,
+                tx.method,
+                tx.receipt.height,
+                tx.receipt.status,
+            )
+            for tx in result.transactions
+        ),
+        tuple((e.chain, e.contract, e.name, e.height) for e in result.events),
+        tuple(party for party, _ in template.premium_net),
+        tuple((asset, account) for asset, account, _ in template.ledger),
+        tuple(tuple(payoffs.delta(party)) for party in cell.metrics_parties),
+    )
+    values = [
+        *(net for _, net in template.premium_net),
+        *(balance for _, _, balance in template.ledger),
+        *(change for terms in template.utility_terms for change, _, _ in terms),
+    ]
+    return shape, values, len(template.premium_net)
+
+
+class _TemplateLines:
+    """A template pair's lines: evaluates the template at any premium."""
+
+    def __init__(self, lo: _Template, hi: _Template, lines: _Lines) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.lines = lines
+
+    @classmethod
+    def fit(cls, cell, lo: _Template, hi: _Template) -> "_TemplateLines | None":
+        """None when the two runs' trajectory shapes differ."""
+        lo_shape, lo_values, kept = _template_values(cell, lo)
+        hi_shape, hi_values, _ = _template_values(cell, hi)
+        if lo_shape != hi_shape:
+            return None
+        lines = _Lines.fit(lo_values, hi_values, kept)
+        return None if lines is None else cls(lo, hi, lines)
+
+    def at(self, premium: int) -> _Template | None:
+        values = self.lines.at(premium)
+        if values is None:
+            return None
+        model = self.lo
+        nnet = len(model.premium_net)
+        nledger = len(model.ledger)
+        premium_net = tuple(
+            (party, value) for (party, _), value in zip(model.premium_net, values)
+        )
+        ledger = tuple(
+            (asset, account, value)
+            for (asset, account, _), value in zip(model.ledger, values[nnet:])
+        )
+        changes = iter(values[nnet + nledger:])
+        return _Template(
+            walk_round=model.walk_round,
+            ntx=model.ntx,
+            ntx_str=model.ntx_str,
+            reverted=model.reverted,
+            premium_net=premium_net,
+            premium_net_str=_render_net(premium_net),
+            ledger=ledger,
+            fingerprint=render_ledger(ledger),
+            completed=model.completed,
+            utility_terms=tuple(
+                tuple((next(changes), base, shocked) for _, base, shocked in terms)
+                for terms in model.utility_terms
+            ),
+            exposed=model.exposed,
+            sources=(self.lo, self.hi),
+        )
+
+
+class _CellPair:
+    """A named context's simulated kernels at p = 1 and p = 2, and the
+    lines through their recordings and templates."""
+
+    def __init__(self, lo: "_CellKernel", hi: "_CellKernel") -> None:
+        self.lo = lo
+        self.hi = hi
+        lo_shape, lo_values, kept = _recording_values(lo.recording)
+        hi_shape, hi_values, _ = _recording_values(hi.recording)
+        self.recording = (
+            _Lines.fit(lo_values, hi_values, kept) if lo_shape == hi_shape else None
+        )
+        self.comply = _TemplateLines.fit(lo.cell, lo.comply, hi.comply)
+        self._walks: dict[int, _TemplateLines | None] = {}
+
+    def walk(self, walk_round: int, count) -> _TemplateLines | None:
+        """The lines through the pair's scripted walks at ``walk_round``."""
+        if walk_round not in self._walks:
+            self._walks[walk_round] = _TemplateLines.fit(
+                self.lo.cell,
+                self.lo.walk_template(walk_round, count),
+                self.hi.walk_template(walk_round, count),
+            )
+        return self._walks[walk_round]
+
+    def derive(self, cell) -> "_CellKernel | None":
+        """``cell``'s kernel evaluated on the lines, or None where they do
+        not apply (shapes differ, or a structural value vanishes)."""
+        if self.recording is None or self.comply is None:
+            return None
+        values = self.recording.at(cell.premium)
+        comply = self.comply.at(cell.premium)
+        if values is None or comply is None:
+            return None
+        recording = _recording_at(self.lo.recording, values)
+        return _CellKernel(cell, recording, comply, pair=self)
 
 
 # ----------------------------------------------------------------------
 # one cell context's kernel: templates + replayed decisions
 # ----------------------------------------------------------------------
 class _CellKernel:
-    """Everything cached for one ``(family, coalition, premium)`` cell."""
+    """Everything cached for one ``(family, coalition, premium)`` cell.
 
-    def __init__(self, cell) -> None:
+    ``pair`` is the :class:`_CellPair` an evaluated kernel derives its
+    walk templates from; ``off_pair`` marks a kernel whose simulator runs
+    are fallbacks (every kernel but the pair's own two).  Methods that
+    may run the simulator take the engine's ``count(name)`` callback
+    rather than holding it, so a kernel never refers back to its engine
+    (a dropped engine leaves no reference cycle).
+    """
+
+    def __init__(
+        self, cell, recording: _Recording, comply: _Template,
+        pair: _CellPair | None = None, off_pair: bool = True,
+    ) -> None:
         self.cell = cell
-        self.base_map = dict(cell.base_values)
-        self.shocked = cell.shape.shocked
-        self.recording = _Recording()
+        self.recording = recording
+        #: the compliant trajectory — also every never-walks rational arm.
+        self.comply = comply
+        self.pair = pair
+        self.off_pair = off_pair
+        self.gain_shape = cell.gain_shape
+        self._walks: dict[int, _Template] = {}
+        base_map, shocked = dict(cell.base_values), cell.shape.shocked
+        #: per round: (height, -stake, compiled folds, exposed), each fold
+        #: term compiled to (sign, amount, base value, shocked?).
+        self.rounds = [
+            (
+                height,
+                -stake,
+                [
+                    [(s, amount, *_priced(base_map, shocked, native, sym))
+                     for s, amount, native, sym in terms]
+                    for terms in folds
+                ],
+                exposed,
+            )
+            for height, stake, folds, exposed in zip(
+                recording.heights, recording.stakes, recording.folds, recording.exposed
+            )
+        ]
+
+    @classmethod
+    def calibrate(cls, cell, count, off_pair: bool) -> "_CellKernel":
+        """One real compliant run with the (first) pivot recorded."""
+        recording = _Recording()
 
         def recorder(actor):
-            return _RecordingActor(actor, cell, self.recording)
+            return _RecordingActor(actor, cell, recording)
 
         instance = cell.builder()
         result = execute(instance, {cell.shape.pivots[0]: recorder})
-        #: the compliant trajectory — also every never-walks rational arm.
-        self.comply = _condense_template(cell, instance, result)
-        self._walks: dict[int, _Template] = {}
+        count("kernel.calibrations")
+        if off_pair:
+            count("kernel.fallbacks")
+        comply = _condense_template(cell, instance, result, -1)
+        return cls(cell, recording, comply, off_pair=off_pair)
 
-    def walk_template(self, walk_round: int) -> _Template:
-        """The trajectory where every pivot member walks at ``walk_round``.
+    def simulate(self, walk_round: int, count) -> _Template:
+        """A real run at this kernel's premium: every pivot member walks
+        at ``walk_round`` (the compliant run for -1).
 
         Reproduced with a scripted :class:`Opportunist` (``rnd < w``):
         identical transactions to the live rational arm, because the
         utility model's decisions are True exactly on the pre-walk prefix.
         """
-        template = self._walks.get(walk_round)
-        if template is None:
-            cell = self.cell
+        cell = self.cell
+        deviations = {}
+        if walk_round >= 0:
 
             def scripted(actor):
-                return Opportunist(
-                    actor, lambda rnd, view, w=walk_round: rnd < w
-                )
+                return Opportunist(actor, lambda rnd, view, w=walk_round: rnd < w)
 
-            instance = cell.builder()
-            result = execute(
-                instance, {member: scripted for member in cell.shape.pivots}
-            )
-            template = _condense_template(cell, instance, result)
+            deviations = {member: scripted for member in cell.shape.pivots}
+        instance = cell.builder()
+        result = execute(instance, deviations)
+        if self.off_pair:
+            count("kernel.fallbacks")
+        return _condense_template(cell, instance, result, walk_round)
+
+    def walk_template(self, walk_round: int, count) -> _Template:
+        """The trajectory where every pivot member walks at ``walk_round``:
+        evaluated on the pair's lines where they apply, else simulated."""
+        template = self._walks.get(walk_round)
+        if template is None:
+            if self.pair is not None:
+                lines = self.pair.walk(walk_round, count)
+                if lines is not None:
+                    template = lines.at(self.cell.premium)
+                if template is not None:
+                    count("kernel.derived")
+            if template is None:
+                template = self.simulate(walk_round, count)
             self._walks[walk_round] = template
         return template
 
     # ------------------------------------------------------------------
     # bit-exact replays, one shock at a time
     # ------------------------------------------------------------------
-    def _price(self, is_native, symbol, height, shock_height, shock):
-        """Replay ``TokenPrices.__call__`` at one shock fraction.
+    def _gain(self, folds, factor):
+        """Replay the cell's completion gain for one compiled round.
 
-        Same op order: native short-circuits to 1.0, base lookup, then
-        one ``value *= 1 - s`` step when the shocked token is past its
-        shock height.
+        ``factor`` is ``1 - s`` for a shocked round, else 1.0 (which
+        leaves every base value unchanged).  Each member's fold replays
+        ``pending_completion_gain``: ``amount * price`` per term, folded
+        with ``+=``/``-=`` into ``0.0`` in term order.
         """
-        if is_native:
-            return 1.0
-        value = self.base_map.get(symbol, 1.0)
-        if self.shocked == symbol and height >= shock_height:
-            value *= 1.0 - shock
-        return value
-
-    def _fold(self, terms, height, shock_height, shock):
-        """Replay one member's ``pending_completion_gain`` fold."""
+        shape = self.gain_shape
+        if shape == "diff":
+            # The auction's two bare-product legs, first minus second.
+            (_, amount0, base0, shocked0), = folds[0]
+            (_, amount1, base1, shocked1), = folds[1]
+            leg0 = amount0 * (base0 * factor if shocked0 else base0)
+            leg1 = amount1 * (base1 * factor if shocked1 else base1)
+            return leg0 - leg1
         total = 0.0
-        for sign, amount, is_native, symbol in terms:
-            value = amount * self._price(
-                is_native, symbol, height, shock_height, shock
-            )
-            if sign > 0:
-                total += value
-            else:
-                total -= value
+        for terms in folds:
+            fold = 0.0
+            for sign, amount, base, shocked in terms:
+                value = amount * (base * factor if shocked else base)
+                if sign > 0:
+                    fold += value
+                else:
+                    fold -= value
+            if shape == "single":
+                return fold
+            total += fold
         return total
-
-    def _gain(self, folds, height, shock_height, shock):
-        """Replay the cell's completion gain for one recorded round."""
-        shape = self.cell.gain_shape
-        if shape == "single":
-            return self._fold(folds[0], height, shock_height, shock)
-        if shape == "sum":
-            total = 0.0
-            for terms in folds:
-                total += self._fold(terms, height, shock_height, shock)
-            return total
-        # "diff": the auction's two bare-product legs, first minus second.
-        (sign0, amount0, native0, symbol0) = folds[0][0]
-        (sign1, amount1, native1, symbol1) = folds[1][0]
-        leg0 = amount0 * self._price(native0, symbol0, height, shock_height, shock)
-        leg1 = amount1 * self._price(native1, symbol1, height, shock_height, shock)
-        return leg0 - leg1
 
     def walk_rounds(self, shock_height: int, shocks: list) -> list:
         """First round where ``gain < -stake`` per shock, or -1 (complete).
@@ -284,20 +585,18 @@ class _CellKernel:
         """
         walked = [-1] * len(shocks)
         undecided = range(len(shocks))
-        rec = self.recording
-        for rnd, height in enumerate(rec.heights):
-            folds = rec.folds[rnd]
-            bound = -rec.stakes[rnd]
-            if height < shock_height or not rec.exposed[rnd]:
-                # The shock argument is never read: no term is shocked.
-                if self._gain(folds, height, shock_height, 0.0) >= bound:
+        gain = self._gain
+        for rnd, (height, bound, folds, exposed) in enumerate(self.rounds):
+            if height < shock_height or not exposed:
+                # No term is shocked: the base values are the prices.
+                if gain(folds, 1.0) >= bound:
                     continue
                 for i in undecided:
                     walked[i] = rnd
                 break
             still = []
             for i in undecided:
-                if self._gain(folds, height, shock_height, shocks[i]) >= bound:
+                if gain(folds, 1.0 - shocks[i]) >= bound:
                     still.append(i)
                 else:
                     walked[i] = rnd
@@ -314,21 +613,19 @@ class _CellKernel:
         ``price * change`` over its final balance deltas, in delta order.
         Folded once when no delta term is priced shocked at the horizon.
         """
-        horizon = self.cell.shape.horizon
 
-        def utility(shock):
+        def utility(factor):
             total = 0.0
             for terms in template.utility_terms:
                 party = 0.0
-                for change, is_native, symbol in terms:
-                    price = self._price(is_native, symbol, horizon, shock_height, shock)
-                    party += price * change
+                for change, base, shocked in terms:
+                    party += (base * factor if shocked else base) * change
                 total += party
             return total
 
-        if horizon < shock_height or not template.exposed:
-            return [utility(0.0)] * len(shocks)
-        return [utility(shock) for shock in shocks]
+        if self.cell.shape.horizon < shock_height or not template.exposed:
+            return [utility(1.0)] * len(shocks)
+        return [utility(1.0 - shock) for shock in shocks]
 
 
 # ----------------------------------------------------------------------
@@ -339,20 +636,24 @@ class KernelEngine:
 
     Drop-in for the serial scenario loop: ``run(scenarios)`` returns the
     same :class:`ScenarioResult` list (same digests, same metrics, same
-    violations) the simulator would produce.  Cell templates are cached
-    on the engine, so a long-lived engine amortizes calibration across
-    grid runs and refinement probes alike.
+    violations) the simulator would produce.  Cell templates and the
+    named contexts' calibration pairs are cached on the engine, so a
+    long-lived engine amortizes calibration across grid runs and
+    refinement probes alike.
     """
 
     def __init__(self, tracer=None) -> None:
         self._kernels: dict[tuple[str, str, int], _CellKernel] = {}
+        #: (family, coalition) -> its calibration pair (named contexts).
+        self._pairs: dict[tuple[str, str], _CellPair] = {}
         #: axes tuple -> (family, coalition, premium, shock, height,
         #: rational) — parsing is per distinct cell coordinate, not per
         #: scenario execution, so re-runs and refine loops skip it.
         self._coords: dict[tuple, tuple] = {}
-        #: optional repro.obs.Tracer — counts calibrations vs cell-cache
-        #: hits and replays, and wraps each cell group in a
-        #: "block" span.  Digest-inert: write-only from here, never read.
+        #: optional repro.obs.Tracer — counts calibrations, evaluated
+        #: templates, simulator fallbacks, cell-cache hits and replays,
+        #: and wraps each cell group in a "block" span.  Digest-inert:
+        #: write-only from here, never read.
         self.tracer = tracer
 
     def _count(self, name: str, amount: float = 1) -> None:
@@ -397,18 +698,47 @@ class KernelEngine:
         key = (family, coalition, premium)
         kernel = self._kernels.get(key)
         if kernel is None:
-            from repro.campaign.ablation.grid import family_cell
-
-            try:
-                cell = family_cell(family, coalition, premium)
-            except ValueError as err:
-                raise KernelUnsupported(str(err))
-            kernel = _CellKernel(cell)
-            self._kernels[key] = kernel
-            self._count("kernel.calibrations")
+            kernel = self._kernels[key] = self._new_kernel(family, coalition, premium)
         else:
             self._count("kernel.cell_hits")
         return kernel
+
+    def _new_kernel(self, family: str, coalition: str, premium: int) -> _CellKernel:
+        """Evaluate the cell on its context's pair lines where they apply;
+        otherwise calibrate it by a real run."""
+        from repro.campaign.ablation.grid import (
+            CELL_CONTEXTS,
+            family_cell,
+            premium_base,
+        )
+
+        try:
+            cell = family_cell(family, coalition, premium)
+        except ValueError as err:
+            raise KernelUnsupported(str(err))
+        paired = (family, coalition) in CELL_CONTEXTS and (
+            1 <= premium <= premium_base(family)
+        )
+        if paired and premium not in PAIR_PREMIUMS:
+            kernel = self._pair_for(family, coalition).derive(cell)
+            if kernel is not None:
+                self._count("kernel.derived")
+                return kernel
+        return _CellKernel.calibrate(
+            cell, self._count, off_pair=not (paired and premium in PAIR_PREMIUMS)
+        )
+
+    def _pair_for(self, family: str, coalition: str) -> _CellPair:
+        pair = self._pairs.get((family, coalition))
+        if pair is None:
+            members = []
+            for premium in PAIR_PREMIUMS:
+                key = (family, coalition, premium)
+                if key not in self._kernels:
+                    self._kernels[key] = self._new_kernel(*key)
+                members.append(self._kernels[key])
+            pair = self._pairs[(family, coalition)] = _CellPair(*members)
+        return pair
 
     # ------------------------------------------------------------------
     def run(self, scenarios: list[Scenario], meter=None) -> list[ScenarioResult]:
@@ -417,8 +747,9 @@ class KernelEngine:
         ``meter`` (a :class:`repro.obs.ProgressMeter`) ticks once per
         scenario as each cell group completes; with a tracer attached,
         every cell group is wrapped in a ``block`` span and calibration /
-        replay / cell-hit counters accumulate.  Both are observational
-        only — results are byte-identical with or without them.
+        evaluation / fallback / replay / cell-hit counters accumulate.
+        Both are observational only — results are byte-identical with or
+        without them.
         """
         results: list[ScenarioResult | None] = [None] * len(scenarios)
         groups: dict[tuple[str, str, int], list] = {}
@@ -451,24 +782,37 @@ class KernelEngine:
         kernel = self._kernel_for(family, coalition, premium)
         comply = kernel.comply
         # Bucket scenarios by (template, shock height): the utility
-        # metric is one replay per bucket.
+        # metric is one replay per bucket.  A member is (position,
+        # scenario, coords), its shock coords[3].
         arms: dict[tuple[int, bool], list] = {}
-        for position, scenario, coords in members:
-            arms.setdefault(coords[4:], []).append((position, scenario, coords[3]))
+        for member in members:
+            key = member[2][4:]
+            arm = arms.get(key)
+            if arm is None:
+                arm = arms[key] = []
+            arm.append(member)
         buckets: dict[tuple[int, int], tuple] = {}
         for (shock_height, rational), entries in arms.items():
-            walked = [-1] * len(entries)
+            by_round = {-1: entries}
             if rational:
-                walked = kernel.walk_rounds(shock_height, [e[2] for e in entries])
+                walked = kernel.walk_rounds(shock_height, [e[2][3] for e in entries])
                 self._count("kernel.replays")
-            for entry, w in zip(entries, walked):
-                template = comply if w < 0 else kernel.walk_template(w)
-                buckets.setdefault(
-                    # Identity keys an in-process bucket of shared
-                    # templates; never digested or serialized.
-                    (id(template), shock_height),  # lint: disable=DET001
-                    (template, shock_height, []),
-                )[2].append(entry)
+                by_round = {}
+                for entry, w in zip(entries, walked):
+                    group = by_round.get(w)
+                    if group is None:
+                        group = by_round[w] = []
+                    group.append(entry)
+            for w, group in by_round.items():
+                template = comply if w < 0 else kernel.walk_template(w, self._count)
+                # Identity keys an in-process bucket of shared templates;
+                # never digested or serialized.
+                key = (id(template), shock_height)  # lint: disable=DET001
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = (template, shock_height, list(group))
+                else:
+                    bucket[2].extend(group)
         # Decisions and trajectory templates are in hand; distribute
         # the group's shared cost (elapsed is reported, not digested).
         elapsed_each = (time.perf_counter() - start) / max(1, len(members))
@@ -480,7 +824,7 @@ class KernelEngine:
         new = ScenarioResult.__new__
         for template, shock_height, entries in buckets.values():
             utilities = kernel.utilities(
-                template, shock_height, [e[2] for e in entries]
+                template, shock_height, [e[2][3] for e in entries]
             )
             self._count("kernel.replays")
             checks = template.checks
@@ -523,14 +867,29 @@ class KernelEngine:
 
         Everything in ``condense_run``'s summary line except the label
         and the utility value is fixed per (template, adversary set), so
-        the middle and suffix fragments are pre-rendered here.
+        the middle and suffix fragments are pre-rendered here.  An
+        evaluated template has no live run: it is clean when both of its
+        sources check clean, and is otherwise checked on its simulated
+        twin at its own premium.
         """
-        adversary_set = frozenset(scenario.adversaries)
+        adversaries = scenario.adversaries
         violations: list[str] = []
-        for prop in kernel.cell.properties:
-            violations.extend(
-                prop(template.instance, template.result, adversary_set)
-            )
+        if template.instance is None:
+            if any(
+                self._static(kernel, source, scenario)[0]
+                for source in template.sources
+            ):
+                if template.real is None:
+                    template.real = kernel.simulate(template.walk_round, self._count)
+                static = self._static(kernel, template.real, scenario)
+                template.checks[adversaries] = static
+                return static
+        else:
+            adversary_set = frozenset(adversaries)
+            for prop in kernel.cell.properties:
+                violations.extend(
+                    prop(template.instance, template.result, adversary_set)
+                )
         trace = ""
         if violations:
             from repro.sim.trace import render_lanes
@@ -546,5 +905,13 @@ class KernelEngine:
             f"|completed={completed!r},utility=",
             f"|{template.fingerprint}",
         )
-        template.checks[scenario.adversaries] = static
+        template.checks[adversaries] = static
         return static
+
+    def _static(
+        self, kernel: _CellKernel, template: _Template, scenario: Scenario
+    ) -> tuple:
+        """``template``'s cached check outcome for the scenario's adversary
+        set, evaluated on first use."""
+        static = template.checks.get(scenario.adversaries)
+        return static if static is not None else self._check(kernel, template, scenario)

@@ -57,7 +57,7 @@ from typing import Iterable
 
 from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
-from repro.campaign.report import load_payload, register_report
+from repro.campaign.report import load_payload, parse_report, register_report
 from repro.campaign.ablation.frontier import (
     FrontierCell,
     FrontierReport,
@@ -225,7 +225,13 @@ class RefinedFrontierReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RefinedFrontierReport":
-        data = load_payload(cls, text)
+        """Rebuild a report from :meth:`to_json` (see :meth:`from_data`)."""
+        return cls.from_data(parse_report(text))
+
+    @classmethod
+    def from_data(cls, data: dict) -> "RefinedFrontierReport":
+        """Rebuild a report from the parsed JSON object of :meth:`to_json`."""
+        data = load_payload(cls, data)
         if isinstance(data.get("rows"), list):
             data["rows"] = [cells_from_json(row, "probes") for row in data["rows"]]
         stamped = codec.decode(cls, data)

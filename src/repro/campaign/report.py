@@ -10,8 +10,11 @@ family:
 - :func:`report_from_json` dispatches deserialization on that ``kind``
   (files written before the field existed are inferred from their shape,
   so old shard artifacts keep loading),
-- each class's ``from_json`` takes its envelope through
-  :func:`load_payload` and the rest through the strict
+- each class's ``from_json`` parses its text once with
+  :func:`parse_report` and hands the object to its class-level loader
+  ``from_data`` (which :func:`report_from_json` calls directly, so a
+  dispatched file is parsed once); ``from_data`` takes the envelope
+  through :func:`load_payload` and the rest through the strict
   :mod:`repro.codec`, so an ill-typed, missing or unknown value fails
   with a :class:`~repro.errors.DecodeError` naming its field path; a
   stamped digest that does not recompute fails with a ``ValueError``,
@@ -43,7 +46,8 @@ class Report(Protocol):
 
     ``kind`` names the report type (the registry key), ``digest`` is the
     reproducibility digest provenance claims should cite, ``to_json`` /
-    ``from_json`` round-trip the report with tamper detection, and
+    ``from_json`` round-trip the report with tamper detection (``from_data``
+    is ``from_json`` on an already-parsed JSON object), and
     ``merge`` recombines shard reports of the same kind (reduced
     artifacts raise with guidance instead).
     """
@@ -57,6 +61,9 @@ class Report(Protocol):
 
     @classmethod
     def from_json(cls, text: str) -> "Report": ...  # pragma: no cover
+
+    @classmethod
+    def from_data(cls, data: dict) -> "Report": ...  # pragma: no cover
 
     @classmethod
     def merge(cls, reports: "Iterable[Report]") -> "Report": ...  # pragma: no cover
@@ -127,14 +134,17 @@ def _infer_kind(data: dict) -> str:
 
 
 def report_from_json(text: str) -> Report:
-    """Deserialize any registered report, dispatching on its ``kind``."""
-    data = _json_object(text)
+    """Deserialize any registered report, dispatching on its ``kind``.
+
+    The text is parsed once: the class's loader takes the parsed object.
+    """
+    data = parse_report(text)
     kind = codec.decode(str, data.get("kind") or _infer_kind(data), "kind")
     try:
         cls = report_class(kind)
     except KeyError as err:
         raise ValueError(str(err))
-    return cls.from_json(text)
+    return cls.from_data(data)
 
 
 def check_kind(cls, data: dict) -> None:
@@ -152,7 +162,8 @@ def check_kind(cls, data: dict) -> None:
         )
 
 
-def _json_object(text: str) -> dict:
+def parse_report(text: str) -> dict:
+    """A report file's text as its top-level JSON object."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -162,10 +173,9 @@ def _json_object(text: str) -> dict:
     return data
 
 
-def load_payload(cls, text: str) -> dict:
-    """The JSON object of a ``cls`` report, its envelope ``kind`` checked
-    and removed: what is left is for :func:`repro.codec.decode`."""
-    data = _json_object(text)
+def load_payload(cls, data: dict) -> dict:
+    """The parsed JSON object of a ``cls`` report, its envelope ``kind``
+    checked and removed: what is left is for :func:`repro.codec.decode`."""
     check_kind(cls, data)
     data.pop("kind", None)
     return data

@@ -66,7 +66,7 @@ from repro.campaign.pool import (
     fork_available,
     share_rows,
 )
-from repro.campaign.report import load_payload, register_report
+from repro.campaign.report import load_payload, parse_report, register_report
 from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
 from repro.errors import DecodeError
 from repro.obs import (
@@ -317,12 +317,18 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignReport":
-        """Rebuild a report (with per-axis aggregates) from :meth:`to_json`.
+        """Rebuild a report from :meth:`to_json` (see :meth:`from_data`)."""
+        return cls.from_data(parse_report(text))
+
+    @classmethod
+    def from_data(cls, data: dict) -> "CampaignReport":
+        """Rebuild a report (with per-axis aggregates) from the parsed
+        JSON object of :meth:`to_json`.
 
         The derived keys are recomputed from ``results``; a file whose
         copies disagree with the recomputation is refused.
         """
-        data = load_payload(cls, text)
+        data = load_payload(cls, data)
         if "wall_seconds" not in data and "elapsed_seconds" in data:
             # Older reports predate the compute/wall split, where the
             # single field served both roles.

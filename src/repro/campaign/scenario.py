@@ -94,17 +94,33 @@ class ScenarioResult:
         return not self.violations
 
 
-def _ledger_fingerprint(instance: ProtocolInstance) -> str:
-    """Canonical rendering of every chain's final ledger state."""
-    lines = []
+def ledger_balances(instance: ProtocolInstance) -> list[tuple[object, str, int]]:
+    """Every chain's final ``(asset, account, balance)``, in fingerprint order."""
+    balances = []
     for name in sorted(instance.world.chains):
         chain = instance.world.chains[name]
-        for (asset, account), balance in sorted(
-            chain.ledger.snapshot().items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
-        ):
-            if balance:
-                lines.append(f"{asset}/{account}={balance}")
-    return ";".join(lines)
+        balances.extend(
+            (asset, account, balance)
+            for (asset, account), balance in sorted(
+                chain.ledger.snapshot().items(),
+                key=lambda kv: (str(kv[0][0]), kv[0][1]),
+            )
+        )
+    return balances
+
+
+def render_ledger(balances) -> str:
+    """The fingerprint rule: ``asset/account=balance`` per nonzero balance,
+    ``;``-joined.  The kernel engine renders balances it evaluated (not
+    simulated) through this same rule."""
+    return ";".join(
+        f"{asset}/{account}={balance}" for asset, account, balance in balances if balance
+    )
+
+
+def _ledger_fingerprint(instance: ProtocolInstance) -> str:
+    """Canonical rendering of every chain's final ledger state."""
+    return render_ledger(ledger_balances(instance))
 
 
 def condense_run(

@@ -10,7 +10,8 @@ it into the questions an operator actually asks of a campaign run:
 - **cache behaviour** — hit-rate with the miss taxonomy (absent,
   corrupt, violating), entry files read (a read-memo hit reads none)
   and store counts;
-- **kernel engine** — template calibrations vs. replays and
+- **kernel engine** — template calibrations, templates derived from a
+  context's p = 1 / p = 2 pair, simulator fallbacks, replays and
   cell-cache hits;
 - **worker skew** — per-worker scenario counts and busy time carried
   back over the fork boundary, condensed to max/mean imbalance ratios;
@@ -159,6 +160,8 @@ class TraceSummary:
             lines.append(
                 "kernel: "
                 f"{int(self.counters.get('kernel.calibrations', 0))} calibrations, "
+                f"{int(self.counters.get('kernel.derived', 0))} derived, "
+                f"{int(self.counters.get('kernel.fallbacks', 0))} fallbacks, "
                 f"{int(self.counters.get('kernel.replays', 0))} replays, "
                 f"{int(self.counters.get('kernel.cell_hits', 0))} cell-cache hits, "
                 f"{int(self.counters.get('kernel.scenarios', 0))} scenarios"

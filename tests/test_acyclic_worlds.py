@@ -55,6 +55,18 @@ def test_a_dropped_kernel_engine_leaves_no_cyclic_garbage():
     assert len(results) == len(scenarios)
 
 
+def test_a_dropped_engine_with_derived_cells_leaves_no_cyclic_garbage():
+    # p = 5 is evaluated on the (p = 1, p = 2) pair's lines; a hard shock
+    # makes the rational arm walk, so a walk template is derived too.
+    scenarios = list(ablation_cell("broker", 0.05, 0.9, "staked").scenarios())
+    with collector_off():
+        engine = KernelEngine()
+        results = engine.run(scenarios)
+        del engine
+        assert gc.collect() == 0
+    assert len(results) == len(scenarios)
+
+
 def test_deployed_contracts_reach_their_chain():
     instance = HedgedTwoPartySwap().build()
     world = instance.world

@@ -50,6 +50,21 @@ def test_report_fixture_re_encodes_to_its_bytes(name, stamp):
     assert report.digest == json.loads(text)[stamp]
 
 
+@pytest.mark.parametrize("name", ["campaign_shard.json", "frontier.json", "refined.json"])
+def test_report_from_json_parses_its_text_once(monkeypatch, name):
+    import repro.campaign.report as report_module
+
+    text, parses, loads = fixture(name), [], json.loads
+
+    def counted(*args, **kwargs):
+        parses.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(report_module.json, "loads", counted)
+    assert report_from_json(text).to_json() == text
+    assert parses == [text]
+
+
 @pytest.mark.parametrize(
     "name, cls",
     [

@@ -21,7 +21,11 @@ contract at every integration level:
   byte-stable, and refuses meaningless combinations (kernel campaigns,
   kernel backends on non-ablation matrices),
 - **experiment-level parity**: a kernel-engine experiment reproduces the
-  simulator experiment's campaign digest and frontier digest.
+  simulator experiment's campaign digest and frontier digest,
+- **pair lines**: premiums a named context evaluates from its p = 1 /
+  p = 2 pair reproduce real runs, and every case outside the lines
+  (p = 0, a premium above ``premium_base``, a graph context, a violating
+  adversary set) runs the simulator and counts a fallback.
 """
 
 import json
@@ -32,7 +36,11 @@ import random
 import subprocess
 import sys
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignRunner,
@@ -49,8 +57,11 @@ from repro.campaign import (
     reduce_frontier,
     refine_spec,
 )
+from repro.campaign.ablation import kernels
+from repro.campaign.ablation.grid import CELL_CONTEXTS, premium_base
 from repro.campaign.experiment import EXPERIMENT_ENGINES
-from repro.campaign.scenario import Scenario
+from repro.campaign.scenario import Scenario, run_scenario
+from repro.obs import Tracer
 
 
 def _assert_results_identical(serial, kernel):
@@ -345,3 +356,130 @@ def test_experiment_kernel_engine_matches_simulator():
     assert ker.campaign.run_digest == sim.campaign.run_digest
     assert ker.frontier.digest == sim.frontier.digest
     assert ker.campaign.workers == 1
+
+
+# ---------------------------------------------------------------------------
+# pair lines: premiums evaluated from p = 1 and p = 2, fallbacks simulated
+
+@pytest.fixture(scope="module")
+def pair_engine():
+    """One engine for every drawn example: its pair calibrations amortize."""
+    return KernelEngine()
+
+
+def _digest_fields(template):
+    return (
+        template.ntx_str,
+        template.reverted,
+        template.premium_net_str,
+        template.fingerprint,
+        template.completed,
+        template.utility_terms,
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_lines_reproduce_real_runs(pair_engine, data):
+    family, coalition = data.draw(st.sampled_from(tuple(CELL_CONTEXTS)))
+    base = premium_base(family)
+    premium = data.draw(st.integers(0, base + 20), label="premium")
+    kernel = pair_engine._kernel_for(family, coalition, premium)
+    walk_round = data.draw(
+        st.integers(0, len(kernel.rounds) - 1), label="walk round"
+    )
+    # Template level: the (evaluated or simulated) walk template of the
+    # drawn round equals a real run at this premium.
+    count = pair_engine._count
+    assert _digest_fields(kernel.walk_template(walk_round, count)) == _digest_fields(
+        kernel.simulate(walk_round, count)
+    )
+    # Scenario level: a hard shock landing at that round's height, run by
+    # both engines, gives the same digests.
+    shock = data.draw(st.sampled_from((0.3, 0.9)), label="shock")
+    height = kernel.rounds[walk_round][0]
+    matrix = ablation_cell(
+        family, premium / base, shock, f"round:{height}", coalition=coalition
+    )
+    assert {dict(s.axes)["premium"] for s in matrix.scenarios()} == {str(premium)}
+    serial = CampaignRunner(matrix, backend="serial").run()
+    kernel_run = CampaignRunner(matrix, backend="kernel", kernel=pair_engine).run()
+    _assert_results_identical(serial, kernel_run)
+
+
+class _CountedRuns:
+    """Counts the kernel engine's simulator runs."""
+
+    def __init__(self, monkeypatch):
+        self.runs = 0
+        execute = kernels.execute
+
+        def counted(*args, **kwargs):
+            self.runs += 1
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "execute", counted)
+
+
+def _traced_engine():
+    tracer = Tracer()
+    return KernelEngine(tracer=tracer), tracer
+
+
+def test_premiums_inside_the_pair_lines_run_no_simulator(monkeypatch):
+    engine, tracer = _traced_engine()
+    engine._kernel_for("broker", "", 7)  # pair calibrations at p = 1, 2
+    counted = _CountedRuns(monkeypatch)
+    for premium in (3, 50, premium_base("broker")):
+        kernel = engine._kernel_for("broker", "", premium)
+        kernel.walk_template(len(kernel.rounds) - 1, engine._count)
+    assert counted.runs == 2  # the pair's two walks, shared by all three
+    assert tracer.metrics.counter("kernel.fallbacks") == 0
+    assert tracer.metrics.counter("kernel.derived") == 4 + 3
+
+
+@pytest.mark.parametrize(
+    "family,premium",
+    [
+        ("auction", 0),  # the auction's p = 0 is off the line
+        ("two-party", 0),
+        ("two-party", premium_base("two-party") + 1),
+        ("ring:5", 3),  # graph contexts have no pair
+    ],
+)
+def test_premiums_outside_the_pair_lines_fall_back(monkeypatch, family, premium):
+    engine, tracer = _traced_engine()
+    counted = _CountedRuns(monkeypatch)
+    kernel = engine._kernel_for(family, "", premium)
+    assert counted.runs == 1 and kernel.comply.instance is not None
+    assert tracer.metrics.counter("kernel.fallbacks") == 1
+    assert tracer.metrics.counter("kernel.derived") == 0
+    kernel.walk_template(0, engine._count)
+    assert counted.runs == 2
+    assert tracer.metrics.counter("kernel.fallbacks") == 2
+
+
+def test_violating_adversary_set_checks_a_real_run(monkeypatch):
+    # With no adversary named, the rational pivot's walk is judged as a
+    # compliant party's loss; the messages carry premium amounts, so only
+    # a real run at the premium can render them.
+    matrix = ablation_cell("two-party", 0.05, 0.9, "staked")
+    (rational,) = [
+        s for s in matrix.scenarios() if dict(s.axes)["strategy"] == "rational"
+    ]
+    scenario = dataclasses.replace(rational, adversaries=())
+    want = run_scenario(scenario)
+    assert want.violations
+    engine, tracer = _traced_engine()
+    engine._kernel_for("two-party", "", 5)
+    counted = _CountedRuns(monkeypatch)
+    (got,) = engine.run([scenario])
+    assert got.digest == want.digest
+    assert got.violations == want.violations and got.trace == want.trace
+    # the pair's walks, then the real run at p = 5 for the checks
+    assert counted.runs == 3
+    assert tracer.metrics.counter("kernel.fallbacks") == 1
+    # The real pivot set checks clean at p = 1 and p = 2: no further run.
+    (clean,) = engine.run([rational])
+    assert clean.digest == run_scenario(rational).digest
+    assert counted.runs == 3

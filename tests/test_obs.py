@@ -177,11 +177,18 @@ def test_kernel_trace_summary_meets_coverage_contract(tmp_path):
     assert summary.counters["kernel.scenarios"] == result.campaign.scenarios
     assert summary.counters["kernel.calibrations"] >= 1
     assert summary.counters["kernel.replays"] >= 1
+    # The default lattice's premiums: 0 (a fallback in every context) and
+    # integer premiums above 2, evaluated on each named context's lines.
+    assert summary.counters["kernel.derived"] >= 1
+    assert summary.counters["kernel.fallbacks"] >= 1
     assert summary.blocks, "kernel cell groups should emit block spans"
     assert summary.progress_done == summary.progress_total > 0
     rendered = summary.render()
     assert "covered by named phases" in rendered
     assert "kernel:" in rendered
+    kernel_line = next(l for l in rendered.splitlines() if l.startswith("kernel:"))
+    assert f"{int(summary.counters['kernel.derived'])} derived" in kernel_line
+    assert f"{int(summary.counters['kernel.fallbacks'])} fallbacks" in kernel_line
 
 
 def test_warm_cache_trace_reports_hit_rate(tmp_path):
