@@ -2,7 +2,7 @@
 
 :func:`reduce_frontier` consumes the :class:`~repro.campaign.runner.CampaignReport`
 an ablation matrix produced — on any backend, merged from any shards — and
-pairs each grid cell's two arms into a :class:`FrontierCell`:
+pairs each grid cell's two arms into a :class:`FrontierCell` (:func:`frontier_cells`):
 
 - ``walked``: did the rational pivot (or pivot coalition) abandon the
   protocol?
@@ -38,12 +38,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from hashlib import sha256
+from itertools import groupby
 from typing import Iterable
 
 from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
 from repro.campaign.report import load_payload, parse_report, register_report
 from repro.campaign.runner import CampaignReport
+from repro.campaign.scenario import ScenarioResult
 
 #: a cell's coordinates: on disk its row carries them once for all cells.
 ROW_COORDINATES = ("family", "stage", "shock", "coalition")
@@ -140,14 +142,7 @@ class FrontierReport:
     def row(
         self, family: str, stage: str, shock: float, coalition: str = ""
     ) -> FrontierRow:
-        for candidate in self.rows:
-            key = (candidate.family, candidate.stage, candidate.shock,
-                   candidate.coalition)
-            if key == (family, stage, shock, coalition):
-                return candidate
-        raise KeyError(
-            f"no frontier row ({family}, {stage}, {shock}, {coalition!r})"
-        )
+        return find_row(self.rows, "frontier", family, stage, shock, coalition)
 
     def stages(self, family: str) -> tuple[str, ...]:
         """The stage labels swept for one family (coalition rows included),
@@ -249,6 +244,16 @@ class FrontierReport:
         return report
 
 
+def find_row(rows, kind: str, family: str, stage: str, shock: float, coalition: str):
+    """The row of ``rows`` on one ``(family, stage, shock, coalition)`` line."""
+    for row in rows:
+        if (row.family, row.stage, row.shock, row.coalition) == (
+            family, stage, shock, coalition
+        ):
+            return row
+    raise KeyError(f"no {kind} row ({family}, {stage}, {shock}, {coalition!r})")
+
+
 def cells_to_json(row: dict, key: str) -> dict:
     """An encoded row's JSON shape: its ``key`` cells leave out the
     coordinates (:data:`ROW_COORDINATES`) the row carries."""
@@ -303,17 +308,16 @@ def _with_digest(report: FrontierReport) -> FrontierReport:
     return replace(report, digest=digest.hexdigest())
 
 
-def reduce_frontier(report: CampaignReport) -> FrontierReport:
-    """Pair arms and reduce a campaign report into the frontier.
+def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
+    """Pair ablation results' arms into cells, in ``(family, coalition,
+    stage, shock, π)`` order.
 
-    Requires an ablation-shaped report: every result carries ``pi``,
-    ``shock``, and ``stage`` axes and a ``comply``/``rational`` strategy
-    coordinate (coalition cells use the all-``compliant`` profile as their
-    comply arm).  A cell missing one arm (e.g. a lone shard) raises —
-    merge the shards first (:func:`repro.campaign.runner.merge_reports`).
+    Every result carries ``pi``, ``shock`` and ``stage`` axes and a
+    ``comply``/``rational`` strategy coordinate (coalition cells use the
+    all-``compliant`` profile as their comply arm).
     """
     arms: dict[tuple[str, str, str, float, float], dict[str, object]] = {}
-    for result in report.results:
+    for result in results:
         axes = dict(result.axes)
         if "pi" not in axes or "shock" not in axes or "stage" not in axes:
             raise ValueError(
@@ -328,20 +332,13 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
             canon_float(axes["pi"]),
         )
         arms.setdefault(key, {})[axes["strategy"]] = result
-    # One line per (family, coalition, stage, shock), single-pivot lines
-    # first; arms iterate in key order, so each line's cells arrive
-    # sorted by π.
-    lines: dict[tuple, list[FrontierCell]] = {}
+    cells = []
     for key in sorted(arms):
         pair = arms[key]
         # A coalition cell's comply arm is the all-compliant profile.
         comply = pair.get("comply", pair.get("compliant"))
         rational = pair.get("rational")
-        missing = [
-            arm
-            for arm, result in (("comply", comply), ("rational", rational))
-            if result is None
-        ]
+        missing = [arm for arm, r in (("comply", comply), ("rational", rational)) if r is None]
         if missing:
             raise ValueError(
                 f"cell {key} is missing its {missing} arm(s): merge "
@@ -349,11 +346,9 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
             )
         family, coalition, stage, shock, pi = key
         r_metrics = dict(rational.metrics)
-        c_metrics = dict(comply.metrics)
         # Every pivot (all coalition members) is excluded from victimhood.
         pivots = set(dict(rational.axes)["adversaries"].split(","))
-        line = (bool(coalition), family, coalition, stage, shock)
-        lines.setdefault(line, []).append(
+        cells.append(
             FrontierCell(
                 family=family,
                 stage=stage,
@@ -361,31 +356,40 @@ def reduce_frontier(report: CampaignReport) -> FrontierReport:
                 pi=pi,
                 walked=r_metrics["completed"] == 0.0,
                 rational_utility=canon_float(r_metrics["utility"]),
-                comply_utility=canon_float(c_metrics["utility"]),
+                comply_utility=canon_float(dict(comply.metrics)["utility"]),
                 victim_net=max(
-                    (
-                        net
-                        for party, net in rational.premium_net
-                        if party not in pivots
-                    ),
+                    (net for party, net in rational.premium_net if party not in pivots),
                     default=0,
                 ),
                 coalition=coalition,
             )
         )
+    return cells
+
+
+def reduce_frontier(report: CampaignReport) -> FrontierReport:
+    """Reduce an ablation campaign report into the frontier: one row per
+    ``(family, coalition, stage, shock)`` line of its
+    :func:`frontier_cells`, single-pivot lines first.  A cell missing one
+    arm (e.g. a lone shard) raises — merge the shards first
+    (:func:`repro.campaign.runner.merge_reports`).
+    """
+    # A stable sort keeps frontier_cells' order inside each group, so
+    # every line's cells stay sorted by π.
+    cells = sorted(frontier_cells(report.results), key=lambda c: bool(c.coalition))
     rows = []
-    for line in sorted(lines):
-        _, family, coalition, stage, shock = line
-        cells = tuple(lines[line])
-        deterring = [cell.pi for cell in cells if not cell.walked]
+    for _, line in groupby(cells, key=lambda c: (c.family, c.coalition, c.stage, c.shock)):
+        line = tuple(line)
+        deterring = [cell.pi for cell in line if not cell.walked]
+        first = line[0]
         rows.append(
             FrontierRow(
-                family=family,
-                stage=stage,
-                shock=shock,
+                family=first.family,
+                stage=first.stage,
+                shock=first.shock,
                 pi_star=min(deterring) if deterring else None,
-                cells=cells,
-                coalition=coalition,
+                cells=line,
+                coalition=first.coalition,
             )
         )
     return _with_digest(

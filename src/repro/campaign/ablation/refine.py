@@ -64,9 +64,12 @@ from repro.campaign.ablation.frontier import (
     FrontierRow,
     cells_from_json,
     cells_to_json,
-    reduce_frontier,
+    find_row,
+    frontier_cells,
 )
 from repro.campaign.ablation.grid import ablation_cell
+from repro.campaign.runner import CampaignRunner, run_digest
+from repro.obs import maybe_inc
 
 #: default bisection tolerance on the premium fraction: 1/64.
 DEFAULT_TOL = 0.015625
@@ -161,14 +164,7 @@ class RefinedFrontierReport:
     def row(
         self, family: str, stage: str, shock: float, coalition: str = ""
     ) -> RefinedRow:
-        for candidate in self.rows:
-            key = (candidate.family, candidate.stage, candidate.shock,
-                   candidate.coalition)
-            if key == (family, stage, shock, coalition):
-                return candidate
-        raise KeyError(
-            f"no refined row ({family}, {stage}, {shock}, {coalition!r})"
-        )
+        return find_row(self.rows, "refined", family, stage, shock, coalition)
 
     @property
     def probes(self) -> int:
@@ -268,6 +264,12 @@ def _with_digest(report: RefinedFrontierReport) -> RefinedFrontierReport:
 class _CellProber:
     """Runs single ablation cells through the backend its knobs imply.
 
+    A probe goes from :meth:`CampaignRunner.run_selection` straight to its
+    :class:`ProbeCell` through the lattice's pairing rule,
+    :func:`~repro.campaign.ablation.frontier.frontier_cells`, on every
+    backend: no report is built, and its ``run_digest`` is the one
+    ``CampaignRunner(cell).run()`` reports.
+
     ``cache`` is the incremental result cache: each probe cell is one
     matrix block, so a warm refinement (or one following a lattice run
     that already executed the same cells) serves probes straight from the
@@ -278,6 +280,7 @@ class _CellProber:
     cost is paid once per ``(family, coalition, premium)`` even though
     bisection probes arrive one premium at a time.  Otherwise a ``pool``
     runs them on the process backend, and with neither they run serially.
+    A tracer counts ``refine.probes`` and ``refine.probe_cache_hits``.
     """
 
     def __init__(
@@ -288,9 +291,6 @@ class _CellProber:
         kernel=None,
         tracer=None,
     ) -> None:
-        from repro.campaign.runner import CampaignRunner
-
-        self._runner_cls = CampaignRunner
         self.backend = (
             "kernel" if kernel is not None
             else "process" if pool is not None
@@ -310,23 +310,25 @@ class _CellProber:
         matrix = ablation_cell(
             family, pi, shock, stage, coalition=coalition, seed=self.seed
         )
-        report = self._runner_cls(
+        ran = CampaignRunner(
             matrix,
             backend=self.backend,
             pool=self.pool,
             cache=self.cache,
             kernel=self.kernel,
             tracer=self.tracer,
-        ).run()
-        self.cache_hits += report.cache_hits
-        if not report.ok:
+        ).run_selection()
+        self.cache_hits += ran.cache_hits
+        maybe_inc(self.tracer, "refine.probes")
+        maybe_inc(self.tracer, "refine.probe_cache_hits", ran.cache_hits)
+        violated = [message for result in ran.results for message in result.violations]
+        if violated:
             raise RuntimeError(
                 f"bisection probe ({family}, {pi}, {shock}, {stage}) violated "
-                f"properties: {[v.message for v in report.violations]}"
+                f"properties: {violated}"
             )
-        (row,) = reduce_frontier(report).rows
-        (cell,) = row.cells
-        return ProbeCell(**vars(cell), run_digest=report.run_digest)
+        (cell,) = frontier_cells(ran.results)
+        return ProbeCell(**vars(cell), run_digest=run_digest(ran))
 
 
 def _bracket(row) -> tuple[float | None, float | None]:

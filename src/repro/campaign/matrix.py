@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Iterator
 
 from repro.campaign.scenario import (
@@ -136,21 +137,22 @@ class MatrixBlock:
     extra_axes: tuple[tuple[str, str], ...] = ()
     #: optional per-scenario metric extractor (see ``repro.campaign.scenario``).
     metrics: MetricsFn | None = field(default=None, repr=False)
+    #: enumerate_profiles' count, counted once: the block is frozen.
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        spaces = [len(space) for _, space in self.strategies]
+        sizes = range(max(1, self.min_adversaries), self.max_adversaries + 1)
+        count = int(self.include_compliant) + sum(
+            prod(subset) for size in sizes for subset in combinations(spaces, size)
+        )
+        object.__setattr__(self, "_size", count)
 
     def strategy_map(self) -> dict[str, list[LabelledStrategy]]:
         return {party: list(space) for party, space in self.strategies}
 
     def size(self) -> int:
-        count = 1 if self.include_compliant else 0
-        spaces = self.strategy_map()
-        parties = sorted(spaces)
-        for size in range(max(1, self.min_adversaries), self.max_adversaries + 1):
-            for subset in combinations(parties, size):
-                block = 1
-                for p in subset:
-                    block *= len(spaces[p])
-                count += block
-        return count
+        return self._size
 
     def describe(self) -> str:
         parts = [
@@ -340,12 +342,9 @@ class ScenarioMatrix:
         if count == total:
             indices = list(range(total))
         else:
-            sizes = [block.size() for block in self.blocks]
-            offsets = []
-            offset = 0
-            for size in sizes:
-                offsets.append(offset)
-                offset += size
+            ranges = self.block_ranges()
+            offsets = [start for start, _, _ in ranges]
+            sizes = [size for _, size, _ in ranges]
             indices = []
             if count >= len(sizes):
                 per_block = self._stratified_counts(sizes, count)

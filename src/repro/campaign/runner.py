@@ -111,16 +111,17 @@ def selection_label(limit: int | None, shard: tuple[int, int] | None) -> str:
     return " ".join(parts) or "full"
 
 
-def _digest_preamble(
-    matrix_digest: str,
-    total: int,
-    count: int,
-    limit: int | None,
-    shard: tuple[int, int] | None,
-) -> bytes:
-    """The run-digest header: matrix identity plus the effective selection."""
-    label = selection_label(limit, shard)
-    return f"{matrix_digest}|selection={label}|coverage={count}/{total}".encode()
+def run_digest(run: CampaignReport | SelectionRun) -> str:
+    """The run digest: a header naming the matrix and the effective
+    selection, then every result digest in order."""
+    label = selection_label(run.limit, run.shard)
+    digest = sha256(
+        f"{run.matrix_digest}|selection={label}"
+        f"|coverage={len(run.results)}/{run.total_scenarios}".encode()
+    )
+    for result in run.results:
+        digest.update(result.digest.encode())
+    return digest.hexdigest()
 
 
 class ScenarioViolation(NamedTuple):
@@ -334,21 +335,10 @@ class CampaignReport:
             # single field served both roles.
             data["wall_seconds"] = data["elapsed_seconds"]
         stamped = codec.decode(cls, data)
-        report = replace(
+        report = _fold_results(replace(
             stamped, scenarios=0, transactions=0, reverted=0,
-            violations=[], results=[], run_digest="",
-        )
-        _fold_results(
-            report,
-            stamped.results,
-            _digest_preamble(
-                report.matrix_digest,
-                report.total_scenarios,
-                len(stamped.results),
-                report.limit,
-                report.shard,
-            ),
-        )
+            violations=[], run_digest="",
+        ))
         if report.run_digest != stamped.run_digest:
             raise ValueError(
                 "report digest mismatch after deserialization: "
@@ -360,31 +350,41 @@ class CampaignReport:
         return report
 
 
-def _fold_results(
-    report: CampaignReport, results: Iterable[ScenarioResult], preamble: bytes
-) -> CampaignReport:
-    """Aggregate results (in the given order) into ``report`` + run digest."""
-    digest = sha256(preamble)
-    for result in results:
-        report.results.append(result)
-        report.scenarios += 1
+def _fold_results(report: CampaignReport) -> CampaignReport:
+    """Derive ``report``'s aggregates and run digest from its results."""
+    by_axis = report.by_axis
+    for result in report.results:
         report.transactions += result.transactions
         report.reverted += result.reverted
-        digest.update(result.digest.encode())
-        for message in result.violations:
-            report.violations.append(
-                ScenarioViolation(result.label, message, result.trace)
-            )
+        report.violations.extend(
+            ScenarioViolation(result.label, message, result.trace)
+            for message in result.violations
+        )
         for axis, value in result.axes:
-            stats = report.by_axis.setdefault(axis, {}).setdefault(
-                value, AxisStats()
-            )
+            # Look up before creating: most results hit existing entries.
+            values = by_axis.get(axis) or by_axis.setdefault(axis, {})
+            stats = values.get(value) or values.setdefault(value, AxisStats())
             stats.scenarios += 1
             stats.violations += len(result.violations)
         for _, net in result.premium_net:
             report.premium_net_hist[net] += 1
-    report.run_digest = digest.hexdigest()
+    report.scenarios = len(report.results)
+    report.run_digest = run_digest(report)
     return report
+
+
+class SelectionRun(NamedTuple):
+    """:meth:`CampaignRunner.run_selection`'s results and report header.
+    It holds no wall clock, so no digest taken from it can depend on one."""
+
+    results: list[ScenarioResult]
+    cache_hits: int
+    backend: str
+    workers: int
+    matrix_digest: str
+    total_scenarios: int
+    limit: int | None
+    shard: tuple[int, int] | None
 
 
 class CampaignRunner:
@@ -595,10 +595,21 @@ class CampaignRunner:
             self.cache.put(key, block_results)
 
     def run(self) -> CampaignReport:
+        """Run the selection and fold its results into a report."""
         with maybe_span(self.tracer, "campaign.run"):
-            return self._run_traced()
+            start = time.perf_counter()
+            ran = self.run_selection()
+            elapsed = time.perf_counter() - start
+            report = CampaignReport(
+                **ran._asdict(), elapsed_seconds=elapsed, wall_seconds=elapsed
+            )
+            with maybe_span(self.tracer, "campaign.fold", scenarios=len(ran.results)):
+                return _fold_results(report)
 
-    def _run_traced(self) -> CampaignReport:
+    def run_selection(self) -> SelectionRun:
+        """Expand the selection, serve what the cache holds, dispatch the
+        rest and store the fresh blocks — :meth:`run` without the report
+        (all a bisection probe needs)."""
         tracer = self.tracer
         total = len(self.matrix)
         # Normalize no-op selections so the digest reflects the *effective*
@@ -609,7 +620,6 @@ class CampaignRunner:
             indices = self.matrix.selection(limit=limit, shard=shard)
             matrix_digest = self.matrix.digest()
 
-        start = time.perf_counter()
         hits: dict[int, ScenarioResult] = {}
         pending: list[tuple[str, int, int]] = []
         if self.cache is not None:
@@ -681,26 +691,11 @@ class CampaignRunner:
             ]
         else:
             results = fresh
-        elapsed = time.perf_counter() - start
         if meter is not None:
             meter.finish()
-
-        report = CampaignReport(
-            backend=backend,
-            workers=workers,
-            matrix_digest=matrix_digest,
-            total_scenarios=total,
-            limit=limit,
-            shard=shard,
-            elapsed_seconds=elapsed,
-            wall_seconds=elapsed,
-            cache_hits=len(hits),
+        return SelectionRun(
+            results, len(hits), backend, workers, matrix_digest, total, limit, shard
         )
-        preamble = _digest_preamble(
-            report.matrix_digest, total, len(results), limit, shard
-        )
-        with maybe_span(tracer, "campaign.fold", scenarios=len(results)):
-            return _fold_results(report, results, preamble)
 
 
 def merge_reports(reports: Iterable[CampaignReport]) -> CampaignReport:
@@ -757,14 +752,8 @@ def merge_reports(reports: Iterable[CampaignReport]) -> CampaignReport:
         shard=None,
         elapsed_seconds=sum(report.elapsed_seconds for report in reports),
         cache_hits=sum(report.cache_hits for report in reports),
+        results=results,
     )
-    preamble = _digest_preamble(
-        merged.matrix_digest,
-        merged.total_scenarios,
-        len(results),
-        merged.limit,
-        None,
-    )
-    merged = _fold_results(merged, results, preamble)
+    merged = _fold_results(merged)
     merged.wall_seconds = time.perf_counter() - merge_start
     return merged

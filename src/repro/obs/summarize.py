@@ -13,6 +13,8 @@ it into the questions an operator actually asks of a campaign run:
 - **kernel engine** — template calibrations, templates derived from a
   context's p = 1 / p = 2 pair, simulator fallbacks, replays and
   cell-cache hits;
+- **refinement** — bisection probes and the probe scenarios the result
+  cache served;
 - **worker skew** — per-worker scenario counts and busy time carried
   back over the fork boundary, condensed to max/mean imbalance ratios;
 - **parallel efficiency** — on process runs, Σ worker busy time over
@@ -166,6 +168,10 @@ class TraceSummary:
                 f"{int(self.counters.get('kernel.cell_hits', 0))} cell-cache hits, "
                 f"{int(self.counters.get('kernel.scenarios', 0))} scenarios"
             )
+        if "refine.probes" in self.counters:
+            probes = int(self.counters["refine.probes"])
+            hits = int(self.counters.get("refine.probe_cache_hits", 0))
+            lines.append(f"refine: {probes} probes, {hits} probe scenarios from the cache")
         if "gc.collections" in self.counters:
             share = self.gc_pause_seconds / self.wall_seconds if self.wall_seconds else 0.0
             lines.append(

@@ -5,6 +5,7 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     ScenarioMatrix,
+    ablation_matrix,
     default_matrix,
     enumerate_profiles,
     run_scenario,
@@ -39,6 +40,35 @@ def test_matrix_len_matches_enumeration():
     scenarios = list(matrix.scenarios())
     # 1 compliant + 2*8 singles + 8*8 pairs
     assert len(matrix) == len(scenarios) == 1 + 16 + 64
+
+
+def test_matrix_len_tracks_add_block_and_the_enumerated_count():
+    matrix = small_matrix()
+    assert len(matrix) == 81
+    matrix.add_block(
+        family="two-party",
+        schedule="joint",
+        builder=two_party_builder,
+        builder_id="two_party_builder",
+        properties=(properties.no_stuck_escrow,),
+        strategies={p: halt_strategies(3) for p in ("Alice", "Bob")},
+        max_adversaries=2,
+        min_adversaries=2,
+        include_compliant=False,
+    )
+    # + 3*3 joint pairs only
+    assert len(matrix) == 81 + 9 == len(list(matrix.scenarios()))
+    for built in (default_matrix(), ablation_matrix(coalitions=True)):
+        assert len(built) == len(list(built.scenarios()))
+        assert [block.size() for block in built.blocks] == [
+            sum(1 for _ in enumerate_profiles(
+                block.strategy_map(),
+                block.max_adversaries,
+                block.include_compliant,
+                block.min_adversaries,
+            ))
+            for block in built.blocks
+        ]
 
 
 def test_scenario_indices_and_labels_are_stable():

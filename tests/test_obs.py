@@ -37,6 +37,7 @@ from repro.campaign import (
     ablation_matrix,
     default_matrix,
     merge_reports,
+    refine_spec,
 )
 from repro.obs import (
     TRACE_FORMAT_VERSION,
@@ -189,6 +190,35 @@ def test_kernel_trace_summary_meets_coverage_contract(tmp_path):
     kernel_line = next(l for l in rendered.splitlines() if l.startswith("kernel:"))
     assert f"{int(summary.counters['kernel.derived'])} derived" in kernel_line
     assert f"{int(summary.counters['kernel.fallbacks'])} fallbacks" in kernel_line
+
+
+def test_refine_trace_counts_probes_beside_the_kernel_line(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    spec = refine_spec(**GRID, tol=0.00390625)
+    untraced = Experiment(spec).run()
+    probes = untraced.refined.probes
+    assert probes > 1
+    rendered = {}
+    for name in ("cold", "warm"):
+        trace_path = tmp_path / f"{name}.jsonl"
+        with Tracer(TraceWriter(trace_path)) as tracer:
+            result = Experiment(spec, cache=cache, tracer=tracer).run()
+        # Digest-inert: traced and cached runs refine byte-identically.
+        assert result.refined.digest == untraced.refined.digest
+        summary = summarize_trace(trace_path)
+        assert summary.counters["refine.probes"] == probes
+        rendered[name] = summary.render().splitlines()
+    # Cold: the refine line sits beside the kernel line; each probe is a
+    # two-scenario block the cache stores.
+    cold = rendered["cold"]
+    kernel_at = next(i for i, line in enumerate(cold) if line.startswith("kernel:"))
+    assert cold[kernel_at + 1] == (
+        f"refine: {probes} probes, 0 probe scenarios from the cache"
+    )
+    # Warm: the cache serves every probe, so the kernel never runs.
+    warm = rendered["warm"]
+    assert not any(line.startswith("kernel:") for line in warm)
+    assert f"refine: {probes} probes, {2 * probes} probe scenarios from the cache" in warm
 
 
 def test_warm_cache_trace_reports_hit_rate(tmp_path):

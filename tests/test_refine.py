@@ -15,16 +15,21 @@ Pins:
 - **digest discipline**: refined digests are byte-identical across serial
   probes, pooled probes, and refinement of a shard-merged lattice, and
   survive a JSON round trip with tamper detection,
+- **probe parity**: a bisection probe equals the reduced one-cell
+  campaign — cell and run digest — on the kernel, serial and warm-cache
+  routes, and a violating probe still raises with its messages,
 - **canonical floats**: one normalization point for fraction axes (repr
   stability, ``-0.0`` collapse, no six-digit truncation).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import (
     CampaignRunner,
+    ResultCache,
     WorkerPool,
     ablation_cell,
     ablation_matrix,
@@ -40,6 +45,8 @@ from repro.campaign.ablation import (
     closed_form_pi_star,
     premium_base,
 )
+from repro.campaign.ablation.kernels import KernelEngine
+from repro.campaign.ablation.refine import ProbeCell, _CellProber
 from repro.campaign.canon import canon_float, fmt_fraction
 
 LATTICE = (0.0, 0.02, 0.05, 0.08)
@@ -150,8 +157,6 @@ def test_refine_opens_the_bracket_at_zero_when_the_lattice_floor_deters():
 
 
 def test_refine_rejects_partial_frontiers_and_bad_tolerances():
-    from dataclasses import replace
-
     frontier = lattice_frontier(("auction",))
     with pytest.raises(ValueError, match="tol must be positive"):
         refine_frontier(frontier, tol=0.0)
@@ -392,6 +397,58 @@ def test_refined_digest_parity_across_backends_and_merged_lattice():
     assert refined_serial.digest == refined_pooled.digest
     assert refined_serial.digest == refined_merged.digest
     assert refined_serial.probes > 0
+
+
+# ----------------------------------------------------------------------
+# probe parity: a probe is the one-cell campaign, without its reports
+# ----------------------------------------------------------------------
+PROBE_CELLS = (
+    ("two-party", 0.0, SHOCK, "staked", ""),  # π = 0: the unhedged baseline
+    ("broker", 0.035, SHOCK, "staked", ABLATION_COALITIONS["broker"][0]),
+    ("multi-party", 0.02, SHOCK, "round:2", ""),
+)
+
+
+def _reference_probe(cell):
+    family, pi, shock, stage, coalition = cell
+    report = CampaignRunner(
+        ablation_cell(family, pi, shock, stage, coalition=coalition)
+    ).run()
+    (row,) = reduce_frontier(report).rows
+    (lattice_cell,) = row.cells
+    return ProbeCell(**vars(lattice_cell), run_digest=report.run_digest)
+
+
+@pytest.mark.parametrize("cell", PROBE_CELLS, ids=lambda cell: cell[0])
+def test_probe_matches_the_reduced_one_cell_campaign_on_every_route(
+    cell, tmp_path
+):
+    reference = _reference_probe(cell)
+    cache = ResultCache(tmp_path / "cache")
+    _CellProber(cache=cache).probe(*cell)  # stores the probe block
+    warm = _CellProber(cache=cache)
+    routes = {
+        "kernel": _CellProber(kernel=KernelEngine()),
+        "serial": _CellProber(),
+        "warm-cache": warm,
+    }
+    for route, prober in routes.items():
+        assert prober.probe(*cell) == reference, route
+    assert warm.cache_hits == 2
+
+
+def test_violating_probe_raises_with_its_properties(monkeypatch):
+    import repro.campaign.runner as runner
+
+    real = runner.run_scenario
+
+    def violating(scenario):
+        return replace(real(scenario), violations=("escrow leaked",))
+
+    monkeypatch.setattr(runner, "run_scenario", violating)
+    with pytest.raises(RuntimeError, match="violated properties") as raised:
+        _CellProber().probe(*PROBE_CELLS[0])
+    assert raised.value.args[0].endswith("['escrow leaked', 'escrow leaked']")
 
 
 def test_refined_json_roundtrip_and_tamper_detection():
