@@ -20,9 +20,11 @@ script is the contract between them, run on every CI push:
    digest-relevant field, and none may fall back to the simulator.
 3. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
    fixed grid (coalitions included) may run at most
-   :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls.  The count is a
-   property of the code, not of the host: a cell path that goes back to
-   building a throwaway instance per premium or per probe breaches it.
+   :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls and construct at
+   most :data:`MAX_REFINE_CELLS` ``FamilyCell`` objects.  The counts are
+   properties of the code, not of the host: a cell path that goes back to
+   building a throwaway instance per premium or per probe, or a probe
+   that rebuilds its premium's cell, breaches them.
 4. **Perf gate** — the warm dense-grid kernel speedup over the simulator
    must not drop below the floor committed in ``BENCH_ablation.json``
    (``engine_throughput.kernel_hot_speedup_floor``).  The gate compares a
@@ -67,6 +69,12 @@ BUILD_GATE_GRID = dict(
 #: pair's lines.  The ceiling is the count itself; lower it when a change
 #: cuts more builds.
 MAX_REFINE_BUILDS = 43
+
+#: ``FamilyCell`` constructions in the same cold refinement: one per
+#: distinct (family, coalition, premium) its lattice, calibration pairs
+#: and bisection probes touch, since ``family_cell`` memoizes them.
+#: Without the memo every block and probe builds its own.
+MAX_REFINE_CELLS = 30
 
 _RESULT_FIELDS = (
     "digest",
@@ -207,64 +215,84 @@ def audit_pair_lines() -> list[str]:
 
 @contextlib.contextmanager
 def counting_builds():
-    """Count ``build()`` calls of the ablation families' builder classes.
+    """Count ``build()`` calls of the ablation families' builder classes
+    (``counts["build"]``) and ``FamilyCell`` constructions
+    (``counts["cell"]``).
 
-    Yields the counts dict.  The classes are wrapped from outside and
+    Yields the counts dict.  The methods are wrapped from outside and
     restored on exit.
     """
+    from repro.campaign.ablation.grid import FamilyCell
     from repro.core.hedged_auction import HedgedAuction
     from repro.core.hedged_broker import HedgedBrokerDeal
     from repro.core.hedged_multi_party import HedgedMultiPartySwap
     from repro.core.hedged_two_party import HedgedTwoPartySwap
 
-    counts = {"build": 0}
+    counts = {"build": 0, "cell": 0}
 
-    def counted(original):
-        def build(self):
-            counts["build"] += 1
-            return original(self)
+    def counted(original, name):
+        def method(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
 
-        return build
+        return method
 
-    classes = (
-        HedgedTwoPartySwap,
-        HedgedMultiPartySwap,
-        HedgedBrokerDeal,
-        HedgedAuction,
-    )
-    originals = [(cls, vars(cls)["build"]) for cls in classes]
-    for cls, original in originals:
-        cls.build = counted(original)
+    methods = [
+        (cls, "build", "build")
+        for cls in (
+            HedgedTwoPartySwap,
+            HedgedMultiPartySwap,
+            HedgedBrokerDeal,
+            HedgedAuction,
+        )
+    ]
+    methods.append((FamilyCell, "__init__", "cell"))
+    originals = [(cls, attr, vars(cls)[attr]) for cls, attr, _ in methods]
+    for (cls, attr, name), (_, _, original) in zip(methods, originals):
+        setattr(cls, attr, counted(original, name))
     try:
         yield counts
     finally:
-        for cls, original in originals:
-            cls.build = original
+        for cls, attr, original in originals:
+            setattr(cls, attr, original)
 
 
 def gate_builds() -> list[str]:
-    """Count protocol builds over one cold kernel refinement; return
-    ceiling breaches."""
+    """Count protocol builds and cell constructions over one cold kernel
+    refinement; return ceiling breaches."""
     from repro.campaign import Experiment, refine_spec
-    from repro.campaign.ablation.grid import cell_shape
+    from repro.campaign.ablation.grid import cell_shape, family_cell
 
-    # Cold: the shapes the parity audit cached are rebuilt and counted.
+    # Cold: the shapes and cells the parity audit cached are rebuilt and
+    # counted.
     cell_shape.cache_clear()
+    family_cell.cache_clear()
     spec = refine_spec(engine="kernel", **BUILD_GATE_GRID)
     with counting_builds() as counts:
         result = Experiment(spec).run()
-    builds = counts["build"]
+    builds, cells = counts["build"], counts["cell"]
     print(
         f"builds: {builds} protocol builds over one cold kernel ablate-refine "
         f"({result.refined.probes} probes; ceiling {MAX_REFINE_BUILDS})"
     )
+    print(
+        f"cells: {cells} FamilyCell constructions over the same refine "
+        f"(ceiling {MAX_REFINE_CELLS})"
+    )
+    problems = []
     if builds > MAX_REFINE_BUILDS:
-        return [
+        problems.append(
             f"{builds} protocol builds over one cold kernel ablate-refine "
             f"exceed the ceiling {MAX_REFINE_BUILDS}: a cell path builds a "
             "throwaway instance per premium or per probe again"
-        ]
-    return []
+        )
+    if cells > MAX_REFINE_CELLS:
+        problems.append(
+            f"{cells} FamilyCell constructions over one cold kernel "
+            f"ablate-refine exceed the ceiling {MAX_REFINE_CELLS}: a probe "
+            "or block rebuilds its premium's cell instead of sharing it"
+        )
+    return problems
 
 
 def gate_perf(floor: float) -> list[str]:

@@ -316,7 +316,8 @@ def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
     ``comply``/``rational`` strategy coordinate (coalition cells use the
     all-``compliant`` profile as their comply arm).
     """
-    arms: dict[tuple[str, str, str, float, float], dict[str, object]] = {}
+    # Each arm is kept with its axes dict: one dict(result.axes) per result.
+    arms: dict[tuple[str, str, str, float, float], dict[str, tuple]] = {}
     for result in results:
         axes = dict(result.axes)
         if "pi" not in axes or "shock" not in axes or "stage" not in axes:
@@ -331,23 +332,24 @@ def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
             canon_float(axes["shock"]),
             canon_float(axes["pi"]),
         )
-        arms.setdefault(key, {})[axes["strategy"]] = result
+        arms.setdefault(key, {})[axes["strategy"]] = (result, axes)
     cells = []
     for key in sorted(arms):
         pair = arms[key]
         # A coalition cell's comply arm is the all-compliant profile.
         comply = pair.get("comply", pair.get("compliant"))
         rational = pair.get("rational")
-        missing = [arm for arm, r in (("comply", comply), ("rational", rational)) if r is None]
-        if missing:
+        if comply is None or rational is None:
+            missing = [arm for arm, r in (("comply", comply), ("rational", rational)) if r is None]
             raise ValueError(
                 f"cell {key} is missing its {missing} arm(s): merge "
                 "all shards before reducing the frontier"
             )
         family, coalition, stage, shock, pi = key
+        rational, r_axes = rational
         r_metrics = dict(rational.metrics)
         # Every pivot (all coalition members) is excluded from victimhood.
-        pivots = set(dict(rational.axes)["adversaries"].split(","))
+        pivots = r_axes["adversaries"].split(",")
         cells.append(
             FrontierCell(
                 family=family,
@@ -356,7 +358,7 @@ def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
                 pi=pi,
                 walked=r_metrics["completed"] == 0.0,
                 rational_utility=canon_float(r_metrics["utility"]),
-                comply_utility=canon_float(dict(comply.metrics)["utility"]),
+                comply_utility=canon_float(dict(comply[0].metrics)["utility"]),
                 victim_net=max(
                     (net for party, net in rational.premium_net if party not in pivots),
                     default=0,

@@ -58,10 +58,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.pool import MatrixSpec, register_matrix_factory
+from repro.parties.rational import TokenPrices, rational_party
 
 #: premium fractions π swept by the default grid (0 = unhedged baseline).
 DEFAULT_PREMIUM_FRACTIONS = (0.0, 0.01, 0.02, 0.03, 0.05, 0.08)
@@ -194,27 +196,28 @@ def _comply(actor):
     return actor
 
 
-def _make_strategies(party: str, transform):
-    """The two arms of one cell, as checker-style named strategies."""
-    from repro.checker.strategies import NamedStrategy
+class _Arm(NamedTuple):
+    """One arm of a cell: the campaign's duck-typed labelled strategy."""
 
-    return {
-        party: (
-            NamedStrategy(label="comply", transform=_comply),
-            NamedStrategy(label="rational", transform=transform),
-        )
-    }
+    label: str
+    transform: object
+
+
+#: the comply arm every single-pivot block shares.
+_COMPLY = _Arm("comply", _comply)
+
+
+def _make_strategies(party: str, transform):
+    """The two arms of one cell."""
+    return {party: (_COMPLY, _Arm("rational", transform))}
 
 
 def _make_coalition_strategies(transforms: dict[str, object]):
     """One joint-rational strategy per member; the comply arm is the
     block's all-compliant profile (``min_adversaries=2`` suppresses the
     spurious single-member profiles)."""
-    from repro.checker.strategies import NamedStrategy
-
     return {
-        party: (NamedStrategy(label="rational", transform=transform),)
-        for party, transform in transforms.items()
+        party: (_Arm("rational", transform),) for party, transform in transforms.items()
     }
 
 
@@ -242,29 +245,21 @@ def _make_metrics(parties, prices, completed):
     return metrics
 
 
-def _axes(
-    pi: float,
-    premium: int,
-    shock: float,
-    stage: str,
-    height: int,
-    coalition: str = "",
-):
-    """Cell coordinates; ``premium`` is the *effective* integer premium the
+def _axes(pi: str, premium: int, shock: str, stage: str, height: int, coalition: str):
+    """Cell coordinates, π and shock already rendered by :func:`fmt_fraction`;
+    ``premium`` is the *effective* integer premium the
     fraction π bought after rounding, recorded so a quantized grid (e.g.
     π = 0.025 on a 100 principal → premium 2) can never misstate what
     actually hedged the run.  Coalition cells carry their pivot-set name as
     an extra axis so the frontier reducer prices them separately."""
-    axes = [
-        ("pi", fmt_fraction(pi)),
+    axes = (
+        ("pi", pi),
         ("premium", str(premium)),
-        ("shock", fmt_fraction(shock)),
+        ("shock", shock),
         ("stage", stage),
         ("shock_height", str(height)),
-    ]
-    if coalition:
-        axes.append(("coalition", coalition))
-    return tuple(axes)
+    )
+    return axes + (("coalition", coalition),) if coalition else axes
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +378,7 @@ def _auction_shape() -> CellShape:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyCell:
     """One family's fully-wired cell context at one integer premium.
 
@@ -397,25 +392,30 @@ class FamilyCell:
     and the premium-free constants (price-path base, properties, metrics
     parties).  Building both engines' cells from the same context is what
     makes them agree cell-by-cell: same closures, same float op order,
-    same block descriptors.
+    same block descriptors.  Cells are memoized per premium (see
+    :func:`family_cell`) and shared, so they are frozen.
     """
 
     family: str
     coalition: str  #: "" for the family's single pivot
     premium: int  #: the effective integer premium π bought after rounding
     shape: CellShape
-    metrics_parties: tuple[str, ...]  #: utility-metric party set, in order
     builder: object
-    base_values: tuple[tuple[str, float], ...]  #: TokenPrices ``base``
     properties: tuple
     completed: object  #: instance -> bool, the cell's completion predicate
-    schedule_prefix: str  #: e.g. "" / "ring3/" / "ring3/P1+P2/"
     model_factory: object  #: prices -> UtilityModel (the rational arm)
     gain_terms: object  #: view -> list of per-member (sign, amount, asset) folds
     #: how the folds combine into the model's completion gain:
     #: "single" (one fold, as-is), "sum" (0 + fold_1 + ...), or "diff"
     #: (fold_1 − fold_2, single-term folds — the auction's two legs).
     gain_shape: str
+    base_values: tuple[tuple[str, float], ...] = ()  #: TokenPrices ``base``
+    schedule_prefix: str = ""  #: e.g. "" / "ring3/" / "ring3/P1+P2/"
+
+    @property
+    def metrics_parties(self) -> tuple[str, ...]:
+        """The utility-metric party set, in order: the pivot set."""
+        return self.shape.pivots
 
 
 def _pivot_closures(shape: CellShape, coalition: str):
@@ -480,16 +480,10 @@ def _two_party_cell(family, coalition, shape, premium) -> FamilyCell:
         return [list(completion_gain_terms(spec.bob, view, contracts))]
 
     return FamilyCell(
-        family=family,
-        coalition=coalition,
-        premium=premium,
-        shape=shape,
-        metrics_parties=shape.pivots,
+        family, coalition, premium, shape,
         builder=builder,
-        base_values=(),
         properties=(props.no_stuck_escrow, props.two_party_hedged),
         completed=_two_party_completed,
-        schedule_prefix="",
         model_factory=model_factory,
         gain_terms=gain_terms,
         gain_shape="single",
@@ -524,13 +518,8 @@ def _graph_cell(graph, prefix, family, coalition, shape, premium) -> FamilyCell:
         )
 
     return FamilyCell(
-        family=family,
-        coalition=coalition,
-        premium=premium,
-        shape=shape,
-        metrics_parties=shape.pivots,
+        family, coalition, premium, shape,
         builder=builder,
-        base_values=(),
         properties=(props.no_stuck_escrow, props.multi_party_lemmas),
         completed=completed,
         schedule_prefix=f"{prefix}{coalition}/" if coalition else prefix,
@@ -571,11 +560,7 @@ def _broker_cell(family, coalition, shape, premium) -> FamilyCell:
     builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
     model_factory, gain_terms, gain_shape = _pivot_closures(shape, coalition)
     return FamilyCell(
-        family=family,
-        coalition=coalition,
-        premium=premium,
-        shape=shape,
-        metrics_parties=shape.pivots,
+        family, coalition, premium, shape,
         builder=builder,
         base_values=_broker_prices_base(BrokerSpec()),
         properties=(props.no_stuck_escrow, props.broker_bounds),
@@ -623,16 +608,11 @@ def _auction_cell(family, coalition, shape, premium) -> FamilyCell:
         return [[(1, best_bid, coin)], [(1, spec.tickets, ticket)]]
 
     return FamilyCell(
-        family=family,
-        coalition=coalition,
-        premium=premium,
-        shape=shape,
-        metrics_parties=shape.pivots,
+        family, coalition, premium, shape,
         builder=builder,
         base_values=base_values,
         properties=(props.no_stuck_escrow, props.auction_lemmas),
         completed=_auction_completed,
-        schedule_prefix="",
         model_factory=model_factory,
         gain_terms=gain_terms,
         gain_shape="diff",
@@ -739,8 +719,12 @@ def cell_shape(family: str, coalition: str) -> CellShape:
     return cell_context(family, coalition).shape()
 
 
+#: cells :func:`family_cell` keeps; a default refine pass touches a few dozen.
+FAMILY_CELL_MEMO = 256
+
+
 def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
-    """Build the cell context for ``(family, coalition, premium)``.
+    """The cell context for ``(family, coalition, premium)``.
 
     ``premium`` is the *effective integer* premium (what
     :func:`scaled_premium` quantizes a fraction π into against the
@@ -749,24 +733,47 @@ def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
     context from a scenario's axes alone.  Only the premium's closures
     are built here: the structure comes from the context's cached
     :func:`cell_shape`, so a call runs no protocol build.
+
+    Cells are memoized (an LRU of :data:`FAMILY_CELL_MEMO`, with
+    ``cache_info``/``cache_clear``) and hold closures only, never a run.
+    The memo follows :func:`cell_shape`: a cell whose shape is no longer
+    the cached one clears the memo and is built afresh.
     """
+    cell = _memo_cell(family, coalition, premium)
+    if cell.shape is not cell_shape(family, coalition):
+        _memo_cell.cache_clear()
+        cell = _memo_cell(family, coalition, premium)
+    return cell
+
+
+@lru_cache(maxsize=FAMILY_CELL_MEMO)
+def _memo_cell(family: str, coalition: str, premium: int) -> FamilyCell:
     make = cell_context(family, coalition).cell
     return make(family, coalition, cell_shape(family, coalition), premium)
 
 
-def _add_blocks(
-    matrix, family, coalition, premium_fractions, shock_fractions, stages
-) -> None:
-    """Expand one context's cells over π × shock × stage into blocks."""
-    from repro.parties.rational import TokenPrices, rational_party
+family_cell.cache_clear = _memo_cell.cache_clear
+family_cell.cache_info = _memo_cell.cache_info
 
-    builder_id = cell_context(family, coalition).builder_id
+
+def _add_blocks(
+    matrix, context, family, coalition, premium_fractions, shock_fractions, stages
+) -> None:
+    """Expand one context's cells over π × shock × stage into blocks,
+    rendering each π and each shock once."""
+    builder_id = context.builder_id
     base = premium_base(family)
+    shocks = [(shock, fmt_fraction(shock)) for shock in shock_fractions]
+    if coalition:
+        expansion = dict(max_adversaries=2, min_adversaries=2, include_compliant=True)
+    else:
+        expansion = dict(max_adversaries=1, include_compliant=False)
     for pi in premium_fractions:
         cell = family_cell(family, coalition, scaled_premium(pi, base))
         shape = cell.shape
+        pi_text = fmt_fraction(pi)
         arms = stage_heights(stages, dict(shape.named), shape.horizon)
-        for shock in shock_fractions:
+        for shock, shock_text in shocks:
             for stage, height in arms:
                 prices = TokenPrices(
                     base=cell.base_values,
@@ -782,23 +789,16 @@ def _add_blocks(
                     strategies = _make_coalition_strategies(
                         {member: transform for member in shape.pivots}
                     )
-                    expansion = dict(
-                        max_adversaries=2, min_adversaries=2, include_compliant=True
-                    )
                 else:
                     strategies = _make_strategies(shape.pivots[0], transform)
-                    expansion = dict(max_adversaries=1, include_compliant=False)
                 matrix.add_block(
                     family=family,
-                    schedule=(
-                        f"{cell.schedule_prefix}pi{fmt_fraction(pi)}"
-                        f"/s{fmt_fraction(shock)}@{stage}"
-                    ),
+                    schedule=f"{cell.schedule_prefix}pi{pi_text}/s{shock_text}@{stage}",
                     builder=cell.builder,
                     builder_id=builder_id,
                     properties=cell.properties,
                     strategies=strategies,
-                    extra_axes=_axes(pi, cell.premium, shock, stage, height, coalition),
+                    extra_axes=_axes(pi_text, cell.premium, shock_text, stage, height, coalition),
                     metrics=_make_metrics(cell.metrics_parties, prices, cell.completed),
                     **expansion,
                 )
@@ -1011,6 +1011,20 @@ def _validate_grid(families, stages) -> None:
         )
 
 
+def _check_fractions(premium_fractions, shock_fractions) -> None:
+    """Refuse canonical (finite) fractions no run can price: a negative π,
+    a π whose premium on the principal (the largest premium base)
+    overflows, or a shock outside [0, 1)."""
+    for pi in premium_fractions:
+        if pi < 0.0 or pi * PRINCIPAL == float("inf"):
+            raise ValueError(
+                f"premium fraction {pi!r} out of range: it must be >= 0 and buy a finite premium"
+            )
+    for shock in shock_fractions:
+        if not 0.0 <= shock < 1.0:
+            raise ValueError(f"shock fraction {shock!r} out of range: it must be in [0, 1)")
+
+
 def ablation_matrix_spec(
     families: tuple[str, ...] | None = None,
     premium_fractions: tuple[float, ...] | None = None,
@@ -1038,6 +1052,7 @@ def ablation_matrix_spec(
     )
     stages = tuple(stages) if stages is not None else DEFAULT_STAGES
     _validate_grid(families, stages)
+    _check_fractions(premium_fractions, shock_fractions)
     return MatrixSpec(
         factory="ablation",
         kwargs=(
@@ -1085,8 +1100,9 @@ def ablation_matrix(
     for family in families:
         swept = ABLATION_COALITIONS.get(family, ()) if coalitions else ()
         for coalition in ("",) + swept:
+            context = cell_context(family, coalition)
             _add_blocks(
-                matrix, family, coalition, premium_fractions, shock_fractions, stages
+                matrix, context, family, coalition, premium_fractions, shock_fractions, stages
             )
     matrix.spec = spec
     return matrix
@@ -1110,7 +1126,7 @@ def ablation_cell(
     worker-side digest audit as full grids.  ``coalition`` selects a named
     joint-pivot cell instead of the family's single pivot.
     """
-    cell_context(family, coalition)  # an unknown cell fails before the stage
+    context = cell_context(family, coalition)  # an unknown cell fails first
     if not valid_stage(stage) or stage == STAGE_ALL:
         raise ValueError(
             f"ablation_cell needs one concrete stage, got {stage!r} "
@@ -1118,8 +1134,9 @@ def ablation_cell(
         )
     pi = canon_float(pi)
     shock = canon_float(shock)
+    _check_fractions((pi,), (shock,))
     matrix = ScenarioMatrix(seed=seed)
-    _add_blocks(matrix, family, coalition, (pi,), (shock,), (stage,))
+    _add_blocks(matrix, context, family, coalition, (pi,), (shock,), (stage,))
     matrix.spec = MatrixSpec(
         factory="ablation_cell",
         kwargs=(

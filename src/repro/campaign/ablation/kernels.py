@@ -646,10 +646,6 @@ class KernelEngine:
         self._kernels: dict[tuple[str, str, int], _CellKernel] = {}
         #: (family, coalition) -> its calibration pair (named contexts).
         self._pairs: dict[tuple[str, str], _CellPair] = {}
-        #: axes tuple -> (family, coalition, premium, shock, height,
-        #: rational) — parsing is per distinct cell coordinate, not per
-        #: scenario execution, so re-runs and refine loops skip it.
-        self._coords: dict[tuple, tuple] = {}
         #: optional repro.obs.Tracer — counts calibrations, evaluated
         #: templates, simulator fallbacks, cell-cache hits and replays,
         #: and wraps each cell group in a "block" span.  Digest-inert:
@@ -662,9 +658,6 @@ class KernelEngine:
 
     # ------------------------------------------------------------------
     def _parse(self, scenario: Scenario) -> tuple:
-        coords = self._coords.get(scenario.axes)
-        if coords is not None:
-            return coords
         axes = dict(scenario.axes)
         try:
             family = axes["family"]
@@ -683,7 +676,7 @@ class KernelEngine:
                 f"scenario {scenario.label!r} has unknown strategy arm "
                 f"{strategy!r}"
             )
-        coords = (
+        return (
             family,
             axes.get("coalition", ""),
             premium,
@@ -691,8 +684,6 @@ class KernelEngine:
             shock_height,
             strategy == "rational",
         )
-        self._coords[scenario.axes] = coords
-        return coords
 
     def _kernel_for(self, family: str, coalition: str, premium: int) -> _CellKernel:
         key = (family, coalition, premium)
@@ -793,26 +784,20 @@ class KernelEngine:
             arm.append(member)
         buckets: dict[tuple[int, int], tuple] = {}
         for (shock_height, rational), entries in arms.items():
-            by_round = {-1: entries}
+            walked = (-1,) * len(entries)
             if rational:
                 walked = kernel.walk_rounds(shock_height, [e[2][3] for e in entries])
                 self._count("kernel.replays")
-                by_round = {}
-                for entry, w in zip(entries, walked):
-                    group = by_round.get(w)
-                    if group is None:
-                        group = by_round[w] = []
-                    group.append(entry)
-            for w, group in by_round.items():
+            for entry, w in zip(entries, walked):
                 template = comply if w < 0 else kernel.walk_template(w, self._count)
                 # Identity keys an in-process bucket of shared templates;
                 # never digested or serialized.
                 key = (id(template), shock_height)  # lint: disable=DET001
                 bucket = buckets.get(key)
                 if bucket is None:
-                    buckets[key] = (template, shock_height, list(group))
+                    buckets[key] = (template, shock_height, [entry])
                 else:
-                    bucket[2].extend(group)
+                    bucket[2].append(entry)
         # Decisions and trajectory templates are in hand; distribute
         # the group's shared cost (elapsed is reported, not digested).
         elapsed_each = (time.perf_counter() - start) / max(1, len(members))

@@ -69,7 +69,7 @@ from repro.campaign.ablation.frontier import (
 )
 from repro.campaign.ablation.grid import ablation_cell
 from repro.campaign.runner import CampaignRunner, run_digest
-from repro.obs import maybe_inc
+from repro.obs import maybe_inc, maybe_laps
 
 #: default bisection tolerance on the premium fraction: 1/64.
 DEFAULT_TOL = 0.015625
@@ -270,6 +270,11 @@ class _CellProber:
     backend: no report is built, and its ``run_digest`` is the one
     ``CampaignRunner(cell).run()`` reports.
 
+    A probe pays only for its own π and shock — its matrix, expansion, run
+    and pairing (perfbench ``refine-kernel`` p50 ≈0.104 ms on 2 vCPUs, was
+    ≈0.135): its ``(family, coalition, premium)`` cell comes from the
+    process-wide, 256-cell LRU memo of ``grid.family_cell``.
+
     ``cache`` is the incremental result cache: each probe cell is one
     matrix block, so a warm refinement (or one following a lattice run
     that already executed the same cells) serves probes straight from the
@@ -280,7 +285,8 @@ class _CellProber:
     cost is paid once per ``(family, coalition, premium)`` even though
     bisection probes arrive one premium at a time.  Otherwise a ``pool``
     runs them on the process backend, and with neither they run serially.
-    A tracer counts ``refine.probes`` and ``refine.probe_cache_hits``.
+    A tracer counts ``refine.probes`` and ``refine.probe_cache_hits`` and
+    times ``refine.probe_build``/``_dispatch``/``_pairing`` per probe.
     """
 
     def __init__(
@@ -307,9 +313,11 @@ class _CellProber:
     def probe(
         self, family: str, pi: float, shock: float, stage: str, coalition: str
     ) -> ProbeCell:
+        lap = maybe_laps(self.tracer)
         matrix = ablation_cell(
             family, pi, shock, stage, coalition=coalition, seed=self.seed
         )
+        lap("refine.probe_build")
         ran = CampaignRunner(
             matrix,
             backend=self.backend,
@@ -318,6 +326,7 @@ class _CellProber:
             kernel=self.kernel,
             tracer=self.tracer,
         ).run_selection()
+        lap("refine.probe_dispatch")
         self.cache_hits += ran.cache_hits
         maybe_inc(self.tracer, "refine.probes")
         maybe_inc(self.tracer, "refine.probe_cache_hits", ran.cache_hits)
@@ -328,7 +337,9 @@ class _CellProber:
                 f"properties: {violated}"
             )
         (cell,) = frontier_cells(ran.results)
-        return ProbeCell(**vars(cell), run_digest=run_digest(ran))
+        probe = ProbeCell(**vars(cell), run_digest=run_digest(ran))
+        lap("refine.probe_pairing")
+        return probe
 
 
 def _bracket(row) -> tuple[float | None, float | None]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import combinations, product
-from math import prod
 from typing import Iterable, Iterator
 
 from repro.campaign.scenario import (
@@ -77,11 +76,8 @@ def enumerate_profiles(
 
 
 def profile_label(profile: dict[str, LabelledStrategy]) -> str:
-    """Human-readable profile name (stable across runs)."""
-    return (
-        "; ".join(f"{p}:{s.label}" for p, s in sorted(profile.items()))
-        or "all-compliant"
-    )
+    """Human-readable profile name; ``profile`` is in sorted party order."""
+    return "; ".join([f"{p}:{s.label}" for p, s in profile.items()]) or "all-compliant"
 
 
 def validate_shard(shard: tuple[int, int]) -> tuple[int, int]:
@@ -141,11 +137,12 @@ class MatrixBlock:
     _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        spaces = [len(space) for _, space in self.strategies]
-        sizes = range(max(1, self.min_adversaries), self.max_adversaries + 1)
-        count = int(self.include_compliant) + sum(
-            prod(subset) for size in sizes for subset in combinations(spaces, size)
-        )
+        # by_size[k]: profiles deviating exactly k parties (k-th elementary symmetric sum)
+        by_size = [1] + [0] * self.max_adversaries
+        for _, space in self.strategies:
+            for k in range(self.max_adversaries, 0, -1):
+                by_size[k] += by_size[k - 1] * len(space)
+        count = int(self.include_compliant) + sum(by_size[max(1, self.min_adversaries):])
         object.__setattr__(self, "_size", count)
 
     def strategy_map(self) -> dict[str, list[LabelledStrategy]]:
@@ -166,14 +163,14 @@ class MatrixBlock:
             str(self.min_adversaries),
             str(self.include_compliant),
             ",".join(self.extra_adversaries),
-            ",".join(getattr(p, "__name__", repr(p)) for p in self.properties),
-            ",".join(f"{axis}={value}" for axis, value in self.extra_axes),
+            ",".join([getattr(p, "__name__", repr(p)) for p in self.properties]),
+            ",".join([f"{axis}={value}" for axis, value in self.extra_axes]),
             getattr(self.metrics, "__qualname__", type(self.metrics).__name__)
             if self.metrics is not None
             else "",
         ]
         for party, space in self.strategies:
-            parts.append(party + "=" + ",".join(s.label for s in space))
+            parts.append(party + "=" + ",".join([s.label for s in space]))
         return "|".join(parts)
 
 
@@ -237,7 +234,7 @@ class ScenarioMatrix:
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(block.size() for block in self.blocks)
+        return sum([block._size for block in self.blocks])
 
     def families(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -400,10 +397,10 @@ class ScenarioMatrix:
             label_prefix = (
                 f"{block.family}/{block.schedule}/" if block.family else ""
             )
-            base_axes = [("family", block.family), ("schedule", block.schedule)]
-            base_axes += list(block.extra_axes)
+            base_axes = (("family", block.family), ("schedule", block.schedule), *block.extra_axes)
+            extra = block.extra_adversaries
             for profile in enumerate_profiles(
-                block.strategy_map(),
+                dict(block.strategies),
                 block.max_adversaries,
                 block.include_compliant,
                 block.min_adversaries,
@@ -411,11 +408,10 @@ class ScenarioMatrix:
                 if selected is not None and index not in selected:
                     index += 1
                     continue
-                adversaries = tuple(
-                    sorted(set(profile) | set(block.extra_adversaries))
-                )
+                # enumerate_profiles yields parties in sorted order already.
+                adversaries = tuple(sorted({*profile, *extra})) if extra else tuple(profile)
                 strategy_axes = _strategy_axes(profile)
-                if not profile and block.extra_adversaries:
+                if not profile and extra:
                     # The deviation is baked into the builder (e.g. a
                     # cheating auctioneer): not a compliant scenario.
                     strategy_axes = [("strategy", "builder-deviant"), ("round", "-")]
@@ -424,13 +420,9 @@ class ScenarioMatrix:
                     label=label_prefix + profile_label(profile),
                     builder=block.builder,
                     properties=block.properties,
-                    profile=tuple(sorted(profile.items())),
+                    profile=tuple(profile.items()),
                     adversaries=adversaries,
-                    axes=tuple(
-                        base_axes
-                        + strategy_axes
-                        + [("adversaries", ",".join(adversaries) or "none")]
-                    ),
+                    axes=(*base_axes, *strategy_axes, ("adversaries", ",".join(adversaries) or "none")),
                     metrics_fn=block.metrics,
                 )
                 index += 1

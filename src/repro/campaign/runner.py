@@ -659,7 +659,8 @@ class CampaignRunner:
             if not to_run:  # fully cache-warm: nothing to expand or fork for
                 fresh = []
             else:
-                scenarios = list(self.matrix.scenarios(indices=to_run))
+                subset = to_run if len(to_run) < total else None
+                scenarios = list(self.matrix.scenarios(indices=subset))
                 if backend == "process":
                     # Inherited by the pool's workers if it forks for this run.
                     share_rows(matrix_digest, scenarios)
@@ -680,7 +681,8 @@ class CampaignRunner:
                     fresh = self._run_kernel(scenarios, tracer=tracer, meter=meter)
                 else:
                     fresh = self._run_serial(scenarios, tracer=tracer, meter=meter)
-        ran = {result.index: result for result in fresh}
+        if pending or hits:
+            ran = {result.index: result for result in fresh}
         if pending:
             with maybe_span(tracer, "campaign.store", blocks=len(pending)):
                 self._store_blocks(pending, ran)

@@ -24,6 +24,7 @@ from .tracer import (
     Tracer,
     gc_pauses,
     maybe_inc,
+    maybe_laps,
     maybe_span,
     phase_fragments,
     worker_sample,
@@ -43,6 +44,7 @@ __all__ = [
     "TraceSummary",
     "gc_pauses",
     "maybe_inc",
+    "maybe_laps",
     "maybe_span",
     "phase_fragments",
     "summarize_trace",

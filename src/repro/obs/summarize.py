@@ -14,7 +14,8 @@ it into the questions an operator actually asks of a campaign run:
   context's p = 1 / p = 2 pair, simulator fallbacks, replays and
   cell-cache hits;
 - **refinement** — bisection probes and the probe scenarios the result
-  cache served;
+  cache served, then where a probe's time went: building its matrix,
+  dispatching it, and pairing its arms into a cell;
 - **worker skew** — per-worker scenario counts and busy time carried
   back over the fork boundary, condensed to max/mean imbalance ratios;
 - **parallel efficiency** — on process runs, Σ worker busy time over
@@ -72,6 +73,8 @@ class TraceSummary:
     progress_total: int = 0
     #: Σ seconds of the ``gc.pause`` timing (collections are a counter)
     gc_pause_seconds: float = 0.0
+    #: Σ seconds per timing name (the probe laps, gc pauses, ...)
+    timings: dict[str, float] = field(default_factory=dict)
 
     # -- cache ---------------------------------------------------------
     @property
@@ -172,6 +175,12 @@ class TraceSummary:
             probes = int(self.counters["refine.probes"])
             hits = int(self.counters.get("refine.probe_cache_hits", 0))
             lines.append(f"refine: {probes} probes, {hits} probe scenarios from the cache")
+            names = ("build", "dispatch", "pairing")  # the prober's laps, in probe order
+            laps = [(lap, self.timings.get(f"refine.probe_{lap}")) for lap in names]
+            if probes and all(total is not None for _, total in laps):
+                lines.append("probe time: " + ", ".join(
+                    f"{lap} {total:.3f}s ({total / probes * 1e6:.0f} us/probe)" for lap, total in laps
+                ))
         if "gc.collections" in self.counters:
             share = self.gc_pause_seconds / self.wall_seconds if self.wall_seconds else 0.0
             lines.append(
@@ -222,6 +231,7 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     summary.progress_done = progress_done
     summary.progress_total = progress_total
     summary.gc_pause_seconds = timings.get("gc.pause", {}).get("total", 0.0)
+    summary.timings = {name: event["total"] for name, event in timings.items()}
 
     roots = [span for span in spans if span["depth"] == 0]
     if roots:

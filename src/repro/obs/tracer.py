@@ -40,7 +40,7 @@ import gc
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -354,9 +354,7 @@ class Tracer:
         self.close()
 
 
-@contextmanager
-def _null_span() -> Iterator[None]:
-    yield
+_NULL_SPAN = nullcontext()  # reusable and reentrant: one serves every no-op span
 
 
 def maybe_span(tracer: Tracer | None, name: str, **attrs: object):
@@ -366,8 +364,27 @@ def maybe_span(tracer: Tracer | None, name: str, **attrs: object):
     ``tracer=None`` (the default throughout the campaign stack).
     """
     if tracer is None:
-        return _null_span()
+        return _NULL_SPAN
     return tracer.span(name, **attrs)
+
+
+def maybe_laps(tracer: Tracer | None) -> Callable[[str], None]:
+    """``lap(name)`` observes the seconds since the previous lap (or this
+    call) as timing ``name``; without a tracer, a no-op reading no clock."""
+    if tracer is None:
+        return _no_lap
+    last = time.perf_counter()
+
+    def lap(name: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        tracer.metrics.observe(name, now - last)
+        last = now
+
+    return lap
+
+
+_no_lap = lambda name: None
 
 
 def maybe_inc(tracer: Tracer | None, name: str, amount: float = 1) -> None:

@@ -22,6 +22,8 @@ from dataclasses import FrozenInstanceError, fields
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignReport,
@@ -535,3 +537,148 @@ def test_unknown_cell_context_is_refused():
         grid.family_cell("two-party", "P1+P2", 3)
     with pytest.raises(ValueError, match="unknown ablation cell"):
         grid.family_cell("ring:1", "", 3)
+
+
+# ----------------------------------------------------------------------
+# the family-cell memo: one frozen cell per (family, coalition, premium)
+# ----------------------------------------------------------------------
+def test_family_cell_memo_follows_the_shape_cache():
+    cell = grid.family_cell("broker", "seller+buyer", 3)
+    assert grid.family_cell("broker", "seller+buyer", 3) is cell
+    grid.cell_shape.cache_clear()
+    fresh = grid.family_cell("broker", "seller+buyer", 3)
+    assert fresh is not cell
+    assert fresh.shape is grid.cell_shape("broker", "seller+buyer")
+    # every other memoized cell follows too, not only the first one asked
+    for family, coalition in SHAPE_CONTEXTS:
+        grid.cell_shape.cache_clear()
+        for premium in (0, 3):
+            assert (
+                grid.family_cell(family, coalition, premium).shape
+                is grid.cell_shape(family, coalition)
+            )
+
+
+def test_family_cell_memo_is_bounded_and_its_cells_frozen():
+    info = grid.family_cell.cache_info()
+    assert info.maxsize == grid.FAMILY_CELL_MEMO == 256
+    grid.family_cell.cache_clear()
+    for premium in range(grid.FAMILY_CELL_MEMO + 20):
+        grid.family_cell("two-party", "", premium)
+    assert grid.family_cell.cache_info().currsize == grid.FAMILY_CELL_MEMO
+    cell = grid.family_cell("two-party", "", 3)
+    with pytest.raises(FrozenInstanceError):
+        cell.premium = 4
+    with pytest.raises(FrozenInstanceError):
+        cell.builder = None
+
+
+def _uncached_family_cell(family, coalition, premium):
+    """A cell from uncached pieces: a fresh shape build and a fresh cell."""
+    shape = grid.cell_shape.__wrapped__(family, coalition)
+    return grid.cell_context(family, coalition).cell(family, coalition, shape, premium)
+
+
+def _route(pi, shock, stage, family, coalition, probers):
+    matrix = grid.ablation_cell(family, pi, shock, stage, coalition=coalition)
+    scenarios = [(s.label, s.axes) for s in matrix.scenarios()]
+    probes = [prober.probe(family, pi, shock, stage, coalition) for prober in probers]
+    return matrix.digest(), scenarios, probes
+
+
+@pytest.fixture(scope="module")
+def route_probers():
+    """(memoized, reference) prober pairs on the kernel and serial backends."""
+    from repro.campaign.ablation import KernelEngine
+    from repro.campaign.ablation.refine import _CellProber
+
+    return tuple(
+        (_CellProber(kernel=KernelEngine()), _CellProber()) for _ in range(2)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_memoized_probe_route_matches_uncached_cells(route_probers, data):
+    from unittest import mock
+
+    from repro.campaign.ablation.refine import EXPAND_CEILING
+
+    family, coalition = data.draw(st.sampled_from(tuple(grid.CELL_CONTEXTS)))
+    base = grid.premium_base(family)
+    # two π that quantize to one integer premium, so they share a cell
+    premium = data.draw(st.integers(0, int(EXPAND_CEILING * base)), label="premium")
+    offsets = st.floats(-0.49, 0.49, allow_nan=False)
+    pis = [
+        min(max((premium + data.draw(offsets, label="offset")) / base, 0.0), EXPAND_CEILING)
+        for _ in range(2)
+    ]
+    shock = data.draw(st.floats(0.0, 0.3, allow_nan=False), label="shock")
+    stage = data.draw(
+        st.sampled_from(grid.DEFAULT_STAGES)
+        | st.integers(0, 12).map(lambda k: f"round:{k}"),
+        label="stage",
+    )
+    memoized, reference = route_probers
+    for pi in pis:
+        ran = _route(pi, shock, stage, family, coalition, memoized)
+        with mock.patch.object(grid, "family_cell", _uncached_family_cell):
+            expected = _route(pi, shock, stage, family, coalition, reference)
+        assert ran == expected  # matrix digest, labels and axes, ProbeCells
+        assert ran[2][0] == ran[2][1]  # kernel == serial, run digest included
+
+
+# ----------------------------------------------------------------------
+# grid inputs are bounded before any work
+# ----------------------------------------------------------------------
+BAD_PREMIUMS = (-0.5, -1e-9, 1e308, float("inf"), float("nan"))
+BAD_SHOCKS = (1.5, 1.0, -0.2, float("inf"), float("nan"))
+
+
+@pytest.mark.parametrize("pi", BAD_PREMIUMS)
+def test_grid_refuses_an_unpriceable_premium_fraction(pi):
+    with pytest.raises(ValueError, match="premium fraction|non-finite"):
+        grid.ablation_matrix_spec(families=("two-party",), premium_fractions=(pi,))
+    with pytest.raises(ValueError, match="premium fraction|non-finite"):
+        grid.ablation_cell("two-party", pi, 0.045, "staked")
+
+
+@pytest.mark.parametrize("shock", BAD_SHOCKS)
+def test_grid_refuses_a_shock_outside_the_unit_interval(shock):
+    with pytest.raises(ValueError, match="shock fraction|non-finite"):
+        grid.ablation_matrix_spec(families=("two-party",), shock_fractions=(shock,))
+    with pytest.raises(ValueError, match="shock fraction|non-finite"):
+        grid.ablation_cell("two-party", 0.02, shock, "staked")
+
+
+def test_grid_bounds_premiums_on_the_largest_base():
+    # 1e306 buys a finite premium on every base; 1e307 overflows the
+    # 100 principal, the largest premium base.
+    assert max(map(grid.premium_base, grid.ABLATION_FAMILIES)) == grid.PRINCIPAL
+    grid.ablation_matrix_spec(families=("auction",), premium_fractions=(1e306,))
+    with pytest.raises(ValueError, match="premium fraction"):
+        grid.ablation_matrix_spec(families=("two-party",), premium_fractions=(1e307,))
+    # the edges themselves are in range
+    grid.ablation_matrix_spec(premium_fractions=(0.0, 2.0), shock_fractions=(0.0, 0.999))
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--premiums", "-0.5", "premium fraction -0.5 out of range"),
+        ("--premiums", "1e308", "premium fraction 1e+308 out of range"),
+        ("--shocks", "1.5", "shock fraction 1.5 out of range"),
+        ("--shocks", "-0.2", "shock fraction -0.2 out of range"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ablate", "ablate-refine"])
+def test_cli_refuses_out_of_range_grid_inputs(command, flag, value, message):
+    from repro.campaign.experiment import ablate_spec
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ablate_spec(families=("two-party",), **{
+            "premium_fractions" if flag == "--premiums" else "shock_fractions": (float(value),)
+        })
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}"):
+        main([command, "--families", "two-party", f"{flag}={value}"])

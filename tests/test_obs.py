@@ -207,18 +207,32 @@ def test_refine_trace_counts_probes_beside_the_kernel_line(tmp_path):
         assert result.refined.digest == untraced.refined.digest
         summary = summarize_trace(trace_path)
         assert summary.counters["refine.probes"] == probes
+        # one build, dispatch and pairing lap per probe
+        for lap in ("build", "dispatch", "pairing"):
+            stat = tracer.metrics.snapshot().timing(f"refine.probe_{lap}")
+            assert stat.count == probes
+            assert summary.timings[f"refine.probe_{lap}"] == stat.total > 0
         rendered[name] = summary.render().splitlines()
     # Cold: the refine line sits beside the kernel line; each probe is a
-    # two-scenario block the cache stores.
+    # two-scenario block the cache stores.  The probe laps follow it.
     cold = rendered["cold"]
     kernel_at = next(i for i, line in enumerate(cold) if line.startswith("kernel:"))
     assert cold[kernel_at + 1] == (
         f"refine: {probes} probes, 0 probe scenarios from the cache"
     )
+    assert re.fullmatch(
+        r"probe time: build \d+\.\d{3}s \(\d+ us/probe\), "
+        r"dispatch \d+\.\d{3}s \(\d+ us/probe\), "
+        r"pairing \d+\.\d{3}s \(\d+ us/probe\)",
+        cold[kernel_at + 2],
+    )
     # Warm: the cache serves every probe, so the kernel never runs.
     warm = rendered["warm"]
     assert not any(line.startswith("kernel:") for line in warm)
-    assert f"refine: {probes} probes, {2 * probes} probe scenarios from the cache" in warm
+    refine_at = warm.index(
+        f"refine: {probes} probes, {2 * probes} probe scenarios from the cache"
+    )
+    assert warm[refine_at + 1].startswith("probe time: build ")
 
 
 def test_warm_cache_trace_reports_hit_rate(tmp_path):
