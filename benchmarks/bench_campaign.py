@@ -24,8 +24,11 @@ written alongside:  python benchmarks/bench_campaign.py
 Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
 the multi-party family serially, through a pool opened for the run and
 through a persistent :class:`WorkerPool`, and fails if a block's builds
-stop sharing one graph, if a block's premium memos grow after its first
-build (per-scenario invariants recomputed in the hot path), if the
+stop sharing one graph, if a block's premium plan grows after its first
+build (per-scenario invariants recomputed in the hot path), if the cold
+sizing of the fresh matrix visits more member-set search states than
+:data:`MAX_SIZING_STATES` (worst-case funding back on an enumeration of
+every path member set), if the
 serial, process and persistent-pool digests differ, or if the serial
 digest is not the committed :data:`GATE_RUN_DIGEST` (a change that moves
 every backend's digest together still fails).  On the serial run
@@ -67,7 +70,7 @@ from repro.campaign import (
     default_matrix,
 )
 from repro.campaign.pool import TASKS_PER_WORKER, default_workers, dispatch_layout
-from repro.core.premiums import memo_sizes
+from repro.core.premiums import premium_plan
 from repro.obs import Tracer, phase_fragments
 
 try:
@@ -80,8 +83,14 @@ except ImportError:  # running the file directly from within benchmarks/
 REUSE_FAMILIES = ("broker", "auction", "sealed-auction", "bootstrap")
 REUSE_RUNS = 4
 
-# The family whose builds size premiums from per-graph memos.
+# The family whose builds size premiums from per-graph premium plans.
 GATE_FAMILIES = ("multi-party",)
+
+# Member-set search states that sizing the fresh gate matrix may visit:
+# the exact count with the inclusion-minimal search, one search per
+# (redeemer, leader) pair; later builds add none.  Enumerating every path
+# member set instead visits 18,410, almost all on the complete:N blocks.
+MAX_SIZING_STATES = 1_012
 
 # The run digest of the gate's serial multi-party run.  Backends agreeing
 # with each other is not enough: a change that moves them all together
@@ -361,13 +370,15 @@ def counting_cyclic_garbage():
 
 
 def run_gate() -> int:
-    """CI ratchet: shared graphs, memos that stop growing, digest parity,
-    leaf-work and cyclic-garbage ceilings, and balanced dispatch."""
+    """CI ratchet: shared graphs, premium plans that stop growing, a cold
+    sizing ceiling, digest parity, leaf-work and cyclic-garbage ceilings,
+    and balanced dispatch."""
     matrix = default_matrix(families=GATE_FAMILIES)
     first = []
     for block in matrix.blocks:
         graph = block.builder().meta["graph"]
-        first.append((graph, memo_sizes(graph)))
+        first.append((graph, premium_plan(graph).sizes()))
+    sizing_states = sum(premium_plan(graph).search_states for graph, _ in first)
     with counting_leaf_calls() as leaf, counting_cyclic_garbage() as garbage:
         serial = CampaignRunner(matrix, backend="serial").run()
     process = CampaignRunner(matrix, backend="process").run()
@@ -378,7 +389,7 @@ def run_gate() -> int:
     rows = []
     for block, (graph, before) in zip(matrix.blocks, first):
         shared = block.builder().meta["graph"] is graph
-        after = memo_sizes(graph)
+        after = premium_plan(graph).sizes()
         rows.append(
             (
                 block.schedule,
@@ -393,7 +404,7 @@ def run_gate() -> int:
         grown = [name for name in after if after[name] != before[name]]
         if grown:
             failures.append(
-                f"{block.schedule}: memos {grown} grew after the first build"
+                f"{block.schedule}: plan tables {grown} grew after the first build"
             )
     if not serial.run_digest == process.run_digest == pooled.run_digest:
         failures.append(
@@ -407,9 +418,20 @@ def run_gate() -> int:
         )
     header = (
         "block", "scenarios", "shared graph",
-        "memos at first build (eq1/paths/worst)", "memos after run",
+        "plan entries at first build (eq1/worst/escrow/funding)",
+        "plan entries after run",
     )
-    print(format_table("campaign gate: per-block premium memos", header, rows))
+    print(format_table("campaign gate: per-block premium plans", header, rows))
+    print(
+        f"cold sizing: {sizing_states} member-set search states "
+        f"(ceiling {MAX_SIZING_STATES})"
+    )
+    if sizing_states > MAX_SIZING_STATES:
+        failures.append(
+            f"cold sizing of the gate matrix visited {sizing_states} member-set "
+            f"search states, above the ceiling {MAX_SIZING_STATES}: worst-case "
+            "funding no longer searches inclusion-minimal paths only"
+        )
     print(
         f"serial {serial.scenarios_per_second:.0f} scen/s, "
         f"process {process.scenarios_per_second:.0f} scen/s (informational); "

@@ -27,6 +27,12 @@ lost share — or the warm batch parses more row files than the distinct
 row keys it reads — the cache's read memo serves every repeat from
 memory.  Those two ceilings are counts, so they hold on any host.
 
+Run directly, the module also times one cold tier-3 quote per dense
+clique, ``complete:9`` to ``complete:12`` (:data:`DENSE_CELLS`), and
+records the seconds next to the host metadata in ``BENCH_quote.json``.
+A cold dense quote is where premium sizing shows: those times are
+informational, not a gate.
+
 Run directly to print the tables:  python benchmarks/bench_quote.py
 Gate mode (CI):                    python benchmarks/bench_quote.py --gate
 """
@@ -75,6 +81,11 @@ GRAPH_CELLS = (
     ("ring:5", 0.045),
     ("complete:4", 0.045),
 )
+
+#: dense cliques quoted cold, once each, for the informational
+#: ``tier3_cold_complete_s`` record: the first quote of a clique sizes
+#: its premiums from scratch.
+DENSE_CELLS = tuple((f"complete:{n}", 0.05) for n in range(9, 13))
 
 #: tier-1 rotation: every named family, both coalitions, one pre-stake
 #: verdict — the full closed-form surface.
@@ -144,6 +155,24 @@ def generate_tier_latency_table(samples: int = 200):
     records["tier1_p50_budget_ms"] = TIER1_P50_BUDGET_MS
     records["tier2_warm_p50_budget_ms"] = TIER2_WARM_P50_BUDGET_MS
     return ("tier", "route", "n", "p50 (ms)", "p99 (ms)"), rows, records
+
+
+def generate_dense_cold_table():
+    """Wall seconds of one cold tier-3 quote per :data:`DENSE_CELLS` clique,
+    each on a fresh cache, with its quote digest."""
+    rows = []
+    seconds = {}
+    for graph, shock in DENSE_CELLS:
+        with tempfile.TemporaryDirectory() as root:
+            engine = QuoteEngine(cache=ResultCache(pathlib.Path(root)))
+            start = time.perf_counter()
+            quote = engine.quote(QuoteRequest(graph=graph, shock=shock), tiers=(3,))
+            elapsed = time.perf_counter() - start
+        rows.append((graph, shock, f"{elapsed:.3f}", quote.digest()[:12]))
+        seconds[graph] = round(elapsed, 3)
+    return ("graph", "shock", "seconds", "quote digest"), rows, {
+        "tier3_cold_complete_s": seconds
+    }
 
 
 def mixed_basket(n: int = 1000):
@@ -295,6 +324,12 @@ if __name__ == "__main__":
         "EXP-QT: 1000-deal heterogeneous batch, cold vs warm",
         thr_header, thr_rows,
     ))
+    print()
+    dense_header, dense_rows, dense_records = generate_dense_cold_table()
+    print(format_table(
+        "EXP-QT: cold tier-3 quotes on dense cliques (informational)",
+        dense_header, dense_rows,
+    ))
     host = {
         "cpus": os.cpu_count(),
         "machine": platform.machine(),
@@ -302,5 +337,11 @@ if __name__ == "__main__":
     }
     write_bench_json(
         "quote",
-        {"experiment": "EXP-QT", "host": host, **lat_records, **thr_records},
+        {
+            "experiment": "EXP-QT",
+            "host": host,
+            **lat_records,
+            **thr_records,
+            **dense_records,
+        },
     )

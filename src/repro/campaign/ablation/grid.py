@@ -100,7 +100,7 @@ def parse_graph_family(family: str):
 
     Results are cached per name, so every quote, ablation cell and probe
     over one family shares one graph instance — and with it the graph's
-    premium memos (see :mod:`repro.core.premiums`).  The returned graph
+    premium plan (see :mod:`repro.core.premiums`).  The returned graph
     is shared: treat it as immutable.
     """
     from repro.graph.digraph import complete_graph, figure3_graph, ring_graph

@@ -90,10 +90,10 @@ def add_two_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) ->
 
 def add_multi_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) -> None:
     """Hedged multi-party swap (§7.1): halts over graph/premium mixes, from
-    the paper's Figure 3 up to 8-party rings and 8-party cliques (the
-    memoized Equation-1 evaluation in ``repro.core.premiums`` makes dense
-    sizing affordable, and the member-subset worst-case funding enumeration
-    unlocks ``complete:7``/``complete:8``; the densest cliques run on
+    the paper's Figure 3 up to 8-party rings and 8-party cliques (each
+    graph's p-free premium plan in ``repro.core.premiums`` sizes a clique
+    once, taking worst-case funding over inclusion-minimal paths only —
+    on ``complete:N`` just the direct arcs; the densest cliques run on
     progressively coarsened halt grids to keep matrix growth
     proportionate)."""
     from repro.checker import properties as props
@@ -114,7 +114,7 @@ def add_multi_party(matrix: ScenarioMatrix, max_adversaries: int | None = None) 
         ("complete8/p1", lambda: complete_graph(8), 1, 7),
     )
     for name, graph_fn, premium, halt_step in schedules:
-        # One graph per block: its Equation-1 and worst-case funding memos
+        # One graph per block: its premium plan and default leaders
         # then serve every scenario's build, while each build still mints
         # a fresh HedgedMultiPartySwap (and so fresh secrets).
         graph = graph_fn()

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import types
 import typing
 from typing import Any
@@ -72,6 +73,11 @@ def _refuse(what: str, value) -> DecodeError:
 
 def _same(value):
     return value
+
+
+#: the scalar annotations whose JSON value is the field value itself: a
+#: value of exactly this type passes after one ``type()`` comparison.
+_SCALARS = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
 def _exact(kind: type, what: str):
@@ -122,9 +128,8 @@ def _any(value):
 
 def _compile(tp):
     """The (encode, decode) pair of one annotation."""
-    if tp in (str, int, bool):
-        what = {str: "a string", int: "an integer", bool: "a boolean"}[tp]
-        return _same, _exact(tp, what)
+    if tp in _SCALARS:
+        return _same, _exact(tp, _SCALARS[tp])
     if tp is float:
         return canon_float, _real
     if tp is Any:
@@ -142,10 +147,18 @@ def _compile(tp):
     if origin is list or (origin is tuple and args[-1] is Ellipsis):
         enc, dec = _codec(args[0])
         make = list if origin is list else tuple
-        return (
-            lambda value: [enc(item) for item in value],
-            lambda value: make(_items(itertools.repeat(dec), value)),
-        )
+        kind = args[0] if args[0] in _SCALARS else None
+
+        def decode_array(value):
+            if (
+                kind is not None
+                and type(value) is list
+                and list(map(type, value)).count(kind) == len(value)
+            ):
+                return make(value)
+            return make(_items(itertools.repeat(dec), value))
+
+        return lambda value: [enc(item) for item in value], decode_array
     if origin is tuple or (origin is None and hasattr(tp, "_fields")):
         return _record(tp, args or tuple(typing.get_type_hints(tp).values()))
     if origin is None and dataclasses.is_dataclass(tp):
@@ -160,10 +173,14 @@ def _record(tp, args):
     fewest = len(args) - len(getattr(tp, "_field_defaults", ()))
     make = getattr(tp, "_make", tuple)
     what = f"an array of {len(args)} items"
+    kinds = tuple(arg if arg in _SCALARS else None for arg in args)
+    scalar = None not in kinds
 
     def decode_record(value):
         if type(value) is not list or not fewest <= len(value) <= len(args):
             raise _refuse(what, value)
+        if scalar and all(map(operator.is_, map(type, value), kinds)):
+            return make(value)
         try:
             return make(_items(decoders, value))
         except DecodeError as err:
@@ -183,6 +200,7 @@ def _object(cls):
             *_codec(hints[field.name]),
             field.default is dataclasses.MISSING
             and field.default_factory is dataclasses.MISSING,
+            hints[field.name] if hints[field.name] in _SCALARS else None,
         )
         for field in dataclasses.fields(cls)
         if field.init
@@ -190,7 +208,7 @@ def _object(cls):
     names = frozenset(name for name, *_ in fields)
 
     def encode_object(obj) -> dict:
-        return {name: enc(getattr(obj, name)) for name, enc, _, _ in fields}
+        return {name: enc(getattr(obj, name)) for name, enc, *_ in fields}
 
     def decode_object(data):
         if type(data) is not dict:
@@ -199,12 +217,15 @@ def _object(cls):
         if unknown:
             raise DecodeError(f"is not a field of {cls.__name__}", min(unknown))
         kwargs = {}
-        for name, _, dec, required in fields:
+        for name, _, dec, required, kind in fields:
             if name in data:
-                try:
-                    kwargs[name] = dec(data[name])
-                except DecodeError as err:
-                    raise err.within(name) from None
+                value = data[name]
+                if type(value) is not kind:
+                    try:
+                        value = dec(value)
+                    except DecodeError as err:
+                        raise err.within(name) from None
+                kwargs[name] = value
             elif required:
                 raise DecodeError("is missing", name)
         return cls(**kwargs)

@@ -235,8 +235,8 @@ class HedgedSwapArc(BaseSwapArc):
     def deposit_redemption_premium(self, ctx: CallContext, path_chain: SignedPath) -> None:
         """``v`` posts a redemption premium for one leader's hashkey.
 
-        The deposit carries an authenticated path; the contract recomputes
-        Equation 1 to determine (and pull) the exact required amount.
+        The deposit carries an authenticated path; the contract prices it
+        by Equation 1 to determine (and pull) the exact required amount.
         """
         if ctx.sender != self.v:
             raise ContractError(f"only {self.v} posts redemption premiums")
@@ -259,9 +259,13 @@ class HedgedSwapArc(BaseSwapArc):
             "premium path failed signature verification",
         )
         # imported here to avoid a package-level import cycle
-        from repro.core.premiums import redemption_premium_amount
+        from repro.core.premiums import unit_redemption_amount
 
-        amount = redemption_premium_amount(self.graph, path, self.u, self.premium)
+        # Equation 1 on the path checked above: one lookup in the graph's
+        # premium plan, scaled by this contract's premium.
+        amount = self.premium * unit_redemption_amount(
+            self.graph, frozenset(path), self.u
+        )
         self.pull(self._chain().native, self.v, amount)
         self.redemption_deposits[leader] = RedemptionDeposit(
             leader=leader, chain=path_chain, amount=amount, deposited_at=ctx.height

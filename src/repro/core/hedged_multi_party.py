@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 from repro.chain.block import Transaction
 from repro.contracts.swap_arc import HedgedSwapArc
 from repro.core.premiums import (
+    default_leaders,
     escrow_premium_amounts,
-    worst_case_redemption_amount,
+    worst_case_funding,
 )
 from repro.crypto.hashing import Secret
 from repro.crypto.hashkeys import SignedPath
 from repro.errors import ProtocolError
 from repro.graph.digraph import Arc, SwapGraph
-from repro.graph.feedback import minimum_feedback_vertex_set
 from repro.graph.schedule import MultiPartySchedule
 from repro.parties.base import Actor
 from repro.protocols.base_multi_party import AddrMap, MultiPartyActorBase
@@ -242,7 +242,7 @@ class HedgedMultiPartySwap:
         self.graph = graph or figure3_graph()
         if not self.graph.is_strongly_connected():
             raise ProtocolError("swap digraph must be strongly connected")
-        self.leaders = tuple(leaders or minimum_feedback_vertex_set(self.graph))
+        self.leaders = tuple(leaders or default_leaders(self.graph))
         self.premium = premium
         self.secrets = secrets or {
             leader: Secret.generate(f"{leader}-secret") for leader in self.leaders
@@ -270,20 +270,10 @@ class HedgedMultiPartySwap:
         for arc, amount in escrow_premiums.items():
             u, _ = arc
             native_need[(graph.specs[arc].chain, u)] += amount
-        for arc in graph.arcs:
-            u, v = arc
-            chain_name = graph.specs[arc].chain
-            # Worst case over the paths v could authenticate to any leader,
-            # maximized over member *subsets* rather than enumerated paths
-            # (a factorial → n·2^n reduction that unlocks complete:7/8).
-            worst = max(
-                (
-                    worst_case_redemption_amount(graph, v, u, leader, p)
-                    for leader in self.leaders
-                ),
-                default=0,
-            )
-            native_need[(chain_name, v)] += worst * len(self.leaders)
+        # v may owe up to the worst case on (u, v) for each leader's key;
+        # the graph's premium plan keeps that worst case per arc.
+        for arc, worst in worst_case_funding(graph, self.leaders, p).items():
+            native_need[(graph.specs[arc].chain, arc[1])] += worst * len(self.leaders)
         for (chain_name, account), amount in native_need.items():
             world.fund(chain_name, account, "native", amount)
 

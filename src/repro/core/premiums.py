@@ -27,61 +27,102 @@ well-defined because leaders form a feedback vertex set.
 Everything is exact integer arithmetic: with integer ``p`` both equations
 stay integral.
 
-**Complexity.**  Equation 1's recursion branches over every simple
-extension of the path, which is exponential in the vertex count if
-evaluated naively — dense graphs beyond ``complete:5`` were infeasible.
-But the recursion only ever tests *membership* in the path, never order,
-so its true state space is (vertex subset, beneficiary): at most
-``n·2^n`` states per ``(graph, p)``.  :func:`redemption_premium_amount`
-memoizes on that key, shared across calls through a cache slotted on the
-graph instance itself, which is what makes ``complete:6+`` premium
-sizing (and the per-deposit re-validation inside
-:class:`repro.contracts.swap_arc.HedgedSwapArc`) feasible.  The simple-path
-member sets and the worst-case funding amount are memoized the same way.
+**One p-free plan per graph.**  Every node of Equation 1's recursion adds
+``p`` and nothing else, so ``A(S, u, p) = p · A(S, u, 1)`` exactly, and
+Equation 2 sums such amounts.  Each graph therefore keeps one
+:class:`PremiumPlan`, slotted on the graph instance itself and computed
+at ``p = 1``; every sizing function here but the footnote-7 pruned
+variant scales a plan entry by ``p``.
+The recursion tests only *membership* in the path, never order, so
+Equation 1 is memoized on (member set, beneficiary): at most ``n·2^n``
+entries, filled once for all premiums.  The plan dies with its graph, so
+distinct graphs never share entries; a builder of many deals over one
+digraph shares one graph instance to share its plan (the campaign matrix
+does, per block; the ablation grid and the quote service do, per family
+name).
 
-Every such memo lives exactly as long as its graph instance.  A builder
-that makes a fresh graph per deal therefore starts cold on every build;
-builders of many deals over one digraph must share one graph instance
-to benefit (the campaign matrix does, per block).
+**Worst-case funding from inclusion-minimal paths.**  A redeemer's
+worst-case deposit is the largest Equation-1 amount over every simple path
+it could authenticate to the leader.  Equation 1 is antitone in the member
+set: ``S ⊆ T`` implies ``A(S, u) ≥ A(T, u)``.  (By induction on
+``|V ∖ S|``: if ``u ∈ T`` then ``A(T, u) = 1``, the least amount;
+otherwise both sums run over the same in-neighbors ``x`` of ``u``, and
+each term ``A(T ∪ {u}, x)`` is at most ``A(S ∪ {u}, x)``.)  So the maximum is
+reached on an inclusion-minimal member set, and
+:func:`minimal_path_member_sets` searches only those: a breadth-first
+search by member count that drops every state whose members already
+contain a found set minus the target.  On ``complete:N`` it finds only
+the direct arc, in ``N`` states.  A negative ``p`` would turn the
+maximum into a minimum, so the worst case refuses it.
 
-**Evaluation.**  Both recurrences run as loops over an explicit stack
-and keep their memos in plain dicts.  A recursion limit therefore does
-not cap the graph size (a ring of n parties nests n deep), and sizing a
-deal creates no reference cycles, so the cycle collector never has to
-run for it.
+**Evaluation.**  Every recurrence runs as a loop over an explicit stack or
+frontier and keeps its memo in plain dicts.  A recursion limit therefore
+does not cap the graph size (a ring of n parties nests n deep), and
+sizing a deal creates no reference cycles — the plan holds no reference
+back to its graph — so the cycle collector never has to run for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import GraphError
 from repro.graph.digraph import Arc, SwapGraph
-from repro.graph.feedback import is_feedback_vertex_set
+from repro.graph.feedback import is_feedback_vertex_set, minimum_feedback_vertex_set
 
 
-def _graph_memo(graph: SwapGraph, name: str) -> dict:
-    """The graph's shared memo called ``name``, created on first use.
+@dataclass
+class PremiumPlan:
+    """Equations 1–2 of one graph at ``p = 1``; callers scale by ``p``.
+
+    Every table fills on first use and never changes after: a second
+    build over the same graph, at any premium, adds no entries.
+    """
+
+    #: Equation 1: ``(path member set, beneficiary) -> A(S, u, 1)``
+    redemption: dict[tuple[frozenset[str], str], int] = field(default_factory=dict)
+    #: ``(redeemer, beneficiary, leader) -> `` worst-case Equation-1 amount
+    worst: dict[tuple[str, str, str], int] = field(default_factory=dict)
+    #: Equation 2 per leader set: ``arc -> E(u, v)``
+    escrow: dict[frozenset[str], dict[Arc, int]] = field(default_factory=dict)
+    #: per leader set, ``arc (u, v) ->`` the most ``v`` may owe ``u`` for
+    #: any one leader
+    funding: dict[frozenset[str], dict[Arc, int]] = field(default_factory=dict)
+    #: the graph's default leaders (its minimum feedback vertex set)
+    leaders: tuple[str, ...] | None = None
+    #: states the minimal member-set searches have visited
+    search_states: int = 0
+
+    def sizes(self) -> dict[str, int]:
+        """Entries held per table (escrow and funding count arcs)."""
+        return {
+            "eq1": len(self.redemption),
+            "worst": len(self.worst),
+            "escrow": sum(map(len, self.escrow.values())),
+            "funding": sum(map(len, self.funding.values())),
+        }
+
+
+def premium_plan(graph: SwapGraph) -> PremiumPlan:
+    """``graph``'s premium plan, created empty on first use.
 
     ``SwapGraph`` is a frozen dataclass, but — like ``cached_property``,
-    which the graph already uses — we can slot a cache straight into the
-    instance ``__dict__``; it dies with the graph, so distinct graphs can
-    never share entries.
+    which the graph already uses — the plan can be slotted straight into
+    the instance ``__dict__``; it dies with the graph.
     """
-    memo = graph.__dict__.get(name)
-    if memo is None:
-        memo = graph.__dict__[name] = {}
-    return memo
+    plan = graph.__dict__.get("_premium_plan")
+    if plan is None:
+        plan = graph.__dict__["_premium_plan"] = PremiumPlan()
+    return plan
 
 
-#: every per-graph memo this module keeps, by ``__dict__`` slot name
-GRAPH_MEMOS = ("_equation1_memo", "_path_member_sets_memo", "_worst_case_memo")
-
-
-def memo_sizes(graph: SwapGraph) -> dict[str, int]:
-    """Entries held in each of ``graph``'s premium memos (0 if unused)."""
-    return {name: len(graph.__dict__.get(name, ())) for name in GRAPH_MEMOS}
+def default_leaders(graph: SwapGraph) -> tuple[str, ...]:
+    """The graph's minimum feedback vertex set, derived once per graph."""
+    plan = premium_plan(graph)
+    if plan.leaders is None:
+        plan.leaders = minimum_feedback_vertex_set(graph)
+    return plan.leaders
 
 
 def redemption_premium_amount(
@@ -94,53 +135,51 @@ def redemption_premium_amount(
     result is ``p`` when the beneficiary already lies on the path (no
     passthrough needed — the leader case is the paper's "cycle" clause),
     otherwise ``p`` plus the beneficiary's own extended deposits on every
-    arc entering it.
-
-    The recursion depends on the path only through its *member set* (the
-    base case is a membership test and extensions only add members), so
-    results are memoized per graph on ``(frozenset(path), beneficiary,
-    p)`` — see the module docstring.
+    arc entering it.  It is ``p`` times the plan's entry for the path's
+    member set (see the module docstring).
     """
     if not path:
         raise GraphError("empty premium path")
     if not graph.is_path(path):
         raise GraphError(f"{path} is not a simple forward path")
-    return _memoized_amount(graph, frozenset(path), beneficiary, p)
+    return p * unit_redemption_amount(graph, frozenset(path), beneficiary)
 
 
-def _memoized_amount(
-    graph: SwapGraph, members: frozenset[str], beneficiary: str, p: int
+def unit_redemption_amount(
+    graph: SwapGraph, members: frozenset[str], beneficiary: str
 ) -> int:
-    """Equation 1 on a path *member set*, through the graph's shared memo.
+    """Equation 1 at ``p = 1`` on a path *member set*, through the plan.
 
-    The recursion runs on an explicit stack of ``(key, extended members,
-    unvisited in-neighbors, partial sum)`` frames, one per memo miss, so
-    its depth is bounded by memory rather than by the interpreter's
-    recursion limit (a ring of n parties nests n deep).
+    Nothing is checked: the recursion is defined on any vertex set, and
+    the caller vouches that ``members`` belongs to a path the deposit may
+    carry.  The recursion runs on an explicit stack of ``(key,
+    extended members, unvisited in-neighbors, partial sum)`` frames, one
+    per plan miss, so its depth is bounded by memory rather than by the
+    interpreter's recursion limit (a ring of n parties nests n deep).
     """
     if beneficiary in members:
-        return p
-    memo = _graph_memo(graph, "_equation1_memo")
-    key = (members, beneficiary, p)
+        return 1
+    memo = premium_plan(graph).redemption
+    key = (members, beneficiary)
     total = memo.get(key)
     if total is not None:
         return total
     in_neighbors = graph.in_neighbors
     extended = members | {beneficiary}
     todo = iter(in_neighbors(beneficiary))
-    total = p
+    total = 1
     stack: list[tuple[tuple, frozenset[str], Iterator[str], int]] = []
     while True:
         for x in todo:
             if x in extended:
-                total += p
+                total += 1
                 continue
-            child = (extended, x, p)
+            child = (extended, x)
             value = memo.get(child)
             if value is None:
                 stack.append((key, extended, todo, total))
                 key, extended, todo, total = (
-                    child, extended | {x}, iter(in_neighbors(x)), p
+                    child, extended | {x}, iter(in_neighbors(x)), 1
                 )
                 break
             total += value
@@ -153,6 +192,10 @@ def _memoized_amount(
             total += value
 
 
+def _member_set_order(members: frozenset[str]) -> tuple:
+    return (len(members), tuple(sorted(members)))
+
+
 def path_member_sets(
     graph: SwapGraph, source: str, target: str
 ) -> tuple[frozenset[str], ...]:
@@ -161,15 +204,10 @@ def path_member_sets(
     Enumerated by a ``(member set, tip)`` state search — at most ``n·2^n``
     states — rather than by walking the paths themselves, of which a dense
     graph has factorially many (``complete:8`` holds 1957 simple paths per
-    ordered pair, but only their distinct member sets matter to Equation
-    1).  Results are cached on the graph instance per ``(source, target)``,
-    deterministically ordered.
+    ordered pair).  Sizing never needs them all (see
+    :func:`minimal_path_member_sets`); this is for tests and tables, and
+    keeps no memo.  Deterministically ordered.
     """
-    cache = _graph_memo(graph, "_path_member_sets_memo")
-    key = (source, target)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
     results: set[frozenset[str]] = set()
     start = (frozenset((source,)), source)
     seen = {start}
@@ -186,11 +224,40 @@ def path_member_sets(
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
-    ordered = tuple(
-        sorted(results, key=lambda s: (len(s), tuple(sorted(s))))
-    )
-    cache[key] = ordered
-    return ordered
+    return tuple(sorted(results, key=_member_set_order))
+
+
+def minimal_path_member_sets(
+    graph: SwapGraph, source: str, target: str
+) -> tuple[frozenset[str], ...]:
+    """The inclusion-minimal member sets of simple paths ``source`` → ``target``.
+
+    A breadth-first search over ``(member set, tip)`` states, one layer
+    per member count.  A layer first records the sets of its states that
+    reached the target, then expands only the states whose members
+    contain no recorded set minus the target: every completion of such a
+    state would contain a recorded set.  A set recorded at member count
+    ``k`` is minimal, since any smaller set was recorded in an earlier
+    layer and pruned its supersets.  The states visited are added to the
+    graph plan's ``search_states``.  Deterministically ordered.
+    """
+    found: list[frozenset[str]] = []
+    layer = {(frozenset((source,)), source)}
+    visited = 0
+    while layer:
+        visited += len(layer)
+        found += [members for members, tip in layer if tip == target]
+        heads = [members - {target} for members in found]
+        upper: set[tuple[frozenset[str], str]] = set()
+        for members, tip in layer:
+            if tip == target or any(head <= members for head in heads):
+                continue
+            for w in graph.out_neighbors(tip):
+                if w not in members:
+                    upper.add((members | {w}, w))
+        layer = upper
+    premium_plan(graph).search_states += visited
+    return tuple(sorted(found, key=_member_set_order))
 
 
 def worst_case_redemption_amount(
@@ -198,33 +265,70 @@ def worst_case_redemption_amount(
 ) -> int:
     """The largest Equation-1 deposit ``redeemer`` may owe ``beneficiary``.
 
-    Maximizes :func:`redemption_premium_amount` over every simple path the
-    redeemer could authenticate from itself to the leader — but since the
-    amount depends on the path only through its member set, the maximum is
-    taken over :func:`path_member_sets` instead of the (factorially more
-    numerous) paths.  This is the quantity worst-case native funding needs
-    per arc, and what made ``complete:7``/``complete:8`` builders feasible.
-    Returns 0 when no path exists.  Cached on the graph instance per
-    ``(redeemer, beneficiary, leader, p)``.
+    The maximum of :func:`redemption_premium_amount` over every simple
+    path the redeemer could authenticate from itself to the leader.  The
+    amount depends on the path only through its member set and is
+    antitone in that set, so the maximum is taken over
+    :func:`minimal_path_member_sets` alone.  This is the quantity
+    worst-case native funding needs per arc.  Returns 0 when no path
+    exists.  The plan keeps it per ``(redeemer, beneficiary, leader)`` at
+    ``p = 1``; one search fills the entry of every in-neighbor of the
+    redeemer too, since worst-case funding asks for each of them.  A
+    negative ``p`` raises :class:`GraphError`, because the maximum does
+    not commute with a negative scale.
     """
-    memo = _graph_memo(graph, "_worst_case_memo")
-    key = (redeemer, beneficiary, leader, p)
-    cached = memo.get(key)
-    if cached is None:
-        cached = memo[key] = max(
-            (
-                _memoized_amount(graph, members, beneficiary, p)
-                for members in path_member_sets(graph, redeemer, leader)
-            ),
-            default=0,
-        )
-    return cached
+    if p < 0:
+        raise GraphError(f"worst-case premium needs p >= 0, got {p}")
+    memo = premium_plan(graph).worst
+    key = (redeemer, beneficiary, leader)
+    worst = memo.get(key)
+    if worst is None:
+        sets = minimal_path_member_sets(graph, redeemer, leader)
+        for u in (beneficiary, *graph.in_neighbors(redeemer)):
+            memo[(redeemer, u, leader)] = max(
+                (unit_redemption_amount(graph, members, u) for members in sets),
+                default=0,
+            )
+        worst = memo[key]
+    return p * worst
+
+
+def worst_case_funding(
+    graph: SwapGraph, leaders: tuple[str, ...] | frozenset[str], p: int
+) -> dict[Arc, int]:
+    """Per arc ``(u, v)``: the most ``v`` may owe ``u`` for any one leader.
+
+    The maximum of :func:`worst_case_redemption_amount` over the leaders,
+    kept by the plan per leader set at ``p = 1``; graph arc order.
+    """
+    if p < 0:
+        raise GraphError(f"worst-case premium needs p >= 0, got {p}")
+    leader_set = frozenset(leaders)
+    funding = premium_plan(graph).funding
+    unit = funding.get(leader_set)
+    if unit is None:
+        unit = funding[leader_set] = {
+            (u, v): max(
+                (
+                    worst_case_redemption_amount(graph, v, u, leader, 1)
+                    for leader in sorted(leader_set)
+                ),
+                default=0,
+            )
+            for (u, v) in graph.arcs
+        }
+    return {arc: p * amount for arc, amount in unit.items()}
 
 
 def leader_redemption_total(graph: SwapGraph, leader: str, p: int) -> int:
     """``R(L_i)``: the sum of the leader's own deposits on incoming arcs."""
+    return p * _leader_unit_total(graph, leader)
+
+
+def _leader_unit_total(graph: SwapGraph, leader: str) -> int:
+    members = frozenset((leader,))
     return sum(
-        redemption_premium_amount(graph, (leader,), u, p)
+        unit_redemption_amount(graph, members, u)
         for u in graph.in_neighbors(leader)
     )
 
@@ -236,19 +340,26 @@ def escrow_premium_amounts(
 
     Each arc entering a leader carries that leader's redemption total; each
     arc entering a follower covers the sum of the follower's outgoing
-    escrow premiums.
+    escrow premiums.  The plan keeps the table per leader set at ``p = 1``.
     """
     leader_set = frozenset(leaders)
-    if not is_feedback_vertex_set(graph, leader_set):
-        raise GraphError(f"{sorted(leader_set)} is not a feedback vertex set")
-    need: dict[str, int] = {}
-    return {(u, v): _escrow_need(graph, leader_set, p, need, v) for (u, v) in graph.arcs}
+    escrow = premium_plan(graph).escrow
+    unit = escrow.get(leader_set)
+    if unit is None:
+        if not is_feedback_vertex_set(graph, leader_set):
+            raise GraphError(f"{sorted(leader_set)} is not a feedback vertex set")
+        need: dict[str, int] = {}
+        unit = escrow[leader_set] = {
+            (u, v): _escrow_need(graph, leader_set, need, v) for (u, v) in graph.arcs
+        }
+    return {arc: p * amount for arc, amount in unit.items()}
 
 
 def _escrow_need(
-    graph: SwapGraph, leader_set: frozenset[str], p: int, need: dict[str, int], root: str
+    graph: SwapGraph, leader_set: frozenset[str], need: dict[str, int], root: str
 ) -> int:
-    """Equation 2's ``E(·, root)``, through ``need`` (vertex -> amount).
+    """Equation 2's ``E(·, root)`` at ``p = 1``, through ``need`` (vertex ->
+    amount).
 
     A post-order walk over followers on an explicit stack of ``(vertex,
     unvisited out-neighbors, partial sum)`` frames that fills ``need`` for
@@ -259,7 +370,7 @@ def _escrow_need(
     if total is not None:
         return total
     if root in leader_set:
-        need[root] = total = leader_redemption_total(graph, root, p)
+        need[root] = total = _leader_unit_total(graph, root)
         return total
     out_neighbors = graph.out_neighbors
     v, todo, total = root, iter(out_neighbors(root)), 0
@@ -272,7 +383,7 @@ def _escrow_need(
                     stack.append((v, todo, total))
                     v, todo, total = w, iter(out_neighbors(w)), 0
                     break
-                value = need[w] = leader_redemption_total(graph, w, p)
+                value = need[w] = _leader_unit_total(graph, w)
             total += value
         else:
             need[v] = total

@@ -323,3 +323,37 @@ def test_cli_quote_batch_refuses_an_ill_typed_stamp(tmp_path, capsys):
     with pytest.raises(SystemExit, match="^error: digest must be a string"):
         main(["quote-batch", str(batch)])
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tp, good, decoded, bad, message",
+    [
+        (int, 3, 3, True, "document must be an integer, got True"),
+        (str, "x", "x", 3, "document must be a string, got 3"),
+        (tuple[int, ...], [1, 2], (1, 2), [1, True], "[1] must be an integer, got True"),
+        (
+            tuple[str, int],
+            ["a", 1],
+            ("a", 1),
+            ["a", False],
+            "document must be an array of 2 items: [1] must be an integer, got False",
+        ),
+        (
+            tuple[tuple[str, int], ...],
+            [["a", 1]],
+            (("a", 1),),
+            [["a", 1], [True, 1]],
+            "[1] must be an array of 2 items: [0] must be a string, got True",
+        ),
+    ],
+)
+def test_exact_scalars_pass_and_a_bool_is_never_an_int(tp, good, decoded, bad, message):
+    """The codec passes exact-typed scalars through after one ``type()``
+    comparison; anything else, a bool where an int is due included, takes
+    the checking decoder and fails with the field path."""
+    from repro import codec
+
+    assert codec.decode(tp, good) == decoded
+    with pytest.raises(DecodeError) as err:
+        codec.decode(tp, bad)
+    assert str(err.value) == message

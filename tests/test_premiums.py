@@ -5,8 +5,8 @@ import pytest
 from repro.core.premiums import (
     escrow_premium_amounts,
     leader_redemption_total,
-    memo_sizes,
     path_member_sets,
+    premium_plan,
     pruned_redemption_premium_amount,
     redemption_premium_amount,
     redemption_premium_flow,
@@ -175,17 +175,17 @@ def test_eq1_amount_depends_only_on_path_membership():
     assert a == b
 
 
-def test_eq1_memo_is_per_graph_and_per_p():
+def test_eq1_plan_is_per_graph_and_p_free():
     from repro.graph.digraph import complete_graph
 
     graph = complete_graph(4)
-    assert redemption_premium_amount(graph, ("P1", "P0"), "P2", 1) * 3 == (
-        redemption_premium_amount(graph, ("P1", "P0"), "P2", 3)
-    )
-    memo = graph.__dict__["_equation1_memo"]
-    assert memo  # populated
+    one = redemption_premium_amount(graph, ("P1", "P0"), "P2", 1)
+    entries = dict(premium_plan(graph).redemption)
+    assert entries  # populated, at p = 1
+    assert redemption_premium_amount(graph, ("P1", "P0"), "P2", 3) == 3 * one
+    assert premium_plan(graph).redemption == entries  # no entry per premium
     fresh = complete_graph(4)
-    assert "_equation1_memo" not in fresh.__dict__  # never shared
+    assert "_premium_plan" not in fresh.__dict__  # never shared
 
 
 def test_complete6_premium_sizing_is_feasible_and_consistent():
@@ -327,26 +327,70 @@ def test_second_build_on_a_shared_graph_adds_no_memo_entries(graph_fn):
 
     graph = graph_fn()
     first = HedgedMultiPartySwap(graph=graph, premium=2).build()
-    sizes = memo_sizes(graph)
-    assert sizes["_path_member_sets_memo"] and sizes["_worst_case_memo"]
+    plan = premium_plan(graph)
+    sizes = plan.sizes()
+    assert all(sizes.values()), sizes
+    states = plan.search_states
     second = HedgedMultiPartySwap(graph=graph, premium=2).build()
-    assert memo_sizes(graph) == sizes
+    other = HedgedMultiPartySwap(graph=graph, premium=7).build()
+    # neither a repeat nor another premium adds an entry or a search
+    assert premium_plan(graph) is plan
+    assert plan.sizes() == sizes and plan.search_states == states
     assert second.meta["graph"] is first.meta["graph"] is graph
+    assert {arc: 2 * amount for arc, amount in other.meta["escrow_premiums"].items()} == {
+        arc: 7 * amount for arc, amount in first.meta["escrow_premiums"].items()
+    }
 
-    fresh = HedgedMultiPartySwap(graph=graph_fn(), premium=2).build()
+    fresh_graph = graph_fn()
+    fresh = HedgedMultiPartySwap(graph=fresh_graph, premium=2).build()
+    assert premium_plan(fresh_graph) is not plan
+    assert premium_plan(fresh_graph).sizes() == sizes
     assert "native" in _genesis_balances(second)
     assert _genesis_balances(second) == _genesis_balances(fresh)
 
 
-def test_worst_case_memo_keeps_premiums_apart():
+def test_plan_amounts_scale_exactly_with_the_premium():
     graph = complete_graph(4)
     one = worst_case_redemption_amount(graph, "P1", "P2", "P0", 1)
-    two = worst_case_redemption_amount(graph, "P1", "P2", "P0", 2)
-    assert two == 2 * one
-    assert worst_case_redemption_amount(graph, "P1", "P2", "P0", 1) == one
-    assert memo_sizes(graph)["_worst_case_memo"] == 2
+    plan = premium_plan(graph)
+    entries = dict(plan.worst)
+    assert entries[("P1", "P2", "P0")] == one
+    for p in (0, 2, 7, 100):
+        assert worst_case_redemption_amount(graph, "P1", "P2", "P0", p) == p * one
+    # every premium reads the one p = 1 entry
+    assert plan.worst == entries
     fresh = complete_graph(4)
-    assert worst_case_redemption_amount(fresh, "P1", "P2", "P0", 2) == two
+    assert worst_case_redemption_amount(fresh, "P1", "P2", "P0", 2) == 2 * one
+    assert premium_plan(fresh) is not plan
+
+
+def test_default_leaders_are_derived_once_per_graph(monkeypatch):
+    """Every construction over one graph reads the leaders the first one
+    derived; a fresh graph derives its own."""
+    from repro.core import premiums
+    from repro.core.hedged_multi_party import HedgedMultiPartySwap
+
+    derived = []
+    search = premiums.minimum_feedback_vertex_set
+    monkeypatch.setattr(
+        premiums,
+        "minimum_feedback_vertex_set",
+        lambda graph: derived.append(graph) or search(graph),
+    )
+    graph = complete_graph(5)
+    first = HedgedMultiPartySwap(graph=graph)
+    second = HedgedMultiPartySwap(graph=graph, premium=3)
+    assert derived == [graph]
+    assert first.leaders == second.leaders == search(graph)
+    HedgedMultiPartySwap(graph=complete_graph(5))
+    assert len(derived) == 2
+
+
+def test_worst_case_refuses_a_negative_premium():
+    """The maximum over member sets does not commute with a negative
+    scale, so a negative premium is refused rather than mis-sized."""
+    with pytest.raises(GraphError):
+        worst_case_redemption_amount(complete_graph(4), "P1", "P2", "P0", -1)
 
 
 def test_default_multi_party_blocks_share_one_graph_per_block():

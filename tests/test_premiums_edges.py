@@ -16,6 +16,7 @@ import pytest
 from repro.core.premiums import (
     escrow_premium_amounts,
     leader_redemption_total,
+    premium_plan,
     pruned_redemption_premium_amount,
     redemption_premium_amount,
     redemption_premium_flow,
@@ -130,16 +131,18 @@ class TestCompleteSixExactness:
 
     def test_memo_is_shared_across_calls(self):
         graph = complete_graph(6)
-        redemption_premium_amount(graph, ("P5",), "P0", 2)
-        memo = graph.__dict__["_equation1_memo"]
+        two = redemption_premium_amount(graph, ("P5",), "P0", 2)
+        memo = premium_plan(graph).redemption
         filled = len(memo)
         assert filled > 0
-        # a second query over the same territory adds no new states
-        redemption_premium_amount(graph, ("P5",), "P0", 2)
+        # a second query over the same territory adds no new states, at
+        # the same premium or another
+        assert redemption_premium_amount(graph, ("P5",), "P0", 2) == two
+        assert redemption_premium_amount(graph, ("P5",), "P0", 9) * 2 == two * 9
         assert len(memo) == filled
         # distinct graph instances never share entries
         other = complete_graph(6)
-        assert "_equation1_memo" not in other.__dict__
+        assert "_premium_plan" not in other.__dict__
 
     def test_flow_is_deterministic_and_integral(self):
         graph = complete_graph(6)
@@ -202,7 +205,7 @@ GRAPHS = [figure3_graph(), ring_graph(5), complete_graph(5)] + [
 def _recursive_equation1(graph, memo, members, u, p):
     if u in members:
         return p
-    key = (members, u, p)
+    key = (members, u)
     if key not in memo:
         extended = members | {u}
         memo[key] = p + sum(
@@ -225,14 +228,15 @@ def _recursive_pruned(graph, contract_of, q, u, p):
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=range(len(GRAPHS)))
 def test_equation1_memo_matches_the_recursion(graph):
-    """Same amounts and the very same memo entries as the recursion."""
-    p = 2
+    """Same amounts as the recursion at p = 2, and the very same plan
+    entries as the recursion at p = 1."""
     reference: dict = {}
     for leader in graph.parties:
         for u in graph.in_neighbors(leader):
-            expected = _recursive_equation1(graph, reference, frozenset((leader,)), u, p)
-            assert redemption_premium_amount(graph, (leader,), u, p) == expected
-    assert graph.__dict__["_equation1_memo"] == reference
+            expected = _recursive_equation1(graph, {}, frozenset((leader,)), u, 2)
+            assert redemption_premium_amount(graph, (leader,), u, 2) == expected
+            _recursive_equation1(graph, reference, frozenset((leader,)), u, 1)
+    assert premium_plan(graph).redemption == reference
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=range(len(GRAPHS)))
