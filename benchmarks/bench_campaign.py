@@ -48,7 +48,11 @@ balance checks ride along: statically, no task of the default matrix's
 dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
 block (``K = workers × 8``), and a traced 2-worker run of the default
 matrix must keep worker busy skew (max/mean busy seconds) within
-:data:`MAX_BUSY_SKEW`:
+:data:`MAX_BUSY_SKEW`.  Last, a fresh interpreter runs a plain serial
+campaign, and the ``repro`` modules it loads must number at most
+:data:`MAX_CAMPAIGN_MODULES`: packages re-export lazily, so an eager
+import of the ablation stack, the experiment facade or the model
+checker's explorer shows up as a count:
 python benchmarks/bench_campaign.py --gate
 """
 
@@ -57,6 +61,7 @@ import contextlib
 import gc
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -115,6 +120,21 @@ MAX_CYCLIC_GARBAGE = 0
 # run of the default matrix.  Striped tasks give about 1.05; contiguous
 # chunks gave about 1.4, because the complete:5-8 blocks landed in one.
 MAX_BUSY_SKEW = 1.2
+
+# The repro modules a fresh interpreter loads to run the default matrix
+# serially: the exact count once packages re-exported lazily and the
+# runner stopped importing the result cache it does not use.  Eager
+# package imports loaded 71 (the ablation stack, the experiment facade,
+# the trace summary and the model checker's explorer among them).
+MAX_CAMPAIGN_MODULES = 57
+
+PLAIN_CAMPAIGN = """
+import sys
+from repro.campaign.families import default_matrix
+from repro.campaign.runner import CampaignRunner
+CampaignRunner(default_matrix(), backend="serial").run()
+print(sum(name.split(".")[0] == "repro" for name in sys.modules))
+"""
 
 
 def _run(backend: str, workers: int | None = None, tracer: Tracer | None = None):
@@ -369,10 +389,22 @@ def counting_cyclic_garbage():
         gc.callbacks.remove(on_gc)
 
 
+def campaign_module_count() -> int:
+    """The repro modules a fresh interpreter loads for a plain serial
+    campaign of the default matrix."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", PLAIN_CAMPAIGN],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return int(out.split()[-1])
+
+
 def run_gate() -> int:
     """CI ratchet: shared graphs, premium plans that stop growing, a cold
     sizing ceiling, digest parity, leaf-work and cyclic-garbage ceilings,
-    and balanced dispatch."""
+    balanced dispatch, and the plain campaign's import-set ceiling."""
     matrix = default_matrix(families=GATE_FAMILIES)
     first = []
     for block in matrix.blocks:
@@ -477,6 +509,17 @@ def run_gate() -> int:
             f"worker busy skew {skew:.3f} > {MAX_BUSY_SKEW}: dispatch tasks "
             "no longer carry balanced shares of the expensive blocks"
         )
+    modules = campaign_module_count()
+    print(
+        f"import set: a plain serial campaign loads {modules} repro modules "
+        f"(ceiling {MAX_CAMPAIGN_MODULES})"
+    )
+    if modules > MAX_CAMPAIGN_MODULES:
+        failures.append(
+            f"a plain serial campaign loads {modules} repro modules, above the "
+            f"ceiling {MAX_CAMPAIGN_MODULES}: a package or module imports code "
+            "the campaign never runs"
+        )
     for failure in failures:
         print(f"GATE FAIL: {failure}")
     if not failures:
@@ -523,8 +566,9 @@ if __name__ == "__main__":
         "--gate",
         action="store_true",
         help="enforce the shared-graph memo ratchet, the leaf-work count "
-        "ceilings, the zero cyclic-garbage ceiling, digest parity and "
-        "dispatch balance (exit 1 on breach)",
+        "ceilings, the zero cyclic-garbage ceiling, digest parity, "
+        "dispatch balance and the campaign import-set ceiling (exit 1 on "
+        "breach)",
     )
     if parser.parse_args().gate:
         sys.exit(run_gate())
@@ -551,6 +595,7 @@ if __name__ == "__main__":
                 "pooled_elapsed_seconds": pooled_elapsed,
             },
             "cache": c3_records,
+            "campaign_modules": campaign_module_count(),
         },
         # The serial run's phase breakdown is the canonical one: no
         # fork/dispatch noise, so expand/dispatch/fold shares compare

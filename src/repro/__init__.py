@@ -22,6 +22,35 @@ See README.md for the architecture overview, DESIGN.md for the system
 inventory, and EXPERIMENTS.md for the paper-versus-measured record.
 """
 
+from importlib import import_module
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(namespace: dict, exports: dict[str, str]) -> None:
+    """Make a package resolve its re-exports on first attribute access.
+
+    ``exports`` maps each public name to the module that defines it; a
+    submodule exported under its own name maps to itself.  The package
+    gets ``__all__`` in table order and a PEP 562 ``__getattr__`` that
+    imports the defining module on first use and keeps the value in the
+    package namespace, so importing a package loads none of what it
+    re-exports.  Code under ``src/`` imports from the defining module.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        source = exports[name]
+        module = import_module(source)
+        value = module if source == f"{package}.{name}" else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    namespace.update(__all__=list(exports), __getattr__=__getattr__, __dir__=__dir__)

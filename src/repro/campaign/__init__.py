@@ -37,89 +37,47 @@ point" claim into something executable at thousands-of-scenarios scale.
 enumeration, execution, and property evaluation all live here.
 """
 
-from repro.campaign.matrix import ScenarioMatrix, enumerate_profiles
-from repro.campaign.pool import MatrixSpec, WorkerPool, register_matrix_factory
-from repro.campaign.cache import ResultCache, code_version, shared_cache
-from repro.campaign.report import (
-    Report,
-    merge_reports_any,
-    register_report,
-    registered_report_kinds,
-    report_from_json,
-)
-from repro.campaign.runner import (
-    CampaignReport,
-    CampaignRunner,
-    ScenarioViolation,
-    merge_reports,
-)
-from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
-from repro.campaign.families import (
-    FAMILY_NAMES,
-    default_matrix,
-    default_matrix_spec,
-)
-from repro.campaign.ablation import (
-    AblationGrid,
-    FrontierReport,
-    KernelEngine,
-    KernelUnsupported,
-    RefinedFrontierReport,
-    ablation_cell,
-    ablation_matrix,
-    reduce_frontier,
-    refine_frontier,
-)
-from repro.campaign.experiment import (
-    EXPERIMENT_KINDS,
-    Experiment,
-    ExperimentError,
-    ExperimentResult,
-    ExperimentSpec,
-    ablate_spec,
-    campaign_spec,
-    refine_spec,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AblationGrid",
-    "CampaignReport",
-    "CampaignRunner",
-    "EXPERIMENT_KINDS",
-    "Experiment",
-    "ExperimentError",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FAMILY_NAMES",
-    "FrontierReport",
-    "KernelEngine",
-    "KernelUnsupported",
-    "MatrixSpec",
-    "RefinedFrontierReport",
-    "Report",
-    "ResultCache",
-    "Scenario",
-    "ScenarioMatrix",
-    "ScenarioResult",
-    "ScenarioViolation",
-    "WorkerPool",
-    "ablate_spec",
-    "ablation_cell",
-    "ablation_matrix",
-    "campaign_spec",
-    "code_version",
-    "default_matrix",
-    "default_matrix_spec",
-    "enumerate_profiles",
-    "merge_reports",
-    "merge_reports_any",
-    "reduce_frontier",
-    "refine_frontier",
-    "refine_spec",
-    "register_matrix_factory",
-    "register_report",
-    "registered_report_kinds",
-    "report_from_json",
-    "run_scenario",
-    "shared_cache",
-]
+lazy_exports(globals(), {
+    "ScenarioMatrix": "repro.campaign.matrix",
+    "enumerate_profiles": "repro.campaign.matrix",
+    "MatrixSpec": "repro.campaign.pool",
+    "WorkerPool": "repro.campaign.pool",
+    "register_matrix_factory": "repro.campaign.pool",
+    "ResultCache": "repro.campaign.cache",
+    "code_version": "repro.campaign.cache",
+    "shared_cache": "repro.campaign.cache",
+    "Report": "repro.campaign.report",
+    "merge_reports_any": "repro.campaign.report",
+    "register_report": "repro.campaign.report",
+    "registered_report_kinds": "repro.campaign.report",
+    "report_from_json": "repro.campaign.report",
+    "CampaignReport": "repro.campaign.runner",
+    "CampaignRunner": "repro.campaign.runner",
+    "ScenarioViolation": "repro.campaign.runner",
+    "merge_reports": "repro.campaign.runner",
+    "Scenario": "repro.campaign.scenario",
+    "ScenarioResult": "repro.campaign.scenario",
+    "run_scenario": "repro.campaign.scenario",
+    "FAMILY_NAMES": "repro.campaign.families",
+    "default_matrix": "repro.campaign.families",
+    "default_matrix_spec": "repro.campaign.families",
+    "AblationGrid": "repro.campaign.ablation.grid",
+    "ablation_cell": "repro.campaign.ablation.grid",
+    "ablation_matrix": "repro.campaign.ablation.grid",
+    "FrontierReport": "repro.campaign.ablation.frontier",
+    "reduce_frontier": "repro.campaign.ablation.frontier",
+    "KernelEngine": "repro.campaign.ablation.kernels",
+    "KernelUnsupported": "repro.campaign.ablation.kernels",
+    "RefinedFrontierReport": "repro.campaign.ablation.refine",
+    "refine_frontier": "repro.campaign.ablation.refine",
+    "EXPERIMENT_KINDS": "repro.campaign.experiment",
+    "Experiment": "repro.campaign.experiment",
+    "ExperimentError": "repro.campaign.experiment",
+    "ExperimentResult": "repro.campaign.experiment",
+    "ExperimentSpec": "repro.campaign.experiment",
+    "ablate_spec": "repro.campaign.experiment",
+    "campaign_spec": "repro.campaign.experiment",
+    "refine_spec": "repro.campaign.experiment",
+})

@@ -40,80 +40,39 @@ produce byte-identical frontier digests, and a partial run can never
 masquerade as full coverage.
 """
 
-from repro.campaign.ablation.frontier import (
-    FrontierCell,
-    FrontierReport,
-    FrontierRow,
-    reduce_frontier,
-)
-from repro.campaign.ablation.grid import (
-    ABLATION_COALITIONS,
-    ABLATION_FAMILIES,
-    DEFAULT_PREMIUM_FRACTIONS,
-    DEFAULT_SHOCK_FRACTIONS,
-    DEFAULT_STAGES,
-    AblationGrid,
-    ablation_cell,
-    ablation_matrix,
-    ablation_matrix_spec,
-    closed_form_pi_star,
-    deterrence_stake,
-    is_graph_family,
-    parse_graph_family,
-    premium_base,
-    shocked_notional,
-)
-from repro.campaign.ablation.kernels import (
-    KERNEL_FACTORIES,
-    KernelEngine,
-    KernelUnsupported,
-)
-from repro.campaign.ablation.refine import (
-    DEFAULT_TOL,
-    EXPAND_CEILING,
-    RefinedFrontierReport,
-    RefinedRow,
-    refine_frontier,
-)
-from repro.campaign.ablation.rowstore import (
-    load_row,
-    row_descriptor,
-    row_key,
-    store_refined_rows,
-    store_row,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ABLATION_COALITIONS",
-    "ABLATION_FAMILIES",
-    "AblationGrid",
-    "DEFAULT_PREMIUM_FRACTIONS",
-    "DEFAULT_SHOCK_FRACTIONS",
-    "DEFAULT_STAGES",
-    "DEFAULT_TOL",
-    "EXPAND_CEILING",
-    "FrontierCell",
-    "FrontierReport",
-    "FrontierRow",
-    "KERNEL_FACTORIES",
-    "KernelEngine",
-    "KernelUnsupported",
-    "RefinedFrontierReport",
-    "RefinedRow",
-    "ablation_cell",
-    "ablation_matrix",
-    "ablation_matrix_spec",
-    "closed_form_pi_star",
-    "deterrence_stake",
-    "is_graph_family",
-    "load_row",
-    "parse_graph_family",
-    "premium_base",
-    "reduce_frontier",
-    "refine_frontier",
-    "row_descriptor",
-    "row_key",
-    "shocked_notional",
-    "store_refined_rows",
-    "store_row",
-]
+lazy_exports(globals(), {
+    "FrontierCell": "repro.campaign.ablation.frontier",
+    "FrontierReport": "repro.campaign.ablation.frontier",
+    "FrontierRow": "repro.campaign.ablation.frontier",
+    "reduce_frontier": "repro.campaign.ablation.frontier",
+    "ABLATION_COALITIONS": "repro.campaign.ablation.grid",
+    "ABLATION_FAMILIES": "repro.campaign.ablation.grid",
+    "DEFAULT_PREMIUM_FRACTIONS": "repro.campaign.ablation.grid",
+    "DEFAULT_SHOCK_FRACTIONS": "repro.campaign.ablation.grid",
+    "DEFAULT_STAGES": "repro.campaign.ablation.grid",
+    "AblationGrid": "repro.campaign.ablation.grid",
+    "ablation_cell": "repro.campaign.ablation.grid",
+    "ablation_matrix": "repro.campaign.ablation.grid",
+    "ablation_matrix_spec": "repro.campaign.ablation.grid",
+    "closed_form_pi_star": "repro.campaign.ablation.grid",
+    "deterrence_stake": "repro.campaign.ablation.grid",
+    "is_graph_family": "repro.campaign.ablation.grid",
+    "parse_graph_family": "repro.campaign.ablation.grid",
+    "premium_base": "repro.campaign.ablation.grid",
+    "shocked_notional": "repro.campaign.ablation.grid",
+    "KERNEL_FACTORIES": "repro.campaign.ablation.kernels",
+    "KernelEngine": "repro.campaign.ablation.kernels",
+    "KernelUnsupported": "repro.campaign.ablation.kernels",
+    "DEFAULT_TOL": "repro.campaign.ablation.refine",
+    "EXPAND_CEILING": "repro.campaign.ablation.refine",
+    "RefinedFrontierReport": "repro.campaign.ablation.refine",
+    "RefinedRow": "repro.campaign.ablation.refine",
+    "refine_frontier": "repro.campaign.ablation.refine",
+    "load_row": "repro.campaign.ablation.rowstore",
+    "row_descriptor": "repro.campaign.ablation.rowstore",
+    "row_key": "repro.campaign.ablation.rowstore",
+    "store_refined_rows": "repro.campaign.ablation.rowstore",
+    "store_row": "repro.campaign.ablation.rowstore",
+})

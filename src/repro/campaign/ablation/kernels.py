@@ -78,7 +78,7 @@ from repro.campaign.scenario import (
     ledger_balances,
     render_ledger,
 )
-from repro.obs import maybe_span
+from repro.obs.tracer import maybe_span
 from repro.parties.base import Actor
 from repro.parties.rational import Opportunist, TokenPrices
 from repro.protocols.instance import execute

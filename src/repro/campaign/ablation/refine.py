@@ -51,6 +51,7 @@ sharded-then-merged run and whether the probes ran serially or pooled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable
@@ -69,7 +70,7 @@ from repro.campaign.ablation.frontier import (
 )
 from repro.campaign.ablation.grid import ablation_cell
 from repro.campaign.runner import CampaignRunner, run_digest
-from repro.obs import maybe_inc, maybe_laps
+from repro.obs.tracer import maybe_inc, maybe_laps
 
 #: default bisection tolerance on the premium fraction: 1/64.
 DEFAULT_TOL = 0.015625
@@ -88,6 +89,17 @@ EXPAND_CEILING = 1.0
 #: from a family's premium quantum (the auction's 1/60 sits above the
 #: default tol): bisection narrows on π, not on the integer premium.
 MIN_TOL = EXPAND_CEILING / 2**MAX_ITERATIONS
+
+
+def check_tol(tol: float, error: type[Exception] = ValueError) -> None:
+    """Refuse, as ``error``, a tol no bisection can reach, before any probe:
+    a finer (or non-finite) tol spends every iteration and still fails to
+    converge.  Quotes, experiment specs and refinement share this rule."""
+    if not MIN_TOL <= tol < math.inf:
+        raise error(
+            f"tol must be finite and at least {MIN_TOL:.3g}, the finest "
+            f"bracket {MAX_ITERATIONS} bisection iterations reach; got {tol}"
+        )
 
 
 @dataclass(frozen=True)
@@ -452,8 +464,7 @@ def refine_frontier(
     afterwards inspect, e.g. for cache accounting) the cell prober; it
     overrides the other execution knobs.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     if not frontier.complete:
         raise ValueError(
             "refinement needs a full-coverage frontier: merge all shards "

@@ -50,7 +50,7 @@ from hashlib import sha256
 from typing import Iterable
 
 from repro import codec
-from repro.campaign.ablation.refine import DEFAULT_TOL
+from repro.campaign.ablation.refine import DEFAULT_TOL, check_tol
 from repro.campaign.cache import ResultCache
 from repro.campaign.canon import canon_float
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
@@ -150,8 +150,9 @@ class ExperimentSpec:
             validate_shard(self.shard)
         if self.tol is not None and self.kind != "ablate-refine":
             raise ExperimentError("tol applies only to ablate-refine specs")
-        if self.tol is not None and self.tol <= 0:
-            raise ExperimentError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None:
+            check_tol(self.tol, ExperimentError)
+            object.__setattr__(self, "tol", canon_float(self.tol))
         if self.kind == "ablate-refine" and (
             self.limit is not None or self.shard is not None
         ):
@@ -349,7 +350,7 @@ def refine_spec(
         matrix=_ablation_matrix_spec(
             families, premium_fractions, shock_fractions, stages, coalitions, seed
         ),
-        tol=canon_float(tol),
+        tol=tol,
         engine=engine,
         **_exec_fields(backend, workers, None, None, expect),
     )
@@ -436,7 +437,7 @@ class Experiment:
         return self._matrix
 
     def run(self) -> ExperimentResult:
-        from repro.obs import maybe_span
+        from repro.obs.tracer import maybe_span
 
         with maybe_span(self.tracer, "experiment", kind=self.spec.kind):
             return self._run_traced()
@@ -444,7 +445,7 @@ class Experiment:
     def _run_traced(self) -> ExperimentResult:
         from repro.campaign.ablation.frontier import reduce_frontier
         from repro.campaign.runner import CampaignRunner
-        from repro.obs import maybe_span
+        from repro.obs.tracer import maybe_span
 
         spec = self.spec
         with maybe_span(self.tracer, "experiment.build"):
@@ -550,7 +551,7 @@ def refine_stage(
     """
     from repro.campaign.ablation.refine import _CellProber, refine_frontier
     from repro.campaign.ablation.rowstore import store_refined_rows
-    from repro.obs import maybe_span
+    from repro.obs.tracer import maybe_span
 
     with _execution(spec, pool, kernel, tracer) as (pool, kernel):
         prober = _CellProber(pool=pool, cache=cache, kernel=kernel, tracer=tracer)

@@ -56,7 +56,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
-from repro.obs import MetricsRegistry, MetricsSnapshot
+from repro.obs.tracer import MetricsRegistry, MetricsSnapshot
 
 _FACTORIES: dict[str, Callable[..., ScenarioMatrix]] = {}
 

@@ -55,10 +55,9 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro import codec
-from repro.campaign.cache import ResultCache
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import (
     WorkerPool,
@@ -69,13 +68,16 @@ from repro.campaign.pool import (
 from repro.campaign.report import load_payload, parse_report, register_report
 from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
 from repro.errors import DecodeError
-from repro.obs import (
+from repro.obs.tracer import (
     MetricsSnapshot,
     ProgressMeter,
     Tracer,
     maybe_span,
     worker_sample,
 )
+
+if TYPE_CHECKING:  # a plain campaign runs without a cache
+    from repro.campaign.cache import ResultCache
 
 # Below this many scenarios a requested process backend runs serially:
 # forking a pool costs more than the work itself.

@@ -11,16 +11,14 @@ parties, halt rounds, and action-type skips — runs the full simulation for
 each profile, and asserts the lemma properties on every outcome.
 """
 
-from repro.checker.explorer import ModelChecker, CheckReport, Violation
-from repro.checker.strategies import halt_strategies, skip_strategies, full_strategy_space
-from repro.checker import properties
+from repro import lazy_exports
 
-__all__ = [
-    "ModelChecker",
-    "CheckReport",
-    "Violation",
-    "halt_strategies",
-    "skip_strategies",
-    "full_strategy_space",
-    "properties",
-]
+lazy_exports(globals(), {
+    "ModelChecker": "repro.checker.explorer",
+    "CheckReport": "repro.checker.explorer",
+    "Violation": "repro.checker.explorer",
+    "halt_strategies": "repro.checker.strategies",
+    "skip_strategies": "repro.checker.strategies",
+    "full_strategy_space": "repro.checker.strategies",
+    "properties": "repro.checker.properties",
+})

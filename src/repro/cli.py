@@ -120,27 +120,23 @@ import argparse
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
-from repro.campaign import (
+from repro.campaign.ablation.grid import ABLATION_FAMILIES, parse_graph_family
+from repro.campaign.ablation.refine import DEFAULT_TOL
+from repro.campaign.cache import shared_cache
+from repro.campaign.experiment import (
+    PRIMARY_KINDS,
     Experiment,
     ExperimentError,
     ExperimentSpec,
-    FAMILY_NAMES,
     ablate_spec,
     campaign_spec,
-    merge_reports_any,
-    reduce_frontier,
     refine_spec,
-    report_from_json,
-    shared_cache,
+    refine_stage,
 )
-from repro.campaign.ablation import (
-    ABLATION_FAMILIES,
-    DEFAULT_TOL,
-    FrontierReport,
-)
-from repro.campaign.ablation.grid import parse_graph_family
-from repro.campaign.experiment import PRIMARY_KINDS, refine_stage
-from repro.checker import ModelChecker, full_strategy_space, halt_strategies, properties as props
+from repro.campaign.families import FAMILY_NAMES
+from repro.campaign.report import merge_reports_any, report_from_json
+from repro.checker import properties as props
+from repro.checker.strategies import full_strategy_space, halt_strategies
 from repro.core.bootstrap import BootstrapSpec, BootstrappedSwap, extract_bootstrap_outcome
 from repro.core.hedged_auction import (
     AuctioneerStrategy,
@@ -250,6 +246,8 @@ CHECKS = {
 
 
 def cmd_check(args) -> None:
+    from repro.checker.explorer import ModelChecker
+
     make, properties, space = CHECKS[args.protocol]
     build = lambda: make(args).build()
     instance = build()
@@ -356,7 +354,7 @@ def _observed(args):
     tracer = None
     pauses = nullcontext()
     if trace_path:
-        from repro.obs import Tracer, TraceWriter, gc_pauses
+        from repro.obs.tracer import Tracer, TraceWriter, gc_pauses
 
         try:
             tracer = Tracer(TraceWriter(trace_path))
@@ -567,6 +565,8 @@ def _refine_from_file(args) -> None:
     through the facade's refine stage instead of running the grid (the
     loaded frontier fixes the grid; the flags still pick the engine,
     tolerance, layout, cache and trace)."""
+    from repro.campaign.ablation.frontier import FrontierReport
+
     defaults = vars(build_parser().parse_args(["ablate-refine"]))
     overridden = [
         "--" + dest.replace("_", "-")
@@ -598,6 +598,8 @@ def _refine_from_file(args) -> None:
 
 
 def cmd_merge(args) -> None:
+    from repro.campaign.ablation.frontier import reduce_frontier
+
     reports = []
     for path in args.reports:
         try:

@@ -11,78 +11,38 @@
   predicates used by tests and the model checker.
 """
 
-from repro.core.bootstrap import (
-    BootstrapSpec,
-    BootstrappedSwap,
-    initial_risk,
-    premium_ladder,
-    rounds_estimate,
-    rounds_needed,
-)
-from repro.core.hedged_auction import (
-    AuctioneerStrategy,
-    AuctionSpec,
-    HedgedAuction,
-    extract_auction_outcome,
-)
-from repro.core.hedged_broker import (
-    BrokerOutcome,
-    HedgedBrokerDeal,
-    broker_premium_tables,
-    extract_broker_outcome,
-    multi_round_trading_premiums,
-)
-from repro.core.hedged_multi_party import (
-    HedgedMultiPartySwap,
-    MultiPartyOutcome,
-    extract_multi_party_outcome,
-)
-from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
-from repro.core.multi_round_deal import (
-    DealSpec,
-    MultiRoundDeal,
-    deal_premium_tables,
-    extract_deal_outcome,
-)
-from repro.core.outcomes import TwoPartyOutcome, extract_two_party_outcome
-from repro.core.premiums import (
-    escrow_premium_amounts,
-    leader_redemption_total,
-    redemption_premium_amount,
-    redemption_premium_flow,
-    redemption_premium_table,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BootstrapSpec",
-    "BootstrappedSwap",
-    "initial_risk",
-    "premium_ladder",
-    "rounds_estimate",
-    "rounds_needed",
-    "AuctioneerStrategy",
-    "AuctionSpec",
-    "HedgedAuction",
-    "extract_auction_outcome",
-    "BrokerOutcome",
-    "HedgedBrokerDeal",
-    "broker_premium_tables",
-    "extract_broker_outcome",
-    "multi_round_trading_premiums",
-    "HedgedMultiPartySwap",
-    "MultiPartyOutcome",
-    "extract_multi_party_outcome",
-    "HedgedTwoPartySpec",
-    "HedgedTwoPartySwap",
-    "DealSpec",
-    "MultiRoundDeal",
-    "deal_premium_tables",
-    "extract_deal_outcome",
-    "TwoPartyOutcome",
-    "extract_two_party_outcome",
-    "escrow_premium_amounts",
-    "leader_redemption_total",
-    "redemption_premium_amount",
-    "redemption_premium_flow",
-    "redemption_premium_table",
-]
+lazy_exports(globals(), {
+    "BootstrapSpec": "repro.core.bootstrap",
+    "BootstrappedSwap": "repro.core.bootstrap",
+    "initial_risk": "repro.core.bootstrap",
+    "premium_ladder": "repro.core.bootstrap",
+    "rounds_estimate": "repro.core.bootstrap",
+    "rounds_needed": "repro.core.bootstrap",
+    "AuctioneerStrategy": "repro.core.hedged_auction",
+    "AuctionSpec": "repro.core.hedged_auction",
+    "HedgedAuction": "repro.core.hedged_auction",
+    "extract_auction_outcome": "repro.core.hedged_auction",
+    "BrokerOutcome": "repro.core.hedged_broker",
+    "HedgedBrokerDeal": "repro.core.hedged_broker",
+    "broker_premium_tables": "repro.core.hedged_broker",
+    "extract_broker_outcome": "repro.core.hedged_broker",
+    "multi_round_trading_premiums": "repro.core.hedged_broker",
+    "HedgedMultiPartySwap": "repro.core.hedged_multi_party",
+    "MultiPartyOutcome": "repro.core.hedged_multi_party",
+    "extract_multi_party_outcome": "repro.core.hedged_multi_party",
+    "HedgedTwoPartySpec": "repro.core.hedged_two_party",
+    "HedgedTwoPartySwap": "repro.core.hedged_two_party",
+    "DealSpec": "repro.core.multi_round_deal",
+    "MultiRoundDeal": "repro.core.multi_round_deal",
+    "deal_premium_tables": "repro.core.multi_round_deal",
+    "extract_deal_outcome": "repro.core.multi_round_deal",
+    "TwoPartyOutcome": "repro.core.outcomes",
+    "extract_two_party_outcome": "repro.core.outcomes",
+    "escrow_premium_amounts": "repro.core.premiums",
+    "leader_redemption_total": "repro.core.premiums",
+    "redemption_premium_amount": "repro.core.premiums",
+    "redemption_premium_flow": "repro.core.premiums",
+    "redemption_premium_table": "repro.core.premiums",
+})

@@ -32,13 +32,13 @@ from repro.contracts.swap_arc import HedgedSwapArc
 from repro.core.premiums import (
     default_leaders,
     escrow_premium_amounts,
+    swap_schedule,
     worst_case_funding,
 )
 from repro.crypto.hashing import Secret
 from repro.crypto.hashkeys import SignedPath
 from repro.errors import ProtocolError
 from repro.graph.digraph import Arc, SwapGraph
-from repro.graph.schedule import MultiPartySchedule
 from repro.parties.base import Actor
 from repro.protocols.base_multi_party import AddrMap, MultiPartyActorBase
 from repro.protocols.instance import ProtocolInstance
@@ -240,16 +240,14 @@ class HedgedMultiPartySwap:
         from repro.graph.digraph import figure3_graph
 
         self.graph = graph or figure3_graph()
-        if not self.graph.is_strongly_connected():
-            raise ProtocolError("swap digraph must be strongly connected")
         self.leaders = tuple(leaders or default_leaders(self.graph))
+        self.schedule = swap_schedule(self.graph, self.leaders)
         self.premium = premium
         self.secrets = secrets or {
             leader: Secret.generate(f"{leader}-secret") for leader in self.leaders
         }
         if set(self.secrets) != set(self.leaders):
             raise ProtocolError("need exactly one secret per leader")
-        self.schedule = MultiPartySchedule(self.graph, self.leaders)
 
     def build(self) -> ProtocolInstance:
         graph, schedule, p = self.graph, self.schedule, self.premium

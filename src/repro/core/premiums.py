@@ -67,9 +67,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.errors import GraphError
+from repro.errors import GraphError, ProtocolError
 from repro.graph.digraph import Arc, SwapGraph
 from repro.graph.feedback import is_feedback_vertex_set, minimum_feedback_vertex_set
+from repro.graph.schedule import MultiPartySchedule
 
 
 @dataclass
@@ -91,6 +92,8 @@ class PremiumPlan:
     funding: dict[frozenset[str], dict[Arc, int]] = field(default_factory=dict)
     #: the graph's default leaders (its minimum feedback vertex set)
     leaders: tuple[str, ...] | None = None
+    #: per leader tuple, the checked follower depths of the swap schedule
+    depths: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
     #: states the minimal member-set searches have visited
     search_states: int = 0
 
@@ -123,6 +126,23 @@ def default_leaders(graph: SwapGraph) -> tuple[str, ...]:
     if plan.leaders is None:
         plan.leaders = minimum_feedback_vertex_set(graph)
     return plan.leaders
+
+
+def swap_schedule(graph: SwapGraph, leaders: tuple[str, ...]) -> MultiPartySchedule:
+    """The phase schedule of a multi-party swap on ``graph`` led by ``leaders``.
+
+    The graph's strong connectivity, the leaders' feedback-set check and
+    the follower depths are derived once per (graph, leaders) and kept as
+    depths in the plan (a schedule refers to its graph, so the plan holds
+    none); every later swap over them reuses the depths unchecked.
+    """
+    plan = premium_plan(graph)
+    depths = plan.depths.get(leaders)
+    if depths is None:
+        if not graph.is_strongly_connected():
+            raise ProtocolError("swap digraph must be strongly connected")
+        depths = plan.depths[leaders] = MultiPartySchedule(graph, leaders).depths
+    return MultiPartySchedule(graph, leaders, depths)
 
 
 def redemption_premium_amount(

@@ -45,14 +45,15 @@ class MultiPartySchedule:
     depths: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.depths:
+            return  # given depths come from a checked schedule of these leaders
         if not self.leaders:
             raise GraphError("at least one leader is required")
         if not set(self.leaders) <= set(self.graph.parties):
             raise GraphError("leaders must be parties of the graph")
         if not is_feedback_vertex_set(self.graph, self.leaders):
             raise GraphError(f"leaders {self.leaders} are not a feedback vertex set")
-        if not self.depths:
-            object.__setattr__(self, "depths", self.graph.follower_depths(self.leaders))
+        object.__setattr__(self, "depths", self.graph.follower_depths(self.leaders))
 
     # ------------------------------------------------------------------
     # basic quantities

@@ -13,42 +13,25 @@ Entry points: ``Tracer``/``TraceWriter`` for instrumented runs,
 ``python -m repro.obs summarize TRACE.jsonl`` for the offline report.
 """
 
-from .tracer import (
-    TRACE_FORMAT_VERSION,
-    MetricsRegistry,
-    MetricsSnapshot,
-    ProgressMeter,
-    ProgressUpdate,
-    TimingStat,
-    TraceWriter,
-    Tracer,
-    gc_pauses,
-    maybe_inc,
-    maybe_laps,
-    maybe_span,
-    phase_fragments,
-    worker_sample,
-)
-from .schema import validate_trace_event, validate_trace_file
-from .summarize import TraceSummary, summarize_trace
+from repro import lazy_exports
 
-__all__ = [
-    "TRACE_FORMAT_VERSION",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "ProgressMeter",
-    "ProgressUpdate",
-    "TimingStat",
-    "TraceWriter",
-    "Tracer",
-    "TraceSummary",
-    "gc_pauses",
-    "maybe_inc",
-    "maybe_laps",
-    "maybe_span",
-    "phase_fragments",
-    "summarize_trace",
-    "validate_trace_event",
-    "validate_trace_file",
-    "worker_sample",
-]
+lazy_exports(globals(), {
+    "TRACE_FORMAT_VERSION": "repro.obs.tracer",
+    "MetricsRegistry": "repro.obs.tracer",
+    "MetricsSnapshot": "repro.obs.tracer",
+    "ProgressMeter": "repro.obs.tracer",
+    "ProgressUpdate": "repro.obs.tracer",
+    "TimingStat": "repro.obs.tracer",
+    "TraceWriter": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+    "gc_pauses": "repro.obs.tracer",
+    "maybe_inc": "repro.obs.tracer",
+    "maybe_laps": "repro.obs.tracer",
+    "maybe_span": "repro.obs.tracer",
+    "phase_fragments": "repro.obs.tracer",
+    "worker_sample": "repro.obs.tracer",
+    "validate_trace_event": "repro.obs.schema",
+    "validate_trace_file": "repro.obs.schema",
+    "TraceSummary": "repro.obs.summarize",
+    "summarize_trace": "repro.obs.summarize",
+})

@@ -19,11 +19,11 @@ from collections import defaultdict
 
 from repro.chain.block import Transaction
 from repro.contracts.swap_arc import BaseSwapArc
+from repro.core.premiums import default_leaders, swap_schedule
 from repro.crypto.hashing import Secret
 from repro.crypto.hashkeys import HashKey
 from repro.errors import ProtocolError
 from repro.graph.digraph import Arc, SwapGraph
-from repro.graph.feedback import minimum_feedback_vertex_set
 from repro.graph.schedule import MultiPartySchedule
 from repro.parties.base import Actor
 from repro.protocols.instance import ProtocolInstance
@@ -157,15 +157,13 @@ class BaseMultiPartySwap:
         from repro.graph.digraph import figure3_graph
 
         self.graph = graph or figure3_graph()
-        if not self.graph.is_strongly_connected():
-            raise ProtocolError("swap digraph must be strongly connected")
-        self.leaders = leaders or minimum_feedback_vertex_set(self.graph)
+        self.leaders = tuple(leaders or default_leaders(self.graph))
+        self.schedule = swap_schedule(self.graph, self.leaders)
         self.secrets = secrets or {
             leader: Secret.generate(f"{leader}-secret") for leader in self.leaders
         }
         if set(self.secrets) != set(self.leaders):
             raise ProtocolError("need exactly one secret per leader")
-        self.schedule = MultiPartySchedule(self.graph, tuple(self.leaders))
 
     def build(self) -> ProtocolInstance:
         graph, schedule = self.graph, self.schedule

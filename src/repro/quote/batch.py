@@ -16,7 +16,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Iterable, Sequence
 
-from repro.obs import ProgressMeter, maybe_span
+from repro.obs.tracer import ProgressMeter, maybe_span
 
 from repro.quote.engine import ALL_TIERS, QuoteEngine
 from repro.quote.quote import Quote

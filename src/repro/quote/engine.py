@@ -39,7 +39,7 @@ from repro.campaign.ablation.grid import (
 from repro.campaign.ablation.refine import EXPAND_CEILING
 from repro.campaign.ablation.rowstore import load_row, row_descriptor
 from repro.campaign.cache import ResultCache
-from repro.obs import maybe_inc, maybe_span
+from repro.obs.tracer import maybe_inc, maybe_span
 
 from repro.quote.analytic import analytic_pi_star_hint
 from repro.quote.quote import Quote, quote_for

@@ -14,7 +14,6 @@ digest so an edited request can never masquerade as the original.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from hashlib import sha256
 from numbers import Real
@@ -28,7 +27,7 @@ from repro.campaign.ablation.grid import (
     is_graph_family,
     valid_stage,
 )
-from repro.campaign.ablation.refine import DEFAULT_TOL, MAX_ITERATIONS, MIN_TOL
+from repro.campaign.ablation.refine import DEFAULT_TOL, check_tol
 from repro.campaign.canon import canon_float
 from repro.errors import DecodeError, ReproError
 
@@ -117,14 +116,7 @@ class QuoteRequest:
             raise QuoteError(
                 f"shock must be a relative drop in (0, 1), got {self.shock}"
             )
-        if not MIN_TOL <= self.tol < math.inf:
-            # Refused before any probe: a finer tol spends every
-            # bisection iteration and still fails to converge.
-            raise QuoteError(
-                f"tol must be finite and at least {MIN_TOL:.3g}, the finest "
-                f"bracket {MAX_ITERATIONS} bisection iterations reach; got "
-                f"{self.tol}"
-            )
+        check_tol(self.tol, QuoteError)
         object.__setattr__(self, "shock", canon_float(self.shock))
         object.__setattr__(self, "tol", canon_float(self.tol))
 

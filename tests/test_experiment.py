@@ -129,6 +129,23 @@ def test_spec_validation_rejects_malformed_fields():
         ExperimentSpec(kind="ablate", matrix=good.matrix, shard=(3, 2))
 
 
+@pytest.mark.parametrize("tol", ["0", "1e-15", "nan", "inf"])
+def test_ablate_refine_refuses_an_unreachable_tol_like_a_quote(tol, capsys):
+    """One tol rule: below the bisection floor, ``ablate-refine`` exits
+    before any scenario with the message ``quote`` gives for the same tol."""
+    from repro.cli import main as cli_main
+    from repro.quote.request import QuoteError, QuoteRequest
+
+    with pytest.raises(SystemExit) as refused:
+        cli_main(["ablate-refine", "--families", "two-party", "--tol", tol])
+    with pytest.raises(QuoteError) as quoted:
+        QuoteRequest(family="two-party", tol=float(tol))
+    assert str(refused.value) == f"error: {quoted.value}"
+    assert "converged" not in capsys.readouterr().out
+    with pytest.raises(ExperimentError, match="tol must be finite and at least"):
+        refine_spec(tol=float(tol), **GRID)
+
+
 # ----------------------------------------------------------------------
 # spec-vs-flag digest equivalence (acceptance criterion)
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ and sums Equation 2 from those amounts.  Every premium of
 digraphs drawn by Hypothesis.
 """
 
+from collections import Counter
 from graphlib import TopologicalSorter
 from itertools import combinations
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hedged_multi_party import HedgedMultiPartySwap
 from repro.core.premiums import (
     escrow_premium_amounts,
     minimal_path_member_sets,
@@ -28,7 +30,10 @@ from repro.core.premiums import (
     worst_case_redemption_amount,
 )
 from repro.graph.digraph import SwapGraph, complete_graph, ring_graph
+from repro.errors import GraphError, ProtocolError
+from repro.graph import schedule as schedule_module
 from repro.graph.feedback import minimum_feedback_vertex_set
+from repro.protocols.base_multi_party import BaseMultiPartySwap
 
 from test_premiums_edges import GRAPHS as EDGE_GRAPHS
 
@@ -177,3 +182,45 @@ def test_the_minimal_search_on_a_clique_finds_only_the_direct_arc():
     assert minimal_path_member_sets(graph, "P3", "P7") == (frozenset({"P3", "P7"}),)
     # the source, then its eight out-neighbors: nothing else is expanded
     assert premium_plan(graph).search_states == 9
+
+
+def test_a_second_swap_on_a_graph_redoes_no_graph_checks(monkeypatch):
+    """Strong connectivity, the feedback-set check and the follower depths
+    run once per (graph, leaders): later swaps over them, base or hedged,
+    at any premium, reuse the plan's depths."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(SwapGraph, "is_strongly_connected")
+    count(SwapGraph, "follower_depths")
+    count(schedule_module, "is_feedback_vertex_set")
+    graph = ring_graph(5)
+    first = HedgedMultiPartySwap(graph=graph)
+    once = {"is_strongly_connected": 1, "follower_depths": 1, "is_feedback_vertex_set": 1}
+    assert calls == once
+    second = HedgedMultiPartySwap(graph=graph, premium=3)
+    base = BaseMultiPartySwap(graph=graph)
+    assert calls == once
+    assert second.schedule == base.schedule == first.schedule
+    assert second.build().horizon == first.build().horizon
+    # another leader set is checked once too, and a bad one every time
+    BaseMultiPartySwap(graph=graph, leaders=("P0", "P2"))
+    assert calls["is_feedback_vertex_set"] == 2
+    for _ in range(2):
+        with pytest.raises(GraphError):
+            HedgedMultiPartySwap(graph=graph, leaders=("P9",))
+
+
+def test_a_swap_refuses_a_graph_that_is_not_strongly_connected():
+    graph = SwapGraph.build(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "B")])
+    for builder in (HedgedMultiPartySwap, BaseMultiPartySwap):
+        with pytest.raises(ProtocolError, match="strongly connected"):
+            builder(graph=graph)

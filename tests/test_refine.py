@@ -46,7 +46,7 @@ from repro.campaign.ablation import (
     premium_base,
 )
 from repro.campaign.ablation.kernels import KernelEngine
-from repro.campaign.ablation.refine import ProbeCell, _CellProber
+from repro.campaign.ablation.refine import MIN_TOL, ProbeCell, _CellProber
 from repro.campaign.canon import canon_float, fmt_fraction
 
 LATTICE = (0.0, 0.02, 0.05, 0.08)
@@ -158,8 +158,9 @@ def test_refine_opens_the_bracket_at_zero_when_the_lattice_floor_deters():
 
 def test_refine_rejects_partial_frontiers_and_bad_tolerances():
     frontier = lattice_frontier(("auction",))
-    with pytest.raises(ValueError, match="tol must be positive"):
-        refine_frontier(frontier, tol=0.0)
+    for tol in (0.0, MIN_TOL / 2, float("nan")):
+        with pytest.raises(ValueError, match="tol must be finite and at least"):
+            refine_frontier(frontier, tol=tol)
     partial = replace(
         frontier, complete=False, scenarios=frontier.scenarios - 1
     )
