@@ -43,6 +43,8 @@ masquerade as full coverage.
 from repro import lazy_exports
 
 lazy_exports(globals(), {
+    "DEFAULT_TOL": "repro.campaign.ablation.bounds",
+    "EXPAND_CEILING": "repro.campaign.ablation.bounds",
     "FrontierCell": "repro.campaign.ablation.frontier",
     "FrontierReport": "repro.campaign.ablation.frontier",
     "FrontierRow": "repro.campaign.ablation.frontier",
@@ -65,8 +67,6 @@ lazy_exports(globals(), {
     "KERNEL_FACTORIES": "repro.campaign.ablation.kernels",
     "KernelEngine": "repro.campaign.ablation.kernels",
     "KernelUnsupported": "repro.campaign.ablation.kernels",
-    "DEFAULT_TOL": "repro.campaign.ablation.refine",
-    "EXPAND_CEILING": "repro.campaign.ablation.refine",
     "RefinedFrontierReport": "repro.campaign.ablation.refine",
     "RefinedRow": "repro.campaign.ablation.refine",
     "refine_frontier": "repro.campaign.ablation.refine",

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from repro.campaign.ablation.bounds import GRID_SHOCK, PI
 from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.pool import MatrixSpec, register_matrix_factory
@@ -1012,17 +1013,12 @@ def _validate_grid(families, stages) -> None:
 
 
 def _check_fractions(premium_fractions, shock_fractions) -> None:
-    """Refuse canonical (finite) fractions no run can price: a negative π,
-    a π whose premium on the principal (the largest premium base)
-    overflows, or a shock outside [0, 1)."""
-    for pi in premium_fractions:
-        if pi < 0.0 or pi * PRINCIPAL == float("inf"):
-            raise ValueError(
-                f"premium fraction {pi!r} out of range: it must be >= 0 and buy a finite premium"
-            )
-    for shock in shock_fractions:
-        if not 0.0 <= shock < 1.0:
-            raise ValueError(f"shock fraction {shock!r} out of range: it must be in [0, 1)")
+    """Refuse canonical (finite) fractions outside ``PI`` and ``GRID_SHOCK``."""
+    pairs = (("premium", premium_fractions, PI), ("shock", shock_fractions, GRID_SHOCK))
+    for kind, fractions, domain in pairs:
+        for value in fractions:
+            if value not in domain:
+                raise ValueError(f"{kind} fraction {value!r} out of range: it must be in {domain}")
 
 
 def ablation_matrix_spec(

@@ -51,7 +51,6 @@ sharded-then-merged run and whether the probes ran serially or pooled.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from typing import Iterable
@@ -59,6 +58,7 @@ from typing import Iterable
 from repro import codec
 from repro.campaign.canon import canon_float, canon_opt, fmt_fraction
 from repro.campaign.report import load_payload, parse_report, register_report
+from repro.campaign.ablation.bounds import DEFAULT_TOL, EXPAND_CEILING, MAX_ITERATIONS, Tol
 from repro.campaign.ablation.frontier import (
     FrontierCell,
     FrontierReport,
@@ -71,36 +71,6 @@ from repro.campaign.ablation.frontier import (
 from repro.campaign.ablation.grid import ablation_cell
 from repro.campaign.runner import CampaignRunner, run_digest
 from repro.obs.tracer import maybe_inc, maybe_laps
-
-#: default bisection tolerance on the premium fraction: 1/64.
-DEFAULT_TOL = 0.015625
-
-#: hard cap on probes per row (the default tol needs at most a handful).
-MAX_ITERATIONS = 32
-
-#: largest premium fraction the upward-doubling expansion will probe: the
-#: full principal.  A row still walking at π = 1 forfeits a premium the
-#: size of the trade itself — undeterrable in any economically meaningful
-#: sense (pre-stake rows, the broker coalition's markup rent).
-EXPAND_CEILING = 1.0
-
-#: the finest tol a bisection can promise: MAX_ITERATIONS halvings of the
-#: widest starting bracket, [0, EXPAND_CEILING].  The floor does not come
-#: from a family's premium quantum (the auction's 1/60 sits above the
-#: default tol): bisection narrows on π, not on the integer premium.
-MIN_TOL = EXPAND_CEILING / 2**MAX_ITERATIONS
-
-
-def check_tol(tol: float, error: type[Exception] = ValueError) -> None:
-    """Refuse, as ``error``, a tol no bisection can reach, before any probe:
-    a finer (or non-finite) tol spends every iteration and still fails to
-    converge.  Quotes, experiment specs and refinement share this rule."""
-    if not MIN_TOL <= tol < math.inf:
-        raise error(
-            f"tol must be finite and at least {MIN_TOL:.3g}, the finest "
-            f"bracket {MAX_ITERATIONS} bisection iterations reach; got {tol}"
-        )
-
 
 @dataclass(frozen=True)
 class ProbeCell(FrontierCell):
@@ -464,7 +434,7 @@ def refine_frontier(
     afterwards inspect, e.g. for cache accounting) the cell prober; it
     overrides the other execution knobs.
     """
-    check_tol(tol)
+    tol = codec.decode(Tol, tol, "tol")
     if not frontier.complete:
         raise ValueError(
             "refinement needs a full-coverage frontier: merge all shards "
@@ -473,13 +443,13 @@ def refine_frontier(
     if prober is None:
         prober = _CellProber(pool=pool, seed=seed, cache=cache, tracer=tracer)
     rows = [
-        refine_row(row, prober, canon_float(tol), max_iterations)
+        refine_row(row, prober, tol, max_iterations)
         for row in frontier.rows
     ]
     return _with_digest(
         RefinedFrontierReport(
             base_digest=frontier.digest,
-            tol=canon_float(tol),
+            tol=tol,
             rows=tuple(rows),
         )
     )

@@ -47,14 +47,14 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable
+from typing import Annotated, Iterable
 
 from repro import codec
-from repro.campaign.ablation.refine import DEFAULT_TOL, check_tol
+from repro.campaign.ablation.bounds import DEFAULT_TOL, Tol
 from repro.campaign.cache import ResultCache
-from repro.campaign.canon import canon_float
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
 from repro.campaign.pool import MatrixSpec, WorkerPool
+from repro.codec import Interval, OneOf
 from repro.errors import DecodeError
 
 EXPERIMENT_KINDS = ("campaign", "ablate", "ablate-refine")
@@ -89,70 +89,55 @@ def _matrix_json(matrix: MatrixSpec) -> dict:
     return data
 
 
-def _pairs(data: dict, key: str, path: str) -> None:
-    """The inverse for ``data[key]``: the JSON object becomes the sorted
-    ``[name, value]`` pairs a spec holds."""
-    if key in data:
-        if not isinstance(data[key], dict):
-            raise DecodeError(f"must be a JSON object, got {data[key]!r:.60}", path)
-        data[key] = sorted([name, value] for name, value in data[key].items())
+def _unpair(data: dict) -> dict:
+    """The inverse for a spec's JSON object: its ``expect`` and matrix
+    ``kwargs`` objects become the sorted ``[name, value]`` pairs it holds."""
+    matrix = data.get("matrix")
+    matrix = matrix if isinstance(matrix, dict) else {}
+    for parent, key, path in ((data, "expect", "expect"), (matrix, "kwargs", "matrix.kwargs")):
+        if key in parent:
+            if not isinstance(parent[key], dict):
+                raise DecodeError(f"must be a JSON object, got {parent[key]!r:.60}", path)
+            parent[key] = sorted([name, value] for name, value in parent[key].items())
+    return data
+
+
+def _malformed(message: str) -> ExperimentError:
+    return ExperimentError(f"malformed experiment spec: {message}")
+
+
+#: a count of workers or of scenarios.
+AT_LEAST_ONE = Interval(1, what="at least 1")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A complete, serializable description of one experiment."""
 
-    kind: str
+    kind: Annotated[str, OneOf(EXPERIMENT_KINDS, "experiment kind")]
     matrix: MatrixSpec
-    backend: str = "serial"
-    workers: int | None = None
-    limit: int | None = None
+    backend: Annotated[str, OneOf(EXPERIMENT_BACKENDS, "backend")] = "serial"
+    workers: Annotated[int, AT_LEAST_ONE] | None = None
+    limit: Annotated[int, AT_LEAST_ONE] | None = None
     shard: tuple[int, int] | None = None
     #: bisection tolerance; only meaningful (and only set) for ablate-refine.
-    tol: float | None = None
+    tol: Tol | None = None
     #: scenario engine: ``simulator`` or ``kernel`` (ablation kinds only).
-    engine: str = "simulator"
+    engine: Annotated[str, OneOf(EXPERIMENT_ENGINES, "engine")] = "simulator"
     #: (report kind, digest) assertions the run must reproduce.
     expect: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ExperimentError(
-                f"unknown experiment kind {self.kind!r}; "
-                f"known: {list(EXPERIMENT_KINDS)}"
-            )
-        if self.backend not in EXPERIMENT_BACKENDS:
-            raise ExperimentError(
-                f"unknown backend {self.backend!r}; "
-                f"known: {list(EXPERIMENT_BACKENDS)}"
-            )
-        if self.engine not in EXPERIMENT_ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; "
-                f"known: {list(EXPERIMENT_ENGINES)}"
-            )
+        codec.check(self, ExperimentError)
         if self.engine == "kernel" and self.kind == "campaign":
             raise ExperimentError(
                 "the kernel engine covers only the ablation kinds "
                 "(ablate, ablate-refine); campaign specs run the simulator"
             )
-        if not isinstance(self.matrix, MatrixSpec):
-            raise ExperimentError(
-                f"matrix must be a MatrixSpec, got {type(self.matrix).__name__}"
-            )
-        if self.workers is not None and not (
-            type(self.workers) is int and self.workers >= 1
-        ):
-            raise ExperimentError(f"workers must be an int >= 1, got {self.workers!r}")
-        if self.limit is not None and self.limit < 1:
-            raise ExperimentError(f"limit must be >= 1, got {self.limit}")
         if self.shard is not None:
             validate_shard(self.shard)
         if self.tol is not None and self.kind != "ablate-refine":
             raise ExperimentError("tol applies only to ablate-refine specs")
-        if self.tol is not None:
-            check_tol(self.tol, ExperimentError)
-            object.__setattr__(self, "tol", canon_float(self.tol))
         if self.kind == "ablate-refine" and (
             self.limit is not None or self.shard is not None
         ):
@@ -161,12 +146,6 @@ class ExperimentSpec:
                 "selections cannot refine (shard the ablate lattice, merge, "
                 "then refine the merged frontier)"
             )
-        for pair in self.expect:
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                raise ExperimentError(
-                    f"expect entries must be (report kind, digest) pairs, "
-                    f"got {pair!r}"
-                )
 
     # ------------------------------------------------------------------
     # identity
@@ -184,7 +163,7 @@ class ExperimentSpec:
             "matrix": _matrix_json(self.matrix),
             "limit": self.limit,
             "shard": list(self.shard) if self.shard else None,
-            "tol": canon_float(self.tol) if self.tol is not None else None,
+            "tol": self.tol,
         }
         if self.engine != "simulator":
             # Included only when non-default so specs stamped before the
@@ -214,29 +193,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ExperimentError(f"not a JSON experiment spec: {err}")
-        stamped = None
-        try:
-            if isinstance(data, dict):
-                stamped = codec.decode(str | None, data.pop("digest", None), "digest")
-                _pairs(data, "expect", "expect")
-                if isinstance(data.get("matrix"), dict):
-                    _pairs(data["matrix"], "kwargs", "matrix.kwargs")
-            spec = codec.decode(cls, data)
-        except ValueError as err:
-            # DecodeError, or a field check (e.g. a bad shard coordinate)
-            raise ExperimentError(f"malformed experiment spec: {err}") from None
-        if stamped is not None and stamped != spec.digest():
-            raise ExperimentError(
-                "spec digest mismatch after deserialization: "
-                f"{spec.digest()[:16]} != {stamped[:16]} — the spec was "
-                "edited without re-stamping (re-emit it with the `spec` "
-                "subcommand)"
-            )
-        return spec
+        return codec.load_stamped(cls, text, _malformed, "an experiment spec", _unpair)
 
 
 # ----------------------------------------------------------------------

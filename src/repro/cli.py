@@ -120,8 +120,8 @@ import argparse
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
+from repro.campaign.ablation.bounds import DEFAULT_TOL
 from repro.campaign.ablation.grid import ABLATION_FAMILIES, parse_graph_family
-from repro.campaign.ablation.refine import DEFAULT_TOL
 from repro.campaign.cache import shared_cache
 from repro.campaign.experiment import (
     PRIMARY_KINDS,
@@ -619,7 +619,7 @@ def cmd_merge(args) -> None:
 def _tiers_from_args(args) -> tuple[int, ...]:
     text = getattr(args, "tiers", None)
     if not text:
-        from repro.quote import ALL_TIERS
+        from repro.quote.engine import ALL_TIERS
 
         return ALL_TIERS
     try:
@@ -662,7 +662,8 @@ def _print_quote(quote, label: str = "quote") -> None:
 
 
 def cmd_quote(args) -> None:
-    from repro.quote import QuoteEngine, QuoteRequest
+    from repro.quote.engine import QuoteEngine
+    from repro.quote.request import QuoteRequest
 
     with _observed(args) as (tracer, _):
         request = QuoteRequest(
@@ -682,7 +683,9 @@ def cmd_quote(args) -> None:
 def cmd_quote_batch(args) -> None:
     import json
 
-    from repro.quote import QuoteEngine, QuoteRequest, batch_digest, quote_batch
+    from repro.quote.batch import batch_digest, quote_batch
+    from repro.quote.engine import QuoteEngine
+    from repro.quote.request import QuoteRequest
 
     try:
         with open(args.requests, "r", encoding="utf-8") as handle:
@@ -933,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     # ------------------------------------------------------------------
     # the premium-quoting service
     # ------------------------------------------------------------------
-    from repro.quote import DEFAULT_SHOCK
+    from repro.quote.request import DEFAULT_SHOCK
 
     def quote_common_flags(p):
         """The assumption/ladder flags shared by quote and quote-batch."""

@@ -12,31 +12,22 @@ traced-equals-untraced byte-identity discipline as every other artifact
 in the tree.
 """
 
-from repro.quote.analytic import (
-    analytic_pi_star_hint,
-    graph_pivot,
-    graph_stake_slope,
-)
-from repro.quote.batch import batch_cells, batch_digest, quote_batch
-from repro.quote.engine import ALL_TIERS, QuoteEngine
-from repro.quote.quote import Quote, ScheduleEntry, quote_for
-from repro.quote.request import DEFAULT_SHOCK, QuoteError, QuoteRequest
-from repro.quote.schedule import deposit_schedule
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_TIERS",
-    "DEFAULT_SHOCK",
-    "Quote",
-    "QuoteEngine",
-    "QuoteError",
-    "QuoteRequest",
-    "ScheduleEntry",
-    "analytic_pi_star_hint",
-    "batch_cells",
-    "batch_digest",
-    "deposit_schedule",
-    "graph_pivot",
-    "graph_stake_slope",
-    "quote_batch",
-    "quote_for",
-]
+lazy_exports(globals(), {
+    "ALL_TIERS": "repro.quote.engine",
+    "DEFAULT_SHOCK": "repro.quote.request",
+    "Quote": "repro.quote.quote",
+    "QuoteEngine": "repro.quote.engine",
+    "QuoteError": "repro.quote.request",
+    "QuoteRequest": "repro.quote.request",
+    "ScheduleEntry": "repro.quote.quote",
+    "analytic_pi_star_hint": "repro.quote.analytic",
+    "batch_cells": "repro.quote.batch",
+    "batch_digest": "repro.quote.batch",
+    "deposit_schedule": "repro.quote.schedule",
+    "graph_pivot": "repro.quote.analytic",
+    "graph_stake_slope": "repro.quote.analytic",
+    "quote_batch": "repro.quote.batch",
+    "quote_for": "repro.quote.quote",
+})

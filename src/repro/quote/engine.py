@@ -29,20 +29,19 @@ outside the digest (see :meth:`~repro.quote.quote.Quote.digest`).
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
+from repro.campaign.ablation.bounds import EXPAND_CEILING
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
     closed_form_pi_star,
     premium_base,
 )
-from repro.campaign.ablation.refine import EXPAND_CEILING
 from repro.campaign.ablation.rowstore import load_row, row_descriptor
 from repro.campaign.cache import ResultCache
 from repro.obs.tracer import maybe_inc, maybe_span
 
 from repro.quote.analytic import analytic_pi_star_hint
-from repro.quote.quote import Quote, quote_for
+from repro.quote.quote import Quote, quote_for, smallest_premium
 from repro.quote.request import QuoteError, QuoteRequest
 from repro.quote.schedule import deposit_schedule
 
@@ -131,22 +130,20 @@ class QuoteEngine:
         tier: int,
         start: float,
     ) -> Quote:
-        # One assembly (one request digest, one premium quantization),
-        # then the schedule that premium implies — shared per (family,
-        # premium) — and the latency stamp go on through ``replace``:
-        # Quote has no __post_init__, so nothing is derived twice.
-        quote = quote_for(
+        # Built once (a Quote checks its fields when built), schedule shared
+        # per (family, premium); latency is stamped before digest and build.
+        family = request.cell_family
+        base = premium_base(family)
+        premium = smallest_premium(pi_star, base)
+        return quote_for(
             request,
             pi_star=pi_star,
-            base=premium_base(request.cell_family),
+            base=base,
             provenance=provenance,
+            schedule=deposit_schedule(family, premium) if premium is not None else (),
             tier=tier,
+            latency_ms=(time.perf_counter() - start) * 1000.0,
         )
-        schedule = ()
-        if quote.premium is not None:
-            schedule = deposit_schedule(request.cell_family, quote.premium)
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        return replace(quote, schedule=schedule, latency_ms=latency_ms)
 
     def _descriptor(self, request: QuoteRequest) -> str:
         return row_descriptor(

@@ -14,12 +14,13 @@ same request must produce byte-identical digests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from hashlib import sha256
+from typing import Annotated
 
 from repro import codec
-from repro.campaign.canon import canon_float, canon_opt
-from repro.errors import DecodeError
+from repro.codec import Interval
 
 from repro.quote.request import QuoteError, QuoteRequest
 
@@ -41,6 +42,9 @@ class ScheduleEntry:
     round: int
     amount: int
     path: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        codec.check(self, QuoteError)
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,11 @@ class Quote:
     base: int
     provenance: str
     schedule: tuple[ScheduleEntry, ...] = ()
-    tier: int = 0
+    tier: Annotated[int, Interval(0, 3, what="0-3")] = 0
     latency_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        codec.check(self, QuoteError)
 
     @property
     def hedgeable(self) -> bool:
@@ -84,9 +91,9 @@ class Quote:
             "family": self.family,
             "coalition": self.coalition,
             "stage": self.stage,
-            "shock": canon_float(self.shock),
-            "tol": canon_float(self.tol),
-            "pi_star": canon_opt(self.pi_star),
+            "shock": self.shock,
+            "tol": self.tol,
+            "pi_star": self.pi_star,
             "premium": self.premium,
             "base": self.base,
             "provenance": self.provenance,
@@ -114,34 +121,14 @@ class Quote:
 
     @classmethod
     def from_json(cls, text: str) -> "Quote":
-        """Load a quote, refusing any field of the wrong type.
+        """Load a quote; a ``"5"`` premium is refused, never coerced."""
+        return codec.load_stamped(cls, text, QuoteError, "a quote")
 
-        Types are checked, never coerced: a ``"5"`` premium would load
-        as a quote whose digest differs from the well-typed one's.
-        """
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise QuoteError(f"not a JSON quote: {err}")
-        if not isinstance(data, dict):
-            raise QuoteError(
-                f"a quote is a JSON object, got {type(data).__name__}"
-            )
-        stamped = data.pop("digest", None)
-        try:
-            stamped = codec.decode(str | None, stamped, "digest")
-            quote = codec.decode(cls, data)
-        except DecodeError as err:
-            raise QuoteError(str(err)) from None
-        if not 0 <= quote.tier <= 3:
-            raise QuoteError(f"tier must be 0-3, got {quote.tier}")
-        if stamped is not None and stamped != quote.digest():
-            raise QuoteError(
-                "quote digest mismatch after deserialization: "
-                f"{quote.digest()[:16]} != {stamped[:16]} — the quote was "
-                "edited without re-stamping"
-            )
-        return quote
+
+def smallest_premium(pi_star: float | None, base: int) -> int | None:
+    """The smallest integer premium (a deposit a contract can hold)
+    clearing π* on ``base``, or None when no premium deters."""
+    return None if pi_star is None else math.ceil(pi_star * base)
 
 
 def quote_for(
@@ -154,21 +141,7 @@ def quote_for(
     tier: int = 0,
     latency_ms: float = 0.0,
 ) -> Quote:
-    """Assemble a :class:`Quote` answering ``request``.
-
-    Centralizes the two derivations every tier shares: the request-digest
-    stamp that binds answer to question, and the smallest integer premium
-    clearing π* (``ceil(pi_star * base)``, the deposit a contract can
-    actually hold — premiums are integer token amounts throughout the
-    protocol layer).
-    """
-    premium: int | None = None
-    if pi_star is not None:
-        pi_star = canon_float(pi_star)
-        scaled = pi_star * base
-        premium = int(scaled)
-        if premium < scaled:
-            premium += 1
+    """A :class:`Quote` answering ``request``, bound to it by its digest."""
     return Quote(
         request_digest=request.digest(),
         family=request.cell_family,
@@ -177,7 +150,7 @@ def quote_for(
         shock=request.shock,
         tol=request.tol,
         pi_star=pi_star,
-        premium=premium,
+        premium=smallest_premium(pi_star, base),
         base=base,
         provenance=provenance,
         schedule=schedule,

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from hashlib import sha256
-from numbers import Real
+from typing import Annotated
 
 from repro import codec
+from repro.campaign.ablation.bounds import DEFAULT_TOL, Tol
 from repro.campaign.ablation.grid import (
     ABLATION_FAMILIES,
     CELL_CONTEXTS,
@@ -27,14 +28,16 @@ from repro.campaign.ablation.grid import (
     is_graph_family,
     valid_stage,
 )
-from repro.campaign.ablation.refine import DEFAULT_TOL, check_tol
-from repro.campaign.canon import canon_float
-from repro.errors import DecodeError, ReproError
+from repro.codec import Interval
+from repro.errors import ReproError
 
 #: the default shock assumption a deal is priced against: the 0.045
 #: relative drop sits mid-grid (deterred by the default sweep's upper
 #: premiums, walked at its lower ones) so a default quote is informative.
 DEFAULT_SHOCK = 0.045
+
+#: a shock assumption: a relative price drop in (0, 1), ends excluded.
+Shock = Annotated[float, Interval(0.0, 1.0, True, True, "a relative drop in (0, 1)")]
 
 
 class QuoteError(ReproError):
@@ -57,17 +60,14 @@ class QuoteRequest:
     family: str = ""
     graph: str = ""
     coalition: str = ""
-    shock: float = DEFAULT_SHOCK
+    shock: Shock = DEFAULT_SHOCK
     stage: str = "staked"
-    tol: float = DEFAULT_TOL
+    tol: Tol = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("family", "graph", "coalition", "stage"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise QuoteError(f"{name} must be a string, got {value!r}")
-        if bool(self.family) == bool(self.graph):
+        codec.check(self, QuoteError)
+        if (not self.family) == (not self.graph):
             raise QuoteError(
                 "a quote request names exactly one of family= "
                 f"(one of {list(ABLATION_FAMILIES)}) and graph= "
@@ -102,23 +102,6 @@ class QuoteRequest:
                 f"a quote needs one concrete stage, got {self.stage!r} "
                 "(named stage or round:K)"
             )
-        # Typed before any comparison: a bool or float seed would hash
-        # differently from the int it equals, and a str shock would
-        # escape as a bare TypeError.  ``float`` ahead of ``Real`` lets the
-        # common case skip the ABC check on the quote hot path.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise QuoteError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("shock", "tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (float, Real)):
-                raise QuoteError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.shock < 1.0:
-            raise QuoteError(
-                f"shock must be a relative drop in (0, 1), got {self.shock}"
-            )
-        check_tol(self.tol, QuoteError)
-        object.__setattr__(self, "shock", canon_float(self.shock))
-        object.__setattr__(self, "tol", canon_float(self.tol))
 
     @property
     def cell_family(self) -> str:
@@ -139,9 +122,9 @@ class QuoteRequest:
             "family": self.family,
             "graph": self.graph,
             "coalition": self.coalition,
-            "shock": canon_float(self.shock),
+            "shock": self.shock,
             "stage": self.stage,
-            "tol": canon_float(self.tol),
+            "tol": self.tol,
             "seed": self.seed,
         }
 
@@ -160,25 +143,4 @@ class QuoteRequest:
 
     @classmethod
     def from_json(cls, text: str) -> "QuoteRequest":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise QuoteError(f"not a JSON quote request: {err}")
-        if not isinstance(data, dict):
-            raise QuoteError(
-                "a quote request is a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        stamped = data.pop("digest", None)
-        try:
-            stamped = codec.decode(str | None, stamped, "digest")
-            request = codec.decode(cls, data)
-        except DecodeError as err:
-            raise QuoteError(str(err)) from None
-        if stamped is not None and stamped != request.digest():
-            raise QuoteError(
-                "quote-request digest mismatch after deserialization: "
-                f"{request.digest()[:16]} != {stamped[:16]} — the request "
-                "was edited without re-stamping"
-            )
-        return request
+        return codec.load_stamped(cls, text, QuoteError, "a quote request")

@@ -602,7 +602,7 @@ def route_probers():
 def test_memoized_probe_route_matches_uncached_cells(route_probers, data):
     from unittest import mock
 
-    from repro.campaign.ablation.refine import EXPAND_CEILING
+    from repro.campaign.ablation.bounds import EXPAND_CEILING
 
     family, coalition = data.draw(st.sampled_from(tuple(grid.CELL_CONTEXTS)))
     base = grid.premium_base(family)
@@ -651,15 +651,21 @@ def test_grid_refuses_a_shock_outside_the_unit_interval(shock):
         grid.ablation_cell("two-party", 0.02, shock, "staked")
 
 
-def test_grid_bounds_premiums_on_the_largest_base():
-    # 1e306 buys a finite premium on every base; 1e307 overflows the
-    # 100 principal, the largest premium base.
-    assert max(map(grid.premium_base, grid.ABLATION_FAMILIES)) == grid.PRINCIPAL
-    grid.ablation_matrix_spec(families=("auction",), premium_fractions=(1e306,))
-    with pytest.raises(ValueError, match="premium fraction"):
-        grid.ablation_matrix_spec(families=("two-party",), premium_fractions=(1e307,))
+def test_grid_bounds_premiums_by_the_expansion_ceiling():
+    # One π domain for grids, probes and refinement: [0, EXPAND_CEILING],
+    # the largest premium fraction refinement ever probes.
+    from repro.campaign.ablation.bounds import EXPAND_CEILING
+
+    assert EXPAND_CEILING == 1.0
+    grid.ablation_matrix_spec(families=("auction",), premium_fractions=(1.0,))
+    grid.ablation_cell("two-party", 1.0, 0.045, "staked")
+    for pi in (1.5, 2.0, 1e300):
+        with pytest.raises(ValueError, match="premium fraction .* out of range"):
+            grid.ablation_matrix_spec(families=("two-party",), premium_fractions=(pi,))
+        with pytest.raises(ValueError, match="premium fraction .* out of range"):
+            grid.ablation_cell("two-party", pi, 0.045, "staked")
     # the edges themselves are in range
-    grid.ablation_matrix_spec(premium_fractions=(0.0, 2.0), shock_fractions=(0.0, 0.999))
+    grid.ablation_matrix_spec(premium_fractions=(0.0, 1.0), shock_fractions=(0.0, 0.999))
 
 
 @pytest.mark.parametrize(
@@ -667,6 +673,7 @@ def test_grid_bounds_premiums_on_the_largest_base():
     [
         ("--premiums", "-0.5", "premium fraction -0.5 out of range"),
         ("--premiums", "1e308", "premium fraction 1e+308 out of range"),
+        ("--premiums", "1e300", "premium fraction 1e+300 out of range"),
         ("--shocks", "1.5", "shock fraction 1.5 out of range"),
         ("--shocks", "-0.2", "shock fraction -0.2 out of range"),
     ],

@@ -357,3 +357,97 @@ def test_exact_scalars_pass_and_a_bool_is_never_an_int(tp, good, decoded, bad, m
     with pytest.raises(DecodeError) as err:
         codec.decode(tp, bad)
     assert str(err.value) == message
+
+
+# ----------------------------------------------------------------------
+# the Python route: the same decoders, the same refusals
+# ----------------------------------------------------------------------
+FRONT_DOORS = [
+    ("spec_campaign.json", ExperimentSpec, ExperimentError),
+    ("spec_ablate.json", ExperimentSpec, ExperimentError),
+    ("spec_refine.json", ExperimentSpec, ExperimentError),
+    ("quote_request_family.json", QuoteRequest, QuoteError),
+    ("quote_request_graph.json", QuoteRequest, QuoteError),
+    ("quote_hedgeable.json", Quote, QuoteError),
+    ("quote_unhedgeable.json", Quote, QuoteError),
+]
+
+
+def _built(build, *allowed: type):
+    """What ``build()`` gives: the object, or the text of its defined
+    error; any other exception is an escape and fails the test."""
+    try:
+        return build()
+    except allowed as err:
+        return f"refused: {err}"
+
+
+@pytest.mark.parametrize("name, cls, allowed", FRONT_DOORS)
+def test_every_python_mutant_matches_its_json_decode(name, cls, allowed):
+    """Junk in any field, passed to the constructor, gives the error the
+    JSON decode of the same junk gives, or an equal object."""
+    from repro import codec
+
+    loaded = cls.from_json(fixture(name))
+    fields = {
+        field.name: getattr(loaded, field.name)
+        for field in dataclasses.fields(cls)
+        if field.init
+    }
+    document = codec.encode(loaded)
+    refused = 0
+    for field in fields:
+        for junk in JUNK:
+            python = _built(lambda: cls(**{**fields, field: junk}), allowed)
+            decoded = _built(
+                lambda: codec.decode(cls, {**document, field: junk}), DecodeError, allowed
+            )
+            assert python == decoded, (field, junk)
+            refused += isinstance(python, str)
+    assert refused >= len(fields) * 5  # most junk is refused, field by field
+
+
+def test_python_built_specs_round_trip_through_json():
+    from repro.campaign.experiment import ablate_spec, campaign_spec, refine_spec
+
+    grid = dict(families=("two-party",), premium_fractions=(0, 0.04), shock_fractions=(0.045,))
+    matrix = campaign_spec().matrix
+    specs = [
+        campaign_spec(),
+        campaign_spec(families=("broker",), limit=5, workers=2, shard=(1, 2)),
+        campaign_spec(expect=[("campaign", "ab" * 32)]),
+        ablate_spec(**grid),
+        ablate_spec(engine="simulator", backend="pooled", workers=1, **grid),
+        refine_spec(tol=1, **grid),
+        refine_spec(tol=0.03125, **grid),
+        ExperimentSpec(kind="campaign", matrix=matrix, shard=[2, 3], expect=[["x", "y"]]),
+    ]
+    for spec in specs:
+        assert ExperimentSpec.from_json(spec.to_json()) == spec, spec
+        assert ExperimentSpec.from_json(spec.to_json()).to_json() == spec.to_json()
+    assert specs[-1].shard == (2, 3) and specs[-1].expect == (("x", "y"),)
+    assert specs[5].tol == 1.0 and type(specs[5].tol) is float
+
+
+@pytest.mark.parametrize("matrix", ["x", 3, None, object(), ("ablation", ())])
+def test_a_spec_refuses_a_matrix_that_is_not_a_matrix_spec(matrix):
+    with pytest.raises(ExperimentError, match="^matrix must be a MatrixSpec"):
+        ExperimentSpec(kind="campaign", matrix=matrix)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"limit": True}, "limit must be an integer, got True"),
+        ({"limit": 2.5}, "limit must be an integer, got 2.5"),
+        ({"expect": (("campaign", 5),)}, "expect[0] must be an array of 2 items"),
+    ],
+)
+def test_a_spec_python_refuses_what_its_json_would(fields, message):
+    """A spec built from Python that its own ``from_json`` would refuse is
+    refused at construction, with the same field path."""
+    from repro.campaign.experiment import campaign_spec
+
+    with pytest.raises(ExperimentError) as refused:
+        ExperimentSpec(kind="campaign", matrix=campaign_spec().matrix, **fields)
+    assert str(refused.value).startswith(message)

@@ -68,9 +68,31 @@ def test_the_cli_loads_no_kernels_and_no_trace_summary():
     assert "repro.obs.summarize" not in loaded
 
 
+#: ``repro`` modules a fresh interpreter loads for each import, exact: a
+#: request or a CLI start that pulls in more code shows here first.
+IMPORT_COUNTS = {
+    "from repro.quote.request import QuoteRequest": 37,
+    "import repro.cli": 67,
+}
+
+
+@pytest.mark.parametrize("code, count", IMPORT_COUNTS.items())
+def test_the_front_doors_load_a_pinned_module_count(code, count):
+    loaded = loaded_after(code)
+    assert "repro.campaign.ablation.refine" not in loaded
+    assert len(loaded) == count, sorted(loaded)
+
+
 @pytest.mark.parametrize(
     "package",
-    ["repro.campaign", "repro.campaign.ablation", "repro.obs", "repro.core", "repro.checker"],
+    [
+        "repro.campaign",
+        "repro.campaign.ablation",
+        "repro.obs",
+        "repro.core",
+        "repro.checker",
+        "repro.quote",
+    ],
 )
 def test_every_lazy_export_resolves_from_its_defining_module(package):
     module = importlib.import_module(package)

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from repro.campaign.ablation.grid import closed_form_pi_star, parse_graph_family
-from repro.campaign.ablation.refine import DEFAULT_TOL, MIN_TOL
+from repro.campaign.ablation.bounds import DEFAULT_TOL, MIN_TOL
 from repro.campaign.ablation.rowstore import (
     load_row,
     row_descriptor,

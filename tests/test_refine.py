@@ -45,8 +45,9 @@ from repro.campaign.ablation import (
     closed_form_pi_star,
     premium_base,
 )
+from repro.campaign.ablation.bounds import MIN_TOL
 from repro.campaign.ablation.kernels import KernelEngine
-from repro.campaign.ablation.refine import MIN_TOL, ProbeCell, _CellProber
+from repro.campaign.ablation.refine import ProbeCell, _CellProber
 from repro.campaign.canon import canon_float, fmt_fraction
 
 LATTICE = (0.0, 0.02, 0.05, 0.08)
