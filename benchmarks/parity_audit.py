@@ -21,10 +21,14 @@ script is the contract between them, run on every CI push:
 3. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
    fixed grid (coalitions included) may run at most
    :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls and construct at
-   most :data:`MAX_REFINE_CELLS` ``FamilyCell`` objects.  The counts are
-   properties of the code, not of the host: a cell path that goes back to
-   building a throwaway instance per premium or per probe, or a probe
-   that rebuilds its premium's cell, breaches them.
+   most :data:`MAX_REFINE_CELLS` ``FamilyCell`` objects, and its
+   campaign plumbing at most :data:`MAX_REFINE_BLOCKS` ``MatrixBlock``
+   and :data:`MAX_REFINE_SCENARIOS` ``Scenario`` constructions and
+   :data:`MAX_REFINE_DESCRIBES` block ``describe()`` renders.  The counts
+   are properties of the code, not of the host: a cell path that goes
+   back to building a throwaway instance per premium or per probe, a
+   probe that rebuilds its premium's cell, or a probe that builds or
+   renders more than its one two-scenario block, breaches them.
 4. **Perf gate** — the warm dense-grid kernel speedup over the simulator
    must not drop below the floor committed in ``BENCH_ablation.json``
    (``engine_throughput.kernel_hot_speedup_floor``).  The gate compares a
@@ -75,6 +79,14 @@ MAX_REFINE_BUILDS = 43
 #: and bisection probes touch, since ``family_cell`` memoizes them.
 #: Without the memo every block and probe builds its own.
 MAX_REFINE_CELLS = 30
+
+#: the same refine's campaign plumbing: ``MatrixBlock`` constructions,
+#: ``Scenario`` constructions and block ``describe()`` renders — one
+#: block, its two scenarios and one render per lattice cell and per
+#: probe, since a block renders its descriptor once.
+MAX_REFINE_BLOCKS = 28
+MAX_REFINE_SCENARIOS = 56
+MAX_REFINE_DESCRIBES = 28
 
 _RESULT_FIELDS = (
     "digest",
@@ -216,23 +228,28 @@ def audit_pair_lines() -> list[str]:
 @contextlib.contextmanager
 def counting_builds():
     """Count ``build()`` calls of the ablation families' builder classes
-    (``counts["build"]``) and ``FamilyCell`` constructions
-    (``counts["cell"]``).
+    (``counts["build"]``), ``FamilyCell``, ``MatrixBlock`` and
+    ``Scenario`` constructions (``"cell"``, ``"block"``, ``"scenario"``)
+    and block ``describe()`` renders (``"describe"``: calls on a block
+    whose descriptor is not yet rendered).
 
     Yields the counts dict.  The methods are wrapped from outside and
     restored on exit.
     """
     from repro.campaign.ablation.grid import FamilyCell
+    from repro.campaign.matrix import MatrixBlock
+    from repro.campaign.scenario import Scenario
     from repro.core.hedged_auction import HedgedAuction
     from repro.core.hedged_broker import HedgedBrokerDeal
     from repro.core.hedged_multi_party import HedgedMultiPartySwap
     from repro.core.hedged_two_party import HedgedTwoPartySwap
 
-    counts = {"build": 0, "cell": 0}
+    counts = {"build": 0, "cell": 0, "block": 0, "scenario": 0, "describe": 0}
 
     def counted(original, name):
         def method(self, *args, **kwargs):
-            counts[name] += 1
+            if name != "describe" or "_describe" not in vars(self):
+                counts[name] += 1
             return original(self, *args, **kwargs)
 
         return method
@@ -246,7 +263,12 @@ def counting_builds():
             HedgedAuction,
         )
     ]
-    methods.append((FamilyCell, "__init__", "cell"))
+    methods += [
+        (FamilyCell, "__init__", "cell"),
+        (MatrixBlock, "__init__", "block"),
+        (Scenario, "__init__", "scenario"),
+        (MatrixBlock, "describe", "describe"),
+    ]
     originals = [(cls, attr, vars(cls)[attr]) for cls, attr, _ in methods]
     for (cls, attr, name), (_, _, original) in zip(methods, originals):
         setattr(cls, attr, counted(original, name))
@@ -279,7 +301,20 @@ def gate_builds() -> list[str]:
         f"cells: {cells} FamilyCell constructions over the same refine "
         f"(ceiling {MAX_REFINE_CELLS})"
     )
-    problems = []
+    plumbing = (
+        ("block", "MatrixBlock constructions", MAX_REFINE_BLOCKS),
+        ("scenario", "Scenario constructions", MAX_REFINE_SCENARIOS),
+        ("describe", "block describe() renders", MAX_REFINE_DESCRIBES),
+    )
+    print("plumbing: " + ", ".join(
+        f"{counts[name]} {what} (ceiling {ceiling})" for name, what, ceiling in plumbing
+    ))
+    problems = [
+        f"{counts[name]} {what} over one cold kernel ablate-refine exceed the "
+        f"ceiling {ceiling}: a probe builds or renders more than its one block"
+        for name, what, ceiling in plumbing
+        if counts[name] > ceiling
+    ]
     if builds > MAX_REFINE_BUILDS:
         problems.append(
             f"{builds} protocol builds over one cold kernel ablate-refine "

@@ -64,7 +64,7 @@ lazy_exports(globals(), {
     "parse_graph_family": "repro.campaign.ablation.grid",
     "premium_base": "repro.campaign.ablation.grid",
     "shocked_notional": "repro.campaign.ablation.grid",
-    "KERNEL_FACTORIES": "repro.campaign.ablation.kernels",
+    "KERNEL_FACTORIES": "repro.campaign.runner",
     "KernelEngine": "repro.campaign.ablation.kernels",
     "KernelUnsupported": "repro.campaign.ablation.kernels",
     "RefinedFrontierReport": "repro.campaign.ablation.refine",

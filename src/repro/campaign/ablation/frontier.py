@@ -308,13 +308,17 @@ def _with_digest(report: FrontierReport) -> FrontierReport:
     return replace(report, digest=digest.hexdigest())
 
 
-def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
+def frontier_cells(
+    results: Iterable[ScenarioResult], make: type = FrontierCell, **extra
+) -> list[FrontierCell]:
     """Pair ablation results' arms into cells, in ``(family, coalition,
     stage, shock, π)`` order.
 
     Every result carries ``pi``, ``shock`` and ``stage`` axes and a
     ``comply``/``rational`` strategy coordinate (coalition cells use the
-    all-``compliant`` profile as their comply arm).
+    all-``compliant`` profile as their comply arm).  ``make`` builds each
+    cell from its fields and ``extra`` — a bisection probe's
+    :class:`~repro.campaign.ablation.refine.ProbeCell` in one construction.
     """
     # Each arm is kept with its axes dict: one dict(result.axes) per result.
     arms: dict[tuple[str, str, str, float, float], dict[str, tuple]] = {}
@@ -351,19 +355,20 @@ def frontier_cells(results: Iterable[ScenarioResult]) -> list[FrontierCell]:
         # Every pivot (all coalition members) is excluded from victimhood.
         pivots = r_axes["adversaries"].split(",")
         cells.append(
-            FrontierCell(
-                family=family,
-                stage=stage,
-                shock=shock,
-                pi=pi,
-                walked=r_metrics["completed"] == 0.0,
-                rational_utility=canon_float(r_metrics["utility"]),
-                comply_utility=canon_float(dict(comply[0].metrics)["utility"]),
-                victim_net=max(
-                    (net for party, net in rational.premium_net if party not in pivots),
+            make(
+                family,
+                stage,
+                shock,
+                pi,
+                r_metrics["completed"] == 0.0,
+                canon_float(r_metrics["utility"]),
+                canon_float(dict(comply[0].metrics)["utility"]),
+                max(
+                    [net for party, net in rational.premium_net if party not in pivots],
                     default=0,
                 ),
-                coalition=coalition,
+                coalition,
+                **extra,
             )
         )
     return cells

@@ -208,59 +208,30 @@ class _Arm(NamedTuple):
 _COMPLY = _Arm("comply", _comply)
 
 
-def _make_strategies(party: str, transform):
-    """The two arms of one cell."""
-    return {party: (_COMPLY, _Arm("rational", transform))}
-
-
-def _make_coalition_strategies(transforms: dict[str, object]):
-    """One joint-rational strategy per member; the comply arm is the
-    block's all-compliant profile (``min_adversaries=2`` suppresses the
-    spurious single-member profiles)."""
-    return {
-        party: (_Arm("rational", transform),) for party, transform in transforms.items()
-    }
-
-
 def _make_metrics(parties, prices, completed):
     """The cell's digest-covered metrics: completion flag + pivot utility.
 
     ``parties`` may be one pivot or a coalition tuple; the utility metric
-    is the (joint) realized value of the pivot set at post-shock prices.
+    is the (joint) realized value of the pivot set at the post-shock
+    prices that ``prices()`` makes for the run.
     """
     if isinstance(parties, str):
         parties = (parties,)
 
     def metrics(instance, result):
+        run_prices = prices()
         return (
             ("completed", 1.0 if completed(instance) else 0.0),
             (
                 "utility",
                 sum(
-                    result.payoffs.realized_utility(p, prices, instance.horizon)
+                    result.payoffs.realized_utility(p, run_prices, instance.horizon)
                     for p in parties
                 ),
             ),
         )
 
     return metrics
-
-
-def _axes(pi: str, premium: int, shock: str, stage: str, height: int, coalition: str):
-    """Cell coordinates, π and shock already rendered by :func:`fmt_fraction`;
-    ``premium`` is the *effective* integer premium the
-    fraction π bought after rounding, recorded so a quantized grid (e.g.
-    π = 0.025 on a 100 principal → premium 2) can never misstate what
-    actually hedged the run.  Coalition cells carry their pivot-set name as
-    an extra axis so the frontier reducer prices them separately."""
-    axes = (
-        ("pi", pi),
-        ("premium", str(premium)),
-        ("shock", shock),
-        ("stage", stage),
-        ("shock_height", str(height)),
-    )
-    return axes + (("coalition", coalition),) if coalition else axes
 
 
 # ----------------------------------------------------------------------
@@ -757,52 +728,95 @@ family_cell.cache_clear = _memo_cell.cache_clear
 family_cell.cache_info = _memo_cell.cache_info
 
 
-def _add_blocks(
-    matrix, context, family, coalition, premium_fractions, shock_fractions, stages
-) -> None:
-    """Expand one context's cells over π × shock × stage into blocks,
-    rendering each π and each shock once."""
-    builder_id = context.builder_id
-    base = premium_base(family)
-    shocks = [(shock, fmt_fraction(shock)) for shock in shock_fractions]
+class _BlockTemplate(NamedTuple):
+    """What every block of one ``(family, coalition, stage)`` shares at
+    any premium and shock (see :func:`_block_template`)."""
+
+    builder_id: str
+    stage: str
+    height: int  #: the stage's shock height
+    pivots: tuple[str, ...]  #: the parties the rational arm wraps
+    comply: tuple  #: the arms before the rational one: (_COMPLY,) or ()
+    #: the block's adversary bounds: a coalition expands its compliant
+    #: and joint-rational profiles only
+    expansion: dict
+    #: the axes after π, premium and shock; coalition cells carry their
+    #: pivot-set name so the frontier reducer prices them separately
+    axes: tuple[tuple[str, str], ...]
+    base: int  #: :func:`premium_base`, which quantizes π
+
+
+@lru_cache(maxsize=256)
+def _block_template(family: str, coalition: str, stage: str) -> _BlockTemplate:
+    """The premium-free template of a known ``(family, coalition)``'s
+    blocks at one concrete stage: its structure only, read off the cached
+    shape, so it holds nothing a run derives."""
+    context = cell_context(family, coalition)
+    shape = cell_shape(family, coalition)
+    ((stage, height),) = stage_heights((stage,), dict(shape.named), shape.horizon)
     if coalition:
         expansion = dict(max_adversaries=2, min_adversaries=2, include_compliant=True)
     else:
         expansion = dict(max_adversaries=1, include_compliant=False)
+    axes = (("stage", stage), ("shock_height", str(height)))
+    return _BlockTemplate(
+        builder_id=context.builder_id,
+        stage=stage,
+        height=height,
+        pivots=shape.pivots,
+        comply=() if coalition else (_COMPLY,),
+        expansion=expansion,
+        axes=axes + (("coalition", coalition),) if coalition else axes,
+        base=premium_base(family),
+    )
+
+
+def _add_block(matrix, family, template, cell, pi_text, shock, shock_text) -> None:
+    """Add one cell's comply/rational block at shock ``shock``, with π and
+    the shock already rendered by :func:`fmt_fraction`.  The ``premium``
+    axis is the *effective* integer premium π bought after rounding, so a
+    quantized grid (e.g. π = 0.025 on a 100 principal → premium 2) can
+    never misstate what actually hedged the run.  A run makes its own
+    prices: the kernel engine runs no block's closures."""
+
+    def prices(cell=cell, shock=shock, height=template.height):
+        return TokenPrices(cell.base_values, cell.shape.shocked, shock, height)
+
+    def transform(actor, cell=cell, prices=prices):
+        return rational_party(actor, cell.model_factory(prices()))
+
+    rational = _Arm("rational", transform)
+    matrix.add_block(
+        family=family,
+        schedule=f"{cell.schedule_prefix}pi{pi_text}/s{shock_text}@{template.stage}",
+        builder=cell.builder,
+        builder_id=template.builder_id,
+        properties=cell.properties,
+        strategies={party: (*template.comply, rational) for party in template.pivots},
+        extra_axes=(
+            ("pi", pi_text), ("premium", str(cell.premium)), ("shock", shock_text),
+            *template.axes,
+        ),
+        metrics=_make_metrics(cell.metrics_parties, prices, cell.completed),
+        **template.expansion,
+    )
+
+
+def _add_blocks(matrix, family, coalition, premium_fractions, shock_fractions, stages) -> None:
+    """Expand one context's cells over π × shock × stage into blocks,
+    rendering each π and each shock once."""
+    shape = cell_shape(family, coalition)
+    templates = [
+        _block_template(family, coalition, stage)
+        for stage, _ in stage_heights(stages, dict(shape.named), shape.horizon)
+    ]
+    shocks = [(shock, fmt_fraction(shock)) for shock in shock_fractions]
     for pi in premium_fractions:
-        cell = family_cell(family, coalition, scaled_premium(pi, base))
-        shape = cell.shape
+        cell = family_cell(family, coalition, scaled_premium(pi, templates[0].base))
         pi_text = fmt_fraction(pi)
-        arms = stage_heights(stages, dict(shape.named), shape.horizon)
         for shock, shock_text in shocks:
-            for stage, height in arms:
-                prices = TokenPrices(
-                    base=cell.base_values,
-                    shocked=shape.shocked,
-                    fraction=shock,
-                    at_height=height,
-                )
-
-                def transform(actor, cell=cell, prices=prices):
-                    return rational_party(actor, cell.model_factory(prices))
-
-                if coalition:
-                    strategies = _make_coalition_strategies(
-                        {member: transform for member in shape.pivots}
-                    )
-                else:
-                    strategies = _make_strategies(shape.pivots[0], transform)
-                matrix.add_block(
-                    family=family,
-                    schedule=f"{cell.schedule_prefix}pi{pi_text}/s{shock_text}@{stage}",
-                    builder=cell.builder,
-                    builder_id=builder_id,
-                    properties=cell.properties,
-                    strategies=strategies,
-                    extra_axes=_axes(pi_text, cell.premium, shock_text, stage, height, coalition),
-                    metrics=_make_metrics(cell.metrics_parties, prices, cell.completed),
-                    **expansion,
-                )
+            for template in templates:
+                _add_block(matrix, family, template, cell, pi_text, shock, shock_text)
 
 
 # ----------------------------------------------------------------------
@@ -1096,10 +1110,7 @@ def ablation_matrix(
     for family in families:
         swept = ABLATION_COALITIONS.get(family, ()) if coalitions else ()
         for coalition in ("",) + swept:
-            context = cell_context(family, coalition)
-            _add_blocks(
-                matrix, context, family, coalition, premium_fractions, shock_fractions, stages
-            )
+            _add_blocks(matrix, family, coalition, premium_fractions, shock_fractions, stages)
     matrix.spec = spec
     return matrix
 
@@ -1122,7 +1133,7 @@ def ablation_cell(
     worker-side digest audit as full grids.  ``coalition`` selects a named
     joint-pivot cell instead of the family's single pivot.
     """
-    context = cell_context(family, coalition)  # an unknown cell fails first
+    cell_context(family, coalition)  # an unknown cell fails first
     if not valid_stage(stage) or stage == STAGE_ALL:
         raise ValueError(
             f"ablation_cell needs one concrete stage, got {stage!r} "
@@ -1131,8 +1142,10 @@ def ablation_cell(
     pi = canon_float(pi)
     shock = canon_float(shock)
     _check_fractions((pi,), (shock,))
+    template = _block_template(family, coalition, stage)
+    cell = family_cell(family, coalition, scaled_premium(pi, template.base))
     matrix = ScenarioMatrix(seed=seed)
-    _add_blocks(matrix, context, family, coalition, (pi,), (shock,), (stage,))
+    _add_block(matrix, family, template, cell, fmt_fraction(pi), shock, fmt_fraction(shock))
     matrix.spec = MatrixSpec(
         factory="ablation_cell",
         kwargs=(

@@ -28,7 +28,9 @@ this module exploits:
    per-round stakes and fold amounts, ``premium_net``, every final ledger
    balance, the utility delta terms — becomes an exact integer line
    ``a + b·p`` through that pair.  A premium in ``[1, premium_base]`` is
-   *evaluated* on those lines, not simulated; its ledger fingerprint is
+   *evaluated* on those lines, not simulated — the pair's recording is
+   compiled once into per-round lines, so a new premium's rounds are
+   integer arithmetic — and its ledger fingerprint is
    rendered by the scenario module's own rule
    (:func:`repro.campaign.scenario.render_ledger`).  The simulator still
    runs at the premium itself — one counted fallback each — for p = 0
@@ -72,6 +74,7 @@ import time
 from dataclasses import dataclass, field
 from hashlib import sha256
 
+from repro.campaign.ablation.grid import CELL_CONTEXTS, family_cell, premium_base
 from repro.campaign.scenario import (
     Scenario,
     ScenarioResult,
@@ -82,9 +85,6 @@ from repro.obs.tracer import maybe_span
 from repro.parties.base import Actor
 from repro.parties.rational import Opportunist, TokenPrices
 from repro.protocols.instance import execute
-
-#: matrix factories whose scenarios the kernel engine understands.
-KERNEL_FACTORIES = ("ablation", "ablation_cell")
 
 #: the two premiums a named context is simulated at; every other premium
 #: of ``[1, premium_base]`` is evaluated on the lines through them.
@@ -247,17 +247,17 @@ class _Lines:
     at p = 1 and p = 2.
 
     A value is an int or an integral float (a stake is a float sum of
-    int deposits); a float line evaluates back to a float, which equals
-    the simulator's own sum exactly.  Values from index ``kept`` on are
-    structural — a ledger balance, a delta or a fold amount the simulator
-    drops when it is zero — so a line that is not identically zero but
-    vanishes at p does not evaluate there.
+    int deposits); a float line keeps float coefficients, so ``a + b·p``
+    is the simulator's own float sum exactly.  Values from index ``kept``
+    on are structural — a ledger balance, a delta or a fold amount the
+    simulator drops when it is zero — so a line that is not identically
+    zero but vanishes at p does not evaluate there: ``vanish`` holds
+    those premiums, found once per fit.
     """
 
-    def __init__(self, coefficients: tuple, floats: tuple, kept: int) -> None:
+    def __init__(self, coefficients: tuple, vanish: frozenset) -> None:
         self.coefficients = coefficients
-        self.floats = floats
-        self.kept = kept
+        self.vanish = vanish
 
     @classmethod
     def fit(cls, lo: list, hi: list, kept: int) -> "_Lines | None":
@@ -266,27 +266,23 @@ class _Lines:
         or two integral floats."""
         if len(lo) != len(hi):
             return None
-        coefficients, floats = [], []
-        for low, high in zip(lo, hi):
+        coefficients, vanish = [], set()
+        for index, (low, high) in enumerate(zip(lo, hi)):
             kind = type(low)
             if type(high) is not kind or kind not in (int, float):
                 return None
-            if kind is float:
-                if not (low.is_integer() and high.is_integer()):
-                    return None
-                low, high = int(low), int(high)
-            coefficients.append((2 * low - high, high - low))
-            floats.append(kind is float)
-        return cls(tuple(coefficients), tuple(floats), kept)
+            if kind is float and not (low.is_integer() and high.is_integer()):
+                return None
+            a, b = int(2 * low - high), int(high - low)
+            if index >= kept and b and a % b == 0:
+                vanish.add(-a // b)
+            coefficients.append((kind(a), kind(b)))
+        return cls(tuple(coefficients), frozenset(vanish))
 
     def at(self, premium: int) -> list | None:
-        values = []
-        for index, ((a, b), is_float) in enumerate(zip(self.coefficients, self.floats)):
-            value = a + b * premium
-            if value == 0 and b and index >= self.kept:
-                return None
-            values.append(float(value) if is_float else value)
-        return values
+        if premium in self.vanish:
+            return None
+        return [a + b * premium for a, b in self.coefficients]
 
 
 def _recording_values(rec: _Recording) -> tuple[tuple, list, int]:
@@ -302,21 +298,6 @@ def _recording_values(rec: _Recording) -> tuple[tuple, list, int]:
     )
     amounts = [term[1] for folds in rec.folds for terms in folds for term in terms]
     return shape, [*rec.stakes, *amounts], len(rec.stakes)
-
-
-def _recording_at(model: _Recording, values: list) -> _Recording:
-    """``model``'s structure with stakes and amounts from ``values``."""
-    nstakes = len(model.stakes)
-    amounts = iter(values[nstakes:])
-    return _Recording(
-        heights=model.heights,
-        stakes=values[:nstakes],
-        folds=[
-            [[(s, next(amounts), native, sym) for s, _, native, sym in terms] for terms in folds]
-            for folds in model.folds
-        ],
-        exposed=model.exposed,
-    )
 
 
 def _template_values(cell, template: _Template) -> tuple[tuple, list, int]:
@@ -406,16 +387,32 @@ class _TemplateLines:
 
 class _CellPair:
     """A named context's simulated kernels at p = 1 and p = 2, and the
-    lines through their recordings and templates."""
+    lines through their recordings and templates.
+
+    The recording's lines are compiled once into per-round records
+    ``(height, -stake line, folds of (sign, amount line, base value,
+    shocked?), exposed)``, each line an ``(a, b)`` pair, so a new premium
+    derives its rounds by arithmetic alone.
+    """
 
     def __init__(self, lo: "_CellKernel", hi: "_CellKernel") -> None:
         self.lo = lo
         self.hi = hi
         lo_shape, lo_values, kept = _recording_values(lo.recording)
         hi_shape, hi_values, _ = _recording_values(hi.recording)
-        self.recording = (
-            _Lines.fit(lo_values, hi_values, kept) if lo_shape == hi_shape else None
-        )
+        lines = _Lines.fit(lo_values, hi_values, kept) if lo_shape == hi_shape else None
+        self.rounds = None
+        if lines is not None:
+            self.vanish = lines.vanish
+            bounds = iter([(-a, -b) for a, b in lines.coefficients[:kept]])
+            amounts = iter(lines.coefficients[kept:])
+            self.rounds = [
+                (height, *next(bounds), [
+                    [(s, *next(amounts), base, shocked) for s, _, base, shocked in terms]
+                    for terms in folds
+                ], exposed)
+                for height, _, folds, exposed in lo.rounds
+            ]
         self.comply = _TemplateLines.fit(lo.cell, lo.comply, hi.comply)
         self._walks: dict[int, _TemplateLines | None] = {}
 
@@ -432,14 +429,20 @@ class _CellPair:
     def derive(self, cell) -> "_CellKernel | None":
         """``cell``'s kernel evaluated on the lines, or None where they do
         not apply (shapes differ, or a structural value vanishes)."""
-        if self.recording is None or self.comply is None:
+        p = cell.premium
+        if self.rounds is None or self.comply is None or p in self.vanish:
             return None
-        values = self.recording.at(cell.premium)
-        comply = self.comply.at(cell.premium)
-        if values is None or comply is None:
+        comply = self.comply.at(p)
+        if comply is None:
             return None
-        recording = _recording_at(self.lo.recording, values)
-        return _CellKernel(cell, recording, comply, pair=self)
+        rounds = [
+            (height, bound_a + bound_b * p, [
+                [(s, a + b * p, base, shocked) for s, a, b, base, shocked in terms]
+                for terms in folds
+            ], exposed)
+            for height, bound_a, bound_b, folds, exposed in self.rounds
+        ]
+        return _CellKernel(cell, rounds, comply, pair=self)
 
 
 # ----------------------------------------------------------------------
@@ -448,44 +451,35 @@ class _CellPair:
 class _CellKernel:
     """Everything cached for one ``(family, coalition, premium)`` cell.
 
-    ``pair`` is the :class:`_CellPair` an evaluated kernel derives its
-    walk templates from; ``off_pair`` marks a kernel whose simulator runs
-    are fallbacks (every kernel but the pair's own two).  Methods that
-    may run the simulator take the engine's ``count(name)`` callback
-    rather than holding it, so a kernel never refers back to its engine
-    (a dropped engine leaves no reference cycle).
+    ``rounds`` holds per round ``(height, -stake, compiled folds,
+    exposed)``, each fold term compiled to ``(sign, amount, base value,
+    shocked?)``; only a calibrated kernel keeps the ``recording`` it was
+    compiled from.  ``pair`` is the :class:`_CellPair` an evaluated
+    kernel derives its walk templates from; ``off_pair`` marks a kernel
+    whose simulator runs are fallbacks (every kernel but the pair's own
+    two).  Methods that may run the simulator take the engine's
+    ``count(name)`` callback rather than holding it, so a kernel never
+    refers back to its engine (a dropped engine leaves no reference
+    cycle).
     """
 
     def __init__(
-        self, cell, recording: _Recording, comply: _Template,
+        self, cell, rounds: list, comply: _Template,
         pair: _CellPair | None = None, off_pair: bool = True,
+        recording: _Recording | None = None,
     ) -> None:
         self.cell = cell
-        self.recording = recording
+        self.rounds = rounds
         #: the compliant trajectory — also every never-walks rational arm.
         self.comply = comply
         self.pair = pair
         self.off_pair = off_pair
+        self.recording = recording
         self.gain_shape = cell.gain_shape
         self._walks: dict[int, _Template] = {}
-        base_map, shocked = dict(cell.base_values), cell.shape.shocked
-        #: per round: (height, -stake, compiled folds, exposed), each fold
-        #: term compiled to (sign, amount, base value, shocked?).
-        self.rounds = [
-            (
-                height,
-                -stake,
-                [
-                    [(s, amount, *_priced(base_map, shocked, native, sym))
-                     for s, amount, native, sym in terms]
-                    for terms in folds
-                ],
-                exposed,
-            )
-            for height, stake, folds, exposed in zip(
-                recording.heights, recording.stakes, recording.folds, recording.exposed
-            )
-        ]
+        #: per round: does the rule hold at unshocked prices?  Folded
+        #: once, on first use: it is the same for every shock.
+        self._holds: list = [None] * len(rounds)
 
     @classmethod
     def calibrate(cls, cell, count, off_pair: bool) -> "_CellKernel":
@@ -500,8 +494,19 @@ class _CellKernel:
         count("kernel.calibrations")
         if off_pair:
             count("kernel.fallbacks")
+        base_map, shocked = dict(cell.base_values), cell.shape.shocked
+        rounds = [
+            (height, -stake, [
+                [(s, amount, *_priced(base_map, shocked, native, sym))
+                 for s, amount, native, sym in terms]
+                for terms in folds
+            ], exposed)
+            for height, stake, folds, exposed in zip(
+                recording.heights, recording.stakes, recording.folds, recording.exposed
+            )
+        ]
         comply = _condense_template(cell, instance, result, -1)
-        return cls(cell, recording, comply, off_pair=off_pair)
+        return cls(cell, rounds, comply, off_pair=off_pair, recording=recording)
 
     def simulate(self, walk_round: int, count) -> _Template:
         """A real run at this kernel's premium: every pivot member walks
@@ -581,15 +586,17 @@ class _CellKernel:
         undecided; the :class:`Opportunist` halts permanently at its
         first False, so the first failing round is the walk round.  A
         round that prices nothing shocked decides every shock alike, so
-        its gain is folded and compared once.
+        its gain is folded and compared once per kernel.
         """
         walked = [-1] * len(shocks)
         undecided = range(len(shocks))
-        gain = self._gain
+        gain, holds = self._gain, self._holds
         for rnd, (height, bound, folds, exposed) in enumerate(self.rounds):
             if height < shock_height or not exposed:
                 # No term is shocked: the base values are the prices.
-                if gain(folds, 1.0) >= bound:
+                if holds[rnd] is None:
+                    holds[rnd] = gain(folds, 1.0) >= bound
+                if holds[rnd]:
                     continue
                 for i in undecided:
                     walked[i] = rnd
@@ -658,13 +665,14 @@ class KernelEngine:
 
     # ------------------------------------------------------------------
     def _parse(self, scenario: Scenario) -> tuple:
+        """``((family, coalition, premium), (shock height, rational?),
+        shock)``: the scenario's cell group, its arm, and its shock."""
         axes = dict(scenario.axes)
         try:
-            family = axes["family"]
-            premium = int(axes["premium"])
-            shock = float(axes["shock"])
+            cell = (axes["family"], axes.get("coalition", ""), int(axes["premium"]))
             shock_height = int(axes["shock_height"])
             strategy = axes["strategy"]
+            shock = float(axes["shock"])
         except (KeyError, ValueError) as err:
             raise KernelUnsupported(
                 f"scenario {scenario.label!r} lacks ablation axes ({err}); "
@@ -676,14 +684,7 @@ class KernelEngine:
                 f"scenario {scenario.label!r} has unknown strategy arm "
                 f"{strategy!r}"
             )
-        return (
-            family,
-            axes.get("coalition", ""),
-            premium,
-            shock,
-            shock_height,
-            strategy == "rational",
-        )
+        return cell, (shock_height, strategy == "rational"), shock
 
     def _kernel_for(self, family: str, coalition: str, premium: int) -> _CellKernel:
         key = (family, coalition, premium)
@@ -697,12 +698,6 @@ class KernelEngine:
     def _new_kernel(self, family: str, coalition: str, premium: int) -> _CellKernel:
         """Evaluate the cell on its context's pair lines where they apply;
         otherwise calibrate it by a real run."""
-        from repro.campaign.ablation.grid import (
-            CELL_CONTEXTS,
-            family_cell,
-            premium_base,
-        )
-
         try:
             cell = family_cell(family, coalition, premium)
         except ValueError as err:
@@ -745,16 +740,13 @@ class KernelEngine:
         results: list[ScenarioResult | None] = [None] * len(scenarios)
         groups: dict[tuple[str, str, int], list] = {}
         for position, scenario in enumerate(scenarios):
-            coords = self._parse(scenario)
-            groups.setdefault(coords[:3], []).append(
-                (position, scenario, coords)
-            )
+            cell, arm, shock = self._parse(scenario)
+            groups.setdefault(cell, []).append((position, scenario, arm, shock))
+        tracer = self.tracer
         self._count("kernel.scenarios", len(scenarios))
         for (family, coalition, premium), members in groups.items():
-            label = f"{family}:{coalition or '-'}[premium={premium}]"
-            with maybe_span(
-                self.tracer, "block", label=label, scenarios=len(members)
-            ):
+            label = f"{family}:{coalition or '-'}[premium={premium}]" if tracer is not None else ""
+            with maybe_span(tracer, "block", label=label, scenarios=len(members)):
                 self._run_group(results, family, coalition, premium, members)
             if meter is not None:
                 meter.advance(len(members))
@@ -770,53 +762,41 @@ class KernelEngine:
     ) -> None:
         """Execute one (family, coalition, premium) cell group in place."""
         start = time.perf_counter()
+        count = self._count
         kernel = self._kernel_for(family, coalition, premium)
         comply = kernel.comply
         # Bucket scenarios by (template, shock height): the utility
         # metric is one replay per bucket.  A member is (position,
-        # scenario, coords), its shock coords[3].
+        # scenario, (shock height, rational?), shock).
         arms: dict[tuple[int, bool], list] = {}
         for member in members:
-            key = member[2][4:]
-            arm = arms.get(key)
-            if arm is None:
-                arm = arms[key] = []
-            arm.append(member)
+            arms.setdefault(member[2], []).append(member)
         buckets: dict[tuple[int, int], tuple] = {}
         for (shock_height, rational), entries in arms.items():
             walked = (-1,) * len(entries)
             if rational:
-                walked = kernel.walk_rounds(shock_height, [e[2][3] for e in entries])
-                self._count("kernel.replays")
+                walked = kernel.walk_rounds(shock_height, [e[3] for e in entries])
+                count("kernel.replays")
             for entry, w in zip(entries, walked):
-                template = comply if w < 0 else kernel.walk_template(w, self._count)
+                template = comply if w < 0 else kernel.walk_template(w, count)
                 # Identity keys an in-process bucket of shared templates;
                 # never digested or serialized.
                 key = (id(template), shock_height)  # lint: disable=DET001
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = (template, shock_height, [entry])
-                else:
-                    bucket[2].append(entry)
+                buckets.setdefault(key, (template, shock_height, []))[2].append(entry)
         # Decisions and trajectory templates are in hand; distribute
         # the group's shared cost (elapsed is reported, not digested).
         elapsed_each = (time.perf_counter() - start) / max(1, len(members))
         # Per-scenario marginal work, inlined and hoisted: a cached
         # property check, the utility repr, one string concat, the
-        # sha256, and a direct ScenarioResult construction (the
-        # frozen-dataclass __init__ — one object.__setattr__ per
-        # field — is bypassed; the field set mirrors condense_run).
-        new = ScenarioResult.__new__
+        # sha256, and a ScenarioResult with condense_run's field set.
         for template, shock_height, entries in buckets.values():
-            utilities = kernel.utilities(
-                template, shock_height, [e[2][3] for e in entries]
-            )
-            self._count("kernel.replays")
+            utilities = kernel.utilities(template, shock_height, [e[3] for e in entries])
+            count("kernel.replays")
             checks = template.checks
             ntx = template.ntx
             reverted = template.reverted
             premium_net = template.premium_net
-            for (position, scenario, _), utility in zip(entries, utilities):
+            for (position, scenario, _, _), utility in zip(entries, utilities):
                 static = checks.get(scenario.adversaries)
                 if static is None:
                     static = self._check(kernel, template, scenario)
@@ -824,23 +804,16 @@ class KernelEngine:
                 if utility == 0.0:
                     utility = 0.0  # collapse -0.0, as canon_float does
                 summary = f"{scenario.label}|{middle}{utility!r}{suffix}"
-                result = new(ScenarioResult)
-                result.__dict__.update({
-                    "index": scenario.index,
-                    "label": scenario.label,
-                    "axes": scenario.axes,
-                    "violations": violations,
-                    "transactions": ntx,
-                    "reverted": reverted,
-                    "premium_net": premium_net,
-                    "elapsed_seconds": elapsed_each,
+                result = ScenarioResult(
+                    scenario.index, scenario.label, scenario.axes, violations,
+                    ntx, reverted, premium_net, elapsed_each,
                     # Same conservative flow-pass artifact as condense_run:
                     # properties only membership-test the adversary
                     # frozenset, so its order never reaches the summary.
-                    "digest": sha256(summary.encode()).hexdigest(),  # lint: disable=FLOW002
-                    "metrics": (completed_pair, ("utility", utility)),
-                    "trace": trace,
-                })
+                    sha256(summary.encode()).hexdigest(),  # lint: disable=FLOW002
+                    (completed_pair, ("utility", utility)),
+                    trace,
+                )
                 results[position] = result
 
     # ------------------------------------------------------------------

@@ -253,9 +253,11 @@ class _CellProber:
     ``CampaignRunner(cell).run()`` reports.
 
     A probe pays only for its own π and shock — its matrix, expansion, run
-    and pairing (perfbench ``refine-kernel`` p50 ≈0.104 ms on 2 vCPUs, was
-    ≈0.135): its ``(family, coalition, premium)`` cell comes from the
-    process-wide, 256-cell LRU memo of ``grid.family_cell``.
+    and pairing (perfbench ``refine-kernel`` p50 ≈0.084 ms on 2 vCPUs, was
+    ≈0.104): its ``(family, coalition, premium)`` cell comes from the
+    process-wide, 256-cell LRU memo of ``grid.family_cell``, the rest of
+    its block from a premium-free template per (family, coalition, stage),
+    and its profiles from one expansion per block structure.
 
     ``cache`` is the incremental result cache: each probe cell is one
     matrix block, so a warm refinement (or one following a lattice run
@@ -318,8 +320,7 @@ class _CellProber:
                 f"bisection probe ({family}, {pi}, {shock}, {stage}) violated "
                 f"properties: {violated}"
             )
-        (cell,) = frontier_cells(ran.results)
-        probe = ProbeCell(**vars(cell), run_digest=run_digest(ran))
+        (probe,) = frontier_cells(ran.results, ProbeCell, run_digest=run_digest(ran))
         lap("refine.probe_pairing")
         return probe
 

@@ -36,9 +36,11 @@ selection-honest run-digest preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha256
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.campaign.scenario import (
     Builder,
@@ -109,6 +111,50 @@ def _strategy_axes(profile: dict[str, LabelledStrategy]) -> list[tuple[str, str]
     return [("strategy", _strategy_kind(strategy.label)), ("round", rnd)]
 
 
+_label = attrgetter("label")
+
+
+class _Slot(NamedTuple):
+    """A strategy stand-in: its label and its place in the space."""
+
+    label: str
+    index: int
+
+
+@lru_cache(maxsize=1024)
+def _profile_rows(
+    labels: tuple[tuple[str, tuple[str, ...]], ...],
+    max_adversaries: int,
+    include_compliant: bool,
+    min_adversaries: int,
+    extra: tuple[str, ...],
+) -> tuple[tuple[str, tuple[tuple[str, int], ...], tuple[str, ...], tuple], ...]:
+    """A block's profiles from its strategy labels alone, expanded once
+    per block structure: ``(label suffix, (party, strategy index) picks,
+    adversaries, axes after the block's own)`` per profile, in
+    :func:`enumerate_profiles` order."""
+    spaces = {
+        party: [_Slot(label, index) for index, label in enumerate(names)]
+        for party, names in labels
+    }
+    rows = []
+    for profile in enumerate_profiles(spaces, max_adversaries, include_compliant, min_adversaries):
+        # enumerate_profiles yields parties in sorted order already.
+        adversaries = tuple(sorted({*profile, *extra})) if extra else tuple(profile)
+        strategy_axes = _strategy_axes(profile)
+        if not profile and extra:
+            # The deviation is baked into the builder (e.g. a cheating
+            # auctioneer): not a compliant scenario.
+            strategy_axes = [("strategy", "builder-deviant"), ("round", "-")]
+        rows.append((
+            profile_label(profile),
+            tuple((party, slot.index) for party, slot in profile.items()),
+            adversaries,
+            (*strategy_axes, ("adversaries", ",".join(adversaries) or "none")),
+        ))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class MatrixBlock:
     """One protocol-level cell of the matrix (family × schedule)."""
@@ -133,25 +179,30 @@ class MatrixBlock:
     extra_axes: tuple[tuple[str, str], ...] = ()
     #: optional per-scenario metric extractor (see ``repro.campaign.scenario``).
     metrics: MetricsFn | None = field(default=None, repr=False)
-    #: enumerate_profiles' count, counted once: the block is frozen.
-    _size: int = field(init=False, repr=False, compare=False)
+    #: the block's profiles, from :func:`_profile_rows`: shared by every
+    #: block of its structure (party names, strategy labels, adversary
+    #: bounds) and expanded once per structure.
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # by_size[k]: profiles deviating exactly k parties (k-th elementary symmetric sum)
-        by_size = [1] + [0] * self.max_adversaries
-        for _, space in self.strategies:
-            for k in range(self.max_adversaries, 0, -1):
-                by_size[k] += by_size[k - 1] * len(space)
-        count = int(self.include_compliant) + sum(by_size[max(1, self.min_adversaries):])
-        object.__setattr__(self, "_size", count)
+        labels = tuple([(party, tuple(map(_label, space))) for party, space in self.strategies])
+        object.__setattr__(self, "_rows", _profile_rows(
+            labels, self.max_adversaries, self.include_compliant,
+            self.min_adversaries, self.extra_adversaries,
+        ))
 
     def strategy_map(self) -> dict[str, list[LabelledStrategy]]:
         return {party: list(space) for party, space in self.strategies}
 
     def size(self) -> int:
-        return self._size
+        return len(self._rows)
 
     def describe(self) -> str:
+        """The block's identity line, rendered once: the block is frozen,
+        so the text is kept in its ``__dict__``, like a cached_property."""
+        text = self.__dict__.get("_describe")
+        if text is not None:
+            return text
         parts = [
             self.family,
             self.schedule,
@@ -163,15 +214,16 @@ class MatrixBlock:
             str(self.min_adversaries),
             str(self.include_compliant),
             ",".join(self.extra_adversaries),
-            ",".join([getattr(p, "__name__", repr(p)) for p in self.properties]),
+            ",".join([p.__name__ if hasattr(p, "__name__") else repr(p) for p in self.properties]),
             ",".join([f"{axis}={value}" for axis, value in self.extra_axes]),
             getattr(self.metrics, "__qualname__", type(self.metrics).__name__)
             if self.metrics is not None
             else "",
         ]
         for party, space in self.strategies:
-            parts.append(party + "=" + ",".join([s.label for s in space]))
-        return "|".join(parts)
+            parts.append(party + "=" + ",".join(map(_label, space)))
+        text = self.__dict__["_describe"] = "|".join(parts)
+        return text
 
 
 class ScenarioMatrix:
@@ -212,20 +264,18 @@ class ScenarioMatrix:
         self.spec = None  # any rebuild recipe no longer describes this matrix
         self.blocks.append(
             MatrixBlock(
-                family=family,
-                schedule=schedule,
-                builder=builder,
-                builder_id=builder_id,
-                properties=tuple(properties),
-                strategies=tuple(
-                    (party, tuple(space)) for party, space in sorted(strategies.items())
-                ),
-                max_adversaries=max_adversaries,
-                min_adversaries=min_adversaries,
-                include_compliant=include_compliant,
-                extra_adversaries=tuple(extra_adversaries),
-                extra_axes=tuple(extra_axes),
-                metrics=metrics,
+                family,
+                schedule,
+                builder,
+                builder_id,
+                tuple(properties),
+                tuple([(party, tuple(space)) for party, space in sorted(strategies.items())]),
+                max_adversaries,
+                min_adversaries,
+                include_compliant,
+                tuple(extra_adversaries),
+                tuple(extra_axes),
+                metrics,
             )
         )
         return self
@@ -234,7 +284,7 @@ class ScenarioMatrix:
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum([block._size for block in self.blocks])
+        return sum([len(block._rows) for block in self.blocks])
 
     def families(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -380,51 +430,32 @@ class ScenarioMatrix:
         *global* matrix index, so sharded results interleave back into
         full-matrix order.
         """
-        total = len(self)
         selected: set[int] | None = None
         if indices is not None:
             if limit is not None or shard is not None:
                 raise ValueError("indices= is exclusive with limit=/shard=")
-            chosen = set(indices)
-            if len(chosen) != total:
-                selected = chosen
+            selected = set(indices)
         elif limit is not None or shard is not None:
-            chosen = self.selection(limit=limit, shard=shard)
-            if len(chosen) != total:
-                selected = set(chosen)
+            selected = set(self.selection(limit=limit, shard=shard))
+        if selected is not None and len(selected) == len(self):
+            selected = None  # a full selection tests no index
         index = 0
         for block in self.blocks:
             label_prefix = (
                 f"{block.family}/{block.schedule}/" if block.family else ""
             )
             base_axes = (("family", block.family), ("schedule", block.schedule), *block.extra_axes)
-            extra = block.extra_adversaries
-            for profile in enumerate_profiles(
-                dict(block.strategies),
-                block.max_adversaries,
-                block.include_compliant,
-                block.min_adversaries,
-            ):
-                if selected is not None and index not in selected:
-                    index += 1
-                    continue
-                # enumerate_profiles yields parties in sorted order already.
-                adversaries = tuple(sorted({*profile, *extra})) if extra else tuple(profile)
-                strategy_axes = _strategy_axes(profile)
-                if not profile and extra:
-                    # The deviation is baked into the builder (e.g. a
-                    # cheating auctioneer): not a compliant scenario.
-                    strategy_axes = [("strategy", "builder-deviant"), ("round", "-")]
-                yield Scenario(
-                    index=index,
-                    label=label_prefix + profile_label(profile),
-                    builder=block.builder,
-                    properties=block.properties,
-                    profile=tuple(profile.items()),
-                    adversaries=adversaries,
-                    axes=(*base_axes, *strategy_axes, ("adversaries", ",".join(adversaries) or "none")),
-                    metrics_fn=block.metrics,
-                )
+            spaces = dict(block.strategies)
+            for suffix, picks, adversaries, axes in block._rows:
+                if selected is None or index in selected:
+                    yield Scenario(
+                        index,
+                        label_prefix + suffix,
+                        block.builder,
+                        block.properties,
+                        tuple([(party, spaces[party][pick]) for party, pick in picks]),
+                        adversaries,
+                        base_axes + axes,
+                        block.metrics,
+                    )
                 index += 1
-        # size() mirrors enumerate_profiles' combinatorics; keep them honest.
-        assert index == total, f"matrix size {total} != enumerated {index}"

@@ -83,6 +83,10 @@ if TYPE_CHECKING:  # a plain campaign runs without a cache
 # forking a pool costs more than the work itself.
 MIN_PROCESS_SCENARIOS = 24
 
+#: matrix factories whose scenarios the kernel engine
+#: (:mod:`repro.campaign.ablation.kernels`) understands.
+KERNEL_FACTORIES = ("ablation", "ablation_cell")
+
 
 def _run_at_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot]:
     """One traced scenario in a pool worker: the result plus a per-worker
@@ -412,8 +416,6 @@ class CampaignRunner:
         if kernel is not None and backend != "kernel":
             raise ValueError("a KernelEngine requires backend='kernel'")
         if backend == "kernel":
-            from repro.campaign.ablation.kernels import KERNEL_FACTORIES
-
             factory = matrix.spec.factory if matrix.spec is not None else None
             if factory not in KERNEL_FACTORIES:
                 raise ValueError(

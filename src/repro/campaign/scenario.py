@@ -51,7 +51,7 @@ class LabelledStrategy(Protocol):
     transform: Callable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A fully specified scenario, ready to execute."""
 
@@ -71,7 +71,7 @@ class Scenario:
     metrics_fn: MetricsFn | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioResult:
     """Primitive-only outcome of one scenario (picklable)."""
 

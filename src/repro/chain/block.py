@@ -17,7 +17,7 @@ from typing import Any
 _tx_counter = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """Execution outcome of a transaction."""
 
@@ -30,7 +30,7 @@ class Receipt:
         return self.status == "ok"
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A contract call: who calls what, with which arguments."""
 

@@ -26,7 +26,8 @@ tuples).  The rules are fixed, with no options:
 
 **The Python route.**  ``__post_init__`` calls :func:`check` first,
 which runs each field through the same compiled decoder, in place (a
-tuple passes for an array, a checked dataclass for its object), so
+tuple passes for an array, a nested dataclass decodes through its
+fields, and an array of dataclasses that check themselves passes), so
 ``Cls(...)`` and ``decode(Cls, ...)`` refuse the same inputs and
 ``__post_init__`` keeps only the rules that relate two fields.  Each
 artifact keeps its shape differences (a frontier cell's coordinates live
@@ -291,8 +292,10 @@ def _hints(tp) -> dict:
 
 
 def _object(cls):
-    """A dataclass's (encode, decode).  An instance of ``cls`` decodes to
-    itself unchecked: a class on the Python route checks itself when built."""
+    """A dataclass's (encode, decode).  An instance of ``cls`` decodes
+    through its fields, as its JSON object would, so a field holding a
+    class that never checks itself (a ``MatrixSpec``) is checked by the
+    :func:`check` of the class that holds it."""
     hints = _hints(cls)
     fields = [_field(field, hints[field.name]) for field in dataclasses.fields(cls) if field.init]
     names = frozenset(name for name, *_ in fields)
@@ -302,8 +305,8 @@ def _object(cls):
 
     def decode_object(data):
         if type(data) is cls:
-            return data
-        if type(data) is not dict:
+            data = {name: getattr(data, name) for name, *_ in fields}
+        elif type(data) is not dict:
             raise _refuse(f"a {cls.__name__} or its JSON object", data)
         unknown = data.keys() - names
         if unknown:

@@ -405,6 +405,27 @@ def test_every_python_mutant_matches_its_json_decode(name, cls, allowed):
             assert python == decoded, (field, junk)
             refused += isinstance(python, str)
     assert refused >= len(fields) * 5  # most junk is refused, field by field
+    # A nested dataclass that never checks itself (a spec's MatrixSpec) is
+    # checked by its holder: junk in its fields is refused as in JSON.
+    nested_refused = 0
+    for field, value in fields.items():
+        if not dataclasses.is_dataclass(value):
+            continue
+        inner = {name: getattr(value, name) for name in codec.encode(value)}
+        for name in inner:
+            for junk in JUNK:
+                nested = type(value)(**{**inner, name: junk})
+                python = _built(lambda: cls(**{**fields, field: nested}), allowed)
+                decoded = _built(
+                    lambda: codec.decode(
+                        cls, {**document, field: {**document[field], name: junk}}
+                    ),
+                    DecodeError,
+                    allowed,
+                )
+                assert python == decoded, (field, name, junk)
+                nested_refused += isinstance(python, str)
+    assert cls is not ExperimentSpec or nested_refused >= 5
 
 
 def test_python_built_specs_round_trip_through_json():

@@ -439,6 +439,37 @@ def test_probe_matches_the_reduced_one_cell_campaign_on_every_route(
     assert warm.cache_hits == 2
 
 
+def test_every_probe_enters_the_class_level_probe_hook(monkeypatch):
+    """The refine-kernel benchmark times each probe by patching
+    ``_CellProber.probe`` on the class.  A refine must enter that
+    attribute once per probe, with the probe's (family, π, shock, stage,
+    coalition): no alias taken at import or construction time may
+    bypass the patch."""
+    from repro.campaign import Experiment, refine_spec
+
+    real, calls = _CellProber.probe, []
+
+    def hooked(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CellProber, "probe", hooked)
+    spec = refine_spec(
+        families=("two-party", "broker"),
+        premium_fractions=LATTICE,
+        shock_fractions=(0.015, SHOCK),
+        stages=("staked",),
+        coalitions=True,
+    )
+    refined = Experiment(spec).run().refined
+    assert len(calls) == refined.probes > 0
+    assert calls == [
+        ((row.family, probe.pi, row.shock, row.stage, row.coalition), {})
+        for row in refined.rows
+        for probe in row.probes
+    ]
+
+
 def test_violating_probe_raises_with_its_properties(monkeypatch):
     import repro.campaign.runner as runner
 
