@@ -13,11 +13,14 @@ script is the contract between them, run on every CI push:
    premium flows, and ``repr``-exact metric floats.
 2. **Pair-line sweep** — in each of the six named cell contexts, the
    kernel evaluates every premium of ``[1, premium_base]`` on exact
-   integer lines through real runs at p = 1 and p = 2.  The sweep checks
-   that premise exhaustively: at every such premium, the evaluated
-   recording, compliant template and scripted-walk template of every walk
-   round must equal a real simulator run at that premium, field for
-   digest-relevant field, and none may fall back to the simulator.
+   integer lines through real runs at p = 1 and p = 2, and the walks at
+   p = 0 too once its real compliant run holds on those lines.  The
+   sweep checks that premise exhaustively: at every premium of ``[0,
+   premium_base]``, the evaluated recording, compliant template and
+   scripted-walk template of every walk round must equal a real
+   simulator run at that premium, field for digest-relevant field, and
+   none may fall back to the simulator; the p = 0 kernels kept off the
+   lines must be exactly :data:`OFF_THE_LINES` (the auction's).
 3. **Build ratchet** — one cold kernel ``ablate-refine`` over a small
    fixed grid (coalitions included) may run at most
    :data:`MAX_REFINE_BUILDS` protocol ``build()`` calls and construct at
@@ -68,11 +71,18 @@ BUILD_GATE_GRID = dict(
 )
 
 #: protocol builds in one cold kernel ``ablate-refine`` over
-#: BUILD_GATE_GRID: the exact count when each named cell context began
-#: simulating only p = 0, its p = 1 / p = 2 pair and premiums outside the
-#: pair's lines.  The ceiling is the count itself; lower it when a change
-#: cuts more builds.
-MAX_REFINE_BUILDS = 43
+#: BUILD_GATE_GRID: the exact count when each deal began simulating one
+#: compliant run per premium for all its sibling contexts, and p = 0
+#: joined the pair's lines wherever its compliant run holds on them
+#: (the auction's does not).  The ceiling is the count itself; lower it
+#: when a change cuts more builds.
+MAX_REFINE_BUILDS = 36
+
+#: the kernels the pair-line sweep expects off the lines: the auction's
+#: p = 0 compliant run skips ``endow_premium``, so it does not hold on its
+#: pair's lines and simulates its walks.  Any other context there is a
+#: detector that stopped adopting.
+OFF_THE_LINES = ["auction:-[premium=0]"]
 
 #: ``FamilyCell`` constructions in the same cold refinement: one per
 #: distinct (family, coalition, premium) its lattice, calibration pairs
@@ -156,7 +166,13 @@ def audit_parity() -> list[str]:
 
 
 def _template_fields(template) -> tuple:
-    """What a kernel template feeds into scenario digests and metrics."""
+    """What a kernel template feeds into scenario digests and metrics.
+
+    A party's delta terms are sorted where their order cannot reach a
+    digest: two terms fold into ``0.0`` to one sum in either order, and
+    a p = 0 run, whose ledger drops zero balances, may list them in
+    another order than the pair's runs.
+    """
     return (
         template.ntx_str,
         template.reverted,
@@ -164,23 +180,28 @@ def _template_fields(template) -> tuple:
         template.premium_net_str,
         template.fingerprint,
         template.completed,
-        template.utility_terms,
+        tuple(tuple(sorted(t)) if len(t) <= 2 else t for t in template.utility_terms),
         template.exposed,
     )
 
 
 def audit_pair_lines() -> list[str]:
-    """Every premium of ``[1, premium_base]`` × every walk round × the six
+    """Every premium of ``[0, premium_base]`` × every walk round × the six
     named contexts: what the kernel evaluates on its pair's lines equals a
     real run at that premium, whose trajectory shape (transactions, events,
-    ledger keys, delta order) is the p = 1 run's.  Returns divergences."""
+    ledger keys, delta order) is the p = 1 run's — at p = 0, whose real
+    compliant run is the detector, its transactions and events.  A p = 0
+    kernel the detector keeps off the lines (the auction's) simulates its
+    walks and is listed, not compared.  Returns divergences."""
     from repro.campaign.ablation.grid import CELL_CONTEXTS, premium_base
     from repro.campaign.ablation.kernels import (
         PAIR_PREMIUMS,
         KernelEngine,
         _CellKernel,
         _template_values,
+        _trajectory,
     )
+    from repro.campaign.scenario import render_ledger
 
     def uncounted(name, amount=1):
         pass
@@ -188,14 +209,24 @@ def audit_pair_lines() -> list[str]:
     engine = KernelEngine()
     problems: list[str] = []
     premiums = walks = 0
+    off_lines = []
     for family, coalition in CELL_CONTEXTS:
-        for premium in range(1, premium_base(family) + 1):
+        for premium in range(premium_base(family) + 1):
             label = f"{family}:{coalition or '-'}[premium={premium}]"
             kernel = engine._kernel_for(family, coalition, premium)
-            real = _CellKernel.calibrate(kernel.cell, uncounted, off_pair=False)
+            (real,) = _CellKernel.calibrate([kernel.cell], uncounted)
             premiums += 1
             if kernel.rounds != real.rounds:
                 problems.append(f"{label}: recorded rounds diverge")
+            if kernel.pair is None and premium not in PAIR_PREMIUMS:
+                off_lines.append(label)
+                continue
+
+            def shape(template, cell=kernel.cell, premium=premium):
+                if premium == 0:
+                    return _trajectory(template.result)
+                return _template_values(cell, template)[0]
+
             # (what, evaluated, real twin, the p = 1 run on the pair's side)
             lo = kernel.pair.lo if kernel.pair is not None else None
             triples = [("compliant", kernel.comply, real.comply, lo and lo.comply)]
@@ -208,19 +239,23 @@ def audit_pair_lines() -> list[str]:
                     lo and lo.walk_template(walk_round, uncounted),
                 ))
             for what, evaluated, twin, model in triples:
-                if premium not in PAIR_PREMIUMS and evaluated.instance is not None:
+                # p = 0's compliant template is its own run, the detector.
+                detector = premium == 0 and what == "compliant"
+                if premium not in PAIR_PREMIUMS and not detector and evaluated.instance is not None:
                     problems.append(f"{label} {what}: fell back to the simulator")
                 elif _template_fields(evaluated) != _template_fields(twin):
                     problems.append(f"{label} {what}: template diverges")
-                elif model is not None and (
-                    _template_values(kernel.cell, twin)[0]
-                    != _template_values(kernel.cell, model)[0]
-                ):
+                elif evaluated.fingerprint != render_ledger(evaluated.ledger):
+                    problems.append(f"{label} {what}: fingerprint is not render_ledger's")
+                elif model is not None and shape(twin) != shape(model):
                     problems.append(f"{label} {what}: trajectory shape differs from p = 1")
+    if off_lines != OFF_THE_LINES:
+        problems.append(f"off the pair lines: {off_lines}, expected {OFF_THE_LINES}")
     if not problems:
         print(
             f"pair lines: {premiums} premiums and {walks} walk templates over "
-            f"{len(CELL_CONTEXTS)} named contexts equal real runs"
+            f"{len(CELL_CONTEXTS)} named contexts equal real runs; off the "
+            f"lines, simulated: {', '.join(off_lines) or 'none'}"
         )
     return problems
 

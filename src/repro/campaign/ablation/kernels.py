@@ -30,15 +30,16 @@ this module exploits:
    ``a + b·p`` through that pair.  A premium in ``[1, premium_base]`` is
    *evaluated* on those lines, not simulated — the pair's recording is
    compiled once into per-round lines, so a new premium's rounds are
-   integer arithmetic — and its ledger fingerprint is
-   rendered by the scenario module's own rule
-   (:func:`repro.campaign.scenario.render_ledger`).  The simulator still
-   runs at the premium itself — one counted fallback each — for p = 0
-   (the auction's p = 0 is off the line), a premium above
-   ``premium_base``, a graph context (``ring:N``, ``complete:N``,
-   ``figure3``), a pair whose trajectory shape differs (transactions,
-   heights, event names, ledger keys or term structure per round), and a
-   line value that vanishes at p.
+   integer arithmetic — and its ledger fingerprint follows
+   :func:`repro.campaign.scenario.render_ledger`.  At p = 0 the real
+   compliant run is the detector: if it holds on the lines (vanished
+   entries dropped), the walks are evaluated there too.  A deal's
+   contexts share each compliant run (nested pass-through recorders).  The
+   simulator still runs — one counted fallback each — for a p = 0 run
+   off the lines (the auction's skips ``endow_premium``), a premium
+   above ``premium_base``, a graph context (``ring:N``, ``complete:N``,
+   ``figure3``), and a pair whose trajectory shape differs (transactions,
+   heights, event names, ledger keys or term structure per round).
 2. **Replayed decisions.**  Per shock fraction, the recorded folds are
    replayed in plain floats in the *identical operation order* the
    simulator uses (same term order, same ``0.0 +``/``-=`` fold, same
@@ -93,6 +94,13 @@ PAIR_PREMIUMS = (1, 2)
 
 class KernelUnsupported(ValueError):
     """A scenario (or matrix) the kernel engine cannot reproduce."""
+
+
+def _paired(cell) -> bool:
+    """Is the cell a named context's, at a premium in ``[0, premium_base]``?"""
+    return (cell.family, cell.coalition) in CELL_CONTEXTS and (
+        0 <= cell.premium <= premium_base(cell.family)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +287,10 @@ class _Lines:
             coefficients.append((kind(a), kind(b)))
         return cls(tuple(coefficients), frozenset(vanish))
 
-    def at(self, premium: int) -> list | None:
-        if premium in self.vanish:
+    def at(self, premium: int, drop: bool = False) -> list | None:
+        """None if a structural value vanishes at ``premium``, unless the
+        caller will ``drop`` the zero as the ledger and payoff sheet do."""
+        if premium in self.vanish and not drop:
             return None
         return [a + b * premium for a, b in self.coefficients]
 
@@ -300,27 +310,24 @@ def _recording_values(rec: _Recording) -> tuple[tuple, list, int]:
     return shape, [*rec.stakes, *amounts], len(rec.stakes)
 
 
+def _trajectory(result) -> tuple:
+    """A run's transactions and events, amounts aside."""
+    return (
+        tuple((tx.chain, tx.sender, tx.contract, tx.method, tx.receipt.height,
+               tx.receipt.status) for tx in result.transactions),
+        tuple((e.chain, e.contract, e.name, e.height) for e in result.events),
+    )
+
+
 def _template_values(cell, template: _Template) -> tuple[tuple, list, int]:
     """(shape, values, kept) of a simulated template: its trajectory shape,
     then ``premium_net``, ledger balances and utility delta changes."""
-    result = template.result
-    payoffs = result.payoffs
+    payoffs = template.result.payoffs
     shape = (
         template.ntx,
         template.reverted,
         template.completed,
-        tuple(
-            (
-                tx.chain,
-                tx.sender,
-                tx.contract,
-                tx.method,
-                tx.receipt.height,
-                tx.receipt.status,
-            )
-            for tx in result.transactions
-        ),
-        tuple((e.chain, e.contract, e.name, e.height) for e in result.events),
+        _trajectory(template.result),
         tuple(party for party, _ in template.premium_net),
         tuple((asset, account) for asset, account, _ in template.ledger),
         tuple(tuple(payoffs.delta(party)) for party in cell.metrics_parties),
@@ -340,6 +347,8 @@ class _TemplateLines:
         self.lo = lo
         self.hi = hi
         self.lines = lines
+        #: each balance's fingerprint prefix, rendered once
+        self.prefixes = tuple(f"{asset}/{account}=" for asset, account, _ in lo.ledger)
 
     @classmethod
     def fit(cls, cell, lo: _Template, hi: _Template) -> "_TemplateLines | None":
@@ -351,21 +360,24 @@ class _TemplateLines:
         lines = _Lines.fit(lo_values, hi_values, kept)
         return None if lines is None else cls(lo, hi, lines)
 
-    def at(self, premium: int) -> _Template | None:
-        values = self.lines.at(premium)
+    def at(self, premium: int, drop: bool = False) -> _Template | None:
+        """``drop`` as :meth:`_Lines.at`.  A run with dropped entries lists
+        its deltas in its own set order, not the pair's: a party keeps at
+        most two terms, whose fold into ``0.0`` is the same in either order."""
+        values = self.lines.at(premium, drop)
         if values is None:
             return None
         model = self.lo
         nnet = len(model.premium_net)
-        nledger = len(model.ledger)
+        balances = values[nnet:nnet + len(model.ledger)]
+        changes = iter(values[nnet + len(balances):])
+        terms = tuple(tuple((c, base, shocked) for _, base, shocked in party if (c := next(changes)))
+                      for party in model.utility_terms)
+        if drop and any(len(party) > 2 for party in terms):
+            return None
         premium_net = tuple(
             (party, value) for (party, _), value in zip(model.premium_net, values)
         )
-        ledger = tuple(
-            (asset, account, value)
-            for (asset, account, _), value in zip(model.ledger, values[nnet:])
-        )
-        changes = iter(values[nnet + nledger:])
         return _Template(
             walk_round=model.walk_round,
             ntx=model.ntx,
@@ -373,14 +385,17 @@ class _TemplateLines:
             reverted=model.reverted,
             premium_net=premium_net,
             premium_net_str=_render_net(premium_net),
-            ledger=ledger,
-            fingerprint=render_ledger(ledger),
-            completed=model.completed,
-            utility_terms=tuple(
-                tuple((next(changes), base, shocked) for _, base, shocked in terms)
-                for terms in model.utility_terms
+            ledger=tuple(
+                (asset, account, value)
+                for (asset, account, _), value in zip(model.ledger, balances)
+                if value
             ),
-            exposed=model.exposed,
+            fingerprint=";".join(  # render_ledger's rule: nonzero balances
+                f"{prefix}{value}" for prefix, value in zip(self.prefixes, balances) if value
+            ),
+            completed=model.completed,
+            utility_terms=terms,
+            exposed=model.exposed,  # with terms dropped, at worst needlessly True
             sources=(self.lo, self.hi),
         )
 
@@ -430,10 +445,8 @@ class _CellPair:
         """``cell``'s kernel evaluated on the lines, or None where they do
         not apply (shapes differ, or a structural value vanishes)."""
         p = cell.premium
-        if self.rounds is None or self.comply is None or p in self.vanish:
-            return None
-        comply = self.comply.at(p)
-        if comply is None:
+        comply = self.comply and self.comply.at(p)
+        if self.rounds is None or p in self.vanish or comply is None:
             return None
         rounds = [
             (height, bound_a + bound_b * p, [
@@ -443,6 +456,20 @@ class _CellPair:
             for height, bound_a, bound_b, folds, exposed in self.rounds
         ]
         return _CellKernel(cell, rounds, comply, pair=self)
+
+    def adopt(self, kernel: "_CellKernel") -> bool:
+        """Put a kernel calibrated off the pair onto the lines if its real
+        compliant run holds on them, vanished entries dropped: same
+        transactions, events and values (not the auction's at p = 0)."""
+        lines, real = self.comply, kernel.comply
+        evaluated = lines and lines.at(kernel.cell.premium, drop=True)
+        held = evaluated and [
+            (t.premium_net, t.ledger, t.completed, [sorted(p) for p in t.utility_terms])
+            for t in (evaluated, real)
+        ]
+        if held and held[0] == held[1] and _trajectory(real.result) == _trajectory(lines.lo.result):
+            kernel.pair = self
+        return kernel.pair is self
 
 
 # ----------------------------------------------------------------------
@@ -454,10 +481,10 @@ class _CellKernel:
     ``rounds`` holds per round ``(height, -stake, compiled folds,
     exposed)``, each fold term compiled to ``(sign, amount, base value,
     shocked?)``; only a calibrated kernel keeps the ``recording`` it was
-    compiled from.  ``pair`` is the :class:`_CellPair` an evaluated
-    kernel derives its walk templates from; ``off_pair`` marks a kernel
-    whose simulator runs are fallbacks (every kernel but the pair's own
-    two).  Methods that may run the simulator take the engine's
+    compiled from.  ``pair`` is the :class:`_CellPair` an evaluated or
+    adopted (p = 0) kernel derives its walk templates from; ``off_pair``
+    marks a kernel whose simulator runs are fallbacks (every kernel but
+    the pair's own two).  Methods that may run the simulator take the engine's
     ``count(name)`` callback rather than holding it, so a kernel never
     refers back to its engine (a dropped engine leaves no reference
     cycle).
@@ -465,15 +492,14 @@ class _CellKernel:
 
     def __init__(
         self, cell, rounds: list, comply: _Template,
-        pair: _CellPair | None = None, off_pair: bool = True,
-        recording: _Recording | None = None,
+        pair: _CellPair | None = None, recording: _Recording | None = None,
     ) -> None:
         self.cell = cell
         self.rounds = rounds
         #: the compliant trajectory — also every never-walks rational arm.
         self.comply = comply
         self.pair = pair
-        self.off_pair = off_pair
+        self.off_pair = not (cell.premium in PAIR_PREMIUMS and _paired(cell))
         self.recording = recording
         self.gain_shape = cell.gain_shape
         self._walks: dict[int, _Template] = {}
@@ -482,31 +508,37 @@ class _CellKernel:
         self._holds: list = [None] * len(rounds)
 
     @classmethod
-    def calibrate(cls, cell, count, off_pair: bool) -> "_CellKernel":
-        """One real compliant run with the (first) pivot recorded."""
-        recording = _Recording()
-
-        def recorder(actor):
-            return _RecordingActor(actor, cell, recording)
-
-        instance = cell.builder()
-        result = execute(instance, {cell.shape.pivots[0]: recorder})
-        count("kernel.calibrations")
-        if off_pair:
-            count("kernel.fallbacks")
-        base_map, shocked = dict(cell.base_values), cell.shape.shocked
-        rounds = [
-            (height, -stake, [
-                [(s, amount, *_priced(base_map, shocked, native, sym))
-                 for s, amount, native, sym in terms]
-                for terms in folds
-            ], exposed)
-            for height, stake, folds, exposed in zip(
-                recording.heights, recording.stakes, recording.folds, recording.exposed
+    def calibrate(cls, cells, count) -> list:
+        """One real compliant run of ``cells`` (one deal and premium), each
+        cell's (first) pivot recorded by a pass-through recorder wrapping
+        the previous cell's, each cell's compliant template its own."""
+        recordings = [_Recording() for _ in cells]
+        deviations = {}
+        for cell, recording in zip(cells, recordings):
+            pivot = cell.shape.pivots[0]
+            inner = deviations.get(pivot, lambda actor: actor)
+            deviations[pivot] = lambda actor, c=cell, r=recording, inner=inner: (
+                _RecordingActor(inner(actor), c, r)
             )
-        ]
-        comply = _condense_template(cell, instance, result, -1)
-        return cls(cell, rounds, comply, off_pair=off_pair, recording=recording)
+        instance = cells[0].builder()
+        result = execute(instance, deviations)
+        count("kernel.calibrations")
+        kernels = []
+        for cell, recording in zip(cells, recordings):
+            base_map, shocked = dict(cell.base_values), cell.shape.shocked
+            rounds = [
+                (height, -stake, [
+                    [(s, amount, *_priced(base_map, shocked, native, sym))
+                     for s, amount, native, sym in terms]
+                    for terms in folds
+                ], exposed)
+                for height, stake, folds, exposed in zip(
+                    recording.heights, recording.stakes, recording.folds, recording.exposed
+                )
+            ]
+            comply = _condense_template(cell, instance, result, -1)
+            kernels.append(cls(cell, rounds, comply, recording=recording))
+        return kernels
 
     def simulate(self, walk_round: int, count) -> _Template:
         """A real run at this kernel's premium: every pivot member walks
@@ -537,8 +569,8 @@ class _CellKernel:
         if template is None:
             if self.pair is not None:
                 lines = self.pair.walk(walk_round, count)
-                if lines is not None:
-                    template = lines.at(self.cell.premium)
+                # an adopted (calibrated) kernel's walks may drop entries
+                template = lines and lines.at(self.cell.premium, self.recording is not None)
                 if template is not None:
                     count("kernel.derived")
             if template is None:
@@ -653,6 +685,7 @@ class KernelEngine:
         self._kernels: dict[tuple[str, str, int], _CellKernel] = {}
         #: (family, coalition) -> its calibration pair (named contexts).
         self._pairs: dict[tuple[str, str], _CellPair] = {}
+        self._cells: tuple = ()  #: the latest run's cells; siblings share runs
         #: optional repro.obs.Tracer — counts calibrations, evaluated
         #: templates, simulator fallbacks, cell-cache hits and replays,
         #: and wraps each cell group in a "block" span.  Digest-inert:
@@ -687,43 +720,53 @@ class KernelEngine:
         return cell, (shock_height, strategy == "rational"), shock
 
     def _kernel_for(self, family: str, coalition: str, premium: int) -> _CellKernel:
+        """The cached kernel, else one evaluated on the context's pair lines
+        where they apply, else one calibrated by a real run."""
         key = (family, coalition, premium)
         kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = self._new_kernel(family, coalition, premium)
-        else:
+        if kernel is not None:
             self._count("kernel.cell_hits")
-        return kernel
-
-    def _new_kernel(self, family: str, coalition: str, premium: int) -> _CellKernel:
-        """Evaluate the cell on its context's pair lines where they apply;
-        otherwise calibrate it by a real run."""
+            return kernel
         try:
             cell = family_cell(family, coalition, premium)
         except ValueError as err:
             raise KernelUnsupported(str(err))
-        paired = (family, coalition) in CELL_CONTEXTS and (
-            1 <= premium <= premium_base(family)
-        )
-        if paired and premium not in PAIR_PREMIUMS:
+        if premium not in (0, *PAIR_PREMIUMS) and _paired(cell):
             kernel = self._pair_for(family, coalition).derive(cell)
             if kernel is not None:
                 self._count("kernel.derived")
+                self._kernels[key] = kernel
                 return kernel
-        return _CellKernel.calibrate(
-            cell, self._count, off_pair=not (paired and premium in PAIR_PREMIUMS)
+        return self._calibrate(cell)
+
+    def _calibrate(self, cell) -> _CellKernel:
+        """Calibrate ``cell`` by one real run, shared with each sibling
+        context (same family: one deal, one builder) of the latest ``run``
+        call not yet cached at the premium; count each kernel that is
+        neither the pair's own nor adopted onto its lines a fallback."""
+        family, premium = cell.family, cell.premium
+        siblings = dict.fromkeys(c for f, c, _ in self._cells if f == family
+                                 and c != cell.coalition and (f, c, premium) not in self._kernels)
+        kernels = _CellKernel.calibrate(
+            [cell, *(family_cell(family, c, premium) for c in siblings)], self._count
         )
+        for kernel in kernels:
+            coalition = kernel.cell.coalition
+            self._kernels[(family, coalition, premium)] = kernel
+            if kernel.off_pair and not (
+                _paired(kernel.cell) and self._pair_for(family, coalition).adopt(kernel)
+            ):
+                self._count("kernel.fallbacks")
+        return kernels[0]
 
     def _pair_for(self, family: str, coalition: str) -> _CellPair:
         pair = self._pairs.get((family, coalition))
         if pair is None:
-            members = []
-            for premium in PAIR_PREMIUMS:
-                key = (family, coalition, premium)
-                if key not in self._kernels:
-                    self._kernels[key] = self._new_kernel(*key)
-                members.append(self._kernels[key])
-            pair = self._pairs[(family, coalition)] = _CellPair(*members)
+            pair = self._pairs[(family, coalition)] = _CellPair(*(
+                self._kernels.get((family, coalition, p))
+                or self._calibrate(family_cell(family, coalition, p))
+                for p in PAIR_PREMIUMS
+            ))
         return pair
 
     # ------------------------------------------------------------------
@@ -742,6 +785,7 @@ class KernelEngine:
         for position, scenario in enumerate(scenarios):
             cell, arm, shock = self._parse(scenario)
             groups.setdefault(cell, []).append((position, scenario, arm, shock))
+        self._cells = tuple(groups)
         tracer = self.tracer
         self._count("kernel.scenarios", len(scenarios))
         for (family, coalition, premium), members in groups.items():
@@ -831,15 +875,17 @@ class KernelEngine:
         twin at its own premium.
         """
         adversaries = scenario.adversaries
+        if adversaries in template.checks:
+            return template.checks[adversaries]
         violations: list[str] = []
         if template.instance is None:
             if any(
-                self._static(kernel, source, scenario)[0]
+                self._check(kernel, source, scenario)[0]
                 for source in template.sources
             ):
                 if template.real is None:
                     template.real = kernel.simulate(template.walk_round, self._count)
-                static = self._static(kernel, template.real, scenario)
+                static = self._check(kernel, template.real, scenario)
                 template.checks[adversaries] = static
                 return static
         else:
@@ -865,11 +911,3 @@ class KernelEngine:
         )
         template.checks[adversaries] = static
         return static
-
-    def _static(
-        self, kernel: _CellKernel, template: _Template, scenario: Scenario
-    ) -> tuple:
-        """``template``'s cached check outcome for the scenario's adversary
-        set, evaluated on first use."""
-        static = template.checks.get(scenario.adversaries)
-        return static if static is not None else self._check(kernel, template, scenario)

@@ -23,9 +23,11 @@ contract at every integration level:
 - **experiment-level parity**: a kernel-engine experiment reproduces the
   simulator experiment's campaign digest and frontier digest,
 - **pair lines**: premiums a named context evaluates from its p = 1 /
-  p = 2 pair reproduce real runs, and every case outside the lines
-  (p = 0, a premium above ``premium_base``, a graph context, a violating
-  adversary set) runs the simulator and counts a fallback.
+  p = 2 pair reproduce real runs; p = 0 joins the lines only when its
+  own compliant run holds on them (the auction's does not); sibling
+  contexts of one deal share each calibration run; and every case
+  outside the lines (a premium above ``premium_base``, a graph context,
+  a violating adversary set) runs the simulator and counts a fallback.
 """
 
 import json
@@ -60,7 +62,7 @@ from repro.campaign import (
 from repro.campaign.ablation import kernels
 from repro.campaign.ablation.grid import CELL_CONTEXTS, premium_base
 from repro.campaign.experiment import EXPERIMENT_ENGINES
-from repro.campaign.scenario import Scenario, run_scenario
+from repro.campaign.scenario import Scenario, render_ledger, run_scenario
 from repro.obs import Tracer
 
 
@@ -374,8 +376,15 @@ def _digest_fields(template):
         template.premium_net_str,
         template.fingerprint,
         template.completed,
-        template.utility_terms,
+        _unordered(template.utility_terms),
     )
+
+
+def _unordered(utility_terms):
+    """Per-party delta terms, sorted where the order cannot reach a digest:
+    two terms fold into ``0.0`` to one sum in either order, and a run
+    whose ledger drops zero balances may list them in another order."""
+    return tuple(tuple(sorted(t)) if len(t) <= 2 else t for t in utility_terms)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -391,9 +400,9 @@ def test_pair_lines_reproduce_real_runs(pair_engine, data):
     # Template level: the (evaluated or simulated) walk template of the
     # drawn round equals a real run at this premium.
     count = pair_engine._count
-    assert _digest_fields(kernel.walk_template(walk_round, count)) == _digest_fields(
-        kernel.simulate(walk_round, count)
-    )
+    template = kernel.walk_template(walk_round, count)
+    assert _digest_fields(template) == _digest_fields(kernel.simulate(walk_round, count))
+    assert template.fingerprint == render_ledger(template.ledger)
     # Scenario level: a hard shock landing at that round's height, run by
     # both engines, gives the same digests.  A grid cell prices π ≤ 1, so
     # only premiums up to the base have a scenario.
@@ -444,8 +453,6 @@ def test_premiums_inside_the_pair_lines_run_no_simulator(monkeypatch):
 @pytest.mark.parametrize(
     "family,premium",
     [
-        ("auction", 0),  # the auction's p = 0 is off the line
-        ("two-party", 0),
         ("two-party", premium_base("two-party") + 1),
         ("ring:5", 3),  # graph contexts have no pair
     ],
@@ -460,6 +467,86 @@ def test_premiums_outside_the_pair_lines_fall_back(monkeypatch, family, premium)
     kernel.walk_template(0, engine._count)
     assert counted.runs == 2
     assert tracer.metrics.counter("kernel.fallbacks") == 2
+
+
+@pytest.mark.parametrize("family", ["two-party", "auction"])
+def test_premium_zero_joins_the_pair_lines_where_its_run_holds(monkeypatch, family):
+    engine, tracer = _traced_engine()
+    counted = _CountedRuns(monkeypatch)
+    kernel = engine._kernel_for(family, "", 0)
+    # the pair's two runs, then p = 0's own compliant run: the detector
+    assert counted.runs == 3 and kernel.comply.instance is not None
+    assert tracer.metrics.counter("kernel.calibrations") == 3
+    walk = kernel.walk_template(0, engine._count)
+    if family == "auction":
+        # Its p = 0 run skips endow_premium: off the lines, a fallback
+        # that simulates each walk.
+        assert kernel.pair is None and walk.instance is not None
+        assert counted.runs == 4
+        assert tracer.metrics.counter("kernel.fallbacks") == 2
+    else:
+        # On the lines: the walk is evaluated from the pair's two walks.
+        assert kernel.pair is not None and walk.instance is None
+        assert counted.runs == 5
+        assert tracer.metrics.counter("kernel.fallbacks") == 0
+        assert tracer.metrics.counter("kernel.derived") == 1
+    assert _digest_fields(walk) == _digest_fields(kernel.simulate(0, engine._count))
+
+
+def _compliant_scenarios(family, coalitions, premium):
+    """The non-rational scenarios of ``family``'s cells at ``premium``."""
+    return [
+        scenario
+        for coalition in coalitions
+        for scenario in ablation_cell(
+            family, premium / premium_base(family), 0.5, "staked", coalition=coalition
+        ).scenarios()
+        if dict(scenario.axes)["strategy"] != "rational"
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,coalition", [("multi-party", "P1+P2"), ("broker", "seller+buyer")]
+)
+@pytest.mark.parametrize("premium,runs", [(1, 1), (0, 3)])
+def test_sibling_contexts_share_one_calibration_run(
+    monkeypatch, family, coalition, premium, runs
+):
+    # One deal, one builder: one compliant run per premium serves both
+    # contexts (p = 0 also runs the pair it is checked against).
+    engine, tracer = _traced_engine()
+    counted = _CountedRuns(monkeypatch)
+    scenarios = _compliant_scenarios(family, ("", coalition), premium)
+    results = engine.run(scenarios)
+    assert counted.runs == runs
+    assert tracer.metrics.counter("kernel.calibrations") == runs
+    assert tracer.metrics.counter("kernel.fallbacks") == 0
+    assert [r.digest for r in results] == [run_scenario(s).digest for s in scenarios]
+    for context in ("", coalition):
+        kernel = engine._kernels[(family, context, premium)]
+        (solo,) = kernels._CellKernel.calibrate([kernel.cell], engine._count)
+        assert kernel.recording == solo.recording
+        assert kernel.rounds == solo.rounds
+        assert _digest_fields(kernel.comply) == _digest_fields(solo.comply)
+        assert kernel.comply.ledger == solo.comply.ledger
+
+
+@pytest.mark.parametrize("coalitions", [False, True])
+def test_each_deal_calibrates_once_per_premium(monkeypatch, coalitions):
+    # The default grid calibrates p = 0, 1 and 2 of its four deals.
+    # Without coalitions every context is alone and records its run by
+    # itself, one run per context and premium as before; with them, each
+    # multi-party and broker run also records the deal's coalition.
+    sizes = []
+    calibrate = kernels._CellKernel.calibrate
+
+    def recorded(cells, count):
+        sizes.append(len(cells))
+        return calibrate(cells, count)
+
+    monkeypatch.setattr(kernels._CellKernel, "calibrate", recorded)
+    Experiment(ablate_spec(engine="kernel", coalitions=coalitions)).run()
+    assert sorted(sizes) == ([1] * 6 + [2] * 6 if coalitions else [1] * 12)
 
 
 def test_violating_adversary_set_checks_a_real_run(monkeypatch):
