@@ -35,9 +35,13 @@ every backend's digest together still fails).  On the serial run
 it also counts two leaf operations from outside the program, the way
 ``perfbench/layers.py`` wraps layers: settlement ticks (``on_tick``) and
 signature MACs (``signatures._mac``).  Either count above its committed
-ceiling fails the gate: a contract that stops declaring its quiet tick
-window, or a verifier that stops consulting the registry's memo, shows
-up as a count on any host.  The same run must also leave no garbage
+ceiling fails the gate: a contract that stops deriving its next tick
+from its state, or a verifier that stops consulting the registry's memo, shows
+up as a count on any host.  One serial pass of the default matrix
+likewise counts the runner's ``on_round`` calls and ``Blockchain.advance``
+calls against :data:`MAX_ON_ROUND_CALLS` and :data:`MAX_ADVANCE_CALLS`:
+an actor that stops reporting its idle rounds, or a chain advanced with
+nothing to do, shows up as a count.  The same run must also leave no garbage
 for the cycle collector: every collection over it, and a final one
 after it, is counted through :data:`gc.callbacks`, and more than
 :data:`MAX_CYCLIC_GARBAGE` freed objects fails.  A chain owns its
@@ -61,6 +65,7 @@ import contextlib
 import gc
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -105,11 +110,18 @@ GATE_RUN_DIGEST = (
 )
 
 # Leaf-operation ceilings for one serial run of the gate's multi-party
-# matrix: the exact counts when the tick windows and the signature memo
+# matrix: the exact counts once each contract derived its next tick from
+# its state (static tick windows gave 104,096) and the signature memo
 # landed.  A count is a property of the code, not of the host, so the
 # ceiling is the count itself; lower it when a change cuts more work.
-MAX_ON_TICK_CALLS = 104_096
+MAX_ON_TICK_CALLS = 7_094
 MAX_MAC_CALLS = 24_886
+
+# Round-work ceilings for one serial pass of the default matrix: the exact
+# counts once rounds became event-driven (polling every actor and
+# advancing every chain each round gave 194,822 and 191,495).
+MAX_ON_ROUND_CALLS = 116_041
+MAX_ADVANCE_CALLS = 31_436
 
 # Objects the cycle collector may free over the serial gate run.  Every
 # simulated world is acyclic, so the count is zero; the contract -> chain
@@ -366,6 +378,56 @@ def counting_leaf_calls():
 
 
 @contextlib.contextmanager
+def counting_round_calls():
+    """Count the runner's ``on_round`` calls and ``Blockchain.advance``
+    calls inside the block.
+
+    Yields the counts dict.  Every actor class loaded so far is wrapped
+    from outside and restored on exit; a wrapper's call to its inner
+    actor is part of the same round and is not counted again.
+    """
+    from repro.chain.blockchain import Blockchain
+    from repro.parties.base import Actor
+
+    counts = {"on_round": 0, "advance": 0}
+    depth = [0]
+
+    def counted_round(original):
+        def on_round(self, rnd, view):
+            if depth[0] == 0:
+                counts["on_round"] += 1
+            depth[0] += 1
+            try:
+                return original(self, rnd, view)
+            finally:
+                depth[0] -= 1
+
+        return on_round
+
+    advance = Blockchain.advance
+
+    def counted_advance(self, transactions=()):
+        counts["advance"] += 1
+        return advance(self, transactions)
+
+    classes, pending = [], [Actor]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "on_round" in vars(cls):
+            classes.append((cls, vars(cls)["on_round"]))
+    for cls, original in classes:
+        cls.on_round = counted_round(original)
+    Blockchain.advance = counted_advance
+    try:
+        yield counts
+    finally:
+        Blockchain.advance = advance
+        for cls, original in classes:
+            cls.on_round = original
+
+
+@contextlib.contextmanager
 def counting_cyclic_garbage():
     """Count the objects the cycle collector frees inside the block.
 
@@ -493,6 +555,19 @@ def run_gate() -> int:
         )
 
     full = default_matrix()
+    with counting_round_calls() as work:
+        CampaignRunner(full, backend="serial").run()
+    for name, count, ceiling in (
+        ("on_round", work["on_round"], MAX_ON_ROUND_CALLS),
+        ("Blockchain.advance", work["advance"], MAX_ADVANCE_CALLS),
+    ):
+        print(f"round work: {count} {name} calls on a serial default pass (ceiling {ceiling})")
+        if count > ceiling:
+            failures.append(
+                f"{count} {name} calls on the serial default pass exceed the "
+                f"ceiling {ceiling}: idle rounds are being run again"
+            )
+
     for workers in sorted({2, 4, default_workers()}):
         breaches = layout_imbalance(full, workers)
         failures.extend(breaches[:3])
@@ -587,6 +662,11 @@ if __name__ == "__main__":
         "campaign",
         {
             "experiment": "EXP-C1/C2/C3",
+            "host": {
+                "cpus": os.cpu_count(),
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+            },
             "spec_digest": campaign_spec().digest(),
             "backends": c1_records,
             "pool_reuse": {

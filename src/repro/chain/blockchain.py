@@ -23,6 +23,7 @@ last user drops it.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.chain.assets import Asset, asset_of, native_asset
@@ -34,6 +35,11 @@ from repro.errors import ChainError, ContractError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.contracts.base import Contract
     from repro.crypto.keys import KeyRegistry
+
+
+#: A height no run reaches: the next tick of a contract with nothing left
+#: to settle, and the wake of an actor that waits only on events.
+NEVER = sys.maxsize
 
 
 class CallContext(NamedTuple):
@@ -59,6 +65,8 @@ class Blockchain:
         self.height = 0
         self.events: list[Event] = []
         self.contracts: dict[str, "Contract"] = {}
+        #: the earliest ``next_tick`` of this chain's contracts
+        self.next_tick = NEVER
         self._addr_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -76,6 +84,7 @@ class Blockchain:
         address = f"{contract.kind}-{next(self._addr_counter)}"
         contract.install(self, address)
         self.contracts[address] = contract
+        self.next_tick = min(self.next_tick, contract.next_tick)
         self.emit(address, "deployed", {})
         return address
 
@@ -90,13 +99,18 @@ class Blockchain:
     # execution
     # ------------------------------------------------------------------
     def execute(self, tx: Transaction) -> Transaction:
-        """Run ``tx`` at the current height with revert semantics."""
+        """Run ``tx`` at the current height with revert semantics.
+
+        The called contract's ``next_tick`` is recomputed afterwards,
+        whether the call committed or reverted.
+        """
         if tx.chain != self.name:
             raise ChainError(f"{tx} routed to wrong chain {self.name!r}")
         ctx = CallContext(tx.sender, self.height)
         ledger = self.ledger
         ledger.begin()
         events_mark = len(self.events)
+        contract = None
         try:
             contract = self.contract_at(tx.contract)
             method: Callable[..., Any] = getattr(contract, tx.method, None)
@@ -126,6 +140,9 @@ class Blockchain:
         else:
             ledger.commit()
             tx.receipt.status = "ok"
+        if contract is not None:
+            contract.next_tick = contract._next_tick()
+            self.next_tick = min(self.next_tick, contract.next_tick)
         tx.receipt.height = self.height
         return tx
 
@@ -135,16 +152,21 @@ class Blockchain:
         Settlement (`on_tick`) runs after user transactions at the same
         height, so an action with deadline ``k`` can still land at height
         ``k`` while refunds for the deadline trigger at height ``k + 1``.
-        A contract is not ticked at heights up to its ``quiet_through``,
-        where its settlement provably does nothing; the others tick in
-        deploy order.
+        A contract is ticked only from its ``next_tick`` on, since below
+        it its settlement provably does nothing; those due tick in deploy
+        order and recompute their ``next_tick``.
         """
         self.height = height = self.height + 1
         # most blocks carry no transactions: skip building the list then
         executed = [self.execute(tx) for tx in transactions] if transactions else []
+        due = NEVER
         for contract in list(self.contracts.values()):
-            if height > contract.quiet_through:
+            if height >= contract.next_tick:
                 contract.on_tick(height)
+                contract.next_tick = contract._next_tick()
+            if contract.next_tick < due:
+                due = contract.next_tick
+        self.next_tick = due
         return executed
 
     # ------------------------------------------------------------------

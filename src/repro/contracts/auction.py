@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey
@@ -67,9 +67,9 @@ class AuctionContractBase(Contract):
         self.accepted_at: dict[str, int] = {}
         self.settled = False
 
-    def _quiet_through(self) -> int:
-        # Both subclasses' on_tick return early at heights <= commit.
-        return self.deadlines.commit
+    def _next_tick(self) -> int:
+        # Both subclasses' on_tick settle once, after the commit deadline.
+        return NEVER if self.settled else self.deadlines.commit + 1
 
     def _designated(self, hashkey: HashKey) -> str | None:
         for bidder, lock in self.hashlocks.items():
@@ -228,6 +228,9 @@ class TicketAuctionContract(AuctionContractBase):
         self.pull(self.ticket_asset, self.auctioneer, self.tickets)
         self.escrowed = True
         self.emit("tickets_escrowed", amount=self.tickets)
+
+    def _next_tick(self) -> int:
+        return super()._next_tick() if self.escrowed else NEVER
 
     def on_tick(self, height: int) -> None:
         if self.settled or not self.escrowed or height <= self.deadlines.commit:

@@ -37,9 +37,9 @@ class Contract:
 
     kind = "contract"
 
-    #: the last height at which :meth:`on_tick` provably does nothing
-    #: (see there); -1, the default, means "tick every block".
-    quiet_through = -1
+    #: the first height at which :meth:`on_tick` may act (see there); 0,
+    #: the default, means "tick every block".
+    next_tick = 0
 
     def __init__(self) -> None:
         self._chain_ref: "weakref.ref[Blockchain] | None" = None
@@ -60,24 +60,27 @@ class Contract:
             raise StateError(f"{self.kind} already deployed at {self.address}")
         self._chain_ref = weakref.ref(chain)
         self.address = address
-        self.quiet_through = self._quiet_through()
+        self.next_tick = self._next_tick()
 
     def on_tick(self, height: int) -> None:
         """Timeout settlement hook; default does nothing.
 
-        The chain skips this hook at every height ``h <= quiet_through``,
-        so a subclass that overrides it must keep one promise: at such
-        heights ``on_tick(h)`` changes no state and emits no event, in
-        whatever state the contract is.  :meth:`_quiet_through` derives
-        that height once, at deploy, as the minimum ``X`` over every
-        ``height > X`` guard in the subclass's ``on_tick``, reading only
-        attributes fixed at construction.  A subclass that cannot promise
-        this keeps the default -1 and ticks every block.
+        The chain skips this hook at every height ``h < next_tick``, so a
+        subclass that overrides it must keep one promise: while the
+        contract stays in its current state, ``on_tick(h)`` changes no
+        state, balance or event at such heights.  :meth:`_next_tick`
+        derives that height from the current state: the minimum of
+        ``X + 1`` over the ``height > X`` guards whose state conditions
+        hold now, or :data:`~repro.chain.blockchain.NEVER` when none can
+        fire.  Only a transaction to the contract or its own tick changes
+        its state, so the chain recomputes ``next_tick`` after each of
+        those.  A subclass that cannot promise this keeps the default 0
+        and ticks every block.
         """
 
-    def _quiet_through(self) -> int:
-        """The ``quiet_through`` height of this contract (see on_tick)."""
-        return -1
+    def _next_tick(self) -> int:
+        """The ``next_tick`` height of this contract's state (see on_tick)."""
+        return 0
 
     # ------------------------------------------------------------------
     # helpers available to subclasses

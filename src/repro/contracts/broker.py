@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey, SignedPath
@@ -214,8 +214,8 @@ class BaseBrokerContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
-        return self.deadlines.end
+    def _next_tick(self) -> int:
+        return self.deadlines.end + 1 if self.escrow_state == "escrowed" else NEVER
 
     def on_tick(self, height: int) -> None:
         if self.escrow_state == "escrowed" and height > self.deadlines.end:
@@ -372,9 +372,22 @@ class HedgedBrokerContract(BaseBrokerContract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
+    def _next_tick(self) -> int:
         d = self.deadlines
-        return min(d.activation, d.escrow, d.trade, d.end)
+        due = super()._next_tick()
+        premium_held = self.escrow_premium_state == "held"
+        trading_held = self.trading_premium_state == "held"
+        if not self.contract_activated:
+            if premium_held or trading_held:
+                due = min(due, d.activation + 1)
+        else:
+            if premium_held and self.escrow_state == "absent":
+                due = min(due, d.escrow + 1)
+            if trading_held and not self.traded:
+                due = min(due, d.trade + 1)
+        if any(deposit.state == "held" for deposit in self.rdeposits.values()):
+            due = min(due, d.end + 1)
+        return due
 
     def on_tick(self, height: int) -> None:
         native = self._chain().native

@@ -325,10 +325,10 @@ class PipelineDealContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
+    def _next_tick(self) -> int:
         d = self.deadlines
         trades = (d.trade_base + step.round for step in self.steps)
-        return min(d.activation, d.escrow, d.end, *trades)
+        return min(d.activation, d.escrow, d.end, *trades) + 1
 
     def on_tick(self, height: int) -> None:
         native = self._chain().native

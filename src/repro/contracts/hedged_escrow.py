@@ -25,7 +25,7 @@ asset of the chain.
 from __future__ import annotations
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 
@@ -123,8 +123,12 @@ class HedgedEscrow(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
-        return min(self.principal_deadline, self.redemption_timelock)
+    def _next_tick(self) -> int:
+        if self.principal_state == "escrowed":
+            return self.redemption_timelock + 1
+        if self.premium_state == "held" and self.principal_state == "absent":
+            return self.principal_deadline + 1
+        return NEVER
 
     def on_tick(self, height: int) -> None:
         # Premium refund when the principal never showed up.

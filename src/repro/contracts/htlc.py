@@ -10,7 +10,7 @@ is how the counterparty learns the secret in the swap protocol.
 from __future__ import annotations
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 
@@ -75,8 +75,8 @@ class HTLC(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
-        return self.timelock
+    def _next_tick(self) -> int:
+        return self.timelock + 1 if self.state == self.ESCROWED else NEVER
 
     def on_tick(self, height: int) -> None:
         if self.state == self.ESCROWED and height > self.timelock:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey, SignedPath
@@ -152,8 +152,10 @@ class BaseSwapArc(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
-        return self._final_deadline()
+    def _next_tick(self) -> int:
+        if self.principal_state == "escrowed":
+            return self._final_deadline() + 1
+        return NEVER
 
     def on_tick(self, height: int) -> None:
         if self.principal_state == "escrowed" and height > self._final_deadline():
@@ -315,12 +317,19 @@ class HedgedSwapArc(BaseSwapArc):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _quiet_through(self) -> int:
-        return min(
-            self.schedule.activation_deadline,
-            self._principal_deadline(),
-            self._final_deadline(),
-        )
+    def _next_tick(self) -> int:
+        due = super()._next_tick()
+        if self.escrow_premium_state == "held":
+            if not self.activated:
+                due = min(due, self.schedule.activation_deadline + 1)
+            elif self.principal_state == "absent":
+                due = min(due, self._principal_deadline() + 1)
+        final = self._final_deadline() + 1
+        if due > final:
+            for deposit in self.redemption_deposits.values():
+                if deposit.state == "held":
+                    return final
+        return due
 
     def on_tick(self, height: int) -> None:
         if self.escrow_premium_state == "held":

@@ -38,6 +38,7 @@ from repro.chain.block import Transaction
 from repro.contracts.hedged_escrow import HedgedEscrow
 from repro.crypto.hashing import Secret
 from repro.errors import ProtocolError
+from repro.chain.blockchain import NEVER
 from repro.parties.base import Actor
 from repro.protocols.instance import ProtocolInstance
 from repro.sim.runner import RunResult
@@ -200,6 +201,14 @@ class BootstrapParty(Actor):
             apricot.principal_state == "redeemed"
             and banana.principal_state == "redeemed"
         )
+
+    def idle_until(self, rnd: int) -> int:
+        # Each stage opens at a fixed round and then runs as a two-party
+        # swap, whose steps wait on escrow state.
+        start = (rnd // STAGE_SPAN + 1) * STAGE_SPAN
+        if self.aborted or start >= len(self.stages) * STAGE_SPAN:
+            return NEVER
+        return start
 
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         if self.aborted:

@@ -32,7 +32,7 @@ from repro.contracts.auction import (
 )
 from repro.crypto.hashing import Secret, sha256_hex
 from repro.crypto.hashkeys import HashKey
-from repro.parties.base import Actor
+from repro.parties.base import Actor, next_of
 from repro.protocols.instance import ProtocolInstance
 from repro.sim.runner import RunResult
 from repro.sim.world import World, WorldView
@@ -104,6 +104,9 @@ class AuctioneerActor(Actor):
             return [(b, t) for b in (winner, loser) for t in both]
         return []
 
+    def idle_until(self, rnd: int) -> int:
+        return next_of((self.declaration_round,), rnd)
+
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, txs = self.spec, []
         coin = view.chain(spec.coin_chain).contract(self.coin_addr)
@@ -132,6 +135,10 @@ class BidderActor(Actor):
         self.spec = spec
         self.ticket_addr, self.coin_addr = addrs
         self.forwarded: set[tuple[str, str]] = set()
+
+    def idle_until(self, rnd: int) -> int:
+        # Bid in round 1; from round 3 on, forward keys as they appear.
+        return next_of((1, 3), rnd)
 
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, txs = self.spec, []
@@ -355,6 +362,10 @@ class SealedBidderActor(Actor):
         self.ticket_addr, self.coin_addr = addrs
         self.salt = salt
         self.forwarded: set[tuple[str, str]] = set()
+
+    def idle_until(self, rnd: int) -> int:
+        # Commit in round 1, reveal in round 2, forward keys from round 4.
+        return next_of((1, 2, 4), rnd)
 
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, txs = self.spec, []

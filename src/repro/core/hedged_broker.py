@@ -39,6 +39,7 @@ from repro.core.premiums import (
 from repro.crypto.hashing import Secret
 from repro.crypto.hashkeys import SignedPath
 from repro.graph.digraph import Arc
+from repro.parties.base import next_of
 from repro.protocols.base_broker import BrokerActorBase, BrokerSpec
 from repro.protocols.instance import ProtocolInstance
 from repro.sim.runner import RunResult
@@ -206,6 +207,12 @@ class HedgedBrokerActorBase(BrokerActorBase):
 class HedgedBrokerAlice(HedgedBrokerActorBase):
     """The broker: premiums, trades, unconditional key release."""
 
+    def idle_until(self, rnd: int) -> int:
+        # Timed steps open the premium and key phases; every other step
+        # waits on contract state, which only an event changes.
+        d = self.deadlines
+        return next_of((d.trading_premium, d.hashkey_base), rnd)
+
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, d, txs = self.spec, self.deadlines, []
         ticket, coin = self.contracts(view)
@@ -260,6 +267,10 @@ class HedgedBrokerEscrower(HedgedBrokerActorBase):
     def __init__(self, name, keypair, spec, secret, addrs, deadlines, contract_of, side):
         super().__init__(name, keypair, spec, secret, addrs, deadlines, contract_of)
         self.side = side  # "ticket" for Bob, "coin" for Carol
+
+    def idle_until(self, rnd: int) -> int:
+        d = self.deadlines  # as the broker's, plus the escrow window
+        return next_of((d.trading_premium, d.escrow - 1, d.hashkey_base), rnd)
 
     def _my_contract(self, view: WorldView):
         ticket, coin = self.contracts(view)

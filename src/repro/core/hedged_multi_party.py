@@ -39,7 +39,7 @@ from repro.crypto.hashing import Secret
 from repro.crypto.hashkeys import SignedPath
 from repro.errors import ProtocolError
 from repro.graph.digraph import Arc, SwapGraph
-from repro.parties.base import Actor
+from repro.parties.base import Actor, next_of
 from repro.protocols.base_multi_party import AddrMap, MultiPartyActorBase
 from repro.protocols.instance import ProtocolInstance
 from repro.sim.runner import RunResult
@@ -123,6 +123,12 @@ class HedgedMultiPartyActor(MultiPartyActorBase):
         return txs
 
     # -- driver -------------------------------------------------------------
+    def idle_until(self, rnd: int) -> int:
+        # A leader's timed steps open the phases; every other step waits
+        # on arc state, which only an event changes.
+        s = self.schedule
+        return next_of((s.p2_start, s.p3_start, s.p4_start), rnd)
+
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         s = self.schedule
         txs: list[Transaction] = []

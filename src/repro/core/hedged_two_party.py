@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.chain.block import Transaction
+from repro.chain.blockchain import NEVER
 from repro.contracts.hedged_escrow import HedgedEscrow
 from repro.crypto.hashing import Secret
 from repro.parties.base import Actor
@@ -99,6 +100,11 @@ class HedgedSwapAlice(Actor):
         self.secret = secret
         self.apricot_escrow, self.banana_escrow = addrs
 
+    def idle_until(self, rnd: int) -> int:
+        # Every step waits on escrow state, which only an event changes,
+        # and a deadline that, once passed, stays passed.
+        return NEVER
+
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, txs = self.spec, []
         lands = view.height + 1
@@ -140,6 +146,9 @@ class HedgedSwapBob(Actor):
         super().__init__(name, keypair)
         self.spec = spec
         self.apricot_escrow, self.banana_escrow = addrs
+
+    def idle_until(self, rnd: int) -> int:
+        return NEVER  # as Alice's
 
     def on_round(self, rnd: int, view: WorldView) -> list[Transaction]:
         spec, txs = self.spec, []

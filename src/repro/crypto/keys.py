@@ -22,7 +22,7 @@ tag alone), and the memo lives on one registry, which is one world.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha256_hex
 from repro.errors import CryptoError
@@ -34,6 +34,12 @@ class KeyPair:
 
     private: bytes
     owner: str = ""
+    #: The public key: hex SHA-256 of the private bytes, derived once at
+    #: construction (a world registers it and every signature reads it).
+    public: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "public", sha256_hex(self.private))
 
     @staticmethod
     def generate(owner: str = "") -> "KeyPair":
@@ -46,11 +52,6 @@ class KeyPair:
     def from_seed(seed: str, owner: str = "") -> "KeyPair":
         """Create a deterministic key pair from a text seed (tests only)."""
         return KeyPair(seed.encode("utf-8"), owner=owner)
-
-    @property
-    def public(self) -> str:
-        """The public key: hex SHA-256 of the private bytes."""
-        return sha256_hex(self.private)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"KeyPair({self.owner or self.public[:8]})"

@@ -6,6 +6,11 @@ wants included at the next height.  Compliant protocol actors are written
 reactively: they inspect public chain state and perform the next enabled
 protocol step, which makes them automatically robust to counterparty
 deviations (they simply never see the enabling condition).
+
+After a round in which no actor submits anything, the runner asks
+:meth:`Actor.idle_until` for the next round each actor needs, and skips
+it until then unless some chain executes a transaction or emits an
+event (see :mod:`repro.sim.runner`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Transaction
+from repro.chain.blockchain import NEVER
 from repro.crypto.keys import KeyPair
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
@@ -33,6 +39,20 @@ class Actor:
         """Return the transactions to submit this round (override)."""
         return []
 
+    def idle_until(self, rnd: int) -> int:
+        """The next round this actor needs, asked after a round ``rnd``
+        in which it ran and no actor submitted anything.
+
+        The runner skips the actor's :meth:`on_round` before that round,
+        unless a chain executes a transaction or emits an event, which
+        wakes every actor for the next round.  An override promises that
+        every call it lets the runner skip would return ``[]`` and change
+        no state of the actor; :data:`~repro.chain.blockchain.NEVER`
+        means "only an event can give me work".  The default wakes every
+        round.
+        """
+        return rnd + 1
+
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
@@ -44,3 +64,13 @@ class Actor:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name})"
+
+
+def next_of(rounds, rnd: int) -> int:
+    """The first of ``rounds`` after ``rnd``, or ``NEVER``: the wake of an
+    actor whose timed steps fall on fixed rounds."""
+    wake = NEVER
+    for r in rounds:
+        if rnd < r < wake:
+            wake = r
+    return wake

@@ -15,6 +15,12 @@ and filters its output:
 
 The model checker enumerates these wrappers exhaustively for small
 protocols.
+
+Both wrappers forward their inner actor's wake state
+(:meth:`repro.parties.base.Actor.idle_until`): an inner actor that
+planned a transaction the wrapper held back or dropped is woken next
+round, as it would resubmit, and a lag wrapper also wakes for its queued
+releases.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.chain.block import Transaction
-from repro.parties.base import Actor
+from repro.chain.blockchain import NEVER
+from repro.parties.base import Actor, next_of
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
     from repro.sim.world import WorldView
@@ -64,15 +71,27 @@ class Deviant(Actor):
         self.skip_rules = skip_rules
         self.skip_predicate = skip_predicate
         self.extra = extra or {}
+        #: the inner actor planned transactions in its last round
+        self._inner_busy = False
 
     def on_round(self, rnd: int, view: "WorldView") -> list[Transaction]:
         injected = list(self.extra.get(rnd, ()))
         if self.halt_round is not None and rnd >= self.halt_round:
             return injected
         planned = self.inner.on_round(rnd, view)
+        self._inner_busy = bool(planned)
         if self.skip_rules or self.skip_predicate:
             planned = [tx for tx in planned if not self._drops(tx)]
         return planned + injected
+
+    def idle_until(self, rnd: int) -> int:
+        if self.halt_round is not None and rnd >= self.halt_round:
+            wake = NEVER
+        elif self._inner_busy:
+            return rnd + 1
+        else:
+            wake = self.inner.idle_until(rnd)
+        return min(wake, next_of(self.extra, rnd)) if self.extra else wake
 
     def _drops(self, tx: Transaction) -> bool:
         if any(rule.matches(tx) for rule in self.skip_rules):
@@ -124,12 +143,19 @@ class Laggard(Actor):
         self.inner = inner
         self.lag = max(0, lag)
         self._queue: dict[int, list[Transaction]] = {}
+        #: the inner actor planned transactions in its last round
+        self._inner_busy = False
 
     def on_round(self, rnd: int, view: "WorldView") -> list[Transaction]:
         produced = self.inner.on_round(rnd, view)
+        self._inner_busy = bool(produced)
         if produced:
             self._queue.setdefault(rnd + self.lag, []).extend(produced)
         return self._queue.pop(rnd, [])
+
+    def idle_until(self, rnd: int) -> int:
+        inner = rnd + 1 if self._inner_busy else self.inner.idle_until(rnd)
+        return min(inner, next_of(self._queue, rnd)) if self._queue else inner
 
 
 def lag_by(inner: Actor, lag: int) -> Laggard:

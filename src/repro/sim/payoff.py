@@ -41,8 +41,9 @@ class PayoffSheet:
         self.parties = tuple(parties)
         self._start = self._snapshot()
         self._end: dict[tuple[Asset, str], int] | None = None
-        #: party -> the assets it held before or after the run (finish())
-        self._assets_of: dict[str, set[Asset]] = {}
+        #: party -> the assets it held before or after the run, in
+        #: first-seen order (finish())
+        self._assets_of: dict[str, dict[Asset, None]] = {}
         #: party -> its delta, computed on first query after finish()
         self._deltas: dict[str, dict[Asset, int]] = {}
 
@@ -55,12 +56,15 @@ class PayoffSheet:
     def finish(self) -> None:
         """Record the post-run snapshot and index its assets by party."""
         self._end = self._snapshot()
-        # Each party's set is filled in the union's iteration order, which
-        # fixes the order delta() yields its assets in: realized_utility
-        # sums floats in that order, and the kernel's templates follow it.
-        assets_of: dict[str, set[Asset]] = {}
-        for asset, account in set(self._start) | set(self._end):
-            assets_of.setdefault(account, set()).add(asset)
+        # Each party's assets are indexed in first-seen order, start keys
+        # then new end keys, which fixes the order delta() yields them in:
+        # realized_utility sums floats in that order, and the kernel's
+        # templates follow it.  Ledger order is insertion order, so this
+        # order is the same in every process, whatever PYTHONHASHSEED.
+        assets_of: dict[str, dict[Asset, None]] = {}
+        for keys in (self._start, self._end):
+            for asset, account in keys:
+                assets_of.setdefault(account, {})[asset] = None
         self._assets_of = assets_of
         self._deltas = {}
 

@@ -5,11 +5,29 @@ fixed, deterministic order) observes the world at the current height and
 submits transactions; then all chains advance one height, executing the
 transactions and running settlement ticks.  The result bundles executed
 transactions, payoffs, and the merged event trace.
+
+Rounds are event-driven; a round in which nothing happens is not run.
+
+- *Actors.*  After a round in which no actor submits anything, the
+  runner asks each actor that ran for the next round it needs
+  (:meth:`~repro.parties.base.Actor.idle_until`) and skips it until
+  then.  A round in which any chain executes a transaction or emits an
+  event wakes every actor for the next round.  The default wakes every
+  round, so an actor that does not opt in sees every round.
+- *Chains.*  A contract is ticked only from its ``next_tick`` on (see
+  :meth:`repro.contracts.base.Contract.on_tick`).  A chain with no
+  transaction and no contract due is not advanced; only its height moves.
+- *Clock.*  After a round that changed nothing, the runner jumps the
+  clock of every chain to the earliest round at which an actor wakes or a
+  contract ticks.
+
+Every run is the same as one that polls every actor and ticks every
+contract each round: ``tests/test_event_rounds.py`` proves it, call by
+call, on every default-matrix scenario.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.chain.block import Transaction
@@ -17,7 +35,7 @@ from repro.chain.events import Event
 from repro.errors import ChainError
 from repro.parties.base import Actor
 from repro.sim.payoff import PayoffSheet
-from repro.sim.world import World
+from repro.sim.world import World, WorldView
 
 
 @dataclass
@@ -66,18 +84,55 @@ class SyncRunner:
 
         ``parties`` selects whose payoffs to track (defaults to actor names).
         """
-        tracked = parties if parties is not None else [a.name for a in self.actors]
-        sheet = PayoffSheet(self.world, tracked)
-        result = RunResult(world=self.world, rounds=rounds, payoffs=sheet)
-        chains = [self.world.chains[name] for name in sorted(self.world.chains)]
+        world, actors = self.world, self.actors
+        tracked = parties if parties is not None else [a.name for a in actors]
+        sheet = PayoffSheet(world, tracked)
+        result = RunResult(world=world, rounds=rounds, payoffs=sheet)
+        chains = [world.chains[name] for name in sorted(world.chains)]
         transactions = result.transactions
-        for rnd in range(rounds):
-            view = self.world.view()
-            by_chain: dict[str, list[Transaction]] = defaultdict(list)
-            for actor in self.actors:
-                for tx in actor.on_round(rnd, view):
-                    by_chain[tx.chain].append(tx)
+        start = world.height
+        # wake[i]: the next round in which actors[i] runs on_round
+        wake = [0] * len(actors)
+        rnd = 0
+        while rnd < rounds:
+            view = WorldView(world, start + rnd)
+            by_chain: dict[str, list[Transaction]] = {}
+            for i, actor in enumerate(actors):
+                if wake[i] <= rnd:
+                    for tx in actor.on_round(rnd, view):
+                        by_chain.setdefault(tx.chain, []).append(tx)
+            if not by_chain:
+                # Nobody submitted, so each actor that ran names its next
+                # round (a submission wakes every actor anyway).
+                for i, actor in enumerate(actors):
+                    if wake[i] <= rnd:
+                        wake[i] = actor.idle_until(rnd)
+            rnd += 1
+            height = start + rnd
+            changed = bool(by_chain)
             for chain in chains:
-                transactions.extend(chain.advance(by_chain.get(chain.name, ())))
+                batch = by_chain.get(chain.name)
+                if batch or chain.next_tick <= height:
+                    events = len(chain.events)
+                    transactions.extend(chain.advance(batch or ()))
+                    changed = changed or len(chain.events) != events
+                else:
+                    chain.height = height
+            if changed:
+                wake = [rnd] * len(actors)
+                continue
+            # Nothing happened: sleep until an actor wakes or a contract
+            # ticks (the advance to height h runs in round h - 1 - start).
+            target = rounds
+            for due in wake:
+                if due < target:
+                    target = due
+            for chain in chains:
+                if chain.next_tick - 1 - start < target:
+                    target = chain.next_tick - 1 - start
+            if target > rnd:
+                rnd = target
+                for chain in chains:
+                    chain.height = start + rnd
         sheet.finish()
         return result

@@ -63,15 +63,15 @@ class World:
 
     def view(self) -> "WorldView":
         """A read-only observation of every chain at the current height."""
-        return WorldView(self)
+        return WorldView(self, self.height)
 
 
 class WorldView:
     """Read-only facade over all chains, handed to actors each round."""
 
-    def __init__(self, world: World) -> None:
+    def __init__(self, world: World, height: int) -> None:
         self._world = world
-        self.height = world.height
+        self.height = height
 
     def chain(self, name: str) -> ChainView:
         return self._world.chain_view(name)

@@ -1,5 +1,7 @@
 """Unit tests for hashing, keys, and signatures."""
 
+import pickle
+
 import pytest
 
 from repro.crypto.hashing import Hashlock, Secret, sha256_hex
@@ -48,6 +50,19 @@ def test_secret_label_does_not_affect_equality():
 def test_keypair_public_is_derived():
     kp = KeyPair.from_seed("seed")
     assert kp.public == sha256_hex(b"seed")
+
+
+def test_keypair_public_is_computed_once_and_stays_out_of_equality():
+    generated = KeyPair.generate(owner="Alice")
+    assert generated.public == sha256_hex(generated.private)
+    seeded = KeyPair.from_seed("seed", owner="Bob")
+    assert "public" in vars(seeded)  # derived at construction, not per read
+    assert seeded == KeyPair(b"seed", owner="Bob")
+    assert hash(seeded) == hash(KeyPair(b"seed", owner="Bob"))
+    assert seeded != KeyPair.from_seed("seed", owner="Carol")
+    assert "public" not in repr(seeded)
+    clone = pickle.loads(pickle.dumps(seeded))
+    assert clone == seeded and clone.public == seeded.public
 
 
 def test_registry_register_and_lookup():

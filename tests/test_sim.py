@@ -1,5 +1,9 @@
 """Tests for the world, runner, payoff accounting, and deviation wrappers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.chain.block import Transaction
@@ -110,6 +114,40 @@ def test_payoff_separates_principal_and_premium(world):
     sheet.finish()
     assert sheet.premium_net("Alice") == 0
     assert sheet.principal_delta("Alice") == {chain.asset("apricot-token"): -3}
+
+
+DELTA_ORDER = """
+from repro.core.hedged_broker import HedgedBrokerDeal
+from repro.protocols.instance import execute
+for premium in (0, 1):
+    instance = HedgedBrokerDeal(premium=premium).build()
+    payoffs = execute(instance).payoffs
+    for party in sorted(instance.actors):
+        print(premium, party, [str(asset) for asset in payoffs.delta(party)])
+"""
+
+
+def test_delta_order_does_not_follow_the_hash_seed():
+    """A party's deltas come in first-seen ledger order: the same in the
+    broker's p = 0 and p = 1 compliant runs and under any PYTHONHASHSEED
+    (realized_utility folds floats in this order)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for seed in ("0", "7"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", DELTA_ORDER],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout
+        )
+    assert outputs[0] == outputs[1]
+    orders: dict[str, set] = {}
+    for line in outputs[0].splitlines():
+        _, party, assets = line.split(" ", 2)
+        orders.setdefault(party, set()).add(assets)
+    assert len(orders) == 3
+    assert all(len(seen) == 1 for seen in orders.values()), orders
 
 
 def test_valuation_defaults():
