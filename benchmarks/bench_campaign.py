@@ -310,71 +310,36 @@ def worker_busy_skew(workers: int = 2) -> tuple[float, list[float]]:
     return max(busy) / (sum(busy) / workers), busy
 
 
-def _contract_classes():
-    """Every contract class that defines its own ``on_tick``."""
-    import importlib
-    import pkgutil
-
-    import repro.contracts
-    import repro.core
-
-    seen = []
-    for package in (repro.contracts, repro.core):
-        for info in pkgutil.iter_modules(package.__path__):
-            module = importlib.import_module(f"{package.__name__}.{info.name}")
-            for value in vars(module).values():
-                if (
-                    isinstance(value, type)
-                    and value.__module__ == module.__name__
-                    and "on_tick" in vars(value)
-                    and value not in seen
-                ):
-                    seen.append(value)
-    return seen
-
-
 @contextlib.contextmanager
 def counting_leaf_calls():
     """Count ``on_tick`` and ``signatures._mac`` calls inside the block.
 
     Yields the counts dict.  The program is wrapped from outside and
-    restored on exit.  A ``super().on_tick`` call inside another
-    ``on_tick`` is part of the same settlement tick and is not counted
-    again.
+    restored on exit.  Every contract ticks through the base class's
+    ``on_tick`` (no subclass defines its own), so wrapping it counts them
+    all.
     """
     import repro.crypto.signatures as signatures
+    from repro.contracts.base import Contract
 
     counts = {"on_tick": 0, "mac": 0}
-    depth = [0]
+    on_tick, mac = Contract.on_tick, signatures._mac
 
-    def counted_tick(original):
-        def on_tick(self, height):
-            if depth[0] == 0:
-                counts["on_tick"] += 1
-            depth[0] += 1
-            try:
-                return original(self, height)
-            finally:
-                depth[0] -= 1
-
-        return on_tick
-
-    mac = signatures._mac
+    def counted_tick(self, height):
+        counts["on_tick"] += 1
+        return on_tick(self, height)
 
     def counted_mac(private, message):
         counts["mac"] += 1
         return mac(private, message)
 
-    originals = [(cls, vars(cls)["on_tick"]) for cls in _contract_classes()]
-    for cls, original in originals:
-        cls.on_tick = counted_tick(original)
+    Contract.on_tick = counted_tick
     signatures._mac = counted_mac
     try:
         yield counts
     finally:
         signatures._mac = mac
-        for cls, original in originals:
-            cls.on_tick = original
+        Contract.on_tick = on_tick
 
 
 @contextlib.contextmanager

@@ -67,8 +67,8 @@ class AuctionContractBase(Contract):
         self.accepted_at: dict[str, int] = {}
         self.settled = False
 
-    def _next_tick(self) -> int:
-        # Both subclasses' on_tick settle once, after the commit deadline.
+    def _settle_due(self) -> int:
+        # both contracts settle once, after the commit deadline
         return NEVER if self.settled else self.deadlines.commit + 1
 
     def _designated(self, hashkey: HashKey) -> str | None:
@@ -162,9 +162,7 @@ class CoinAuctionContract(AuctionContractBase):
     # ------------------------------------------------------------------
     # settlement (the §9.1 commit phase)
     # ------------------------------------------------------------------
-    def on_tick(self, height: int) -> None:
-        if self.settled or height <= self.deadlines.commit:
-            return
+    def _settle(self, height: int) -> None:
         self.settled = True
         native = self._chain().native
         winner = self.high_bidder
@@ -198,6 +196,8 @@ class CoinAuctionContract(AuctionContractBase):
                 compensated=self.premium if self.endowment else 0,
             )
 
+    timeouts = ((AuctionContractBase._settle_due, _settle),)
+
 
 class TicketAuctionContract(AuctionContractBase):
     """Ticket-chain contract: escrow + the §9.1 ticket commit rule."""
@@ -229,12 +229,10 @@ class TicketAuctionContract(AuctionContractBase):
         self.escrowed = True
         self.emit("tickets_escrowed", amount=self.tickets)
 
-    def _next_tick(self) -> int:
-        return super()._next_tick() if self.escrowed else NEVER
+    def _settle_due(self) -> int:
+        return super()._settle_due() if self.escrowed else NEVER
 
-    def on_tick(self, height: int) -> None:
-        if self.settled or not self.escrowed or height <= self.deadlines.commit:
-            return
+    def _settle(self, height: int) -> None:
         self.settled = True
         if len(self.accepted) == 1:
             (bidder,) = self.accepted
@@ -246,3 +244,5 @@ class TicketAuctionContract(AuctionContractBase):
             self.push(self.ticket_asset, self.auctioneer, self.tickets)
             self.outcome = "refunded"
             self.emit("tickets_refunded", accepted=sorted(self.accepted))
+
+    timeouts = ((_settle_due, _settle),)

@@ -4,12 +4,12 @@ A contract is a deterministic, passive program owning an account on exactly
 one chain.  Public methods (no leading underscore) are callable via
 transactions; each takes a :class:`repro.chain.blockchain.CallContext` as
 its first argument.  ``self.require(...)`` reverts the enclosing transaction
-when a precondition fails.  ``on_tick(height)`` runs once per height after
-user transactions and performs timeout settlement (refunds and premium
-awards); on a real chain these would be keeper transactions anyone can send
-— economically equivalent, and the paper's contracts are specified the same
-way ("if the contract does not receive the matching secret before time t has
-elapsed, the asset is refunded").
+when a precondition fails.  Timeout settlement (refunds and premium awards)
+runs after user transactions at each height; on a real chain these would be
+keeper transactions anyone can send — economically equivalent.  A contract
+declares it as rows in :attr:`Contract.timeouts`, the way the paper
+specifies its contracts ("if the contract does not receive the matching
+secret before time t has elapsed, the asset is refunded").
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.assets import Asset
+from repro.chain.blockchain import NEVER
 from repro.errors import ContractError, StateError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,18 +28,33 @@ if TYPE_CHECKING:  # pragma: no cover
 class Contract:
     """Base class for every contract in the library.
 
+    A contract declares each timed transition once, as a row of
+    :attr:`timeouts`: a pair of class-level functions ``(due, fire)``.
+    ``due(self)`` reads the height at which the row fires from the current
+    state, or :data:`~repro.chain.blockchain.NEVER` when it cannot fire;
+    ``fire(self, height)`` settles without testing the height again.  From
+    the rows the base class derives both :meth:`on_tick` and
+    ``next_tick``, so the deadline a contract ticks at and the one it acts
+    at are the same number.  A subclass extends its parent's rows by
+    composing them (``timeouts = (row, *Parent.timeouts, row)``).
+
     Ownership runs one way: a chain owns its contracts (in its
     ``contracts`` dict), and a contract refers back to its chain only
     weakly.  A finished world then holds no reference cycle, so reference
     counting frees it as soon as its last user lets go, with no work for
-    the cycle collector.  A contract whose chain is gone acts as an
-    undeployed one: using it raises :class:`repro.errors.StateError`.
+    the cycle collector.  (Rows are plain functions on the class for the
+    same reason: a bound method kept on the instance would point back at
+    it.)  A contract whose chain is gone acts as an undeployed one: using
+    it raises :class:`repro.errors.StateError`.
     """
 
     kind = "contract"
 
-    #: the first height at which :meth:`on_tick` may act (see there); 0,
-    #: the default, means "tick every block".
+    #: the timed transitions, as ``(due, fire)`` rows in firing order
+    timeouts: tuple = ()
+
+    #: the first height at which :meth:`on_tick` may act: the minimum due
+    #: height over the rows; 0 (tick every block) for a contract with none
     next_tick = 0
 
     def __init__(self) -> None:
@@ -63,24 +79,28 @@ class Contract:
         self.next_tick = self._next_tick()
 
     def on_tick(self, height: int) -> None:
-        """Timeout settlement hook; default does nothing.
+        """Fire, in declared order, each row due at or below ``height``.
 
-        The chain skips this hook at every height ``h < next_tick``, so a
-        subclass that overrides it must keep one promise: while the
-        contract stays in its current state, ``on_tick(h)`` changes no
-        state, balance or event at such heights.  :meth:`_next_tick`
-        derives that height from the current state: the minimum of
-        ``X + 1`` over the ``height > X`` guards whose state conditions
-        hold now, or :data:`~repro.chain.blockchain.NEVER` when none can
-        fire.  Only a transaction to the contract or its own tick changes
-        its state, so the chain recomputes ``next_tick`` after each of
-        those.  A subclass that cannot promise this keeps the default 0
-        and ticks every block.
+        Each due height is read at its row's turn, since an earlier row
+        may have changed the state.  The chain ticks a contract only from
+        its ``next_tick`` on and recomputes it after every transaction to
+        the contract and every tick.
         """
+        for due, fire in self.timeouts:
+            if due(self) <= height:
+                fire(self, height)
 
     def _next_tick(self) -> int:
-        """The ``next_tick`` height of this contract's state (see on_tick)."""
-        return 0
+        """The minimum due height over the rows (0 when there are none)."""
+        rows = self.timeouts
+        if not rows:
+            return 0
+        nxt = NEVER
+        for due, _ in rows:
+            at = due(self)
+            if at < nxt:
+                nxt = at
+        return nxt
 
     # ------------------------------------------------------------------
     # helpers available to subclasses

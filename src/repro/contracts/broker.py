@@ -214,15 +214,16 @@ class BaseBrokerContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
+    def _refund_due(self) -> int:
         return self.deadlines.end + 1 if self.escrow_state == "escrowed" else NEVER
 
-    def on_tick(self, height: int) -> None:
-        if self.escrow_state == "escrowed" and height > self.deadlines.end:
-            self.push(self.asset, self.owner, self.amount)
-            self.escrow_state = "refunded"
-            self.resolved_at = height
-            self.emit("asset_refunded", to=self.owner, amount=self.amount)
+    def _refund(self, height: int) -> None:
+        self.push(self.asset, self.owner, self.amount)
+        self.escrow_state = "refunded"
+        self.resolved_at = height
+        self.emit("asset_refunded", to=self.owner, amount=self.amount)
+
+    timeouts = ((_refund_due, _refund),)
 
 
 class HedgedBrokerContract(BaseBrokerContract):
@@ -261,6 +262,9 @@ class HedgedBrokerContract(BaseBrokerContract):
         self.rdeposits: dict[tuple[Arc, str], BrokerRDeposit] = {}
 
     # -- activation -------------------------------------------------------
+    def _hosted_arcs(self) -> tuple[Arc, ...]:
+        return (self.escrow_arc, self.trading_arc)
+
     def arc_activated(self, arc: Arc) -> bool:
         """All redemption premiums this arc expects are deposited."""
         have = {leader for (a, leader) in self.rdeposits if a == arc}
@@ -312,7 +316,7 @@ class HedgedBrokerContract(BaseBrokerContract):
     ) -> None:
         """The arc's redeemer posts one leader's redemption premium."""
         arc = tuple(arc)  # type: ignore[assignment]
-        self.require(arc in (self.escrow_arc, self.trading_arc), f"{arc} not hosted here")
+        self.require(arc in self._hosted_arcs(), f"{arc} not hosted here")
         self.require(ctx.sender == arc[1], f"only {arc[1]} posts premiums on {arc}")
         leader = path_chain.originator
         self.require(leader in self.hashlocks, f"unknown leader {leader!r}")
@@ -348,16 +352,12 @@ class HedgedBrokerContract(BaseBrokerContract):
     def escrow_asset(self, ctx: CallContext) -> None:
         super().escrow_asset(ctx)
         if self.escrow_premium_state == "held":
-            self.push(self._chain().native, self.owner, self.escrow_premium_amount)
-            self.escrow_premium_state = "refunded"
-            self.emit("escrow_premium_refunded", to=self.owner)
+            self._refund_escrow_premium(ctx.height)
 
     def trade(self, ctx: CallContext) -> None:
         super().trade(ctx)
         if self.trading_premium_state == "held":
-            self.push(self._chain().native, self.broker, self.trading_premium_amount)
-            self.trading_premium_state = "refunded"
-            self.emit("trading_premium_refunded", to=self.broker)
+            self._refund_trading_premium(ctx.height)
 
     def _on_hashkey_accepted(self, leader: str, height: int) -> None:
         for (arc, dep_leader), deposit in self.rdeposits.items():
@@ -372,81 +372,81 @@ class HedgedBrokerContract(BaseBrokerContract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        d = self.deadlines
-        due = super()._next_tick()
-        premium_held = self.escrow_premium_state == "held"
-        trading_held = self.trading_premium_state == "held"
-        if not self.contract_activated:
-            if premium_held or trading_held:
-                due = min(due, d.activation + 1)
-        else:
-            if premium_held and self.escrow_state == "absent":
-                due = min(due, d.escrow + 1)
-            if trading_held and not self.traded:
-                due = min(due, d.trade + 1)
-        if any(deposit.state == "held" for deposit in self.rdeposits.values()):
-            due = min(due, d.end + 1)
-        return due
+    # unactivated E and T premiums refund once phase 2 is over
+    def _escrow_premium_refund_due(self) -> int:
+        unactivated = self.escrow_premium_state == "held" and not self.contract_activated
+        return self.deadlines.activation + 1 if unactivated else NEVER
 
-    def on_tick(self, height: int) -> None:
+    def _refund_escrow_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.owner, self.escrow_premium_amount)
+        self.escrow_premium_state = "refunded"
+        self.emit("escrow_premium_refunded", to=self.owner)
+
+    def _trading_premium_refund_due(self) -> int:
+        unactivated = self.trading_premium_state == "held" and not self.contract_activated
+        return self.deadlines.activation + 1 if unactivated else NEVER
+
+    def _refund_trading_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.broker, self.trading_premium_amount)
+        self.trading_premium_state = "refunded"
+        self.emit("trading_premium_refunded", to=self.broker)
+
+    def _escrow_premium_award_due(self) -> int:
+        # activated E goes to the broker when the escrow never came
+        held = self.escrow_premium_state == "held" and self.escrow_state == "absent"
+        return self.deadlines.escrow + 1 if held and self.contract_activated else NEVER
+
+    def _award_escrow_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.escrow_arc[1], self.escrow_premium_amount)
+        self.escrow_premium_state = "awarded"
+        self.emit(
+            "escrow_premium_awarded", to=self.escrow_arc[1], amount=self.escrow_premium_amount
+        )
+
+    def _trading_premium_award_due(self) -> int:
+        # activated T goes to the expectant recipient when no trade came
+        held = self.trading_premium_state == "held" and not self.traded
+        return self.deadlines.trade + 1 if held and self.contract_activated else NEVER
+
+    def _award_trading_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.trading_arc[1], self.trading_premium_amount)
+        self.trading_premium_state = "awarded"
+        self.emit(
+            "trading_premium_awarded", to=self.trading_arc[1], amount=self.trading_premium_amount
+        )
+
+    def _redemption_premium_award_due(self) -> int:
+        for deposit in self.rdeposits.values():
+            if deposit.state == "held":
+                return self.deadlines.end + 1
+        return NEVER
+
+    def _award_redemption_premiums(self, height: int) -> None:
+        """Each held redemption premium: the leading ``p`` to the asset's
+        owner if the asset was locked, the remainder to the arc's tail."""
         native = self._chain().native
-
-        # Unactivated E/T premiums refund once phase 2 is over.
-        if height > self.deadlines.activation and not self.contract_activated:
-            if self.escrow_premium_state == "held":
-                self.push(native, self.owner, self.escrow_premium_amount)
-                self.escrow_premium_state = "refunded"
-                self.emit("escrow_premium_refunded", to=self.owner)
-            if self.trading_premium_state == "held":
-                self.push(native, self.broker, self.trading_premium_amount)
-                self.trading_premium_state = "refunded"
-                self.emit("trading_premium_refunded", to=self.broker)
-
-        # Activated E awarded to the broker when the escrow never came.
-        if (
-            self.escrow_premium_state == "held"
-            and self.contract_activated
-            and self.escrow_state == "absent"
-            and height > self.deadlines.escrow
-        ):
-            self.push(native, self.escrow_arc[1], self.escrow_premium_amount)
-            self.escrow_premium_state = "awarded"
+        asset_was_locked = self.escrowed_at is not None
+        for (arc, leader), deposit in self.rdeposits.items():
+            if deposit.state != "held":
+                continue
+            head = self.owner if asset_was_locked else arc[0]
+            self.push(native, head, self.premium)
+            remainder = deposit.amount - self.premium
+            if remainder:
+                self.push(native, arc[0], remainder)
+            deposit.state = "awarded"
             self.emit(
-                "escrow_premium_awarded",
-                to=self.escrow_arc[1], amount=self.escrow_premium_amount,
+                "redemption_premium_awarded",
+                arc=arc, leader=leader,
+                compensated=head, reimbursed=arc[0],
+                amount=deposit.amount,
             )
 
-        # Activated T awarded to the expectant recipient when no trade came.
-        if (
-            self.trading_premium_state == "held"
-            and self.contract_activated
-            and not self.traded
-            and height > self.deadlines.trade
-        ):
-            self.push(native, self.trading_arc[1], self.trading_premium_amount)
-            self.trading_premium_state = "awarded"
-            self.emit(
-                "trading_premium_awarded",
-                to=self.trading_arc[1], amount=self.trading_premium_amount,
-            )
-
-        # Asset refund (inherited) and redemption premium awards at the end.
-        super().on_tick(height)
-        if height > self.deadlines.end:
-            asset_was_locked = self.escrowed_at is not None
-            for (arc, leader), deposit in self.rdeposits.items():
-                if deposit.state != "held":
-                    continue
-                head = self.owner if asset_was_locked else arc[0]
-                self.push(native, head, self.premium)
-                remainder = deposit.amount - self.premium
-                if remainder:
-                    self.push(native, arc[0], remainder)
-                deposit.state = "awarded"
-                self.emit(
-                    "redemption_premium_awarded",
-                    arc=arc, leader=leader,
-                    compensated=head, reimbursed=arc[0],
-                    amount=deposit.amount,
-                )
+    timeouts = (
+        (_escrow_premium_refund_due, _refund_escrow_premium),
+        (_trading_premium_refund_due, _refund_trading_premium),
+        (_escrow_premium_award_due, _award_escrow_premium),
+        (_trading_premium_award_due, _award_trading_premium),
+        *BaseBrokerContract.timeouts,
+        (_redemption_premium_award_due, _award_redemption_premiums),
+    )

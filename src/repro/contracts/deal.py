@@ -18,7 +18,7 @@ the paper's recurrence (``E(v,w) = T_1(w)``, ``T_k(v,w) = T_{k+1}(w)``,
   premium structure is *activated* — all redemption premiums, the escrow
   premium, and every trading premium present),
 - redemption premiums behave exactly as in the broker contract, including
-  the asset-owner award split.
+  the asset-owner award split: the deal shares the broker's code for them.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import CallContext
+from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
+from repro.contracts.broker import BrokerRDeposit, HedgedBrokerContract
 from repro.crypto.hashing import Hashlock
-from repro.crypto.hashkeys import HashKey, SignedPath
+from repro.crypto.hashkeys import HashKey
 from repro.errors import ContractError
 from repro.graph.digraph import Arc, SwapGraph
 
@@ -85,17 +86,6 @@ class DealDeadlines:
         )
 
 
-@dataclass
-class DealRDeposit:
-    """One redemption premium held by a deal contract."""
-
-    arc: Arc
-    leader: str
-    chain: SignedPath
-    amount: int
-    state: str = "held"  # held | refunded | awarded
-
-
 class PipelineDealContract(Contract):
     """Escrow + r-step trade pipeline + all-hashkeys redemption."""
 
@@ -139,7 +129,7 @@ class PipelineDealContract(Contract):
         self.escrow_premium_state = "absent"
         self.trading_premium_state: dict[int, str] = {s.round: "absent" for s in self.steps}
         self.traded: dict[int, bool] = {s.round: False for s in self.steps}
-        self.rdeposits: dict[tuple[Arc, str], DealRDeposit] = {}
+        self.rdeposits: dict[tuple[Arc, str], BrokerRDeposit] = {}
         self.accepted: dict[str, HashKey] = {}
 
     # ------------------------------------------------------------------
@@ -163,16 +153,18 @@ class PipelineDealContract(Contract):
         heads = {self.escrow_arc[1]} | {s.arc[1] for s in self.steps}
         return frozenset(heads)
 
-    def arc_activated(self, arc: Arc) -> bool:
-        have = {leader for (a, leader) in self.rdeposits if a == arc}
-        return self.required_keys[arc] <= have
+    def _hosted_arcs(self) -> tuple[Arc, ...]:
+        return (self.escrow_arc, *(s.arc for s in self.steps))
+
+    # redemption premiums are posted and counted as on the broker contract
+    arc_activated = HedgedBrokerContract.arc_activated
+    deposit_redemption_premium = HedgedBrokerContract.deposit_redemption_premium
 
     @property
     def contract_activated(self) -> bool:
         """All hosted arcs' redemption premiums plus E and every T."""
-        arcs = [self.escrow_arc] + [s.arc for s in self.steps]
         return (
-            all(self.arc_activated(arc) for arc in arcs)
+            all(self.arc_activated(arc) for arc in self._hosted_arcs())
             and self.escrow_premium_state != "absent"
             and all(state != "absent" for state in self.trading_premium_state.values())
         )
@@ -202,42 +194,6 @@ class PipelineDealContract(Contract):
         self.trading_premium_state[round] = "held"
         self.emit("trading_premium_deposited", round=round, amount=step.premium_amount)
 
-    def deposit_redemption_premium(
-        self, ctx: CallContext, arc: Arc, path_chain: SignedPath
-    ) -> None:
-        arc = tuple(arc)  # type: ignore[assignment]
-        hosted = [self.escrow_arc] + [s.arc for s in self.steps]
-        self.require(arc in hosted, f"{arc} not hosted here")
-        self.require(ctx.sender == arc[1], f"only {arc[1]} posts premiums on {arc}")
-        leader = path_chain.originator
-        self.require(leader in self.hashlocks, f"unknown leader {leader!r}")
-        self.require((arc, leader) not in self.rdeposits, "premium already posted")
-        expected_payload = f"rpremium:{self.hashlocks[leader].digest}"
-        self.require(path_chain.payload == expected_payload, "chain binds wrong hashlock")
-        self.require(path_chain.head == arc[1], "path must end at the depositor")
-        self.require(path_chain.is_simple(), "path must be simple")
-        path = path_chain.path
-        self.require(self.graph.is_path(path), "path must follow arcs")
-        self.require(
-            ctx.height <= self.deadlines.redemption_premium_base + path_chain.length,
-            f"redemption premium timed out (|q|={path_chain.length})",
-        )
-        self.require(
-            path_chain.verify(self._chain().registry, self.public_of),
-            "premium path failed signature verification",
-        )
-        # imported here to avoid a package-level import cycle
-        from repro.core.premiums import pruned_redemption_premium_amount
-
-        amount = pruned_redemption_premium_amount(
-            self.graph, path, arc[0], self.premium, self.contract_of
-        )
-        self.pull(self._chain().native, arc[1], amount)
-        self.rdeposits[(arc, leader)] = DealRDeposit(arc, leader, path_chain, amount)
-        self.emit(
-            "redemption_premium_deposited", arc=arc, leader=leader, path=path, amount=amount
-        )
-
     # ------------------------------------------------------------------
     # base-protocol transactions
     # ------------------------------------------------------------------
@@ -251,9 +207,7 @@ class PipelineDealContract(Contract):
         self.escrowed_at = ctx.height
         self.emit("asset_escrowed", owner=self.owner, amount=self.amount)
         if self.escrow_premium_state == "held":
-            self.push(self._chain().native, self.owner, self.escrow_premium_amount)
-            self.escrow_premium_state = "refunded"
-            self.emit("escrow_premium_refunded", to=self.owner)
+            self._refund_escrow_premium(ctx.height)
 
     def trade(self, ctx: CallContext, round: int) -> None:
         step = self.step(round)
@@ -272,9 +226,7 @@ class PipelineDealContract(Contract):
         self.traded[round] = True
         self.emit("traded", round=round, by=step.trader, arc=step.arc)
         if self.trading_premium_state[round] == "held":
-            self.push(self._chain().native, step.trader, step.premium_amount)
-            self.trading_premium_state[round] = "refunded"
-            self.emit("trading_premium_refunded", round=round, to=step.trader)
+            self._refund_trading_premium(step)
         self._try_redeem(ctx.height)
 
     def present_hashkey(self, ctx: CallContext, hashkey: HashKey) -> None:
@@ -325,73 +277,74 @@ class PipelineDealContract(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        d = self.deadlines
-        trades = (d.trade_base + step.round for step in self.steps)
-        return min(d.activation, d.escrow, d.end, *trades) + 1
+    # rows whose fields mirror the broker contract's settle the same way
+    _escrow_premium_refund_due = HedgedBrokerContract._escrow_premium_refund_due
+    _refund_escrow_premium = HedgedBrokerContract._refund_escrow_premium
+    _escrow_premium_award_due = HedgedBrokerContract._escrow_premium_award_due
+    _redemption_premium_award_due = HedgedBrokerContract._redemption_premium_award_due
+    _award_redemption_premiums = HedgedBrokerContract._award_redemption_premiums
 
-    def on_tick(self, height: int) -> None:
-        native = self._chain().native
+    def _trading_premium_refund_due(self) -> int:
+        # unactivated T_k premiums refund once phase 2 is over
+        held = any(state == "held" for state in self.trading_premium_state.values())
+        return self.deadlines.activation + 1 if held and not self.contract_activated else NEVER
 
-        if height > self.deadlines.activation and not self.contract_activated:
-            if self.escrow_premium_state == "held":
-                self.push(native, self.owner, self.escrow_premium_amount)
-                self.escrow_premium_state = "refunded"
-                self.emit("escrow_premium_refunded", to=self.owner)
-            for step in self.steps:
-                if self.trading_premium_state[step.round] == "held":
-                    self.push(native, step.trader, step.premium_amount)
-                    self.trading_premium_state[step.round] = "refunded"
-                    self.emit("trading_premium_refunded", round=step.round, to=step.trader)
-
-        if (
-            self.escrow_premium_state == "held"
-            and self.contract_activated
-            and self.escrow_state == "absent"
-            and height > self.deadlines.escrow
-        ):
-            # Paid out in the statically computed deficit shares: every
-            # broker blocked by this escrow failure breaks even.
-            for party, amount in self.escrow_premium_shares:
-                self.push(native, party, amount)
-            self.escrow_premium_state = "awarded"
-            self.emit(
-                "escrow_premium_awarded",
-                shares=self.escrow_premium_shares,
-                amount=self.escrow_premium_amount,
-            )
-
+    def _refund_trading_premiums(self, height: int) -> None:
         for step in self.steps:
-            if (
-                self.trading_premium_state[step.round] == "held"
-                and self.contract_activated
-                and not self.traded[step.round]
-                and height > self.deadlines.trade_base + step.round
-            ):
-                self.push(native, step.recipient, step.premium_amount)
-                self.trading_premium_state[step.round] = "awarded"
-                self.emit(
-                    "trading_premium_awarded",
-                    round=step.round, to=step.recipient, amount=step.premium_amount,
-                )
+            if self.trading_premium_state[step.round] == "held":
+                self._refund_trading_premium(step)
 
-        if height > self.deadlines.end:
-            if self.escrow_state == "escrowed":
-                self.push(self.asset, self.owner, self.amount)
-                self.escrow_state = "refunded"
-                self.emit("asset_refunded", to=self.owner, amount=self.amount)
-            asset_was_locked = self.escrowed_at is not None
-            for (arc, leader), deposit in self.rdeposits.items():
-                if deposit.state != "held":
-                    continue
-                head = self.owner if asset_was_locked else arc[0]
-                self.push(native, head, self.premium)
-                remainder = deposit.amount - self.premium
-                if remainder:
-                    self.push(native, arc[0], remainder)
-                deposit.state = "awarded"
-                self.emit(
-                    "redemption_premium_awarded",
-                    arc=arc, leader=leader,
-                    compensated=head, reimbursed=arc[0], amount=deposit.amount,
-                )
+    def _refund_trading_premium(self, step: TradeStep) -> None:
+        self.push(self._chain().native, step.trader, step.premium_amount)
+        self.trading_premium_state[step.round] = "refunded"
+        self.emit("trading_premium_refunded", round=step.round, to=step.trader)
+
+    def _award_escrow_premium(self, height: int) -> None:
+        # Paid out in the statically computed deficit shares: every
+        # broker blocked by this escrow failure breaks even.
+        native = self._chain().native
+        for party, amount in self.escrow_premium_shares:
+            self.push(native, party, amount)
+        self.escrow_premium_state = "awarded"
+        self.emit(
+            "escrow_premium_awarded",
+            shares=self.escrow_premium_shares, amount=self.escrow_premium_amount,
+        )
+
+    def _late_step(self) -> TradeStep | None:
+        """The first round whose held ``T_k`` waits on a trade, if activated."""
+        for step in self.steps:
+            if self.trading_premium_state[step.round] == "held" and not self.traded[step.round]:
+                return step if self.contract_activated else None
+        return None
+
+    def _trading_premium_award_due(self) -> int:
+        # round deadlines rise with k, so the first waiting round is due first
+        step = self._late_step()
+        return NEVER if step is None else self.deadlines.trade_base + step.round + 1
+
+    def _award_trading_premium(self, height: int) -> None:
+        step = self._late_step()
+        self.push(self._chain().native, step.recipient, step.premium_amount)
+        self.trading_premium_state[step.round] = "awarded"
+        self.emit(
+            "trading_premium_awarded",
+            round=step.round, to=step.recipient, amount=step.premium_amount,
+        )
+
+    def _refund_due(self) -> int:
+        return self.deadlines.end + 1 if self.escrow_state == "escrowed" else NEVER
+
+    def _refund(self, height: int) -> None:
+        self.push(self.asset, self.owner, self.amount)
+        self.escrow_state = "refunded"
+        self.emit("asset_refunded", to=self.owner, amount=self.amount)
+
+    timeouts = (
+        (_escrow_premium_refund_due, _refund_escrow_premium),
+        (_trading_premium_refund_due, _refund_trading_premiums),
+        (_escrow_premium_award_due, _award_escrow_premium),
+        (_trading_premium_award_due, _award_trading_premium),
+        (_refund_due, _refund),
+        (_redemption_premium_award_due, _award_redemption_premiums),
+    )

@@ -115,48 +115,43 @@ class HedgedEscrow(Contract):
         self.revealed_preimage = preimage
         self.emit("redeemed", to=principal_to, amount=self.principal_amount)
         if self.premium_state == "held":
-            self.push(self._chain().native, self.redeemer, self.premium_amount)
-            self.premium_state = "refunded"
-            self.premium_resolved_at = ctx.height
-            self.emit("premium_refunded", to=self.redeemer, amount=self.premium_amount)
+            self._refund_premium(ctx.height)
 
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        if self.principal_state == "escrowed":
-            return self.redemption_timelock + 1
-        if self.premium_state == "held" and self.principal_state == "absent":
-            return self.principal_deadline + 1
-        return NEVER
+    def _premium_refund_due(self) -> int:
+        # the principal never showed up
+        held = self.premium_state == "held" and self.principal_state == "absent"
+        return self.principal_deadline + 1 if held else NEVER
 
-    def on_tick(self, height: int) -> None:
-        # Premium refund when the principal never showed up.
-        if (
-            self.premium_state == "held"
-            and self.principal_state == "absent"
-            and height > self.principal_deadline
-        ):
-            self.push(self._chain().native, self.redeemer, self.premium_amount)
-            self.premium_state = "refunded"
+    def _refund_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.redeemer, self.premium_amount)
+        self.premium_state = "refunded"
+        self.premium_resolved_at = height
+        self.emit("premium_refunded", to=self.redeemer, amount=self.premium_amount)
+
+    def _principal_refund_due(self) -> int:
+        # redemption never happened
+        escrowed = self.principal_state == "escrowed"
+        return self.redemption_timelock + 1 if escrowed else NEVER
+
+    def _refund_principal(self, height: int) -> None:
+        """Principal refund, plus the premium award as lockup compensation."""
+        self.push(self.principal_asset, self.principal_owner, self.principal_amount)
+        self.principal_state = "refunded"
+        self.principal_resolved_at = height
+        self.emit("principal_refunded", to=self.principal_owner, amount=self.principal_amount)
+        if self.premium_state == "held":
+            self.push(self._chain().native, self.principal_owner, self.premium_amount)
+            self.premium_state = "awarded"
             self.premium_resolved_at = height
-            self.emit("premium_refunded", to=self.redeemer, amount=self.premium_amount)
+            self.emit("premium_awarded", to=self.principal_owner, amount=self.premium_amount)
 
-        # Principal refund + premium award when redemption never happened.
-        if self.principal_state == "escrowed" and height > self.redemption_timelock:
-            self.push(self.principal_asset, self.principal_owner, self.principal_amount)
-            self.principal_state = "refunded"
-            self.principal_resolved_at = height
-            self.emit("principal_refunded", to=self.principal_owner, amount=self.principal_amount)
-            if self.premium_state == "held":
-                self.push(self._chain().native, self.principal_owner, self.premium_amount)
-                self.premium_state = "awarded"
-                self.premium_resolved_at = height
-                self.emit(
-                    "premium_awarded",
-                    to=self.principal_owner,
-                    amount=self.premium_amount,
-                )
+    timeouts = (
+        (_premium_refund_due, _refund_premium),
+        (_principal_refund_due, _refund_principal),
+    )
 
     # ------------------------------------------------------------------
     # queries

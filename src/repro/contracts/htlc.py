@@ -75,15 +75,16 @@ class HTLC(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
+    def _refund_due(self) -> int:
         return self.timelock + 1 if self.state == self.ESCROWED else NEVER
 
-    def on_tick(self, height: int) -> None:
-        if self.state == self.ESCROWED and height > self.timelock:
-            self.push(self.asset, self.owner, self.amount)
-            self.state = self.REFUNDED
-            self.resolved_at = height
-            self.emit("refunded", to=self.owner, amount=self.amount)
+    def _refund(self, height: int) -> None:
+        self.push(self.asset, self.owner, self.amount)
+        self.state = self.REFUNDED
+        self.resolved_at = height
+        self.emit("refunded", to=self.owner, amount=self.amount)
+
+    timeouts = ((_refund_due, _refund),)
 
     # ------------------------------------------------------------------
     # queries

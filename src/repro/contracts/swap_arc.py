@@ -152,17 +152,17 @@ class BaseSwapArc(Contract):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        if self.principal_state == "escrowed":
-            return self._final_deadline() + 1
-        return NEVER
+    def _refund_due(self) -> int:
+        escrowed = self.principal_state == "escrowed"
+        return self._final_deadline() + 1 if escrowed else NEVER
 
-    def on_tick(self, height: int) -> None:
-        if self.principal_state == "escrowed" and height > self._final_deadline():
-            self.push(self.asset, self.u, self.amount)
-            self.principal_state = "refunded"
-            self.principal_resolved_at = height
-            self.emit("principal_refunded", arc=self.arc, to=self.u, amount=self.amount)
+    def _refund(self, height: int) -> None:
+        self.push(self.asset, self.u, self.amount)
+        self.principal_state = "refunded"
+        self.principal_resolved_at = height
+        self.emit("principal_refunded", arc=self.arc, to=self.u, amount=self.amount)
+
+    timeouts = ((_refund_due, _refund),)
 
     # ------------------------------------------------------------------
     # queries
@@ -295,10 +295,7 @@ class HedgedSwapArc(BaseSwapArc):
         super().escrow_principal(ctx)
         # Escrowing in time releases u's escrow premium immediately.
         if self.escrow_premium_state == "held":
-            self.push(self._chain().native, self.u, self.escrow_premium_amount)
-            self.escrow_premium_state = "refunded"
-            self.escrow_premium_resolved_at = ctx.height
-            self.emit("escrow_premium_refunded", arc=self.arc, to=self.u)
+            self._refund_escrow_premium(ctx.height)
 
     def _on_hashkey_accepted(self, leader: str, height: int) -> None:
         deposit = self.redemption_deposits.get(leader)
@@ -317,55 +314,51 @@ class HedgedSwapArc(BaseSwapArc):
     # ------------------------------------------------------------------
     # settlement
     # ------------------------------------------------------------------
-    def _next_tick(self) -> int:
-        due = super()._next_tick()
-        if self.escrow_premium_state == "held":
-            if not self.activated:
-                due = min(due, self.schedule.activation_deadline + 1)
-            elif self.principal_state == "absent":
-                due = min(due, self._principal_deadline() + 1)
-        final = self._final_deadline() + 1
-        if due > final:
-            for deposit in self.redemption_deposits.values():
-                if deposit.state == "held":
-                    return final
-        return due
+    def _escrow_premium_refund_due(self) -> int:
+        # an unactivated escrow premium refunds at the end of phase 2
+        unactivated = self.escrow_premium_state == "held" and not self.activated
+        return self.schedule.activation_deadline + 1 if unactivated else NEVER
 
-    def on_tick(self, height: int) -> None:
-        if self.escrow_premium_state == "held":
-            if not self.activated:
-                # Unactivated escrow premiums refund at the end of phase 2.
-                if height > self.schedule.activation_deadline:
-                    self.push(self._chain().native, self.u, self.escrow_premium_amount)
-                    self.escrow_premium_state = "refunded"
-                    self.escrow_premium_resolved_at = height
-                    self.emit("escrow_premium_refunded", arc=self.arc, to=self.u)
-            elif self.principal_state == "absent" and height > self._principal_deadline():
-                # Activated escrow premium is awarded to v if the principal
-                # never came.
-                self.push(self._chain().native, self.v, self.escrow_premium_amount)
-                self.escrow_premium_state = "awarded"
-                self.escrow_premium_resolved_at = height
+    def _refund_escrow_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.u, self.escrow_premium_amount)
+        self.escrow_premium_state = "refunded"
+        self.escrow_premium_resolved_at = height
+        self.emit("escrow_premium_refunded", arc=self.arc, to=self.u)
+
+    def _escrow_premium_award_due(self) -> int:
+        # an activated escrow premium goes to v if the principal never came
+        held = self.escrow_premium_state == "held" and self.principal_state == "absent"
+        return self._principal_deadline() + 1 if held and self.activated else NEVER
+
+    def _award_escrow_premium(self, height: int) -> None:
+        self.push(self._chain().native, self.v, self.escrow_premium_amount)
+        self.escrow_premium_state = "awarded"
+        self.escrow_premium_resolved_at = height
+        self.emit(
+            "escrow_premium_awarded", arc=self.arc, to=self.v, amount=self.escrow_premium_amount
+        )
+
+    def _redemption_premium_award_due(self) -> int:
+        # every unrefunded redemption premium goes to u at the end of phase 4
+        for deposit in self.redemption_deposits.values():
+            if deposit.state == "held":
+                return self._final_deadline() + 1
+        return NEVER
+
+    def _award_redemption_premiums(self, height: int) -> None:
+        for deposit in self.redemption_deposits.values():
+            if deposit.state == "held":
+                self.push(self._chain().native, self.u, deposit.amount)
+                deposit.state = "awarded"
+                deposit.resolved_at = height
                 self.emit(
-                    "escrow_premium_awarded",
-                    arc=self.arc,
-                    to=self.v,
-                    amount=self.escrow_premium_amount,
+                    "redemption_premium_awarded",
+                    arc=self.arc, leader=deposit.leader, to=self.u, amount=deposit.amount,
                 )
 
-        # Principal refund at the end of phase 4 (inherited rule) plus
-        # awarding every unrefunded redemption premium to u.
-        super().on_tick(height)
-        if height > self._final_deadline():
-            for deposit in self.redemption_deposits.values():
-                if deposit.state == "held":
-                    self.push(self._chain().native, self.u, deposit.amount)
-                    deposit.state = "awarded"
-                    deposit.resolved_at = height
-                    self.emit(
-                        "redemption_premium_awarded",
-                        arc=self.arc,
-                        leader=deposit.leader,
-                        to=self.u,
-                        amount=deposit.amount,
-                    )
+    timeouts = (
+        (_escrow_premium_refund_due, _refund_escrow_premium),
+        (_escrow_premium_award_due, _award_escrow_premium),
+        *BaseSwapArc.timeouts,
+        (_redemption_premium_award_due, _award_redemption_premiums),
+    )

@@ -75,14 +75,16 @@ class Deviant(Actor):
         self._inner_busy = False
 
     def on_round(self, rnd: int, view: "WorldView") -> list[Transaction]:
-        injected = list(self.extra.get(rnd, ()))
+        # Lists are built only in a round that injects; callers read the
+        # returned list and never mutate it, so the inner one passes as is.
+        injected = self.extra.get(rnd)
         if self.halt_round is not None and rnd >= self.halt_round:
-            return injected
+            return list(injected) if injected else []
         planned = self.inner.on_round(rnd, view)
         self._inner_busy = bool(planned)
         if self.skip_rules or self.skip_predicate:
             planned = [tx for tx in planned if not self._drops(tx)]
-        return planned + injected
+        return [*planned, *injected] if injected else planned
 
     def idle_until(self, rnd: int) -> int:
         if self.halt_round is not None and rnd >= self.halt_round:

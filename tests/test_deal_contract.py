@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.block import Transaction
+from repro.chain.blockchain import NEVER
 from repro.contracts.deal import DealDeadlines, PipelineDealContract, TradeStep
 from repro.core.multi_round_deal import DealSpec, MultiRoundDeal, deal_premium_tables
 from repro.crypto.hashkeys import HashKey
@@ -143,6 +144,22 @@ def test_trading_premium_refunds_on_trade():
     ticket = instance.contract("ticket")
     assert all(state == "refunded" for state in ticket.trading_premium_state.values())
     assert ticket.escrow_premium_state == "refunded"
+
+
+def test_compliant_deal_leaves_nothing_to_tick():
+    # next_tick is derived from state: once every premium and the asset
+    # have settled, no row can fire and the chain never ticks the deal again
+    instance = _fresh()
+    execute(instance)
+    deals = [
+        contract
+        for chain in instance.world.chains.values()
+        for contract in chain.contracts.values()
+        if isinstance(contract, PipelineDealContract)
+    ]
+    assert len(deals) == 2
+    assert all(deal.escrow_state == "redeemed" for deal in deals)
+    assert [deal.next_tick for deal in deals] == [NEVER, NEVER]
 
 
 def test_premium_tables_scale_with_p():
