@@ -41,9 +41,14 @@ up as a count on any host.  One serial pass of the default matrix
 likewise counts the runner's ``on_round`` calls and ``Blockchain.advance``
 calls against :data:`MAX_ON_ROUND_CALLS` and :data:`MAX_ADVANCE_CALLS`:
 an actor that stops reporting its idle rounds, or a chain advanced with
-nothing to do, shows up as a count.  The same run must also leave no garbage
-for the cycle collector: every collection over it, and a final one
-after it, is counted through :data:`gc.callbacks`, and more than
+nothing to do, shows up as a count.  The same pass counts
+``signatures.verify`` and ``Contract._next_tick`` calls against
+:data:`MAX_VERIFY_CALLS` and :data:`MAX_NEXT_TICK_CALLS`: a contract that
+re-walks a signed path that already validated in its world, or a chain
+that recomputes a contract's next tick after each transaction rather
+than once per block, shows up as a count.  The gate's run must also
+leave no garbage for the cycle collector: every collection over it, and
+a final one after it, is counted through :data:`gc.callbacks`, and more than
 :data:`MAX_CYCLIC_GARBAGE` freed objects fails.  A chain owns its
 contracts and each contract refers back weakly, so a finished world is
 freed by reference counting alone; a new back-pointer or self-referencing
@@ -122,6 +127,14 @@ MAX_MAC_CALLS = 24_886
 # advancing every chain each round gave 194,822 and 191,495).
 MAX_ON_ROUND_CALLS = 116_041
 MAX_ADVANCE_CALLS = 31_436
+
+# Check-work ceilings for the same serial default pass: the exact counts
+# once each world remembered the signed paths and hashkeys that validated
+# in it, and a block recomputed each called contract's next tick once
+# (re-walking every path and recomputing after every transaction gave
+# 97,738 and 102,511).
+MAX_VERIFY_CALLS = 30_364
+MAX_NEXT_TICK_CALLS = 73_162
 
 # Objects the cycle collector may free over the serial gate run.  Every
 # simulated world is acyclic, so the count is zero; the contract -> chain
@@ -393,6 +406,46 @@ def counting_round_calls():
 
 
 @contextlib.contextmanager
+def counting_check_calls():
+    """Count ``signatures.verify`` and ``Contract._next_tick`` calls
+    inside the block.
+
+    Yields the counts dict.  ``verify`` is wrapped in every loaded
+    ``repro`` module that holds it by name (``repro.crypto.hashkeys``
+    imports it so), and every contract derives its next tick through the
+    base class's ``_next_tick``; both are restored on exit.
+    """
+    import repro.crypto.signatures as signatures
+    from repro.contracts.base import Contract
+
+    counts = {"verify": 0, "next_tick": 0}
+    verify, next_tick = signatures.verify, Contract._next_tick
+
+    def counted_verify(registry, signature, message):
+        counts["verify"] += 1
+        return verify(registry, signature, message)
+
+    def counted_next_tick(self):
+        counts["next_tick"] += 1
+        return next_tick(self)
+
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro" and getattr(module, "verify", None) is verify
+    ]
+    for module in holders:
+        module.verify = counted_verify
+    Contract._next_tick = counted_next_tick
+    try:
+        yield counts
+    finally:
+        Contract._next_tick = next_tick
+        for module in holders:
+            module.verify = verify
+
+
+@contextlib.contextmanager
 def counting_cyclic_garbage():
     """Count the objects the cycle collector frees inside the block.
 
@@ -520,17 +573,23 @@ def run_gate() -> int:
         )
 
     full = default_matrix()
-    with counting_round_calls() as work:
+    with counting_round_calls() as work, counting_check_calls() as checks:
         CampaignRunner(full, backend="serial").run()
-    for name, count, ceiling in (
-        ("on_round", work["on_round"], MAX_ON_ROUND_CALLS),
-        ("Blockchain.advance", work["advance"], MAX_ADVANCE_CALLS),
+    for kind, name, count, ceiling, cause in (
+        ("round", "on_round", work["on_round"], MAX_ON_ROUND_CALLS,
+         "idle rounds are being run again"),
+        ("round", "Blockchain.advance", work["advance"], MAX_ADVANCE_CALLS,
+         "idle rounds are being run again"),
+        ("check", "signatures.verify", checks["verify"], MAX_VERIFY_CALLS,
+         "validated paths are being re-walked"),
+        ("check", "Contract._next_tick", checks["next_tick"], MAX_NEXT_TICK_CALLS,
+         "next ticks are recomputed per transaction again"),
     ):
-        print(f"round work: {count} {name} calls on a serial default pass (ceiling {ceiling})")
+        print(f"{kind} work: {count} {name} calls on a serial default pass (ceiling {ceiling})")
         if count > ceiling:
             failures.append(
                 f"{count} {name} calls on the serial default pass exceed the "
-                f"ceiling {ceiling}: idle rounds are being run again"
+                f"ceiling {ceiling}: {cause}"
             )
 
     for workers in sorted({2, 4, default_workers()}):

@@ -41,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: to settle, and the wake of an actor that waits only on events.
 NEVER = sys.maxsize
 
+#: The ``next_tick`` of a contract called by the block being mined, until
+#: the block's transactions are done and it is recomputed (see
+#: :meth:`Blockchain.advance`).
+STALE = -1
+
 
 class CallContext(NamedTuple):
     """Per-call environment handed to contract methods (immutable).
@@ -67,6 +72,8 @@ class Blockchain:
         self.contracts: dict[str, "Contract"] = {}
         #: the earliest ``next_tick`` of this chain's contracts
         self.next_tick = NEVER
+        #: True while :meth:`advance` runs a block's transactions
+        self._in_block = False
         self._addr_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -102,7 +109,9 @@ class Blockchain:
         """Run ``tx`` at the current height with revert semantics.
 
         The called contract's ``next_tick`` is recomputed afterwards,
-        whether the call committed or reverted.
+        whether the call committed or reverted: at once for a direct
+        call, and once the block's transactions are done for a call
+        :meth:`advance` makes.
         """
         if tx.chain != self.name:
             raise ChainError(f"{tx} routed to wrong chain {self.name!r}")
@@ -141,8 +150,11 @@ class Blockchain:
             ledger.commit()
             tx.receipt.status = "ok"
         if contract is not None:
-            contract.next_tick = contract._next_tick()
-            self.next_tick = min(self.next_tick, contract.next_tick)
+            if self._in_block:
+                contract.next_tick = STALE
+            else:
+                contract.next_tick = contract._next_tick()
+                self.next_tick = min(self.next_tick, contract.next_tick)
         tx.receipt.height = self.height
         return tx
 
@@ -154,18 +166,30 @@ class Blockchain:
         ``k`` while refunds for the deadline trigger at height ``k + 1``.
         A contract is ticked only from its ``next_tick`` on, since below
         it its settlement provably does nothing; those due tick in deploy
-        order and recompute their ``next_tick``.
+        order and recompute their ``next_tick``.  A contract the block's
+        transactions called recomputes its ``next_tick`` once, after the
+        last of them, however many there were: its due heights read only
+        its own state, which only its own calls change.
         """
         self.height = height = self.height + 1
         # most blocks carry no transactions: skip building the list then
-        executed = [self.execute(tx) for tx in transactions] if transactions else []
+        executed = []
+        if transactions:
+            self._in_block = True
+            try:
+                executed = [self.execute(tx) for tx in transactions]
+            finally:
+                self._in_block = False
         due = NEVER
         for contract in list(self.contracts.values()):
-            if height >= contract.next_tick:
+            nxt = contract.next_tick
+            if nxt == STALE:
+                nxt = contract.next_tick = contract._next_tick()
+            if height >= nxt:
                 contract.on_tick(height)
-                contract.next_tick = contract._next_tick()
-            if contract.next_tick < due:
-                due = contract.next_tick
+                nxt = contract.next_tick = contract._next_tick()
+            if nxt < due:
+                due = nxt
         self.next_tick = due
         return executed
 

@@ -30,8 +30,9 @@ class Contract:
 
     A contract declares each timed transition once, as a row of
     :attr:`timeouts`: a pair of class-level functions ``(due, fire)``.
-    ``due(self)`` reads the height at which the row fires from the current
-    state, or :data:`~repro.chain.blockchain.NEVER` when it cannot fire;
+    ``due(self)`` reads the height at which the row fires from the
+    contract's own current state, or :data:`~repro.chain.blockchain.NEVER`
+    when it cannot fire;
     ``fire(self, height)`` settles without testing the height again.  From
     the rows the base class derives both :meth:`on_tick` and
     ``next_tick``, so the deadline a contract ticks at and the one it acts
@@ -83,8 +84,8 @@ class Contract:
 
         Each due height is read at its row's turn, since an earlier row
         may have changed the state.  The chain ticks a contract only from
-        its ``next_tick`` on and recomputes it after every transaction to
-        the contract and every tick.
+        its ``next_tick`` on and recomputes it after every tick, and once
+        per block for a contract the block's transactions called.
         """
         for due, fire in self.timeouts:
             if due(self) <= height:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from repro.chain.assets import Asset
 from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
+from repro.core.premiums import pruned_redemption_premium_amount
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey, SignedPath
 from repro.graph.digraph import Arc, SwapGraph
@@ -335,9 +336,6 @@ class HedgedBrokerContract(BaseBrokerContract):
             path_chain.verify(self._chain().registry, self.public_of),
             "premium path failed signature verification",
         )
-        # imported here to avoid a package-level import cycle
-        from repro.core.premiums import pruned_redemption_premium_amount
-
         amount = pruned_redemption_premium_amount(
             self.graph, path, arc[0], self.premium, self.contract_of
         )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.chain.assets import Asset
 from repro.chain.blockchain import NEVER, CallContext
 from repro.contracts.base import Contract
+from repro.core.premiums import unit_redemption_amount
 from repro.crypto.hashing import Hashlock
 from repro.crypto.hashkeys import HashKey, SignedPath
 from repro.errors import ContractError
@@ -260,9 +261,6 @@ class HedgedSwapArc(BaseSwapArc):
             path_chain.verify(self._chain().registry, self.public_of),
             "premium path failed signature verification",
         )
-        # imported here to avoid a package-level import cycle
-        from repro.core.premiums import unit_redemption_amount
-
         # Equation 1 on the path checked above: one lookup in the graph's
         # premium plan, scaled by this contract's premium.
         amount = self.premium * unit_redemption_amount(

@@ -88,8 +88,16 @@ class SignedPath:
         ``public_of`` maps party names to their registered public keys (this
         mapping is part of the public protocol agreement every contract is
         initialized with).  Returns False on any mismatch — wrong signer,
-        broken chain, unknown vertex.
+        broken chain, unknown vertex.  A path that already verified in
+        this registry's world skips the link walk; its signers are still
+        checked against the caller's ``public_of`` (see
+        :mod:`repro.crypto.keys`).
         """
+        if registry.has_validated(self):
+            for vertex, signature in zip(self.vertices, self.sigs):
+                if public_of.get(vertex) != signature.signer:
+                    return False
+            return True
         if len(self.vertices) != len(self.sigs) or not self.vertices:
             return False
         prev_tag = joined = ""
@@ -104,6 +112,7 @@ class SignedPath:
             if not verify(registry, signature, message):
                 return False
             prev_tag = signature.tag
+        registry.record_validated(self)
         return True
 
 
@@ -163,8 +172,12 @@ class HashKey:
         path is simple, that consecutive vertices follow arcs of the swap
         digraph when ``arcs`` is given (``(q_i, q_{i+1})`` must be an arc,
         reading the path redeemer-first, per Figure 3b), and the signature
-        chain.
+        chain.  A hashkey that already validated against the same
+        ``hashlock`` and ``arcs`` in this registry's world checks only the
+        signature chain, whose own memo then skips the link walk.
         """
+        if registry.has_validated(self, hashlock, arcs):
+            return self.chain.verify(registry, public_of)
         if not hashlock.matches(self.secret.preimage):
             return False
         if self.chain.payload != f"hashkey:{hashlock.digest}":
@@ -176,7 +189,10 @@ class HashKey:
             for i in range(len(q) - 1):
                 if (q[i], q[i + 1]) not in arcs:
                     return False
-        return self.chain.verify(registry, public_of)
+        if not self.chain.verify(registry, public_of):
+            return False
+        registry.record_validated(self, hashlock, arcs)
+        return True
 
 
 def require_valid_hashkey(

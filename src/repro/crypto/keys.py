@@ -17,6 +17,22 @@ cannot change its meaning, so a triple that verified once verifies
 forever.  Only successes are remembered (a signer unknown today may be
 registered tomorrow), the key is the full triple (never the signer and
 tag alone), and the memo lives on one registry, which is one world.
+
+A second memo remembers validated objects: a signed path whose every
+link verified, and a hashkey with the hashlock and arc set it was
+validated against.  A party extends one path and hands the same object
+to every incoming arc's contract, so each contract after the first
+skips the whole link walk.  The memo keys on object identity and is
+sound for four reasons.  The objects are frozen and built from
+strings, bytes and tuples, so the one that validated cannot change
+afterwards.  Each entry stores a reference to
+its object, which keeps the object alive, so its ``id`` cannot pass to
+another, and a hit requires ``is``: an equal-content copy is checked in
+full.  Only successes are recorded.  And the memo lives on one
+registry, which is one world.  What a hit skips is only what holds
+forever for that object; what depends on the caller, such as whether
+each signer is the key the caller's own ``public_of`` names, is checked
+on every call.
 """
 
 from __future__ import annotations
@@ -71,6 +87,9 @@ class KeyRegistry:
         self._owner_by_public: dict[str, str] = {}
         #: (signer, tag, message) triples that verified (see module doc)
         self._verified: set[tuple[str, str, bytes]] = set()
+        #: id(obj) -> (obj, *context) for each object that validated
+        #: against that context (see module doc)
+        self._validated: dict[int, tuple] = {}
 
     def register(self, keypair: KeyPair) -> None:
         """Add ``keypair`` so signatures by it can be verified."""
@@ -97,6 +116,18 @@ class KeyRegistry:
     def record_verified(self, signer: str, tag: str, message: bytes) -> None:
         """Remember a triple that just verified (successes only)."""
         self._verified.add((signer, tag, message))
+
+    def has_validated(self, obj: object, *context: object) -> bool:
+        """True if this very object already validated against ``context``."""
+        # Identity keys an in-process memo that holds its object; never
+        # digested or serialized.
+        entry = self._validated.get(id(obj))  # lint: disable=DET001
+        return entry is not None and entry[0] is obj and entry[1:] == context
+
+    def record_validated(self, obj: object, *context: object) -> None:
+        """Remember that ``obj`` just validated against ``context``
+        (successes only)."""
+        self._validated[id(obj)] = (obj, *context)  # lint: disable=DET001
 
     def knows(self, public: str) -> bool:
         """Return True if ``public`` is registered."""

@@ -225,3 +225,150 @@ def test_two_worlds_do_not_share_a_memo(monkeypatch):
     assert not verify(stranger, sig, b"message")  # the signer is unknown there
     assert verify(second, sig, b"message")
     assert macs[0] == 2  # the second registry verified for itself
+
+
+# ----------------------------------------------------------------------
+# the registry's validated-path memo
+# ----------------------------------------------------------------------
+@pytest.fixture
+def path_world():
+    """A registry with parties A, B, C, D registered, their public keys,
+    and the path A -> B -> C signed with a hashlock-bound payload."""
+    from repro.crypto.hashkeys import HashKey
+
+    reg = KeyRegistry()
+    keys = {name: KeyPair.from_seed(name, owner=name) for name in "ABCD"}
+    for kp in keys.values():
+        reg.register(kp)
+    public_of = {name: kp.public for name, kp in keys.items()}
+    hashkey = HashKey.originate(Secret.from_text("s"), keys["A"], "A")
+    hashkey = hashkey.extend(keys["B"], "B").extend(keys["C"], "C")
+    return reg, keys, public_of, hashkey
+
+
+#: the swap arcs the path C, B, A (redeemer first) follows
+ARCS = frozenset({("C", "B"), ("B", "A")})
+
+
+def _count_verifies(monkeypatch) -> list[int]:
+    """Count the ``signatures.verify`` calls signed paths make from here on."""
+    import repro.crypto.hashkeys as hashkeys
+
+    calls = [0]
+    original = hashkeys.verify
+
+    def counted(registry, signature, message):
+        calls[0] += 1
+        return original(registry, signature, message)
+
+    monkeypatch.setattr(hashkeys, "verify", counted)
+    return calls
+
+
+def test_path_memo_hit_makes_no_signature_check(path_world, monkeypatch):
+    reg, _, public_of, hashkey = path_world
+    assert hashkey.chain.verify(reg, public_of)
+    verifies = _count_verifies(monkeypatch)
+    assert hashkey.chain.verify(reg, public_of)
+    assert verifies[0] == 0
+
+
+def test_hashkey_memo_hit_skips_the_preimage_hash_and_every_signature(
+    path_world, monkeypatch
+):
+    reg, _, public_of, hashkey = path_world
+    hashlock = hashkey.hashlock
+    assert hashkey.verify(reg, public_of, hashlock, ARCS)
+    verifies = _count_verifies(monkeypatch)
+    hashes = [0]
+    matches = Hashlock.matches
+
+    def counted_matches(self, preimage):
+        hashes[0] += 1
+        return matches(self, preimage)
+
+    monkeypatch.setattr(Hashlock, "matches", counted_matches)
+    assert hashkey.verify(reg, public_of, hashlock, ARCS)
+    assert verifies[0] == hashes[0] == 0
+
+
+def test_path_memo_checks_an_equal_copy_in_full(path_world, monkeypatch):
+    from repro.crypto.hashkeys import SignedPath
+
+    reg, _, public_of, hashkey = path_world
+    path = hashkey.chain
+    assert path.verify(reg, public_of)
+    verifies = _count_verifies(monkeypatch)
+    copy = SignedPath(path.payload, path.vertices, path.sigs)
+    assert copy == path and copy is not path
+    assert copy.verify(reg, public_of)
+    assert verifies[0] == 3  # one per link: the copy is not a hit
+    sigs = list(path.sigs)
+    sigs[2] = Signature(signer=sigs[2].signer, tag=_flip(sigs[2].tag))
+    tampered = SignedPath(path.payload, path.vertices, tuple(sigs))
+    for _ in range(2):
+        assert not tampered.verify(reg, public_of)
+
+
+def test_memo_entry_answers_only_for_the_object_it_holds(path_world):
+    from repro.crypto.hashkeys import SignedPath
+
+    reg, _, _, hashkey = path_world
+    path = hashkey.chain
+    reg.record_validated(path)
+    stranger = SignedPath(path.payload, path.vertices, path.sigs)
+    # an entry found under the stranger's id, as if that id were reused
+    reg._validated[id(stranger)] = reg._validated.pop(id(path))
+    assert not reg.has_validated(stranger)
+    assert not reg.has_validated(path)
+
+
+def test_path_memo_hit_still_checks_signers_against_the_callers_keys(path_world):
+    reg, keys, public_of, hashkey = path_world
+    path = hashkey.chain
+    assert path.verify(reg, public_of)
+    without_b = {name: key for name, key in public_of.items() if name != "B"}
+    b_is_d = {**public_of, "B": keys["D"].public}
+    for other in (without_b, b_is_d):
+        assert not path.verify(reg, other)
+        assert not hashkey.verify(reg, other, hashkey.hashlock, ARCS)
+    assert path.verify(reg, public_of)
+
+
+def test_hashkey_memo_is_kept_per_hashlock_and_arc_set(path_world):
+    reg, _, public_of, hashkey = path_world
+    hashlock = hashkey.hashlock
+    other_lock = Secret.from_text("other").hashlock
+    reversed_arcs = frozenset((v, u) for u, v in ARCS)
+    assert hashkey.verify(reg, public_of, hashlock, ARCS)
+    assert not hashkey.verify(reg, public_of, other_lock, ARCS)
+    assert not hashkey.verify(reg, public_of, hashlock, reversed_arcs)
+    assert hashkey.verify(reg, public_of, hashlock, None)
+    assert not hashkey.verify(reg, public_of, other_lock, None)
+    assert hashkey.verify(reg, public_of, Hashlock(hashlock.digest), ARCS)
+
+
+def test_a_failed_check_leaves_no_memo_entry(path_world, monkeypatch):
+    reg, keys, public_of, hashkey = path_world
+    b_is_d = {**public_of, "B": keys["D"].public}
+    reversed_arcs = frozenset((v, u) for u, v in ARCS)
+    assert not hashkey.chain.verify(reg, b_is_d)
+    assert not hashkey.verify(reg, b_is_d, hashkey.hashlock, ARCS)
+    assert not hashkey.verify(reg, public_of, hashkey.hashlock, reversed_arcs)
+    assert not reg._validated
+    verifies = _count_verifies(monkeypatch)
+    assert hashkey.verify(reg, public_of, hashkey.hashlock, ARCS)
+    assert verifies[0] == 3  # nothing was remembered: every link is walked
+
+
+def test_two_worlds_share_no_validated_path(path_world, monkeypatch):
+    reg, keys, public_of, hashkey = path_world
+    assert hashkey.verify(reg, public_of, hashkey.hashlock, ARCS)
+    second, stranger = KeyRegistry(), KeyRegistry()
+    for kp in keys.values():
+        second.register(kp)
+    verifies = _count_verifies(monkeypatch)
+    assert not hashkey.verify(stranger, public_of, hashkey.hashlock, ARCS)
+    assert hashkey.verify(second, public_of, hashkey.hashlock, ARCS)
+    assert verifies[0] == 1 + 3  # the stranger failed at once; second walked
+    assert not stranger._validated

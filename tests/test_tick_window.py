@@ -1,10 +1,10 @@
 """The settlement tick window (``Contract.next_tick``).
 
 ``Blockchain.advance`` skips a contract's ``on_tick`` at every height
-below its ``next_tick``, a height each contract class derives from its
-current state and the ``height > X`` guards of its own ``on_tick``, and
-recomputes after every transaction to the contract and every tick.  Two
-checks per class that has such a window:
+below its ``next_tick``: the earliest due height of the contract's
+timeout rows, read from its current state.  The chain recomputes it once
+per block for each contract the block's transactions called, and after
+every tick.  Two checks per contract class:
 
 - *the window is quiet*: driving deployed contracts through the states a
   protocol takes them (compliant runs and sore-loser halts), ``on_tick(h)``
@@ -60,8 +60,8 @@ def _family(*families: str):
     return lambda: default_matrix(families=families)
 
 
-#: each class that defines a tick window -> (its family's matrix, the
-#: subsample size the window probe runs; None = every scenario)
+#: each contract class -> (its family's matrix, the subsample size the
+#: window probe runs; None = every scenario)
 WINDOWS = {
     HTLC: (lambda: _halt_matrix(lambda: BaseTwoPartySwap().build()), None),
     HedgedEscrow: (_family("two-party", "bootstrap"), 80),
@@ -110,8 +110,8 @@ def test_on_tick_is_a_no_op_inside_the_window(cls, monkeypatch):
     def advance_then_probe(self, transactions=()):
         executed = advance(self, transactions)
         for contract in list(self.contracts.values()):
-            # only contracts whose window is the one ``cls`` defines
-            if type(contract)._next_tick is not cls._next_tick:
+            # only contracts of ``cls`` (or a subclass that extends its rows)
+            if not isinstance(contract, cls):
                 continue
             before = _observed(contract)
             states.add(_state(before[0]))
