@@ -420,13 +420,14 @@ if __name__ == "__main__":
         ab6_header, ab6_rows,
     ))
     try:
-        from benchmarks.tables import write_bench_json
+        from benchmarks.tables import host_metadata, write_bench_json
     except ImportError:  # running the file directly from within benchmarks/
-        from tables import write_bench_json
+        from tables import host_metadata, write_bench_json
     write_bench_json(
         "ablation",
         {
             "experiment": "EXP-AB5",
+            "host": host_metadata(),
             **ab5_records,
             "engine_throughput": ab6_records,
         },

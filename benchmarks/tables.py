@@ -15,8 +15,20 @@ scraping stdout.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
 from typing import Iterable, Sequence
+
+
+def host_metadata() -> dict:
+    """The ``host`` block of a ``BENCH_*.json``: what the figures next to
+    it were measured on."""
+    return {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+    }
 
 
 def write_bench_json(

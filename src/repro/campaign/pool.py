@@ -55,7 +55,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.matrix import ScenarioMatrix
-from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
+from repro.campaign.scenario import (
+    Scenario,
+    ScenarioResult,
+    plan_scenarios,
+    run_scenarios,
+)
 from repro.obs.tracer import MetricsRegistry, MetricsSnapshot
 
 _FACTORIES: dict[str, Callable[..., ScenarioMatrix]] = {}
@@ -292,23 +297,26 @@ def _run_task(
 ) -> tuple[list[ScenarioResult], MetricsSnapshot | None]:
     """One dispatch task: the given global indices of one matrix.
 
-    A metered task runs each scenario through the runner's
-    ``_run_at_metered``, looked up on the runner module per scenario so a
-    wrapper installed there before the fork applies to each one, and
-    folds the per-scenario samples into one reply for the parent tracer.
-    The scenario outcomes are byte-identical either way.
+    The task runs its scenarios the way a serial run does
+    (:func:`repro.campaign.scenario.plan_scenarios`), so halting scenarios
+    of one block fork from one compliant base run, but only within the
+    task's stripe.  A metered task runs each planned job through the
+    runner's ``_run_at_metered``, looked up on the runner module per
+    scenario so a wrapper installed there before the fork applies to each
+    one, and folds the per-scenario samples into one reply for the parent
+    tracer.  The scenario outcomes are byte-identical either way.
     """
     spec, matrix_digest, indices, metered = task
     table = _scenario_table(spec, matrix_digest, indices)
+    scenarios = [table[index] for index in indices]
     if not metered:
-        return [run_scenario(table[index]) for index in indices], None
+        return run_scenarios(scenarios), None
     from repro.campaign import runner  # imported here: the runner imports us
 
-    results: list[ScenarioResult] = []
+    results: list[ScenarioResult | None] = [None] * len(scenarios)
     registry = MetricsRegistry()
-    for index in indices:
-        result, sample = runner._run_at_metered(table[index])
-        results.append(result)
+    for job in plan_scenarios(scenarios):
+        results[job.position], sample = runner._run_at_metered(job)
         registry.merge_snapshot(sample)
     return results, registry.snapshot()
 

@@ -3,7 +3,9 @@
 ``CampaignRunner`` expands a :class:`repro.campaign.matrix.ScenarioMatrix`
 and executes the selected scenarios through one of three backends:
 
-- ``serial`` — a plain loop in this process,
+- ``serial`` — :func:`repro.campaign.scenario.run_scenarios` in this
+  process, which forks a block's halting scenarios from one compliant
+  base run,
 - ``kernel`` — the payoff kernels
   (:class:`repro.campaign.ablation.kernels.KernelEngine`), available only
   for matrices built by the ablation factories; produces byte-identical
@@ -16,7 +18,9 @@ and executes the selected scenarios through one of three backends:
   :func:`repro.campaign.pool.dispatch_layout` — stripe ``j`` of ``K =
   workers × 8`` holds positions ``j, j+K, j+2K, …`` — so the expensive
   multi-party blocks, which sit side by side in the matrix, spread over
-  every task instead of filling one contiguous chunk.  Replies are put
+  every task instead of filling one contiguous chunk.  A task runs its
+  stripe as the serial backend runs a selection, so its forks share
+  base runs within the stripe only.  Replies are put
   back in index order, so the layout never reaches a digest.  A worker
   that dies mid-run ends it with
   :class:`repro.campaign.pool.WorkerLostError` rather than a hang.
@@ -33,8 +37,9 @@ cost amortizes across every run that follows.  Both report
 back to serial, and the report's ``backend`` always records what
 actually ran.
 
-Scenarios are independent full simulations, so results are identical
-across backends and process layouts; the :class:`CampaignReport` proves it
+Each scenario's result is that of an independent full simulation,
+forked or not, so results are identical across backends and process
+layouts; the :class:`CampaignReport` proves it
 with a ``run_digest`` — a hash over a preamble naming the matrix's
 structural digest **and the effective selection** (limit/shard, scenario
 count out of the full matrix), then every per-scenario outcome digest in
@@ -66,7 +71,13 @@ from repro.campaign.pool import (
     share_rows,
 )
 from repro.campaign.report import load_payload, parse_report, register_report
-from repro.campaign.scenario import Scenario, ScenarioResult, run_scenario
+from repro.campaign.scenario import (
+    Scenario,
+    ScenarioJob,
+    ScenarioResult,
+    plan_scenarios,
+    run_scenarios,
+)
 from repro.errors import DecodeError
 from repro.obs.tracer import (
     MetricsSnapshot,
@@ -88,8 +99,9 @@ MIN_PROCESS_SCENARIOS = 24
 KERNEL_FACTORIES = ("ablation", "ablation_cell")
 
 
-def _run_at_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """One traced scenario in a pool worker: the result plus a per-worker
+def _run_at_metered(job: ScenarioJob) -> tuple[ScenarioResult, MetricsSnapshot]:
+    """One traced scenario in a pool worker: the result of one planned job
+    (see :func:`repro.campaign.scenario.plan_scenarios`) plus a per-worker
     telemetry sample (scenario count + busy time, keyed by worker pid).
     The result itself is byte-identical to the untraced path.
 
@@ -97,7 +109,7 @@ def _run_at_metered(scenario: Scenario) -> tuple[ScenarioResult, MetricsSnapshot
     wrapper installed here before the pool forks applies to each one.
     """
     start = time.perf_counter()
-    result = run_scenario(scenario)
+    result = job()
     return result, worker_sample(1, time.perf_counter() - start)
 
 
@@ -476,7 +488,9 @@ class CampaignRunner:
     ) -> list[tuple[str, list[Scenario]]]:
         """Partition an index-ordered scenario list by owning block.
 
-        Telemetry-only: drives the per-block spans of a traced serial
+        A traced serial run plans and runs each group on its own, inside
+        the group's ``block`` span: every scenario of a block shares its
+        builder, so a group keeps all of a block's forks from its base
         run.  Scenario lists arrive in ascending global-index order
         (``matrix.scenarios`` guarantees it), so one pass over the
         matrix's block geometry groups them without reordering.
@@ -511,14 +525,16 @@ class CampaignRunner:
         meter: ProgressMeter | None = None,
     ) -> list[ScenarioResult]:
         if tracer is None and meter is None:
-            return [run_scenario(s) for s in scenarios]
+            return run_scenarios(scenarios)
         results: list[ScenarioResult] = []
         for label, group in self._block_groups(scenarios):
             with maybe_span(tracer, "block", label=label, scenarios=len(group)):
-                for scenario in group:
-                    results.append(run_scenario(scenario))
+                done: list[ScenarioResult | None] = [None] * len(group)
+                for job in plan_scenarios(group):
+                    done[job.position] = job()
                     if meter is not None:
                         meter.advance()
+                results.extend(done)
         return results
 
     def _run_kernel(

@@ -7,6 +7,9 @@ it — build, deviate, run to the horizon, evaluate every property — and
 condenses the run into a :class:`ScenarioResult` made only of primitives,
 so results cross process boundaries cheaply.
 
+:func:`run_scenarios` runs many scenarios at once, each with the same
+result: a block's halting scenarios fork from one compliant base run.
+
 The per-scenario ``digest`` hashes everything observable about the outcome
 (violations, transaction count, premium flows, custom metrics, the final
 ledger state of every chain), which is what makes whole campaigns
@@ -30,12 +33,16 @@ Two optional extensions serve analysis campaigns:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from repro.campaign.canon import canon_float
+from repro.chain.blockchain import NEVER
+from repro.parties.base import Actor
+from repro.parties.strategies import Deviant
 from repro.protocols.instance import ProtocolInstance, execute
+from repro.sim.runner import RunResult
 
 Builder = Callable[[], ProtocolInstance]
 Property = Callable[[ProtocolInstance, object, frozenset[str]], list[str]]
@@ -82,6 +89,11 @@ class ScenarioResult:
     transactions: int
     reverted: int
     premium_net: tuple[tuple[str, int], ...]
+    #: wall time of the scenario's own work.  A scenario run by itself
+    #: counts its build, run and condensing; a forked one counts the
+    #: compliant segment of its base run since the previous fork, the
+    #: fork, its own rounds and condensing, and the first scenario of a
+    #: base run also counts the build (see :func:`run_scenarios`).
     elapsed_seconds: float
     digest: str
     #: named floats from the scenario's ``metrics_fn`` (digest-covered).
@@ -191,7 +203,15 @@ def condense_run(
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute one scenario and condense the run."""
+    """Execute one scenario by itself: build, deviate, run, condense.
+
+    :func:`run_scenarios` gives the same result for every scenario but
+    ``elapsed_seconds``, while it plays each block's compliant prefix
+    once: a scenario that plays compliant before round ``r > 0`` forks
+    from its block's compliant run there (see :class:`BaseRun` for why
+    that is sound, and :meth:`repro.sim.runner.SyncRunner.fork` for what
+    a fork copies and what it shares).
+    """
     start = time.perf_counter()
     instance = scenario.builder()
     deviations = {party: strategy.transform for party, strategy in scenario.profile}
@@ -199,3 +219,154 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return condense_run(
         scenario, instance, result, time.perf_counter() - start
     )
+
+
+# ----------------------------------------------------------------------
+# running many scenarios: one compliant base run per builder, plus forks
+# ----------------------------------------------------------------------
+def fork_round(scenario: Scenario) -> int:
+    """The first round in which ``scenario`` may play unlike the compliant
+    run of its build: :data:`~repro.chain.blockchain.NEVER` when it never
+    does.
+
+    Read off the wrapper each strategy's transform builds around a
+    stand-in actor, never off labels.  A transform that returns its actor
+    deviates nowhere.  A :class:`~repro.parties.strategies.Deviant` with
+    only ``halt_round`` deviates from that round: before it, the wrapper
+    passes its inner actor's transactions and wake rounds through
+    unchanged.  Any other wrapper (skip rules, a skip predicate,
+    injections, a laggard, an opportunist) deviates from round 0.
+    """
+    first = NEVER
+    for party, strategy in scenario.profile:
+        probe = Actor(party, None)
+        wrapper = strategy.transform(probe)
+        if wrapper is probe:
+            continue
+        if (
+            type(wrapper) is Deviant
+            and wrapper.inner is probe
+            and wrapper.halt_round is not None
+            and not (wrapper.skip_rules or wrapper.skip_predicate or wrapper.extra)
+        ):
+            first = min(first, max(wrapper.halt_round, 0))
+        else:
+            return 0
+    return first
+
+
+class BaseRun:
+    """One build's compliant run, played on in steps: each forking
+    scenario forks from it at its fork round, and the all-compliant
+    scenario, if any, finishes it.
+
+    Sound because up to the fork round the scenario's run *is* the
+    compliant run, state for state (see :func:`fork_round`), and a base
+    run depends only on its build.  The build draws fresh keys and
+    secrets, which every fork shares; no digest reads them.  A run that
+    goes idle up to its horizon before a scenario's fork round is that
+    scenario's whole run too, so the scenario condenses the finished
+    base; properties and metrics only read a run, so any number of
+    scenarios may condense one.
+    """
+
+    def __init__(self, builder: Builder, scenarios: int) -> None:
+        self.builder = builder
+        #: scenarios still to run from this base; the last one drops it
+        self.pending = scenarios
+        self.instance: ProtocolInstance | None = None
+        #: the base's result once it has run to its horizon
+        self.finished: RunResult | None = None
+
+    def run(self, scenario: Scenario, at: int) -> ScenarioResult:
+        """Run ``scenario``, which plays compliant before round ``at``.
+
+        Its ``elapsed_seconds`` is its own work: the compliant segment
+        since the previous fork, the fork and the scenario's own rounds
+        (and the build, for the first scenario to run).
+        """
+        start = time.perf_counter()
+        if self.instance is None:
+            self.instance = self.builder()
+        instance = self.instance
+        if self.finished is None:
+            partial = execute(instance, until=min(at, instance.horizon))
+            if instance.run is None:
+                self.finished = partial
+        if self.finished is not None:
+            result = self.finished
+        else:
+            deviations = {party: strategy.transform for party, strategy in scenario.profile}
+            result = execute(instance, deviations, fork=True)
+            # The fork's own instance: its world, and the labels, horizon,
+            # meta and party names every fork shares with the base.
+            instance = replace(instance, world=result.world, run=None)
+        self.pending -= 1
+        if not self.pending:
+            self.instance = self.finished = None
+        return condense_run(scenario, instance, result, time.perf_counter() - start)
+
+
+class ScenarioJob(NamedTuple):
+    """One scenario's share of a planned run (see :func:`plan_scenarios`)."""
+
+    #: the scenario's place in the planned list
+    position: int
+    scenario: Scenario
+    #: the base run it forks from or finishes; None to run by itself
+    base: BaseRun | None = None
+    #: its fork round (see :func:`fork_round`)
+    at: int = 0
+
+    def __call__(self) -> ScenarioResult:
+        if self.base is None:
+            return run_scenario(self.scenario)
+        return self.base.run(self.scenario, self.at)
+
+
+def plan_scenarios(scenarios: Sequence[Scenario]) -> list[ScenarioJob]:
+    """The jobs that run ``scenarios``, in the order they must run.
+
+    Scenarios are grouped by builder identity (every scenario of a matrix
+    block shares its builder).  In a group, the scenarios that play
+    compliant up to some round ``r > 0`` share one :class:`BaseRun`: they
+    fork from it in ascending ``r``, and the first all-compliant scenario
+    finishes it last.  Every other scenario runs by itself: one that
+    deviates from round 0 (forking a fresh world costs more than a
+    build), a second all-compliant one, and any scenario that would share
+    a base with no other.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for position, scenario in enumerate(scenarios):
+        # Identity groups scenarios in one process; never digested.
+        key = id(scenario.builder)  # lint: disable=DET001
+        groups.setdefault(key, []).append((fork_round(scenario), position))
+    jobs: list[ScenarioJob] = []
+    for members in groups.values():
+        forks = sorted(member for member in members if 0 < member[0] < NEVER)
+        compliant = [member for member in members if member[0] == NEVER][:1]
+        shared = forks + compliant
+        if len(shared) < 2:
+            shared = []
+        alone = set(members).difference(shared)
+        jobs.extend(
+            ScenarioJob(position, scenarios[position])
+            for position in sorted(position for _, position in alone)
+        )
+        if shared:
+            base = BaseRun(scenarios[shared[0][1]].builder, len(shared))
+            jobs.extend(
+                ScenarioJob(position, scenarios[position], base, at)
+                for at, position in shared
+            )
+    return jobs
+
+
+def run_scenarios(scenarios: Sequence[Scenario]) -> list[ScenarioResult]:
+    """Run ``scenarios`` as :func:`plan_scenarios` plans them; results come
+    back in the given order, each the same as :func:`run_scenario`'s but
+    for ``elapsed_seconds``."""
+    results: list[ScenarioResult | None] = [None] * len(scenarios)
+    for job in plan_scenarios(scenarios):
+        results[job.position] = job()
+    return results

@@ -18,11 +18,17 @@ dict), and a contract refers back to its chain only weakly (see
 :class:`repro.contracts.base.Contract`).  A finished world therefore holds
 no reference cycle and is freed by reference counting as soon as its
 last user drops it.
+
+A chain *forks* between blocks (:meth:`Blockchain.fork`): the copy owns
+every piece of state a later block can write — its balances, its height,
+its event list, its address counter and its contracts — and shares the
+rest, such as the emitted events themselves and every frozen value a
+contract holds.  :func:`forked` is the copy rule contracts and actors
+share.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
@@ -45,6 +51,122 @@ NEVER = sys.maxsize
 #: the block's transactions are done and it is recomputed (see
 #: :meth:`Blockchain.advance`).
 STALE = -1
+
+
+# ----------------------------------------------------------------------
+# forking
+# ----------------------------------------------------------------------
+#: id(original) -> its copy, for every object one fork has copied so far
+ForkMemo = dict[int, Any]
+
+
+def forked(value: Any, memo: ForkMemo) -> Any:
+    """A fork's own copy of ``value``, one of an object's fields.
+
+    Containers (``dict``, ``list``, ``set``) and mutable records (dataclasses
+    that are not frozen, such as a redemption deposit) are copied, and so is
+    what they hold; an object the fork copied already (a chain, a contract)
+    becomes its copy; anything else is shared.  Shared values are those no
+    later round writes: strings, numbers, tuples, frozen dataclasses (keys,
+    secrets, hashlocks, signed paths, assets, graphs, schedules) and
+    functions.  ``memo`` maps each original copied so far to its copy, so
+    two fields holding one container still hold one container in the fork.
+    """
+    kind = type(value)
+    if kind in _SHARED:
+        return value
+    copy = _COPIERS.get(kind) or _classify(kind)
+    if copy is None:
+        return value
+    # A fork's memo is keyed by the identity of originals that outlive
+    # it; never digested.
+    twin = memo.get(id(value))  # lint: disable=DET001
+    if twin is not None:
+        return twin
+    return value if copy is _REMAP else copy(value, memo)
+
+
+def fork_object(obj: Any, memo: ForkMemo) -> Any:
+    """A copy of ``obj`` whose fields are :func:`forked` from its own."""
+    twin = object.__new__(type(obj))
+    memo[id(obj)] = twin  # lint: disable=DET001
+    fields = obj.__dict__.copy()
+    if not _SHARED.issuperset(map(type, fields.values())):
+        _fork_values(fields, memo)
+    twin.__dict__ = fields
+    return twin
+
+
+def _fork_dict(value: dict, memo: ForkMemo) -> dict:
+    # copy() keeps a defaultdict's default
+    twin = memo[id(value)] = value.copy()  # lint: disable=DET001
+    if not _SHARED.issuperset(map(type, twin.values())):
+        _fork_values(twin, memo)
+    return twin
+
+
+def _fork_values(copy: dict, memo: ForkMemo) -> None:
+    """:func:`forked` over the values of ``copy``, in place; the same
+    steps, inlined, since a fork runs this for every object it copies."""
+    for key, item in copy.items():
+        kind = type(item)
+        if kind in _SHARED:
+            continue
+        fork = _COPIERS.get(kind) or _classify(kind)
+        if fork is None:
+            continue
+        twin = memo.get(id(item))  # lint: disable=DET001
+        if twin is None:
+            if fork is _REMAP:
+                continue
+            twin = fork(item, memo)
+        copy[key] = twin
+
+
+def _fork_list(value: list, memo: ForkMemo) -> list:
+    twin = memo[id(value)] = list(value)  # lint: disable=DET001
+    if not _SHARED.issuperset(map(type, twin)):
+        for index, item in enumerate(twin):
+            if type(item) not in _SHARED:
+                twin[index] = forked(item, memo)
+    return twin
+
+
+def _fork_set(value: set, memo: ForkMemo) -> set:
+    # set members are hashable: values a fork shares
+    twin = memo[id(value)] = set(value)  # lint: disable=DET001
+    return twin
+
+
+#: marks a type whose values are shared unless the fork copied them
+_REMAP = object()
+
+#: the types whose values every fork shares, learned on first sight
+_SHARED: set[type] = {str, int, float, bool, bytes, tuple, frozenset, type(None)}
+
+#: type -> the function copying its values, or :data:`_REMAP`
+_COPIERS: dict[type, Any] = {}
+
+
+def _classify(kind: type) -> Any:
+    """Learn how :func:`forked` treats values of ``kind``: returns the
+    function that copies them, :data:`_REMAP`, or ``None`` (shared)."""
+    params = getattr(kind, "__dataclass_params__", None)
+    if issubclass(kind, dict):
+        copy = _fork_dict
+    elif kind is list:
+        copy = _fork_list
+    elif kind is set:
+        copy = _fork_set
+    elif params is not None and params.frozen:
+        _SHARED.add(kind)
+        return None
+    elif params is not None:
+        copy = fork_object
+    else:
+        copy = _REMAP
+    _COPIERS[kind] = copy
+    return copy
 
 
 class CallContext(NamedTuple):
@@ -74,7 +196,8 @@ class Blockchain:
         self.next_tick = NEVER
         #: True while :meth:`advance` runs a block's transactions
         self._in_block = False
-        self._addr_counter = itertools.count(1)
+        #: contracts deployed so far (each address ends in its ordinal)
+        self._deployed = 0
 
     # ------------------------------------------------------------------
     # assets
@@ -88,7 +211,8 @@ class Blockchain:
     # ------------------------------------------------------------------
     def deploy(self, contract: "Contract") -> str:
         """Install ``contract`` and return its address."""
-        address = f"{contract.kind}-{next(self._addr_counter)}"
+        self._deployed += 1
+        address = f"{contract.kind}-{self._deployed}"
         contract.install(self, address)
         self.contracts[address] = contract
         self.next_tick = min(self.next_tick, contract.next_tick)
@@ -192,6 +316,32 @@ class Blockchain:
                 due = nxt
         self.next_tick = due
         return executed
+
+    def fork(self, registry: "KeyRegistry", memo: ForkMemo) -> "Blockchain":
+        """A copy of this chain between blocks, verifying with ``registry``.
+
+        The copy owns its balances, height, event list, address counter and
+        contracts (each :meth:`~repro.contracts.base.Contract.fork` bound to
+        it), in deploy order; it shares the events emitted so far.
+        """
+        if self._in_block:
+            raise ChainError(f"chain {self.name!r} cannot fork mid-block")
+        twin = Blockchain.__new__(Blockchain)
+        memo[id(self)] = twin  # lint: disable=DET001
+        twin.name = self.name
+        twin.native = self.native
+        twin.registry = registry
+        twin.ledger = self.ledger.fork()
+        twin.height = self.height
+        twin.events = list(self.events)
+        twin.contracts = {
+            address: contract.fork(twin, memo)
+            for address, contract in self.contracts.items()
+        }
+        twin.next_tick = self.next_tick
+        twin._in_block = False
+        twin._deployed = self._deployed
+        return twin
 
     # ------------------------------------------------------------------
     # events

@@ -11,6 +11,9 @@ Every asset a ledger holds is managed by its own chain, so balances are
 keyed internally by ``(symbol, account)``: plain strings, which hash in C,
 where an :class:`Asset` key would call the dataclass ``__hash__`` on every
 lookup.  Queries and snapshots speak in assets, as before.
+
+A ledger forks between transactions (:meth:`Ledger.fork`): the copy owns
+its balances and starts with an empty journal.
 """
 
 from __future__ import annotations
@@ -31,6 +34,16 @@ class Ledger:
         self.chain = chain
         self._balances: dict[Key, int] = defaultdict(int)
         self._journal: list[list[tuple[Key, int]]] = []
+
+    def fork(self) -> "Ledger":
+        """A copy with its own balances, taken outside any journal frame."""
+        if self._journal:
+            raise LedgerError("cannot fork a ledger inside a journal frame")
+        twin = Ledger.__new__(Ledger)
+        twin.chain = self.chain
+        twin._balances = self._balances.copy()
+        twin._journal = []
+        return twin
 
     # ------------------------------------------------------------------
     # queries

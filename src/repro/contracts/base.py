@@ -18,7 +18,7 @@ import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.assets import Asset
-from repro.chain.blockchain import NEVER
+from repro.chain.blockchain import NEVER, ForkMemo, fork_object
 from repro.errors import ContractError, StateError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,6 +47,10 @@ class Contract:
     same reason: a bound method kept on the instance would point back at
     it.)  A contract whose chain is gone acts as an undeployed one: using
     it raises :class:`repro.errors.StateError`.
+
+    A contract forks with its chain (:meth:`fork`): the copy owns its
+    fields, the containers they are and the mutable records those hold
+    (such as redemption deposits), and shares every frozen value.
     """
 
     kind = "contract"
@@ -78,6 +82,14 @@ class Contract:
         self._chain_ref = weakref.ref(chain)
         self.address = address
         self.next_tick = self._next_tick()
+
+    def fork(self, chain: "Blockchain", memo: ForkMemo) -> "Contract":
+        """A copy of this contract deployed on ``chain``, the fork of its
+        own chain; its fields are copied by
+        :func:`~repro.chain.blockchain.forked`."""
+        twin = fork_object(self, memo)
+        twin._chain_ref = weakref.ref(chain)
+        return twin
 
     def on_tick(self, height: int) -> None:
         """Fire, in declared order, each row due at or below ``height``.

@@ -17,7 +17,8 @@ def sha256_hex(data: bytes) -> str:
     # Hashing OS entropy is this primitive's whole point: hashlocks and
     # public keys digest live secrets (Secret.generate / KeyPair.generate),
     # which is HTLC protocol behavior, not reproducibility-digest material.
-    # Campaign scenarios use the deterministic from_text/from_seed paths.
+    # Campaign builds draw their keys and secrets from OS entropy too; no
+    # scenario digest reads a key, a secret or a hashlock.
     return hashlib.sha256(data).hexdigest()  # lint: disable=FLOW001
 
 
@@ -53,8 +54,9 @@ class Secret:
     @staticmethod
     def generate(label: str = "") -> "Secret":
         """Create a fresh random secret (32 bytes of OS entropy)."""
-        # OS entropy is this API's whole point (live secrets); campaign
-        # scenarios use the deterministic from_text path instead.
+        # OS entropy is this API's whole point (live secrets), and every
+        # protocol build draws its secrets here; no scenario digest reads
+        # a secret or its hashlock.
         return Secret(os.urandom(32), label=label)  # lint: disable=DET001
 
     @staticmethod

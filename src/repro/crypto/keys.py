@@ -33,6 +33,11 @@ registry, which is one world.  What a hit skips is only what holds
 forever for that object; what depends on the caller, such as whether
 each signer is the key the caller's own ``public_of`` names, is checked
 on every call.
+
+A world's fork takes a fork of its registry (:meth:`KeyRegistry.fork`):
+the copy shares the key pairs, which are frozen, and owns its key maps
+and both memos, so what one world verifies after the fork is never
+remembered by the other.
 """
 
 from __future__ import annotations
@@ -60,8 +65,11 @@ class KeyPair:
     @staticmethod
     def generate(owner: str = "") -> "KeyPair":
         """Create a fresh random key pair."""
-        # OS entropy is this API's whole point (live keys); campaign
-        # scenarios use the deterministic from_seed path instead.
+        # OS entropy is this API's whole point (live keys), and every
+        # protocol build draws its keys here.  No digest reads a key: a
+        # scenario digest covers outcomes, never keys, secrets or
+        # hashlocks, which is also why a forked world may share its
+        # base's keys.
         return KeyPair(os.urandom(32), owner=owner)  # lint: disable=DET001
 
     @staticmethod
@@ -90,6 +98,15 @@ class KeyRegistry:
         #: id(obj) -> (obj, *context) for each object that validated
         #: against that context (see module doc)
         self._validated: dict[int, tuple] = {}
+
+    def fork(self) -> "KeyRegistry":
+        """A copy that owns its key maps and memos (see module doc)."""
+        twin = KeyRegistry.__new__(KeyRegistry)
+        twin._by_public = dict(self._by_public)
+        twin._owner_by_public = dict(self._owner_by_public)
+        twin._verified = set(self._verified)
+        twin._validated = dict(self._validated)
+        return twin
 
     def register(self, keypair: KeyPair) -> None:
         """Add ``keypair`` so signatures by it can be verified."""

@@ -11,6 +11,8 @@ After a round in which no actor submits anything, the runner asks
 :meth:`Actor.idle_until` for the next round each actor needs, and skips
 it until then unless some chain executes a transaction or emits an
 event (see :mod:`repro.sim.runner`).
+
+An actor forks with the run it takes part in (:meth:`Actor.fork`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Transaction
-from repro.chain.blockchain import NEVER
+from repro.chain.blockchain import NEVER, ForkMemo, fork_object
 from repro.crypto.keys import KeyPair
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
@@ -52,6 +54,22 @@ class Actor:
         round.
         """
         return rnd + 1
+
+    def fork(self, memo: ForkMemo) -> "Actor":
+        """A copy of this actor for a fork of its run, taken between rounds.
+
+        The copy owns its fields, the containers they are and the mutable
+        records those hold (see :func:`~repro.chain.blockchain.forked`);
+        an actor it wraps forks too, and a field holding one of the run's
+        contracts holds the fork's copy of it, since ``memo`` has the forked
+        world's objects.
+        """
+        twin = fork_object(self, memo)
+        fields = vars(twin)
+        for name, value in vars(self).items():
+            if isinstance(value, Actor) and fields[name] is value:
+                fields[name] = value.fork(memo)
+        return twin
 
     # ------------------------------------------------------------------
     # helpers

@@ -6,6 +6,12 @@ actors, the run horizon, and a directory of deployed contracts.
 :func:`execute` runs it, optionally replacing any actor with an adversarial
 transform (see `repro.parties.strategies`), and returns the
 :class:`repro.sim.runner.RunResult`.
+
+:func:`execute` can also stop a run partway (``until``) and leave it
+paused on the instance; a later call plays the paused run on, or plays a
+fork of it (``fork=True``) and leaves the instance paused.  A campaign
+uses this to run a block's compliant prefix once and fork its halting
+scenarios from it (see :mod:`repro.campaign.scenario`).
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ class ProtocolInstance:
     horizon: int
     contracts: dict[str, tuple[str, str]] = field(default_factory=dict)
     meta: dict[str, object] = field(default_factory=dict)
+    #: the run :func:`execute` paused on this instance, or None
+    run: SyncRunner | None = field(default=None, repr=False, compare=False)
 
     @property
     def parties(self) -> tuple[str, ...]:
@@ -44,15 +52,42 @@ class ProtocolInstance:
 def execute(
     instance: ProtocolInstance,
     deviations: dict[str, ActorTransform] | None = None,
+    until: int | None = None,
+    fork: bool = False,
 ) -> RunResult:
-    """Run the instance to its horizon, applying per-party deviations."""
+    """Run the instance to its horizon, applying per-party deviations.
+
+    With ``until``, the run stops at the first round at or after it that
+    the runner reaches, stays paused on the instance (``instance.run``),
+    and its partial result is returned.  A later call plays the paused
+    run on, with ``deviations`` wrapping its actors from there.  With
+    ``fork=True`` that call plays a fork of the paused run to the horizon
+    instead (see :meth:`repro.sim.runner.SyncRunner.fork`) and leaves the
+    instance paused where it was; the result's ``world`` is the fork's.
+    """
     deviations = deviations or {}
     unknown = set(deviations) - set(instance.actors)
     if unknown:
         raise ProtocolError(f"deviations for unknown parties: {sorted(unknown)}")
-    actors: list[Actor] = []
-    for name, actor in instance.actors.items():
-        transform = deviations.get(name)
-        actors.append(transform(actor) if transform else actor)
-    runner = SyncRunner(instance.world, actors)
-    return runner.run(instance.horizon, parties=list(instance.actors))
+    runner = instance.run
+    if fork and (runner is None or until is not None):
+        raise ProtocolError("fork=True plays a paused instance on to its horizon")
+    if runner is None:
+        actors: list[Actor] = []
+        for name, actor in instance.actors.items():
+            transform = deviations.get(name)
+            actors.append(transform(actor) if transform else actor)
+        runner = SyncRunner(instance.world, actors)
+        runner.start(instance.horizon, parties=list(instance.actors))
+    else:
+        if fork:
+            runner = runner.fork()
+        if deviations:
+            runner.actors = [
+                deviations[actor.name](actor) if actor.name in deviations else actor
+                for actor in runner.actors
+            ]
+    result = runner.resume(until)
+    if not fork:
+        instance.run = None if runner.finished else runner
+    return result

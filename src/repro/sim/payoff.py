@@ -47,6 +47,18 @@ class PayoffSheet:
         #: party -> its delta, computed on first query after finish()
         self._deltas: dict[str, dict[Asset, int]] = {}
 
+    def fork(self, world: World) -> "PayoffSheet":
+        """An unfinished sheet over ``world``, a fork of this sheet's
+        world, sharing this sheet's start snapshot."""
+        twin = PayoffSheet.__new__(PayoffSheet)
+        twin._world = world
+        twin.parties = self.parties
+        twin._start = self._start
+        twin._end = None
+        twin._assets_of = {}
+        twin._deltas = {}
+        return twin
+
     def _snapshot(self) -> dict[tuple[Asset, str], int]:
         snap: dict[tuple[Asset, str], int] = {}
         for chain in self._world.chains.values():

@@ -3,11 +3,14 @@
 A :class:`World` owns the key registry and a set of lock-stepped chains.
 Actors never touch a :class:`repro.chain.blockchain.Blockchain` directly;
 they receive a :class:`WorldView` of read-only chain views each round.
+
+A world forks between rounds (:meth:`World.fork`) into a copy that a
+run can take on from there, independently of the original.
 """
 
 from __future__ import annotations
 
-from repro.chain.blockchain import Blockchain, ChainView
+from repro.chain.blockchain import Blockchain, ChainView, ForkMemo
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.errors import ChainError
 
@@ -26,6 +29,24 @@ class World:
             name: ChainView(chain) for name, chain in self.chains.items()
         }
         self.public_of: dict[str, str] = {}
+
+    def fork(self, memo: ForkMemo) -> "World":
+        """A copy of this world between rounds.
+
+        The copy owns a fork of the registry, of every chain (and with it
+        each ledger and contract) and its public-key map; it shares every
+        frozen value.  ``memo`` collects each original the fork copied, so
+        a later :meth:`~repro.parties.base.Actor.fork` into the same memo
+        points the forked actors at the forked contracts.
+        """
+        twin = World.__new__(World)
+        twin.registry = self.registry.fork()
+        twin.chains = {
+            name: chain.fork(twin.registry, memo) for name, chain in self.chains.items()
+        }
+        twin._views = {name: ChainView(chain) for name, chain in twin.chains.items()}
+        twin.public_of = dict(self.public_of)
+        return twin
 
     @property
     def height(self) -> int:

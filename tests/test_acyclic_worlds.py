@@ -16,7 +16,7 @@ from repro.campaign import default_matrix
 from repro.campaign.ablation import ablation_cell
 from repro.campaign.ablation.kernels import KernelEngine
 from repro.campaign.families import FAMILY_NAMES
-from repro.campaign.scenario import run_scenario
+from repro.campaign.scenario import plan_scenarios, run_scenario, run_scenarios
 from repro.chain.assets import native_asset
 from repro.contracts.base import Contract
 from repro.core.hedged_two_party import HedgedTwoPartySwap
@@ -41,6 +41,20 @@ def test_a_scenario_leaves_no_cyclic_garbage(family):
     chosen = (scenarios[0], scenarios[-1])
     with collector_off():
         results = [run_scenario(scenario) for scenario in chosen]
+        assert gc.collect() == 0
+    assert all(result.digest for result in results)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_forked_scenarios_leave_no_cyclic_garbage(family):
+    # the family's first block: its base run, the forks, and the lone
+    # scenarios run beside them
+    matrix = default_matrix(families=(family,))
+    first = matrix.blocks[0].builder
+    scenarios = [s for s in matrix.scenarios() if s.builder is first]
+    assert any(job.base is not None for job in plan_scenarios(scenarios))
+    with collector_off():
+        results = run_scenarios(scenarios)
         assert gc.collect() == 0
     assert all(result.digest for result in results)
 

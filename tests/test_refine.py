@@ -471,14 +471,16 @@ def test_every_probe_enters_the_class_level_probe_hook(monkeypatch):
 
 
 def test_violating_probe_raises_with_its_properties(monkeypatch):
-    import repro.campaign.runner as runner
+    # a probe's two scenarios (comply, rational) share no base run, so
+    # the serial runner runs each through run_scenario
+    import repro.campaign.scenario as scenario_module
 
-    real = runner.run_scenario
+    real = scenario_module.run_scenario
 
     def violating(scenario):
         return replace(real(scenario), violations=("escrow leaked",))
 
-    monkeypatch.setattr(runner, "run_scenario", violating)
+    monkeypatch.setattr(scenario_module, "run_scenario", violating)
     with pytest.raises(RuntimeError, match="violated properties") as raised:
         _CellProber().probe(*PROBE_CELLS[0])
     assert raised.value.args[0].endswith("['escrow leaked', 'escrow leaked']")
