@@ -18,8 +18,9 @@ the incremental result cache: the warm run must report a 100% hit-rate,
 reproduce the cold digest byte-identically, and beat it on wall clock.
 
 Run directly to print the tables; a machine-readable
-``BENCH_campaign.json`` (scenarios/sec, cache hit-rate, spec digest) is
-written alongside:  python benchmarks/bench_campaign.py
+``BENCH_campaign.json`` (scenarios/sec with each backend's planned base
+runs and, for the process rows, worker busy skew; cache hit-rate; spec
+digest) is written alongside:  python benchmarks/bench_campaign.py
 
 Gate mode (CI) is a ratchet that does not depend on host speed.  It runs
 the multi-party family serially, through a pool opened for the run and
@@ -54,23 +55,23 @@ a final one after it, is counted through :data:`gc.callbacks`, and more than
 :data:`MAX_CYCLIC_GARBAGE` freed objects fails.  A chain owns its
 contracts and each contract refers back weakly, so a finished world is
 freed by reference counting alone; a new back-pointer or self-referencing
-closure on the scenario path shows up as a count.  Two dispatch
-balance checks ride along: statically, no task of the default matrix's
-dispatch layout may hold more than ``ceil(size / K)`` scenarios of any
-block (``K = workers × 8``), and a traced 2-worker run of the default
-matrix must keep worker busy skew (max/mean busy seconds) within
-:data:`MAX_BUSY_SKEW`.  Last, a fresh interpreter runs a plain serial
-campaign, and the ``repro`` modules it loads must number at most
-:data:`MAX_CAMPAIGN_MODULES`: packages re-export lazily, so an eager
-import of the ablation stack, the experiment facade or the model
-checker's explorer shows up as a count:
+closure on the scenario path shows up as a count.  Two dispatch checks
+ride along: statically, the base runs that the default matrix's 2-worker
+and 4-worker process layouts plan (one per task's fork group of two or
+more sharing scenarios) must not exceed :data:`MAX_LAYOUT_BASE_RUNS`, so
+a layout that deals a block's halts across tasks again shows up as a
+count; and a traced 2-worker run of the default matrix must keep worker
+busy skew (max/mean busy seconds) within :data:`MAX_BUSY_SKEW`.  Last, a
+fresh interpreter runs a plain serial campaign, and the ``repro`` modules
+it loads must number at most :data:`MAX_CAMPAIGN_MODULES`: packages
+re-export lazily, so an eager import of the ablation stack, the
+experiment facade or the model checker's explorer shows up as a count:
 python benchmarks/bench_campaign.py --gate
 """
 
 import argparse
 import contextlib
 import gc
-import math
 import os
 import subprocess
 import sys
@@ -85,7 +86,8 @@ from repro.campaign import (
     campaign_spec,
     default_matrix,
 )
-from repro.campaign.pool import TASKS_PER_WORKER, default_workers, dispatch_layout
+from repro.campaign.pool import dispatch_layout
+from repro.campaign.scenario import fork_keys, plan_scenarios
 from repro.core.premiums import premium_plan
 from repro.obs import Tracer, phase_fragments
 
@@ -150,9 +152,15 @@ MAX_NEXT_TICK_CALLS = 30_357
 MAX_CYCLIC_GARBAGE = 0
 
 # Worker busy skew (max/mean busy seconds) allowed on a traced 2-worker
-# run of the default matrix.  Striped tasks give about 1.05; contiguous
+# run of the default matrix.  Fork-group tasks give about 1.01; contiguous
 # chunks gave about 1.4, because the complete:5-8 blocks landed in one.
 MAX_BUSY_SKEW = 1.2
+
+# Base runs the default matrix's process layout plans, by worker count:
+# the exact counts once each task held one fork group, or a run of
+# consecutive fork rounds of one (a serial pass plans 35).  Dealing every
+# block across K = workers × 8 stripes planned 302 and 301.
+MAX_LAYOUT_BASE_RUNS = {2: 38, 4: 41}
 
 # The repro modules a fresh interpreter loads to run the default matrix
 # serially: the exact count once packages re-exported lazily and the
@@ -181,6 +189,7 @@ def generate_campaign_table():
     rows = []
     records = []
     digests = []
+    scenarios = list(default_matrix().scenarios())
     for backend, workers in (("serial", None), ("process", None), ("process", 2)):
         # A sink-less tracer collects per-phase timing without writing a
         # trace file; telemetry is digest-inert, so the cross-backend
@@ -189,6 +198,12 @@ def generate_campaign_table():
         report = _run(backend, workers, tracer=tracer)
         digests.append(report.run_digest)
         label = backend if workers is None else f"{backend} (workers={workers})"
+        if report.backend == "process":
+            tasks = dispatch_layout(fork_keys(scenarios), report.workers)
+            skew = busy_skew(tracer, report.workers)[0]
+        else:
+            tasks, skew = [range(len(scenarios))], None
+        bases = planned_base_runs(scenarios, tasks)
         rows.append(
             (
                 label,
@@ -198,6 +213,8 @@ def generate_campaign_table():
                 f"{report.scenarios_per_second:.0f}/s",
                 len(report.violations),
                 report.run_digest[:12],
+                bases,
+                "-" if skew is None else f"{skew:.3f}",
             )
         )
         records.append(
@@ -206,6 +223,8 @@ def generate_campaign_table():
                 "scenarios": report.scenarios,
                 "elapsed_seconds": report.elapsed_seconds,
                 "scenarios_per_second": report.scenarios_per_second,
+                "base_runs": bases,
+                "busy_skew": skew,
                 "run_digest": report.run_digest,
                 "phases": phase_fragments(tracer.metrics.snapshot()),
             }
@@ -213,7 +232,7 @@ def generate_campaign_table():
     assert len(set(digests)) == 1, f"backend digests diverged: {digests}"
     header = (
         "backend", "scenarios", "transactions", "time", "throughput",
-        "violations", "digest",
+        "violations", "digest", "base runs", "busy skew",
     )
     return header, rows, records
 
@@ -299,22 +318,24 @@ def generate_cache_table():
     return header, rows, records
 
 
-def layout_imbalance(matrix, workers: int) -> list[str]:
-    """Blocks of which some dispatch task holds more than ``ceil(size/K)``."""
-    n = len(matrix)
-    # K comes from the policy, not from len(layout): a layout with fewer,
-    # fatter tasks must fail too.
-    stripes = min(n, workers * TASKS_PER_WORKER)
-    layout = dispatch_layout(n, workers)
-    failures = []
-    for start, size, block in matrix.block_ranges():
-        most = max(sum(start <= i < start + size for i in group) for group in layout)
-        if size and most > math.ceil(size / stripes):
-            failures.append(
-                f"workers={workers}: a task holds {most} of the {size} scenarios "
-                f"of {block.family}:{block.schedule} (cap {math.ceil(size / stripes)})"
-            )
-    return failures
+def planned_base_runs(scenarios, tasks) -> int:
+    """The base runs that ``tasks`` (lists of positions into
+    ``scenarios``) plan: each task plans its scenarios as a serial run
+    does."""
+    return sum(
+        len({job.base for job in plan_scenarios([scenarios[p] for p in task])} - {None})
+        for task in tasks
+    )
+
+
+def busy_skew(tracer: Tracer, workers: int) -> tuple[float, list[float]]:
+    """max/mean worker busy seconds of a traced process run."""
+    busy = [
+        stat.total
+        for name, stat in tracer.metrics.snapshot().timings
+        if name.startswith("worker.") and name.endswith(".busy_seconds")
+    ]
+    return max(busy) / (sum(busy) / workers), busy
 
 
 def worker_busy_skew(workers: int = 2) -> tuple[float, list[float]]:
@@ -323,12 +344,7 @@ def worker_busy_skew(workers: int = 2) -> tuple[float, list[float]]:
     CampaignRunner(
         default_matrix(), backend="process", workers=workers, tracer=tracer
     ).run()
-    busy = [
-        stat.total
-        for name, stat in tracer.metrics.snapshot().timings
-        if name.startswith("worker.") and name.endswith(".busy_seconds")
-    ]
-    return max(busy) / (sum(busy) / workers), busy
+    return busy_skew(tracer, workers)
 
 
 @contextlib.contextmanager
@@ -602,11 +618,21 @@ def run_gate() -> int:
                 "simulated once per scenario again"
             )
 
-    for workers in sorted({2, 4, default_workers()}):
-        breaches = layout_imbalance(full, workers)
-        failures.extend(breaches[:3])
-        if len(breaches) > 3:
-            failures.append(f"workers={workers}: {len(breaches) - 3} more blocks")
+    scenarios = list(full.scenarios())
+    for workers, ceiling in MAX_LAYOUT_BASE_RUNS.items():
+        bases = planned_base_runs(
+            scenarios, dispatch_layout(fork_keys(scenarios), workers)
+        )
+        print(
+            f"dispatch: the {workers}-worker layout of {len(scenarios)} scenarios "
+            f"plans {bases} base runs (ceiling {ceiling})"
+        )
+        if bases > ceiling:
+            failures.append(
+                f"the {workers}-worker process layout plans {bases} base runs, "
+                f"above the ceiling {ceiling}: its tasks split blocks' halting "
+                "scenarios away from their base runs"
+            )
     skew, busy = worker_busy_skew()
     print(
         f"dispatch: traced 2-worker run of {len(full)} scenarios, busy "
@@ -675,9 +701,9 @@ if __name__ == "__main__":
         "--gate",
         action="store_true",
         help="enforce the shared-graph memo ratchet, the leaf-work count "
-        "ceilings, the zero cyclic-garbage ceiling, digest parity, "
-        "dispatch balance and the campaign import-set ceiling (exit 1 on "
-        "breach)",
+        "ceilings, the zero cyclic-garbage ceiling, digest parity, the "
+        "layout base-run ceilings, dispatch balance and the campaign "
+        "import-set ceiling (exit 1 on breach)",
     )
     if parser.parse_args().gate:
         sys.exit(run_gate())

@@ -34,15 +34,18 @@ either failure names the factory and the full registry, so a missing
 ``import yourmodule`` or a non-deterministic factory fails loudly instead
 of silently running the wrong matrix.
 
-Tasks follow :func:`dispatch_layout`, which stripes indices across tasks
-instead of cutting contiguous chunks: the matrix lays its blocks out side
-by side and per-scenario cost differs by orders of magnitude between them
-(a complete:8 multi-party swap against a two-party halt), so a contiguous
-chunk can hold most of the campaign's work.  A stripe holds about 1/K of
-every block.  :func:`gather` puts replies back in index order, so digests
-never see the layout, and it polls worker liveness while it waits: a
-worker that dies mid-task ends the run with :class:`WorkerLostError`
-instead of the ``multiprocessing.Pool`` hang on a lost task.
+Tasks follow :func:`dispatch_layout`, which keeps each block's scenarios
+together: a task runs its scenarios as a serial run does
+(:func:`repro.campaign.scenario.plan_scenarios`), so a block's halting
+scenarios fork from one compliant base run only if they share a task.  A
+block larger than about 1/K of the selection (``K = workers × 8``) is cut
+into runs of consecutive fork rounds, each with its own base run, so no
+task holds much more than 1/K of the work's scenarios; ``imap`` hands the
+next task to whichever worker frees first.  :func:`gather` puts replies
+back in index order, so digests never see the layout, and it polls worker
+liveness while it waits: a worker that dies mid-task ends the run with
+:class:`WorkerLostError` instead of the ``multiprocessing.Pool`` hang on a
+lost task.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ import multiprocessing
 import os
 import signal
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.scenario import (
     Scenario,
     ScenarioResult,
+    fork_groups,
     plan_scenarios,
     run_scenarios,
 )
@@ -143,26 +147,41 @@ def default_workers() -> int:
     return max(2, cpus)
 
 
-#: dispatch tasks per worker: enough that the last task to finish is a
-#: small share of any worker's load.
+#: dispatch tasks per worker: ``K = workers × TASKS_PER_WORKER`` sets the
+#: largest task, ``ceil(n / K)`` scenarios, so the last task to finish is
+#: a small share of any worker's load.
 TASKS_PER_WORKER = 8
 
 #: seconds between worker liveness checks while the parent waits on a reply
 LIVENESS_POLL_SECONDS = 0.1
 
 
-def dispatch_layout(n: int, workers: int) -> list[range]:
-    """The task layout of both process paths: positions ``0..n-1`` dealt
-    into ``K = workers × TASKS_PER_WORKER`` stripes (fewer when ``n < K``).
+def dispatch_layout(
+    keys: Sequence[tuple[Hashable, int]], workers: int
+) -> list[list[int]]:
+    """The task layout of both process paths, over positions ``0..n-1``
+    with one ``(builder, fork round)`` key each (see
+    :func:`repro.campaign.scenario.fork_keys`).
 
-    Stripe ``j`` holds positions ``j, j+K, j+2K, …``, so it takes at most
-    ``ceil(size / K)`` scenarios of any contiguous block of ``size`` and
-    every task carries about 1/K of every block's cost, however unevenly
-    the costs fall across blocks.  The layout depends on ``(n, workers)``
-    only: no timing feedback, so a run dispatches the same way every time.
+    Each fork group (:func:`repro.campaign.scenario.fork_groups`: the
+    positions a serial run gives one base run, in ascending fork round)
+    goes into one task.  With ``K = workers × TASKS_PER_WORKER``, a group
+    larger than ``ceil(n / K)`` is cut into the fewest runs of consecutive
+    fork rounds no larger than that, equal in size give or take one; each
+    run pays its own base run.  Tasks go out in order of their first
+    matrix position.  The layout depends on ``(keys, workers)`` only: no
+    timing feedback, so a run dispatches the same way every time.
     """
-    stripes = min(n, workers * TASKS_PER_WORKER)
-    return [range(j, n, stripes) for j in range(stripes)]
+    cap = -(-len(keys) // (workers * TASKS_PER_WORKER))
+    tasks = []
+    for members in fork_groups(keys):
+        pieces = -(-len(members) // cap)
+        for piece in range(pieces):
+            run = members[
+                len(members) * piece // pieces : len(members) * (piece + 1) // pieces
+            ]
+            tasks.append([position for _, position in run])
+    return sorted(tasks, key=min)
 
 
 class WorkerLostError(RuntimeError):
@@ -187,7 +206,7 @@ def _lost_worker(
 def gather(
     pool: "multiprocessing.pool.Pool",
     tasks: list,
-    groups: list[range],
+    groups: list[list[int]],
     tracer=None,
     meter=None,
 ) -> list[ScenarioResult]:
@@ -298,13 +317,13 @@ def _run_task(
     """One dispatch task: the given global indices of one matrix.
 
     The task runs its scenarios the way a serial run does
-    (:func:`repro.campaign.scenario.plan_scenarios`), so halting scenarios
-    of one block fork from one compliant base run, but only within the
-    task's stripe.  A metered task runs each planned job through the
-    runner's ``_run_at_metered``, looked up on the runner module per
-    scenario so a wrapper installed there before the fork applies to each
-    one, and folds the per-scenario samples into one reply for the parent
-    tracer.  The scenario outcomes are byte-identical either way.
+    (:func:`repro.campaign.scenario.plan_scenarios`), so the halting
+    scenarios of the fork group it holds (see :func:`dispatch_layout`)
+    fork from one compliant base run.  A metered task runs each planned
+    job through the runner's ``_run_at_metered``, looked up on the runner
+    module per scenario so a wrapper installed there before the fork
+    applies to each one, and folds the per-scenario samples into one
+    reply for the parent tracer.  The scenario outcomes are byte-identical either way.
     """
     spec, matrix_digest, indices, metered = task
     table = _scenario_table(spec, matrix_digest, indices)
@@ -353,6 +372,7 @@ class WorkerPool:
         spec: MatrixSpec | None,
         matrix_digest: str,
         indices: list[int],
+        keys: Sequence[tuple[Hashable, int]],
         tracer=None,
         meter=None,
     ) -> list[ScenarioResult]:
@@ -363,22 +383,32 @@ class WorkerPool:
         miss; ``spec`` may be ``None`` only when every row was shared
         before this pool forked.
 
+        ``keys`` holds the ``(builder, fork round)`` of each index's
+        scenario (:func:`repro.campaign.scenario.fork_keys` over the rows
+        the caller expanded), so the layout groups a block's scenarios as
+        a serial run would.
+
         ``tracer``/``meter`` (a :class:`repro.obs.Tracer` and
         :class:`repro.obs.ProgressMeter`) switch dispatch to metered
         tasks: progress ticks as task replies land, and each task's
         per-worker sample merges into the tracer.  Outcomes are
         byte-identical either way.
 
-        The indices go out in :func:`dispatch_layout` stripes and come
-        back in the given order.  A worker lost mid-run raises
-        :class:`WorkerLostError` and tears the pool down; the next run
-        forks a fresh one.
+        The indices go out in :func:`dispatch_layout` tasks, one fork
+        group or a run of one each, and come back in the given order.  A
+        worker lost mid-run raises :class:`WorkerLostError` and tears the
+        pool down; the next run forks a fresh one.
         """
+        if len(keys) != len(indices):
+            raise ValueError(
+                f"{len(keys)} fork keys for {len(indices)} indices: one "
+                "key per index"
+            )
         pool = self._ensure_started()
         # Workers hold their own copy of the shared rows from the fork;
         # drop the parent's rather than pin them for its lifetime.
         _TABLES.clear()
-        groups = dispatch_layout(len(indices), self.workers)
+        groups = dispatch_layout(keys, self.workers)
         metered = tracer is not None or meter is not None
         tasks = [
             (spec, matrix_digest, [indices[p] for p in group], metered)

@@ -14,15 +14,14 @@ and executes the selected scenarios through one of three backends:
   Workers inherit the parent's expanded selection through fork and run it
   *by index*, so builders and strategy transforms never need to be
   picklable; only the primitive :class:`ScenarioResult` objects cross the
-  process boundary.  Each task is one striped index group from
-  :func:`repro.campaign.pool.dispatch_layout` — stripe ``j`` of ``K =
-  workers × 8`` holds positions ``j, j+K, j+2K, …`` — so the expensive
-  multi-party blocks, which sit side by side in the matrix, spread over
-  every task instead of filling one contiguous chunk.  A task runs its
-  stripe as the serial backend runs a selection, so its forks share
-  base runs within the stripe only.  Replies are put
-  back in index order, so the layout never reaches a digest.  A worker
-  that dies mid-run ends it with
+  process boundary.  Each task is one fork group from
+  :func:`repro.campaign.pool.dispatch_layout`: a block's scenarios, or a
+  run of consecutive fork rounds of a block larger than ``1/K`` of the
+  selection (``K = workers × 8``).  A task runs its scenarios as the
+  serial backend runs a selection, so the halting scenarios in a task
+  share one base run, as a block's do in a serial run.
+  Replies are put back in index order, so the layout never reaches a
+  digest.  A worker that dies mid-run ends it with
   :class:`repro.campaign.pool.WorkerLostError` rather than a hang.
 
 The pool has two lifetimes.  Without ``pool=`` the runner opens one for
@@ -75,6 +74,7 @@ from repro.campaign.scenario import (
     Scenario,
     ScenarioJob,
     ScenarioResult,
+    fork_keys,
     plan_scenarios,
     run_scenarios,
 )
@@ -694,6 +694,7 @@ class CampaignRunner:
                             self.matrix.spec,
                             matrix_digest,
                             to_run,
+                            fork_keys(scenarios),
                             tracer=tracer,
                             meter=meter,
                         )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Hashable, NamedTuple, Protocol, Sequence
 
 from repro.campaign.canon import canon_float
 from repro.chain.blockchain import NEVER
@@ -296,11 +296,27 @@ class BaseRun:
         if self.finished is not None:
             result = self.finished
         else:
-            deviations = {party: strategy.transform for party, strategy in scenario.profile}
-            result = execute(instance, deviations, fork=True)
-            # The fork's own instance: its world, and the labels, horizon,
-            # meta and party names every fork shares with the base.
-            instance = replace(instance, world=result.world, run=None)
+            transforms = {party: strategy.transform for party, strategy in scenario.profile}
+            actors: dict[str, Actor] = {}
+
+            def deviate(actor: Actor) -> Actor:
+                # execute hands every party's transform the fork's copy of
+                # the base's compliant actor: the fork's unwrapped actor.
+                actors[actor.name] = actor
+                transform = transforms.get(actor.name)
+                return transform(actor) if transform else actor
+
+            result = execute(
+                instance, dict.fromkeys(instance.actors, deviate), fork=True
+            )
+            # The fork's own instance: its world and actors, and the labels,
+            # horizon and meta every fork shares with the base.
+            instance = replace(
+                instance,
+                world=result.world,
+                actors={party: actors[party] for party in instance.actors},
+                run=None,
+            )
         self.pending -= 1
         if not self.pending:
             self.instance = self.finished = None
@@ -324,26 +340,47 @@ class ScenarioJob(NamedTuple):
         return self.base.run(self.scenario, self.at)
 
 
+def fork_keys(scenarios: Sequence[Scenario]) -> list[tuple[int, int]]:
+    """Each scenario's ``(builder identity, fork round)``: all that decides
+    which base run it may share (see :func:`fork_groups`)."""
+    # Identity groups scenarios in one process; never digested.
+    return [
+        (id(scenario.builder), fork_round(scenario))  # lint: disable=DET001
+        for scenario in scenarios
+    ]
+
+
+def fork_groups(keys: Sequence[tuple[Hashable, int]]) -> list[list[tuple[int, int]]]:
+    """Positions ``0..n-1`` grouped by the builder of their key (see
+    :func:`fork_keys`): each group as ``(fork round, position)`` pairs in
+    ascending order, groups in order of their first position.
+
+    The one grouping rule of both the executor (:func:`plan_scenarios`
+    gives a group's sharing scenarios one base run) and the process
+    layout (:func:`repro.campaign.pool.dispatch_layout` keeps a group in
+    one task, or in as few as balance allows).
+    """
+    groups: dict[Hashable, list[tuple[int, int]]] = {}
+    for position, (builder, at) in enumerate(keys):
+        groups.setdefault(builder, []).append((at, position))
+    return [sorted(members) for members in groups.values()]
+
+
 def plan_scenarios(scenarios: Sequence[Scenario]) -> list[ScenarioJob]:
     """The jobs that run ``scenarios``, in the order they must run.
 
-    Scenarios are grouped by builder identity (every scenario of a matrix
-    block shares its builder).  In a group, the scenarios that play
-    compliant up to some round ``r > 0`` share one :class:`BaseRun`: they
-    fork from it in ascending ``r``, and the first all-compliant scenario
-    finishes it last.  Every other scenario runs by itself: one that
-    deviates from round 0 (forking a fresh world costs more than a
-    build), a second all-compliant one, and any scenario that would share
-    a base with no other.
+    Scenarios are grouped by builder identity (:func:`fork_groups`; every
+    scenario of a matrix block shares its builder).  In a group, the
+    scenarios that play compliant up to some round ``r > 0`` share one
+    :class:`BaseRun`: they fork from it in ascending ``r``, and the first
+    all-compliant scenario finishes it last.  Every other scenario runs
+    by itself: one that deviates from round 0 (forking a fresh world
+    costs more than a build), a second all-compliant one, and any
+    scenario that would share a base with no other.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for position, scenario in enumerate(scenarios):
-        # Identity groups scenarios in one process; never digested.
-        key = id(scenario.builder)  # lint: disable=DET001
-        groups.setdefault(key, []).append((fork_round(scenario), position))
     jobs: list[ScenarioJob] = []
-    for members in groups.values():
-        forks = sorted(member for member in members if 0 < member[0] < NEVER)
+    for members in fork_groups(fork_keys(scenarios)):
+        forks = [member for member in members if 0 < member[0] < NEVER]
         compliant = [member for member in members if member[0] == NEVER][:1]
         shared = forks + compliant
         if len(shared) < 2:

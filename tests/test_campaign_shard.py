@@ -12,6 +12,7 @@ coverage, tiny process runs fall back to serial, and a persistent
 import math
 import os
 import signal
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -38,6 +39,8 @@ from repro.campaign.pool import (
     register_matrix_factory,
 )
 from repro.campaign.runner import MIN_PROCESS_SCENARIOS
+from repro.campaign.scenario import fork_keys
+from repro.chain.blockchain import NEVER
 from repro.checker import halt_strategies, properties
 from repro.core.hedged_multi_party import HedgedMultiPartySwap
 from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
@@ -526,35 +529,50 @@ def test_sealed_auction_family_holds_lemma_bounds():
 
 
 # ----------------------------------------------------------------------
-# striped dispatch layout
+# fork-group dispatch layout
 # ----------------------------------------------------------------------
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 6000), workers=st.integers(1, 64))
-def test_layout_covers_every_index_once_in_few_groups(n, workers):
-    layout = dispatch_layout(n, workers)
-    assert sorted(i for group in layout for i in group) == list(range(n))
-    assert len(layout) <= workers * TASKS_PER_WORKER
-    assert all(len(group) for group in layout)
-    assert layout == dispatch_layout(n, workers)  # a function of (n, workers)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(1, 6000),
-    workers=st.integers(1, 64),
-    start=st.integers(0, 5999),
-    size=st.integers(1, 6000),
+#: per-position (builder, fork round) keys: a few builders, fork rounds
+#: from round-0 deviations through halts to the all-compliant NEVER
+LAYOUT_KEYS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 30) | st.just(NEVER)),
+    max_size=800,
 )
-def test_layout_spreads_any_contiguous_block_over_every_group(
-    n, workers, start, size
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=LAYOUT_KEYS, workers=st.integers(1, 64))
+def test_layout_runs_every_position_once_as_a_function_of_keys_and_workers(
+    keys, workers
 ):
-    start = min(start, n - 1)
-    end = min(n, start + size)
-    layout = dispatch_layout(n, workers)
-    cap = math.ceil((end - start) / len(layout))
-    assert all(
-        sum(start <= i < end for i in group) <= cap for group in layout
-    )
+    layout = dispatch_layout(keys, workers)
+    assert sorted(p for task in layout for p in task) == list(range(len(keys)))
+    assert all(layout)
+    assert layout == dispatch_layout(list(keys), workers)
+    # tasks go out in order of their first matrix position
+    assert [min(task) for task in layout] == sorted(min(task) for task in layout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=LAYOUT_KEYS, workers=st.integers(1, 64))
+def test_layout_keeps_each_fork_group_in_few_tasks_in_fork_round_order(
+    keys, workers
+):
+    layout = dispatch_layout(keys, workers)
+    cap = math.ceil(len(keys) / (workers * TASKS_PER_WORKER))
+    tasks_of: dict[int, list[list[int]]] = {}
+    for task in layout:
+        (builder,) = {keys[p][0] for p in task}  # one group per task
+        assert len(task) <= cap
+        members = [(keys[p][1], p) for p in task]
+        assert members == sorted(members)  # ascending fork round
+        tasks_of.setdefault(builder, []).append(members)
+    for builder, size in Counter(builder for builder, _ in keys).items():
+        pieces = sorted(tasks_of[builder])
+        assert len(pieces) <= math.ceil(size / cap)
+        # the pieces are runs of consecutive fork rounds
+        assert [m for piece in pieces for m in piece] == sorted(
+            (at, p) for p, (b, at) in enumerate(keys) if b == builder
+        )
 
 
 def _multi_party_block(matrix: ScenarioMatrix) -> None:
@@ -607,6 +625,11 @@ def test_serial_process_and_pooled_runs_agree_whatever_the_block_order(
     def run(**kwargs):
         return CampaignRunner(lopsided_matrix(expensive_first), **kwargs).run()
 
+    # the layout cuts the largest block into pieces, each with its own base
+    keys = fork_keys(list(lopsided_matrix(expensive_first).scenarios()))
+    largest, size = Counter(builder for builder, _ in keys).most_common(1)[0]
+    assert size > math.ceil(len(keys) / (2 * TASKS_PER_WORKER))
+    assert sum(keys[task[0]][0] == largest for task in dispatch_layout(keys, 2)) > 1
     serial = run()
     process = run(backend="process", workers=2)
     with WorkerPool(workers=2) as pool:
@@ -619,7 +642,19 @@ def test_serial_process_and_pooled_runs_agree_whatever_the_block_order(
         assert report.run_digest == serial.run_digest
 
 
-def test_traced_striped_process_run_matches_untraced():
+@pytest.mark.parametrize(
+    "selection", [{"limit": 60}, {"shard": (2, 3)}, {"limit": 90, "shard": (1, 2)}]
+)
+def test_process_runs_of_a_selection_match_serial(selection):
+    matrix = lopsided_matrix(expensive_first=True)
+    serial = CampaignRunner(matrix, **selection).run()
+    process = CampaignRunner(matrix, backend="process", workers=2, **selection).run()
+    assert process.backend == "process"
+    assert [r.digest for r in process.results] == [r.digest for r in serial.results]
+    assert process.run_digest == serial.run_digest
+
+
+def test_traced_process_run_matches_untraced():
     matrix = lopsided_matrix(expensive_first=True)
     untraced = CampaignRunner(matrix, backend="process", workers=2).run()
     tracer = Tracer()

@@ -22,10 +22,11 @@ from dataclasses import asdict
 import pytest
 
 import repro.campaign.scenario as scenario_module
-from repro.campaign import default_matrix
+from repro.campaign import ScenarioMatrix, default_matrix
 from repro.campaign.families import FAMILY_NAMES
 from repro.campaign.scenario import Scenario, fork_round, plan_scenarios, run_scenarios
 from repro.chain.blockchain import NEVER
+from repro.checker import halt_strategies
 from repro.checker.strategies import NamedStrategy
 from repro.contracts.base import Contract
 from repro.core.hedged_broker import HedgedBrokerDeal
@@ -91,6 +92,39 @@ def test_planned_runs_match_runs_by_themselves(name, recorded_runs):
     for scenario, mine, theirs in zip(scenarios, planned, alone):
         assert _outcome(mine) == _outcome(theirs), scenario.label
         assert recorded_runs[scenario.index] == traces[scenario.index], scenario.label
+
+
+def _phase_flags(instance, result, adversaries) -> list[str]:
+    """A property that reads actor state: every party's ``*_done`` flags,
+    reported as violations so they reach the condensed result."""
+    return [
+        f"{party}:{sorted((k, v) for k, v in vars(actor).items() if k.endswith('_done'))}"
+        for party, actor in sorted(instance.actors.items())
+    ]
+
+
+def test_a_forked_scenario_is_condensed_over_the_forks_actors():
+    def build():
+        return HedgedMultiPartySwap(graph=complete_graph(3)).build()
+
+    matrix = ScenarioMatrix()
+    matrix.add_block(
+        family="halts",
+        schedule="",
+        builder=build,
+        builder_id="halts",
+        properties=(_phase_flags,),
+        strategies={party: halt_strategies(build().horizon) for party in build().actors},
+    )
+    scenarios = list(matrix.scenarios())
+    assert any(job.base is not None for job in plan_scenarios(scenarios))
+    planned = run_scenarios(scenarios)
+    alone = [scenario_module.run_scenario(scenario) for scenario in scenarios]
+    for scenario, mine, theirs in zip(scenarios, planned, alone):
+        assert mine.violations == theirs.violations, scenario.label
+    # the flags move after the fork rounds, so the base's paused actors
+    # would report other flags than the fork's
+    assert len({result.violations for result in alone}) > 1
 
 
 # ----------------------------------------------------------------------
